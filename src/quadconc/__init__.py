@@ -18,12 +18,10 @@ from .generators import GenSpec, gen_quadrilateral, gen_ratios  # noqa: F401
 from .kernel import (  # noqa: F401
     Line,
     Point,
-    Rat,
     affine_parameter,
     as_rat,
     classify_quadrilateral,
     collinear,
-    concurrent,
     directed_ratio,
     line_through,
     meet,

@@ -14,12 +14,11 @@ import os
 import sys
 from dataclasses import replace
 
-from .configuration import build_from_ratios
+from .configuration import Configuration, build_from_ratios
 from .errors import (
     CoincidentPoints,
     DegenerateQuadrilateral,
     GenerationExhausted,
-    GeometryError,
     InstanceFormatError,
     PointNotOnSide,
     UndefinedPoint,
@@ -39,6 +38,11 @@ from .verifiers import CLAIM_IDS, FAIL, FINDING_CLAIMS, verify_all
 NONCONVEX_TARGETS = tuple(
     c for c in CLAIM_IDS if c not in ("crossing_ratio_formula", "inner_quadrilateral")
 )
+
+# how ``verify`` and ``figure`` treat an instance file that does not build:
+# invalid input exits 2, a degenerate configuration is reported and exits 0
+_INVALID_INPUT = (InstanceFormatError, OSError, PointNotOnSide)
+_DEGENERATE_INPUT = (DegenerateQuadrilateral, CoincidentPoints, UndefinedPoint)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,22 +100,40 @@ def _checks_from_args(args: argparse.Namespace, inst: InstanceFile) -> tuple[str
     return inst.checks
 
 
+def _load_and_build(path: str) -> tuple[InstanceFile, Configuration | None, str]:
+    """The instance file at ``path`` and its configuration.
+
+    A degenerate instance gives ``None`` and the reason in place of the
+    configuration; invalid input raises one of ``_INVALID_INPUT``.
+    """
+    inst = load_instance(path)
+    try:
+        return inst, inst.configuration(), ""
+    except _DEGENERATE_INPUT as exc:
+        return inst, None, f"{type(exc).__name__}: {exc}"
+
+
+def _write_output(path: str, text: str) -> bool:
+    """Write ``text`` to the file ``path``; report the error if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args: argparse.Namespace, out) -> int:
     try:
-        inst = load_instance(args.file)
+        inst, cfg, reason = _load_and_build(args.file)
         checks = _checks_from_args(args, inst)
-    except (InstanceFormatError, OSError) as exc:
+    except _INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     meta = {"source": args.file}
-    claims = checks or CLAIM_IDS
-    try:
-        cfg = inst.configuration()
-    except PointNotOnSide as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateQuadrilateral, CoincidentPoints, UndefinedPoint) as exc:
-        doc = degenerate_report(meta, claims, f"{type(exc).__name__}: {exc}", instance=inst)
+    if cfg is None:
+        doc = degenerate_report(meta, checks or CLAIM_IDS, reason, instance=inst)
         out.write(render(doc))
         return 0
     verdicts = verify_all(cfg, checks or None)
@@ -254,26 +276,25 @@ def cmd_counterexample(args: argparse.Namespace, out) -> int:
         if verdicts and verdicts[0].status == FAIL:
             inst = instance_from_parts(quad, ratios, checks=(args.target,))
             text = serialize_instance(inst)
+            if args.output and not _write_output(args.output, text):
+                return 2
             out.write(text)
-            if args.output:
-                with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
             return 0
     return 1
 
 
 def cmd_figure(args: argparse.Namespace, out) -> int:
     try:
-        inst = load_instance(args.file)
-        cfg = inst.configuration()
+        _, cfg, reason = _load_and_build(args.file)
+        if cfg is None:
+            print(f"degenerate: {reason}", file=sys.stderr)
+            return 0
         layers = tuple(c for c in args.layers.split(",") if c) if args.layers else None
         svg = render_svg(cfg, layers)
-    except (InstanceFormatError, OSError, ValueError, GeometryError) as exc:
+    except (*_INVALID_INPUT, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
-    return 0
+    return 0 if _write_output(args.output, svg) else 2
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

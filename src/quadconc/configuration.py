@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .errors import (
     CoincidentPoints,
@@ -42,14 +43,34 @@ from .kernel import (
     point_dividing,
 )
 
-# fields of Configuration that hold constructed points, in report order
-POINT_NAMES = (
-    "M", "N", "P", "Q",
-    "O", "X", "Y", "Z", "T",
-    "A1", "B1", "C1", "D1",
-    "F1", "G1", "F2", "G2",
-    "E", "M1", "N1", "P1", "Q1", "R",
+# every constructed point as the meet of two lines, each through two
+# earlier points, in construction order: the first row whose two lines
+# coincide names the UndefinedPoint
+CONSTRUCTION: tuple[tuple[str, tuple[str, str], tuple[str, str]], ...] = (
+    ("O", ("A", "C"), ("B", "D")),
+    ("X", ("A", "N"), ("B", "Q")),
+    ("Z", ("D", "N"), ("C", "Q")),
+    ("Y", ("C", "M"), ("B", "P")),
+    ("T", ("A", "P"), ("D", "M")),
+    ("A1", ("B", "P"), ("D", "N")),
+    ("B1", ("A", "P"), ("C", "Q")),
+    ("C1", ("B", "Q"), ("D", "M")),
+    ("D1", ("A", "N"), ("C", "M")),
+    ("F1", ("B", "D1"), ("A", "C")),
+    ("G1", ("C", "A1"), ("B", "D")),
+    ("F2", ("D", "B1"), ("A", "C")),
+    ("G2", ("A", "C1"), ("B", "D")),
+    ("E", ("M", "P"), ("N", "Q")),
+    ("M1", ("A", "A1"), ("D", "D1")),
+    ("N1", ("A", "A1"), ("B", "B1")),
+    ("P1", ("B", "B1"), ("C", "C1")),
+    ("Q1", ("C", "C1"), ("D", "D1")),
+    ("R", ("N", "Q"), ("A", "B")),
 )
+
+# the point pairs spanning the six lines that pass through E at ratio
+# product one; the seventh is the line F1G1
+E_LINE_PAIRS = (("A", "A1"), ("B", "B1"), ("C", "C1"), ("D", "D1"), ("M", "P"), ("N", "Q"))
 
 # the point pairs whose coincidence collapses one of the four lines
 # joining consecutive diagonal division points
@@ -59,11 +80,6 @@ DIAGONAL_PAIRS = (
     ("F2", "G2"),
     ("G2", "F1"),
 )
-
-# R ideal is an in-convention case (its ratio is defined to be 1), so it
-# does not count as a degeneracy
-_IDEAL_IS_EXPECTED = frozenset({"R"})
-
 
 @dataclass(frozen=True)
 class Quadrilateral:
@@ -117,46 +133,17 @@ class Configuration:
 
     quad: Quadrilateral
     ratios: SideRatios
-    M: Point
-    N: Point
-    P: Point
-    Q: Point
-    O: Optional[Point]
-    X: Optional[Point]
-    Y: Optional[Point]
-    Z: Optional[Point]
-    T: Optional[Point]
-    A1: Optional[Point]
-    B1: Optional[Point]
-    C1: Optional[Point]
-    D1: Optional[Point]
-    F1: Optional[Point]
-    G1: Optional[Point]
-    F2: Optional[Point]
-    G2: Optional[Point]
-    E: Optional[Point]
-    M1: Optional[Point]
-    N1: Optional[Point]
-    P1: Optional[Point]
-    Q1: Optional[Point]
-    R: Optional[Point]
+    # read-only name -> point; None where a defining line is undefined.
+    # Left out of the hash, which a mapping proxy does not support.
+    _points: Mapping[str, Optional[Point]] = field(hash=False)
     r_ratio: Fraction
     degeneracies: frozenset[str]
 
     def point(self, name: str) -> Optional[Point]:
-        if name in ("A", "B", "C", "D"):
-            return getattr(self.quad, name)
-        if name in POINT_NAMES:
-            return getattr(self, name)
-        raise KeyError(name)
+        return self._points[name]
 
     def named_points(self) -> dict[str, Optional[Point]]:
-        out: dict[str, Optional[Point]] = {
-            "A": self.quad.A, "B": self.quad.B, "C": self.quad.C, "D": self.quad.D,
-        }
-        for name in POINT_NAMES:
-            out[name] = getattr(self, name)
-        return out
+        return dict(self._points)
 
 
 def join(u: Optional[Point], v: Optional[Point]) -> Optional[Line]:
@@ -166,106 +153,54 @@ def join(u: Optional[Point], v: Optional[Point]) -> Optional[Line]:
     return line_through(u, v)
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.flags: set[str] = set()
-
-    def cut(self, name: str, l1, l2) -> Optional[Point]:
-        if l1 is None or l2 is None:
-            self.flags.add(f"{name}_UNDEFINED")
-            return None
-        if l1 == l2:
-            raise UndefinedPoint(name)
-        pt = meet(l1, l2)
-        if pt.is_ideal and name not in _IDEAL_IS_EXPECTED:
-            self.flags.add(f"{name}_IDEAL")
-        return pt
-
-
 def _construct(quad: Quadrilateral, ratios: SideRatios,
                side_points: tuple[Point, Point, Point, Point] | None = None) -> Configuration:
     A, B, C, D = quad.vertices
     if side_points is None:
-        M = point_dividing(A, B, ratios.m)
-        N = point_dividing(B, C, ratios.n)
-        P = point_dividing(C, D, ratios.p)
-        Q = point_dividing(D, A, ratios.q)
-    else:
-        M, N, P, Q = side_points
+        side_points = (
+            point_dividing(A, B, ratios.m),
+            point_dividing(B, C, ratios.n),
+            point_dividing(C, D, ratios.p),
+            point_dividing(D, A, ratios.q),
+        )
+    points: dict[str, Optional[Point]] = dict(zip("ABCDMNPQ", quad.vertices + side_points))
+    # lines shared by several rows are built once
+    lines: dict[tuple[str, str], Optional[Line]] = {}
+    flags: set[str] = set()
+    for name, uv, st in CONSTRUCTION:
+        if uv not in lines:
+            lines[uv] = join(points[uv[0]], points[uv[1]])
+        if st not in lines:
+            lines[st] = join(points[st[0]], points[st[1]])
+        l1, l2 = lines[uv], lines[st]
+        if l1 is None or l2 is None:
+            flags.add(f"{name}_UNDEFINED")
+            points[name] = None
+            continue
+        if l1 == l2:
+            raise UndefinedPoint(name)
+        pt = points[name] = meet(l1, l2)
+        # R ideal is an in-convention case (its ratio is defined to be 1),
+        # so it does not count as a degeneracy
+        if pt.is_ideal and name != "R":
+            flags.add(f"{name}_IDEAL")
 
-    b = _Builder()
-    lAC = join(A, C)
-    lBD = join(B, D)
-    O = b.cut("O", lAC, lBD)
-
-    lAN = join(A, N)
-    lBQ = join(B, Q)
-    lDN = join(D, N)
-    lCQ = join(C, Q)
-    lCM = join(C, M)
-    lBP = join(B, P)
-    lAP = join(A, P)
-    lDM = join(D, M)
-
-    X = b.cut("X", lAN, lBQ)
-    Z = b.cut("Z", lDN, lCQ)
-    Y = b.cut("Y", lCM, lBP)
-    T = b.cut("T", lAP, lDM)
-
-    A1 = b.cut("A1", lBP, lDN)
-    B1 = b.cut("B1", lAP, lCQ)
-    C1 = b.cut("C1", lBQ, lDM)
-    D1 = b.cut("D1", lAN, lCM)
-
-    F1 = b.cut("F1", join(B, D1), lAC)
-    G1 = b.cut("G1", join(C, A1), lBD)
-    F2 = b.cut("F2", join(D, B1), lAC)
-    G2 = b.cut("G2", join(A, C1), lBD)
-
-    lMP = join(M, P)
-    lNQ = join(N, Q)
-    E = b.cut("E", lMP, lNQ)
-
-    lAA1 = join(A, A1)
-    lBB1 = join(B, B1)
-    lCC1 = join(C, C1)
-    lDD1 = join(D, D1)
-    M1 = b.cut("M1", lAA1, lDD1)
-    N1 = b.cut("N1", lAA1, lBB1)
-    P1 = b.cut("P1", lBB1, lCC1)
-    Q1 = b.cut("Q1", lCC1, lDD1)
-
-    lAB = join(A, B)
-    R = b.cut("R", lNQ, lAB)
+    R = points["R"]
     r_ratio = Fraction(1)
-    if R is None:
-        pass
-    elif R.is_ideal:
-        pass
-    else:
+    if R is not None and R.is_finite:
         lam = affine_parameter(A, B, R)
         if lam == 1:
             # R fell on vertex B; the unsigned ratio RA/RB is infinite
-            b.flags.add("R_RATIO_UNDEFINED")
+            flags.add("R_RATIO_UNDEFINED")
         else:
             r_ratio = abs(lam / (1 - lam))
 
-    diag_points = {"F1": F1, "G1": G1, "F2": F2, "G2": G2}
     for u, v in DIAGONAL_PAIRS:
-        pu, pv = diag_points[u], diag_points[v]
+        pu, pv = points[u], points[v]
         if pu is not None and pv is not None and pu == pv:
-            b.flags.add(f"{u}_EQ_{v}")
+            flags.add(f"{u}_EQ_{v}")
 
-    return Configuration(
-        quad=quad, ratios=ratios,
-        M=M, N=N, P=P, Q=Q,
-        O=O, X=X, Y=Y, Z=Z, T=T,
-        A1=A1, B1=B1, C1=C1, D1=D1,
-        F1=F1, G1=G1, F2=F2, G2=G2,
-        E=E, M1=M1, N1=N1, P1=P1, Q1=Q1,
-        R=R, r_ratio=r_ratio,
-        degeneracies=frozenset(b.flags),
-    )
+    return Configuration(quad, ratios, MappingProxyType(points), r_ratio, frozenset(flags))
 
 
 def build_from_ratios(quad: Quadrilateral, ratios: SideRatios) -> Configuration:

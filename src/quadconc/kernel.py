@@ -23,7 +23,7 @@ Everything here is an immutable value and every function is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from ._purekernel import cross3, det3, dot3, reduce3
 from .errors import (
@@ -37,7 +37,6 @@ from .errors import (
     RatioMinusOne,
 )
 
-Rat = Fraction
 RatLike = Union[int, str, Fraction]
 
 Shape = str
@@ -45,7 +44,6 @@ CONVEX: Shape = "convex"
 CONCAVE: Shape = "concave"
 CROSSED: Shape = "crossed"
 DEGENERATE: Shape = "degenerate"
-SHAPES: tuple[Shape, ...] = (CONVEX, CONCAVE, CROSSED, DEGENERATE)
 
 
 def as_rat(value: RatLike) -> Fraction:
@@ -149,21 +147,6 @@ class Line:
         obj._t = triple
         return obj
 
-    @property
-    def a(self) -> int:
-        return self._t[0]
-
-    @property
-    def b(self) -> int:
-        return self._t[1]
-
-    @property
-    def c(self) -> int:
-        return self._t[2]
-
-    def triple(self) -> tuple[int, int, int]:
-        return self._t
-
     def contains(self, p: Point) -> bool:
         return dot3(self._t, p._t) == 0
 
@@ -201,23 +184,6 @@ def meet(l1: Line, l2: Line) -> Point:
 def collinear(p: Point, q: Point, r: Point) -> bool:
     """Exact incidence test: the 3x3 coordinate determinant vanishes."""
     return det3(p._t, q._t, r._t) == 0
-
-
-def concurrent(lines: Sequence[Line]) -> Point | None:
-    """The common point of three or more pairwise-distinct lines, if any."""
-    ls = list(lines)
-    if len(ls) < 3:
-        raise ValueError("concurrence needs at least three lines")
-    for i in range(len(ls)):
-        for j in range(i + 1, len(ls)):
-            if ls[i] == ls[j]:
-                raise CoincidentLines("concurrent() requires pairwise-distinct lines")
-    pt = meet(ls[0], ls[1])
-    t = pt._t
-    for line in ls[2:]:
-        if dot3(line._t, t) != 0:
-            return None
-    return pt
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:

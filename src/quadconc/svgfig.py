@@ -12,7 +12,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .configuration import Configuration
+from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
 from .kernel import Point
 
 RENDER_DIGITS = 12
@@ -111,19 +111,10 @@ def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:
         seg("diagonals", quad.A, quad.C)
         seg("diagonals", quad.B, quad.D)
     if "seven" in active:
-        seg("seven", quad.A, cfg.A1)
-        seg("seven", quad.B, cfg.B1)
-        seg("seven", quad.C, cfg.C1)
-        seg("seven", quad.D, cfg.D1)
-        seg("seven", cfg.M, cfg.P)
-        seg("seven", cfg.N, cfg.Q)
-        if cfg.ratios.gamma == 1:
-            seg("seven", cfg.F1, cfg.G1)
-        else:
-            seg("seven", cfg.F1, cfg.G1)
-            seg("seven", cfg.G1, cfg.F2)
-            seg("seven", cfg.F2, cfg.G2)
-            seg("seven", cfg.G2, cfg.F1)
+        # at product one F1 = F2 and G1 = G2, so F1G1 is the seventh line
+        fg = DIAGONAL_PAIRS[:1] if cfg.ratios.gamma == 1 else DIAGONAL_PAIRS
+        for u, v in E_LINE_PAIRS + fg:
+            seg("seven", cfg.point(u), cfg.point(v))
     if "fg" in active:
         for name in ("F1", "G1", "F2", "G2"):
             pt = _finite(cfg.point(name))
@@ -136,7 +127,7 @@ def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:
         if all(p is not None for p in inner):
             pts = " ".join(",".join(canvas.map(p)) for p in inner)  # type: ignore[arg-type]
             body.append(f'<polygon points="{pts}" {_STYLE["inner"]} />')
-        e = _finite(cfg.E)
+        e = _finite(cfg.point("E"))
         if e is not None:
             body.append(_marker(canvas, e, 'fill="#c23b22"', radius="4"))
             if "labels" in active:

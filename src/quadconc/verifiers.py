@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .configuration import CONVEX, DIAGONAL_PAIRS, Configuration, join
+from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration, join
 from .errors import (
     GammaNotOne,
     GeometryError,
@@ -130,14 +130,15 @@ def verify_diagonal_collinearity(cfg: Configuration) -> Verdict:
     missing = _missing(cfg, names)
     if missing:
         return Verdict(claim, DEGENERATE, detail="undefined: " + ",".join(missing))
-    c1 = collinear(cfg.X, cfg.O, cfg.Z)
-    c2 = collinear(cfg.Y, cfg.O, cfg.T)
+    X, O, Z, Y, T = (cfg.point(n) for n in names)
+    c1 = collinear(X, O, Z)
+    c2 = collinear(Y, O, T)
     values = {"X_O_Z_collinear": _b01(c1), "Y_O_T_collinear": _b01(c2)}
     ideal = _ideal(cfg, names)
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal), exact_values=values)
     return Verdict(claim, PASS if c1 and c2 else FAIL,
-                   witness={"O": cfg.O}, exact_values=values)
+                   witness={"O": O}, exact_values=values)
 
 
 def verify_seven_lines(cfg: Configuration) -> Verdict:
@@ -146,7 +147,6 @@ def verify_seven_lines(cfg: Configuration) -> Verdict:
     regime); also checks the division ratio of ``E`` on ``FG``."""
     _require_gamma_one(cfg)
     claim = "seven_lines"
-    quad = cfg.quad
     missing = _missing(cfg, ("A1", "B1", "C1", "D1", "F1", "G1", "F2", "G2", "E"))
     if missing:
         return Verdict(claim, DEGENERATE, detail="undefined: " + ",".join(missing))
@@ -155,8 +155,9 @@ def verify_seven_lines(cfg: Configuration) -> Verdict:
     failures: list[str] = []
     values: dict[str, Fraction] = {}
 
-    f_merge = cfg.F1 == cfg.F2
-    g_merge = cfg.G1 == cfg.G2
+    F, G = cfg.point("F1"), cfg.point("G1")
+    f_merge = F == cfg.point("F2")
+    g_merge = G == cfg.point("G2")
     values["F1_equals_F2"] = _b01(f_merge)
     values["G1_equals_G2"] = _b01(g_merge)
     if not f_merge:
@@ -164,21 +165,14 @@ def verify_seven_lines(cfg: Configuration) -> Verdict:
     if not g_merge:
         failures.append("G1!=G2")
 
-    F, G = cfg.F1, cfg.G1
     lines: list[tuple[str, Optional[Line]]] = [
-        ("AA1", join(quad.A, cfg.A1)),
-        ("BB1", join(quad.B, cfg.B1)),
-        ("CC1", join(quad.C, cfg.C1)),
-        ("DD1", join(quad.D, cfg.D1)),
-        ("MP", join(cfg.M, cfg.P)),
-        ("NQ", join(cfg.N, cfg.Q)),
-    ]
+        (s + t, join(cfg.point(s), cfg.point(t))) for s, t in E_LINE_PAIRS]
     if F == G:
         degenerate_reasons.append("F_EQ_G")
     else:
         lines.append(("FG", join(F, G)))
 
-    E = cfg.E
+    E = cfg.point("E")
     # E exists only when MP and NQ are two distinct lines, so this check
     # is never vacuous and E_IDEAL still follows the undefined lines
     if not _concurrent_through(lines, "E", E, degenerate_reasons, failures):
@@ -206,14 +200,14 @@ def verify_crossing_ratios(cfg: Configuration) -> Verdict:
     """Closed forms for ``ME/EP`` and ``NE/EQ`` in the product-one regime."""
     _require_gamma_one(cfg)
     claim = "crossing_ratios"
-    E = cfg.E
+    E = cfg.point("E")
     if E is None:
         return Verdict(claim, DEGENERATE, detail="undefined: E")
     if E.is_ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: E (MP parallel to NQ)")
     m, n, p, q = cfg.ratios.as_tuple
-    me_ep = _ratio(cfg.M, E, cfg.P)
-    ne_eq = _ratio(cfg.N, E, cfg.Q)
+    me_ep = _ratio(cfg.point("M"), E, cfg.point("P"))
+    ne_eq = _ratio(cfg.point("N"), E, cfg.point("Q"))
     me_ep_formula = (1 / q) * (1 / (m + 1)) + n * (m / (m + 1))
     ne_eq_formula = (1 / m) * (1 / (n + 1)) + p * (n / (n + 1))
     values = {"ME_over_EP_formula": me_ep_formula, "NE_over_EQ_formula": ne_eq_formula}
@@ -231,7 +225,7 @@ def verify_diagonal_concurrence_iff(cfg: Configuration) -> Verdict:
     (product-one regime): both reduce to an incidence with line ``AC``."""
     _require_gamma_one(cfg)
     claim = "diagonal_concurrence_iff"
-    E, C1 = cfg.E, cfg.C1
+    E, C1 = cfg.point("E"), cfg.point("C1")
     if E is None or C1 is None:
         return Verdict(claim, DEGENERATE, detail="undefined: " + ",".join(
             n for n, pt in (("E", E), ("C1", C1)) if pt is None))
@@ -246,10 +240,10 @@ def verify_diagonal_concurrence_iff(cfg: Configuration) -> Verdict:
 
 
 _QUADRUPLES = (
-    ("M1", ("F1", "G1"), (("DD1", "D", "D1"), ("AA1", "A", "A1"), ("MP", "M", "P"))),
-    ("N1", ("G1", "F2"), (("AA1", "A", "A1"), ("BB1", "B", "B1"), ("NQ", "N", "Q"))),
-    ("P1", ("F2", "G2"), (("BB1", "B", "B1"), ("CC1", "C", "C1"), ("MP", "M", "P"))),
-    ("Q1", ("G2", "F1"), (("CC1", "C", "C1"), ("DD1", "D", "D1"), ("NQ", "N", "Q"))),
+    ("M1", ("F1", "G1"), (("D", "D1"), ("A", "A1"), ("M", "P"))),
+    ("N1", ("G1", "F2"), (("A", "A1"), ("B", "B1"), ("N", "Q"))),
+    ("P1", ("F2", "G2"), (("B", "B1"), ("C", "C1"), ("M", "P"))),
+    ("Q1", ("G2", "F1"), (("C", "C1"), ("D", "D1"), ("N", "Q"))),
 )
 
 
@@ -281,13 +275,14 @@ def verify_general_concurrences(cfg: Configuration) -> Verdict:
             degenerate_reasons.append(f"{u}_EQ_{v}")
         else:
             lines.append((u + v, join(pu, pv)))
-        for lname, s, t in cevians:
-            lines.append((lname, join(cfg.point(s), cfg.point(t))))
+        for s, t in cevians:
+            lines.append((s + t, join(cfg.point(s), cfg.point(t))))
         if not _concurrent_through(lines, name, target, degenerate_reasons, failures):
             degenerate_reasons.append(name + "_VACUOUS")
 
-    if cfg.F1 is not None and cfg.G1 is not None and cfg.F1 != cfg.G1:
-        geometric = _ratio(cfg.F1, cfg.M1, cfg.G1)
+    F1, G1 = cfg.point("F1"), cfg.point("G1")
+    if F1 is not None and G1 is not None and F1 != G1:
+        geometric = _ratio(F1, cfg.point("M1"), G1)
         m, n, p = cfg.ratios.m, cfg.ratios.n, cfg.ratios.p
         formula = m * (n * p + 1) / (m * n + 1)
         values["F1M1_over_M1G1_formula"] = formula
@@ -368,7 +363,7 @@ def verify_crossing_ratio_formula(cfg: Configuration) -> Verdict:
     if cfg.quad.shape != CONVEX:
         raise ShapeNotConvex("the trace-ratio form is stated for convex quadrilaterals")
     claim = "crossing_ratio_formula"
-    E = cfg.E
+    E = cfg.point("E")
     if E is None or E.is_ideal:
         return Verdict(claim, DEGENERATE, detail="E undefined or ideal")
     m, n, p, q = cfg.ratios.as_tuple
@@ -379,7 +374,7 @@ def verify_crossing_ratio_formula(cfg: Configuration) -> Verdict:
     except ZeroDivisionError:
         return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
                        exact_values={"r": r})
-    geometric = _ratio(cfg.M, E, cfg.P)
+    geometric = _ratio(cfg.point("M"), E, cfg.point("P"))
     values = {"r": r, "ME_over_EP_formula": formula}
     if geometric is None:
         return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
@@ -403,20 +398,22 @@ def verify_inner_quadrilateral(cfg: Configuration) -> Verdict:
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
 
+    E, M1, N1, P1, Q1 = (cfg.point(n) for n in names)
+    M, N, P, Q = (cfg.point(n) for n in "MNPQ")
     gamma = cfg.ratios.gamma
     values: dict[str, Fraction] = {}
     failures: list[str] = []
     if gamma == 1:
-        if not (cfg.M1 == cfg.E == cfg.P1 and cfg.N1 == cfg.E == cfg.Q1):
+        if not (M1 == E == P1 and N1 == E == Q1):
             failures.append("product-one collapse violated")
     else:
         try:
-            lam_m1 = affine_parameter(cfg.M, cfg.P, cfg.M1)
-            lam_e = affine_parameter(cfg.M, cfg.P, cfg.E)
-            lam_p1 = affine_parameter(cfg.M, cfg.P, cfg.P1)
-            lam_n1 = affine_parameter(cfg.N, cfg.Q, cfg.N1)
-            lam_e2 = affine_parameter(cfg.N, cfg.Q, cfg.E)
-            lam_q1 = affine_parameter(cfg.N, cfg.Q, cfg.Q1)
+            lam_m1 = affine_parameter(M, P, M1)
+            lam_e = affine_parameter(M, P, E)
+            lam_p1 = affine_parameter(M, P, P1)
+            lam_n1 = affine_parameter(N, Q, N1)
+            lam_e2 = affine_parameter(N, Q, E)
+            lam_q1 = affine_parameter(N, Q, Q1)
         except GeometryError as exc:
             return Verdict(claim, FAIL, detail=f"points left their carrier lines: {exc}")
         values.update({
@@ -433,7 +430,7 @@ def verify_inner_quadrilateral(cfg: Configuration) -> Verdict:
             failures.append("E outside segment N1Q1")
     status = FAIL if failures else PASS
     return Verdict(claim, status, detail="; ".join(failures),
-                   witness={"E": cfg.E}, exact_values=values)
+                   witness={"E": E}, exact_values=values)
 
 
 def verify_inner_quad_convexity(cfg: Configuration) -> Verdict:
@@ -450,7 +447,7 @@ def verify_inner_quad_convexity(cfg: Configuration) -> Verdict:
     ideal = _ideal(cfg, names)
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
-    shape = classify_quadrilateral(cfg.M1, cfg.N1, cfg.P1, cfg.Q1)
+    shape = classify_quadrilateral(*(cfg.point(n) for n in names))
     values = {"inner_quad_convex": _b01(shape == CONVEX)}
     if shape == "degenerate":
         return Verdict(claim, DEGENERATE, detail="inner quadrilateral collapsed",

@@ -76,7 +76,8 @@ def test_criterion_2_transversal_formulas(gamma_one_campaign):
     midpoint_bad = 0
     for cfg, _ in gamma_one_campaign[:100]:
         mid = build_from_ratios(cfg.quad, SideRatios.of(1, 1, 1, 1))
-        if directed_ratio(mid.M, mid.E, mid.P) != 1 or directed_ratio(mid.N, mid.E, mid.Q) != 1:
+        M, N, P, Q, E = (mid.point(n) for n in "MNPQE")
+        if directed_ratio(M, E, P) != 1 or directed_ratio(N, E, Q) != 1:
             midpoint_bad += 1
     ok = not failures and midpoint_bad == 0
     _announce(
@@ -113,9 +114,9 @@ def test_criterion_4_general_suite(general_campaign, unit_square):
 
     fixture = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, 2))
     fixture_ok = (
-        fixture.E == Point(F(1, 2), F(5, 12))
+        fixture.point("E") == Point(F(1, 2), F(5, 12))
         and fixture.r_ratio == F(2, 3)
-        and directed_ratio(fixture.M, fixture.E, fixture.P) == F(5, 7)
+        and directed_ratio(*(fixture.point(n) for n in "MEP")) == F(5, 7)
     )
     _announce("4 general-ratio suite", not bad and fixture_ok,
               f"{len(bad)} bad verdicts; fixture ok: {fixture_ok}")
@@ -124,7 +125,7 @@ def test_criterion_4_general_suite(general_campaign, unit_square):
 def test_criterion_5_gamma_one_collapse(gamma_one_campaign):
     bad = 0
     for cfg, _ in gamma_one_campaign:
-        pts = (cfg.M1, cfg.N1, cfg.P1, cfg.Q1, cfg.E)
+        pts = [cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")]
         if any(p is None for p in pts) or len({p for p in pts}) != 1:
             bad += 1
     _announce("5 product-one collapse", bad == 0, f"{bad} non-collapsed instances")
@@ -136,19 +137,21 @@ def test_criterion_6_trichotomy_ordering(general_campaign):
     for cfg, _ in general_campaign:
         gamma = cfg.ratios.gamma
         quad = cfg.quad
-        pts = (cfg.F1, cfg.F2, cfg.G1, cfg.G2, cfg.M1, cfg.P1, cfg.E)
+        pts = F1, F2, G1, G2, M1, P1, E = [
+            cfg.point(n) for n in ("F1", "F2", "G1", "G2", "M1", "P1", "E")]
         if any(p is None or p.is_ideal for p in pts):
             continue
         checked += 1
-        lam_f1 = affine_parameter(quad.A, quad.C, cfg.F1)
-        lam_f2 = affine_parameter(quad.A, quad.C, cfg.F2)
-        lam_g1 = affine_parameter(quad.B, quad.D, cfg.G1)
-        lam_g2 = affine_parameter(quad.B, quad.D, cfg.G2)
-        lam_m1 = affine_parameter(cfg.M, cfg.P, cfg.M1)
-        lam_e = affine_parameter(cfg.M, cfg.P, cfg.E)
-        lam_p1 = affine_parameter(cfg.M, cfg.P, cfg.P1)
+        M, P = cfg.point("M"), cfg.point("P")
+        lam_f1 = affine_parameter(quad.A, quad.C, F1)
+        lam_f2 = affine_parameter(quad.A, quad.C, F2)
+        lam_g1 = affine_parameter(quad.B, quad.D, G1)
+        lam_g2 = affine_parameter(quad.B, quad.D, G2)
+        lam_m1 = affine_parameter(M, P, M1)
+        lam_e = affine_parameter(M, P, E)
+        lam_p1 = affine_parameter(M, P, P1)
         if gamma == 1:
-            ok = cfg.F1 == cfg.F2 and cfg.G1 == cfg.G2 and lam_m1 == lam_e == lam_p1
+            ok = F1 == F2 and G1 == G2 and lam_m1 == lam_e == lam_p1
         elif gamma < 1:
             ok = (0 < lam_f1 < lam_f2 < 1 and 0 < lam_g1 < lam_g2 < 1
                   and 0 < lam_m1 < lam_e < lam_p1 < 1)

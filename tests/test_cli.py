@@ -18,6 +18,22 @@ GAMMA_TWO = {
 }
 
 
+# instances whose configuration cannot be built: ``verify`` and ``figure``
+# both report them as degenerate, with the reason below
+DEGENERATE_INSTANCES = [
+    ({"vertices": {"A": ["0", "0"], "B": ["0", "0"], "C": ["1", "1"], "D": ["0", "1"]},
+      "ratios": {"m": "1", "n": "1", "p": "1", "q": "1"}},
+     "CoincidentPoints: "),
+    ({"vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["2", "0"], "D": ["0", "1"]},
+      "ratios": {"m": "1", "n": "1", "p": "1", "q": "1"}},
+     "DegenerateQuadrilateral: "),
+    # M and P on the crossing point of the sides: lines AA1 and BB1 coincide
+    ({"vertices": {"A": ["0", "0"], "B": ["2", "2"], "C": ["2", "0"], "D": ["0", "2"]},
+      "points": {"M": ["1", "1"], "N": ["2", "1"], "P": ["1", "1"], "Q": ["0", "1"]}},
+     "UndefinedPoint: point N1 "),
+]
+
+
 def write_instance(tmp_path, doc, name="instance.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -112,6 +128,25 @@ class TestVerify:
         assert err.startswith("error: ")
         assert "ratios.m: must be positive" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, reason", DEGENERATE_INSTANCES,
+                         ids=["repeated_vertices", "collinear_vertices", "undefined_N1"])
+class TestDegenerateInstance:
+    def test_verify_reports_degenerate(self, tmp_path, doc, reason):
+        code, out = run(["verify", write_instance(tmp_path, doc)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["overall"] == "degenerate"
+        assert all(v["detail"].startswith(reason) for v in report["verdicts"])
+
+    def test_figure_reports_degenerate(self, tmp_path, capsys, doc, reason):
+        svg = tmp_path / "x.svg"
+        code, out = run(["figure", write_instance(tmp_path, doc), "-o", str(svg)])
+        err = capsys.readouterr().err
+        assert (code, out) == (0, "")
+        assert err.startswith("degenerate: " + reason)
+        assert not svg.exists()
 
 
 class TestFuzz:
@@ -218,6 +253,18 @@ class TestCounterexample:
                   "--target", "inner_quadrilateral_convexity", "--budget", "10"])
         assert exc.value.code == 2
 
+    def test_output_in_missing_directory_exits_two(self, tmp_path, capsys):
+        code, out = run([
+            "counterexample", "--shape", "crossed",
+            "--target", "inner_quadrilateral_convexity", "--budget", "500",
+            "-o", str(tmp_path / "missing" / "x.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--bound", "3"), ("--ratio-bound", "0"), ("--seed", "-1"),
     ])
@@ -260,7 +307,17 @@ class TestFigure:
 
     def test_invalid_instance_exits_two(self, tmp_path):
         doc = json.loads(json.dumps(MIDPOINT))
-        doc["vertices"]["C"] = ["2", "0"]
+        del doc["ratios"]
+        # M is off side AB
+        doc["points"] = {"M": ["1/2", "1"], "N": ["1", "1/2"], "P": ["1/2", "1"], "Q": ["0", "1/2"]}
         path = write_instance(tmp_path, doc)
         code, _ = run(["figure", path, "-o", str(tmp_path / "x.svg")])
         assert code == 2
+
+    def test_output_in_missing_directory_exits_two(self, tmp_path, capsys):
+        path = write_instance(tmp_path, MIDPOINT)
+        code, out = run(["figure", path, "-o", str(tmp_path / "missing" / "x.svg")])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -14,7 +14,6 @@ from quadconc import (
     cyclic_relabel,
     directed_ratio,
 )
-from quadconc.configuration import POINT_NAMES
 from quadconc.errors import (
     CoincidentPoints,
     DegenerateQuadrilateral,
@@ -47,60 +46,63 @@ class TestBuildFromRatios:
     def test_midpoint_square(self, midpoint_config):
         cfg = midpoint_config
         half = F(1, 2)
-        assert cfg.M == Point(half, 0)
-        assert cfg.N == Point(1, half)
-        assert cfg.P == Point(half, 1)
-        assert cfg.Q == Point(0, half)
+        assert cfg.point("M") == Point(half, 0)
+        assert cfg.point("N") == Point(1, half)
+        assert cfg.point("P") == Point(half, 1)
+        assert cfg.point("Q") == Point(0, half)
         center = Point(half, half)
-        assert cfg.O == center
-        assert cfg.E == center
+        assert cfg.point("O") == center
+        assert cfg.point("E") == center
         for name in ("F1", "G1", "F2", "G2", "M1", "N1", "P1", "Q1"):
             assert cfg.point(name) == center
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         cfg = gamma_one_config
-        assert cfg.M == Point(F(2, 3), 0)
-        assert cfg.N == Point(1, F(1, 2))
-        assert cfg.P == Point(F(2, 3), 1)
-        assert cfg.Q == Point(0, F(1, 2))
-        assert cfg.E == Point(F(2, 3), F(1, 2))
+        assert cfg.point("M") == Point(F(2, 3), 0)
+        assert cfg.point("N") == Point(1, F(1, 2))
+        assert cfg.point("P") == Point(F(2, 3), 1)
+        assert cfg.point("Q") == Point(0, F(1, 2))
+        assert cfg.point("E") == Point(F(2, 3), F(1, 2))
         assert cfg.ratios.gamma == 1
 
     def test_gamma_two_reference(self, gamma_two_config):
         # frozen from the independent affine oracle
         cfg = gamma_two_config
-        assert cfg.Q == Point(0, F(1, 3))
-        assert cfg.E == Point(F(1, 2), F(5, 12))
-        assert cfg.R == Point(-2, 0)
+        assert cfg.point("Q") == Point(0, F(1, 3))
+        assert cfg.point("E") == Point(F(1, 2), F(5, 12))
+        assert cfg.point("R") == Point(-2, 0)
         assert cfg.r_ratio == F(2, 3)
-        assert cfg.M1 == Point(F(1, 2), F(1, 2))
-        assert cfg.P1 == Point(F(1, 2), F(1, 3))
-        assert cfg.A1 == Point(F(2, 3), F(2, 3))
-        assert cfg.D1 == Point(F(2, 3), F(1, 3))
-        assert cfg.N1 == Point(F(2, 5), F(2, 5))
-        assert cfg.Q1 == Point(F(4, 7), F(3, 7))
+        assert cfg.point("M1") == Point(F(1, 2), F(1, 2))
+        assert cfg.point("P1") == Point(F(1, 2), F(1, 3))
+        assert cfg.point("A1") == Point(F(2, 3), F(2, 3))
+        assert cfg.point("D1") == Point(F(2, 3), F(1, 3))
+        assert cfg.point("N1") == Point(F(2, 5), F(2, 5))
+        assert cfg.point("Q1") == Point(F(4, 7), F(3, 7))
         assert "F1_EQ_G1" in cfg.degeneracies
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
         # frozen from the independent affine oracle
         cfg = generic_gamma_two_config
-        assert cfg.M1 == Point(F(8, 3), F(7, 3))
-        assert cfg.N1 == Point(F(16, 7), 2)
-        assert cfg.P1 == Point(F(5, 2), F(7, 4))
-        assert cfg.Q1 == Point(3, 2)
-        assert cfg.E == Point(F(18, 7), 2)
+        assert cfg.point("M1") == Point(F(8, 3), F(7, 3))
+        assert cfg.point("N1") == Point(F(16, 7), 2)
+        assert cfg.point("P1") == Point(F(5, 2), F(7, 4))
+        assert cfg.point("Q1") == Point(3, 2)
+        assert cfg.point("E") == Point(F(18, 7), 2)
         assert cfg.degeneracies == frozenset()
 
     def test_every_point_is_the_meet_of_its_defining_lines(self, gamma_two_config):
         cfg = gamma_two_config
         from quadconc import line_through, meet
 
-        quad = cfg.quad
-        assert cfg.O == meet(line_through(quad.A, quad.C), line_through(quad.B, quad.D))
-        assert cfg.X == meet(line_through(quad.A, cfg.N), line_through(quad.B, cfg.Q))
-        assert cfg.A1 == meet(line_through(quad.B, cfg.P), line_through(quad.D, cfg.N))
-        assert cfg.F1 == meet(line_through(quad.B, cfg.D1), line_through(quad.A, quad.C))
-        assert cfg.M1 == meet(line_through(quad.A, cfg.A1), line_through(quad.D, cfg.D1))
+        def cut(u, v, s, t):
+            p = cfg.point
+            return meet(line_through(p(u), p(v)), line_through(p(s), p(t)))
+
+        assert cfg.point("O") == cut("A", "C", "B", "D")
+        assert cfg.point("X") == cut("A", "N", "B", "Q")
+        assert cfg.point("A1") == cut("B", "P", "D", "N")
+        assert cfg.point("F1") == cut("B", "D1", "A", "C")
+        assert cfg.point("M1") == cut("A", "A1", "D", "D1")
 
     def test_degenerate_quad_rejected(self):
         q = Quadrilateral.of(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1))
@@ -142,10 +144,9 @@ class TestBuildFromPoints:
     def test_round_trips_with_build_from_ratios(self, unit_square):
         ratios = SideRatios.of(F(3, 7), 4, F(5, 2), F(1, 6))
         cfg = build_from_ratios(unit_square, ratios)
-        cfg2 = build_from_points(unit_square, cfg.M, cfg.N, cfg.P, cfg.Q)
+        cfg2 = build_from_points(unit_square, *(cfg.point(n) for n in "MNPQ"))
         assert cfg2.ratios == ratios
-        for name in POINT_NAMES:
-            assert cfg.point(name) == cfg2.point(name)
+        assert cfg2.named_points() == cfg.named_points()
         assert cfg2.r_ratio == cfg.r_ratio
         assert cfg2.degeneracies == cfg.degeneracies
 
@@ -165,16 +166,27 @@ class TestBuildFromPoints:
     def test_identical_defining_lines_raise(self, crossed_quad):
         from quadconc.errors import UndefinedPoint
 
-        # placing P exactly on the AB/CD crossing makes line MP collapse
-        # onto line AB, which in turn makes two cevian lines coincide
-        with pytest.raises(UndefinedPoint):
-            build_from_points(
-                crossed_quad,
-                Point(2, 2),
-                Point(1, F(1, 2)),
-                Point(F(1, 2), F(1, 2)),
-                Point(0, F(1, 2)),
-            )
+        # the name is the first row of the construction whose two lines
+        # coincide, and it appears in report bytes
+        cases = [
+            # P exactly on the AB/CD crossing makes line MP collapse onto
+            # line AB, which in turn makes two cevian lines coincide
+            (crossed_quad, (Point(2, 2), Point(1, F(1, 2)), Point(F(1, 2), F(1, 2)),
+                            Point(0, F(1, 2))), "N1"),
+            # M and P both on the crossing point: lines AA1 and BB1 coincide
+            (Quadrilateral.of(Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)),
+             (Point(1, 1), Point(2, 1), Point(1, 1), Point(0, 1)), "N1"),
+        ]
+        for quad, side_points, name in cases:
+            with pytest.raises(UndefinedPoint) as exc:
+                build_from_points(quad, *side_points)
+            assert exc.value.name == name
+
+        # AA1 = DD1 and BB1 = CC1 here: the earlier row, M1, names the point
+        quad = Quadrilateral.of(Point(-1, 1), Point(1, 0), Point(F(-3, 2), -1), Point(F(1, 2), -2))
+        with pytest.raises(UndefinedPoint) as exc:
+            build_from_ratios(quad, SideRatios.of(1, 1, 1, 1))
+        assert exc.value.name == "M1"
 
 
 class TestTwoPointCompletion:
@@ -183,8 +195,8 @@ class TestTwoPointCompletion:
         # S = DM meet AC lands at (1/3, 1/3); the completion forces the
         # midpoint configuration and a ratio product of exactly one
         assert cfg.ratios.gamma == 1
-        assert cfg.P == Point(F(1, 2), 1)
-        assert cfg.Q == Point(0, F(1, 2))
+        assert cfg.point("P") == Point(F(1, 2), 1)
+        assert cfg.point("Q") == Point(0, F(1, 2))
 
     def test_generic_completion_has_gamma_one(self, unit_square):
         cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
@@ -194,7 +206,7 @@ class TestTwoPointCompletion:
         from quadconc import collinear
 
         cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
-        assert collinear(cfg.quad.A, cfg.quad.C, cfg.E)
+        assert collinear(cfg.quad.A, cfg.quad.C, cfg.point("E"))
 
     def test_vertex_input_rejected(self, unit_square):
         with pytest.raises(PointNotOnSide):
@@ -229,8 +241,9 @@ class TestInvariants:
             gamma = ratios.gamma
             a, c = cfg.quad.A, cfg.quad.C
             b, d = cfg.quad.B, cfg.quad.D
-            assert directed_ratio(a, cfg.F1, c) * directed_ratio(c, cfg.F2, a) == gamma
-            assert directed_ratio(b, cfg.G1, d) * directed_ratio(d, cfg.G2, b) == gamma
+            F1, F2, G1, G2 = (cfg.point(n) for n in ("F1", "F2", "G1", "G2"))
+            assert directed_ratio(a, F1, c) * directed_ratio(c, F2, a) == gamma
+            assert directed_ratio(b, G1, d) * directed_ratio(d, G2, b) == gamma
 
     def test_trichotomy_ordering_on_diagonals(self, unit_square):
         cases = [
@@ -239,24 +252,24 @@ class TestInvariants:
             (SideRatios.of(2, 3, 1, 1), "above"),
         ]
         cfg_low = build_from_ratios(unit_square, cases[0][0])
-        lam_f1 = affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.F1)
-        lam_f2 = affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.F2)
+        lam_f1 = affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F1"))
+        lam_f2 = affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F2"))
         assert 0 < lam_f1 < lam_f2 < 1
 
         cfg_high = build_from_ratios(unit_square, cases[2][0])
-        lam_f1 = affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.F1)
-        lam_f2 = affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.F2)
+        lam_f1 = affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F1"))
+        lam_f2 = affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F2"))
         assert 0 < lam_f2 < lam_f1 < 1
 
         cfg_one = build_from_ratios(unit_square, SideRatios.of(2, 1, F(1, 2), 1))
-        assert cfg_one.F1 == cfg_one.F2
-        assert cfg_one.G1 == cfg_one.G2
+        assert cfg_one.point("F1") == cfg_one.point("F2")
+        assert cfg_one.point("G1") == cfg_one.point("G2")
 
     def test_gamma_one_collapse(self, unit_square):
         for m, n, p in ((2, 3, F(1, 5)), (F(7, 3), F(1, 2), 4)):
             q = 1 / (F(m) * F(n) * F(p))
             cfg = build_from_ratios(unit_square, SideRatios.of(m, n, p, q))
-            assert cfg.M1 == cfg.N1 == cfg.P1 == cfg.Q1 == cfg.E
+            assert len({cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
 
 
 class TestSoundnessAgainstNaiveOracle:

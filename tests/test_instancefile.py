@@ -45,7 +45,7 @@ class TestParseInstance:
         assert inst.ratios == SideRatios.of(1, 1, 1, 1)
         assert inst.checks == ()
         cfg = inst.configuration()
-        assert cfg.E == Point(F(1, 2), F(1, 2))
+        assert cfg.point("E") == Point(F(1, 2), F(1, 2))
 
     def test_points_variant(self):
         doc = {

@@ -8,7 +8,6 @@ from quadconc import (
     affine_parameter,
     classify_quadrilateral,
     collinear,
-    concurrent,
     directed_ratio,
     line_through,
     meet,
@@ -126,36 +125,6 @@ class TestCollinear:
         # line having that direction
         assert collinear(Point(0, 0), Point(1, 0), Point(1, 0, 0))
         assert not collinear(Point(0, 0), Point(1, 0), Point(0, 1, 0))
-
-
-class TestConcurrent:
-    def test_three_through_origin(self):
-        lines = [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 0)]
-        assert concurrent(lines) == Point(0, 0)
-
-    def test_not_concurrent(self):
-        lines = [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, -1)]
-        assert concurrent(lines) is None
-
-    def test_seven_lines_of_midpoint_square(self):
-        center = Point(F(1, 2), F(1, 2))
-        # the distinct lines of the midpoint configuration: both
-        # diagonals plus the two midlines all pass through the center
-        lines = [
-            line_through(Point(0, 0), Point(1, 1)),
-            line_through(Point(1, 0), Point(0, 1)),
-            line_through(Point(F(1, 2), 0), Point(F(1, 2), 1)),
-            line_through(Point(0, F(1, 2)), Point(1, F(1, 2))),
-        ]
-        assert concurrent(lines) == center
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(CoincidentLines):
-            concurrent([Line(1, 0, 0), Line(2, 0, 0), Line(0, 1, 0)])
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            concurrent([Line(1, 0, 0), Line(0, 1, 0)])
 
 
 class TestDividingAndRatio:

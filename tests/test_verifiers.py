@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -35,8 +36,8 @@ class TestDiagonalCollinearity:
     def test_midpoints(self, midpoint_config):
         v = verify_diagonal_collinearity(midpoint_config)
         assert v.status == PASS
-        assert midpoint_config.X == Point(F(1, 2), F(1, 4))
-        assert midpoint_config.Z == Point(F(1, 2), F(3, 4))
+        assert midpoint_config.point("X") == Point(F(1, 2), F(1, 4))
+        assert midpoint_config.point("Z") == Point(F(1, 2), F(3, 4))
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         assert verify_diagonal_collinearity(gamma_one_config).status == PASS
@@ -139,7 +140,7 @@ class TestGeneralConcurrences:
         v = verify_general_concurrences(gamma_one_config)
         assert v.status == PASS
         cfg = gamma_one_config
-        assert cfg.M1 == cfg.N1 == cfg.P1 == cfg.Q1 == cfg.E
+        assert len({cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
 
 
 class TestConcurrenceDetail:
@@ -156,12 +157,17 @@ class TestConcurrenceDetail:
         assert by_claim["quadruple_concurrences"] == (
             DEGENERATE, "P1_UNDEFINED; Q1_UNDEFINED")
 
+    @staticmethod
+    def moved(cfg, name, pt):
+        """``cfg`` with the stored point ``name`` replaced by ``pt``."""
+        return replace(cfg, _points=MappingProxyType({**cfg.named_points(), name: pt}))
+
     def test_misses_outrank_degenerate_reasons(self, midpoint_config, gamma_two_config):
         # both configurations also carry a degenerate reason (F = G and
         # F1 = G1), which a failure must override
-        v = verify_seven_lines(replace(midpoint_config, E=Point(0, 0)))
+        v = verify_seven_lines(self.moved(midpoint_config, "E", Point(0, 0)))
         assert (v.status, v.detail) == (FAIL, "BB1 misses E; MP misses E; NQ misses E")
-        v = verify_general_concurrences(replace(gamma_two_config, M1=Point(0, 0)))
+        v = verify_general_concurrences(self.moved(gamma_two_config, "M1", Point(0, 0)))
         assert (v.status, v.detail) == (FAIL, "DD1 misses M1; MP misses M1")
 
 
@@ -221,7 +227,8 @@ class TestCrossingRatioFormula:
         t = F(1, 3)
         ratios = SideRatios.of(2, t / (1 - t), 3, (1 - t) / t)
         cfg = build_from_ratios(unit_square, ratios)
-        assert cfg.R is not None and cfg.R.is_ideal
+        R = cfg.point("R")
+        assert R is not None and R.is_ideal
         assert cfg.r_ratio == 1
         v = verify_crossing_ratio_formula(cfg)
         assert v.status == PASS
