@@ -23,6 +23,7 @@ from typing import Mapping, Optional
 from .errors import (
     CoincidentPoints,
     DegenerateQuadrilateral,
+    IdealLine,
     PointNotOnSide,
     ShapeNotConvex,
     UndefinedPoint,
@@ -147,10 +148,16 @@ class Configuration:
 
 
 def join(u: Optional[Point], v: Optional[Point]) -> Optional[Line]:
-    """The line through two defined, distinct points, else ``None``."""
+    """The line through two defined, distinct points, else ``None``.
+
+    Two ideal points span the line at infinity, which is no ``Line``: ``None``.
+    """
     if u is None or v is None or u == v:
         return None
-    return line_through(u, v)
+    try:
+        return line_through(u, v)
+    except IdealLine:
+        return None
 
 
 def _construct(quad: Quadrilateral, ratios: SideRatios,

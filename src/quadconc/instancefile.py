@@ -92,6 +92,8 @@ def parse_instance(text: str, source: str = "<instance>") -> InstanceFile:
         raise InstanceFormatError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InstanceFormatError(f"{source}: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{source}: top level must be an object")
 

@@ -58,10 +58,6 @@ class Verdict:
     witness: Mapping[str, Point] = field(default_factory=dict)
     exact_values: Mapping[str, Fraction] = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
 
 def _b01(flag: bool) -> Fraction:
     return ONE if flag else ZERO
@@ -115,6 +111,27 @@ def _status(failures: list[str], reasons: list[str]) -> tuple[str, str]:
     if reasons:
         return DEGENERATE, "; ".join(reasons)
     return PASS, ""
+
+
+def _check_section(cfg: Configuration, key: str, f: Point, x: Optional[Point], g: Point,
+                   values: dict, reasons: list[str], failures: list[str]) -> None:
+    """Check ``fx/xg`` against ``m(1 + np)/(1 + mn)``, the closed form of both
+    ``FE/EG`` and ``F1M1/M1G1``.  A side point outside its side (nonconvex
+    ``points`` input) gives a negative ratio, and ``mn = -1`` leaves the form
+    undefined."""
+    m, n, p = cfg.ratios.m, cfg.ratios.n, cfg.ratios.p
+    denominator = 1 + m * n
+    if denominator == 0:
+        reasons.append(key + "_formula_UNDEFINED")
+        return
+    formula = values[key + "_formula"] = m * (1 + n * p) / denominator
+    geometric = _ratio(f, x, g)
+    if geometric is None:
+        reasons.append(key + "_UNDEFINED")
+    else:
+        values[key] = geometric
+        if geometric != formula:
+            failures.append(key.replace("_over_", "/") + " mismatch")
 
 
 def _require_gamma_one(cfg: Configuration) -> None:
@@ -181,16 +198,7 @@ def verify_seven_lines(cfg: Configuration) -> Verdict:
         degenerate_reasons.append("E_IDEAL")
 
     if F != G:
-        geometric = _ratio(F, E, G)
-        m, n, p = cfg.ratios.m, cfg.ratios.n, cfg.ratios.p
-        formula = m * (1 + n * p) / (1 + m * n)
-        values["FE_over_EG_formula"] = formula
-        if geometric is None:
-            degenerate_reasons.append("FE_over_EG_UNDEFINED")
-        else:
-            values["FE_over_EG"] = geometric
-            if geometric != formula:
-                failures.append("FE/EG mismatch")
+        _check_section(cfg, "FE_over_EG", F, E, G, values, degenerate_reasons, failures)
 
     status, detail = _status(failures, degenerate_reasons)
     return Verdict(claim, status, detail=detail, witness={"E": E}, exact_values=values)
@@ -282,16 +290,8 @@ def verify_general_concurrences(cfg: Configuration) -> Verdict:
 
     F1, G1 = cfg.point("F1"), cfg.point("G1")
     if F1 is not None and G1 is not None and F1 != G1:
-        geometric = _ratio(F1, cfg.point("M1"), G1)
-        m, n, p = cfg.ratios.m, cfg.ratios.n, cfg.ratios.p
-        formula = m * (n * p + 1) / (m * n + 1)
-        values["F1M1_over_M1G1_formula"] = formula
-        if geometric is None:
-            degenerate_reasons.append("F1M1_over_M1G1_UNDEFINED")
-        else:
-            values["F1M1_over_M1G1"] = geometric
-            if geometric != formula:
-                failures.append("F1M1/M1G1 mismatch")
+        _check_section(cfg, "F1M1_over_M1G1", F1, cfg.point("M1"), G1, values,
+                       degenerate_reasons, failures)
 
     status, detail = _status(failures, degenerate_reasons)
     return Verdict(claim, status, detail=detail, witness=witness, exact_values=values)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from quadconc.cli import main
+from quadconc.instancefile import parse_rational
 
 MIDPOINT = {
     "vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]},
@@ -130,6 +131,63 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "figure"])
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not_utf8", "nested_too_deeply"])
+def test_unreadable_instance_exits_two(tmp_path, capsys, command, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    argv = [command, str(path)] + (["-o", str(tmp_path / "x.svg")] if command == "figure" else [])
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# exact values longer than the 4,300 digits Python converts between int and
+# str by default
+WIDE = 10 ** 1500
+
+
+def all_strings(tree):
+    if isinstance(tree, str):
+        yield tree
+    elif isinstance(tree, dict):
+        for value in tree.values():
+            yield from all_strings(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from all_strings(value)
+
+
+class TestWideValues:
+    def test_wide_instance_verifies_and_its_report_parses_back(self, tmp_path):
+        doc = {
+            "vertices": {"A": ["0", "0"], "B": [str(WIDE + 7), "1"],
+                         "C": [str(WIDE + 3), str(WIDE)], "D": ["1", f"{WIDE}/3"]},
+            "ratios": {"m": "1", "n": "2", "p": "1/3", "q": "3/2"},
+        }
+        code, out = run(["verify", write_instance(tmp_path, doc)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["overall"] == "pass"
+        values = [s for s in all_strings({k: report[k] for k in ("configuration", "verdicts")})
+                  if s[:1].isdigit() or s[:1] == "-"]
+        assert max(map(len, values)) > 4300
+        # every rational of the report reads back as the same exact value
+        # (``main`` has lifted Python's digit limit for this process)
+        for text in values:
+            assert str(parse_rational(text, "report")) == text
+        assert report["configuration"]["gamma"] == "1"
+
+    def test_wide_bound_campaign_runs(self):
+        code, out = run(["fuzz", "--seed", "1", "--count", "2", "--regime", "general",
+                         "--bound", str(WIDE)])
+        assert code == 0
+        assert last_json(out)["coordinate_bound"] == WIDE
+
+
 @pytest.mark.parametrize("doc, reason", DEGENERATE_INSTANCES,
                          ids=["repeated_vertices", "collinear_vertices", "undefined_N1"])
 class TestDegenerateInstance:
@@ -188,6 +246,15 @@ class TestFuzz:
                            "--check", "inner_quadrilateral_convexity"])
         assert code2 == 1
         assert json.loads(out2)["verdicts"][0]["status"] == "fail"
+
+    def test_dump_dir_under_a_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        code, _ = run(["fuzz", "--seed", "0", "--count", "300", "--regime", "remarks",
+                       "--shape", "crossed", "--dump-dir", str(tmp_path / "afile" / "sub")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_remarks_needs_nonconvex_shape(self):
         code, _ = run(["fuzz", "--seed", "1", "--count", "5", "--regime", "remarks",

@@ -9,6 +9,7 @@ from quadconc import (
     Point,
     Quadrilateral,
     SideRatios,
+    build_from_points,
     build_from_ratios,
     build_from_two_points,
     gen_quadrilateral,
@@ -141,6 +142,28 @@ class TestGeneralConcurrences:
         assert v.status == PASS
         cfg = gamma_one_config
         assert len({cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
+
+    # a crossed quadrilateral whose explicit side points may lie outside
+    # their sides, which makes their ratios negative
+    CROSSED = (Point(0, 0), Point(0, 1), Point(1, 0), Point(1, 2))
+
+    def test_line_through_two_ideal_points_is_undefined(self):
+        quad = Quadrilateral.of(*self.CROSSED)
+        cfg = build_from_points(quad, Point(0, F(1, 3)), Point(F(1, 2), F(1, 2)),
+                                Point(1, F(2, 3)), Point(-1, -2))
+        assert cfg.point("F2").is_ideal and cfg.point("G2").is_ideal
+        v = verify_general_concurrences(cfg)
+        assert v.status == DEGENERATE
+        assert "F2G2_UNDEFINED" in v.detail.split("; ")
+
+    def test_section_formula_undefined_when_mn_is_minus_one(self):
+        quad = Quadrilateral.of(*self.CROSSED)
+        cfg = build_from_points(quad, Point(0, F(1, 3)), Point(2, -1), Point(1, 1),
+                                Point(F(1, 2), 1))
+        assert cfg.ratios.m * cfg.ratios.n == -1
+        v = verify_general_concurrences(cfg)
+        assert v.status == DEGENERATE
+        assert "F1M1_over_M1G1_formula_UNDEFINED" in v.detail.split("; ")
 
 
 class TestConcurrenceDetail:
