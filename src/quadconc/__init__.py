@@ -33,16 +33,6 @@ from .verifiers import (  # noqa: F401
     Verdict,
     overall_status,
     verify_all,
-    verify_crossing_ratio_formula,
-    verify_crossing_ratios,
-    verify_diagonal_collinearity,
-    verify_diagonal_concurrence_iff,
-    verify_general_concurrences,
-    verify_inner_quad_convexity,
-    verify_inner_quadrilateral,
-    verify_ratio_product,
-    verify_section_ratios,
-    verify_seven_lines,
 )
 
 __version__ = "0.1.0"

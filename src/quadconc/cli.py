@@ -28,12 +28,10 @@ from .generators import GenSpec, gen_quadrilateral, gen_ratios
 from .instancefile import instance_from_parts, load_instance, serialize_instance
 from .report import degenerate_report, render, report_document
 from .svgfig import LAYERS, render_svg
-from .verifiers import CLAIM_IDS, FAIL, FINDING_CLAIMS, verify_all
+from .verifiers import CLAIM_IDS, CLAIMS, FAIL, FINDING_CLAIMS, select_claims, verify_all
 
 # claims that can produce a verdict on concave/crossed inputs
-NONCONVEX_TARGETS = tuple(
-    c for c in CLAIM_IDS if c not in ("crossing_ratio_formula", "inner_quadrilateral")
-)
+NONCONVEX_TARGETS = tuple(claim for claim, regime, *_ in CLAIMS if regime != "convex")
 
 # invalid input exits 2; a configuration that does not build is degenerate,
 # which ``verify`` reports and ``fuzz`` tallies, and which exits 0
@@ -138,11 +136,12 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.file)
     built = _built(inst.configuration)
     checks = _ids(args.check, CLAIM_IDS, "claim ids") if args.check else inst.checks
+    claims = select_claims(checks or None)
     meta = {"source": args.file}
     if isinstance(built, str):
-        out.write(render(degenerate_report(meta, checks or CLAIM_IDS, built, instance=inst)))
+        out.write(render(degenerate_report(meta, claims, built, instance=inst)))
         return 0
-    doc = report_document(meta, verify_all(built, checks or None), built, instance=inst)
+    doc = report_document(meta, verify_all(built, claims), built, instance=inst)
     out.write(render(doc))
     return 1 if doc["overall"] == FAIL else 0
 

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateQuadrilateral,
     IdealLine,
     PointNotOnSide,
-    ShapeNotConvex,
     UndefinedPoint,
 )
 from .kernel import (
@@ -254,7 +253,7 @@ def build_from_two_points(quad: Quadrilateral, M: Point, N: Point) -> Configurat
     claim family applies to the result.
     """
     if quad.shape != CONVEX:
-        raise ShapeNotConvex("the two-point completion is defined for convex quadrilaterals")
+        raise ValueError("the two-point completion is defined for convex quadrilaterals")
     A, B, C, D = quad.vertices
     for name, pt, u, v in (("M", M, A, B), ("N", N, B, C)):
         if pt.is_ideal or not collinear(u, pt, v):

@@ -57,22 +57,6 @@ class PointNotOnSide(GeometryError):
         super().__init__(message or f"point {name} does not lie on its side")
 
 
-class PreconditionNotMet(GeometryError):
-    """A claim's regime precondition is unmet: skip, never fail."""
-
-
-class GammaNotOne(PreconditionNotMet):
-    """The claim requires the side-ratio product to equal one."""
-
-
-class ShapeNotConvex(PreconditionNotMet):
-    """The claim is stated for convex quadrilaterals only."""
-
-
-class NonconvexRequired(PreconditionNotMet):
-    """The claim only applies to concave or crossed quadrilaterals."""
-
-
 class GenerationExhausted(GeometryError):
     """Rejection sampling hit its attempt cap without producing an instance."""
 

@@ -198,6 +198,16 @@ class TestDegenerateInstance:
         assert report["overall"] == "degenerate"
         assert all(v["detail"].startswith(reason) for v in report["verdicts"])
 
+    def test_verify_lists_selected_claims_once_in_table_order(self, tmp_path, doc, reason):
+        # the listing a built instance gets, from the file's checks or --check
+        checks = ["section_ratios", "seven_lines", "section_ratios"]
+        for base in (doc, MIDPOINT):
+            path = write_instance(tmp_path, {**base, "checks": checks})
+            for argv in (["verify", path], ["verify", path, "--check", ",".join(checks)]):
+                _, out = run(argv)
+                claims = [v["claim"] for v in json.loads(out)["verdicts"]]
+                assert claims == ["seven_lines", "section_ratios"], (base, argv)
+
     def test_figure_reports_degenerate(self, tmp_path, capsys, doc, reason):
         svg = tmp_path / "x.svg"
         code, out = run(["figure", write_instance(tmp_path, doc), "-o", str(svg)])
@@ -307,10 +317,11 @@ class TestCounterexample:
         assert code == 1
         assert out == ""
 
-    def test_convex_only_target_rejected(self):
+    @pytest.mark.parametrize("target", ["inner_quadrilateral", "crossing_ratio_formula"])
+    def test_convex_only_target_rejected(self, target):
         code, _ = run([
             "counterexample", "--shape", "crossed",
-            "--target", "inner_quadrilateral", "--budget", "10",
+            "--target", target, "--budget", "10",
         ])
         assert code == 2
 

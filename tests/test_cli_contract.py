@@ -121,3 +121,23 @@ def test_counterexample_exits_with_a_documented_code(shape, target, budget, seed
                      "--ratio-bound", str(ratio_bound)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    regime=st.sampled_from(["gamma1", "general", "remarks"]),
+    # None leaves --shape out; remarks with convex or any is an invalid pair
+    shape=st.sampled_from([None, "convex", "concave", "crossed", "any"]),
+    count=st.integers(0, 3),
+    seed=st.one_of(st.sampled_from([-1, 2 ** 64]), st.integers(0, 2 ** 64 - 1)),
+    bound=st.one_of(st.integers(3, 12), st.integers(3, 10 ** 30)),
+    ratio_bound=st.one_of(st.integers(0, 8), st.integers(0, 10 ** 30)),
+)
+def test_fuzz_exits_with_a_documented_code(regime, shape, count, seed, bound, ratio_bound):
+    argv = ["fuzz", "--regime", regime, "--count", str(count), "--seed", str(seed),
+            "--bound", str(bound), "--ratio-bound", str(ratio_bound)]
+    code, err = run(argv + (["--shape", shape] if shape else []))
+    assert code in (0, 1, 2), (argv, shape, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ")

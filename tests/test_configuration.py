@@ -18,7 +18,6 @@ from quadconc.errors import (
     CoincidentPoints,
     DegenerateQuadrilateral,
     PointNotOnSide,
-    ShapeNotConvex,
 )
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 
@@ -213,7 +212,7 @@ class TestTwoPointCompletion:
             build_from_two_points(unit_square, Point(0, 0), Point(1, F(1, 2)))
 
     def test_nonconvex_rejected(self, crossed_quad):
-        with pytest.raises(ShapeNotConvex):
+        with pytest.raises(ValueError):
             build_from_two_points(crossed_quad, Point(F(1, 2), F(1, 2)), Point(1, F(1, 2)))
 
 

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -16,49 +17,44 @@ from quadconc import (
     gen_ratios,
     overall_status,
     verify_all,
-    verify_crossing_ratio_formula,
-    verify_crossing_ratios,
-    verify_diagonal_collinearity,
-    verify_diagonal_concurrence_iff,
-    verify_general_concurrences,
-    verify_inner_quad_convexity,
-    verify_inner_quadrilateral,
-    verify_ratio_product,
-    verify_section_ratios,
-    verify_seven_lines,
 )
-from quadconc.errors import GammaNotOne, NonconvexRequired, ShapeNotConvex
-from quadconc.verifiers import CLAIM_IDS, DEGENERATE, FAIL, PASS, SKIPPED
+from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED
 
 F = Fraction
 
 
+def verdict(cfg, claim):
+    """The one verdict ``verify_all`` gives ``claim`` on ``cfg``."""
+    (v,) = verify_all(cfg, [claim])
+    return v
+
+
 class TestDiagonalCollinearity:
     def test_midpoints(self, midpoint_config):
-        v = verify_diagonal_collinearity(midpoint_config)
+        v = verdict(midpoint_config, "diagonal_collinearity")
         assert v.status == PASS
         assert midpoint_config.point("X") == Point(F(1, 2), F(1, 4))
         assert midpoint_config.point("Z") == Point(F(1, 2), F(3, 4))
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
-        assert verify_diagonal_collinearity(gamma_one_config).status == PASS
+        assert verdict(gamma_one_config, "diagonal_collinearity").status == PASS
 
-    def test_gamma_not_one_raises(self, gamma_two_config):
-        with pytest.raises(GammaNotOne):
-            verify_diagonal_collinearity(gamma_two_config)
+    def test_gamma_not_one_skipped(self, gamma_two_config):
+        v = verdict(gamma_two_config, "diagonal_collinearity")
+        assert (v.status, v.detail) == (SKIPPED, "requires side-ratio product 1, got 2")
 
 
 class TestSevenLines:
     def test_midpoints_degenerate_f_equals_g(self, midpoint_config):
         # both diagonal division points land on the center, so the line
         # through them is undefined and only six lines are required
-        v = verify_seven_lines(midpoint_config)
+        v = verdict(midpoint_config, "seven_lines")
         assert v.status == DEGENERATE
         assert "F_EQ_G" in v.detail
         assert v.witness["E"] == Point(F(1, 2), F(1, 2))
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
-        v = verify_seven_lines(gamma_one_config)
+        v = verdict(gamma_one_config, "seven_lines")
         assert v.status == PASS
         assert v.witness["E"] == Point(F(2, 3), F(1, 2))
         assert v.exact_values["FE_over_EG"] == 1
@@ -66,29 +62,29 @@ class TestSevenLines:
 
     def test_two_point_completion_passes(self, unit_square):
         cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
-        assert verify_seven_lines(cfg).status == PASS
+        assert verdict(cfg, "seven_lines").status == PASS
 
     def test_fe_over_eg_value(self, unit_square):
         # m=3, n=1/2, p=4, q=1/6 has product one; formula 3(1+2)/(1+3/2)
         cfg = build_from_ratios(unit_square, SideRatios.of(3, F(1, 2), 4, F(1, 6)))
-        v = verify_seven_lines(cfg)
+        v = verdict(cfg, "seven_lines")
         assert v.status == PASS
         assert v.exact_values["FE_over_EG"] == F(18, 5)
 
-    def test_gamma_not_one_raises(self, gamma_two_config):
-        with pytest.raises(GammaNotOne):
-            verify_seven_lines(gamma_two_config)
+    def test_gamma_not_one_skipped(self, gamma_two_config):
+        v = verdict(gamma_two_config, "seven_lines")
+        assert (v.status, v.detail) == (SKIPPED, "requires side-ratio product 1, got 2")
 
 
 class TestCrossingRatios:
     def test_midpoints_bisect(self, midpoint_config):
-        v = verify_crossing_ratios(midpoint_config)
+        v = verdict(midpoint_config, "crossing_ratios")
         assert v.status == PASS
         assert v.exact_values["ME_over_EP"] == 1
         assert v.exact_values["NE_over_EQ"] == 1
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
-        v = verify_crossing_ratios(gamma_one_config)
+        v = verdict(gamma_one_config, "crossing_ratios")
         assert v.status == PASS
         assert v.exact_values["ME_over_EP"] == 1
         assert v.exact_values["NE_over_EQ"] == F(1, 2)
@@ -98,7 +94,7 @@ class TestCrossingRatios:
         # second and third, ME/EP equals the second ratio exactly
         for m, n in ((F(2), F(3)), (F(1, 5), F(7, 2))):
             cfg = build_from_ratios(unit_square, SideRatios.of(m, n, 1 / m, 1 / n))
-            v = verify_crossing_ratios(cfg)
+            v = verdict(cfg, "crossing_ratios")
             assert v.status == PASS
             assert v.exact_values["ME_over_EP"] == n
             assert v.exact_values["NE_over_EQ"] == 1 / m
@@ -106,20 +102,20 @@ class TestCrossingRatios:
 
 class TestDiagonalConcurrenceIff:
     def test_midpoints_both_true(self, midpoint_config):
-        v = verify_diagonal_concurrence_iff(midpoint_config)
+        v = verdict(midpoint_config, "diagonal_concurrence_iff")
         assert v.status == PASS
         assert v.exact_values["MP_NQ_AC_concurrent"] == 1
         assert v.exact_values["DM_BQ_AC_concurrent"] == 1
 
     def test_asymmetric_both_false(self, gamma_one_config):
-        v = verify_diagonal_concurrence_iff(gamma_one_config)
+        v = verdict(gamma_one_config, "diagonal_concurrence_iff")
         assert v.status == PASS
         assert v.exact_values["MP_NQ_AC_concurrent"] == 0
         assert v.exact_values["DM_BQ_AC_concurrent"] == 0
 
     def test_two_point_completion_both_true(self, unit_square):
         cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
-        v = verify_diagonal_concurrence_iff(cfg)
+        v = verdict(cfg, "diagonal_concurrence_iff")
         assert v.status == PASS
         assert v.exact_values["MP_NQ_AC_concurrent"] == 1
         assert v.exact_values["DM_BQ_AC_concurrent"] == 1
@@ -127,18 +123,18 @@ class TestDiagonalConcurrenceIff:
 
 class TestGeneralConcurrences:
     def test_reference_gamma_two(self, gamma_two_config):
-        v = verify_general_concurrences(gamma_two_config)
+        v = verdict(gamma_two_config, "quadruple_concurrences")
         assert v.status == DEGENERATE
         assert "F1_EQ_G1" in v.detail
         assert v.witness["M1"] == Point(F(1, 2), F(1, 2))
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
-        v = verify_general_concurrences(generic_gamma_two_config)
+        v = verdict(generic_gamma_two_config, "quadruple_concurrences")
         assert v.status == PASS
         assert v.exact_values["F1M1_over_M1G1"] == v.exact_values["F1M1_over_M1G1_formula"]
 
     def test_gamma_one_collapse(self, gamma_one_config):
-        v = verify_general_concurrences(gamma_one_config)
+        v = verdict(gamma_one_config, "quadruple_concurrences")
         assert v.status == PASS
         cfg = gamma_one_config
         assert len({cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
@@ -152,7 +148,7 @@ class TestGeneralConcurrences:
         cfg = build_from_points(quad, Point(0, F(1, 3)), Point(F(1, 2), F(1, 2)),
                                 Point(1, F(2, 3)), Point(-1, -2))
         assert cfg.point("F2").is_ideal and cfg.point("G2").is_ideal
-        v = verify_general_concurrences(cfg)
+        v = verdict(cfg, "quadruple_concurrences")
         assert v.status == DEGENERATE
         assert "F2G2_UNDEFINED" in v.detail.split("; ")
 
@@ -161,7 +157,7 @@ class TestGeneralConcurrences:
         cfg = build_from_points(quad, Point(0, F(1, 3)), Point(2, -1), Point(1, 1),
                                 Point(F(1, 2), 1))
         assert cfg.ratios.m * cfg.ratios.n == -1
-        v = verify_general_concurrences(cfg)
+        v = verdict(cfg, "quadruple_concurrences")
         assert v.status == DEGENERATE
         assert "F1M1_over_M1G1_formula_UNDEFINED" in v.detail.split("; ")
 
@@ -188,44 +184,44 @@ class TestConcurrenceDetail:
     def test_misses_outrank_degenerate_reasons(self, midpoint_config, gamma_two_config):
         # both configurations also carry a degenerate reason (F = G and
         # F1 = G1), which a failure must override
-        v = verify_seven_lines(self.moved(midpoint_config, "E", Point(0, 0)))
+        v = verdict(self.moved(midpoint_config, "E", Point(0, 0)), "seven_lines")
         assert (v.status, v.detail) == (FAIL, "BB1 misses E; MP misses E; NQ misses E")
-        v = verify_general_concurrences(self.moved(gamma_two_config, "M1", Point(0, 0)))
+        v = verdict(self.moved(gamma_two_config, "M1", Point(0, 0)), "quadruple_concurrences")
         assert (v.status, v.detail) == (FAIL, "DD1 misses M1; MP misses M1")
 
 
 class TestRatioProduct:
     def test_generic_gamma_two(self, generic_gamma_two_config):
-        v = verify_ratio_product(generic_gamma_two_config)
+        v = verdict(generic_gamma_two_config, "ratio_product")
         assert v.status == PASS
         assert v.exact_values["product"] == 2
 
     def test_gamma_one_with_distinct_pairs(self, unit_square):
         cfg = build_from_ratios(unit_square, SideRatios.of(3, F(1, 2), 4, F(1, 6)))
-        v = verify_ratio_product(cfg)
+        v = verdict(cfg, "ratio_product")
         assert v.status == PASS
         assert v.exact_values["product"] == 1
 
     def test_coincident_pair_degenerate(self, gamma_two_config):
-        v = verify_ratio_product(gamma_two_config)
+        v = verdict(gamma_two_config, "ratio_product")
         assert v.status == DEGENERATE
         assert "F1_EQ_G1" in v.detail
 
 
 class TestSectionRatios:
     def test_reference_gamma_two(self, gamma_two_config):
-        v = verify_section_ratios(gamma_two_config)
+        v = verdict(gamma_two_config, "section_ratios")
         assert v.status == PASS
         assert v.exact_values["MM1_over_M1P"] == 1
         assert v.exact_values["MM1_over_M1P_weighted"] == 1
 
     def test_midpoints(self, midpoint_config):
-        v = verify_section_ratios(midpoint_config)
+        v = verdict(midpoint_config, "section_ratios")
         assert v.status == PASS
         assert v.exact_values["MM1_over_M1P"] == 1
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
-        v = verify_section_ratios(generic_gamma_two_config)
+        v = verdict(generic_gamma_two_config, "section_ratios")
         assert v.status == PASS
         for key in ("MM1_over_M1P", "NN1_over_N1Q", "PP1_over_P1M", "QQ1_over_Q1N"):
             assert v.exact_values[key] == v.exact_values[key + "_formula"]
@@ -233,14 +229,14 @@ class TestSectionRatios:
 
 class TestCrossingRatioFormula:
     def test_reference_values(self, gamma_two_config):
-        v = verify_crossing_ratio_formula(gamma_two_config)
+        v = verdict(gamma_two_config, "crossing_ratio_formula")
         assert v.status == PASS
         assert v.exact_values["r"] == F(2, 3)
         assert v.exact_values["ME_over_EP"] == F(5, 7)
         assert v.exact_values["ME_over_EP_formula"] == F(5, 7)
 
     def test_gamma_one_reduces_to_plain_form(self, gamma_one_config):
-        v = verify_crossing_ratio_formula(gamma_one_config)
+        v = verdict(gamma_one_config, "crossing_ratio_formula")
         assert v.status == PASS
         m, n, p, _ = gamma_one_config.ratios.as_tuple
         assert v.exact_values["ME_over_EP"] == m * n * (p + 1) / (m + 1)
@@ -253,55 +249,58 @@ class TestCrossingRatioFormula:
         R = cfg.point("R")
         assert R is not None and R.is_ideal
         assert cfg.r_ratio == 1
-        v = verify_crossing_ratio_formula(cfg)
+        v = verdict(cfg, "crossing_ratio_formula")
         assert v.status == PASS
 
-    def test_nonconvex_raises(self, crossed_quad):
+    def test_nonconvex_skipped(self, crossed_quad):
         cfg = build_from_ratios(crossed_quad, SideRatios.of(F(1, 2), 2, 3, F(1, 3)))
-        with pytest.raises(ShapeNotConvex):
-            verify_crossing_ratio_formula(cfg)
+        v = verdict(cfg, "crossing_ratio_formula")
+        assert (v.status, v.detail) == (
+            SKIPPED, "the trace-ratio form is stated for convex quadrilaterals")
 
 
 class TestInnerQuadrilateral:
     def test_gamma_above_one_order(self, gamma_two_config):
-        v = verify_inner_quadrilateral(gamma_two_config)
+        v = verdict(gamma_two_config, "inner_quadrilateral")
         assert v.status == PASS
         lam = v.exact_values
         assert lam["lambda_P1_on_MP"] < lam["lambda_E_on_MP"] < lam["lambda_M1_on_MP"]
 
     def test_gamma_below_one_order(self, unit_square):
         cfg = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, F(1, 2)))
-        v = verify_inner_quadrilateral(cfg)
+        v = verdict(cfg, "inner_quadrilateral")
         assert v.status == PASS
         lam = v.exact_values
         assert lam["lambda_M1_on_MP"] < lam["lambda_E_on_MP"] < lam["lambda_P1_on_MP"]
 
     def test_gamma_one_collapse(self, gamma_one_config):
-        assert verify_inner_quadrilateral(gamma_one_config).status == PASS
+        assert verdict(gamma_one_config, "inner_quadrilateral").status == PASS
 
-    def test_nonconvex_raises(self, concave_quad):
+    def test_nonconvex_skipped(self, concave_quad):
         cfg = build_from_ratios(concave_quad, SideRatios.of(1, 1, 1, 1))
-        with pytest.raises(ShapeNotConvex):
-            verify_inner_quadrilateral(cfg)
+        v = verdict(cfg, "inner_quadrilateral")
+        assert (v.status, v.detail) == (
+            SKIPPED, "segment ordering claims require a convex quadrilateral")
 
 
 class TestInnerQuadConvexity:
-    def test_convex_input_raises(self, midpoint_config):
-        with pytest.raises(NonconvexRequired):
-            verify_inner_quad_convexity(midpoint_config)
+    def test_convex_input_skipped(self, midpoint_config):
+        v = verdict(midpoint_config, "inner_quadrilateral_convexity")
+        assert (v.status, v.detail) == (
+            SKIPPED, "the empirical convexity check targets nonconvex inputs")
 
     def test_crossed_failure_exists(self, crossed_quad):
         # a crossed quadrilateral with free ratios where the inner
         # quadrilateral is itself crossed
         cfg = build_from_ratios(crossed_quad, SideRatios.of(F(1, 2), F(1, 2), F(1, 2), F(1, 3)))
-        v = verify_inner_quad_convexity(cfg)
+        v = verdict(cfg, "inner_quadrilateral_convexity")
         assert v.status == FAIL
         assert v.exact_values["inner_quad_convex"] == 0
         assert "crossed" in v.detail
 
     def test_gamma_one_collapse_is_degenerate(self, crossed_quad):
         cfg = build_from_ratios(crossed_quad, SideRatios.of(2, 1, F(1, 2), 1))
-        v = verify_inner_quad_convexity(cfg)
+        v = verdict(cfg, "inner_quadrilateral_convexity")
         assert v.status == DEGENERATE
 
 
@@ -364,3 +363,11 @@ class TestAffineInvariance:
             assert v1.status == v2.status
             assert v1.exact_values == v2.exact_values
             assert v1.detail == v2.detail
+
+
+def test_readme_claims_table_matches_claims():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Claims\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    assert [tuple(cell.strip().strip("`") for cell in row) for row in rows] == [
+        (claim, regime) for claim, regime, *_ in CLAIMS]
