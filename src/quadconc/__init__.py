@@ -11,8 +11,6 @@ from .configuration import (  # noqa: F401
     SideRatios,
     build_from_points,
     build_from_ratios,
-    build_from_two_points,
-    cyclic_relabel,
 )
 from .generators import GenSpec, gen_quadrilateral, gen_ratios  # noqa: F401
 from .kernel import (  # noqa: F401

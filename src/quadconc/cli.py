@@ -156,11 +156,10 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
 
     tallies = {claim: {"pass": 0, "fail": 0, "degenerate": 0, "skipped": 0}
                for claim in CLAIM_IDS}
-    findings = {claim: 0 for claim in sorted(FINDING_CLAIMS)}
+    # instances where a claim other than a finding claim failed
     failing_instances: list[dict] = []
     generation_exhausted = 0
     construction_errors = 0
-    any_fail = False
 
     for index, quad, ratios, built in _campaign(args, regime, shape, args.count):
         meta = {"seed": str(args.seed), "index": index, "regime": regime}
@@ -180,13 +179,10 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
         out.write(render(doc, compact=True))
         for v in verdicts:
             tallies[v.claim_id][v.status] += 1
-            if v.status == FAIL:
-                if regime == "remarks" and v.claim_id in FINDING_CLAIMS:
-                    findings[v.claim_id] += 1
-                else:
-                    any_fail = True
-                    failing_instances.append(doc["instance"])
-        if args.dump_dir and any(v.status == FAIL for v in verdicts):
+        failed = {v.claim_id for v in verdicts if v.status == FAIL}
+        if failed - FINDING_CLAIMS:
+            failing_instances.append(doc["instance"])
+        if args.dump_dir and failed:
             os.makedirs(args.dump_dir, exist_ok=True)
             _write_output(os.path.join(args.dump_dir, f"fail-seed{args.seed}-index{index}.json"),
                           serialize_instance(inst))
@@ -200,14 +196,14 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
         "coordinate_bound": args.coordinate_bound,
         "ratio_bound": args.ratio_bound,
         "claims": tallies,
-        "findings": findings,
+        "findings": {claim: tallies[claim][FAIL] for claim in sorted(FINDING_CLAIMS)},
         "generation_exhausted": generation_exhausted,
         "construction_errors": construction_errors,
         "failing_instances": failing_instances,
-        "overall": "fail" if any_fail else "pass",
+        "overall": "fail" if failing_instances else "pass",
     }
     out.write(render(summary))
-    return 1 if any_fail else 0
+    return 1 if failing_instances else 0
 
 
 def cmd_counterexample(args: argparse.Namespace, out) -> int:

@@ -243,52 +243,3 @@ def build_from_points(quad: Quadrilateral, M: Point, N: Point, P: Point, Q: Poin
         ratios.append(lam / (1 - lam))
     return _construct(quad, SideRatios(*ratios), side_points=(M, N, P, Q))
 
-
-def build_from_two_points(quad: Quadrilateral, M: Point, N: Point) -> Configuration:
-    """Complete a configuration from ``M`` and ``N`` alone.
-
-    ``S`` and ``T`` are the traces of ``DM`` and ``DN`` on the diagonal
-    ``AC``; ``Q = BS ∩ AD`` and ``P = BT ∩ CD`` then force the product of
-    the four side ratios to be exactly one, so the whole product-one
-    claim family applies to the result.
-    """
-    if quad.shape != CONVEX:
-        raise ValueError("the two-point completion is defined for convex quadrilaterals")
-    A, B, C, D = quad.vertices
-    for name, pt, u, v in (("M", M, A, B), ("N", N, B, C)):
-        if pt.is_ideal or not collinear(u, pt, v):
-            raise PointNotOnSide(name)
-        lam = affine_parameter(u, v, pt)
-        if not (0 < lam < 1):
-            raise PointNotOnSide(name, f"{name} is outside its open side")
-
-    lAC = line_through(A, C)
-
-    def cut(name: str, l1, l2) -> Point:
-        if l1 == l2:
-            raise UndefinedPoint(name)
-        return meet(l1, l2)
-
-    S = cut("S", line_through(D, M), lAC)
-    T = cut("T", line_through(D, N), lAC)
-    for name, pt in (("S", S), ("T", T)):
-        if pt.is_ideal:
-            raise UndefinedPoint(name, f"{name} is ideal")
-        if pt == B:
-            raise UndefinedPoint(name, f"{name} coincides with B")
-    Q = cut("Q", line_through(B, S), line_through(A, D))
-    P = cut("P", line_through(B, T), line_through(C, D))
-    return build_from_points(quad, M, N, P, Q)
-
-
-def cyclic_relabel(quad: Quadrilateral, ratios: SideRatios) -> tuple[Quadrilateral, SideRatios]:
-    """One step of the configuration's cyclic symmetry.
-
-    Shifts the vertex labels ``A -> B -> C -> D -> A`` together with the
-    side ratios ``m -> n -> p -> q -> m``; rebuilding on the result maps
-    every named point onto a named point of the original.
-    """
-    return (
-        Quadrilateral.of(quad.B, quad.C, quad.D, quad.A),
-        SideRatios(ratios.n, ratios.p, ratios.q, ratios.m),
-    )

@@ -1,4 +1,8 @@
-"""Exception hierarchy for the exact-geometry core and the builders."""
+"""Exception hierarchy for the exact-geometry core and configuration construction.
+
+A failure that no caller tells apart by type is a plain
+:class:`GeometryError`; each subclass below is caught by name somewhere.
+"""
 
 
 class GeometryError(Exception):
@@ -9,32 +13,8 @@ class CoincidentPoints(GeometryError):
     """Two points that must be distinct are projectively equal."""
 
 
-class CoincidentLines(GeometryError):
-    """Two lines that must be distinct are projectively equal."""
-
-
-class CoincidentEndpoints(GeometryError):
-    """The endpoints of a division are the same point."""
-
-
 class IdealLine(GeometryError):
     """The requested line would be the line at infinity."""
-
-
-class RatioMinusOne(GeometryError):
-    """Division ratio -1 would place the point at infinity."""
-
-
-class InfiniteRatio(GeometryError):
-    """The division point coincides with the second endpoint."""
-
-
-class NotCollinear(GeometryError):
-    """Three points expected to be collinear are not."""
-
-
-class NotFinite(GeometryError):
-    """An ideal point was passed where a finite point is required."""
 
 
 class DegenerateQuadrilateral(GeometryError):

@@ -8,8 +8,8 @@ Conventions
   marks a direction, i.e. a point at infinity.  Meets of parallel lines
   are therefore total: they return ideal points instead of failing.
 * A :class:`Line` is the locus ``a*x + b*y + c*w = 0`` with
-  ``(a, b) != (0, 0)``; the line at infinity is deliberately not
-  representable.
+  ``(a, b) != (0, 0)``, the join of two points; the line at infinity is
+  deliberately not representable.
 * Equality of points and of lines is projective (cross-multiplication);
   canonical storage makes it agree with hashing.
 * ``directed_ratio(a, p, b)`` returns ``lam / (1 - lam)`` where
@@ -26,16 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._purekernel import cross3, det3, dot3, reduce3
-from .errors import (
-    CoincidentEndpoints,
-    CoincidentLines,
-    CoincidentPoints,
-    IdealLine,
-    InfiniteRatio,
-    NotCollinear,
-    NotFinite,
-    RatioMinusOne,
-)
+from .errors import CoincidentPoints, GeometryError, IdealLine
 
 RatLike = Union[int, str, Fraction]
 
@@ -110,7 +101,7 @@ class Point:
     def affine(self) -> tuple[Fraction, Fraction]:
         x, y, w = self._t
         if w == 0:
-            raise NotFinite("ideal point has no affine coordinates")
+            raise GeometryError("ideal point has no affine coordinates")
         return Fraction(x, w), Fraction(y, w)
 
     def __eq__(self, other: object) -> bool:
@@ -131,15 +122,10 @@ class Point:
 
 
 class Line:
-    """The locus ``a*x + b*y + c*w = 0`` with ``(a, b) != (0, 0)``."""
+    """The locus ``a*x + b*y + c*w = 0`` with ``(a, b) != (0, 0)``; made
+    only by :func:`line_through`."""
 
     __slots__ = ("_t",)
-
-    def __init__(self, a: RatLike, b: RatLike, c: RatLike):
-        t = _integer_triple(as_rat(a), as_rat(b), as_rat(c))
-        if t[0] == 0 and t[1] == 0:
-            raise IdealLine("the line at infinity is not representable")
-        self._t = reduce3(*t)
 
     @classmethod
     def _wrap(cls, triple: tuple[int, int, int]) -> "Line":
@@ -177,7 +163,7 @@ def meet(l1: Line, l2: Line) -> Point:
     """The common point of two distinct lines; ideal when they are parallel."""
     c = cross3(l1._t, l2._t)
     if c == (0, 0, 0):
-        raise CoincidentLines(f"{l1!r} and {l2!r} are the same line")
+        raise GeometryError(f"{l1!r} and {l2!r} are the same line")
     return Point._wrap(reduce3(*c))
 
 
@@ -190,7 +176,7 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     """Sign of the signed area of the triangle ``a b c``; zero iff collinear."""
     for p in (a, b, c):
         if p.is_ideal:
-            raise NotFinite("orientation is defined for finite points only")
+            raise GeometryError("orientation is defined for finite points only")
     d = det3(a._t, b._t, c._t)
     # canonical finite triples have positive w, so the determinant sign is
     # the affine orientation sign
@@ -224,11 +210,11 @@ def affine_parameter(a: Point, b: Point, x: Point) -> Fraction:
     """The ``lam`` with ``x = a + lam*(b - a)`` for collinear finite points."""
     for p in (a, b, x):
         if p.is_ideal:
-            raise NotFinite("affine parameters are defined for finite points only")
+            raise GeometryError("affine parameters are defined for finite points only")
     if a == b:
-        raise CoincidentEndpoints("segment endpoints coincide")
+        raise GeometryError("segment endpoints coincide")
     if det3(a._t, b._t, x._t) != 0:
-        raise NotCollinear(f"{x!r} is not on the line through {a!r} and {b!r}")
+        raise GeometryError(f"{x!r} is not on the line through {a!r} and {b!r}")
     ax, ay = a.affine()
     bx, by = b.affine()
     xx, xy = x.affine()
@@ -241,7 +227,7 @@ def directed_ratio(a: Point, p: Point, b: Point) -> Fraction:
     """The exact division ratio in which ``p`` splits ``a -> b``."""
     lam = affine_parameter(a, b, p)
     if lam == 1:
-        raise InfiniteRatio("division point coincides with the second endpoint")
+        raise GeometryError("division point coincides with the second endpoint")
     return lam / (1 - lam)
 
 
@@ -250,11 +236,11 @@ def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:
     t = as_rat(ratio)
     for p in (a, b):
         if p.is_ideal:
-            raise NotFinite("division endpoints must be finite")
+            raise GeometryError("division endpoints must be finite")
     if a == b:
         raise CoincidentPoints("division endpoints coincide")
     if t == -1:
-        raise RatioMinusOne("ratio -1 corresponds to the point at infinity")
+        raise GeometryError("ratio -1 corresponds to the point at infinity")
     lam = t / (1 + t)
     ax, ay = a.affine()
     bx, by = b.affine()

@@ -414,24 +414,27 @@ _GAMMA_ONE_SKIP = "requires side-ratio product 1, got {gamma}"
 
 # one row per claim, in the fixed report order (product-one claims first,
 # then the general suite, then the convexity claims):
-# (claim id, regime, skip text, points that must be defined, check)
-CLAIMS: tuple[tuple[str, str, str, tuple[str, ...],
+# (claim id, regime, finding, skip text, points that must be defined, check).
+# A finding claim is an open empirical question, not a theorem: its
+# failures are findings, never suite failures.
+CLAIMS: tuple[tuple[str, str, bool, str, tuple[str, ...],
                     Callable[[str, Configuration], Verdict]], ...] = (
-    ("diagonal_collinearity", "gamma = 1", _GAMMA_ONE_SKIP, ("X", "O", "Z", "Y", "T"),
+    ("diagonal_collinearity", "gamma = 1", False, _GAMMA_ONE_SKIP, ("X", "O", "Z", "Y", "T"),
      _diagonal_collinearity),
-    ("seven_lines", "gamma = 1", _GAMMA_ONE_SKIP,
+    ("seven_lines", "gamma = 1", False, _GAMMA_ONE_SKIP,
      ("A1", "B1", "C1", "D1", "F1", "G1", "F2", "G2", "E"), _seven_lines),
-    ("crossing_ratios", "gamma = 1", _GAMMA_ONE_SKIP, ("E",), _crossing_ratios),
-    ("diagonal_concurrence_iff", "gamma = 1", _GAMMA_ONE_SKIP, ("E", "C1"),
+    ("crossing_ratios", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E",), _crossing_ratios),
+    ("diagonal_concurrence_iff", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E", "C1"),
      _diagonal_concurrence_iff),
-    ("quadruple_concurrences", "any", "", (), _quadruple_concurrences),
-    ("ratio_product", "any", "", (), _ratio_product),
-    ("section_ratios", "any", "", (), _section_ratios),
-    ("crossing_ratio_formula", "convex",
+    ("quadruple_concurrences", "any", False, "", (), _quadruple_concurrences),
+    ("ratio_product", "any", False, "", (), _ratio_product),
+    ("section_ratios", "any", False, "", (), _section_ratios),
+    ("crossing_ratio_formula", "convex", False,
      "the trace-ratio form is stated for convex quadrilaterals", (), _crossing_ratio_formula),
-    ("inner_quadrilateral", "convex", "segment ordering claims require a convex quadrilateral",
+    ("inner_quadrilateral", "convex", False,
+     "segment ordering claims require a convex quadrilateral",
      ("E", "M1", "N1", "P1", "Q1"), _inner_quadrilateral),
-    ("inner_quadrilateral_convexity", "concave/crossed",
+    ("inner_quadrilateral_convexity", "concave/crossed", True,
      "the empirical convexity check targets nonconvex inputs", ("M1", "N1", "P1", "Q1"),
      _inner_quadrilateral_convexity),
 )
@@ -456,13 +459,13 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
 
 # ``verify_all`` reads this at call time, so a caller may wrap the runners
 CLAIM_RUNNERS: tuple[tuple[str, Callable[[Configuration], Verdict]], ...] = tuple(
-    (row[0], _rule(*row)) for row in CLAIMS)
+    (claim, _rule(claim, regime, skip, needs, check))
+    for claim, regime, _, skip, needs, check in CLAIMS)
 
 CLAIM_IDS: tuple[str, ...] = tuple(claim for claim, *_ in CLAIMS)
 
-# claims whose failure on nonconvex inputs is an expected finding rather
-# than a suite failure
-FINDING_CLAIMS: frozenset[str] = frozenset({"inner_quadrilateral_convexity"})
+FINDING_CLAIMS: frozenset[str] = frozenset(
+    claim for claim, _, finding, *_ in CLAIMS if finding)
 
 
 def select_claims(checks: Iterable[str] | None = None) -> tuple[str, ...]:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadconc import Point, Quadrilateral, SideRatios, build_from_ratios
+from quadconc import Point, Quadrilateral, SideRatios, build_from_points, build_from_ratios
 
 
 @pytest.fixture
@@ -25,6 +25,15 @@ def gamma_one_config(unit_square):
 def gamma_two_config(unit_square):
     # ratios (1, 1, 1, 2): the reference instance with E = (1/2, 5/12)
     return build_from_ratios(unit_square, SideRatios.of(1, 1, 1, 2))
+
+
+@pytest.fixture
+def two_point_config(unit_square):
+    # M = (1/3, 0) and N = (1, 2/7) with the P and Q that the paper's
+    # two-point completion gives (see test_configuration), so gamma = 1
+    # and E lies on AC
+    return build_from_points(unit_square, Point(Fraction(1, 3), 0), Point(1, Fraction(2, 7)),
+                             Point(Fraction(2, 7), 1), Point(0, Fraction(1, 3)))
 
 
 @pytest.fixture

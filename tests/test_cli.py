@@ -1,8 +1,10 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+from quadconc import verifiers
 from quadconc.cli import main
 from quadconc.instancefile import parse_rational
 
@@ -232,12 +234,35 @@ class TestFuzz:
         summary = last_json(out)
         assert summary["claims"]["quadruple_concurrences"]["fail"] == 0
 
-    def test_remarks_campaign_reports_findings(self):
-        code, out = run(["fuzz", "--seed", "42", "--count", "60", "--regime", "remarks"])
+    @pytest.mark.parametrize("regime", [
+        ["--regime", "remarks"],
+        ["--regime", "general", "--shape", "concave"],
+        ["--regime", "general", "--shape", "crossed"],
+        ["--regime", "general", "--shape", "any"],
+    ], ids=["remarks", "general-concave", "general-crossed", "general-any"])
+    def test_remarks_campaign_reports_findings(self, regime):
+        code, out = run(["fuzz", "--seed", "42", "--count", "60"] + regime)
         assert code == 0, "convexity findings must not fail the suite"
         summary = last_json(out)
-        assert summary["findings"]["inner_quadrilateral_convexity"] > 0
-        assert summary["claims"]["inner_quadrilateral_convexity"]["fail"] > 0
+        assert summary["overall"] == "pass"
+        assert summary["failing_instances"] == []
+        findings = summary["findings"]["inner_quadrilateral_convexity"]
+        assert findings == summary["claims"]["inner_quadrilateral_convexity"]["fail"] > 0
+
+    def test_failing_instance_listed_once(self, monkeypatch):
+        def failing(claim, runner):
+            if claim not in ("ratio_product", "section_ratios"):
+                return runner
+            return lambda cfg: replace(runner(cfg), status="fail")
+
+        monkeypatch.setattr(verifiers, "CLAIM_RUNNERS", tuple(
+            (claim, failing(claim, runner)) for claim, runner in verifiers.CLAIM_RUNNERS))
+        code, out = run(["fuzz", "--regime", "general", "--seed", "3", "--count", "2"])
+        assert code == 1
+        summary = last_json(out)
+        assert summary["claims"]["ratio_product"]["fail"] == 2
+        assert summary["claims"]["section_ratios"]["fail"] == 2
+        assert len(summary["failing_instances"]) == 2
 
     def test_determinism_byte_identical(self):
         argv = ["fuzz", "--seed", "7", "--count", "25", "--regime", "general"]

@@ -137,7 +137,9 @@ def test_fuzz_exits_with_a_documented_code(regime, shape, count, seed, bound, ra
     argv = ["fuzz", "--regime", regime, "--count", str(count), "--seed", str(seed),
             "--bound", str(bound), "--ratio-bound", str(ratio_bound)]
     code, err = run(argv + (["--shape", shape] if shape else []))
-    assert code in (0, 1, 2), (argv, shape, code, err)
+    # every claim that is not a finding claim is a theorem in its regime,
+    # so no campaign fails (exit 1); findings never affect the exit code
+    assert code in (0, 2), (argv, shape, code, err)
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ")

@@ -10,9 +10,10 @@ from quadconc import (
     affine_parameter,
     build_from_points,
     build_from_ratios,
-    build_from_two_points,
-    cyclic_relabel,
+    collinear,
     directed_ratio,
+    line_through,
+    meet,
 )
 from quadconc.errors import (
     CoincidentPoints,
@@ -188,9 +189,21 @@ class TestBuildFromPoints:
         assert exc.value.name == "M1"
 
 
+def two_point_completion(quad, M, N):
+    """The paper's completion from ``M`` and ``N`` alone: ``S`` and ``T``
+    are the traces of ``DM`` and ``DN`` on the diagonal ``AC``, then
+    ``Q = BS ∩ AD`` and ``P = BT ∩ CD``."""
+    A, B, C, D = quad.vertices
+    S = meet(line_through(D, M), line_through(A, C))
+    T = meet(line_through(D, N), line_through(A, C))
+    Q = meet(line_through(B, S), line_through(A, D))
+    P = meet(line_through(B, T), line_through(C, D))
+    return build_from_points(quad, M, N, P, Q)
+
+
 class TestTwoPointCompletion:
     def test_unit_square_midpoints(self, unit_square):
-        cfg = build_from_two_points(unit_square, Point(F(1, 2), 0), Point(1, F(1, 2)))
+        cfg = two_point_completion(unit_square, Point(F(1, 2), 0), Point(1, F(1, 2)))
         # S = DM meet AC lands at (1/3, 1/3); the completion forces the
         # midpoint configuration and a ratio product of exactly one
         assert cfg.ratios.gamma == 1
@@ -198,29 +211,23 @@ class TestTwoPointCompletion:
         assert cfg.point("Q") == Point(0, F(1, 2))
 
     def test_generic_completion_has_gamma_one(self, unit_square):
-        cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
+        cfg = two_point_completion(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
         assert cfg.ratios.gamma == 1
+        # the explicit points of the ``two_point_config`` fixture
+        assert (cfg.point("P"), cfg.point("Q")) == (Point(F(2, 7), 1), Point(0, F(1, 3)))
 
     def test_e_lies_on_diagonal(self, unit_square):
-        from quadconc import collinear
-
-        cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
+        cfg = two_point_completion(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
         assert collinear(cfg.quad.A, cfg.quad.C, cfg.point("E"))
-
-    def test_vertex_input_rejected(self, unit_square):
-        with pytest.raises(PointNotOnSide):
-            build_from_two_points(unit_square, Point(0, 0), Point(1, F(1, 2)))
-
-    def test_nonconvex_rejected(self, crossed_quad):
-        with pytest.raises(ValueError):
-            build_from_two_points(crossed_quad, Point(F(1, 2), F(1, 2)), Point(1, F(1, 2)))
 
 
 class TestInvariants:
     def test_cyclic_relabel_permutes_named_points(self, generic_gamma_two_config):
+        # shift the labels A -> B -> C -> D -> A with the ratios m -> n -> p -> q -> m
         cfg = generic_gamma_two_config
-        quad2, ratios2 = cyclic_relabel(cfg.quad, cfg.ratios)
-        cfg2 = build_from_ratios(quad2, ratios2)
+        quad, (m, n, p, q) = cfg.quad, cfg.ratios.as_tuple
+        cfg2 = build_from_ratios(Quadrilateral.of(quad.B, quad.C, quad.D, quad.A),
+                                 SideRatios(n, p, q, m))
         mapping = {
             "M": "N", "N": "P", "P": "Q", "Q": "M",
             "X": "Y", "Y": "Z", "Z": "T", "T": "X",

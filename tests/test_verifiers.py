@@ -12,7 +12,6 @@ from quadconc import (
     SideRatios,
     build_from_points,
     build_from_ratios,
-    build_from_two_points,
     gen_quadrilateral,
     gen_ratios,
     overall_status,
@@ -60,9 +59,8 @@ class TestSevenLines:
         assert v.exact_values["FE_over_EG"] == 1
         assert v.exact_values["FE_over_EG_formula"] == 1
 
-    def test_two_point_completion_passes(self, unit_square):
-        cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
-        assert verdict(cfg, "seven_lines").status == PASS
+    def test_two_point_completion_passes(self, two_point_config):
+        assert verdict(two_point_config, "seven_lines").status == PASS
 
     def test_fe_over_eg_value(self, unit_square):
         # m=3, n=1/2, p=4, q=1/6 has product one; formula 3(1+2)/(1+3/2)
@@ -113,9 +111,8 @@ class TestDiagonalConcurrenceIff:
         assert v.exact_values["MP_NQ_AC_concurrent"] == 0
         assert v.exact_values["DM_BQ_AC_concurrent"] == 0
 
-    def test_two_point_completion_both_true(self, unit_square):
-        cfg = build_from_two_points(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
-        v = verdict(cfg, "diagonal_concurrence_iff")
+    def test_two_point_completion_both_true(self, two_point_config):
+        v = verdict(two_point_config, "diagonal_concurrence_iff")
         assert v.status == PASS
         assert v.exact_values["MP_NQ_AC_concurrent"] == 1
         assert v.exact_values["DM_BQ_AC_concurrent"] == 1
