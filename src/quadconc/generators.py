@@ -25,7 +25,7 @@ from functools import cmp_to_key
 
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted
-from .kernel import CONCAVE, CONVEX, CROSSED, Point, Shape, orientation
+from .kernel import CONCAVE, CONVEX, CROSSED, Point, Shape, orientation, reduce3
 
 # accepted by the generator only; never a classification result
 ANY_SHAPE: Shape = "any"
@@ -63,9 +63,6 @@ class Stream:
     def next_int(self, lo: int, hi: int) -> int:
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def next_coordinate(self, bound: int) -> Fraction:
-        return Fraction(self.next_int(-bound, bound), self.next_int(1, bound))
-
     def next_positive(self, bound: int) -> Fraction:
         return Fraction(self.next_int(1, bound), self.next_int(1, bound))
 
@@ -96,20 +93,29 @@ class GenSpec:
 
 
 def _ccw_about_centroid(points: list[Point]) -> list[Point]:
-    coords = [p.affine() for p in points]
-    cx = sum(c[0] for c in coords) / len(coords)
-    cy = sum(c[1] for c in coords) / len(coords)
+    # affine coordinates scaled by the (positive) product of the weights,
+    # and offsets from the centroid scaled by n on top: integers with the
+    # signs of the true offsets, so the order is the affine one
+    triples = [p.triple() for p in points]
+    scale = 1
+    for _, _, w in triples:
+        scale *= w
+    coords = [(x * (scale // w), y * (scale // w)) for x, y, w in triples]
+    n = len(coords)
+    sx = sum(c[0] for c in coords)
+    sy = sum(c[1] for c in coords)
+    offsets = [(n * u - sx, n * v - sy) for u, v in coords]
 
-    def half(c: tuple[Fraction, Fraction]) -> int:
-        dx, dy = c[0] - cx, c[1] - cy
+    def half(c: tuple[int, int]) -> int:
+        dx, dy = c
         return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
 
     def compare(i: int, j: int) -> int:
-        ci, cj = coords[i], coords[j]
+        ci, cj = offsets[i], offsets[j]
         hi, hj = half(ci), half(cj)
         if hi != hj:
             return -1 if hi < hj else 1
-        cross = (ci[0] - cx) * (cj[1] - cy) - (ci[1] - cy) * (cj[0] - cx)
+        cross = ci[0] * cj[1] - ci[1] * cj[0]
         if cross > 0:
             return -1
         if cross < 0:
@@ -121,7 +127,9 @@ def _ccw_about_centroid(points: list[Point]) -> list[Point]:
 
 
 def _draw_point(rng: Stream, bound: int) -> Point:
-    return Point(rng.next_coordinate(bound), rng.next_coordinate(bound))
+    xn, xd = rng.next_int(-bound, bound), rng.next_int(1, bound)
+    yn, yd = rng.next_int(-bound, bound), rng.next_int(1, bound)
+    return Point._wrap(reduce3(xn * yd, yn * xd, xd * yd))
 
 
 def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:
@@ -141,15 +149,13 @@ def _try_concave(rng: Stream, bound: int) -> Quadrilateral | None:
         return None
     if sign < 0:
         b, c = c, b
-    # interior point of the triangle, strictly inside by construction
-    s = i + j + k
-    ax, ay = a.affine()
-    bx, by = b.affine()
-    cx, cy = c.affine()
-    x = Point(
-        ax + Fraction(i, s) * (bx - ax) + Fraction(j, s) * (cx - ax),
-        ay + Fraction(i, s) * (by - ay) + Fraction(j, s) * (cy - ay),
-    )
+    # interior point of the triangle, strictly inside by construction:
+    # (k*a + i*b + j*c) / (i + j + k) on the integer triples
+    a0, a1, aw = a.triple()
+    b0, b1, bw = b.triple()
+    c0, c1, cw = c.triple()
+    ka, ib, jc, w = k * bw * cw, i * aw * cw, j * aw * bw, (i + j + k) * aw * bw * cw
+    x = Point._wrap(reduce3(ka * a0 + ib * b0 + jc * c0, ka * a1 + ib * b1 + jc * c1, w))
     quad = Quadrilateral.of(a, b, x, c)
     return quad if quad.shape == CONCAVE else None
 

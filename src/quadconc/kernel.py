@@ -16,6 +16,14 @@ Conventions
   ``p = a + lam*(b - a)``: positive exactly when ``p`` lies strictly
   between ``a`` and ``b``, negative outside the segment, ``0`` at ``a``,
   and undefined at ``b``.  ``point_dividing`` is its exact inverse.
+* Both are computed on the integer triples without leaving them.  With
+  ``a = (a0, a1, aw)`` and likewise ``b`` and ``x``, the parameter of
+  ``x`` on ``a -> b`` is ``lam = num / den`` where, on the x components,
+  ``num = (x0*aw - a0*xw)*bw`` and ``den = (b0*aw - a0*bw)*xw``; the y
+  components stand in when ``b0*aw == a0*bw`` (a vertical segment).
+  Then ``directed_ratio = num / (den - num)``, and the point dividing
+  ``a -> b`` in ratio ``tn/td`` is
+  ``(td*bw*a0 + tn*aw*b0, td*bw*a1 + tn*aw*b1, (td + tn)*aw*bw)``.
 
 Everything here is an immutable value and every function is pure.
 """
@@ -206,8 +214,8 @@ def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:
     return CROSSED
 
 
-def affine_parameter(a: Point, b: Point, x: Point) -> Fraction:
-    """The ``lam`` with ``x = a + lam*(b - a)`` for collinear finite points."""
+def _parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
+    """``(num, den)`` with ``affine_parameter(a, b, x) == num / den``."""
     for p in (a, b, x):
         if p.is_ideal:
             raise GeometryError("affine parameters are defined for finite points only")
@@ -215,20 +223,27 @@ def affine_parameter(a: Point, b: Point, x: Point) -> Fraction:
         raise GeometryError("segment endpoints coincide")
     if det3(a._t, b._t, x._t) != 0:
         raise GeometryError(f"{x!r} is not on the line through {a!r} and {b!r}")
-    ax, ay = a.affine()
-    bx, by = b.affine()
-    xx, xy = x.affine()
-    if ax != bx:
-        return (xx - ax) / (bx - ax)
-    return (xy - ay) / (by - ay)
+    a0, a1, aw = a._t
+    b0, b1, bw = b._t
+    x0, x1, xw = x._t
+    d = b0 * aw - a0 * bw
+    if d != 0:
+        return (x0 * aw - a0 * xw) * bw, d * xw
+    return (x1 * aw - a1 * xw) * bw, (b1 * aw - a1 * bw) * xw
+
+
+def affine_parameter(a: Point, b: Point, x: Point) -> Fraction:
+    """The ``lam`` with ``x = a + lam*(b - a)`` for collinear finite points."""
+    num, den = _parameter_terms(a, b, x)
+    return Fraction(num, den)
 
 
 def directed_ratio(a: Point, p: Point, b: Point) -> Fraction:
     """The exact division ratio in which ``p`` splits ``a -> b``."""
-    lam = affine_parameter(a, b, p)
-    if lam == 1:
+    num, den = _parameter_terms(a, b, p)
+    if num == den:
         raise GeometryError("division point coincides with the second endpoint")
-    return lam / (1 - lam)
+    return Fraction(num, den - num)
 
 
 def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:
@@ -241,7 +256,8 @@ def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:
         raise CoincidentPoints("division endpoints coincide")
     if t == -1:
         raise GeometryError("ratio -1 corresponds to the point at infinity")
-    lam = t / (1 + t)
-    ax, ay = a.affine()
-    bx, by = b.affine()
-    return Point(ax + lam * (bx - ax), ay + lam * (by - ay))
+    tn, td = t.numerator, t.denominator
+    a0, a1, aw = a._t
+    b0, b1, bw = b._t
+    u, v = td * bw, tn * aw
+    return Point._wrap(reduce3(u * a0 + v * b0, u * a1 + v * b1, (td + tn) * aw * bw))

@@ -152,6 +152,16 @@ class TestDividingAndRatio:
             directed_ratio(a, b, b)
         with pytest.raises(GeometryError, match=r"Point\(1, 1\) is not on the line through"):
             directed_ratio(a, Point(1, 1), b)
+        # the checks run in a fixed order: type, ideal, coincident, ratio -1
+        with pytest.raises(TypeError):
+            point_dividing(a, b, 0.5)
+        with pytest.raises(GeometryError, match="division endpoints must be finite"):
+            point_dividing(a, Point(1, 0, 0), -1)
+        with pytest.raises(CoincidentPoints):
+            point_dividing(a, a, -1)
+        with pytest.raises(GeometryError,
+                           match="affine parameters are defined for finite points only"):
+            affine_parameter(a, Point(1, 0, 0), a)
 
     def test_affine_parameter(self):
         assert affine_parameter(Point(0, 0), Point(2, 0), Point(F(1, 2), 0)) == F(1, 4)

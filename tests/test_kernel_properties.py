@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+import naive_geometry as naive
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadconc import (
     Point,
+    affine_parameter,
     collinear,
     directed_ratio,
     line_through,
@@ -12,6 +15,7 @@ from quadconc import (
     orientation,
     point_dividing,
 )
+from quadconc.errors import GeometryError
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=50
@@ -81,3 +85,78 @@ def test_meet_lies_on_both_lines(p1, q1, p2, q2):
     x = meet(l1, l2)
     assert l1.contains(x)
     assert l2.contains(x)
+
+
+# The division kernels work on integer triples; the oracle works on affine
+# Fraction pairs.  Large numerators, non-unit weights and vertical segments
+# (which take the y branch) make the two computations differ as much as
+# they can while meaning the same thing.
+big_rationals = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3)
+)
+weights = st.builds(
+    Fraction, st.integers(-10**3, 10**3).filter(bool), st.integers(1, 10**3)
+)
+
+
+@st.composite
+def weighted_points(draw, x=big_rationals):
+    """The affine point ``(x, y)`` passed to ``Point`` as ``(x*w, y*w, w)``."""
+    xv, yv, w = draw(x), draw(big_rationals), draw(weights)
+    return Point(xv * w, yv * w, w)
+
+
+@st.composite
+def free_segments(draw):
+    a, b = draw(weighted_points()), draw(weighted_points())
+    assume(a != b)
+    return a, b
+
+
+@st.composite
+def vertical_segments(draw):
+    a = draw(weighted_points())
+    b = draw(weighted_points(x=st.just(a.affine()[0])))
+    assume(a != b)
+    return a, b
+
+
+segments = free_segments() | vertical_segments()
+# parameters outside [0, 1]: the point lies beyond one endpoint
+beyond = big_rationals.map(lambda t: abs(t) + Fraction(1, 10**3))
+exterior = beyond.map(lambda t: -t) | beyond.map(lambda t: 1 + t)
+
+
+def _at(a, b, lam):
+    (ax, ay), (bx, by) = a.affine(), b.affine()
+    return Point(ax + lam * (bx - ax), ay + lam * (by - ay))
+
+
+@given(segments, big_rationals | st.sampled_from([Fraction(0), Fraction(1)]))
+@settings(max_examples=200)
+def test_affine_parameter_and_ratio_match_oracle(seg, lam):
+    a, b = seg
+    x = _at(a, b, lam)
+    assert affine_parameter(a, b, x) == naive.param(a.affine(), b.affine(), x.affine()) == lam
+    if lam == 1:
+        with pytest.raises(GeometryError, match="coincides with the second endpoint"):
+            directed_ratio(a, x, b)
+    else:
+        assert directed_ratio(a, x, b) == naive.ratio(a.affine(), x.affine(), b.affine())
+
+
+@given(segments, exterior)
+def test_exterior_ratios_are_negative_and_match_oracle(seg, lam):
+    a, b = seg
+    x = _at(a, b, lam)
+    r = directed_ratio(a, x, b)
+    assert r < 0
+    assert r == naive.ratio(a.affine(), x.affine(), b.affine())
+
+
+@given(segments, big_rationals)
+@settings(max_examples=200)
+def test_point_dividing_matches_oracle(seg, t):
+    assume(t != -1)
+    a, b = seg
+    assert point_dividing(a, b, t) == Point(*naive.divide(a.affine(), b.affine(), t))
