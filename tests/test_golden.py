@@ -19,6 +19,8 @@ GOLDEN = {
     ("remarks",): "2caa321a5e82ab801cf1cfbb212b778f0ddb05d948411a6f072e87ea5ec88af2",
     ("remarks", "--shape", "concave"):
         "1e21c51b9ce9b074a72341a34747c3a482f315e822a41097ad04f450919103d3",
+    ("general", "--shape", "any"):
+        "a0177ae39431cbb4e563b58cd8ae03950efca1cd31e6d49784b462b8cd2bd37e",
 }
 
 
