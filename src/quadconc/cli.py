@@ -11,6 +11,7 @@ invalid input.  Commands raise on invalid input where they find it;
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -39,7 +40,10 @@ _INVALID_INPUT = (InstanceFormatError, OSError, PointNotOnSide, UnicodeDecodeErr
 _DEGENERATE_INPUT = (DegenerateQuadrilateral, CoincidentPoints, UndefinedPoint)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: it is
+    immutable once built, and ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="quadconc",
         description="Exact verification of cevian concurrence claims in quadrilaterals.",

@@ -116,7 +116,11 @@ class SideRatios:
     gamma: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", self.m * self.n * self.p * self.q)
+        m, n, p, q = self.as_tuple
+        # mnpq as one Fraction: the numerator product over the denominator product
+        object.__setattr__(self, "gamma", Fraction(
+            m.numerator * n.numerator * p.numerator * q.numerator,
+            m.denominator * n.denominator * p.denominator * q.denominator))
 
     @classmethod
     def of(cls, m: RatLike, n: RatLike, p: RatLike, q: RatLike) -> "SideRatios":

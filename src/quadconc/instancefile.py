@@ -24,6 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .configuration import (
@@ -33,7 +34,7 @@ from .configuration import (
     build_from_points,
     build_from_ratios,
 )
-from .errors import InstanceFormatError
+from .errors import GeometryError, InstanceFormatError
 from .kernel import Point
 from .verifiers import CLAIM_IDS
 
@@ -57,6 +58,23 @@ def parse_rational(text: object, where: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     return str(value)
+
+
+def format_point(pt: Point) -> list[str]:
+    """The affine coordinates of a finite point as rational strings.
+
+    Each is ``str(Fraction(c, w))`` for a component ``c`` of the canonical
+    triple ``(x, y, w)``, whose weight ``w`` is positive: one gcd per
+    coordinate, and no ``Fraction``.
+    """
+    x, y, w = pt.triple()
+    if w == 0:
+        raise GeometryError("ideal point has no affine coordinates")
+    texts = []
+    for c in (x, y):
+        g = gcd(c, w)
+        texts.append(str(c // g) if g == w else f"{c // g}/{w // g}")
+    return texts
 
 
 def _parse_pair(obj: object, where: str) -> Point:
@@ -157,7 +175,7 @@ def instance_document(inst: InstanceFile) -> dict:
     """The JSON tree for an instance, all numbers as rational strings."""
     doc: dict = {
         "vertices": {
-            key: [format_rational(c) for c in vertex.affine()]
+            key: format_point(vertex)
             for key, vertex in zip(VERTEX_KEYS, inst.vertices)
         }
     }
@@ -168,7 +186,7 @@ def instance_document(inst: InstanceFile) -> dict:
         }
     if inst.points is not None:
         doc["points"] = {
-            key: [format_rational(c) for c in pt.affine()]
+            key: format_point(pt)
             for key, pt in zip(POINT_KEYS, inst.points)
         }
     doc["checks"] = list(inst.checks) if inst.checks else "all"

@@ -11,7 +11,7 @@ import json
 from typing import Iterable, Optional, Sequence
 
 from .configuration import Configuration
-from .instancefile import InstanceFile, format_rational, instance_document
+from .instancefile import InstanceFile, format_point, format_rational, instance_document
 from .kernel import Point
 from .verifiers import Verdict, overall_status
 
@@ -21,7 +21,7 @@ def point_json(pt: Optional[Point]) -> Optional[list[str]]:
     if pt is None:
         return None
     if pt.is_finite:
-        return [format_rational(c) for c in pt.affine()]
+        return format_point(pt)
     return [str(pt.x), str(pt.y), "0"]
 
 

@@ -8,6 +8,12 @@ bug.  Formula sides are evaluated from the ratio fields ``m n p q``,
 directed ratios of stored points: the two routes are disjoint and must
 agree exactly.
 
+Each formula side is one integer expression in the numerators and
+(positive) denominators of those fields, written ``(ma, mb)`` for ``m``
+and likewise ``n p q``, ``gamma = G/H`` and ``r = R/S``.  It becomes a
+``Fraction`` once, as ``Fraction(num, den)``, and the paper's form of
+each closed form stands next to its expression.
+
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
 verdict, which is never a failure; one where a point the row needs is
@@ -66,6 +72,11 @@ def _ratio(a: Optional[Point], p: Optional[Point], b: Optional[Point]) -> Option
         return None
 
 
+def _pairs(*values: Fraction) -> tuple[tuple[int, int], ...]:
+    """Each rational as ``(numerator, denominator)``, the denominator positive."""
+    return tuple((v.numerator, v.denominator) for v in values)
+
+
 def _ideal(cfg: Configuration, names: Iterable[str]) -> list[str]:
     return [n for n in names if cfg.point(n).is_ideal]
 
@@ -107,12 +118,13 @@ def _check_section(cfg: Configuration, key: str, f: Point, x: Optional[Point], g
     ``FE/EG`` and ``F1M1/M1G1``.  A side point outside its side (nonconvex
     ``points`` input) gives a negative ratio, and ``mn = -1`` leaves the form
     undefined."""
-    m, n, p = cfg.ratios.m, cfg.ratios.n, cfg.ratios.p
-    denominator = 1 + m * n
-    if denominator == 0:
+    (ma, mb), (na, nb), (pa, pb) = _pairs(cfg.ratios.m, cfg.ratios.n, cfg.ratios.p)
+    if mb * nb + ma * na == 0:  # 1 + mn = 0
         reasons.append(key + "_formula_UNDEFINED")
         return
-    formula = values[key + "_formula"] = m * (1 + n * p) / denominator
+    # m(1 + np)/(1 + mn)
+    formula = values[key + "_formula"] = Fraction(ma * (nb * pb + na * pa),
+                                                  pb * (mb * nb + ma * na))
     geometric = _ratio(f, x, g)
     if geometric is None:
         reasons.append(key + "_UNDEFINED")
@@ -181,11 +193,13 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     E = cfg.point("E")
     if E.is_ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: E (MP parallel to NQ)")
-    m, n, p, q = cfg.ratios.as_tuple
+    (ma, mb), (na, nb), (pa, pb), (qa, qb) = _pairs(*cfg.ratios.as_tuple)
     me_ep = _ratio(cfg.point("M"), E, cfg.point("P"))
     ne_eq = _ratio(cfg.point("N"), E, cfg.point("Q"))
-    me_ep_formula = (1 / q) * (1 / (m + 1)) + n * (m / (m + 1))
-    ne_eq_formula = (1 / m) * (1 / (n + 1)) + p * (n / (n + 1))
+    # (1/q)(1/(m+1)) + n(m/(m+1))
+    me_ep_formula = Fraction(qb * mb * nb + na * ma * qa, qa * nb * (ma + mb))
+    # (1/m)(1/(n+1)) + p(n/(n+1))
+    ne_eq_formula = Fraction(mb * nb * pb + pa * na * ma, ma * pb * (na + nb))
     values = {"ME_over_EP_formula": me_ep_formula, "NE_over_EQ_formula": ne_eq_formula}
     if me_ep is None or ne_eq is None:
         return Verdict(claim, DEGENERATE, detail="division ratios undefined",
@@ -273,14 +287,15 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
         ("G2Q1_over_Q1F1", "G2", "Q1", "F1"),
     )
     values: dict[str, Fraction] = {}
-    product = ONE
+    num = den = 1
     for key, a, p, b in sections:
         r = _ratio(cfg.point(a), cfg.point(p), cfg.point(b))
         if r is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
         values[key] = r
-        product *= r
-    values["product"] = product
+        num *= r.numerator
+        den *= r.denominator
+    product = values["product"] = Fraction(num, den)
     values["gamma"] = cfg.ratios.gamma
     ok = product == cfg.ratios.gamma
     return Verdict(claim, PASS if ok else FAIL, exact_values=values)
@@ -290,16 +305,24 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     """Closed forms for the ratios in which ``M1 N1 P1 Q1`` divide the
     transversals ``MP`` and ``NQ``, in both the plain and the
     product-weighted form."""
-    m, n, p, q = cfg.ratios.as_tuple
-    gamma = cfg.ratios.gamma
+    (ma, mb), (na, nb), (pa, pb), (qa, qb), (G, H) = _pairs(*cfg.ratios.as_tuple,
+                                                            cfg.ratios.gamma)
     entries = (
-        ("MM1_over_M1P", "M", "M1", "P", m * n * (p + 1) / (m + 1)),
-        ("NN1_over_N1Q", "N", "N1", "Q", n * p * (q + 1) / (n + 1)),
-        ("PP1_over_P1M", "P", "P1", "M", p * q * (m + 1) / (p + 1)),
-        ("QQ1_over_Q1N", "Q", "Q1", "N", q * m * (n + 1) / (q + 1)),
+        # mn(p+1)/(m+1)
+        ("MM1_over_M1P", "M", "M1", "P", Fraction(ma * na * (pa + pb), nb * pb * (ma + mb))),
+        # np(q+1)/(n+1)
+        ("NN1_over_N1Q", "N", "N1", "Q", Fraction(na * pa * (qa + qb), pb * qb * (na + nb))),
+        # pq(m+1)/(p+1)
+        ("PP1_over_P1M", "P", "P1", "M", Fraction(pa * qa * (ma + mb), qb * mb * (pa + pb))),
+        # qm(n+1)/(q+1)
+        ("QQ1_over_Q1N", "Q", "Q1", "N", Fraction(qa * ma * (na + nb), mb * nb * (qa + qb))),
     )
+    # gamma(1/q)(1/(m+1)) + n(m/(m+1)), evaluated from gamma on purpose: it
+    # equals the plain mn(p+1)/(m+1) only because gamma = mnpq, which is
+    # what the weighted form mismatch check tests
     values: dict[str, Fraction] = {
-        "MM1_over_M1P_weighted": gamma * (1 / q) * (1 / (m + 1)) + n * (m / (m + 1)),
+        "MM1_over_M1P_weighted": Fraction(G * qb * mb * nb + na * ma * H * qa,
+                                          H * qa * (ma + mb) * nb),
     }
     failures: list[str] = []
     for key, a, x, b, formula in entries:
@@ -323,11 +346,13 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     E = cfg.point("E")
     if E is None or E.is_ideal:
         return Verdict(claim, DEGENERATE, detail="E undefined or ideal")
-    m, n, p, q = cfg.ratios.as_tuple
     r = cfg.r_ratio
-    gamma = cfg.ratios.gamma
+    (ma, mb), (na, nb), (pa, pb), (G, H), (R, S) = _pairs(
+        cfg.ratios.m, cfg.ratios.n, cfg.ratios.p, cfg.ratios.gamma, r)
     try:
-        formula = m * n * (p + 1) / (m + 1) * (r + m) / (gamma * r + m)
+        # mn(p+1)/(m+1) * (r+m)/(gamma*r + m)
+        formula = Fraction(ma * na * (pa + pb) * (R * mb + ma * S) * H,
+                           nb * pb * (ma + mb) * (G * R * mb + ma * H * S))
     except ZeroDivisionError:
         return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
                        exact_values={"r": r})

@@ -1,0 +1,135 @@
+"""The verifiers' formula sides and the printed coordinates, against the
+paper's forms evaluated as chains of ``Fraction`` operations.
+
+The verifiers evaluate each closed form as one integer expression in the
+numerators and denominators of ``m n p q gamma r``.  The references below
+keep the paper's form.  Ratios are signed and nonzero, since ``points``
+input on a nonconvex quadrilateral gives negative ratios, and the
+strategy reaches the vanishing denominators ``1 + mn = 0`` and
+``gamma*r + m = 0``.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from quadconc import Point, Quadrilateral, SideRatios, build_from_ratios
+from quadconc.errors import GeometryError
+from quadconc.instancefile import InstanceFile, format_point, instance_document
+from quadconc.report import point_json
+from quadconc.verifiers import CLAIMS, FAIL, PASS, verify_all
+
+CHECKS = {claim: check for claim, *_, check in CLAIMS}
+
+# the formula sides read only the ratios and r; the points are those of
+# a built configuration, so every geometry side is defined
+BASE = build_from_ratios(Quadrilateral.of(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4)),
+                         SideRatios.of(1, 2, 1, 1))
+
+# a ratio no side point has is -1 (the point at infinity); 0 puts the
+# point on a vertex
+signed_ratios = st.fractions(min_value=-10**6, max_value=10**6,
+                             max_denominator=10**4).filter(lambda f: f not in (0, -1))
+
+
+def _or_none(form):
+    try:
+        return form()
+    except ZeroDivisionError:
+        return None
+
+
+def reference_forms(m, n, p, q, gamma, r):
+    """Each formula side's exact value by claim and key; ``None`` where the
+    form divides by zero."""
+    section = _or_none(lambda: m * (1 + n * p) / (1 + m * n))
+    return {
+        "section_ratios": {
+            "MM1_over_M1P_formula": m * n * (p + 1) / (m + 1),
+            "NN1_over_N1Q_formula": n * p * (q + 1) / (n + 1),
+            "PP1_over_P1M_formula": p * q * (m + 1) / (p + 1),
+            "QQ1_over_Q1N_formula": q * m * (n + 1) / (q + 1),
+            "MM1_over_M1P_weighted": gamma * (1 / q) * (1 / (m + 1)) + n * (m / (m + 1)),
+        },
+        "quadruple_concurrences": {"F1M1_over_M1G1_formula": section},
+        "seven_lines": {"FE_over_EG_formula": section},
+        "crossing_ratios": {
+            "ME_over_EP_formula": (1 / q) * (1 / (m + 1)) + n * (m / (m + 1)),
+            "NE_over_EQ_formula": (1 / m) * (1 / (n + 1)) + p * (n / (n + 1)),
+        },
+        "crossing_ratio_formula": {
+            "ME_over_EP_formula": _or_none(
+                lambda: m * n * (p + 1) / (m + 1) * (r + m) / (gamma * r + m)),
+        },
+    }
+
+
+@st.composite
+def formula_inputs(draw):
+    m, n, p, q, r = (draw(signed_ratios) for _ in range(5))
+    if draw(st.booleans()):
+        n = -1 / m  # 1 + mn = 0
+    if draw(st.booleans()):
+        r = -m / (m * n * p * q)  # gamma*r + m = 0
+    assume(n != -1)
+    return m, n, p, q, r
+
+
+@given(formula_inputs())
+@example((Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(-5, 7), Fraction(1)))
+@example((Fraction(-3, 2), Fraction(4), Fraction(1, 3), Fraction(2), Fraction(1, 4)))
+def test_formula_sides_equal_the_papers_forms(inputs):
+    m, n, p, q, r = inputs
+    ratios = SideRatios(m, n, p, q)
+    assert ratios.gamma == m * n * p * q
+    cfg = replace(BASE, ratios=ratios, r_ratio=r)
+    for claim, forms in reference_forms(m, n, p, q, ratios.gamma, r).items():
+        verdict = CHECKS[claim](claim, cfg)
+        for key, expected in forms.items():
+            if expected is None:
+                assert key not in verdict.exact_values
+            else:
+                assert verdict.exact_values[key] == expected, (claim, key)
+    if m * n == -1:
+        assert "F1M1_over_M1G1_formula_UNDEFINED" in \
+            CHECKS["quadruple_concurrences"]("quadruple_concurrences", cfg).detail
+    if ratios.gamma * r + m == 0:
+        assert CHECKS["crossing_ratio_formula"]("crossing_ratio_formula", cfg).detail \
+            == "formula denominator vanishes"
+
+
+def test_formula_sides_read_gamma(generic_gamma_two_config):
+    """A corrupted ``gamma`` must show: the weighted form, the product of
+    the division ratios and the trace-ratio form all read it."""
+    cfg = generic_gamma_two_config
+    claims = ["ratio_product", "section_ratios", "crossing_ratio_formula"]
+    assert [v.status for v in verify_all(cfg, claims)] == [PASS] * 3
+    object.__setattr__(cfg.ratios, "gamma", cfg.ratios.gamma + 1)
+    product, section, crossing = verify_all(cfg, claims)
+    assert section.status == FAIL and section.detail == "weighted form mismatch"
+    assert product.status == FAIL
+    assert crossing.status == FAIL
+
+
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30), st.integers(1, 10**30))
+@example(6, 3, 4)  # gcd(c, w) > 1 for the x component
+@example(-9, 4, 6)  # negative c
+@example(-7, 2, 1)  # w = 1
+@example(0, -5, 3)
+def test_point_text_equals_fraction_text(x, y, w):
+    pt = Point(x, y, w)
+    c0, c1, cw = pt.triple()
+    expected = [str(Fraction(c0, cw)), str(Fraction(c1, cw))]
+    assert format_point(pt) == expected
+    assert point_json(pt) == expected
+    inst = InstanceFile(vertices=(pt,) * 4, ratios=None, points=(pt,) * 4, checks=())
+    doc = instance_document(inst)
+    assert doc["vertices"]["A"] == expected and doc["points"]["Q"] == expected
+
+
+def test_ideal_point_has_no_affine_text():
+    with pytest.raises(GeometryError, match="ideal point has no affine coordinates"):
+        format_point(Point(1, 2, 0))
