@@ -1,17 +1,25 @@
-"""Golden output bytes: a change that alters any report byte fails here.
+"""Golden output bytes: a change that alters any report or figure byte
+fails here.
 
-The digests are the sha256 of ``quadconc fuzz --seed 42 --count 200`` in
-each regime, as the command writes it to stdout.  Two runs agreeing with
-each other (``test_determinism_byte_identical``) does not catch a change
-in what both of them print.
+The fuzz digests are the sha256 of ``quadconc fuzz --seed 42 --count 200``
+in each regime, as the command writes it to stdout.  The figure digests
+are the sha256 of ``render_svg`` over a generated stream, once with the
+default layers and once per single layer.  Two runs agreeing with each
+other (``test_determinism_byte_identical``) does not catch a change in
+what both of them print.
 """
 
 import hashlib
 import io
+from dataclasses import replace
 
 import pytest
 
+from quadconc import build_from_ratios
 from quadconc.cli import main
+from quadconc.errors import GeometryError
+from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
+from quadconc.svgfig import LAYERS, render_svg
 
 GOLDEN = {
     ("gamma1",): "29cf24f6cfa2b07d81c540165cc2b107b26e741af7f0424bcca5934bf807049d",
@@ -29,3 +37,47 @@ def test_fuzz_bytes_match_golden_digest(regime):
     out = io.StringIO()
     main(["fuzz", "--seed", "42", "--count", "200", "--regime", *regime], out=out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GOLDEN[regime]
+
+
+# small bounds make ideal and undefined points common
+_SMALL = GenSpec(seed=42, coordinate_bound=4, ratio_bound=2)
+
+SVG_CASES = {
+    "gamma1": (GenSpec(seed=42, force_gamma_one=True), range(30)),
+    "general": (GenSpec(seed=42), range(30)),
+    "crossed": (GenSpec(seed=42, shape="crossed"), range(30)),
+    "concave": (GenSpec(seed=42, shape="concave"), range(30)),
+    # E and O ideal
+    "crossed ideal E": (replace(_SMALL, shape="crossed"), (202,)),
+    # P1 and Q1 undefined, R on vertex B
+    "concave undefined P1": (replace(_SMALL, shape="concave", force_gamma_one=True), (16,)),
+}
+
+SVG_GOLDEN = {
+    "gamma1": "226138f7a35ba0d47384eacb4f91c9673f7b3efb36f233e1515bf355cb714e21",
+    "general": "c81e1314d9a6a067c2026955241dc4912185b9fa412b8f65e9f4a250ec801043",
+    "crossed": "947ae28082a3e4e645c44d1d2c04f962cff0e88b3030763b63cc5ad99ed82463",
+    "concave": "c37679b6b6269cd56613bf3b2c9e0057d73a134aa74bfe9b238c723f16acfb8a",
+    "crossed ideal E": "20fceec03b6f418472875670d64ac156b75b919dc9338fdfa7c04a5c35a01d82",
+    "concave undefined P1":
+        "5f30eb3ba4b904ce38e4024d1e597d34687c04010fc89e33f88dd6b64f096d15",
+}
+
+
+def svg_digest(case: str) -> str:
+    spec, indices = SVG_CASES[case]
+    h = hashlib.sha256()
+    for index in indices:
+        try:
+            cfg = build_from_ratios(gen_quadrilateral(spec, index), gen_ratios(spec, index))
+        except GeometryError as exc:
+            h.update(f"{type(exc).__name__}: {exc}\n".encode("utf-8"))
+            continue
+        for layers in (None, *((layer,) for layer in LAYERS)):
+            h.update(render_svg(cfg, layers).encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SVG_CASES))
+def test_svg_bytes_match_golden_digest(case):
+    assert svg_digest(case) == SVG_GOLDEN[case]
