@@ -34,10 +34,10 @@ from .kernel import (
     Point,
     RatLike,
     Shape,
-    affine_parameter,
     as_rat,
     classify_quadrilateral,
     collinear,
+    directed_ratio,
     line_through,
     meet,
     point_dividing,
@@ -163,16 +163,14 @@ def join(u: Optional[Point], v: Optional[Point]) -> Optional[Line]:
         return None
 
 
-def _construct(quad: Quadrilateral, ratios: SideRatios,
-               side_points: tuple[Point, Point, Point, Point] | None = None) -> Configuration:
+def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     A, B, C, D = quad.vertices
-    if side_points is None:
-        side_points = (
-            point_dividing(A, B, ratios.m),
-            point_dividing(B, C, ratios.n),
-            point_dividing(C, D, ratios.p),
-            point_dividing(D, A, ratios.q),
-        )
+    side_points = (
+        point_dividing(A, B, ratios.m),
+        point_dividing(B, C, ratios.n),
+        point_dividing(C, D, ratios.p),
+        point_dividing(D, A, ratios.q),
+    )
     points: dict[str, Optional[Point]] = dict(zip("ABCDMNPQ", quad.vertices + side_points))
     # lines shared by several rows are built once
     lines: dict[tuple[str, str], Optional[Line]] = {}
@@ -198,12 +196,11 @@ def _construct(quad: Quadrilateral, ratios: SideRatios,
     R = points["R"]
     r_ratio = Fraction(1)
     if R is not None and R.is_finite:
-        lam = affine_parameter(A, B, R)
-        if lam == 1:
-            # R fell on vertex B; the unsigned ratio RA/RB is infinite
+        if R == B:
+            # the unsigned ratio AR/RB is infinite
             flags.add("R_RATIO_UNDEFINED")
         else:
-            r_ratio = abs(lam / (1 - lam))
+            r_ratio = abs(directed_ratio(A, R, B))
 
     for u, v in DIAGONAL_PAIRS:
         pu, pv = points[u], points[v]
@@ -241,9 +238,10 @@ def build_from_points(quad: Quadrilateral, M: Point, N: Point, P: Point, Q: Poin
             raise PointNotOnSide(name, f"{name} coincides with a vertex")
         if not collinear(u, pt, v):
             raise PointNotOnSide(name)
-        lam = affine_parameter(u, v, pt)
-        if quad.shape == CONVEX and not (0 < lam < 1):
+        ratio = directed_ratio(u, pt, v)
+        if quad.shape == CONVEX and ratio < 0:
             raise PointNotOnSide(name, f"{name} is outside its open side")
-        ratios.append(lam / (1 - lam))
-    return _construct(quad, SideRatios(*ratios), side_points=(M, N, P, Q))
+        ratios.append(ratio)
+    # point_dividing inverts directed_ratio exactly: the built side points are M N P Q
+    return _construct(quad, SideRatios(*ratios))
 

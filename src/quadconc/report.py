@@ -46,11 +46,8 @@ def configuration_json(cfg: Configuration) -> dict:
 
 
 def report_document(meta: dict, verdicts: Sequence[Verdict],
-                    cfg: Optional[Configuration] = None,
-                    instance: Optional[InstanceFile] = None) -> dict:
-    doc: dict = {"instance_meta": meta}
-    if instance is not None:
-        doc["instance"] = instance_document(instance)
+                    cfg: Optional[Configuration], instance: InstanceFile) -> dict:
+    doc: dict = {"instance_meta": meta, "instance": instance_document(instance)}
     if cfg is not None:
         doc["configuration"] = configuration_json(cfg)
     doc["verdicts"] = [verdict_json(v) for v in verdicts]
@@ -59,7 +56,7 @@ def report_document(meta: dict, verdicts: Sequence[Verdict],
 
 
 def degenerate_report(meta: dict, claims: Iterable[str], reason: str,
-                      instance: Optional[InstanceFile] = None) -> dict:
+                      instance: InstanceFile) -> dict:
     """Report for an instance whose configuration could not be built."""
     verdicts = [Verdict(claim, "degenerate", detail=reason) for claim in claims]
     return report_document(meta, verdicts, cfg=None, instance=instance)

@@ -224,12 +224,14 @@ def _diagonal_concurrence_iff(claim: str, cfg: Configuration) -> Verdict:
     return Verdict(claim, PASS if e_on == c_on else FAIL, exact_values=values)
 
 
-_QUADRUPLES = (
-    ("M1", ("F1", "G1"), (("D", "D1"), ("A", "A1"), ("M", "P"))),
-    ("N1", ("G1", "F2"), (("A", "A1"), ("B", "B1"), ("N", "Q"))),
-    ("P1", ("F2", "G2"), (("B", "B1"), ("C", "C1"), ("M", "P"))),
-    ("Q1", ("G2", "F1"), (("C", "C1"), ("D", "D1"), ("N", "Q"))),
-)
+# each inner point, the diagonal division pair whose line passes through
+# it, and the three other lines of its quadruple
+_QUADRUPLES = tuple(zip(("M1", "N1", "P1", "Q1"), DIAGONAL_PAIRS, (
+    (("D", "D1"), ("A", "A1"), ("M", "P")),
+    (("A", "A1"), ("B", "B1"), ("N", "Q")),
+    (("B", "B1"), ("C", "C1"), ("M", "P")),
+    (("C", "C1"), ("D", "D1"), ("N", "Q")),
+)))
 
 
 def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
@@ -280,16 +282,11 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
                   if f"{u}_EQ_{v}" in cfg.degeneracies]
     if coincident:
         return Verdict(claim, DEGENERATE, detail="; ".join(coincident))
-    sections = (
-        ("F1M1_over_M1G1", "F1", "M1", "G1"),
-        ("G1N1_over_N1F2", "G1", "N1", "F2"),
-        ("F2P1_over_P1G2", "F2", "P1", "G2"),
-        ("G2Q1_over_Q1F1", "G2", "Q1", "F1"),
-    )
     values: dict[str, Fraction] = {}
     num = den = 1
-    for key, a, p, b in sections:
-        r = _ratio(cfg.point(a), cfg.point(p), cfg.point(b))
+    for x, (u, v), _ in _QUADRUPLES:
+        key = f"{u}{x}_over_{x}{v}"
+        r = _ratio(cfg.point(u), cfg.point(x), cfg.point(v))
         if r is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
         values[key] = r

@@ -14,11 +14,13 @@ from quadconc import (
     directed_ratio,
     line_through,
     meet,
+    point_dividing,
 )
 from quadconc.errors import (
     CoincidentPoints,
     DegenerateQuadrilateral,
     PointNotOnSide,
+    UndefinedPoint,
 )
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 
@@ -142,13 +144,56 @@ class TestBuildFromPoints:
             build_from_points(unit_square, Point(2, 0), Point(1, h), Point(h, 1), Point(0, h))
 
     def test_round_trips_with_build_from_ratios(self, unit_square):
-        ratios = SideRatios.of(F(3, 7), 4, F(5, 2), F(1, 6))
-        cfg = build_from_ratios(unit_square, ratios)
-        cfg2 = build_from_points(unit_square, *(cfg.point(n) for n in "MNPQ"))
-        assert cfg2.ratios == ratios
-        assert cfg2.named_points() == cfg.named_points()
-        assert cfg2.r_ratio == cfg.r_ratio
-        assert cfg2.degeneracies == cfg.degeneracies
+        # small bounds make undefined points, ideal points and R on B common
+        cases = [(unit_square, SideRatios.of(F(3, 7), 4, F(5, 2), F(1, 6)))]
+        for shape in ("convex", "concave", "crossed", "any"):
+            spec = GenSpec(seed=0, shape=shape, coordinate_bound=4, ratio_bound=2)
+            cases += [(gen_quadrilateral(spec, i), gen_ratios(spec, i)) for i in range(150)]
+        seen: set[str] = set()
+        for quad, ratios in cases:
+            side = side_points(quad, ratios.as_tuple)
+            try:
+                cfg = build_from_ratios(quad, ratios)
+            except UndefinedPoint as exc:
+                seen.add("undefined")
+                with pytest.raises(UndefinedPoint) as again:
+                    build_from_points(quad, *side)
+                assert again.value.name == exc.name
+                continue
+            seen.update(cfg.degeneracies)
+            assert tuple(cfg.point(n) for n in "MNPQ") == side
+            assert_rebuilds(cfg)
+        assert {"undefined", "E_IDEAL", "P1_UNDEFINED", "R_RATIO_UNDEFINED"} <= seen
+
+    @pytest.mark.parametrize("shape", ["concave", "crossed"])
+    def test_side_points_outside_their_segment_round_trip(self, shape):
+        # signed ratios put side points on their side's line beyond an
+        # endpoint; the built points are the given ones and every named
+        # point the oracle finds finite agrees with it
+        spec = GenSpec(seed=8, shape=shape)
+        outside = 0
+        for i in range(60):
+            quad = gen_quadrilateral(spec, i)
+            ratios = tuple(-r if (i % 15 + 1) >> k & 1 and r != 1 else r
+                           for k, r in enumerate(gen_ratios(spec, i).as_tuple))
+            outside += any(r < 0 for r in ratios)
+            side = side_points(quad, ratios)
+            try:
+                cfg = build_from_points(quad, *side)
+            except UndefinedPoint:
+                continue
+            assert cfg.ratios.as_tuple == ratios
+            assert tuple(cfg.point(n) for n in "MNPQ") == side
+            assert_rebuilds(cfg)
+            expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios)
+            for name, want in expected.items():
+                if want is not None:
+                    got = cfg.point(name)
+                    assert got is not None and got.is_finite and got.affine() == want, name
+            R, (A, B) = expected["R"], (expected["A"], expected["B"])
+            if R is not None and R != B:
+                assert cfg.r_ratio == abs(naive.ratio(A, R, B))
+        assert outside > 40
 
     def test_collinear_only_placement_on_crossed_quad(self, crossed_quad):
         # on nonconvex quadrilaterals the side points may leave the open
@@ -187,6 +232,20 @@ class TestBuildFromPoints:
         with pytest.raises(UndefinedPoint) as exc:
             build_from_ratios(quad, SideRatios.of(1, 1, 1, 1))
         assert exc.value.name == "M1"
+
+
+def side_points(quad, ratios):
+    A, B, C, D = quad.vertices
+    return tuple(point_dividing(u, v, r) for (u, v), r in zip(((A, B), (B, C), (C, D), (D, A)), ratios))
+
+
+def assert_rebuilds(cfg):
+    """Rebuilding from the built side points gives the same configuration."""
+    again = build_from_points(cfg.quad, *(cfg.point(n) for n in "MNPQ"))
+    assert again.ratios == cfg.ratios
+    assert again.named_points() == cfg.named_points()
+    assert again.r_ratio == cfg.r_ratio
+    assert again.degeneracies == cfg.degeneracies
 
 
 def two_point_completion(quad, M, N):

@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
-from quadconc import SideRatios, build_from_ratios
-from quadconc.svgfig import render_svg
+from quadconc import Point, Quadrilateral, SideRatios, build_from_points, build_from_ratios
+from quadconc.svgfig import VIEW, render_svg
 
 F = Fraction
 
@@ -40,3 +41,15 @@ def test_huge_coordinates_render(unit_square):
     cfg = build_from_ratios(unit_square, SideRatios.of(big, 1, 1, 1))
     text = render_svg(cfg)
     assert "<svg" in text
+
+
+def test_view_is_framed_without_the_cevian_meets():
+    # side points beyond their segments put A1 = BP ∩ DN below the view;
+    # the seven layer still draws AA1 to it, but A1 does not frame the view
+    quad = Quadrilateral.of(Point(0, 0), Point(2, 1), Point(0, 2), Point(2, 0))
+    cfg = build_from_points(quad, Point(4, 2), Point(F(1, 2), F(7, 4)), Point(4, -2), Point(-2, 0))
+    text = render_svg(cfg)
+    framed = re.findall(r'<(?:text|circle) \w+="([^"]+)" \w+="([^"]+)"', text)
+    assert len(framed) == 18
+    assert all(0 <= float(c) <= VIEW for pair in framed for c in pair)
+    assert 'y2="649.142857143"' in text
