@@ -46,7 +46,7 @@ def _fmt(value: Fraction) -> str:
 
 def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
     """The SVG coordinate strings of every finite drawn point, by name."""
-    affine = {}
+    affine: dict[str, tuple[Fraction, Fraction]] = {}
     for name in _DRAWN:
         pt = cfg.point(name)
         if pt is not None and pt.is_finite:

@@ -174,7 +174,10 @@ class TestBuildFromPoints:
         outside = 0
         for i in range(60):
             quad = gen_quadrilateral(spec, i)
-            ratios = tuple(-r if (i % 15 + 1) >> k & 1 and r != 1 else r
+            # negate the sides in the nonzero bit mask i % 15 + 1; ratio -1
+            # would put the point at infinity
+            negate = i % 15 + 1
+            ratios = tuple(-r if negate >> k & 1 and r != 1 else r
                            for k, r in enumerate(gen_ratios(spec, i).as_tuple))
             outside += any(r < 0 for r in ratios)
             side = side_points(quad, ratios)
@@ -209,8 +212,6 @@ class TestBuildFromPoints:
         assert cfg.ratios.p == 3
 
     def test_identical_defining_lines_raise(self, crossed_quad):
-        from quadconc.errors import UndefinedPoint
-
         # the name is the first row of the construction whose two lines
         # coincide, and it appears in report bytes
         cases = [
@@ -236,7 +237,8 @@ class TestBuildFromPoints:
 
 def side_points(quad, ratios):
     A, B, C, D = quad.vertices
-    return tuple(point_dividing(u, v, r) for (u, v), r in zip(((A, B), (B, C), (C, D), (D, A)), ratios))
+    sides = ((A, B), (B, C), (C, D), (D, A))
+    return tuple(point_dividing(u, v, r) for (u, v), r in zip(sides, ratios))
 
 
 def assert_rebuilds(cfg):
