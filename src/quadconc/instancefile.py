@@ -35,25 +35,32 @@ from .configuration import (
     build_from_ratios,
 )
 from .errors import GeometryError, InstanceFormatError
-from .kernel import Point
+from .kernel import Point, reduce3
 from .verifiers import CLAIM_IDS
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 VERTEX_KEYS = ("A", "B", "C", "D")
 RATIO_KEYS = ("m", "n", "p", "q")
 POINT_KEYS = ("M", "N", "P", "Q")
 
 
-def parse_rational(text: object, where: str) -> Fraction:
-    """Parse an exact rational string; decimals and floats are errors."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+def _terms(text: object, where: str) -> tuple[int, int]:
+    """The numerator and positive denominator of an exact rational string."""
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise InstanceFormatError(
             f"{where}: expected an exact rational string like '2/3', got {text!r}"
         )
-    if "/" in text and int(text.split("/")[1]) == 0:
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
         raise InstanceFormatError(f"{where}: zero denominator")
-    return Fraction(text)
+    return num, den
+
+
+def parse_rational(text: object, where: str) -> Fraction:
+    """Parse an exact rational string; decimals and floats are errors."""
+    return Fraction(*_terms(text, where))
 
 
 def format_rational(value: Fraction) -> str:
@@ -80,7 +87,9 @@ def format_point(pt: Point) -> list[str]:
 def _parse_pair(obj: object, where: str) -> Point:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise InstanceFormatError(f"{where}: expected a coordinate pair")
-    return Point(parse_rational(obj[0], where + "[0]"), parse_rational(obj[1], where + "[1]"))
+    xn, xd = _terms(obj[0], where + "[0]")
+    yn, yd = _terms(obj[1], where + "[1]")
+    return Point._wrap(reduce3(xn * yd, yn * xd, xd * yd))
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,25 @@
 """Deterministic SVG drawings of a configuration.
 
-Presentation only: nothing downstream ever reads these files back.  All
-geometry stays rational until the final formatting step, which renders
-each coordinate with 12 significant digits through :mod:`decimal`, so
-output bytes are identical for identical inputs on any platform.  Each
-finite drawn point is mapped and formatted once per render.
+Presentation only: nothing downstream ever reads these files back.  The
+map to the view works on the canonical integer triples: every finite
+drawn point is put over one common weight, and each SVG coordinate is one
+integer quotient ``num / den``.  The final formatting step divides it
+once to 12 significant digits in a private :class:`decimal.Context`
+(``ROUND_HALF_EVEN``), not the caller's, so output bytes are identical
+for identical inputs on any platform and under any decimal context.
+Each finite drawn point is mapped and formatted once per render.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
-from fractions import Fraction
+from decimal import ROUND_HALF_EVEN, Context, Decimal
+from math import lcm
 from typing import Iterable
 
 from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
 
 RENDER_DIGITS = 12
 VIEW = 640
-MARGIN = Fraction(1, 12)
 
 LAYERS = ("sides", "diagonals", "seven", "fg", "inner", "labels")
 
@@ -36,30 +38,36 @@ _FRAME = ("A", "B", "C", "D", "M", "N", "P", "Q", "O", "E",
 _DRAWN = _FRAME + ("A1", "B1", "C1", "D1")
 _INNER = ("M1", "N1", "P1", "Q1")
 
+# the caller's decimal context never reaches the bytes; the flags each
+# division sets here are never read
+_DECIMAL = Context(prec=RENDER_DIGITS, rounding=ROUND_HALF_EVEN, capitals=1)
 
-def _fmt(value: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = RENDER_DIGITS
-        out = Decimal(value.numerator) / Decimal(value.denominator)
-    return format(out, "f") if -1e15 < out < 1e15 else str(out)
+
+def _fmt(num: int, den: int) -> str:
+    # an integer quotient is correctly rounded, with ideal exponent 0, so an
+    # unreduced num/den formats as the reduced fraction does
+    out = _DECIMAL.divide(Decimal(num), Decimal(den))
+    return format(out, "f") if out.adjusted() < 15 else _DECIMAL.to_sci_string(out)
 
 
 def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
     """The SVG coordinate strings of every finite drawn point, by name."""
-    affine: dict[str, tuple[Fraction, Fraction]] = {}
-    for name in _DRAWN:
-        pt = cfg.point(name)
-        if pt is not None and pt.is_finite:
-            affine[name] = pt.affine()
-    xs = [affine[n][0] for n in _FRAME if n in affine]
-    ys = [affine[n][1] for n in _FRAME if n in affine]
+    points = {name: cfg.point(name) for name in _DRAWN}
+    triples = {name: pt.triple() for name, pt in points.items() if pt is not None and pt.is_finite}
+    weight = lcm(*(w for _, _, w in triples.values()))
+    xy = {name: (x * (weight // w), y * (weight // w)) for name, (x, y, w) in triples.items()}
+    xs = [xy[n][0] for n in _FRAME if n in xy]
+    ys = [xy[n][1] for n in _FRAME if n in xy]
     lo_x, lo_y = min(xs), min(ys)
-    span = max(max(xs) - lo_x, max(ys) - lo_y, Fraction(1))
-    pad = span * MARGIN
-    min_x, min_y = lo_x - pad, lo_y - pad
-    scale = Fraction(VIEW) / (span + 2 * pad)
-    return {name: (_fmt((x - min_x) * scale), _fmt(VIEW - (y - min_y) * scale))
-            for name, (x, y) in affine.items()}
+    # the framed span s (at least 1) plus a margin of s/12 on each side fills
+    # VIEW: x' = (x - lo_x + s/12) * VIEW / (14s/12) = 320 * (12*(x - lo_x) + s) / (7s),
+    # and y' = VIEW - the same in y; over the common weight every term is an
+    # integer, and s is at least the weight
+    s = max(max(xs) - lo_x, max(ys) - lo_y, weight)
+    den = 7 * s
+    return {name: (_fmt(320 * (12 * (x - lo_x) + s), den),
+                   _fmt(VIEW * den - 320 * (12 * (y - lo_y) + s), den))
+            for name, (x, y) in xy.items()}
 
 
 def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:

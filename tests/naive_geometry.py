@@ -2,16 +2,26 @@
 
 Deliberately shares no code with the package kernel: plain affine
 `Fraction` pairs, lines as coefficient triples, intersections by Cramer's
-rule.  Parallel or coincident lines yield ``None`` instead of ideal
-points.  If the homogeneous kernel and this module ever disagree on a
-finite point, one of them is wrong.
+rule.  Distinct parallel lines meet in their :class:`Direction`, and a
+line joins a finite point and a direction; coincident lines, and two
+directions, yield ``None``.  If the homogeneous kernel and this module
+ever disagree on a point, one of them is wrong.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 Pt = tuple[Fraction, Fraction]
+
+
+@dataclass(frozen=True)
+class Direction:
+    """A point at infinity, given by a direction vector (not normalised)."""
+
+    dx: Fraction
+    dy: Fraction
 
 
 def line(p: Pt, q: Pt):
@@ -31,7 +41,9 @@ def meet(l1, l2):
     a2, b2, c2 = l2
     det = a1 * b2 - a2 * b1
     if det == 0:
-        return None
+        if a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1:
+            return None  # the same line
+        return Direction(b1, -a1)
     return ((b1 * c2 - b2 * c1) / det, (c1 * a2 - c2 * a1) / det)
 
 
@@ -52,20 +64,26 @@ def ratio(a: Pt, x: Pt, b: Pt) -> Fraction:
 
 
 def build_all(vertices: tuple[Pt, Pt, Pt, Pt],
-              mnpq: tuple[Fraction, Fraction, Fraction, Fraction]) -> dict[str, Pt | None]:
-    """Every named point of the configuration, or ``None`` where a line
-    degenerates or two lines are parallel."""
+              mnpq: tuple[Fraction, Fraction, Fraction, Fraction]) -> dict[str, Pt | Direction | None]:
+    """Every named point of the configuration: a pair, a :class:`Direction`
+    where two lines are parallel, or ``None`` where a line degenerates."""
     A, B, C, D = vertices
     m, n, p, q = mnpq
     M = divide(A, B, m)
     N = divide(B, C, n)
     P = divide(C, D, p)
     Q = divide(D, A, q)
-    pts: dict[str, Pt | None] = dict(A=A, B=B, C=C, D=D, M=M, N=N, P=P, Q=Q)
+    pts: dict[str, Pt | Direction | None] = dict(A=A, B=B, C=C, D=D, M=M, N=N, P=P, Q=Q)
 
     def ln(u, v):
         if u is None or v is None or u == v:
             return None
+        if isinstance(u, Direction):
+            u, v = v, u
+        if isinstance(u, Direction):
+            return None  # two directions span the line at infinity
+        if isinstance(v, Direction):
+            return line(u, (u[0] + v.dx, u[1] + v.dy))
         return line(u, v)
 
     lAC, lBD = ln(A, C), ln(B, D)

@@ -174,11 +174,7 @@ class TestBuildFromPoints:
         outside = 0
         for i in range(60):
             quad = gen_quadrilateral(spec, i)
-            # negate the sides in the nonzero bit mask i % 15 + 1; ratio -1
-            # would put the point at infinity
-            negate = i % 15 + 1
-            ratios = tuple(-r if negate >> k & 1 and r != 1 else r
-                           for k, r in enumerate(gen_ratios(spec, i).as_tuple))
+            ratios = signed_ratios(spec, i)
             outside += any(r < 0 for r in ratios)
             side = side_points(quad, ratios)
             try:
@@ -190,11 +186,9 @@ class TestBuildFromPoints:
             assert_rebuilds(cfg)
             expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios)
             for name, want in expected.items():
-                if want is not None:
-                    got = cfg.point(name)
-                    assert got is not None and got.is_finite and got.affine() == want, name
+                assert agrees_with_oracle(cfg.point(name), want), name
             R, (A, B) = expected["R"], (expected["A"], expected["B"])
-            if R is not None and R != B:
+            if R is not None and not isinstance(R, naive.Direction) and R != B:
                 assert cfg.r_ratio == abs(naive.ratio(A, R, B))
         assert outside > 40
 
@@ -233,6 +227,25 @@ class TestBuildFromPoints:
         with pytest.raises(UndefinedPoint) as exc:
             build_from_ratios(quad, SideRatios.of(1, 1, 1, 1))
         assert exc.value.name == "M1"
+
+
+def agrees_with_oracle(got, want):
+    """A kernel point is the oracle's: the same affine pair, an ideal point
+    in the oracle's direction up to scale, or undefined in both."""
+    if want is None:
+        return got is None
+    if isinstance(want, naive.Direction):
+        return got is not None and got.is_ideal and got.x * want.dy == got.y * want.dx
+    return got is not None and got.is_finite and got.affine() == want
+
+
+def signed_ratios(spec, index):
+    """The generated ratios with the sides in the bit mask ``index % 15 + 1``
+    negated, which puts those side points beyond an endpoint; ratio -1
+    would put the point at infinity, so 1 keeps its sign."""
+    negate = index % 15 + 1
+    return tuple(-r if negate >> k & 1 and r != 1 else r
+                 for k, r in enumerate(gen_ratios(spec, index).as_tuple))
 
 
 def side_points(quad, ratios):
@@ -339,6 +352,13 @@ class TestInvariants:
             assert len({cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
 
 
+# the points whose defining lines run through a cevian meet
+_THROUGH_CEVIAN_MEETS = {
+    "F1": {"D1"}, "G1": {"A1"}, "F2": {"B1"}, "G2": {"C1"},
+    "M1": {"A1", "D1"}, "N1": {"A1", "B1"}, "P1": {"B1", "C1"}, "Q1": {"C1", "D1"},
+}
+
+
 class TestSoundnessAgainstNaiveOracle:
     """Master cross-check: homogeneous kernel vs affine brute force."""
 
@@ -353,13 +373,28 @@ class TestSoundnessAgainstNaiveOracle:
             tuple(v.affine() for v in quad.vertices), ratios.as_tuple
         )
         for name, want in expected.items():
-            got = cfg.point(name) if name not in "ABCD" else None
-            if name in ("A", "B", "C", "D"):
+            assert agrees_with_oracle(cfg.point(name), want), name
+
+    @pytest.mark.parametrize("shape", ["concave", "crossed", "any"])
+    def test_ideal_meets_agree_up_to_scale(self, shape):
+        # at small bounds, side points beyond their segments often make a
+        # cevian meet A1 B1 C1 D1 ideal; the points built through it are
+        # finite or ideal, and the oracle checks them too
+        spec = GenSpec(seed=42, shape=shape, coordinate_bound=4, ratio_bound=2)
+        ideal_meets = downstream = 0
+        for i in range(120):
+            quad = gen_quadrilateral(spec, i)
+            ratios = signed_ratios(spec, i)
+            try:
+                cfg = build_from_points(quad, *side_points(quad, ratios))
+            except (PointNotOnSide, UndefinedPoint):
                 continue
-            if want is None:
-                # the oracle returns None for parallel meets; the kernel
-                # stores an ideal point or None
-                assert got is None or got.is_ideal, name
-            else:
-                assert got is not None and got.is_finite, name
-                assert got.affine() == want, name
+            expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios)
+            for name, want in expected.items():
+                assert agrees_with_oracle(cfg.point(name), want), name
+            ideal = {n for n in ("A1", "B1", "C1", "D1") if isinstance(expected[n], naive.Direction)}
+            ideal_meets += bool(ideal)
+            downstream += sum(expected[name] is not None
+                              for name, through in _THROUGH_CEVIAN_MEETS.items() if ideal & through)
+        assert ideal_meets >= 10
+        assert downstream >= 20

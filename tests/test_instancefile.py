@@ -1,11 +1,15 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quadconc import Point, SideRatios
 from quadconc.errors import InstanceFormatError
 from quadconc.instancefile import (
+    _parse_pair,
     instance_from_parts,
     parse_instance,
     parse_rational,
@@ -37,6 +41,47 @@ class TestParseRational:
     def test_rejects_zero_denominator(self):
         with pytest.raises(InstanceFormatError):
             parse_rational("1/0", "x")
+
+
+# digit strings: short ones, and 5,000-digit ones with a nonzero lead
+digits = st.one_of(st.integers(0, 10**6).map(str),
+                   st.integers(1, 10**9).map(lambda d: (str(d) * 5000)[:5000]))
+# signs with and without "+", leading zeros, unreduced fractions and the
+# trailing newline that the "$" of the pattern accepts
+rational_texts = st.builds(
+    lambda sign, zeros, num, den, end: f"{sign}{zeros}{num}{den}{end}",
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", "0", "000"]),
+    digits,
+    st.one_of(st.just(""), st.builds(lambda zeros, d: f"/{zeros}{d}", st.sampled_from(["", "00"]),
+                                     digits.filter(lambda d: int(d[:9]) != 0))),
+    st.sampled_from(["", "\n"]),
+)
+
+
+class TestParsePair:
+    @given(rational_texts, rational_texts)
+    def test_same_point_as_the_fractions(self, a, b):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert _parse_pair([a, b], "x") == Point(F(a), F(b))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("bad, reason", [
+        (5, "expected an exact rational string like '2/3', got 5"),
+        ("0.5", "expected an exact rational string like '2/3', got '0.5'"),
+        ("3/-4", "expected an exact rational string like '2/3', got '3/-4'"),
+        ("1/0", "zero denominator"),
+    ])
+    def test_error_text(self, bad, reason, index):
+        doc = json.loads(MIDPOINT_DOC)
+        doc["vertices"]["A"][index] = bad
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(json.dumps(doc))
+        assert str(err.value) == f"<instance>: vertices.A[{index}]: {reason}"
 
 
 class TestParseInstance:

@@ -1,10 +1,75 @@
+import decimal
 import re
+from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from quadconc import Point, Quadrilateral, SideRatios, build_from_points, build_from_ratios
+import pytest
+
+from quadconc import (
+    Point,
+    Quadrilateral,
+    SideRatios,
+    build_from_points,
+    build_from_ratios,
+    svgfig,
+)
+from quadconc.errors import GeometryError
+from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.svgfig import VIEW, render_svg
+from test_configuration import side_points, signed_ratios
 
 F = Fraction
+
+
+def reference_fmt(value: Fraction) -> str:
+    with localcontext() as ctx:
+        ctx.prec = svgfig.RENDER_DIGITS
+        out = Decimal(value.numerator) / Decimal(value.denominator)
+    return format(out, "f") if -1e15 < out < 1e15 else str(out)
+
+
+def reference_screen(cfg):
+    """``svgfig._screen`` in its ``Fraction`` form: the affine coordinates,
+    framed by ``_FRAME`` with a margin of 1/12 of the span (at least 1)
+    on each side, scaled to ``VIEW`` and flipped in y."""
+    affine = {}
+    for name in svgfig._DRAWN:
+        pt = cfg.point(name)
+        if pt is not None and pt.is_finite:
+            affine[name] = pt.affine()
+    xs = [affine[n][0] for n in svgfig._FRAME if n in affine]
+    ys = [affine[n][1] for n in svgfig._FRAME if n in affine]
+    lo_x, lo_y = min(xs), min(ys)
+    span = max(max(xs) - lo_x, max(ys) - lo_y, Fraction(1))
+    pad = span * Fraction(1, 12)
+    min_x, min_y = lo_x - pad, lo_y - pad
+    scale = Fraction(VIEW) / (span + 2 * pad)
+    return {name: (reference_fmt((x - min_x) * scale), reference_fmt(VIEW - (y - min_y) * scale))
+            for name, (x, y) in affine.items()}
+
+
+def generated(spec, indices):
+    for index in indices:
+        try:
+            yield build_from_ratios(gen_quadrilateral(spec, index), gen_ratios(spec, index))
+        except GeometryError:
+            continue
+
+
+def signed_side_points(spec, indices):
+    # side points beyond their segments often put A1 B1 C1 D1 outside the
+    # frame or at infinity
+    for index in indices:
+        quad = gen_quadrilateral(spec, index)
+        try:
+            yield build_from_points(quad, *side_points(quad, signed_ratios(spec, index)))
+        except GeometryError:
+            continue
+
+
+_SMALL = GenSpec(seed=42, coordinate_bound=4, ratio_bound=2)
+_HUGE = GenSpec(seed=42, coordinate_bound=10**30, ratio_bound=10**30)
 
 
 def test_full_render_is_deterministic(gamma_two_config):
@@ -53,3 +118,48 @@ def test_view_is_framed_without_the_cevian_meets():
     assert len(framed) == 18
     assert all(0 <= float(c) <= VIEW for pair in framed for c in pair)
     assert 'y2="649.142857143"' in text
+
+
+@pytest.mark.parametrize("shape", ["convex", "concave", "crossed", "any"])
+@pytest.mark.parametrize("spec", [GenSpec(seed=42), _SMALL, _HUGE], ids=["10-8", "4-2", "1e30"])
+def test_screen_matches_the_fraction_form(spec, shape):
+    for cfg in generated(replace(spec, shape=shape), range(60)):
+        assert svgfig._screen(cfg) == reference_screen(cfg)
+
+
+def test_screen_matches_the_fraction_form_on_ideal_undefined_and_outside_points(unit_square):
+    cfgs = [
+        # E and O ideal; P1 and Q1 undefined with R on vertex B
+        *generated(replace(_SMALL, shape="crossed"), (202,)),
+        *generated(replace(_SMALL, shape="concave", force_gamma_one=True), (16,)),
+        # a figure narrower than one unit, where the span is floored at 1
+        build_from_ratios(Quadrilateral.of(*(Point(F(p.x, 100), F(p.y, 100))
+                                             for p in unit_square.vertices)),
+                          SideRatios.of(1, 2, 3, 1)),
+    ]
+    for shape in ("concave", "crossed"):
+        cfgs += signed_side_points(replace(_SMALL, shape=shape), range(40))
+        cfgs += signed_side_points(GenSpec(seed=8, shape=shape), range(40))
+    outside = 0
+    for cfg in cfgs:
+        xy = reference_screen(cfg)
+        assert svgfig._screen(cfg) == xy
+        outside += any(not 0 <= float(c) <= VIEW for name in ("A1", "B1", "C1", "D1")
+                       if name in xy for c in xy[name])
+    assert outside >= 10
+
+
+def test_bytes_ignore_the_callers_decimal_context():
+    cfgs = list(generated(GenSpec(seed=42), range(30)))
+    want = [render_svg(cfg) for cfg in cfgs]
+    with localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_FLOOR
+        ctx.prec = 3
+        ctx.capitals = 0
+        ctx.traps[decimal.Inexact] = True
+        ctx.traps[decimal.FloatOperation] = True
+        got = [render_svg(cfg) for cfg in cfgs]
+        # a coordinate beyond 1e15 is written in exponent form
+        huge = svgfig._fmt(2 * 10**20, 3)
+    assert got == want
+    assert huge == svgfig._fmt(2 * 10**20, 3) == "6.66666666667E+19"
