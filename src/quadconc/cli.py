@@ -26,8 +26,8 @@ from .errors import (
     UndefinedPoint,
 )
 from .generators import GenSpec, gen_quadrilateral, gen_ratios
-from .instancefile import instance_from_parts, load_instance, serialize_instance
-from .report import degenerate_report, render, report_document
+from .instancefile import instance_from_parts, load_instance, render, serialize_instance
+from .report import degenerate_report, report_document
 from .svgfig import LAYERS, render_svg
 from .verifiers import CLAIM_IDS, CLAIMS, FAIL, FINDING_CLAIMS, select_claims, verify_all
 

@@ -195,7 +195,7 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
 
     R = points["R"]
     r_ratio = Fraction(1)
-    if R is not None and R.is_finite:
+    if R is not None and not R.is_ideal:
         if R == B:
             # the unsigned ratio AR/RB is infinite
             flags.add("R_RATIO_UNDEFINED")

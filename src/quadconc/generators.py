@@ -25,7 +25,7 @@ from functools import cmp_to_key
 
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted
-from .kernel import CONCAVE, CONVEX, CROSSED, Point, Shape, orientation, reduce3
+from .kernel import CONCAVE, CONVEX, CROSSED, Point, Shape, orientation, point_from_terms, reduce3
 
 # accepted by the generator only; never a classification result
 ANY_SHAPE: Shape = "any"
@@ -129,7 +129,7 @@ def _ccw_about_centroid(points: list[Point]) -> list[Point]:
 def _draw_point(rng: Stream, bound: int) -> Point:
     xn, xd = rng.next_int(-bound, bound), rng.next_int(1, bound)
     yn, yd = rng.next_int(-bound, bound), rng.next_int(1, bound)
-    return Point._wrap(reduce3(xn * yd, yn * xd, xd * yd))
+    return point_from_terms(xn, xd, yn, yd)
 
 
 def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:

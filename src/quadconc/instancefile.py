@@ -24,7 +24,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .configuration import (
@@ -34,11 +33,11 @@ from .configuration import (
     build_from_points,
     build_from_ratios,
 )
-from .errors import GeometryError, InstanceFormatError
-from .kernel import Point, reduce3
+from .errors import InstanceFormatError
+from .kernel import Point, point_from_terms
 from .verifiers import CLAIM_IDS
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 VERTEX_KEYS = ("A", "B", "C", "D")
 RATIO_KEYS = ("m", "n", "p", "q")
@@ -47,12 +46,15 @@ POINT_KEYS = ("M", "N", "P", "Q")
 
 def _terms(text: object, where: str) -> tuple[int, int]:
     """The numerator and positive denominator of an exact rational string."""
-    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise InstanceFormatError(
             f"{where}: expected an exact rational string like '2/3', got {text!r}"
         )
-    num, den = int(match[1]), int(match[2] or 1)
+    try:
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # past the interpreter's integer string limit
+        raise InstanceFormatError(f"{where}: {exc}") from exc
     if den == 0:
         raise InstanceFormatError(f"{where}: zero denominator")
     return num, den
@@ -63,33 +65,12 @@ def parse_rational(text: object, where: str) -> Fraction:
     return Fraction(*_terms(text, where))
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
-def format_point(pt: Point) -> list[str]:
-    """The affine coordinates of a finite point as rational strings.
-
-    Each is ``str(Fraction(c, w))`` for a component ``c`` of the canonical
-    triple ``(x, y, w)``, whose weight ``w`` is positive: one gcd per
-    coordinate, and no ``Fraction``.
-    """
-    x, y, w = pt.triple()
-    if w == 0:
-        raise GeometryError("ideal point has no affine coordinates")
-    texts = []
-    for c in (x, y):
-        g = gcd(c, w)
-        texts.append(str(c // g) if g == w else f"{c // g}/{w // g}")
-    return texts
-
-
 def _parse_pair(obj: object, where: str) -> Point:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise InstanceFormatError(f"{where}: expected a coordinate pair")
     xn, xd = _terms(obj[0], where + "[0]")
     yn, yd = _terms(obj[1], where + "[1]")
-    return Point._wrap(reduce3(xn * yd, yn * xd, xd * yd))
+    return point_from_terms(xn, xd, yn, yd)
 
 
 @dataclass(frozen=True)
@@ -184,27 +165,35 @@ def instance_document(inst: InstanceFile) -> dict:
     """The JSON tree for an instance, all numbers as rational strings."""
     doc: dict = {
         "vertices": {
-            key: format_point(vertex)
+            key: vertex.text()
             for key, vertex in zip(VERTEX_KEYS, inst.vertices)
         }
     }
     if inst.ratios is not None:
         doc["ratios"] = {
-            key: format_rational(value)
+            key: str(value)
             for key, value in zip(RATIO_KEYS, inst.ratios.as_tuple)
         }
     if inst.points is not None:
         doc["points"] = {
-            key: format_point(pt)
+            key: pt.text()
             for key, pt in zip(POINT_KEYS, inst.points)
         }
     doc["checks"] = list(inst.checks) if inst.checks else "all"
     return doc
 
 
+def render(doc: dict, compact: bool = False) -> str:
+    """Canonical JSON text of an instance, a report or a summary: sorted
+    keys, LF line endings."""
+    if compact:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def serialize_instance(inst: InstanceFile) -> str:
     """Byte-stable rendering; parsing it back yields an equal instance."""
-    return json.dumps(instance_document(inst), sort_keys=True, indent=2) + "\n"
+    return render(instance_document(inst))
 
 
 def instance_from_parts(quad: Quadrilateral, ratios: SideRatios,

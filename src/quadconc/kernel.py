@@ -31,6 +31,7 @@ Everything here is an immutable value and every function is pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from ._purekernel import cross3, det3, dot3, reduce3
@@ -82,25 +83,9 @@ class Point:
         obj._t = triple
         return obj
 
-    @property
-    def x(self) -> int:
-        return self._t[0]
-
-    @property
-    def y(self) -> int:
-        return self._t[1]
-
-    @property
-    def w(self) -> int:
-        return self._t[2]
-
     def triple(self) -> tuple[int, int, int]:
         """The canonical integer representative of this point."""
         return self._t
-
-    @property
-    def is_finite(self) -> bool:
-        return self._t[2] != 0
 
     @property
     def is_ideal(self) -> bool:
@@ -112,6 +97,20 @@ class Point:
             raise GeometryError("ideal point has no affine coordinates")
         return Fraction(x, w), Fraction(y, w)
 
+    def text(self) -> list[str]:
+        """The coordinates as exact text: a finite point's affine pair, each
+        ``str(Fraction(c, w))`` for a component ``c`` of the canonical triple
+        ``(x, y, w)`` (``w`` is positive) with one gcd and no ``Fraction``;
+        an ideal point's integer triple ``[x, y, "0"]``."""
+        x, y, w = self._t
+        if w == 0:
+            return [str(x), str(y), "0"]
+        texts = []
+        for c in (x, y):
+            g = gcd(c, w)
+            texts.append(str(c // g) if g == w else f"{c // g}/{w // g}")
+        return texts
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
@@ -121,12 +120,13 @@ class Point:
         return hash((Point, self._t))
 
     def __repr__(self) -> str:
-        x, y, w = self._t
-        if w == 1:
-            return f"Point({x}, {y})"
-        if w == 0:
-            return f"Point({x}, {y}, 0)"
-        return f"Point({Fraction(x, w)}, {Fraction(y, w)})"
+        return f"Point({', '.join(self.text())})"
+
+
+def point_from_terms(xn: int, xd: int, yn: int, yd: int) -> Point:
+    """The finite point ``(xn/xd, yn/yd)``; each denominator is a nonzero
+    integer of either sign."""
+    return Point._wrap(reduce3(xn * yd, yn * xd, xd * yd))
 
 
 class Line:

@@ -1,28 +1,18 @@
 """Machine-readable verification reports.
 
 A report is a single JSON tree per instance.  Every number in it is an
-exact rational string; nothing is ever rounded.  Serialization is
-byte-stable: same instance, same verdicts, same bytes.
+exact rational string; nothing is ever rounded.  Serialization, by
+``instancefile.render``, is byte-stable: same instance, same verdicts,
+same bytes.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional, Sequence
 
 from .configuration import Configuration
-from .instancefile import InstanceFile, format_point, format_rational, instance_document
-from .kernel import Point
+from .instancefile import InstanceFile, instance_document
 from .verifiers import Verdict, overall_status
-
-
-def point_json(pt: Optional[Point]) -> Optional[list[str]]:
-    """Finite points as affine pairs, ideal points as integer triples."""
-    if pt is None:
-        return None
-    if pt.is_finite:
-        return format_point(pt)
-    return [str(pt.x), str(pt.y), "0"]
 
 
 def verdict_json(v: Verdict) -> dict:
@@ -30,17 +20,16 @@ def verdict_json(v: Verdict) -> dict:
         "claim": v.claim_id,
         "status": v.status,
         "detail": v.detail,
-        "witness": {name: point_json(pt) for name, pt in sorted(v.witness.items())},
-        "exact_values": {name: format_rational(val)
-                         for name, val in sorted(v.exact_values.items())},
+        "witness": {name: pt.text() for name, pt in sorted(v.witness.items())},
+        "exact_values": {name: str(val) for name, val in sorted(v.exact_values.items())},
     }
 
 
 def configuration_json(cfg: Configuration) -> dict:
     return {
-        "gamma": format_rational(cfg.ratios.gamma),
+        "gamma": str(cfg.ratios.gamma),
         "shape": cfg.quad.shape,
-        "r": format_rational(cfg.r_ratio),
+        "r": str(cfg.r_ratio),
         "degeneracies": sorted(cfg.degeneracies),
     }
 
@@ -60,10 +49,3 @@ def degenerate_report(meta: dict, claims: Iterable[str], reason: str,
     """Report for an instance whose configuration could not be built."""
     verdicts = [Verdict(claim, "degenerate", detail=reason) for claim in claims]
     return report_document(meta, verdicts, cfg=None, instance=instance)
-
-
-def render(doc: dict, compact: bool = False) -> str:
-    """Canonical JSON text: sorted keys, LF line endings."""
-    if compact:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -53,7 +53,8 @@ def _fmt(num: int, den: int) -> str:
 def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
     """The SVG coordinate strings of every finite drawn point, by name."""
     points = {name: cfg.point(name) for name in _DRAWN}
-    triples = {name: pt.triple() for name, pt in points.items() if pt is not None and pt.is_finite}
+    triples = {name: pt.triple() for name, pt in points.items()
+               if pt is not None and not pt.is_ideal}
     weight = lcm(*(w for _, _, w in triples.values()))
     xy = {name: (x * (weight // w), y * (weight // w)) for name, (x, y, w) in triples.items()}
     xs = [xy[n][0] for n in _FRAME if n in xy]

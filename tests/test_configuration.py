@@ -235,8 +235,9 @@ def agrees_with_oracle(got, want):
     if want is None:
         return got is None
     if isinstance(want, naive.Direction):
-        return got is not None and got.is_ideal and got.x * want.dy == got.y * want.dx
-    return got is not None and got.is_finite and got.affine() == want
+        return (got is not None and got.is_ideal
+                and got.triple()[0] * want.dy == got.triple()[1] * want.dx)
+    return got is not None and not got.is_ideal and got.affine() == want
 
 
 def signed_ratios(spec, index):

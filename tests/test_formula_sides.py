@@ -12,15 +12,13 @@ strategy reaches the vanishing denominators ``1 + mn = 0`` and
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from quadconc import Point, Quadrilateral, SideRatios, build_from_ratios
-from quadconc.errors import GeometryError
-from quadconc.instancefile import InstanceFile, format_point, instance_document
-from quadconc.report import point_json
-from quadconc.verifiers import CLAIMS, FAIL, PASS, verify_all
+from quadconc.instancefile import InstanceFile, instance_document
+from quadconc.report import verdict_json
+from quadconc.verifiers import CLAIMS, FAIL, PASS, Verdict, verify_all
 
 CHECKS = {claim: check for claim, *_, check in CLAIMS}
 
@@ -123,13 +121,17 @@ def test_point_text_equals_fraction_text(x, y, w):
     pt = Point(x, y, w)
     c0, c1, cw = pt.triple()
     expected = [str(Fraction(c0, cw)), str(Fraction(c1, cw))]
-    assert format_point(pt) == expected
-    assert point_json(pt) == expected
+    assert pt.text() == expected
+    assert repr(pt) == f"Point({expected[0]}, {expected[1]})"
     inst = InstanceFile(vertices=(pt,) * 4, ratios=None, points=(pt,) * 4, checks=())
     doc = instance_document(inst)
     assert doc["vertices"]["A"] == expected and doc["points"]["Q"] == expected
 
 
-def test_ideal_point_has_no_affine_text():
-    with pytest.raises(GeometryError, match="ideal point has no affine coordinates"):
-        format_point(Point(1, 2, 0))
+def test_ideal_point_text_is_its_triple():
+    for pt in (Point(-6, 4, 0), Point(Fraction(1, 2), Fraction(-1, 3), 0)):
+        assert pt.triple() == (-3, 2, 0)
+        assert pt.text() == ["-3", "2", "0"]
+        assert repr(pt) == "Point(-3, 2, 0)"
+        witness = verdict_json(Verdict("seven_lines", PASS, witness={"E": pt}))["witness"]
+        assert witness == {"E": ["-3", "2", "0"]}

@@ -4,13 +4,15 @@ fails here.
 The fuzz digests are the sha256 of ``quadconc fuzz --seed 42 --count 200``
 in each regime, as the command writes it to stdout.  The figure digests
 are the sha256 of ``render_svg`` over a generated stream, once with the
-default layers and once per single layer.  Two runs agreeing with each
-other (``test_determinism_byte_identical``) does not catch a change in
-what both of them print.
+default layers and once per single layer.  The verdict corpus digest is
+the sha256 of every verdict's report JSON over a small-bound stream.  Two
+runs agreeing with each other (``test_determinism_byte_identical``) does
+not catch a change in what both of them print.
 """
 
 import hashlib
 import io
+import json
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,9 @@ from quadconc import build_from_ratios
 from quadconc.cli import main
 from quadconc.errors import GeometryError
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
+from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
+from quadconc.verifiers import verify_all
 
 GOLDEN = {
     ("gamma1",): "29cf24f6cfa2b07d81c540165cc2b107b26e741af7f0424bcca5934bf807049d",
@@ -81,3 +85,29 @@ def svg_digest(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(SVG_CASES))
 def test_svg_bytes_match_golden_digest(case):
     assert svg_digest(case) == SVG_GOLDEN[case]
+
+
+VERDICT_CORPUS_GOLDEN = "f782ee4edd36af3c3b8dbf3469140e42014d6933806bcbe072bf9b6c5e9e8a52"
+
+
+def test_verdict_corpus_digest():
+    """Seeds 0-3 x convex, concave, crossed x the product forced to one,
+    then free x indices 0-149, at the small bounds: 3,600 instances.  Each
+    verdict adds its sorted-key ``verdict_json`` and a newline; a build
+    that raises adds ``"<Type>: <message>"`` and a newline instead."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        for shape in ("convex", "concave", "crossed"):
+            for force in (True, False):
+                spec = replace(_SMALL, seed=seed, shape=shape, force_gamma_one=force)
+                for index in range(150):
+                    try:
+                        cfg = build_from_ratios(gen_quadrilateral(spec, index),
+                                                gen_ratios(spec, index))
+                    except GeometryError as exc:
+                        h.update(f"{type(exc).__name__}: {exc}\n".encode("utf-8"))
+                        continue
+                    for v in verify_all(cfg):
+                        line = json.dumps(verdict_json(v), sort_keys=True) + "\n"
+                        h.update(line.encode("utf-8"))
+    assert h.hexdigest() == VERDICT_CORPUS_GOLDEN

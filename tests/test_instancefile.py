@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quadconc import Point, SideRatios
@@ -15,6 +15,7 @@ from quadconc.instancefile import (
     parse_rational,
     serialize_instance,
 )
+from quadconc.kernel import point_from_terms
 
 F = Fraction
 
@@ -46,26 +47,28 @@ class TestParseRational:
 # digit strings: short ones, and 5,000-digit ones with a nonzero lead
 digits = st.one_of(st.integers(0, 10**6).map(str),
                    st.integers(1, 10**9).map(lambda d: (str(d) * 5000)[:5000]))
-# signs with and without "+", leading zeros, unreduced fractions and the
-# trailing newline that the "$" of the pattern accepts
+# signs with and without "+", leading zeros and unreduced fractions
 rational_texts = st.builds(
-    lambda sign, zeros, num, den, end: f"{sign}{zeros}{num}{den}{end}",
+    lambda sign, zeros, num, den: f"{sign}{zeros}{num}{den}",
     st.sampled_from(["", "+", "-"]),
     st.sampled_from(["", "0", "000"]),
     digits,
     st.one_of(st.just(""), st.builds(lambda zeros, d: f"/{zeros}{d}", st.sampled_from(["", "00"]),
                                      digits.filter(lambda d: int(d[:9]) != 0))),
-    st.sampled_from(["", "\n"]),
 )
+# denominators of either sign
+denominators = st.integers(-10**30, 10**30).filter(bool)
 
 
 class TestParsePair:
-    @given(rational_texts, rational_texts)
-    def test_same_point_as_the_fractions(self, a, b):
+    @given(rational_texts, rational_texts, st.integers(), denominators, st.integers(), denominators)
+    @example("1", "-2/3", 3, -4, -5, -6)
+    def test_same_point_as_the_fractions(self, a, b, xn, xd, yn, yd):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
             assert _parse_pair([a, b], "x") == Point(F(a), F(b))
+            assert point_from_terms(xn, xd, yn, yd) == Point(F(xn, xd), F(yn, yd))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -75,6 +78,8 @@ class TestParsePair:
         ("0.5", "expected an exact rational string like '2/3', got '0.5'"),
         ("3/-4", "expected an exact rational string like '2/3', got '3/-4'"),
         ("1/0", "zero denominator"),
+        ("3\n", "expected an exact rational string like '2/3', got '3\\n'"),
+        ("1/2\n", "expected an exact rational string like '2/3', got '1/2\\n'"),
     ])
     def test_error_text(self, bad, reason, index):
         doc = json.loads(MIDPOINT_DOC)
@@ -127,6 +132,25 @@ class TestParseInstance:
         doc["checks"] = ["seven_lines", "bogus"]
         with pytest.raises(InstanceFormatError, match="bogus"):
             parse_instance(json.dumps(doc))
+
+    def test_value_past_the_digit_limit_is_a_format_error(self):
+        # cli.main lifts the interpreter's limit on integer text for the rest
+        # of the process, so the test sets the default limit itself
+        wide = "7" * 5000
+        vertex_doc = json.loads(MIDPOINT_DOC)
+        vertex_doc["vertices"]["A"][0] = wide
+        ratio_doc = json.loads(MIDPOINT_DOC)
+        ratio_doc["ratios"]["m"] = wide
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for where, doc in (("vertices.A[0]", vertex_doc), ("ratios.m", ratio_doc)):
+                with pytest.raises(InstanceFormatError) as err:
+                    parse_instance(json.dumps(doc))
+                assert str(err.value).startswith(
+                    f"<instance>: {where}: Exceeds the limit (4300 digits)")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_missing_vertex_rejected(self):
         doc = json.loads(MIDPOINT_DOC)

@@ -29,7 +29,7 @@ class TestPoint:
         assert hash(Point(1, 2, 1)) == hash(Point(-1, -2, -1))
 
     def test_finiteness(self):
-        assert Point(3, 4).is_finite
+        assert not Point(3, 4).is_ideal
         assert Point(3, 4, 0).is_ideal
         assert Point(F(2, 3), F(1, 2)).affine() == (F(2, 3), F(1, 2))
         with pytest.raises(GeometryError, match="ideal point has no affine coordinates"):

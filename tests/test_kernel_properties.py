@@ -40,8 +40,8 @@ def test_incidence_of_joins(p, q, r):
 @given(points, points, nonzero_rationals, nonzero_rationals)
 def test_projective_scaling_changes_nothing(p, q, s1, s2):
     assume(p != q)
-    ps = Point(s1 * p.x, s1 * p.y, s1 * p.w)
-    qs = Point(s2 * q.x, s2 * q.y, s2 * q.w)
+    ps = Point(*(s1 * c for c in p.triple()))
+    qs = Point(*(s2 * c for c in q.triple()))
     assert ps == p
     assert qs == q
     assert line_through(ps, qs) == line_through(p, q)

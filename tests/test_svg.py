@@ -36,7 +36,7 @@ def reference_screen(cfg):
     affine = {}
     for name in svgfig._DRAWN:
         pt = cfg.point(name)
-        if pt is not None and pt.is_finite:
+        if pt is not None and not pt.is_ideal:
             affine[name] = pt.affine()
     xs = [affine[n][0] for n in svgfig._FRAME if n in affine]
     ys = [affine[n][1] for n in svgfig._FRAME if n in affine]
@@ -133,7 +133,7 @@ def test_screen_matches_the_fraction_form_on_ideal_undefined_and_outside_points(
         *generated(replace(_SMALL, shape="crossed"), (202,)),
         *generated(replace(_SMALL, shape="concave", force_gamma_one=True), (16,)),
         # a figure narrower than one unit, where the span is floored at 1
-        build_from_ratios(Quadrilateral.of(*(Point(F(p.x, 100), F(p.y, 100))
+        build_from_ratios(Quadrilateral.of(*(Point(*(F(c, 100) for c in p.triple()[:2]))
                                              for p in unit_square.vertices)),
                           SideRatios.of(1, 2, 3, 1)),
     ]
