@@ -93,11 +93,8 @@ class Quadrilateral:
 
     @classmethod
     def of(cls, a: Point, b: Point, c: Point, d: Point) -> "Quadrilateral":
-        vs = (a, b, c, d)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if vs[i] == vs[j]:
-                    raise CoincidentPoints("quadrilateral vertices must be distinct")
+        if len({a, b, c, d}) < 4:
+            raise CoincidentPoints("quadrilateral vertices must be distinct")
         return cls(a, b, c, d, classify_quadrilateral(a, b, c, d))
 
     @property

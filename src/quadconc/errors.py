@@ -41,5 +41,6 @@ class GenerationExhausted(GeometryError):
     """Rejection sampling hit its attempt cap without producing an instance."""
 
 
-class InstanceFormatError(Exception):
-    """An instance document is malformed; message carries the location."""
+class InstanceFormatError(ValueError):
+    """Any invalid input from outside the program (an instance document, a
+    claim id, a layer name, a generator argument); the message says where."""

@@ -24,8 +24,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .configuration import Quadrilateral, SideRatios
-from .errors import GenerationExhausted
-from .kernel import CONCAVE, CONVEX, CROSSED, Point, Shape, orientation, point_from_terms, reduce3
+from .errors import GenerationExhausted, InstanceFormatError
+from .kernel import (CONCAVE, CONVEX, CROSSED, Point, Shape, orientation, point_dividing,
+                     point_from_terms)
 
 # accepted by the generator only; never a classification result
 ANY_SHAPE: Shape = "any"
@@ -73,7 +74,7 @@ def instance_stream(seed: int, index: int, tag: int) -> Stream:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters of a deterministic instance stream."""
+    """Parameters of a deterministic instance stream; bad ones raise InstanceFormatError."""
 
     seed: int = 0
     shape: Shape = CONVEX
@@ -83,13 +84,13 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _MASK:
-            raise ValueError("seed must fit in 64 bits")
+            raise InstanceFormatError("seed must fit in 64 bits")
         if self.shape not in (CONVEX, CONCAVE, CROSSED, ANY_SHAPE):
-            raise ValueError(f"unknown shape {self.shape!r}")
+            raise InstanceFormatError(f"unknown shape {self.shape!r}")
         if self.coordinate_bound < 4:
-            raise ValueError("coordinate_bound must be at least 4")
+            raise InstanceFormatError("coordinate_bound must be at least 4")
         if self.ratio_bound < 1:
-            raise ValueError("ratio_bound must be at least 1")
+            raise InstanceFormatError("ratio_bound must be at least 1")
 
 
 def _ccw_about_centroid(points: list[Point]) -> list[Point]:
@@ -144,18 +145,14 @@ def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:
 def _try_concave(rng: Stream, bound: int) -> Quadrilateral | None:
     a, b, c = (_draw_point(rng, bound) for _ in range(3))
     i, j, k = (rng.next_int(1, bound) for _ in range(3))
-    sign = orientation(a, b, c) if len({a, b, c}) == 3 else 0
+    sign = orientation(a, b, c)
     if sign == 0:
         return None
     if sign < 0:
         b, c = c, b
     # interior point of the triangle, strictly inside by construction:
-    # (k*a + i*b + j*c) / (i + j + k) on the integer triples
-    a0, a1, aw = a.triple()
-    b0, b1, bw = b.triple()
-    c0, c1, cw = c.triple()
-    ka, ib, jc, w = k * bw * cw, i * aw * cw, j * aw * bw, (i + j + k) * aw * bw * cw
-    x = Point._wrap(reduce3(ka * a0 + ib * b0 + jc * c0, ka * a1 + ib * b1 + jc * c1, w))
+    # (k*a + i*b + j*c) / (i + j + k), the point dividing a -> (i*b + j*c)/(i + j)
+    x = point_dividing(a, point_dividing(b, c, Fraction(j, i)), Fraction(i + j, k))
     quad = Quadrilateral.of(a, b, x, c)
     return quad if quad.shape == CONCAVE else None
 

@@ -24,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .configuration import (
     Configuration,
@@ -35,9 +35,10 @@ from .configuration import (
 )
 from .errors import InstanceFormatError
 from .kernel import Point, point_from_terms
-from .verifiers import CLAIM_IDS
+from .verifiers import select_claims
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+# ASCII digits only: ``\d`` would accept digits that do not round-trip
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 VERTEX_KEYS = ("A", "B", "C", "D")
 RATIO_KEYS = ("m", "n", "p", "q")
@@ -65,12 +66,27 @@ def parse_rational(text: object, where: str) -> Fraction:
     return Fraction(*_terms(text, where))
 
 
+def _positive(text: object, where: str) -> Fraction:
+    value = parse_rational(text, where)
+    if value <= 0:
+        raise InstanceFormatError(f"{where}: must be positive")
+    return value
+
+
 def _parse_pair(obj: object, where: str) -> Point:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise InstanceFormatError(f"{where}: expected a coordinate pair")
     xn, xd = _terms(obj[0], where + "[0]")
     yn, yd = _terms(obj[1], where + "[1]")
     return point_from_terms(xn, xd, yn, yd)
+
+
+def _mapping(doc: dict, key: str, names: tuple[str, ...], read: Callable, source: str) -> tuple:
+    """The values of ``doc[key]``, an object keyed exactly by ``names``, each read."""
+    obj = doc.get(key)
+    if not isinstance(obj, dict) or sorted(obj) != sorted(names):
+        raise InstanceFormatError(f"{source}: '{key}' must map exactly {', '.join(names)}")
+    return tuple(read(obj[k], f"{source}: {key}.{k}") for k in names)
 
 
 @dataclass(frozen=True)
@@ -82,11 +98,8 @@ class InstanceFile:
     points: Optional[tuple[Point, Point, Point, Point]]
     checks: tuple[str, ...]  # empty means "all"
 
-    def quadrilateral(self) -> Quadrilateral:
-        return Quadrilateral.of(*self.vertices)
-
     def configuration(self) -> Configuration:
-        quad = self.quadrilateral()
+        quad = Quadrilateral.of(*self.vertices)
         if self.ratios is not None:
             return build_from_ratios(quad, self.ratios)
         assert self.points is not None
@@ -109,46 +122,23 @@ def parse_instance(text: str, source: str = "<instance>") -> InstanceFile:
     if unknown:
         raise InstanceFormatError(f"{source}: unknown keys: {', '.join(unknown)}")
 
-    vertices_obj = doc.get("vertices")
-    if not isinstance(vertices_obj, dict) or sorted(vertices_obj) != sorted(VERTEX_KEYS):
-        raise InstanceFormatError(f"{source}: 'vertices' must map exactly A, B, C, D")
-    vertices = tuple(
-        _parse_pair(vertices_obj[k], f"{source}: vertices.{k}") for k in VERTEX_KEYS
-    )
-
-    has_ratios = "ratios" in doc
-    has_points = "points" in doc
-    if has_ratios == has_points:
+    vertices = _mapping(doc, "vertices", VERTEX_KEYS, _parse_pair, source)
+    if ("ratios" in doc) == ("points" in doc):
         raise InstanceFormatError(f"{source}: exactly one of 'ratios' or 'points' is required")
-
-    ratios = None
-    points = None
-    if has_ratios:
-        robj = doc["ratios"]
-        if not isinstance(robj, dict) or sorted(robj) != sorted(RATIO_KEYS):
-            raise InstanceFormatError(f"{source}: 'ratios' must map exactly m, n, p, q")
-        values = []
-        for k in RATIO_KEYS:
-            value = parse_rational(robj[k], f"{source}: ratios.{k}")
-            if value <= 0:
-                raise InstanceFormatError(f"{source}: ratios.{k}: must be positive")
-            values.append(value)
-        ratios = SideRatios(*values)
+    ratios = points = None
+    if "ratios" in doc:
+        ratios = SideRatios(*_mapping(doc, "ratios", RATIO_KEYS, _positive, source))
     else:
-        pobj = doc["points"]
-        if not isinstance(pobj, dict) or sorted(pobj) != sorted(POINT_KEYS):
-            raise InstanceFormatError(f"{source}: 'points' must map exactly M, N, P, Q")
-        points = tuple(
-            _parse_pair(pobj[k], f"{source}: points.{k}") for k in POINT_KEYS
-        )
+        points = _mapping(doc, "points", POINT_KEYS, _parse_pair, source)
 
     checks_obj = doc.get("checks", "all")
     if checks_obj == "all" or checks_obj == ["all"]:
         checks: tuple[str, ...] = ()
     elif isinstance(checks_obj, list) and all(isinstance(c, str) for c in checks_obj):
-        bad = sorted(set(checks_obj) - set(CLAIM_IDS))
-        if bad:
-            raise InstanceFormatError(f"{source}: unknown claim ids: {', '.join(bad)}")
+        try:
+            select_claims(checks_obj)
+        except InstanceFormatError as exc:
+            raise InstanceFormatError(f"{source}: {exc}") from None
         checks = tuple(checks_obj)
     else:
         raise InstanceFormatError(f"{source}: 'checks' must be \"all\" or a list of claim ids")

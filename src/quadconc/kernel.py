@@ -37,7 +37,7 @@ from typing import Union
 from ._purekernel import cross3, det3, dot3, reduce3
 from .errors import CoincidentPoints, GeometryError, IdealLine
 
-RatLike = Union[int, str, Fraction]
+RatLike = Union[int, Fraction]
 
 Shape = str
 CONVEX: Shape = "convex"
@@ -47,12 +47,10 @@ DEGENERATE: Shape = "degenerate"
 
 
 def as_rat(value: RatLike) -> Fraction:
-    """Coerce to an exact rational; floats are rejected, never rounded."""
+    """Coerce to an exact rational; floats and strings are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 

@@ -17,6 +17,7 @@ from math import lcm
 from typing import Iterable
 
 from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
+from .errors import InstanceFormatError
 
 RENDER_DIGITS = 12
 VIEW = 640
@@ -76,7 +77,7 @@ def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:
     active = tuple(layers) if layers is not None else LAYERS
     unknown = sorted(set(active) - set(LAYERS))
     if unknown:
-        raise ValueError(f"unknown layers: {', '.join(unknown)}")
+        raise InstanceFormatError(f"unknown layers: {', '.join(unknown)}")
 
     xy = _screen(cfg)
     labels = "labels" in active

@@ -17,8 +17,10 @@ each closed form stands next to its expression.
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
 verdict, which is never a failure; one where a point the row needs is
-undefined gets ``degenerate``.  In-configuration coincidences (flagged
-by the builder) downgrade the verdict to ``degenerate`` too.
+undefined gets ``degenerate``.  Past that, each check makes its verdict
+``degenerate`` itself where a line, ratio or point it reads is undefined
+or ideal; of the builder's flags (``cfg.degeneracies``) only
+``ratio_product`` reads any, so ``A1_IDEAL`` and the like downgrade nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration, join
-from .errors import GeometryError
+from .errors import GeometryError, InstanceFormatError
 from .kernel import (
     Line,
     Point,
@@ -82,13 +84,13 @@ def _ideal(cfg: Configuration, names: Iterable[str]) -> list[str]:
 
 
 def _concurrent_through(lines: Iterable[tuple[str, Optional[Line]]], name: str,
-                        target: Point, reasons: list[str], failures: list[str]) -> bool:
+                        target: Point, reasons: list[str], failures: list[str]) -> None:
     """Check that every distinct defined line passes through ``target``.
 
     Undefined lines become ``<line>_UNDEFINED`` reasons; coincident lines
     are deduplicated, not flagged, since two of them being the same line
-    does not affect the concurrence.  Returns ``False``, checking
-    nothing, when fewer than two distinct lines remain.
+    does not affect the concurrence.  Never vacuous: a defined target is
+    the meet of two distinct lines, both among ``lines``.
     """
     distinct: list[tuple[str, Line]] = []
     for lname, line in lines:
@@ -96,11 +98,8 @@ def _concurrent_through(lines: Iterable[tuple[str, Optional[Line]]], name: str,
             reasons.append(lname + "_UNDEFINED")
         elif not any(line == seen for _, seen in distinct):
             distinct.append((lname, line))
-    if len(distinct) < 2:
-        return False
     failures.extend(f"{lname} misses {name}" for lname, line in distinct
                     if not line.contains(target))
-    return True
 
 
 def _status(failures: list[str], reasons: list[str]) -> tuple[str, str]:
@@ -174,10 +173,7 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
         lines.append(("FG", join(F, G)))
 
     E = cfg.point("E")
-    # E exists only when MP and NQ are two distinct lines, so this check
-    # is never vacuous and E_IDEAL still follows the undefined lines
-    if not _concurrent_through(lines, "E", E, degenerate_reasons, failures):
-        degenerate_reasons.append("CONCURRENCE_VACUOUS")
+    _concurrent_through(lines, "E", E, degenerate_reasons, failures)
     if E.is_ideal:
         degenerate_reasons.append("E_IDEAL")
 
@@ -255,16 +251,13 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
 
         lines: list[tuple[str, Optional[Line]]] = []
         pu, pv = cfg.point(u), cfg.point(v)
-        if pu is None or pv is None:
-            degenerate_reasons.append(f"{u}{v}_UNDEFINED")
-        elif pu == pv:
+        if pu is not None and pu == pv:
             degenerate_reasons.append(f"{u}_EQ_{v}")
         else:
             lines.append((u + v, join(pu, pv)))
         for s, t in cevians:
             lines.append((s + t, join(cfg.point(s), cfg.point(t))))
-        if not _concurrent_through(lines, name, target, degenerate_reasons, failures):
-            degenerate_reasons.append(name + "_VACUOUS")
+        _concurrent_through(lines, name, target, degenerate_reasons, failures)
 
     F1, G1 = cfg.point("F1"), cfg.point("G1")
     if F1 is not None and G1 is not None and F1 != G1:
@@ -492,13 +485,13 @@ FINDING_CLAIMS: frozenset[str] = frozenset(
 
 def select_claims(checks: Iterable[str] | None = None) -> tuple[str, ...]:
     """The claim ids ``checks`` selects (all by default), once each and in
-    the fixed order; an unknown id raises ``ValueError``."""
+    the fixed order; an unknown id raises ``InstanceFormatError``."""
     if checks is None:
         return CLAIM_IDS
     wanted = set(checks)
     unknown = sorted(wanted - set(CLAIM_IDS))
     if unknown:
-        raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
+        raise InstanceFormatError(f"unknown claim ids: {', '.join(unknown)}")
     return tuple(claim for claim in CLAIM_IDS if claim in wanted)
 
 

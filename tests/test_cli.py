@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -177,11 +178,35 @@ class TestWideValues:
         values = [s for s in all_strings({k: report[k] for k in ("configuration", "verdicts")})
                   if s[:1].isdigit() or s[:1] == "-"]
         assert max(map(len, values)) > 4300
-        # every rational of the report reads back as the same exact value
-        # (``main`` has lifted Python's digit limit for this process)
-        for text in values:
-            assert str(parse_rational(text, "report")) == text
+        # every rational of the report reads back as the same exact value;
+        # ``main`` lifts Python's digit limit only while it runs, so the
+        # test lifts it around its own conversions
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for text in values:
+                assert str(parse_rational(text, "report")) == text
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert report["configuration"]["gamma"] == "1"
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["fuzz", "--seed", "1", "--count", "1", "--regime", "general"], 0),
+        (["fuzz", "--seed", "-1", "--count", "1", "--regime", "general"], 2),
+        (["fuzz", "--no-such-flag"], SystemExit),
+    ])
+    def test_main_restores_the_digit_limit(self, argv, exit_code):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            if exit_code is SystemExit:
+                with pytest.raises(SystemExit):
+                    run(argv)
+            else:
+                assert run(argv)[0] == exit_code
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_wide_bound_campaign_runs(self):
         code, out = run(["fuzz", "--seed", "1", "--count", "2", "--regime", "general",

@@ -80,6 +80,9 @@ class TestParsePair:
         ("1/0", "zero denominator"),
         ("3\n", "expected an exact rational string like '2/3', got '3\\n'"),
         ("1/2\n", "expected an exact rational string like '2/3', got '1/2\\n'"),
+        # digits of other scripts would be written back in ASCII
+        ("\u0661", "expected an exact rational string like '2/3', got '\u0661'"),
+        ("\uff13/4", "expected an exact rational string like '2/3', got '\uff13/4'"),
     ])
     def test_error_text(self, bad, reason, index):
         doc = json.loads(MIDPOINT_DOC)

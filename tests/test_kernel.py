@@ -4,6 +4,7 @@ import pytest
 
 from quadconc import (
     Point,
+    SideRatios,
     affine_parameter,
     classify_quadrilateral,
     collinear,
@@ -40,8 +41,11 @@ class TestPoint:
             Point(0, 0, 0)
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            Point(0.5, 0)
+        # and text: instance files have their own, stricter reader
+        for make in (lambda: Point(0.5, 0), lambda: Point("1/2", 0),
+                     lambda: SideRatios.of("0.5", 1, 1, 1)):
+            with pytest.raises(TypeError):
+                make()
 
 
 class TestLine:

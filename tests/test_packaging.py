@@ -16,15 +16,20 @@ def _run(args):
 
 
 def test_module_entry_point(tmp_path):
-    doc = {
-        "vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]},
-        "ratios": {"m": "1", "n": "1", "p": "1", "q": "1"},
-    }
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    proc = _run(["verify", str(path)])
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["overall"] in ("pass", "degenerate")
+    # the unit square, then a 5,000-digit one: each runs in a fresh process,
+    # where no earlier ``main`` has lifted the interpreter's 4,300-digit
+    # limit, so ``main`` has to lift it itself
+    for side in ("1", "1" + "0" * 4999):
+        doc = {
+            "vertices": {"A": ["0", "0"], "B": [side, "0"], "C": [side, side],
+                         "D": ["0", side]},
+            "ratios": {"m": "1", "n": "1", "p": "1", "q": "1"},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run(["verify", str(path)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["overall"] in ("pass", "degenerate")
 
 
 def test_no_ignored_file_is_tracked():

@@ -14,7 +14,7 @@ from quadconc import (
     build_from_ratios,
     svgfig,
 )
-from quadconc.errors import GeometryError
+from quadconc.errors import GeometryError, InstanceFormatError
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.svgfig import VIEW, render_svg
 from test_configuration import side_points, signed_ratios
@@ -98,6 +98,9 @@ def test_sides_only_has_no_concurrence_layer(midpoint_config):
     text = render_svg(midpoint_config, layers=("sides",))
     assert text.count("<line") == 4
     assert "circle" not in text
+    with pytest.raises(InstanceFormatError) as err:
+        render_svg(midpoint_config, ["nope"])
+    assert str(err.value) == "unknown layers: nope"
 
 
 def test_huge_coordinates_render(unit_square):

@@ -17,6 +17,9 @@ from quadconc import (
     overall_status,
     verify_all,
 )
+from quadconc import verifiers
+from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS
+from quadconc.errors import InstanceFormatError
 from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED
 
 F = Fraction
@@ -162,7 +165,7 @@ class TestGeneralConcurrences:
 class TestConcurrenceDetail:
     """``detail`` is report bytes: pin it on the rare concurrence branches."""
 
-    def test_undefined_lines_and_targets(self):
+    def test_undefined_lines_and_targets(self, gamma_two_config):
         # C1 lands on C here, so line CC1 is undefined and so are the
         # points P1 and Q1 it cuts
         spec = GenSpec(seed=7, shape="concave", coordinate_bound=4, ratio_bound=2,
@@ -172,6 +175,9 @@ class TestConcurrenceDetail:
         assert by_claim["seven_lines"] == (DEGENERATE, "CC1_UNDEFINED")
         assert by_claim["quadruple_concurrences"] == (
             DEGENERATE, "P1_UNDEFINED; Q1_UNDEFINED")
+        # an undefined diagonal division point leaves both its lines undefined
+        v = verdict(self.moved(gamma_two_config, "F1", None), "quadruple_concurrences")
+        assert (v.status, v.detail) == (DEGENERATE, "F1G1_UNDEFINED; G2F1_UNDEFINED")
 
     @staticmethod
     def moved(cfg, name, pt):
@@ -185,6 +191,17 @@ class TestConcurrenceDetail:
         assert (v.status, v.detail) == (FAIL, "BB1 misses E; MP misses E; NQ misses E")
         v = verdict(self.moved(gamma_two_config, "M1", Point(0, 0)), "quadruple_concurrences")
         assert (v.status, v.detail) == (FAIL, "DD1 misses M1; MP misses M1")
+
+    def test_each_target_is_checked_on_both_its_defining_lines(self):
+        # a defined target is the meet of two distinct lines; with both
+        # among the lines its verifier checks, its concurrence check can
+        # never be vacuous
+        checked = {name: cevians for name, _, cevians in verifiers._QUADRUPLES}
+        checked["E"] = E_LINE_PAIRS
+        defining = {name: (uv, st) for name, uv, st in CONSTRUCTION}
+        for name, pairs in checked.items():
+            lines = {frozenset(pair) for pair in pairs}
+            assert {frozenset(pair) for pair in defining[name]} <= lines, name
 
 
 class TestRatioProduct:
@@ -335,8 +352,10 @@ class TestVerifyAll:
         assert verdicts[0].status == SKIPPED
 
     def test_unknown_claim_rejected(self, gamma_two_config):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             verify_all(gamma_two_config, checks=["no_such_claim"])
+        assert isinstance(err.value, InstanceFormatError)
+        assert str(err.value) == "unknown claim ids: no_such_claim"
 
     def test_overall_status(self, generic_gamma_two_config):
         verdicts = verify_all(generic_gamma_two_config)
