@@ -33,6 +33,9 @@ GOLDEN = {
         "1e21c51b9ce9b074a72341a34747c3a482f315e822a41097ad04f450919103d3",
     ("general", "--shape", "any"):
         "a0177ae39431cbb4e563b58cd8ae03950efca1cd31e6d49784b462b8cd2bd37e",
+    # large bounds: the construction's intermediate integers are widest here
+    ("general", "--shape", "any", "--bound", str(10**30), "--ratio-bound", str(10**30)):
+        "91cec01398d20ee2a00dbee0e4a531eb67f8d67f9dcd790c2f0b61fb3e26ef0b",
 }
 
 
