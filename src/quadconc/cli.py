@@ -28,7 +28,7 @@ from .errors import (
 from .generators import GenSpec, gen_quadrilateral, gen_ratios
 from .instancefile import instance_from_parts, load_instance, render, serialize_instance
 from .report import degenerate_report, report_document
-from .svgfig import LAYERS, render_svg
+from .svgfig import LAYERS, render_svg, select_layers
 from .verifiers import CLAIM_IDS, CLAIMS, FAIL, FINDING_CLAIMS, select_claims, verify_all
 
 # claims that can produce a verdict on concave/crossed inputs
@@ -82,13 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(run=cmd_figure)
     p_fig.add_argument("file")
     p_fig.add_argument("-o", "--output", required=True)
-    p_fig.add_argument("--layers", help="comma-separated subset of: " + ",".join(LAYERS))
+    p_fig.add_argument("--layers", default="",
+                       help="comma-separated subset of: " + ",".join(LAYERS))
 
     return parser
 
 
 def _ids(chunks: list[str]) -> tuple[str, ...]:
-    """The ids of comma-separated ``chunks``; ``select_claims`` and ``render_svg`` check them."""
+    """The ids of comma-separated ``chunks``; ``select_claims`` and ``select_layers`` check them."""
     return tuple(c for chunk in chunks for c in chunk.split(",") if c)
 
 
@@ -112,9 +113,10 @@ def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int):
     """
     spec = GenSpec(seed=args.seed, shape=shape, coordinate_bound=args.coordinate_bound,
                    ratio_bound=args.ratio_bound, force_gamma_one=(regime == "gamma1"))
+    # the spec of each index parity, made (and validated) once
+    specs = (replace(spec, force_gamma_one=True), spec) if regime == "remarks" else (spec, spec)
     for index in range(count):
-        if regime == "remarks":
-            spec = replace(spec, force_gamma_one=(index % 2 == 0))
+        spec = specs[index % 2]
         try:
             quad, ratios = gen_quadrilateral(spec, index), gen_ratios(spec, index)
         except GenerationExhausted as exc:
@@ -223,11 +225,13 @@ def cmd_counterexample(args: argparse.Namespace, out) -> int:
 
 
 def cmd_figure(args: argparse.Namespace, out) -> int:
-    built = _built(load_instance(args.file).configuration)
+    inst = load_instance(args.file)
+    # an empty list draws every layer, as an empty --check runs every claim
+    layers = select_layers(_ids([args.layers]) or None)
+    built = _built(inst.configuration)
     if isinstance(built, str):
         print(f"degenerate: {built}", file=sys.stderr)
         return 0
-    layers = _ids([args.layers]) if args.layers else None
     _write_output(args.output, render_svg(built, layers))
     return 0
 

@@ -8,7 +8,11 @@ diagonal division points ``F1 G1 F2 G2``, the transversal crossing ``E``,
 the quadruple-concurrence points ``M1 N1 P1 Q1``, and the trace ``R`` of
 ``NQ`` on line ``AB`` together with its unsigned ratio ``r``.
 
-Coincidences the construction can survive are recorded as named
+Only points are canonical.  Each line is the unreduced ``cross3`` of the
+triples of its two points, a transient triple that only feeds meets, and
+each meet is one ``reduce3`` of the cross product of two lines; the
+kernel's ``Line``, ``line_through`` and ``meet`` are public API, not this
+path.  Coincidences the construction can survive are recorded as named
 degeneracy flags instead of raising; a point is stored as ``None`` only
 when one of its defining lines collapses entirely.
 """
@@ -20,17 +24,16 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from ._purekernel import cross3, reduce3
 from .errors import (
     CoincidentPoints,
     DegenerateQuadrilateral,
-    IdealLine,
     PointNotOnSide,
     UndefinedPoint,
 )
 from .kernel import (
     CONVEX,
     DEGENERATE,
-    Line,
     Point,
     RatLike,
     Shape,
@@ -38,8 +41,6 @@ from .kernel import (
     classify_quadrilateral,
     collinear,
     directed_ratio,
-    line_through,
-    meet,
     point_dividing,
 )
 
@@ -147,19 +148,6 @@ class Configuration:
         return dict(self._points)
 
 
-def join(u: Optional[Point], v: Optional[Point]) -> Optional[Line]:
-    """The line through two defined, distinct points, else ``None``.
-
-    Two ideal points span the line at infinity, which is no ``Line``: ``None``.
-    """
-    if u is None or v is None or u == v:
-        return None
-    try:
-        return line_through(u, v)
-    except IdealLine:
-        return None
-
-
 def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     A, B, C, D = quad.vertices
     side_points = (
@@ -169,25 +157,32 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
         point_dividing(D, A, ratios.q),
     )
     points: dict[str, Optional[Point]] = dict(zip("ABCDMNPQ", quad.vertices + side_points))
-    # lines shared by several rows are built once
-    lines: dict[tuple[str, str], Optional[Line]] = {}
+    triples: dict[str, Optional[tuple[int, int, int]]] = {
+        name: pt.triple() for name, pt in points.items()}
+    # each line as the unreduced cross product of its two point triples, or
+    # None where an end is undefined, the ends are equal (0, 0, 0) or both
+    # ideal (0, 0, c); lines shared by several rows are built once
+    lines: dict[tuple[str, str], Optional[tuple[int, int, int]]] = {}
     flags: set[str] = set()
     for name, uv, st in CONSTRUCTION:
-        if uv not in lines:
-            lines[uv] = join(points[uv[0]], points[uv[1]])
-        if st not in lines:
-            lines[st] = join(points[st[0]], points[st[1]])
+        for u, v in (uv, st):
+            if (u, v) not in lines:
+                tu, tv = triples[u], triples[v]
+                c = cross3(tu, tv) if tu is not None and tv is not None else (0, 0, 0)
+                lines[u, v] = c if c[0] or c[1] else None
         l1, l2 = lines[uv], lines[st]
         if l1 is None or l2 is None:
             flags.add(f"{name}_UNDEFINED")
-            points[name] = None
+            points[name] = triples[name] = None
             continue
-        if l1 == l2:
+        c = cross3(l1, l2)
+        if c == (0, 0, 0):
             raise UndefinedPoint(name)
-        pt = points[name] = meet(l1, l2)
+        t = triples[name] = reduce3(*c)
+        points[name] = Point._wrap(t)
         # R ideal is an in-convention case (its ratio is defined to be 1),
         # so it does not count as a degeneracy
-        if pt.is_ideal and name != "R":
+        if t[2] == 0 and name != "R":
             flags.add(f"{name}_IDEAL")
 
     R = points["R"]

@@ -72,13 +72,22 @@ def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
             for name, (x, y) in xy.items()}
 
 
-def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:
-    """One self-contained SVG document for the configuration."""
-    active = tuple(layers) if layers is not None else LAYERS
-    unknown = sorted(set(active) - set(LAYERS))
+def select_layers(layers: Iterable[str] | None = None) -> tuple[str, ...]:
+    """The layers ``layers`` selects (all by default), once each and in the
+    fixed order; an unknown name raises ``InstanceFormatError``."""
+    if layers is None:
+        return LAYERS
+    wanted = set(layers)
+    unknown = sorted(wanted - set(LAYERS))
     if unknown:
         raise InstanceFormatError(f"unknown layers: {', '.join(unknown)}")
+    return tuple(layer for layer in LAYERS if layer in wanted)
 
+
+def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:
+    """One self-contained SVG document for the configuration, drawing the
+    layers ``select_layers(layers)`` names."""
+    active = select_layers(layers)
     xy = _screen(cfg)
     labels = "labels" in active
     body: list[str] = []

@@ -4,9 +4,12 @@ Every verifier consumes a finished :class:`~quadconc.configuration.Configuration
 and returns a :class:`Verdict`; none of them recomputes construction
 points, so a construction bug cannot be masked by a matching verifier
 bug.  Formula sides are evaluated from the ratio fields ``m n p q``,
-``gamma`` and ``r`` alone, while geometry sides use only meets and
-directed ratios of stored points: the two routes are disjoint and must
-agree exactly.
+``gamma`` and ``r`` alone, while geometry sides use only incidence
+determinants and directed ratios of stored points: the two routes are
+disjoint and must agree exactly.  A concurrence check is ``det3`` of
+stored point triples (``collinear(u, v, x)`` for the line ``uv`` through
+``x``), so no verifier reuses a construction line; a ``Line`` is made
+only to name the distinct lines that miss when a check fails.
 
 Each formula side is one integer expression in the numerators and
 (positive) denominators of those fields, written ``(ma, mb)`` for ``m``
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration, join
+from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
 from .errors import GeometryError, InstanceFormatError
 from .kernel import (
     Line,
@@ -83,23 +86,25 @@ def _ideal(cfg: Configuration, names: Iterable[str]) -> list[str]:
     return [n for n in names if cfg.point(n).is_ideal]
 
 
-def _concurrent_through(lines: Iterable[tuple[str, Optional[Line]]], name: str,
-                        target: Point, reasons: list[str], failures: list[str]) -> None:
-    """Check that every distinct defined line passes through ``target``.
+def _concurrent_through(lines: Iterable[tuple[str, Optional[Point], Optional[Point]]],
+                        name: str, target: Point, reasons: list[str],
+                        failures: list[str]) -> None:
+    """Check that every distinct line ``(label, u, v)`` passes through
+    ``target``: the determinant of ``u v target`` vanishes.
 
-    Undefined lines become ``<line>_UNDEFINED`` reasons; coincident lines
-    are deduplicated, not flagged, since two of them being the same line
-    does not affect the concurrence.  Never vacuous: a defined target is
-    the meet of two distinct lines, both among ``lines``.
+    A line whose ends are undefined, equal or both ideal becomes a
+    ``<line>_UNDEFINED`` reason.  A line equal to an earlier one misses
+    exactly when that one does, so only the lines that miss are compared,
+    and each distinct one is named once.  Never vacuous: a defined target
+    is the meet of two distinct lines, both among ``lines``.
     """
-    distinct: list[tuple[str, Line]] = []
-    for lname, line in lines:
-        if line is None:
+    missed: list[Line] = []
+    for lname, u, v in lines:
+        if u is None or v is None or u == v or (u.is_ideal and v.is_ideal):
             reasons.append(lname + "_UNDEFINED")
-        elif not any(line == seen for _, seen in distinct):
-            distinct.append((lname, line))
-    failures.extend(f"{lname} misses {name}" for lname, line in distinct
-                    if not line.contains(target))
+        elif not collinear(u, v, target) and (line := line_through(u, v)) not in missed:
+            missed.append(line)
+            failures.append(f"{lname} misses {name}")
 
 
 def _status(failures: list[str], reasons: list[str]) -> tuple[str, str]:
@@ -165,12 +170,11 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
     if not g_merge:
         failures.append("G1!=G2")
 
-    lines: list[tuple[str, Optional[Line]]] = [
-        (s + t, join(cfg.point(s), cfg.point(t))) for s, t in E_LINE_PAIRS]
+    lines = [(s + t, cfg.point(s), cfg.point(t)) for s, t in E_LINE_PAIRS]
     if F == G:
         degenerate_reasons.append("F_EQ_G")
     else:
-        lines.append(("FG", join(F, G)))
+        lines.append(("FG", F, G))
 
     E = cfg.point("E")
     _concurrent_through(lines, "E", E, degenerate_reasons, failures)
@@ -209,10 +213,8 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
 def _diagonal_concurrence_iff(claim: str, cfg: Configuration) -> Verdict:
     """``MP NQ AC`` are concurrent exactly when ``DM BQ AC`` are
     (product-one regime): both reduce to an incidence with line ``AC``."""
-    E, C1 = cfg.point("E"), cfg.point("C1")
-    ac = line_through(cfg.quad.A, cfg.quad.C)
-    e_on = ac.contains(E)
-    c_on = ac.contains(C1)
+    A, C, E, C1 = cfg.quad.A, cfg.quad.C, cfg.point("E"), cfg.point("C1")
+    e_on, c_on = collinear(A, C, E), collinear(A, C, C1)
     values = {"MP_NQ_AC_concurrent": _b01(e_on), "DM_BQ_AC_concurrent": _b01(c_on)}
     ideal = _ideal(cfg, ("E", "C1"))
     if ideal:
@@ -249,14 +251,13 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
         if target.is_ideal:
             degenerate_reasons.append(name + "_IDEAL")
 
-        lines: list[tuple[str, Optional[Line]]] = []
+        lines = []
         pu, pv = cfg.point(u), cfg.point(v)
         if pu is not None and pu == pv:
             degenerate_reasons.append(f"{u}_EQ_{v}")
         else:
-            lines.append((u + v, join(pu, pv)))
-        for s, t in cevians:
-            lines.append((s + t, join(cfg.point(s), cfg.point(t))))
+            lines.append((u + v, pu, pv))
+        lines += [(s + t, cfg.point(s), cfg.point(t)) for s, t in cevians]
         _concurrent_through(lines, name, target, degenerate_reasons, failures)
 
     F1, G1 = cfg.point("F1"), cfg.point("G1")

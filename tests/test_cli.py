@@ -243,6 +243,15 @@ class TestDegenerateInstance:
         assert err.startswith("degenerate: " + reason)
         assert not svg.exists()
 
+    def test_figure_unknown_layer_exits_two(self, tmp_path, capsys, doc, reason):
+        # layer names are checked before the build, as verify checks --check ids
+        svg = tmp_path / "x.svg"
+        code, out = run(["figure", write_instance(tmp_path, doc), "-o", str(svg),
+                         "--layers", "nope"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: unknown layers: nope\n"
+        assert not svg.exists()
+
 
 class TestFuzz:
     def test_gamma_one_campaign_passes(self):
@@ -426,6 +435,15 @@ class TestFigure:
         text = out.read_text()
         assert text.count("<line") == 4
         assert "<circle" not in text
+
+    @pytest.mark.parametrize("layers", [",", ",,"])
+    def test_empty_layer_list_draws_every_layer(self, tmp_path, layers):
+        # as an empty --check runs every claim
+        path = write_instance(tmp_path, MIDPOINT)
+        default, empty = tmp_path / "default.svg", tmp_path / "empty.svg"
+        assert run(["figure", path, "-o", str(default)])[0] == 0
+        assert run(["figure", path, "-o", str(empty), "--layers", layers])[0] == 0
+        assert empty.read_bytes() == default.read_bytes()
 
     def test_unknown_layer_exits_two(self, tmp_path):
         path = write_instance(tmp_path, MIDPOINT)

@@ -22,6 +22,7 @@ from quadconc.errors import (
     PointNotOnSide,
     UndefinedPoint,
 )
+from quadconc._purekernel import reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 
 F = Fraction
@@ -376,6 +377,17 @@ class TestSoundnessAgainstNaiveOracle:
         for name, want in expected.items():
             assert agrees_with_oracle(cfg.point(name), want), name
 
+    @pytest.mark.parametrize("shape", ["convex", "concave", "crossed", "any"])
+    def test_wide_coordinates_agree(self, shape):
+        # the construction's unreduced lines carry its widest integers here
+        spec = GenSpec(seed=3, shape=shape, coordinate_bound=10**30, ratio_bound=10**30)
+        for i in range(4):
+            quad, ratios = gen_quadrilateral(spec, i), gen_ratios(spec, i)
+            cfg = build_from_ratios(quad, ratios)
+            expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios.as_tuple)
+            for name, want in expected.items():
+                assert agrees_with_oracle(cfg.point(name), want), (i, name)
+
     @pytest.mark.parametrize("shape", ["concave", "crossed", "any"])
     def test_ideal_meets_agree_up_to_scale(self, shape):
         # at small bounds, side points beyond their segments often make a
@@ -399,3 +411,24 @@ class TestSoundnessAgainstNaiveOracle:
                               for name, through in _THROUGH_CEVIAN_MEETS.items() if ideal & through)
         assert ideal_meets >= 10
         assert downstream >= 20
+
+
+@pytest.mark.parametrize("bounds", [(4, 2), (10, 8), (10**30, 10**30)])
+def test_every_stored_point_triple_is_canonical(bounds):
+    # lines are left unreduced, so each meet must reduce its own triple;
+    # small bounds bring ideal points, signed ratios side points beyond a vertex
+    spec = GenSpec(seed=11, shape="any", coordinate_bound=bounds[0], ratio_bound=bounds[1])
+    stored = 0
+    for i in range(40):
+        quad = gen_quadrilateral(spec, i)
+        try:
+            cfgs = (build_from_ratios(quad, gen_ratios(spec, i)),
+                    build_from_points(quad, *side_points(quad, signed_ratios(spec, i))))
+        except (PointNotOnSide, UndefinedPoint):
+            continue
+        for cfg in cfgs:
+            for pt in cfg.named_points().values():
+                if pt is not None:
+                    assert reduce3(*pt.triple()) == pt.triple()
+                    stored += 1
+    assert stored > 1000

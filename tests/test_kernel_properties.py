@@ -15,6 +15,7 @@ from quadconc import (
     orientation,
     point_dividing,
 )
+from quadconc._purekernel import det3
 from quadconc.errors import GeometryError
 
 rationals = st.fractions(
@@ -22,6 +23,8 @@ rationals = st.fractions(
 )
 points = st.builds(Point, rationals, rationals)
 nonzero_rationals = rationals.filter(lambda f: f != 0)
+ideal_points = st.tuples(rationals, rationals).filter(lambda xy: xy != (0, 0)).map(
+    lambda xy: Point(*xy, 0))
 
 
 @given(points, points, rationals)
@@ -160,3 +163,14 @@ def test_point_dividing_matches_oracle(seg, t):
     assume(t != -1)
     a, b = seg
     assert point_dividing(a, b, t) == Point(*naive.divide(a.affine(), b.affine(), t))
+
+
+@given(st.one_of(points, ideal_points), st.one_of(points, ideal_points),
+       st.one_of(points, ideal_points), st.integers(-9, 9), st.integers(-9, 9))
+def test_det3_decides_incidence_with_the_join(u, v, x, s, t):
+    # the verifiers' concurrence test; besides a free x, s*u + t*v is on the line
+    assume(u != v and not (u.is_ideal and v.is_ideal))
+    line = line_through(u, v)
+    on = tuple(s * a + t * b for a, b in zip(u.triple(), v.triple()))
+    for p in (x, *([Point(*on)] if any(on) else [])):
+        assert (det3(u.triple(), v.triple(), p.triple()) == 0) == line.contains(p)

@@ -20,6 +20,7 @@ from quadconc import (
 from quadconc import verifiers
 from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS
 from quadconc.errors import InstanceFormatError
+from quadconc.kernel import Line
 from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED
 
 F = Fraction
@@ -202,6 +203,19 @@ class TestConcurrenceDetail:
         for name, pairs in checked.items():
             lines = {frozenset(pair) for pair in pairs}
             assert {frozenset(pair) for pair in defining[name]} <= lines, name
+
+
+    def test_passing_checks_build_no_line(self, monkeypatch):
+        # incidence is a determinant of stored point triples: building and
+        # verifying a configuration on which every claim passes makes no Line
+        def no_line(cls, triple):
+            raise AssertionError("a Line was built")
+
+        monkeypatch.setattr(Line, "_wrap", classmethod(no_line))
+        for spec in (GenSpec(seed=42, force_gamma_one=True), GenSpec(seed=42)):
+            for i in range(20):
+                cfg = build_from_ratios(gen_quadrilateral(spec, i), gen_ratios(spec, i))
+                assert {v.status for v in verify_all(cfg)} <= {PASS, SKIPPED}
 
 
 class TestRatioProduct:
