@@ -17,27 +17,21 @@ import sys
 from dataclasses import replace
 
 from .configuration import Configuration, build_from_ratios
-from .errors import (
-    CoincidentPoints,
-    DegenerateQuadrilateral,
-    GenerationExhausted,
-    InstanceFormatError,
-    PointNotOnSide,
-    UndefinedPoint,
-)
+from .errors import DegenerateQuadrilateral, GenerationExhausted, InstanceFormatError, UndefinedPoint
 from .generators import GenSpec, gen_quadrilateral, gen_ratios
 from .instancefile import instance_from_parts, load_instance, render, serialize_instance
 from .report import degenerate_report, report_document
 from .svgfig import LAYERS, render_svg, select_layers
-from .verifiers import CLAIM_IDS, CLAIMS, FAIL, FINDING_CLAIMS, select_claims, verify_all
+from .verifiers import (CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, FINDING_CLAIMS, PASS, SKIPPED,
+                        select_claims, verify_all)
 
 # claims that can produce a verdict on concave/crossed inputs
 NONCONVEX_TARGETS = tuple(claim for claim, regime, *_ in CLAIMS if regime != "convex")
 
 # invalid input exits 2; a configuration that does not build is degenerate,
 # which ``verify`` reports and ``fuzz`` tallies, and which exits 0
-_INVALID_INPUT = (InstanceFormatError, OSError, PointNotOnSide, UnicodeDecodeError)
-_DEGENERATE_INPUT = (DegenerateQuadrilateral, CoincidentPoints, UndefinedPoint)
+_INVALID_INPUT = (InstanceFormatError, OSError, UnicodeDecodeError)
+_DEGENERATE_INPUT = (DegenerateQuadrilateral, UndefinedPoint)
 
 
 @functools.cache
@@ -153,8 +147,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
     if regime == "remarks" and shape not in ("concave", "crossed"):
         raise InstanceFormatError("the remarks regime needs --shape concave or crossed")
 
-    tallies = {claim: {"pass": 0, "fail": 0, "degenerate": 0, "skipped": 0}
-               for claim in CLAIM_IDS}
+    tallies = {claim: {PASS: 0, FAIL: 0, DEGENERATE: 0, SKIPPED: 0} for claim in CLAIM_IDS}
     # instances where a claim other than a finding claim failed
     failing_instances: list[dict] = []
     generation_exhausted = 0
@@ -165,7 +158,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
         if quad is None:
             generation_exhausted += 1
             out.write(render({"instance_meta": meta, "generation_error": built,
-                              "overall": "degenerate"}, compact=True))
+                              "overall": DEGENERATE}, compact=True))
             continue
         inst = instance_from_parts(quad, ratios)
         if isinstance(built, str):
@@ -199,7 +192,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
         "generation_exhausted": generation_exhausted,
         "construction_errors": construction_errors,
         "failing_instances": failing_instances,
-        "overall": "fail" if failing_instances else "pass",
+        "overall": FAIL if failing_instances else PASS,
     }
     out.write(render(summary))
     return 1 if failing_instances else 0

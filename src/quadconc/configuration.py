@@ -25,12 +25,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from ._purekernel import cross3, reduce3
-from .errors import (
-    CoincidentPoints,
-    DegenerateQuadrilateral,
-    PointNotOnSide,
-    UndefinedPoint,
-)
+from .errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from .kernel import (
     CONVEX,
     DEGENERATE,
@@ -94,8 +89,6 @@ class Quadrilateral:
 
     @classmethod
     def of(cls, a: Point, b: Point, c: Point, d: Point) -> "Quadrilateral":
-        if len({a, b, c, d}) < 4:
-            raise CoincidentPoints("quadrilateral vertices must be distinct")
         return cls(a, b, c, d, classify_quadrilateral(a, b, c, d))
 
     @property
@@ -207,7 +200,7 @@ def build_from_ratios(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     if quad.shape == DEGENERATE:
         raise DegenerateQuadrilateral("cannot build on a degenerate quadrilateral")
     if any(r <= 0 for r in ratios.as_tuple):
-        raise ValueError("side ratios must be positive")
+        raise InstanceFormatError("side ratios must be positive")
     return _construct(quad, ratios)
 
 
@@ -225,14 +218,14 @@ def build_from_points(quad: Quadrilateral, M: Point, N: Point, P: Point, Q: Poin
     ratios = []
     for name, pt, u, v in sides:
         if pt.is_ideal:
-            raise PointNotOnSide(name, f"{name} must be a finite point")
+            raise InstanceFormatError(f"{name} must be a finite point")
         if pt == u or pt == v:
-            raise PointNotOnSide(name, f"{name} coincides with a vertex")
+            raise InstanceFormatError(f"{name} coincides with a vertex")
         if not collinear(u, pt, v):
-            raise PointNotOnSide(name)
+            raise InstanceFormatError(f"point {name} does not lie on its side")
         ratio = directed_ratio(u, pt, v)
         if quad.shape == CONVEX and ratio < 0:
-            raise PointNotOnSide(name, f"{name} is outside its open side")
+            raise InstanceFormatError(f"{name} is outside its open side")
         ratios.append(ratio)
     # point_dividing inverts directed_ratio exactly: the built side points are M N P Q
     return _construct(quad, SideRatios(*ratios))

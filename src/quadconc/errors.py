@@ -1,20 +1,20 @@
-"""Exception hierarchy for the exact-geometry core and configuration construction.
+"""Exception types, one per outcome of an input, with its ``quadconc`` exit code:
 
-A failure that no caller tells apart by type is a plain
-:class:`GeometryError`; each subclass below is caught by name somewhere.
+* invalid input: :class:`InstanceFormatError`, exit 2;
+* a configuration that cannot be built: :class:`DegenerateQuadrilateral`
+  or :class:`UndefinedPoint`, reported as degenerate, exit 0;
+* a built configuration raises nothing: its claims decide exit 0 or 1;
+* rejection sampling that gives up: :class:`GenerationExhausted`, which
+  ``fuzz`` reports in place of the instance;
+* misuse of the kernel (say, the line through one point twice): a plain
+  :class:`GeometryError`.
+
+A subclass exists only because some caller catches it by name.
 """
 
 
 class GeometryError(Exception):
     """Base class for all domain errors raised by this package."""
-
-
-class CoincidentPoints(GeometryError):
-    """Two points that must be distinct are projectively equal."""
-
-
-class IdealLine(GeometryError):
-    """The requested line would be the line at infinity."""
 
 
 class DegenerateQuadrilateral(GeometryError):
@@ -29,18 +29,11 @@ class UndefinedPoint(GeometryError):
         super().__init__(message or f"point {name} is undefined: defining lines coincide")
 
 
-class PointNotOnSide(GeometryError):
-    """A prescribed side point does not lie on the open side it belongs to."""
-
-    def __init__(self, name: str, message: str = ""):
-        self.name = name
-        super().__init__(message or f"point {name} does not lie on its side")
-
-
 class GenerationExhausted(GeometryError):
     """Rejection sampling hit its attempt cap without producing an instance."""
 
 
 class InstanceFormatError(ValueError):
     """Any invalid input from outside the program (an instance document, a
-    claim id, a layer name, a generator argument); the message says where."""
+    claim id, a layer name, a generator argument, a side point or ratio);
+    the message says where."""

@@ -25,8 +25,8 @@ from functools import cmp_to_key
 
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted, InstanceFormatError
-from .kernel import (CONCAVE, CONVEX, CROSSED, Point, Shape, orientation, point_dividing,
-                     point_from_terms)
+from .kernel import (CONCAVE, CONVEX, CROSSED, DEGENERATE, Point, Shape, orientation,
+                     point_dividing, point_from_terms)
 
 # accepted by the generator only; never a classification result
 ANY_SHAPE: Shape = "any"
@@ -135,8 +135,6 @@ def _draw_point(rng: Stream, bound: int) -> Point:
 
 def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:
     pts = [_draw_point(rng, bound) for _ in range(4)]
-    if len({p for p in pts}) < 4:
-        return None
     ordered = _ccw_about_centroid(pts)
     quad = Quadrilateral.of(*ordered)
     return quad if quad.shape == CONVEX else None
@@ -167,10 +165,8 @@ def _try_crossed(rng: Stream, bound: int) -> Quadrilateral | None:
 
 def _try_any(rng: Stream, bound: int) -> Quadrilateral | None:
     pts = [_draw_point(rng, bound) for _ in range(4)]
-    if len({p for p in pts}) < 4:
-        return None
     quad = Quadrilateral.of(*pts)
-    return quad if quad.shape != "degenerate" else None
+    return quad if quad.shape != DEGENERATE else None
 
 
 _DRAWERS = {

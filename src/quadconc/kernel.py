@@ -35,7 +35,7 @@ from math import gcd
 from typing import Union
 
 from ._purekernel import cross3, det3, dot3, reduce3
-from .errors import CoincidentPoints, GeometryError, IdealLine
+from .errors import GeometryError
 
 RatLike = Union[int, Fraction]
 
@@ -159,9 +159,9 @@ def line_through(p: Point, q: Point) -> Line:
     """The unique line incident to two distinct points."""
     c = cross3(p._t, q._t)
     if c == (0, 0, 0):
-        raise CoincidentPoints(f"no unique line through {p!r} twice")
+        raise GeometryError(f"no unique line through {p!r} twice")
     if c[0] == 0 and c[1] == 0:
-        raise IdealLine("both points are ideal; their join is the line at infinity")
+        raise GeometryError("both points are ideal; their join is the line at infinity")
     return Line._wrap(reduce3(*c))
 
 
@@ -251,7 +251,7 @@ def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:
         if p.is_ideal:
             raise GeometryError("division endpoints must be finite")
     if a == b:
-        raise CoincidentPoints("division endpoints coincide")
+        raise GeometryError("division endpoints coincide")
     if t == -1:
         raise GeometryError("ratio -1 corresponds to the point at infinity")
     tn, td = t.numerator, t.denominator

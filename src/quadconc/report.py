@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from .configuration import Configuration
 from .instancefile import InstanceFile, instance_document
-from .verifiers import Verdict, overall_status
+from .verifiers import DEGENERATE, Verdict, overall_status
 
 
 def verdict_json(v: Verdict) -> dict:
@@ -20,8 +20,8 @@ def verdict_json(v: Verdict) -> dict:
         "claim": v.claim_id,
         "status": v.status,
         "detail": v.detail,
-        "witness": {name: pt.text() for name, pt in sorted(v.witness.items())},
-        "exact_values": {name: str(val) for name, val in sorted(v.exact_values.items())},
+        "witness": {name: pt.text() for name, pt in v.witness.items()},
+        "exact_values": {name: str(val) for name, val in v.exact_values.items()},
     }
 
 
@@ -47,5 +47,5 @@ def report_document(meta: dict, verdicts: Sequence[Verdict],
 def degenerate_report(meta: dict, claims: Iterable[str], reason: str,
                       instance: InstanceFile) -> dict:
     """Report for an instance whose configuration could not be built."""
-    verdicts = [Verdict(claim, "degenerate", detail=reason) for claim in claims]
+    verdicts = [Verdict(claim, DEGENERATE, detail=reason) for claim in claims]
     return report_document(meta, verdicts, cfg=None, instance=instance)

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
 from .errors import GeometryError, InstanceFormatError
 from .kernel import (
+    DEGENERATE as DEGENERATE_SHAPE,
     Line,
     Point,
     affine_parameter,
@@ -409,7 +410,7 @@ def _inner_quadrilateral_convexity(claim: str, cfg: Configuration) -> Verdict:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
     shape = classify_quadrilateral(*(cfg.point(n) for n in names))
     values = {"inner_quad_convex": _b01(shape == CONVEX)}
-    if shape == "degenerate":
+    if shape == DEGENERATE_SHAPE:
         return Verdict(claim, DEGENERATE, detail="inner quadrilateral collapsed",
                        exact_values=values)
     status = PASS if shape == CONVEX else FAIL

@@ -27,7 +27,7 @@ GAMMA_TWO = {
 DEGENERATE_INSTANCES = [
     ({"vertices": {"A": ["0", "0"], "B": ["0", "0"], "C": ["1", "1"], "D": ["0", "1"]},
       "ratios": {"m": "1", "n": "1", "p": "1", "q": "1"}},
-     "CoincidentPoints: "),
+     "DegenerateQuadrilateral: cannot build on a degenerate quadrilateral"),
     ({"vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["2", "0"], "D": ["0", "1"]},
       "ratios": {"m": "1", "n": "1", "p": "1", "q": "1"}},
      "DegenerateQuadrilateral: "),

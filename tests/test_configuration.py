@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,12 +17,7 @@ from quadconc import (
     meet,
     point_dividing,
 )
-from quadconc.errors import (
-    CoincidentPoints,
-    DegenerateQuadrilateral,
-    PointNotOnSide,
-    UndefinedPoint,
-)
+from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc._purekernel import reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 
@@ -33,8 +29,21 @@ class TestTypes:
         assert unit_square.shape == "convex"
 
     def test_repeated_vertices_rejected(self):
-        with pytest.raises(CoincidentPoints):
-            Quadrilateral.of(Point(0, 0), Point(0, 0), Point(1, 1), Point(0, 1))
+        # each of the six ways to repeat a vertex classifies as degenerate,
+        # which both builders reject
+        square = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
+        h = F(1, 2)
+        sides = (Point(h, 0), Point(1, h), Point(h, 1), Point(0, h))
+        for i, j in combinations(range(4), 2):
+            vertices = square.copy()
+            vertices[j] = vertices[i]
+            quad = Quadrilateral.of(*vertices)
+            with pytest.raises(DegenerateQuadrilateral,
+                               match="cannot build on a degenerate quadrilateral"):
+                build_from_ratios(quad, SideRatios.of(1, 1, 1, 1))
+            with pytest.raises(DegenerateQuadrilateral,
+                               match="cannot build on a degenerate quadrilateral"):
+                build_from_points(quad, *sides)
 
     def test_gamma_is_the_product(self):
         r = SideRatios.of(2, 3, F(1, 4), 5)
@@ -113,7 +122,7 @@ class TestBuildFromRatios:
             build_from_ratios(q, SideRatios.of(1, 1, 1, 1))
 
     def test_nonpositive_ratios_rejected(self, unit_square):
-        with pytest.raises(ValueError):
+        with pytest.raises(InstanceFormatError, match="side ratios must be positive"):
             build_from_ratios(unit_square, SideRatios.of(-1, 1, 1, 1))
 
 
@@ -131,17 +140,17 @@ class TestBuildFromPoints:
 
     def test_off_side_rejected(self, unit_square):
         h = F(1, 2)
-        with pytest.raises(PointNotOnSide):
+        with pytest.raises(InstanceFormatError, match="point M does not lie on its side"):
             build_from_points(unit_square, Point(h, F(1, 100)), Point(1, h), Point(h, 1), Point(0, h))
 
     def test_vertex_rejected(self, unit_square):
         h = F(1, 2)
-        with pytest.raises(PointNotOnSide):
+        with pytest.raises(InstanceFormatError, match="M coincides with a vertex"):
             build_from_points(unit_square, Point(0, 0), Point(1, h), Point(h, 1), Point(0, h))
 
     def test_outside_open_segment_rejected_for_convex(self, unit_square):
         h = F(1, 2)
-        with pytest.raises(PointNotOnSide):
+        with pytest.raises(InstanceFormatError, match="M is outside its open side"):
             build_from_points(unit_square, Point(2, 0), Point(1, h), Point(h, 1), Point(0, h))
 
     def test_round_trips_with_build_from_ratios(self, unit_square):
@@ -400,7 +409,7 @@ class TestSoundnessAgainstNaiveOracle:
             ratios = signed_ratios(spec, i)
             try:
                 cfg = build_from_points(quad, *side_points(quad, ratios))
-            except (PointNotOnSide, UndefinedPoint):
+            except (InstanceFormatError, UndefinedPoint):
                 continue
             expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios)
             for name, want in expected.items():
@@ -424,7 +433,7 @@ def test_every_stored_point_triple_is_canonical(bounds):
         try:
             cfgs = (build_from_ratios(quad, gen_ratios(spec, i)),
                     build_from_points(quad, *side_points(quad, signed_ratios(spec, i))))
-        except (PointNotOnSide, UndefinedPoint):
+        except (InstanceFormatError, UndefinedPoint):
             continue
         for cfg in cfgs:
             for pt in cfg.named_points().values():

@@ -1,3 +1,4 @@
+import ast
 import json
 import shutil
 import subprocess
@@ -42,3 +43,25 @@ def test_no_ignored_file_is_tracked():
         cwd=REPO, capture_output=True, text=True, check=True,
     )
     assert proc.stdout == ""
+
+
+def test_every_error_subclass_is_caught_by_name():
+    # a subclass of GeometryError earns its place only while some ``except``
+    # in the package tells it apart, by name or through a module-level tuple
+    # such as ``cli._INVALID_INPUT``
+    src = REPO / "src" / "quadconc"
+    errors = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tuples = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                handled = node.type
+                if isinstance(handled, ast.Name) and handled.id in tuples:
+                    handled = tuples[handled.id]
+                caught |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(handled)
+                           if isinstance(n, (ast.Name, ast.Attribute))}
+    assert classes - {"GeometryError"} - caught == set()
