@@ -18,8 +18,9 @@ from dataclasses import replace
 
 from .configuration import Configuration, build_from_ratios
 from .errors import DegenerateQuadrilateral, GenerationExhausted, InstanceFormatError, UndefinedPoint
-from .generators import GenSpec, gen_quadrilateral, gen_ratios
+from .generators import ANY_SHAPE, GenSpec, gen_quadrilateral, gen_ratios
 from .instancefile import instance_from_parts, load_instance, render, serialize_instance
+from .kernel import CONCAVE, CONVEX, CROSSED
 from .report import degenerate_report, report_document
 from .svgfig import LAYERS, render_svg, select_layers
 from .verifiers import (CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, FINDING_CLAIMS, PASS, SKIPPED,
@@ -56,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(run=cmd_fuzz)
     p_fuzz.add_argument("--count", type=int, required=True)
     p_fuzz.add_argument("--regime", choices=("gamma1", "general", "remarks"), required=True)
-    p_fuzz.add_argument("--shape", choices=("convex", "concave", "crossed", "any"))
+    p_fuzz.add_argument("--shape", choices=(CONVEX, CONCAVE, CROSSED, ANY_SHAPE))
     p_fuzz.add_argument("--dump-dir", help="write each failing instance here for replay")
 
     p_ce = sub.add_parser("counterexample",
                           help="search nonconvex instances for a claim failure")
     p_ce.set_defaults(run=cmd_counterexample)
-    p_ce.add_argument("--shape", choices=("crossed", "concave"), required=True)
+    p_ce.add_argument("--shape", choices=(CROSSED, CONCAVE), required=True)
     p_ce.add_argument("--target", required=True, metavar="CLAIM")
     p_ce.add_argument("--budget", type=int, required=True)
     p_ce.add_argument("-o", "--output", help="also write the found instance to a file")
@@ -143,8 +144,8 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
     if args.count < 1:
         raise InstanceFormatError("--count must be at least 1")
     regime = args.regime
-    shape = args.shape or ("crossed" if regime == "remarks" else "convex")
-    if regime == "remarks" and shape not in ("concave", "crossed"):
+    shape = args.shape or (CROSSED if regime == "remarks" else CONVEX)
+    if regime == "remarks" and shape not in (CONCAVE, CROSSED):
         raise InstanceFormatError("the remarks regime needs --shape concave or crossed")
 
     tallies = {claim: {PASS: 0, FAIL: 0, DEGENERATE: 0, SKIPPED: 0} for claim in CLAIM_IDS}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from ._purekernel import cross3, reduce3
 from .errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
@@ -77,8 +77,7 @@ DIAGONAL_PAIRS = (
     ("G2", "F1"),
 )
 
-@dataclass(frozen=True)
-class Quadrilateral:
+class Quadrilateral(NamedTuple):
     """Four labeled finite vertices plus their shape class."""
 
     A: Point
@@ -93,7 +92,7 @@ class Quadrilateral:
 
     @property
     def vertices(self) -> tuple[Point, Point, Point, Point]:
-        return (self.A, self.B, self.C, self.D)
+        return self[:4]
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ class DegenerateQuadrilateral(GeometryError):
 class UndefinedPoint(GeometryError):
     """A named point cannot be constructed: its defining lines coincide."""
 
-    def __init__(self, name: str, message: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        super().__init__(message or f"point {name} is undefined: defining lines coincide")
+        super().__init__(f"point {name} is undefined: defining lines coincide")
 
 
 class GenerationExhausted(GeometryError):

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from json.encoder import encode_basestring_ascii as _ascii
+from typing import Callable, NamedTuple, Optional
 
 from .configuration import (
     Configuration,
@@ -89,8 +89,7 @@ def _mapping(doc: dict, key: str, names: tuple[str, ...], read: Callable, source
     return tuple(read(obj[k], f"{source}: {key}.{k}") for k in names)
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(NamedTuple):
     """A parsed instance: vertices plus either ratios or side points."""
 
     vertices: tuple[Point, Point, Point, Point]
@@ -173,12 +172,38 @@ def instance_document(inst: InstanceFile) -> dict:
     return doc
 
 
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _pretty(o: object, pad: str) -> str:
+    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it at
+    the indent ``pad``: one item per line, two spaces per level.  With an
+    indent, ``json`` leaves its C encoder for a pure-Python one; here only
+    the layout is Python, and each string and scalar is ``json``'s own.
+    String items, the most common, skip the recursive call."""
+    if isinstance(o, str):
+        return _ascii(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_ascii(k) + ": " + (_ascii(v) if isinstance(v, str) else _pretty(v, inner))
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_ascii(v) if isinstance(v, str) else _pretty(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(o)
+
+
 def render(doc: dict, compact: bool = False) -> str:
     """Canonical JSON text of an instance, a report or a summary: sorted
     keys, LF line endings."""
     if compact:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _COMPACT.encode(doc) + "\n"
+    return _pretty(doc, "\n") + "\n"
 
 
 def serialize_instance(inst: InstanceFile) -> str:

@@ -28,9 +28,9 @@ or ideal; of the builder's flags (``cfg.degeneracies``) only
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
 from .errors import GeometryError, InstanceFormatError
@@ -54,15 +54,15 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one claim on one configuration, with exact witnesses."""
 
     claim_id: str
     status: str
     detail: str = ""
-    witness: Mapping[str, Point] = field(default_factory=dict)
-    exact_values: Mapping[str, Fraction] = field(default_factory=dict)
+    # one shared read-only empty mapping, so no verdict writes into another's
+    witness: Mapping[str, Point] = MappingProxyType({})
+    exact_values: Mapping[str, Fraction] = MappingProxyType({})
 
 
 def _b01(flag: bool) -> Fraction:

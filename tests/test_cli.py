@@ -1,7 +1,6 @@
 import io
 import json
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -287,7 +286,7 @@ class TestFuzz:
         def failing(claim, runner):
             if claim not in ("ratio_product", "section_ratios"):
                 return runner
-            return lambda cfg: replace(runner(cfg), status="fail")
+            return lambda cfg: runner(cfg)._replace(status="fail")
 
         monkeypatch.setattr(verifiers, "CLAIM_RUNNERS", tuple(
             (claim, failing(claim, runner)) for claim, runner in verifiers.CLAIM_RUNNERS))

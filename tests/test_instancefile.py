@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from fractions import Fraction
@@ -7,12 +8,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quadconc import Point, SideRatios
+from quadconc.cli import main
 from quadconc.errors import InstanceFormatError
 from quadconc.instancefile import (
     _parse_pair,
     instance_from_parts,
     parse_instance,
     parse_rational,
+    render,
     serialize_instance,
 )
 from quadconc.kernel import point_from_terms
@@ -189,3 +192,50 @@ class TestRoundTrip:
         again = parse_instance(serialize_instance(inst))
         assert again.ratios == SideRatios.of(1, 2, 3, 4)
         assert tuple(again.vertices) == unit_square.vertices
+
+
+# strings with every kind of character an escaper treats specially:
+# non-ASCII, astral, quote, backslash, controls, lone surrogates and the
+# JavaScript line separators
+_TEXT = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u00e9\u2028\u2029\ud800\U0001f600'),
+))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), _TEXT)
+_VALUES = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, kids, max_size=4),
+), max_leaves=24)
+
+
+class TestRender:
+    @given(st.dictionaries(_TEXT, _VALUES, max_size=5))
+    @example({})
+    @example({"a": [], "b": {}, "c": ((), [{}])})
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert render(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert render(doc, compact=True) == json.dumps(
+            doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_commands_never_reach_the_python_encoder(self, tmp_path, monkeypatch):
+        """``json.dumps`` with an indent leaves the C encoder for
+        ``json.encoder._make_iterencode``; no command may need it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        path = tmp_path / "instance.json"
+        path.write_text(MIDPOINT_DOC, encoding="utf-8")
+        found = tmp_path / "found.json"
+        for argv in (
+            ["verify", str(path)],
+            ["fuzz", "--regime", "general", "--seed", "1", "--count", "3"],
+            ["counterexample", "--shape", "crossed", "--target",
+             "inner_quadrilateral_convexity", "--budget", "500", "-o", str(found)],
+        ):
+            out = io.StringIO()
+            assert main(argv, out=out) == 0, argv
+            assert out.getvalue().endswith("}\n")
+        assert found.read_text(encoding="utf-8") == out.getvalue()

@@ -21,7 +21,7 @@ from quadconc import verifiers
 from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS
 from quadconc.errors import InstanceFormatError
 from quadconc.kernel import Line
-from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED
+from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict
 
 F = Fraction
 
@@ -374,6 +374,14 @@ class TestVerifyAll:
     def test_overall_status(self, generic_gamma_two_config):
         verdicts = verify_all(generic_gamma_two_config)
         assert overall_status(verdicts) == PASS
+
+    @pytest.mark.parametrize("field", ["witness", "exact_values"])
+    def test_default_mappings_are_read_only(self, field):
+        # every default verdict shares one empty mapping: writing into it
+        # would leak into all the others, so it refuses
+        with pytest.raises(TypeError):
+            getattr(Verdict("seven_lines", PASS), field)["E"] = F(1)
+        assert getattr(Verdict("seven_lines", SKIPPED), field) == {}
 
 
 class TestAffineInvariance:
