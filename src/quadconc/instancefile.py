@@ -176,11 +176,12 @@ _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _pretty(o: object, pad: str) -> str:
-    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it at
-    the indent ``pad``: one item per line, two spaces per level.  With an
-    indent, ``json`` leaves its C encoder for a pure-Python one; here only
-    the layout is Python, and each string and scalar is ``json``'s own.
-    String items, the most common, skip the recursive call."""
+    """``o`` as ``json.dumps`` writes it with sorted keys and an indent
+    of two, at the indent ``pad``: one item per line, two spaces per
+    level.  With an indent, ``json`` leaves its C encoder for a
+    pure-Python one; here only the layout is Python, and each string and
+    scalar is ``json``'s own.  String items, the most common, skip the
+    recursive call."""
     if isinstance(o, str):
         return _ascii(o)
     inner = pad + "  "
