@@ -10,11 +10,13 @@ from quadconc import (
     Point,
     Quadrilateral,
     SideRatios,
+    affine_parameter,
     build_from_points,
     build_from_ratios,
     gen_quadrilateral,
     gen_ratios,
     overall_status,
+    point_dividing,
     verify_all,
 )
 from quadconc import verifiers
@@ -309,6 +311,154 @@ class TestInnerQuadrilateral:
         v = verdict(cfg, "inner_quadrilateral")
         assert (v.status, v.detail) == (
             SKIPPED, "segment ordering claims require a convex quadrilateral")
+
+
+def with_points(cfg, **points):
+    """``cfg`` with the named stored points replaced."""
+    return replace(cfg, _points=MappingProxyType({**cfg.named_points(), **points}))
+
+
+def at(a, b, lam):
+    """The point ``a + lam*(b - a)``."""
+    return point_dividing(a, b, lam / (1 - lam))
+
+
+def texts(v, *keys):
+    return [str(v.exact_values[key]) for key in keys]
+
+
+# A convex quadrilateral and its mirror image: on the two, the affine
+# parameters along MP and NQ have denominators of both signs
+GENERIC = (Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4))
+MIRRORED = tuple(Point(-x, y) for x, y in (pt.affine() for pt in GENERIC))
+# gamma 2/3 and 1/2, then 2 and 6; the last two of each put P left of M,
+# so the generic quadrilateral's MP parameters have negative denominators
+RATIOS_BELOW_ONE = ((1, 2, 1, F(1, 3)), (3, 1, 2, F(1, 12)))
+RATIOS_ABOVE_ONE = ((1, 2, 1, 1), (3, 1, 2, 1))
+ORDER_CASES = [(vertices, ratios) for vertices in (GENERIC, MIRRORED)
+               for ratios in RATIOS_BELOW_ONE + RATIOS_ABOVE_ONE]
+
+
+class TestComparisonBranches:
+    """Each comparison an exact check makes, driven to both outcomes by
+    corrupting a built configuration's points or ratios."""
+
+    @staticmethod
+    def inner(vertices, ratios):
+        cfg = build_from_ratios(Quadrilateral.of(*vertices), SideRatios.of(*ratios))
+        assert verdict(cfg, "inner_quadrilateral").status == PASS
+        return cfg
+
+    @pytest.mark.parametrize("vertices, ratios", ORDER_CASES)
+    def test_order_along_mp(self, vertices, ratios):
+        cfg = self.inner(vertices, ratios)
+        M, P, E = cfg.point("M"), cfg.point("P"), cfg.point("E")
+        if cfg.ratios.gamma < 1:
+            first, last, violated = "M1", "P1", "order M-M1-E-P1-P violated"
+        else:
+            first, last, violated = "P1", "M1", "order M-P1-E-M1-P violated"
+        lam_first = affine_parameter(M, P, cfg.point(first))
+        lam_last = affine_parameter(M, P, cfg.point(last))
+        for points in ({first: cfg.point(last), last: cfg.point(first)},
+                       {first: M}, {first: E}, {first: at(M, P, F(-1, 2))},
+                       {last: P}, {last: E}, {last: at(M, P, F(3, 2))}):
+            v = verdict(with_points(cfg, **points), "inner_quadrilateral")
+            assert (v.status, v.detail) == (FAIL, violated), points
+        # strictly inside the segments the order allows: still in order
+        for points in ({first: at(M, P, lam_first / 2)},
+                       {last: at(M, P, (1 + lam_last) / 2)}):
+            assert verdict(with_points(cfg, **points), "inner_quadrilateral").status == PASS
+
+    @pytest.mark.parametrize("vertices, ratios", ORDER_CASES)
+    def test_e_on_segment_n1q1(self, vertices, ratios):
+        cfg = self.inner(vertices, ratios)
+        N, Q, E = cfg.point("N"), cfg.point("Q"), cfg.point("E")
+        e = affine_parameter(N, Q, E)
+        outside = [(e + F(1, 10), e + F(1, 5)), (e - F(1, 5), e - F(1, 10))]
+        inside = [(e, e + F(1, 10)), (e - F(1, 10), e), (e - F(1, 10), e + F(1, 10))]
+        for lams, expected in [(lams, FAIL) for lams in outside] + \
+                [(lams, PASS) for lams in inside]:
+            for n1, q1 in (lams, lams[::-1]):
+                v = verdict(with_points(cfg, N1=at(N, Q, n1), Q1=at(N, Q, q1)),
+                            "inner_quadrilateral")
+                detail = "E outside segment N1Q1" if expected == FAIL else ""
+                assert (v.status, v.detail) == (expected, detail), (n1, q1)
+
+    def test_points_off_their_carrier_lines(self, generic_gamma_two_config):
+        cfg = generic_gamma_two_config
+        v = verdict(with_points(cfg, M1=Point(0, 0)), "inner_quadrilateral")
+        assert (v.status, v.detail) == (
+            FAIL, "points left their carrier lines: Point(0, 0) is not on the line "
+                  "through Point(2, 0) and Point(3, 7/2)")
+        v = verdict(with_points(cfg, N1=Point(0, 0)), "inner_quadrilateral")
+        assert (v.status, v.detail) == (
+            FAIL, "points left their carrier lines: Point(0, 0) is not on the line "
+                  "through Point(14/3, 2) and Point(1/2, 2)")
+
+    def test_product_one_collapse(self, gamma_one_config):
+        v = verdict(with_points(gamma_one_config, M1=Point(0, 0)), "inner_quadrilateral")
+        assert (v.status, v.detail) == (FAIL, "product-one collapse violated")
+
+    def test_fe_over_eg_mismatch(self, gamma_one_config):
+        # (2, 2, 1/2, 1/2) keeps the product one but moves the closed form
+        # m(1 + np)/(1 + mn) to 4/5, while the stored points give FE/EG = 1
+        v = verdict(replace(gamma_one_config, ratios=SideRatios.of(2, 2, F(1, 2), F(1, 2))),
+                    "seven_lines")
+        assert (v.status, v.detail) == (FAIL, "FE/EG mismatch")
+        assert texts(v, "FE_over_EG", "FE_over_EG_formula") == ["1", "4/5"]
+
+    @pytest.mark.parametrize("ratios, corrupt, expected", [
+        ((1, 2, 1, 1), (2, 1, 1, 1), ["1", "4/3"]),
+        ((1, 2, 1, F(1, 3)), (2, 1, 1, F(1, 3)), ["1", "4/3"]),
+    ])
+    def test_f1m1_over_m1g1_mismatch(self, ratios, corrupt, expected):
+        cfg = build_from_ratios(Quadrilateral.of(*GENERIC), SideRatios.of(*ratios))
+        assert verdict(cfg, "quadruple_concurrences").status == PASS
+        v = verdict(replace(cfg, ratios=SideRatios.of(*corrupt)), "quadruple_concurrences")
+        assert (v.status, v.detail) == (FAIL, "F1M1/M1G1 mismatch")
+        assert texts(v, "F1M1_over_M1G1", "F1M1_over_M1G1_formula") == expected
+
+    @pytest.mark.parametrize("ratios", RATIOS_BELOW_ONE + RATIOS_ABOVE_ONE)
+    def test_section_ratio_keys(self, ratios):
+        cfg = build_from_ratios(Quadrilateral.of(*GENERIC), SideRatios.of(*ratios))
+        E = cfg.point("E")
+        assert verdict(cfg, "section_ratios").status == PASS
+        for names, detail in ((("M1",), "MM1_over_M1P"), (("N1",), "NN1_over_N1Q"),
+                              (("P1",), "PP1_over_P1M"), (("Q1",), "QQ1_over_Q1N"),
+                              (("M1", "Q1"), "MM1_over_M1P; QQ1_over_Q1N")):
+            v = verdict(with_points(cfg, **{name: E for name in names}), "section_ratios")
+            assert (v.status, v.detail) == (FAIL, detail)
+
+    def test_crossing_ratios_fail(self, gamma_one_config):
+        cfg = gamma_one_config
+        M, N, P, Q = (cfg.point(n) for n in "MNPQ")
+        v = verdict(with_points(cfg, P=at(M, P, F(2))), "crossing_ratios")
+        assert (v.status, v.detail) == (FAIL, "")
+        assert texts(v, "ME_over_EP", "ME_over_EP_formula") == ["1/3", "1"]
+        assert texts(v, "NE_over_EQ", "NE_over_EQ_formula") == ["1/2", "1/2"]
+        v = verdict(with_points(cfg, Q=at(N, Q, F(1, 2))), "crossing_ratios")
+        assert (v.status, v.detail) == (FAIL, "")
+        assert texts(v, "ME_over_EP", "NE_over_EQ", "NE_over_EQ_formula") == ["1", "2", "1/2"]
+
+    @pytest.mark.parametrize("q, r, formula", [(2, F(2, 3), "5/7"), (F(1, 2), F(4, 3), "7/5")])
+    def test_crossing_ratio_formula_fail(self, unit_square, q, r, formula):
+        cfg = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, q))
+        v = verdict(cfg, "crossing_ratio_formula")
+        assert (v.status, texts(v, "r", "ME_over_EP_formula")) == (PASS, [str(r), formula])
+        v = verdict(replace(cfg, r_ratio=F(1)), "crossing_ratio_formula")
+        assert (v.status, v.detail) == (FAIL, "")
+        assert texts(v, "ME_over_EP") == [formula]
+        M, P = cfg.point("M"), cfg.point("P")
+        v = verdict(with_points(cfg, P=at(M, P, F(2))), "crossing_ratio_formula")
+        assert (v.status, v.detail) == (FAIL, "")
+        assert texts(v, "ME_over_EP_formula") == [formula]
+
+    def test_ratio_product_fail(self, generic_gamma_two_config):
+        cfg = generic_gamma_two_config
+        F1, G1 = cfg.point("F1"), cfg.point("G1")
+        v = verdict(with_points(cfg, M1=at(F1, G1, F(1, 3))), "ratio_product")
+        assert (v.status, v.detail) == (FAIL, "")
+        assert texts(v, "F1M1_over_M1G1", "gamma") == ["1/2", "2"]
 
 
 class TestInnerQuadConvexity:
