@@ -24,6 +24,11 @@ Conventions
   Then ``directed_ratio = num / (den - num)``, and the point dividing
   ``a -> b`` in ratio ``tn/td`` is
   ``(td*bw*a0 + tn*aw*b0, td*bw*a1 + tn*aw*b1, (td + tn)*aw*bw)``.
+* ``parameter_terms`` and ``ratio_terms`` return the parameter and the
+  ratio as those integer ``(num, den)`` pairs, for callers that compare
+  them by cross-multiplication; ``affine_parameter`` and
+  ``directed_ratio`` wrap them in a ``Fraction``.  ``rational_text``
+  writes a pair as exact text, the one writer of rational text.
 
 Everything here is an immutable value and every function is pure.
 """
@@ -44,6 +49,18 @@ CONVEX: Shape = "convex"
 CONCAVE: Shape = "concave"
 CROSSED: Shape = "crossed"
 DEGENERATE: Shape = "degenerate"
+
+
+def rational_text(num: int, den: int) -> str:
+    """The text ``str(Fraction(num, den))`` writes, with one gcd and no
+    ``Fraction``: ``"n/d"`` in lowest terms with ``d > 1``, else ``"n"``.
+    ``den`` is a nonzero integer of either sign."""
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def as_rat(value: RatLike) -> Fraction:
@@ -96,18 +113,13 @@ class Point:
         return Fraction(x, w), Fraction(y, w)
 
     def text(self) -> list[str]:
-        """The coordinates as exact text: a finite point's affine pair, each
-        ``str(Fraction(c, w))`` for a component ``c`` of the canonical triple
-        ``(x, y, w)`` (``w`` is positive) with one gcd and no ``Fraction``;
-        an ideal point's integer triple ``[x, y, "0"]``."""
+        """The coordinates as exact text: a finite point's affine pair
+        ``rational_text(c, w)`` for each component ``c`` of the canonical
+        triple ``(x, y, w)``; an ideal point's integer triple ``[x, y, "0"]``."""
         x, y, w = self._t
         if w == 0:
             return [str(x), str(y), "0"]
-        texts = []
-        for c in (x, y):
-            g = gcd(c, w)
-            texts.append(str(c // g) if g == w else f"{c // g}/{w // g}")
-        return texts
+        return [rational_text(x, w), rational_text(y, w)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):
@@ -212,8 +224,9 @@ def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:
     return CROSSED
 
 
-def _parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
-    """``(num, den)`` with ``affine_parameter(a, b, x) == num / den``."""
+def parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
+    """``(num, den)`` with ``affine_parameter(a, b, x) == num / den``; ``den``
+    is nonzero and of either sign."""
     for p in (a, b, x):
         if p.is_ideal:
             raise GeometryError("affine parameters are defined for finite points only")
@@ -230,18 +243,23 @@ def _parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
     return (x1 * aw - a1 * xw) * bw, (b1 * aw - a1 * bw) * xw
 
 
+def ratio_terms(a: Point, p: Point, b: Point) -> tuple[int, int]:
+    """``(num, den)`` with ``directed_ratio(a, p, b) == num / den``; ``den``
+    is nonzero and of either sign."""
+    num, den = parameter_terms(a, b, p)
+    if num == den:
+        raise GeometryError("division point coincides with the second endpoint")
+    return num, den - num
+
+
 def affine_parameter(a: Point, b: Point, x: Point) -> Fraction:
     """The ``lam`` with ``x = a + lam*(b - a)`` for collinear finite points."""
-    num, den = _parameter_terms(a, b, x)
-    return Fraction(num, den)
+    return Fraction(*parameter_terms(a, b, x))
 
 
 def directed_ratio(a: Point, p: Point, b: Point) -> Fraction:
     """The exact division ratio in which ``p`` splits ``a -> b``."""
-    num, den = _parameter_terms(a, b, p)
-    if num == den:
-        raise GeometryError("division point coincides with the second endpoint")
-    return Fraction(num, den - num)
+    return Fraction(*ratio_terms(a, p, b))
 
 
 def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:

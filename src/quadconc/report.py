@@ -21,7 +21,7 @@ def verdict_json(v: Verdict) -> dict:
         "status": v.status,
         "detail": v.detail,
         "witness": {name: pt.text() for name, pt in v.witness.items()},
-        "exact_values": {name: str(val) for name, val in v.exact_values.items()},
+        "exact_values": dict(v.exact_values),
     }
 
 

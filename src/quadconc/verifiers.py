@@ -13,9 +13,14 @@ only to name the distinct lines that miss when a check fails.
 
 Each formula side is one integer expression in the numerators and
 (positive) denominators of those fields, written ``(ma, mb)`` for ``m``
-and likewise ``n p q``, ``gamma = G/H`` and ``r = R/S``.  It becomes a
-``Fraction`` once, as ``Fraction(num, den)``, and the paper's form of
-each closed form stands next to its expression.
+and likewise ``n p q``, ``gamma = G/H`` and ``r = R/S``, and the paper's
+form of each closed form stands next to its expression.  Every value
+stays an integer ``(num, den)`` pair, the geometric ones from the
+kernel's ``ratio_terms`` and ``parameter_terms``: two sides are equal
+when they cross-multiply equal, an order is decided by cross-multiplied
+``<`` once each denominator is made positive, and a reported value is
+written once, by ``rational_text``, in the bytes ``str(Fraction)``
+writes.  No verifier makes a ``Fraction``.
 
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
@@ -38,20 +43,18 @@ from .kernel import (
     DEGENERATE as DEGENERATE_SHAPE,
     Line,
     Point,
-    affine_parameter,
     classify_quadrilateral,
     collinear,
-    directed_ratio,
     line_through,
+    parameter_terms,
+    ratio_terms,
+    rational_text,
 )
 
 PASS = "pass"
 FAIL = "fail"
 DEGENERATE = "degenerate"
 SKIPPED = "skipped"
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class Verdict(NamedTuple):
@@ -62,23 +65,43 @@ class Verdict(NamedTuple):
     detail: str = ""
     # one shared read-only empty mapping, so no verdict writes into another's
     witness: Mapping[str, Point] = MappingProxyType({})
-    exact_values: Mapping[str, Fraction] = MappingProxyType({})
+    # each value's exact text, as ``str(Fraction)`` writes it
+    exact_values: Mapping[str, str] = MappingProxyType({})
 
 
-def _b01(flag: bool) -> Fraction:
-    return ONE if flag else ZERO
+Pair = tuple[int, int]
 
 
-def _ratio(a: Optional[Point], p: Optional[Point], b: Optional[Point]) -> Optional[Fraction]:
+def _b01(flag: bool) -> str:
+    return "1" if flag else "0"
+
+
+def _ratio(a: Optional[Point], p: Optional[Point], b: Optional[Point]) -> Optional[Pair]:
     if a is None or p is None or b is None:
         return None
     try:
-        return directed_ratio(a, p, b)
+        return ratio_terms(a, p, b)
     except GeometryError:
         return None
 
 
-def _pairs(*values: Fraction) -> tuple[tuple[int, int], ...]:
+def _equal(u: Pair, v: Pair) -> bool:
+    """``u[0]/u[1] == v[0]/v[1]``; the denominators are nonzero, of either sign."""
+    return u[0] * v[1] == v[0] * u[1]
+
+
+def _positive(u: Pair) -> Pair:
+    """The same rational with a positive denominator."""
+    return (-u[0], -u[1]) if u[1] < 0 else u
+
+
+def _minus(u: Pair, v: Pair) -> int:
+    """The numerator of ``u - v`` over ``u[1] * v[1]``, for positive denominators:
+    its sign is the sign of ``u - v``."""
+    return u[0] * v[1] - v[0] * u[1]
+
+
+def _pairs(*values: Fraction) -> tuple[Pair, ...]:
     """Each rational as ``(numerator, denominator)``, the denominator positive."""
     return tuple((v.numerator, v.denominator) for v in values)
 
@@ -128,14 +151,14 @@ def _check_section(cfg: Configuration, key: str, f: Point, x: Optional[Point], g
         reasons.append(key + "_formula_UNDEFINED")
         return
     # m(1 + np)/(1 + mn)
-    formula = values[key + "_formula"] = Fraction(ma * (nb * pb + na * pa),
-                                                  pb * (mb * nb + ma * na))
+    formula = (ma * (nb * pb + na * pa), pb * (mb * nb + ma * na))
+    values[key + "_formula"] = rational_text(*formula)
     geometric = _ratio(f, x, g)
     if geometric is None:
         reasons.append(key + "_UNDEFINED")
     else:
-        values[key] = geometric
-        if geometric != formula:
+        values[key] = rational_text(*geometric)
+        if not _equal(geometric, formula):
             failures.append(key.replace("_over_", "/") + " mismatch")
 
 
@@ -159,7 +182,7 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
     regime); also checks the division ratio of ``E`` on ``FG``."""
     degenerate_reasons: list[str] = []
     failures: list[str] = []
-    values: dict[str, Fraction] = {}
+    values: dict[str, str] = {}
 
     F, G = cfg.point("F1"), cfg.point("G1")
     f_merge = F == cfg.point("F2")
@@ -198,16 +221,17 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     me_ep = _ratio(cfg.point("M"), E, cfg.point("P"))
     ne_eq = _ratio(cfg.point("N"), E, cfg.point("Q"))
     # (1/q)(1/(m+1)) + n(m/(m+1))
-    me_ep_formula = Fraction(qb * mb * nb + na * ma * qa, qa * nb * (ma + mb))
+    me_ep_formula = (qb * mb * nb + na * ma * qa, qa * nb * (ma + mb))
     # (1/m)(1/(n+1)) + p(n/(n+1))
-    ne_eq_formula = Fraction(mb * nb * pb + pa * na * ma, ma * pb * (na + nb))
-    values = {"ME_over_EP_formula": me_ep_formula, "NE_over_EQ_formula": ne_eq_formula}
+    ne_eq_formula = (mb * nb * pb + pa * na * ma, ma * pb * (na + nb))
+    values = {"ME_over_EP_formula": rational_text(*me_ep_formula),
+              "NE_over_EQ_formula": rational_text(*ne_eq_formula)}
     if me_ep is None or ne_eq is None:
         return Verdict(claim, DEGENERATE, detail="division ratios undefined",
                        exact_values=values)
-    values["ME_over_EP"] = me_ep
-    values["NE_over_EQ"] = ne_eq
-    ok = me_ep == me_ep_formula and ne_eq == ne_eq_formula
+    values["ME_over_EP"] = rational_text(*me_ep)
+    values["NE_over_EQ"] = rational_text(*ne_eq)
+    ok = _equal(me_ep, me_ep_formula) and _equal(ne_eq, ne_eq_formula)
     return Verdict(claim, PASS if ok else FAIL, witness={"E": E}, exact_values=values)
 
 
@@ -240,7 +264,7 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
     ratio of ``M1`` on ``F1 G1``."""
     degenerate_reasons: list[str] = []
     failures: list[str] = []
-    values: dict[str, Fraction] = {}
+    values: dict[str, str] = {}
     witness: dict[str, Point] = {}
 
     for name, (u, v), cevians in _QUADRUPLES:
@@ -277,19 +301,20 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
                   if f"{u}_EQ_{v}" in cfg.degeneracies]
     if coincident:
         return Verdict(claim, DEGENERATE, detail="; ".join(coincident))
-    values: dict[str, Fraction] = {}
+    values: dict[str, str] = {}
     num = den = 1
     for x, (u, v), _ in _QUADRUPLES:
         key = f"{u}{x}_over_{x}{v}"
         r = _ratio(cfg.point(u), cfg.point(x), cfg.point(v))
         if r is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
-        values[key] = r
-        num *= r.numerator
-        den *= r.denominator
-    product = values["product"] = Fraction(num, den)
-    values["gamma"] = cfg.ratios.gamma
-    ok = product == cfg.ratios.gamma
+        values[key] = rational_text(*r)
+        num *= r[0]
+        den *= r[1]
+    gamma = cfg.ratios.gamma
+    values["product"] = rational_text(num, den)
+    values["gamma"] = str(gamma)
+    ok = _equal((num, den), (gamma.numerator, gamma.denominator))
     return Verdict(claim, PASS if ok else FAIL, exact_values=values)
 
 
@@ -299,33 +324,32 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     product-weighted form."""
     (ma, mb), (na, nb), (pa, pb), (qa, qb), (G, H) = _pairs(*cfg.ratios.as_tuple,
                                                             cfg.ratios.gamma)
+    # mn(p+1)/(m+1)
+    mm1_formula = (ma * na * (pa + pb), nb * pb * (ma + mb))
     entries = (
-        # mn(p+1)/(m+1)
-        ("MM1_over_M1P", "M", "M1", "P", Fraction(ma * na * (pa + pb), nb * pb * (ma + mb))),
+        ("MM1_over_M1P", "M", "M1", "P", mm1_formula),
         # np(q+1)/(n+1)
-        ("NN1_over_N1Q", "N", "N1", "Q", Fraction(na * pa * (qa + qb), pb * qb * (na + nb))),
+        ("NN1_over_N1Q", "N", "N1", "Q", (na * pa * (qa + qb), pb * qb * (na + nb))),
         # pq(m+1)/(p+1)
-        ("PP1_over_P1M", "P", "P1", "M", Fraction(pa * qa * (ma + mb), qb * mb * (pa + pb))),
+        ("PP1_over_P1M", "P", "P1", "M", (pa * qa * (ma + mb), qb * mb * (pa + pb))),
         # qm(n+1)/(q+1)
-        ("QQ1_over_Q1N", "Q", "Q1", "N", Fraction(qa * ma * (na + nb), mb * nb * (qa + qb))),
+        ("QQ1_over_Q1N", "Q", "Q1", "N", (qa * ma * (na + nb), mb * nb * (qa + qb))),
     )
     # gamma(1/q)(1/(m+1)) + n(m/(m+1)), evaluated from gamma on purpose: it
     # equals the plain mn(p+1)/(m+1) only because gamma = mnpq, which is
     # what the weighted form mismatch check tests
-    values: dict[str, Fraction] = {
-        "MM1_over_M1P_weighted": Fraction(G * qb * mb * nb + na * ma * H * qa,
-                                          H * qa * (ma + mb) * nb),
-    }
+    weighted = (G * qb * mb * nb + na * ma * H * qa, H * qa * (ma + mb) * nb)
+    values = {"MM1_over_M1P_weighted": rational_text(*weighted)}
     failures: list[str] = []
     for key, a, x, b, formula in entries:
-        values[key + "_formula"] = formula
+        values[key + "_formula"] = rational_text(*formula)
         geometric = _ratio(cfg.point(a), cfg.point(x), cfg.point(b))
         if geometric is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
-        values[key] = geometric
-        if geometric != formula:
+        values[key] = rational_text(*geometric)
+        if not _equal(geometric, formula):
             failures.append(key)
-    if values["MM1_over_M1P_weighted"] != values["MM1_over_M1P_formula"]:
+    if not _equal(weighted, mm1_formula):
         failures.append("weighted form mismatch")
     status, detail = _status(failures, [])
     return Verdict(claim, status, detail=detail, exact_values=values)
@@ -341,19 +365,18 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     r = cfg.r_ratio
     (ma, mb), (na, nb), (pa, pb), (G, H), (R, S) = _pairs(
         cfg.ratios.m, cfg.ratios.n, cfg.ratios.p, cfg.ratios.gamma, r)
-    try:
-        # mn(p+1)/(m+1) * (r+m)/(gamma*r + m)
-        formula = Fraction(ma * na * (pa + pb) * (R * mb + ma * S) * H,
-                           nb * pb * (ma + mb) * (G * R * mb + ma * H * S))
-    except ZeroDivisionError:
+    # mn(p+1)/(m+1) * (r+m)/(gamma*r + m)
+    formula = (ma * na * (pa + pb) * (R * mb + ma * S) * H,
+               nb * pb * (ma + mb) * (G * R * mb + ma * H * S))
+    if formula[1] == 0:
         return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
-                       exact_values={"r": r})
+                       exact_values={"r": str(r)})
     geometric = _ratio(cfg.point("M"), E, cfg.point("P"))
-    values = {"r": r, "ME_over_EP_formula": formula}
+    values = {"r": str(r), "ME_over_EP_formula": rational_text(*formula)}
     if geometric is None:
         return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
-    values["ME_over_EP"] = geometric
-    ok = geometric == formula
+    values["ME_over_EP"] = rational_text(*geometric)
+    ok = _equal(geometric, formula)
     return Verdict(claim, PASS if ok else FAIL, witness={"E": E}, exact_values=values)
 
 
@@ -369,32 +392,32 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
     E, M1, N1, P1, Q1 = (cfg.point(n) for n in names)
     M, N, P, Q = (cfg.point(n) for n in "MNPQ")
     gamma = cfg.ratios.gamma
-    values: dict[str, Fraction] = {}
+    values: dict[str, str] = {}
     failures: list[str] = []
     if gamma == 1:
         if not (M1 == E == P1 and N1 == E == Q1):
             failures.append("product-one collapse violated")
     else:
         try:
-            lam_m1 = affine_parameter(M, P, M1)
-            lam_e = affine_parameter(M, P, E)
-            lam_p1 = affine_parameter(M, P, P1)
-            lam_n1 = affine_parameter(N, Q, N1)
-            lam_e2 = affine_parameter(N, Q, E)
-            lam_q1 = affine_parameter(N, Q, Q1)
+            # each affine parameter as a pair with a positive denominator
+            lam_m1, lam_e, lam_p1 = (_positive(parameter_terms(M, P, x)) for x in (M1, E, P1))
+            lam_n1, lam_e2, lam_q1 = (_positive(parameter_terms(N, Q, x)) for x in (N1, E, Q1))
         except GeometryError as exc:
             return Verdict(claim, FAIL, detail=f"points left their carrier lines: {exc}")
         values.update({
-            "lambda_M1_on_MP": lam_m1, "lambda_E_on_MP": lam_e,
-            "lambda_P1_on_MP": lam_p1,
+            "lambda_M1_on_MP": rational_text(*lam_m1), "lambda_E_on_MP": rational_text(*lam_e),
+            "lambda_P1_on_MP": rational_text(*lam_p1),
         })
         if gamma < 1:
-            if not (0 < lam_m1 < lam_e < lam_p1 < 1):
-                failures.append("order M-M1-E-P1-P violated")
+            order, violated = (lam_m1, lam_e, lam_p1), "order M-M1-E-P1-P violated"
         else:
-            if not (0 < lam_p1 < lam_e < lam_m1 < 1):
-                failures.append("order M-P1-E-M1-P violated")
-        if not (min(lam_n1, lam_q1) <= lam_e2 <= max(lam_n1, lam_q1)):
+            order, violated = (lam_p1, lam_e, lam_m1), "order M-P1-E-M1-P violated"
+        # 0 < first < E < last < 1
+        chain = ((0, 1),) + order + ((1, 1),)
+        if not all(_minus(v, u) > 0 for u, v in zip(chain, chain[1:])):
+            failures.append(violated)
+        # E - N1 and Q1 - E have the same sign, or one vanishes
+        if _minus(lam_e2, lam_n1) * _minus(lam_q1, lam_e2) < 0:
             failures.append("E outside segment N1Q1")
     status, detail = _status(failures, [])
     return Verdict(claim, status, detail=detail, witness={"E": E}, exact_values=values)

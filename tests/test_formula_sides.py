@@ -12,11 +12,13 @@ strategy reaches the vanishing denominators ``1 + mn = 0`` and
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from quadconc import Point, Quadrilateral, SideRatios, build_from_ratios
 from quadconc.instancefile import InstanceFile, instance_document
+from quadconc.kernel import rational_text
 from quadconc.report import verdict_json
 from quadconc.verifiers import CLAIMS, FAIL, PASS, Verdict, verify_all
 
@@ -90,7 +92,7 @@ def test_formula_sides_equal_the_papers_forms(inputs):
             if expected is None:
                 assert key not in verdict.exact_values
             else:
-                assert verdict.exact_values[key] == expected, (claim, key)
+                assert verdict.exact_values[key] == str(expected), (claim, key)
     if m * n == -1:
         assert "F1M1_over_M1G1_formula_UNDEFINED" in \
             CHECKS["quadruple_concurrences"]("quadruple_concurrences", cfg).detail
@@ -126,6 +128,22 @@ def test_point_text_equals_fraction_text(x, y, w):
     inst = InstanceFile(vertices=(pt,) * 4, ratios=None, points=(pt,) * 4, checks=())
     doc = instance_document(inst)
     assert doc["vertices"]["A"] == expected and doc["points"]["Q"] == expected
+
+
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool))
+@example(0, -5)
+@example(12, 4)  # an integer after reduction
+@example(6, -4)  # a negative denominator moves its sign to the numerator
+@example(-6, -4)
+@example(-7, 1)
+def test_rational_text_equals_fraction_text(num, den):
+    assert rational_text(num, den) == str(Fraction(num, den))
+
+
+@pytest.mark.parametrize("num", [0, 1, -3, 10**30])
+def test_rational_text_refuses_a_zero_denominator(num):
+    with pytest.raises(ZeroDivisionError):
+        rational_text(num, 0)
 
 
 def test_ideal_point_text_is_its_triple():

@@ -21,7 +21,8 @@ from quadconc import (
 )
 from quadconc import verifiers
 from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS
-from quadconc.errors import InstanceFormatError
+from quadconc.errors import InstanceFormatError, UndefinedPoint
+from quadconc.instancefile import parse_rational
 from quadconc.kernel import Line
 from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict
 
@@ -62,8 +63,8 @@ class TestSevenLines:
         v = verdict(gamma_one_config, "seven_lines")
         assert v.status == PASS
         assert v.witness["E"] == Point(F(2, 3), F(1, 2))
-        assert v.exact_values["FE_over_EG"] == 1
-        assert v.exact_values["FE_over_EG_formula"] == 1
+        assert v.exact_values["FE_over_EG"] == "1"
+        assert v.exact_values["FE_over_EG_formula"] == "1"
 
     def test_two_point_completion_passes(self, two_point_config):
         assert verdict(two_point_config, "seven_lines").status == PASS
@@ -73,7 +74,7 @@ class TestSevenLines:
         cfg = build_from_ratios(unit_square, SideRatios.of(3, F(1, 2), 4, F(1, 6)))
         v = verdict(cfg, "seven_lines")
         assert v.status == PASS
-        assert v.exact_values["FE_over_EG"] == F(18, 5)
+        assert v.exact_values["FE_over_EG"] == "18/5"
 
     def test_gamma_not_one_skipped(self, gamma_two_config):
         v = verdict(gamma_two_config, "seven_lines")
@@ -84,14 +85,14 @@ class TestCrossingRatios:
     def test_midpoints_bisect(self, midpoint_config):
         v = verdict(midpoint_config, "crossing_ratios")
         assert v.status == PASS
-        assert v.exact_values["ME_over_EP"] == 1
-        assert v.exact_values["NE_over_EQ"] == 1
+        assert v.exact_values["ME_over_EP"] == "1"
+        assert v.exact_values["NE_over_EQ"] == "1"
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         v = verdict(gamma_one_config, "crossing_ratios")
         assert v.status == PASS
-        assert v.exact_values["ME_over_EP"] == 1
-        assert v.exact_values["NE_over_EQ"] == F(1, 2)
+        assert v.exact_values["ME_over_EP"] == "1"
+        assert v.exact_values["NE_over_EQ"] == "1/2"
 
     def test_paired_ratios_give_constant(self, unit_square):
         # when the first and fourth ratios are reciprocal pairs of the
@@ -100,28 +101,28 @@ class TestCrossingRatios:
             cfg = build_from_ratios(unit_square, SideRatios.of(m, n, 1 / m, 1 / n))
             v = verdict(cfg, "crossing_ratios")
             assert v.status == PASS
-            assert v.exact_values["ME_over_EP"] == n
-            assert v.exact_values["NE_over_EQ"] == 1 / m
+            assert v.exact_values["ME_over_EP"] == str(n)
+            assert v.exact_values["NE_over_EQ"] == str(1 / m)
 
 
 class TestDiagonalConcurrenceIff:
     def test_midpoints_both_true(self, midpoint_config):
         v = verdict(midpoint_config, "diagonal_concurrence_iff")
         assert v.status == PASS
-        assert v.exact_values["MP_NQ_AC_concurrent"] == 1
-        assert v.exact_values["DM_BQ_AC_concurrent"] == 1
+        assert v.exact_values["MP_NQ_AC_concurrent"] == "1"
+        assert v.exact_values["DM_BQ_AC_concurrent"] == "1"
 
     def test_asymmetric_both_false(self, gamma_one_config):
         v = verdict(gamma_one_config, "diagonal_concurrence_iff")
         assert v.status == PASS
-        assert v.exact_values["MP_NQ_AC_concurrent"] == 0
-        assert v.exact_values["DM_BQ_AC_concurrent"] == 0
+        assert v.exact_values["MP_NQ_AC_concurrent"] == "0"
+        assert v.exact_values["DM_BQ_AC_concurrent"] == "0"
 
     def test_two_point_completion_both_true(self, two_point_config):
         v = verdict(two_point_config, "diagonal_concurrence_iff")
         assert v.status == PASS
-        assert v.exact_values["MP_NQ_AC_concurrent"] == 1
-        assert v.exact_values["DM_BQ_AC_concurrent"] == 1
+        assert v.exact_values["MP_NQ_AC_concurrent"] == "1"
+        assert v.exact_values["DM_BQ_AC_concurrent"] == "1"
 
 
 class TestGeneralConcurrences:
@@ -224,13 +225,13 @@ class TestRatioProduct:
     def test_generic_gamma_two(self, generic_gamma_two_config):
         v = verdict(generic_gamma_two_config, "ratio_product")
         assert v.status == PASS
-        assert v.exact_values["product"] == 2
+        assert v.exact_values["product"] == "2"
 
     def test_gamma_one_with_distinct_pairs(self, unit_square):
         cfg = build_from_ratios(unit_square, SideRatios.of(3, F(1, 2), 4, F(1, 6)))
         v = verdict(cfg, "ratio_product")
         assert v.status == PASS
-        assert v.exact_values["product"] == 1
+        assert v.exact_values["product"] == "1"
 
     def test_coincident_pair_degenerate(self, gamma_two_config):
         v = verdict(gamma_two_config, "ratio_product")
@@ -242,13 +243,13 @@ class TestSectionRatios:
     def test_reference_gamma_two(self, gamma_two_config):
         v = verdict(gamma_two_config, "section_ratios")
         assert v.status == PASS
-        assert v.exact_values["MM1_over_M1P"] == 1
-        assert v.exact_values["MM1_over_M1P_weighted"] == 1
+        assert v.exact_values["MM1_over_M1P"] == "1"
+        assert v.exact_values["MM1_over_M1P_weighted"] == "1"
 
     def test_midpoints(self, midpoint_config):
         v = verdict(midpoint_config, "section_ratios")
         assert v.status == PASS
-        assert v.exact_values["MM1_over_M1P"] == 1
+        assert v.exact_values["MM1_over_M1P"] == "1"
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
         v = verdict(generic_gamma_two_config, "section_ratios")
@@ -261,15 +262,15 @@ class TestCrossingRatioFormula:
     def test_reference_values(self, gamma_two_config):
         v = verdict(gamma_two_config, "crossing_ratio_formula")
         assert v.status == PASS
-        assert v.exact_values["r"] == F(2, 3)
-        assert v.exact_values["ME_over_EP"] == F(5, 7)
-        assert v.exact_values["ME_over_EP_formula"] == F(5, 7)
+        assert v.exact_values["r"] == "2/3"
+        assert v.exact_values["ME_over_EP"] == "5/7"
+        assert v.exact_values["ME_over_EP_formula"] == "5/7"
 
     def test_gamma_one_reduces_to_plain_form(self, gamma_one_config):
         v = verdict(gamma_one_config, "crossing_ratio_formula")
         assert v.status == PASS
         m, n, p, _ = gamma_one_config.ratios.as_tuple
-        assert v.exact_values["ME_over_EP"] == m * n * (p + 1) / (m + 1)
+        assert v.exact_values["ME_over_EP"] == str(m * n * (p + 1) / (m + 1))
 
     def test_parallel_traces_use_r_equal_one(self, unit_square):
         # N = (1, t) and Q = (0, t) make NQ parallel to AB
@@ -294,14 +295,14 @@ class TestInnerQuadrilateral:
         v = verdict(gamma_two_config, "inner_quadrilateral")
         assert v.status == PASS
         lam = v.exact_values
-        assert lam["lambda_P1_on_MP"] < lam["lambda_E_on_MP"] < lam["lambda_M1_on_MP"]
+        assert F(lam["lambda_P1_on_MP"]) < F(lam["lambda_E_on_MP"]) < F(lam["lambda_M1_on_MP"])
 
     def test_gamma_below_one_order(self, unit_square):
         cfg = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, F(1, 2)))
         v = verdict(cfg, "inner_quadrilateral")
         assert v.status == PASS
         lam = v.exact_values
-        assert lam["lambda_M1_on_MP"] < lam["lambda_E_on_MP"] < lam["lambda_P1_on_MP"]
+        assert F(lam["lambda_M1_on_MP"]) < F(lam["lambda_E_on_MP"]) < F(lam["lambda_P1_on_MP"])
 
     def test_gamma_one_collapse(self, gamma_one_config):
         assert verdict(gamma_one_config, "inner_quadrilateral").status == PASS
@@ -473,7 +474,7 @@ class TestInnerQuadConvexity:
         cfg = build_from_ratios(crossed_quad, SideRatios.of(F(1, 2), F(1, 2), F(1, 2), F(1, 3)))
         v = verdict(cfg, "inner_quadrilateral_convexity")
         assert v.status == FAIL
-        assert v.exact_values["inner_quad_convex"] == 0
+        assert v.exact_values["inner_quad_convex"] == "0"
         assert "crossed" in v.detail
 
     def test_gamma_one_collapse_is_degenerate(self, crossed_quad):
@@ -532,6 +533,57 @@ class TestVerifyAll:
         with pytest.raises(TypeError):
             getattr(Verdict("seven_lines", PASS), field)["E"] = F(1)
         assert getattr(Verdict("seven_lines", SKIPPED), field) == {}
+
+
+class TestExactValues:
+    """Every exact value leaves ``verify_all`` as its text, made without a
+    ``Fraction``."""
+
+    @staticmethod
+    def built(specs, count):
+        cfgs = []
+        for spec in specs:
+            for i in range(count):
+                try:
+                    cfgs.append(build_from_ratios(gen_quadrilateral(spec, i), gen_ratios(spec, i)))
+                except UndefinedPoint:
+                    pass
+        return cfgs
+
+    def test_values_are_canonical_text(self):
+        big = 10**30
+        specs = [GenSpec(seed=5, shape=shape, coordinate_bound=big, ratio_bound=big,
+                         force_gamma_one=one)
+                 for shape in ("convex", "concave", "crossed", "any") for one in (False, True)]
+        checked = 0
+        for cfg in self.built(specs, 6):
+            for v in verify_all(cfg):
+                for key, text in v.exact_values.items():
+                    assert isinstance(text, str), (v.claim_id, key)
+                    assert str(parse_rational(text, key)) == text, (v.claim_id, key)
+                    checked += 1
+        assert checked > 500
+
+    def test_verify_all_makes_no_fraction(self, monkeypatch):
+        specs = (GenSpec(seed=3), GenSpec(seed=3, force_gamma_one=True),
+                 GenSpec(seed=3, shape="crossed"),
+                 GenSpec(seed=3, shape="crossed", force_gamma_one=True))
+        cfgs = self.built(specs, 25)
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        assert F(3, 6) == F(1, 2) and len(made) == 2  # the counter sees every construction
+        made.clear()
+        statuses = set()
+        for cfg in cfgs:
+            statuses.update(v.status for v in verify_all(cfg))
+        assert made == []
+        assert {PASS, SKIPPED} <= statuses
 
 
 class TestAffineInvariance:
