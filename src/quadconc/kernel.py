@@ -28,7 +28,7 @@ Conventions
   ratio as those integer ``(num, den)`` pairs, for callers that compare
   them by cross-multiplication; ``affine_parameter`` and
   ``directed_ratio`` wrap them in a ``Fraction``.  ``rational_text``
-  writes a pair as exact text, the one writer of rational text.
+  writes a pair as exact text, the bytes ``str(Fraction)`` writes.
 
 Everything here is an immutable value and every function is pure.
 """

@@ -374,16 +374,16 @@ class TestComparisonBranches:
     def test_e_on_segment_n1q1(self, vertices, ratios):
         cfg = self.inner(vertices, ratios)
         N, Q, E = cfg.point("N"), cfg.point("Q"), cfg.point("E")
-        e = affine_parameter(N, Q, E)
-        outside = [(e + F(1, 10), e + F(1, 5)), (e - F(1, 5), e - F(1, 10))]
-        inside = [(e, e + F(1, 10)), (e - F(1, 10), e), (e - F(1, 10), e + F(1, 10))]
-        for lams, expected in [(lams, FAIL) for lams in outside] + \
-                [(lams, PASS) for lams in inside]:
-            for n1, q1 in (lams, lams[::-1]):
+        e, d = affine_parameter(N, Q, E), F(1, 10)
+        # the closed segment from N1 to Q1, in either order, must hold E
+        cases = {(e + d, e + 2 * d): FAIL, (e - 2 * d, e - d): FAIL,
+                 (e, e + d): PASS, (e - d, e): PASS, (e - d, e + d): PASS}
+        for (lo, hi), status in cases.items():
+            detail = "E outside segment N1Q1" if status == FAIL else ""
+            for n1, q1 in ((lo, hi), (hi, lo)):
                 v = verdict(with_points(cfg, N1=at(N, Q, n1), Q1=at(N, Q, q1)),
                             "inner_quadrilateral")
-                detail = "E outside segment N1Q1" if expected == FAIL else ""
-                assert (v.status, v.detail) == (expected, detail), (n1, q1)
+                assert (v.status, v.detail) == (status, detail), (n1, q1)
 
     def test_points_off_their_carrier_lines(self, generic_gamma_two_config):
         cfg = generic_gamma_two_config
