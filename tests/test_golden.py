@@ -19,7 +19,7 @@ import pytest
 
 from quadconc import build_from_ratios
 from quadconc.cli import main
-from quadconc.errors import GeometryError
+from quadconc.errors import GeometryError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
@@ -114,3 +114,43 @@ def test_verdict_corpus_digest():
                         line = json.dumps(verdict_json(v), sort_keys=True) + "\n"
                         h.update(line.encode("utf-8"))
     assert h.hexdigest() == VERDICT_CORPUS_GOLDEN
+
+
+# the generator and the construction alone, over every shape, both regimes
+# and bounds from the smallest to 10^30
+CONSTRUCTION_BOUNDS = ((4, 2), (10, 8), (1000, 8), (10**30, 10**30))
+CONSTRUCTION_GOLDEN = "50db679e167398a295d657c6528cf0855483bac4aa2f4ad93c2f1da349e5717a"
+
+
+def construction_digest() -> str:
+    """Seed 42 x convex, concave, crossed, any x the product forced to one,
+    then free x ``CONSTRUCTION_BOUNDS`` x indices 0-99: 3,200 instances.
+    Each instance adds its vertex triples, shape and ratio text; then, if it
+    builds, every named point's triple (``None`` when undefined) in
+    ``named_points`` order, the sorted flags and ``str(r)``; if it does not,
+    the exception's type and ``name``."""
+    h = hashlib.sha256()
+    for shape in ("convex", "concave", "crossed", "any"):
+        for force in (True, False):
+            for bound, ratio_bound in CONSTRUCTION_BOUNDS:
+                spec = GenSpec(seed=42, shape=shape, coordinate_bound=bound,
+                               ratio_bound=ratio_bound, force_gamma_one=force)
+                for index in range(100):
+                    quad = gen_quadrilateral(spec, index)
+                    ratios = gen_ratios(spec, index)
+                    parts = [repr([v.triple() for v in quad.vertices]), quad.shape,
+                             repr([str(x) for x in ratios.as_tuple])]
+                    try:
+                        cfg = build_from_ratios(quad, ratios)
+                    except UndefinedPoint as exc:
+                        parts += [type(exc).__name__, exc.name]
+                    else:
+                        parts += [repr([(name, None if pt is None else pt.triple())
+                                        for name, pt in cfg.named_points().items()]),
+                                  repr(sorted(cfg.degeneracies)), str(cfg.r_ratio)]
+                    h.update(("\t".join(parts) + "\n").encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_construction_digest():
+    assert construction_digest() == CONSTRUCTION_GOLDEN
