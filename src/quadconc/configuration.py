@@ -8,13 +8,20 @@ diagonal division points ``F1 G1 F2 G2``, the transversal crossing ``E``,
 the quadruple-concurrence points ``M1 N1 P1 Q1``, and the trace ``R`` of
 ``NQ`` on line ``AB`` together with its unsigned ratio ``r``.
 
-Only points are canonical.  Each line is the unreduced ``cross3`` of the
-triples of its two points, a transient triple that only feeds meets, and
-each meet is one ``reduce3`` of the cross product of two lines; the
-kernel's ``Line``, ``line_through`` and ``meet`` are public API, not this
-path.  Coincidences the construction can survive are recorded as named
-degeneracy flags instead of raising; a point is stored as ``None`` only
-when one of its defining lines collapses entirely.
+Only points are canonical.  ``CONSTRUCTION`` is compiled once, at import,
+into a slot plan: the inputs ``A B C D M N P Q`` take slots 0-7, row *i*
+takes slot 8 + *i*, and each distinct line gets an index and is built at
+the first row that uses it.  ``construct_triples`` runs the plan on bare
+triples with the reduction as a parameter (``reduce3`` here).  Each line is
+the unreduced cross product of the triples of its two points, a transient
+triple that only feeds meets, and each meet is one reduction of the cross
+product of two lines; the kernel's ``Line``, ``line_through`` and ``meet``
+are public API, not this path.  The side points come from the kernel's
+``dividing_terms`` and ``r`` from the ``parameter_terms`` pair, so the
+only ``Fraction`` a build makes is ``r``.  Coincidences the construction
+can survive are recorded as named degeneracy flags instead of raising; a
+point is stored as ``None`` only when one of its defining lines collapses
+entirely.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from ._purekernel import cross3, reduce3
+from ._purekernel import reduce3
 from .errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from .kernel import (
     CONVEX,
@@ -36,7 +43,8 @@ from .kernel import (
     classify_quadrilateral,
     collinear,
     directed_ratio,
-    point_dividing,
+    dividing_terms,
+    parameter_terms,
 )
 
 # every constructed point as the meet of two lines, each through two
@@ -76,6 +84,72 @@ DIAGONAL_PAIRS = (
     ("F2", "G2"),
     ("G2", "F1"),
 )
+
+# every named point's slot in the construction plan: the eight inputs take
+# slots 0-7 and CONSTRUCTION row i takes slot 8 + i
+POINT_NAMES = ("A", "B", "C", "D", "M", "N", "P", "Q") + tuple(row[0] for row in CONSTRUCTION)
+_SLOT = {name: i for i, name in enumerate(POINT_NAMES)}
+_R_SLOT = _SLOT["R"]
+
+
+def _compile(rows):
+    """``CONSTRUCTION`` as a slot plan: per row its name, the lines it builds
+    first as ``(line index, slot, slot)``, and the indices of its two lines.
+    Each distinct point pair gets one line index, built at its first row."""
+    index: dict[tuple[str, str], int] = {}
+    plan = []
+    for name, uv, st in rows:
+        new = []
+        for pair in (uv, st):
+            if pair not in index:
+                index[pair] = len(index)
+                new.append((index[pair], _SLOT[pair[0]], _SLOT[pair[1]]))
+        plan.append((name, tuple(new), index[uv], index[st]))
+    return tuple(plan), len(index)
+
+
+_PLAN, _LINE_COUNT = _compile(CONSTRUCTION)
+_DIAGONAL_SLOTS = tuple((_SLOT[u], _SLOT[v], f"{u}_EQ_{v}") for u, v in DIAGONAL_PAIRS)
+
+# r where AR/RB is no finite ratio (R ideal, undefined or on B), by convention
+_R_DEFAULT = Fraction(1)
+
+
+def construct_triples(inputs, reduce):
+    """The triple of every plan slot, from the triples of ``A B C D M N P Q``.
+
+    Each line is the unreduced cross product of its two point triples, a
+    transient triple that only feeds meets.  It is ``None`` where an end is
+    undefined, the ends are equal (``(0, 0, 0)``) or both ideal
+    (``(0, 0, c)``), and a row with a ``None`` line is ``None`` itself.
+    Each meet is ``reduce(x, y, w)`` of the cross product of its two lines.
+    Raises :class:`UndefinedPoint` for the first row whose lines coincide.
+    Only ``+``, ``-``, ``*`` and ``reduce`` touch the coordinates, so any
+    ring whose zero is falsy can stand in for the integers.
+    """
+    pts = list(inputs)
+    lines = [None] * _LINE_COUNT
+    for name, new, i1, i2 in _PLAN:
+        for li, u, v in new:
+            tu, tv = pts[u], pts[v]
+            if tu is not None and tv is not None:
+                ux, uy, uw = tu
+                vx, vy, vw = tv
+                a, b = uy * vw - uw * vy, uw * vx - ux * vw
+                if a or b:
+                    lines[li] = (a, b, ux * vy - uy * vx)
+        l1, l2 = lines[i1], lines[i2]
+        if l1 is None or l2 is None:
+            pts.append(None)
+            continue
+        a1, b1, c1 = l1
+        a2, b2, c2 = l2
+        x, y, w = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
+        if not (x or y or w):
+            raise UndefinedPoint(name)
+        pts.append(reduce(x, y, w))
+    return pts
+
 
 class Quadrilateral(NamedTuple):
     """Four labeled finite vertices plus their shape class."""
@@ -142,54 +216,45 @@ class Configuration:
 
 def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     A, B, C, D = quad.vertices
-    side_points = (
-        point_dividing(A, B, ratios.m),
-        point_dividing(B, C, ratios.n),
-        point_dividing(C, D, ratios.p),
-        point_dividing(D, A, ratios.q),
-    )
-    points: dict[str, Optional[Point]] = dict(zip("ABCDMNPQ", quad.vertices + side_points))
-    triples: dict[str, Optional[tuple[int, int, int]]] = {
-        name: pt.triple() for name, pt in points.items()}
-    # each line as the unreduced cross product of its two point triples, or
-    # None where an end is undefined, the ends are equal (0, 0, 0) or both
-    # ideal (0, 0, c); lines shared by several rows are built once
-    lines: dict[tuple[str, str], Optional[tuple[int, int, int]]] = {}
+    ta, tb, tc, td = A.triple(), B.triple(), C.triple(), D.triple()
+    m, n, p, q = ratios.as_tuple
+    # point_dividing's checks cannot fail here: both builders pass a
+    # non-degenerate shape, so the vertices are finite and distinct, and
+    # their ratios are positive or come from directed_ratio, never -1
+    pts = construct_triples((
+        ta, tb, tc, td,
+        reduce3(*dividing_terms(ta, tb, m.numerator, m.denominator)),
+        reduce3(*dividing_terms(tb, tc, n.numerator, n.denominator)),
+        reduce3(*dividing_terms(tc, td, p.numerator, p.denominator)),
+        reduce3(*dividing_terms(td, ta, q.numerator, q.denominator)),
+    ), reduce3)
+    wrap = Point._wrap
+    points: dict[str, Optional[Point]] = dict(zip(POINT_NAMES, [A, B, C, D] + [
+        None if t is None else wrap(t) for t in pts[4:]]))
+
     flags: set[str] = set()
-    for name, uv, st in CONSTRUCTION:
-        for u, v in (uv, st):
-            if (u, v) not in lines:
-                tu, tv = triples[u], triples[v]
-                c = cross3(tu, tv) if tu is not None and tv is not None else (0, 0, 0)
-                lines[u, v] = c if c[0] or c[1] else None
-        l1, l2 = lines[uv], lines[st]
-        if l1 is None or l2 is None:
+    for name, t in zip(POINT_NAMES[8:], pts[8:]):
+        if t is None:
             flags.add(f"{name}_UNDEFINED")
-            points[name] = triples[name] = None
-            continue
-        c = cross3(l1, l2)
-        if c == (0, 0, 0):
-            raise UndefinedPoint(name)
-        t = triples[name] = reduce3(*c)
-        points[name] = Point._wrap(t)
         # R ideal is an in-convention case (its ratio is defined to be 1),
         # so it does not count as a degeneracy
-        if t[2] == 0 and name != "R":
+        elif t[2] == 0 and name != "R":
             flags.add(f"{name}_IDEAL")
 
-    R = points["R"]
-    r_ratio = Fraction(1)
-    if R is not None and not R.is_ideal:
-        if R == B:
-            # the unsigned ratio AR/RB is infinite
+    r_ratio = _R_DEFAULT
+    tr = pts[_R_SLOT]
+    if tr is not None and tr[2]:
+        num, den = parameter_terms(A, B, points["R"])
+        if num == den:
+            # R is B: the unsigned ratio AR/RB is infinite
             flags.add("R_RATIO_UNDEFINED")
         else:
-            r_ratio = abs(directed_ratio(A, R, B))
+            r_ratio = Fraction(abs(num), abs(den - num))
 
-    for u, v in DIAGONAL_PAIRS:
-        pu, pv = points[u], points[v]
-        if pu is not None and pv is not None and pu == pv:
-            flags.add(f"{u}_EQ_{v}")
+    for u, v, flag in _DIAGONAL_SLOTS:
+        tu = pts[u]
+        if tu is not None and tu == pts[v]:
+            flags.add(flag)
 
     return Configuration(quad, ratios, MappingProxyType(points), r_ratio, frozenset(flags))
 

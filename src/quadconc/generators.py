@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted, InstanceFormatError
-from .kernel import (CONCAVE, CONVEX, CROSSED, DEGENERATE, Point, Shape, orientation,
-                     point_dividing, point_from_terms)
+from ._purekernel import det3, reduce3
+from .kernel import (CONCAVE, CONVEX, CROSSED, DEGENERATE, Point, Shape, dividing_terms,
+                     point_from_terms)
 
 # accepted by the generator only; never a classification result
 ANY_SHAPE: Shape = "any"
@@ -105,26 +105,21 @@ def _ccw_about_centroid(points: list[Point]) -> list[Point]:
     n = len(coords)
     sx = sum(c[0] for c in coords)
     sy = sum(c[1] for c in coords)
-    offsets = [(n * u - sx, n * v - sy) for u, v in coords]
-
-    def half(c: tuple[int, int]) -> int:
-        dx, dy = c
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-
-    def compare(i: int, j: int) -> int:
-        ci, cj = offsets[i], offsets[j]
-        hi, hj = half(ci), half(cj)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        cross = ci[0] * cj[1] - ci[1] * cj[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    order = sorted(range(len(points)), key=cmp_to_key(compare))
-    return [points[i] for i in order]
+    # counterclockwise from the positive x direction: the half plane first
+    # (0 for angles in [0, pi), else 1), then the cross product; a stable
+    # insertion keeps equal directions in input order
+    ordered: list[tuple[int, int, int, Point]] = []
+    for (u, v), p in zip(coords, points):
+        dx, dy = n * u - sx, n * v - sy
+        half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        i = len(ordered)
+        while i:
+            h, ex, ey, _ = ordered[i - 1]
+            if h < half or (h == half and ex * dy - ey * dx >= 0):
+                break
+            i -= 1
+        ordered.insert(i, (half, dx, dy, p))
+    return [item[3] for item in ordered]
 
 
 def _draw_point(rng: Stream, bound: int) -> Point:
@@ -143,14 +138,18 @@ def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:
 def _try_concave(rng: Stream, bound: int) -> Quadrilateral | None:
     a, b, c = (_draw_point(rng, bound) for _ in range(3))
     i, j, k = (rng.next_int(1, bound) for _ in range(3))
-    sign = orientation(a, b, c)
+    ta, tb, tc = a.triple(), b.triple(), c.triple()
+    sign = det3(ta, tb, tc)
     if sign == 0:
         return None
     if sign < 0:
         b, c = c, b
+        tb, tc = tc, tb
     # interior point of the triangle, strictly inside by construction:
-    # (k*a + i*b + j*c) / (i + j + k), the point dividing a -> (i*b + j*c)/(i + j)
-    x = point_dividing(a, point_dividing(b, c, Fraction(j, i)), Fraction(i + j, k))
+    # (k*a + i*b + j*c) / (i + j + k), the point dividing a -> (i*b + j*c)/(i + j);
+    # the points are finite and distinct and the ratios positive
+    bc = reduce3(*dividing_terms(tb, tc, j, i))
+    x = Point._wrap(reduce3(*dividing_terms(ta, bc, i + j, k)))
     quad = Quadrilateral.of(a, b, x, c)
     return quad if quad.shape == CONCAVE else None
 

@@ -23,12 +23,17 @@ Conventions
   components stand in when ``b0*aw == a0*bw`` (a vertical segment).
   Then ``directed_ratio = num / (den - num)``, and the point dividing
   ``a -> b`` in ratio ``tn/td`` is
-  ``(td*bw*a0 + tn*aw*b0, td*bw*a1 + tn*aw*b1, (td + tn)*aw*bw)``.
+  ``(td*bw*a0 + tn*aw*b0, td*bw*a1 + tn*aw*b1, (td + tn)*aw*bw)``:
+  ``dividing_terms`` returns that unreduced triple, and ``point_dividing``
+  checks its inputs, then reduces it.
 * ``parameter_terms`` and ``ratio_terms`` return the parameter and the
   ratio as those integer ``(num, den)`` pairs, for callers that compare
   them by cross-multiplication; ``affine_parameter`` and
   ``directed_ratio`` wrap them in a ``Fraction``.  ``rational_text``
   writes a pair as exact text, the bytes ``str(Fraction)`` writes.
+* ``classify_quadrilateral`` reads the four vertex triples once: one
+  finiteness test, then the signs of four ``det3``, which are the affine
+  orientation signs because canonical finite triples have ``w > 0``.
 
 Everything here is an immutable value and every function is pure.
 """
@@ -208,15 +213,15 @@ def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:
     triples: none differing is convex, one is concave, two is crossed,
     and any zero (three collinear or repeated vertices) is degenerate.
     """
-    signs = (
-        orientation(a, b, c),
-        orientation(b, c, d),
-        orientation(c, d, a),
-        orientation(d, a, b),
-    )
-    if 0 in signs:
+    ta, tb, tc, td = a._t, b._t, c._t, d._t
+    if not (ta[2] and tb[2] and tc[2] and td[2]):
+        raise GeometryError("orientation is defined for finite points only")
+    # canonical finite triples have positive w, so each determinant's sign
+    # is the affine orientation sign
+    d1, d2, d3, d4 = det3(ta, tb, tc), det3(tb, tc, td), det3(tc, td, ta), det3(td, ta, tb)
+    if not (d1 and d2 and d3 and d4):
         return DEGENERATE
-    negatives = signs.count(-1)
+    negatives = (d1 < 0) + (d2 < 0) + (d3 < 0) + (d4 < 0)
     if negatives in (0, 4):
         return CONVEX
     if negatives in (1, 3):
@@ -227,16 +232,16 @@ def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:
 def parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
     """``(num, den)`` with ``affine_parameter(a, b, x) == num / den``; ``den``
     is nonzero and of either sign."""
-    for p in (a, b, x):
-        if p.is_ideal:
-            raise GeometryError("affine parameters are defined for finite points only")
-    if a == b:
+    ta, tb, tx = a._t, b._t, x._t
+    a0, a1, aw = ta
+    b0, b1, bw = tb
+    x0, x1, xw = tx
+    if not (aw and bw and xw):
+        raise GeometryError("affine parameters are defined for finite points only")
+    if ta == tb:
         raise GeometryError("segment endpoints coincide")
-    if det3(a._t, b._t, x._t) != 0:
+    if det3(ta, tb, tx) != 0:
         raise GeometryError(f"{x!r} is not on the line through {a!r} and {b!r}")
-    a0, a1, aw = a._t
-    b0, b1, bw = b._t
-    x0, x1, xw = x._t
     d = b0 * aw - a0 * bw
     if d != 0:
         return (x0 * aw - a0 * xw) * bw, d * xw
@@ -262,6 +267,18 @@ def directed_ratio(a: Point, p: Point, b: Point) -> Fraction:
     return Fraction(*ratio_terms(a, p, b))
 
 
+def dividing_terms(ta: tuple[int, int, int], tb: tuple[int, int, int],
+                   tn: int, td: int) -> tuple[int, int, int]:
+    """The unreduced triple of the point dividing ``ta -> tb`` in ratio
+    ``tn/td``: the arithmetic of :func:`point_dividing` without its checks,
+    so the caller guarantees finite, distinct ends, ``td != 0`` and
+    ``tn != -td``."""
+    a0, a1, aw = ta
+    b0, b1, bw = tb
+    u, v = td * bw, tn * aw
+    return (u * a0 + v * b0, u * a1 + v * b1, (td + tn) * aw * bw)
+
+
 def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:
     """The finite point with ``directed_ratio(a, ., b)`` equal to ``ratio``."""
     t = as_rat(ratio)
@@ -272,8 +289,4 @@ def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:
         raise GeometryError("division endpoints coincide")
     if t == -1:
         raise GeometryError("ratio -1 corresponds to the point at infinity")
-    tn, td = t.numerator, t.denominator
-    a0, a1, aw = a._t
-    b0, b1, bw = b._t
-    u, v = td * bw, tn * aw
-    return Point._wrap(reduce3(u * a0 + v * b0, u * a1 + v * b1, (td + tn) * aw * bw))
+    return Point._wrap(reduce3(*dividing_terms(a._t, b._t, t.numerator, t.denominator)))

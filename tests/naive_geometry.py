@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 Pt = tuple[Fraction, Fraction]
 
@@ -112,3 +113,29 @@ def build_all(vertices: tuple[Pt, Pt, Pt, Pt],
     pts["Q1"] = meet(lCC1, lDD1)
     pts["R"] = meet(lNQ, ln(A, B))
     return pts
+
+
+def ccw_about_centroid(pts: list[Pt]) -> list[int]:
+    """Indices of ``pts`` counterclockwise about their centroid from the
+    positive x direction, equal directions in input order: a ``sorted``
+    with a comparison of half plane, then cross product.  A point on the
+    centroid compares equal to every point of the lower half plane yet
+    after every point of the upper one, so there the comparison is not a
+    strict weak order and the result depends on the sorting algorithm."""
+    n = len(pts)
+    cx = sum(x for x, _ in pts) / n
+    cy = sum(y for _, y in pts) / n
+    offsets = [(x - cx, y - cy) for x, y in pts]
+
+    def half(i: int) -> int:
+        dx, dy = offsets[i]
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def compare(i: int, j: int) -> int:
+        if half(i) != half(j):
+            return -1 if half(i) < half(j) else 1
+        (xi, yi), (xj, yj) = offsets[i], offsets[j]
+        cross = xi * yj - yi * xj
+        return -1 if cross > 0 else 1 if cross < 0 else 0
+
+    return sorted(range(n), key=cmp_to_key(compare))

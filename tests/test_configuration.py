@@ -17,6 +17,7 @@ from quadconc import (
     meet,
     point_dividing,
 )
+from quadconc.configuration import _construct
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc._purekernel import reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
@@ -124,6 +125,64 @@ class TestBuildFromRatios:
     def test_nonpositive_ratios_rejected(self, unit_square):
         with pytest.raises(InstanceFormatError, match="side ratios must be positive"):
             build_from_ratios(unit_square, SideRatios.of(-1, 1, 1, 1))
+
+
+class TestTraceRatioFractions:
+    """``r`` is the one ``Fraction`` a build makes, and only where ``R`` is
+    finite and not ``B``."""
+
+    @staticmethod
+    def count_fractions(monkeypatch, build):
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counted))
+            assert F(3, 6) == F(1, 2) and len(made) == 2  # the counter sees every construction
+            made.clear()
+            cfg = build()
+        return cfg, len(made)
+
+    def test_finite_r(self, monkeypatch, unit_square):
+        ratios = SideRatios.of(1, 1, 1, 2)
+        cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
+        assert made == 1
+        R = cfg.point("R")
+        assert not R.is_ideal and R != cfg.quad.B
+        assert cfg.r_ratio == abs(directed_ratio(cfg.quad.A, R, cfg.quad.B)) == F(2, 3)
+
+    def test_ideal_r(self, monkeypatch, unit_square):
+        ratios = SideRatios.of(1, 1, 1, 1)
+        cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
+        assert made == 0
+        assert cfg.point("R").is_ideal and cfg.r_ratio == 1
+
+    def test_r_on_b(self, monkeypatch):
+        quad = Quadrilateral.of(Point(F(4, 3), 1), Point(-1, 1), Point(F(-5, 12), F(1, 2)),
+                                Point(-1, 0))
+        ratios = SideRatios.of(1, F(1, 2), F(1, 2), F(1, 2))
+        cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(quad, ratios))
+        assert made == 0
+        assert cfg.point("R") == quad.B and "R_RATIO_UNDEFINED" in cfg.degeneracies
+        assert cfg.r_ratio == 1
+
+    def test_undefined_r(self, monkeypatch):
+        # N = Q on the crossing of BC and DA, P on line AB: only side points
+        # outside their sides leave R undefined without raising, so the
+        # construction runs on the ratios build_from_points recovers
+        A, B, C, D = Point(0, 0), Point(3, 0), Point(0, 2), Point(2, 3)
+        NQ = meet(line_through(B, C), line_through(D, A))
+        P = meet(line_through(A, B), line_through(C, D))
+        quad = Quadrilateral.of(A, B, C, D)
+        ratios = build_from_points(quad, Point(F(3, 2), 0), NQ, P, NQ).ratios
+        cfg, made = self.count_fractions(monkeypatch, lambda: _construct(quad, ratios))
+        assert made == 0
+        assert cfg.point("R") is None and "R_UNDEFINED" in cfg.degeneracies
+        assert cfg.r_ratio == 1
 
 
 class TestBuildFromPoints:

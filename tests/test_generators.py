@@ -1,13 +1,18 @@
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
+import naive_geometry as naive
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from quadconc import Point
+from quadconc import Point, generators
 from quadconc.generators import (
     ANY_SHAPE,
     GenSpec,
     Stream,
+    _ccw_about_centroid,
     gen_quadrilateral,
     gen_ratios,
     instance_stream,
@@ -104,6 +109,52 @@ class TestQuadrilaterals:
                 for c in (x, y):
                     assert abs(c.numerator) <= bound
                     assert c.denominator <= bound
+
+
+class TestCentroidOrder:
+    coordinates = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    finite = st.builds(Point, coordinates, coordinates)
+
+    @staticmethod
+    @st.composite
+    def four_points(draw, finite=finite):
+        """Four finite points with small coordinates, so repeated points
+        and collinear offsets are common; or three and, at any position,
+        their centroid, which is then the centroid of all four."""
+        pts = draw(st.lists(finite, min_size=3, max_size=4))
+        if len(pts) == 3:
+            xs, ys = zip(*(p.affine() for p in pts))
+            pts.insert(draw(st.integers(0, 3)), Point(sum(xs) / 3, sum(ys) / 3))
+        return pts
+
+    @staticmethod
+    def reference_order(pts):
+        return [pts[i] for i in naive.ccw_about_centroid([p.affine() for p in pts])]
+
+    @staticmethod
+    def try_convex(pts, order):
+        """``_try_convex`` on a stream that draws ``pts``, sorted by ``order``."""
+        draws = iter(pts)
+        with mock.patch.object(generators, "_draw_point", lambda rng, bound: next(draws)), \
+                mock.patch.object(generators, "_ccw_about_centroid", order):
+            return generators._try_convex(None, 4)
+
+    @given(four_points())
+    @example([Point(0, 0), Point(2, 2), Point(0, 1), Point(-2, 1)])  # the orders differ
+    def test_order_matches_the_comparison_sort(self, pts):
+        got = _ccw_about_centroid(pts)
+        want = self.reference_order(pts)
+        assert sorted(p.triple() for p in got) == sorted(p.triple() for p in pts)
+        if got != want:
+            # only a point on the centroid leaves the comparison without a
+            # strict weak order, and no order of such points is convex
+            xs, ys = zip(*(p.affine() for p in pts))
+            assert Point(sum(xs) / 4, sum(ys) / 4) in pts
+            assert self.try_convex(pts, _ccw_about_centroid) is None
+            assert self.try_convex(pts, self.reference_order) is None
+        quad = self.try_convex(pts, _ccw_about_centroid)
+        assert quad == self.try_convex(pts, self.reference_order)
+        assert quad is None or quad.vertices == tuple(got)
 
 
 class TestRatios:

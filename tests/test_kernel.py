@@ -16,6 +16,7 @@ from quadconc import (
     point_dividing,
 )
 from quadconc.errors import GeometryError
+from quadconc.kernel import parameter_terms
 
 F = Fraction
 
@@ -174,6 +175,32 @@ class TestDividingAndRatio:
         assert affine_parameter(Point(0, 0), Point(0, 2), Point(0, 3)) == F(3, 2)
 
 
+class TestParameterTermsGuards:
+    a, b, ideal = Point(0, 0), Point(1, 0), Point(1, 0, 0)
+
+    @pytest.mark.parametrize("args", [(ideal, b, a), (a, ideal, a), (a, b, ideal),
+                                      (a, a, ideal), (ideal, ideal, ideal)])
+    def test_ideal(self, args):
+        # first of the three guards: an ideal point also beats coincident ends
+        with pytest.raises(GeometryError,
+                           match="^affine parameters are defined for finite points only$"):
+            parameter_terms(*args)
+
+    def test_coincident(self):
+        # equal as points, made from different rational triples
+        with pytest.raises(GeometryError, match="^segment endpoints coincide$"):
+            parameter_terms(self.a, Point(0, 0, 2), Point(1, 1))
+
+    def test_off_the_line(self):
+        with pytest.raises(GeometryError) as info:
+            parameter_terms(self.a, self.b, Point(1, F(1, 2)))
+        assert str(info.value) == \
+            "Point(1, 1/2) is not on the line through Point(0, 0) and Point(1, 0)"
+
+    def test_on_the_line(self):
+        assert parameter_terms(self.a, Point(2, 0, 2), Point(3, 0)) == (3, 1)
+
+
 class TestOrientation:
     def test_signs(self):
         assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == 1
@@ -208,3 +235,13 @@ class TestClassify:
             vertices = square.copy()
             vertices[j] = vertices[i]
             assert classify_quadrilateral(*vertices) == "degenerate", (i, j)
+
+    def test_ideal_vertex(self):
+        # the message orientation gives, wherever the ideal vertex stands
+        square = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
+        for i in range(4):
+            vertices = square.copy()
+            vertices[i] = Point(1, 2, 0)
+            with pytest.raises(GeometryError,
+                               match="^orientation is defined for finite points only$"):
+                classify_quadrilateral(*vertices)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quadconc import (
     Point,
     affine_parameter,
+    classify_quadrilateral,
     collinear,
     directed_ratio,
     line_through,
@@ -174,3 +175,24 @@ def test_det3_decides_incidence_with_the_join(u, v, x, s, t):
     on = tuple(s * a + t * b for a, b in zip(u.triple(), v.triple()))
     for p in (x, *([Point(*on)] if any(on) else [])):
         assert (det3(u.triple(), v.triple(), p.triple()) == 0) == line.contains(p)
+
+
+# small coordinates make collinear and repeated vertices common
+small_points = st.builds(Point, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(*[st.one_of(small_points, points)] * 4)
+def test_classify_counts_orientation_signs(a, b, c, d):
+    signs = [orientation(a, b, c), orientation(b, c, d), orientation(c, d, a),
+             orientation(d, a, b)]
+    expected = ("degenerate" if 0 in signs
+                else ("convex", "concave", "crossed", "concave", "convex")[signs.count(-1)])
+    assert classify_quadrilateral(a, b, c, d) == expected
+
+
+@given(points, points, points, ideal_points, st.integers(0, 3))
+def test_classify_rejects_an_ideal_vertex(a, b, c, ideal, i):
+    vertices = [a, b, c]
+    vertices.insert(i, ideal)
+    with pytest.raises(GeometryError, match="^orientation is defined for finite points only$"):
+        classify_quadrilateral(*vertices)
