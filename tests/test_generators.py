@@ -111,22 +111,22 @@ class TestQuadrilaterals:
                     assert c.denominator <= bound
 
 
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def four_points(draw):
+    """Four finite points with small coordinates, so repeated points and
+    collinear offsets are common; or three and, at any position, their
+    centroid, which is then the centroid of all four."""
+    pts = draw(st.lists(st.builds(Point, _small, _small), min_size=3, max_size=4))
+    if len(pts) == 3:
+        xs, ys = zip(*(p.affine() for p in pts))
+        pts.insert(draw(st.integers(0, 3)), Point(sum(xs) / 3, sum(ys) / 3))
+    return pts
+
+
 class TestCentroidOrder:
-    coordinates = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-    finite = st.builds(Point, coordinates, coordinates)
-
-    @staticmethod
-    @st.composite
-    def four_points(draw, finite=finite):
-        """Four finite points with small coordinates, so repeated points
-        and collinear offsets are common; or three and, at any position,
-        their centroid, which is then the centroid of all four."""
-        pts = draw(st.lists(finite, min_size=3, max_size=4))
-        if len(pts) == 3:
-            xs, ys = zip(*(p.affine() for p in pts))
-            pts.insert(draw(st.integers(0, 3)), Point(sum(xs) / 3, sum(ys) / 3))
-        return pts
-
     @staticmethod
     def reference_order(pts):
         return [pts[i] for i in naive.ccw_about_centroid([p.affine() for p in pts])]
@@ -141,20 +141,20 @@ class TestCentroidOrder:
 
     @given(four_points())
     @example([Point(0, 0), Point(2, 2), Point(0, 1), Point(-2, 1)])  # the orders differ
+    @example([Point(1, 0), Point(2, 0), Point(-1, 1), Point(-2, -1)])  # one direction twice
     def test_order_matches_the_comparison_sort(self, pts):
         got = _ccw_about_centroid(pts)
         want = self.reference_order(pts)
         assert sorted(p.triple() for p in got) == sorted(p.triple() for p in pts)
+        quad = self.try_convex(pts, _ccw_about_centroid)
+        assert quad == self.try_convex(pts, self.reference_order)
+        assert quad is None or quad.vertices == tuple(got)
         if got != want:
             # only a point on the centroid leaves the comparison without a
             # strict weak order, and no order of such points is convex
             xs, ys = zip(*(p.affine() for p in pts))
             assert Point(sum(xs) / 4, sum(ys) / 4) in pts
-            assert self.try_convex(pts, _ccw_about_centroid) is None
-            assert self.try_convex(pts, self.reference_order) is None
-        quad = self.try_convex(pts, _ccw_about_centroid)
-        assert quad == self.try_convex(pts, self.reference_order)
-        assert quad is None or quad.vertices == tuple(got)
+            assert quad is None
 
 
 class TestRatios:

@@ -235,13 +235,3 @@ class TestClassify:
             vertices = square.copy()
             vertices[j] = vertices[i]
             assert classify_quadrilateral(*vertices) == "degenerate", (i, j)
-
-    def test_ideal_vertex(self):
-        # the message orientation gives, wherever the ideal vertex stands
-        square = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
-        for i in range(4):
-            vertices = square.copy()
-            vertices[i] = Point(1, 2, 0)
-            with pytest.raises(GeometryError,
-                               match="^orientation is defined for finite points only$"):
-                classify_quadrilateral(*vertices)
