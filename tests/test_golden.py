@@ -5,7 +5,9 @@ The fuzz digests are the sha256 of ``quadconc fuzz --seed 42 --count 200``
 in each regime, as the command writes it to stdout.  The figure digests
 are the sha256 of ``render_svg`` over a generated stream, once with the
 default layers and once per single layer.  The verdict corpus digest is
-the sha256 of every verdict's report JSON over a small-bound stream.  Two
+the sha256 of every verdict's report JSON over a small-bound stream, and
+the corrupted-verdict digest the same over configurations with one stored
+point replaced.  Two
 runs agreeing with each other (``test_determinism_byte_identical``) does
 not catch a change in what both of them print.
 """
@@ -19,11 +21,15 @@ import pytest
 
 from quadconc import build_from_ratios
 from quadconc.cli import main
+from quadconc.configuration import POINT_NAMES
 from quadconc.errors import GeometryError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
+from quadconc.instancefile import render
+from quadconc.kernel import Point
 from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
 from quadconc.verifiers import verify_all
+from test_verifiers import with_points
 
 GOLDEN = {
     ("gamma1",): "29cf24f6cfa2b07d81c540165cc2b107b26e741af7f0424bcca5934bf807049d",
@@ -154,3 +160,55 @@ def construction_digest() -> str:
 
 def test_construction_digest():
     assert construction_digest() == CONSTRUCTION_GOLDEN
+
+
+# the verdicts where a stored point is wrong: the fuzz streams reach no
+# failing or undefined-line path, so their details are pinned here
+CORRUPTION_BOUNDS = ((10, 8), (1000, 8))
+CORRUPTED_VERDICT_GOLDEN = "653b7bafcbabf602c72087526e3f6d83114e8456911636a705247bc2a4b12b1a"
+
+
+def corruptions(cfg):
+    """Each ``(name, kind, point)`` that replaces one stored point: every
+    constructed point by ``None``; every point by the next defined point in
+    ``POINT_NAMES`` order; every point by an ideal point, its own direction
+    ``(x, y, 0)``, or ``(1, 0, 0)`` where it has none."""
+    points = cfg.named_points()
+    for i, name in enumerate(POINT_NAMES):
+        if i >= 8:
+            yield name, "none", None
+        other = next(n for n in POINT_NAMES[i + 1:] + POINT_NAMES[:i] if points[n] is not None)
+        yield name, "other", points[other]
+        pt = points[name]
+        x, y, w = (0, 0, 0) if pt is None else pt.triple()
+        yield name, "ideal", Point(x, y, 0) if w and (x or y) else Point(1, 0, 0)
+
+
+def corrupted_verdict_digest() -> str:
+    """Seed 42 x convex, concave, crossed, any x the product forced to one,
+    then free x ``CORRUPTION_BOUNDS`` x indices 0-3, each configuration that
+    builds under each of its ``corruptions``.  Each adds ``render`` of the
+    point name, the kind and every verdict's report JSON: status, detail,
+    witness text and exact values."""
+    h = hashlib.sha256()
+    for shape in ("convex", "concave", "crossed", "any"):
+        for force in (True, False):
+            for bound, ratio_bound in CORRUPTION_BOUNDS:
+                spec = GenSpec(seed=42, shape=shape, coordinate_bound=bound,
+                               ratio_bound=ratio_bound, force_gamma_one=force)
+                for index in range(4):
+                    try:
+                        cfg = build_from_ratios(gen_quadrilateral(spec, index),
+                                                gen_ratios(spec, index))
+                    except UndefinedPoint:
+                        continue
+                    for name, kind, pt in corruptions(cfg):
+                        verdicts = verify_all(with_points(cfg, **{name: pt}))
+                        doc = {"point": name, "kind": kind,
+                               "verdicts": [verdict_json(v) for v in verdicts]}
+                        h.update(render(doc, compact=True).encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_corrupted_verdict_digest():
+    assert corrupted_verdict_digest() == CORRUPTED_VERDICT_GOLDEN
