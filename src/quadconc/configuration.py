@@ -17,11 +17,18 @@ the unreduced cross product of the triples of its two points, a transient
 triple that only feeds meets, and each meet is one reduction of the cross
 product of two lines; the kernel's ``Line``, ``line_through`` and ``meet``
 are public API, not this path.  The side points come from the kernel's
-``dividing_terms`` and ``r`` from the ``parameter_terms`` pair, so the
-only ``Fraction`` a build makes is ``r``.  Coincidences the construction
-can survive are recorded as named degeneracy flags instead of raising; a
-point is stored as ``None`` only when one of its defining lines collapses
-entirely.
+``dividing_terms`` and ``r`` from the ``parameter_pair`` of the ``R``
+triple, so the only ``Fraction`` a build makes is ``r``, and a build makes
+no :class:`Point`.  Coincidences the construction can survive are recorded
+as named degeneracy flags instead of raising; a point is stored as
+``None`` only when one of its defining lines collapses entirely.
+
+A :class:`Configuration` holds the plan's result as one tuple,
+``triples``: the canonical triple of every named point in
+``POINT_NAMES`` order, ``None`` where undefined, and ``SLOT`` maps a name
+to its place.  The verifiers and the figures read these triples directly;
+``cfg.point(name)`` and ``cfg.named_points()`` wrap them in points on
+demand.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .kernel import (
     collinear,
     directed_ratio,
     dividing_terms,
-    parameter_terms,
+    parameter_pair,
 )
 
 # every constructed point as the meet of two lines, each through two
@@ -85,11 +92,13 @@ DIAGONAL_PAIRS = (
     ("G2", "F1"),
 )
 
+Triple = tuple[int, int, int]
+
 # every named point's slot in the construction plan: the eight inputs take
 # slots 0-7 and CONSTRUCTION row i takes slot 8 + i
 POINT_NAMES = ("A", "B", "C", "D", "M", "N", "P", "Q") + tuple(row[0] for row in CONSTRUCTION)
-_SLOT = {name: i for i, name in enumerate(POINT_NAMES)}
-_R_SLOT = _SLOT["R"]
+SLOT: Mapping[str, int] = MappingProxyType({name: i for i, name in enumerate(POINT_NAMES)})
+_R_SLOT = SLOT["R"]
 
 
 def _compile(rows):
@@ -103,13 +112,13 @@ def _compile(rows):
         for pair in (uv, st):
             if pair not in index:
                 index[pair] = len(index)
-                new.append((index[pair], _SLOT[pair[0]], _SLOT[pair[1]]))
+                new.append((index[pair], SLOT[pair[0]], SLOT[pair[1]]))
         plan.append((name, tuple(new), index[uv], index[st]))
     return tuple(plan), len(index)
 
 
 _PLAN, _LINE_COUNT = _compile(CONSTRUCTION)
-_DIAGONAL_SLOTS = tuple((_SLOT[u], _SLOT[v], f"{u}_EQ_{v}") for u, v in DIAGONAL_PAIRS)
+_DIAGONAL_SLOTS = tuple((SLOT[u], SLOT[v], f"{u}_EQ_{v}") for u, v in DIAGONAL_PAIRS)
 
 # r where AR/RB is no finite ratio (R ideal, undefined or on B), by convention
 _R_DEFAULT = Fraction(1)
@@ -201,17 +210,21 @@ class Configuration:
 
     quad: Quadrilateral
     ratios: SideRatios
-    # read-only name -> point; None where a defining line is undefined.
-    # Left out of the hash, which a mapping proxy does not support.
-    _points: Mapping[str, Optional[Point]] = field(hash=False)
+    # the canonical triple of each point of POINT_NAMES, at its SLOT; None
+    # where a defining line is undefined
+    triples: tuple[Optional[Triple], ...]
     r_ratio: Fraction
     degeneracies: frozenset[str]
 
     def point(self, name: str) -> Optional[Point]:
-        return self._points[name]
+        """The named point, wrapped on demand; ``None`` where undefined."""
+        t = self.triples[SLOT[name]]
+        return None if t is None else Point._wrap(t)
 
     def named_points(self) -> dict[str, Optional[Point]]:
-        return dict(self._points)
+        wrap = Point._wrap
+        return {name: None if t is None else wrap(t)
+                for name, t in zip(POINT_NAMES, self.triples)}
 
 
 def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
@@ -228,10 +241,6 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
         reduce3(*dividing_terms(tc, td, p.numerator, p.denominator)),
         reduce3(*dividing_terms(td, ta, q.numerator, q.denominator)),
     ), reduce3)
-    wrap = Point._wrap
-    points: dict[str, Optional[Point]] = dict(zip(POINT_NAMES, [A, B, C, D] + [
-        None if t is None else wrap(t) for t in pts[4:]]))
-
     flags: set[str] = set()
     for name, t in zip(POINT_NAMES[8:], pts[8:]):
         if t is None:
@@ -244,7 +253,9 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     r_ratio = _R_DEFAULT
     tr = pts[_R_SLOT]
     if tr is not None and tr[2]:
-        num, den = parameter_terms(A, B, points["R"])
+        # R is a finite point of line AB, whose ends are finite and distinct,
+        # so its parameter is defined
+        num, den = parameter_pair(ta, tb, tr)
         if num == den:
             # R is B: the unsigned ratio AR/RB is infinite
             flags.add("R_RATIO_UNDEFINED")
@@ -256,7 +267,7 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
         if tu is not None and tu == pts[v]:
             flags.add(flag)
 
-    return Configuration(quad, ratios, MappingProxyType(points), r_ratio, frozenset(flags))
+    return Configuration(quad, ratios, tuple(pts), r_ratio, frozenset(flags))
 
 
 def build_from_ratios(quad: Quadrilateral, ratios: SideRatios) -> Configuration:

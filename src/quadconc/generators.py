@@ -158,8 +158,11 @@ def _try_crossed(rng: Stream, bound: int) -> Quadrilateral | None:
     convex = _try_convex(rng, bound)
     if convex is None:
         return None
-    quad = Quadrilateral.of(convex.B, convex.A, convex.C, convex.D)
-    return quad if quad.shape == CROSSED else None
+    # a strictly convex ABCD has four orientation signs [ABC] [BCD] [CDA]
+    # [DAB] of one sign, say +; in BACD they are [BAC] = -[ABC], [ACD] =
+    # [CDA], [CDB] = [BCD] and [DBA] = -[DAB], so - + + -: two differ, and
+    # none is zero, which is crossed without a second classification
+    return Quadrilateral(convex.B, convex.A, convex.C, convex.D, CROSSED)
 
 
 def _try_any(rng: Stream, bound: int) -> Quadrilateral | None:

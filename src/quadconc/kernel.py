@@ -26,6 +26,12 @@ Conventions
   ``(td*bw*a0 + tn*aw*b0, td*bw*a1 + tn*aw*b1, (td + tn)*aw*bw)``:
   ``dividing_terms`` returns that unreduced triple, and ``point_dividing``
   checks its inputs, then reduces it.
+* ``parameter_pair`` is that parameter on bare triples: the ``(num, den)``
+  pair, or ``None`` where a triple is ideal, the ends coincide or the
+  point is off the line.  It uses only ``+``, ``-``, ``*``, tuple equality
+  and truthiness, so ring triples can stand in for the integers.
+  ``parameter_terms`` calls it on three points and, only on ``None``,
+  raises the ``GeometryError`` that names the failed check.
 * ``parameter_terms`` and ``ratio_terms`` return the parameter and the
   ratio as those integer ``(num, den)`` pairs, for callers that compare
   them by cross-multiplication; ``affine_parameter`` and
@@ -34,6 +40,10 @@ Conventions
 * ``classify_quadrilateral`` reads the four vertex triples once: one
   finiteness test, then the signs of four ``det3``, which are the affine
   orientation signs because canonical finite triples have ``w > 0``.
+* The verifiers and the figures work on a configuration's slot triples
+  with ``det3``, tuple equality, ``w == 0`` and ``parameter_pair``; they
+  wrap a triple in a :class:`Point` only for a witness, a failure text or
+  ``classify_quadrilateral``.
 
 Everything here is an immutable value and every function is pure.
 """
@@ -229,23 +239,34 @@ def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:
     return CROSSED
 
 
-def parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
-    """``(num, den)`` with ``affine_parameter(a, b, x) == num / den``; ``den``
-    is nonzero and of either sign."""
-    ta, tb, tx = a._t, b._t, x._t
+def parameter_pair(ta, tb, tx):
+    """``(num, den)`` with ``num / den`` the parameter of the triple ``tx`` on
+    ``ta -> tb``, or ``None`` where :func:`parameter_terms` raises: an ideal
+    triple, ``ta == tb``, or ``tx`` off the line.  Only ``+``, ``-``, ``*``,
+    tuple equality and truthiness touch the triples, so any ring whose zero
+    is falsy can stand in for the integers."""
     a0, a1, aw = ta
     b0, b1, bw = tb
     x0, x1, xw = tx
-    if not (aw and bw and xw):
-        raise GeometryError("affine parameters are defined for finite points only")
-    if ta == tb:
-        raise GeometryError("segment endpoints coincide")
-    if det3(ta, tb, tx) != 0:
-        raise GeometryError(f"{x!r} is not on the line through {a!r} and {b!r}")
+    if not (aw and bw and xw) or ta == tb or det3(ta, tb, tx):
+        return None
     d = b0 * aw - a0 * bw
-    if d != 0:
+    if d:
         return (x0 * aw - a0 * xw) * bw, d * xw
     return (x1 * aw - a1 * xw) * bw, (b1 * aw - a1 * bw) * xw
+
+
+def parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
+    """``(num, den)`` with ``affine_parameter(a, b, x) == num / den``; ``den``
+    is nonzero and of either sign."""
+    pair = parameter_pair(a._t, b._t, x._t)
+    if pair is not None:
+        return pair
+    if a.is_ideal or b.is_ideal or x.is_ideal:
+        raise GeometryError("affine parameters are defined for finite points only")
+    if a == b:
+        raise GeometryError("segment endpoints coincide")
+    raise GeometryError(f"{x!r} is not on the line through {a!r} and {b!r}")
 
 
 def ratio_terms(a: Point, p: Point, b: Point) -> tuple[int, int]:

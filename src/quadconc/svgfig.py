@@ -7,7 +7,8 @@ integer quotient ``num / den``.  The final formatting step divides it
 once to 12 significant digits in a private :class:`decimal.Context`
 (``ROUND_HALF_EVEN``), not the caller's, so output bytes are identical
 for identical inputs on any platform and under any decimal context.
-Each finite drawn point is mapped and formatted once per render.
+Each finite drawn point is mapped and formatted once per render, read
+from the configuration's slot triples without making a point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from math import lcm
 from typing import Iterable
 
-from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
+from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration
 from .errors import InstanceFormatError
 
 RENDER_DIGITS = 12
@@ -37,6 +38,7 @@ _STYLE = {
 _FRAME = ("A", "B", "C", "D", "M", "N", "P", "Q", "O", "E",
           "F1", "G1", "F2", "G2", "M1", "N1", "P1", "Q1")
 _DRAWN = _FRAME + ("A1", "B1", "C1", "D1")
+_DRAWN_SLOTS = tuple((name, SLOT[name]) for name in _DRAWN)
 _INNER = ("M1", "N1", "P1", "Q1")
 
 # the caller's decimal context never reaches the bytes; the flags each
@@ -53,9 +55,8 @@ def _fmt(num: int, den: int) -> str:
 
 def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
     """The SVG coordinate strings of every finite drawn point, by name."""
-    points = {name: cfg.point(name) for name in _DRAWN}
-    triples = {name: pt.triple() for name, pt in points.items()
-               if pt is not None and not pt.is_ideal}
+    t = cfg.triples
+    triples = {name: t[slot] for name, slot in _DRAWN_SLOTS if t[slot] is not None and t[slot][2]}
     weight = lcm(*(w for _, _, w in triples.values()))
     xy = {name: (x * (weight // w), y * (weight // w)) for name, (x, y, w) in triples.items()}
     xs = [xy[n][0] for n in _FRAME if n in xy]
@@ -89,11 +90,12 @@ def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:
     layers ``select_layers(layers)`` names."""
     active = select_layers(layers)
     xy = _screen(cfg)
+    t = cfg.triples
     labels = "labels" in active
     body: list[str] = []
 
     def line(layer: str, u: str, v: str) -> None:
-        if u in xy and v in xy and cfg.point(u) != cfg.point(v):
+        if u in xy and v in xy and t[SLOT[u]] != t[SLOT[v]]:
             (x1, y1), (x2, y2) = xy[u], xy[v]
             body.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_STYLE[layer]} />')
 

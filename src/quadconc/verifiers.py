@@ -6,17 +6,23 @@ points, so a construction bug cannot be masked by a matching verifier
 bug.  Formula sides are evaluated from the ratio fields ``m n p q``,
 ``gamma`` and ``r`` alone, while geometry sides use only incidence
 determinants and directed ratios of stored points: the two routes are
-disjoint and must agree exactly.  A concurrence check is ``det3`` of
-stored point triples (``collinear(u, v, x)`` for the line ``uv`` through
-``x``), so no verifier reuses a construction line; a ``Line`` is made
-only to name the distinct lines that miss when a check fails.
+disjoint and must agree exactly.
+
+The checks read the configuration's slot triples (``cfg.triples``)
+through tables of slots compiled from their point names at import.  A
+concurrence check is ``det3`` of stored triples (the line ``uv`` passes
+through ``x`` when ``det3(u, v, x) == 0``), so no verifier reuses a
+construction line; the distinct lines that miss are told apart by their
+reduced cross products.  Coincidence is tuple ``==`` and idealness
+``w == 0``.  A :class:`Point` is made only for a witness, the text of a
+point that left its carrier line, or ``classify_quadrilateral``.
 
 Each formula side is one integer expression in the numerators and
 (positive) denominators of those fields, written ``(ma, mb)`` for ``m``
 and likewise ``n p q``, ``gamma = G/H`` and ``r = R/S``, and the paper's
 form of each closed form stands next to its expression.  Every value
 stays an integer ``(num, den)`` pair, the geometric ones from the
-kernel's ``ratio_terms`` and ``parameter_terms``: two sides are equal
+kernel's ``parameter_pair``: two sides are equal
 when they cross-multiply equal, an order is decided by cross-multiplied
 ``<`` once each denominator is made positive, and a reported value is
 written once, by ``rational_text``, in the bytes ``str(Fraction)``
@@ -34,20 +40,19 @@ or ideal; of the builder's flags (``cfg.degeneracies``) only
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, Configuration
+from ._purekernel import cross3, det3, reduce3
+from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration, Triple
 from .errors import GeometryError, InstanceFormatError
 from .kernel import (
     DEGENERATE as DEGENERATE_SHAPE,
-    Line,
     Point,
     classify_quadrilateral,
-    collinear,
-    line_through,
+    parameter_pair,
     parameter_terms,
-    ratio_terms,
     rational_text,
 )
 
@@ -70,19 +75,33 @@ class Verdict(NamedTuple):
 
 
 Pair = tuple[int, int]
+# a line of a concurrence check: its label and the slots of its two points
+SlotLine = tuple[str, int, int]
 
 
 def _b01(flag: bool) -> str:
     return "1" if flag else "0"
 
 
-def _ratio(a: Optional[Point], p: Optional[Point], b: Optional[Point]) -> Optional[Pair]:
-    if a is None or p is None or b is None:
+def _slots(*names: str) -> Callable[[tuple], tuple]:
+    """Reads the triples of two or more ``names`` from ``cfg.triples`` as one
+    tuple."""
+    return itemgetter(*(SLOT[name] for name in names))
+
+
+def _line(u: str, v: str) -> SlotLine:
+    return u + v, SLOT[u], SLOT[v]
+
+
+def _ratio(ta: Optional[Triple], tp: Optional[Triple], tb: Optional[Triple]) -> Optional[Pair]:
+    """The directed ratio in which ``tp`` splits ``ta -> tb`` as a pair, or
+    ``None`` where a triple is undefined or ``ratio_terms`` would raise."""
+    if ta is None or tp is None or tb is None:
         return None
-    try:
-        return ratio_terms(a, p, b)
-    except GeometryError:
+    pair = parameter_pair(ta, tb, tp)
+    if pair is None or pair[0] == pair[1]:
         return None
+    return pair[0], pair[1] - pair[0]
 
 
 def _equal(u: Pair, v: Pair) -> bool:
@@ -106,29 +125,30 @@ def _pairs(*values: Fraction) -> tuple[Pair, ...]:
     return tuple((v.numerator, v.denominator) for v in values)
 
 
-def _ideal(cfg: Configuration, names: Iterable[str]) -> list[str]:
-    return [n for n in names if cfg.point(n).is_ideal]
+def _ideal(names: Iterable[str], triples: Iterable[Triple]) -> list[str]:
+    return [name for name, t in zip(names, triples) if t[2] == 0]
 
 
-def _concurrent_through(lines: Iterable[tuple[str, Optional[Point], Optional[Point]]],
-                        name: str, target: Point, reasons: list[str],
-                        failures: list[str]) -> None:
-    """Check that every distinct line ``(label, u, v)`` passes through
-    ``target``: the determinant of ``u v target`` vanishes.
+def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: Triple,
+                        reasons: list[str], failures: list[str]) -> None:
+    """Check that every distinct line ``(label, u, v)`` of the triples ``t``
+    passes through ``target``: the determinant of ``u v target`` vanishes.
 
     A line whose ends are undefined, equal or both ideal becomes a
     ``<line>_UNDEFINED`` reason.  A line equal to an earlier one misses
     exactly when that one does, so only the lines that miss are compared,
-    and each distinct one is named once.  Never vacuous: a defined target
-    is the meet of two distinct lines, both among ``lines``.
+    by their reduced cross products, and each distinct one is named once.
+    Never vacuous: a defined target is the meet of two distinct lines, both
+    among ``lines``.
     """
-    missed: list[Line] = []
-    for lname, u, v in lines:
-        if u is None or v is None or u == v or (u.is_ideal and v.is_ideal):
-            reasons.append(lname + "_UNDEFINED")
-        elif not collinear(u, v, target) and (line := line_through(u, v)) not in missed:
+    missed: list[Triple] = []
+    for label, su, sv in lines:
+        u, v = t[su], t[sv]
+        if u is None or v is None or u == v or (u[2] == 0 and v[2] == 0):
+            reasons.append(label + "_UNDEFINED")
+        elif det3(u, v, target) and (line := reduce3(*cross3(u, v))) not in missed:
             missed.append(line)
-            failures.append(f"{lname} misses {name}")
+            failures.append(f"{label} misses {name}")
 
 
 def _status(failures: list[str], reasons: list[str]) -> tuple[str, str]:
@@ -140,7 +160,7 @@ def _status(failures: list[str], reasons: list[str]) -> tuple[str, str]:
     return PASS, ""
 
 
-def _check_section(cfg: Configuration, key: str, f: Point, x: Optional[Point], g: Point,
+def _check_section(cfg: Configuration, key: str, f: Triple, x: Optional[Triple], g: Triple,
                    values: dict, reasons: list[str], failures: list[str]) -> None:
     """Check ``fx/xg`` against ``m(1 + np)/(1 + mn)``, the closed form of both
     ``FE/EG`` and ``F1M1/M1G1``.  A side point outside its side (nonconvex
@@ -162,18 +182,26 @@ def _check_section(cfg: Configuration, key: str, f: Point, x: Optional[Point], g
             failures.append(key.replace("_over_", "/") + " mismatch")
 
 
+_XOZYT_NAMES = ("X", "O", "Z", "Y", "T")
+_XOZYT = _slots(*_XOZYT_NAMES)
+
+
 def _diagonal_collinearity(claim: str, cfg: Configuration) -> Verdict:
     """``X O Z`` and ``Y O T`` are collinear triples (product-one regime)."""
-    names = ("X", "O", "Z", "Y", "T")
-    X, O, Z, Y, T = (cfg.point(n) for n in names)
-    c1 = collinear(X, O, Z)
-    c2 = collinear(Y, O, T)
+    points = X, O, Z, Y, T = _XOZYT(cfg.triples)
+    c1 = not det3(X, O, Z)
+    c2 = not det3(Y, O, T)
     values = {"X_O_Z_collinear": _b01(c1), "Y_O_T_collinear": _b01(c2)}
-    ideal = _ideal(cfg, names)
+    ideal = _ideal(_XOZYT_NAMES, points)
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal), exact_values=values)
     return Verdict(claim, PASS if c1 and c2 else FAIL,
-                   witness={"O": O}, exact_values=values)
+                   witness={"O": Point._wrap(O)}, exact_values=values)
+
+
+_SEVEN = _slots("F1", "G1", "F2", "G2", "E")
+_E_LINES = tuple(_line(s, t) for s, t in E_LINE_PAIRS)
+_E_LINES_FG = _E_LINES + (("FG", SLOT["F1"], SLOT["G1"]),)
 
 
 def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
@@ -184,9 +212,10 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
     failures: list[str] = []
     values: dict[str, str] = {}
 
-    F, G = cfg.point("F1"), cfg.point("G1")
-    f_merge = F == cfg.point("F2")
-    g_merge = G == cfg.point("G2")
+    t = cfg.triples
+    F, G, F2, G2, E = _SEVEN(t)
+    f_merge = F == F2
+    g_merge = G == G2
     values["F1_equals_F2"] = _b01(f_merge)
     values["G1_equals_G2"] = _b01(g_merge)
     if not f_merge:
@@ -194,32 +223,35 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
     if not g_merge:
         failures.append("G1!=G2")
 
-    lines = [(s + t, cfg.point(s), cfg.point(t)) for s, t in E_LINE_PAIRS]
     if F == G:
         degenerate_reasons.append("F_EQ_G")
+        lines = _E_LINES
     else:
-        lines.append(("FG", F, G))
+        lines = _E_LINES_FG
 
-    E = cfg.point("E")
-    _concurrent_through(lines, "E", E, degenerate_reasons, failures)
-    if E.is_ideal:
+    _concurrent_through(t, lines, "E", E, degenerate_reasons, failures)
+    if E[2] == 0:
         degenerate_reasons.append("E_IDEAL")
 
     if F != G:
         _check_section(cfg, "FE_over_EG", F, E, G, values, degenerate_reasons, failures)
 
     status, detail = _status(failures, degenerate_reasons)
-    return Verdict(claim, status, detail=detail, witness={"E": E}, exact_values=values)
+    return Verdict(claim, status, detail=detail, witness={"E": Point._wrap(E)},
+                   exact_values=values)
+
+
+_EMPNQ = _slots("E", "M", "P", "N", "Q")
 
 
 def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     """Closed forms for ``ME/EP`` and ``NE/EQ`` in the product-one regime."""
-    E = cfg.point("E")
-    if E.is_ideal:
+    E, M, P, N, Q = _EMPNQ(cfg.triples)
+    if E[2] == 0:
         return Verdict(claim, DEGENERATE, detail="ideal: E (MP parallel to NQ)")
     (ma, mb), (na, nb), (pa, pb), (qa, qb) = _pairs(*cfg.ratios.as_tuple)
-    me_ep = _ratio(cfg.point("M"), E, cfg.point("P"))
-    ne_eq = _ratio(cfg.point("N"), E, cfg.point("Q"))
+    me_ep = _ratio(M, E, P)
+    ne_eq = _ratio(N, E, Q)
     # (1/q)(1/(m+1)) + n(m/(m+1))
     me_ep_formula = (qb * mb * nb + na * ma * qa, qa * nb * (ma + mb))
     # (1/m)(1/(n+1)) + p(n/(n+1))
@@ -232,16 +264,21 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     values["ME_over_EP"] = rational_text(*me_ep)
     values["NE_over_EQ"] = rational_text(*ne_eq)
     ok = _equal(me_ep, me_ep_formula) and _equal(ne_eq, ne_eq_formula)
-    return Verdict(claim, PASS if ok else FAIL, witness={"E": E}, exact_values=values)
+    return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
+                   exact_values=values)
+
+
+_E_C1 = _slots("E", "C1")
 
 
 def _diagonal_concurrence_iff(claim: str, cfg: Configuration) -> Verdict:
     """``MP NQ AC`` are concurrent exactly when ``DM BQ AC`` are
     (product-one regime): both reduce to an incidence with line ``AC``."""
-    A, C, E, C1 = cfg.quad.A, cfg.quad.C, cfg.point("E"), cfg.point("C1")
-    e_on, c_on = collinear(A, C, E), collinear(A, C, C1)
+    A, C = cfg.quad.A.triple(), cfg.quad.C.triple()
+    points = E, C1 = _E_C1(cfg.triples)
+    e_on, c_on = not det3(A, C, E), not det3(A, C, C1)
     values = {"MP_NQ_AC_concurrent": _b01(e_on), "DM_BQ_AC_concurrent": _b01(c_on)}
-    ideal = _ideal(cfg, ("E", "C1"))
+    ideal = _ideal(("E", "C1"), points)
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal), exact_values=values)
     return Verdict(claim, PASS if e_on == c_on else FAIL, exact_values=values)
@@ -256,6 +293,16 @@ _QUADRUPLES = tuple(zip(("M1", "N1", "P1", "Q1"), DIAGONAL_PAIRS, (
     (("C", "C1"), ("D", "D1"), ("N", "Q")),
 )))
 
+# _QUADRUPLES over slots: each inner point's name and slot, its diagonal
+# pair's slots and coincidence reason, and its lines with and without the
+# diagonal one
+_QUADRUPLE_SLOTS = tuple(
+    (x, SLOT[x], SLOT[u], SLOT[v], f"{u}_EQ_{v}",
+     (_line(u, v),) + tuple(_line(s, t) for s, t in cevians),
+     tuple(_line(s, t) for s, t in cevians))
+    for x, (u, v), cevians in _QUADRUPLES)
+_F1_G1_M1 = _slots("F1", "G1", "M1")
+
 
 def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
     """Each of the four line quadruples meets in its stored point, at any
@@ -267,45 +314,49 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
     values: dict[str, str] = {}
     witness: dict[str, Point] = {}
 
-    for name, (u, v), cevians in _QUADRUPLES:
-        target = cfg.point(name)
+    t = cfg.triples
+    for name, x, u, v, coincident, lines, cevians in _QUADRUPLE_SLOTS:
+        target = t[x]
         if target is None:
             degenerate_reasons.append(name + "_UNDEFINED")
             continue
-        witness[name] = target
-        if target.is_ideal:
+        witness[name] = Point._wrap(target)
+        if target[2] == 0:
             degenerate_reasons.append(name + "_IDEAL")
 
-        lines = []
-        pu, pv = cfg.point(u), cfg.point(v)
-        if pu is not None and pu == pv:
-            degenerate_reasons.append(f"{u}_EQ_{v}")
-        else:
-            lines.append((u + v, pu, pv))
-        lines += [(s + t, cfg.point(s), cfg.point(t)) for s, t in cevians]
-        _concurrent_through(lines, name, target, degenerate_reasons, failures)
+        pu = t[u]
+        if pu is not None and pu == t[v]:
+            degenerate_reasons.append(coincident)
+            lines = cevians
+        _concurrent_through(t, lines, name, target, degenerate_reasons, failures)
 
-    F1, G1 = cfg.point("F1"), cfg.point("G1")
+    F1, G1, M1 = _F1_G1_M1(t)
     if F1 is not None and G1 is not None and F1 != G1:
-        _check_section(cfg, "F1M1_over_M1G1", F1, cfg.point("M1"), G1, values,
+        _check_section(cfg, "F1M1_over_M1G1", F1, M1, G1, values,
                        degenerate_reasons, failures)
 
     status, detail = _status(failures, degenerate_reasons)
     return Verdict(claim, status, detail=detail, witness=witness, exact_values=values)
 
 
+# the ratio along each diagonal division segment: its key and the slots of
+# the segment's first end, the inner point and the second end
+_PRODUCT_RATIOS = tuple((f"{u}{x}_over_{x}{v}", SLOT[u], SLOT[x], SLOT[v])
+                        for x, (u, v), _ in _QUADRUPLES)
+_DIAGONAL_FLAGS = tuple(f"{u}_EQ_{v}" for u, v in DIAGONAL_PAIRS)
+
+
 def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
     """The four division ratios along the diagonal division segments
     multiply to exactly the side-ratio product."""
-    coincident = [f"{u}_EQ_{v}" for u, v in DIAGONAL_PAIRS
-                  if f"{u}_EQ_{v}" in cfg.degeneracies]
+    coincident = [flag for flag in _DIAGONAL_FLAGS if flag in cfg.degeneracies]
     if coincident:
         return Verdict(claim, DEGENERATE, detail="; ".join(coincident))
+    t = cfg.triples
     values: dict[str, str] = {}
     num = den = 1
-    for x, (u, v), _ in _QUADRUPLES:
-        key = f"{u}{x}_over_{x}{v}"
-        r = _ratio(cfg.point(u), cfg.point(x), cfg.point(v))
+    for key, u, x, v in _PRODUCT_RATIOS:
+        r = _ratio(t[u], t[x], t[v])
         if r is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
         values[key] = rational_text(*r)
@@ -318,6 +369,13 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
     return Verdict(claim, PASS if ok else FAIL, exact_values=values)
 
 
+# the ratio in which each inner point divides its transversal: its key and
+# the slots of the transversal's first end, the inner point and the other end
+_SECTIONS = tuple((f"{a}{x}_over_{x}{b}", SLOT[a], SLOT[x], SLOT[b])
+                  for a, x, b in (("M", "M1", "P"), ("N", "N1", "Q"),
+                                  ("P", "P1", "M"), ("Q", "Q1", "N")))
+
+
 def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     """Closed forms for the ratios in which ``M1 N1 P1 Q1`` divide the
     transversals ``MP`` and ``NQ``, in both the plain and the
@@ -326,14 +384,14 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
                                                             cfg.ratios.gamma)
     # mn(p+1)/(m+1)
     mm1_formula = (ma * na * (pa + pb), nb * pb * (ma + mb))
-    entries = (
-        ("MM1_over_M1P", "M", "M1", "P", mm1_formula),
+    formulas = (
+        mm1_formula,
         # np(q+1)/(n+1)
-        ("NN1_over_N1Q", "N", "N1", "Q", (na * pa * (qa + qb), pb * qb * (na + nb))),
+        (na * pa * (qa + qb), pb * qb * (na + nb)),
         # pq(m+1)/(p+1)
-        ("PP1_over_P1M", "P", "P1", "M", (pa * qa * (ma + mb), qb * mb * (pa + pb))),
+        (pa * qa * (ma + mb), qb * mb * (pa + pb)),
         # qm(n+1)/(q+1)
-        ("QQ1_over_Q1N", "Q", "Q1", "N", (qa * ma * (na + nb), mb * nb * (qa + qb))),
+        (qa * ma * (na + nb), mb * nb * (qa + qb)),
     )
     # gamma(1/q)(1/(m+1)) + n(m/(m+1)), evaluated from gamma on purpose: it
     # equals the plain mn(p+1)/(m+1) only because gamma = mnpq, which is
@@ -341,9 +399,10 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     weighted = (G * qb * mb * nb + na * ma * H * qa, H * qa * (ma + mb) * nb)
     values = {"MM1_over_M1P_weighted": rational_text(*weighted)}
     failures: list[str] = []
-    for key, a, x, b, formula in entries:
+    t = cfg.triples
+    for (key, a, x, b), formula in zip(_SECTIONS, formulas):
         values[key + "_formula"] = rational_text(*formula)
-        geometric = _ratio(cfg.point(a), cfg.point(x), cfg.point(b))
+        geometric = _ratio(t[a], t[x], t[b])
         if geometric is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
         values[key] = rational_text(*geometric)
@@ -355,12 +414,15 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     return Verdict(claim, status, detail=detail, exact_values=values)
 
 
+_EMP = _slots("E", "M", "P")
+
+
 def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     """The general closed form for ``ME/EP`` in terms of the unsigned
     trace ratio ``r`` of ``NQ`` on line ``AB`` (``r = 1`` when parallel);
     stated for convex quadrilaterals."""
-    E = cfg.point("E")
-    if E is None or E.is_ideal:
+    E, M, P = _EMP(cfg.triples)
+    if E is None or E[2] == 0:
         return Verdict(claim, DEGENERATE, detail="E undefined or ideal")
     r = cfg.r_ratio
     (ma, mb), (na, nb), (pa, pb), (G, H), (R, S) = _pairs(
@@ -371,26 +433,40 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     if formula[1] == 0:
         return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
                        exact_values={"r": str(r)})
-    geometric = _ratio(cfg.point("M"), E, cfg.point("P"))
+    geometric = _ratio(M, E, P)
     values = {"r": str(r), "ME_over_EP_formula": rational_text(*formula)}
     if geometric is None:
         return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
     values["ME_over_EP"] = rational_text(*geometric)
     ok = _equal(geometric, formula)
-    return Verdict(claim, PASS if ok else FAIL, witness={"E": E}, exact_values=values)
+    return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
+                   exact_values=values)
+
+
+_INNER_NAMES = ("E", "M1", "N1", "P1", "Q1")
+_INNER = _slots(*_INNER_NAMES, "M", "N", "P", "Q")
+
+
+def _carrier_error(*calls: tuple[Triple, Triple, Triple]) -> str:
+    """The ``GeometryError`` text of the first ``parameter_terms(a, b, x)``
+    of ``calls`` that raises."""
+    for a, b, x in calls:
+        try:
+            parameter_terms(Point._wrap(a), Point._wrap(b), Point._wrap(x))
+        except GeometryError as exc:
+            return str(exc)
+    raise AssertionError("no carrier-line call raises")
 
 
 def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
     """``E`` lies on both closed segments ``M1 P1`` and ``N1 Q1``, and the
     points along ``MP`` appear in the order dictated by the ratio-product
     trichotomy (convex quadrilaterals)."""
-    names = ("E", "M1", "N1", "P1", "Q1")
-    ideal = _ideal(cfg, names)
+    points = E, M1, N1, P1, Q1, M, N, P, Q = _INNER(cfg.triples)
+    ideal = _ideal(_INNER_NAMES, points)
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
 
-    E, M1, N1, P1, Q1 = (cfg.point(n) for n in names)
-    M, N, P, Q = (cfg.point(n) for n in "MNPQ")
     gamma = cfg.ratios.gamma
     values: dict[str, str] = {}
     failures: list[str] = []
@@ -398,12 +474,20 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         if not (M1 == E == P1 and N1 == E == Q1):
             failures.append("product-one collapse violated")
     else:
-        try:
-            # each affine parameter as a pair with a positive denominator
-            lam_m1, lam_e, lam_p1 = (_positive(parameter_terms(M, P, x)) for x in (M1, E, P1))
-            lam_n1, lam_e2, lam_q1 = (_positive(parameter_terms(N, Q, x)) for x in (N1, E, Q1))
-        except GeometryError as exc:
-            return Verdict(claim, FAIL, detail=f"points left their carrier lines: {exc}")
+        lam_m1 = parameter_pair(M, P, M1)
+        lam_e = parameter_pair(M, P, E)
+        lam_p1 = parameter_pair(M, P, P1)
+        lam_n1 = parameter_pair(N, Q, N1)
+        lam_e2 = parameter_pair(N, Q, E)
+        lam_q1 = parameter_pair(N, Q, Q1)
+        if (lam_m1 is None or lam_e is None or lam_p1 is None
+                or lam_n1 is None or lam_e2 is None or lam_q1 is None):
+            error = _carrier_error((M, P, M1), (M, P, E), (M, P, P1),
+                                   (N, Q, N1), (N, Q, E), (N, Q, Q1))
+            return Verdict(claim, FAIL, detail=f"points left their carrier lines: {error}")
+        # each affine parameter with a positive denominator
+        lam_m1, lam_e, lam_p1 = _positive(lam_m1), _positive(lam_e), _positive(lam_p1)
+        lam_n1, lam_e2, lam_q1 = _positive(lam_n1), _positive(lam_e2), _positive(lam_q1)
         values.update({
             "lambda_M1_on_MP": rational_text(*lam_m1), "lambda_E_on_MP": rational_text(*lam_e),
             "lambda_P1_on_MP": rational_text(*lam_p1),
@@ -420,18 +504,23 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         if _minus(lam_e2, lam_n1) * _minus(lam_q1, lam_e2) < 0:
             failures.append("E outside segment N1Q1")
     status, detail = _status(failures, [])
-    return Verdict(claim, status, detail=detail, witness={"E": E}, exact_values=values)
+    return Verdict(claim, status, detail=detail, witness={"E": Point._wrap(E)},
+                   exact_values=values)
+
+
+_INNER_POINTS = ("M1", "N1", "P1", "Q1")
+_INNER_QUAD = _slots(*_INNER_POINTS)
 
 
 def _inner_quadrilateral_convexity(claim: str, cfg: Configuration) -> Verdict:
     """Empirical check on concave/crossed inputs: is ``M1 N1 P1 Q1``
     still convex (or collapsed)?  A failure here is a legitimate finding,
     not a defect."""
-    names = ("M1", "N1", "P1", "Q1")
-    ideal = _ideal(cfg, names)
+    points = _INNER_QUAD(cfg.triples)
+    ideal = _ideal(_INNER_POINTS, points)
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
-    shape = classify_quadrilateral(*(cfg.point(n) for n in names))
+    shape = classify_quadrilateral(*(Point._wrap(p) for p in points))
     values = {"inner_quad_convex": _b01(shape == CONVEX)}
     if shape == DEGENERATE_SHAPE:
         return Verdict(claim, DEGENERATE, detail="inner quadrilateral collapsed",
@@ -485,11 +574,13 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
     """The runner of one ``CLAIMS`` row: ``skipped`` outside the regime,
     ``degenerate`` while a needed point is undefined, else the check."""
     in_regime = _REGIMES[regime]
+    slots = tuple((name, SLOT[name]) for name in needs)
 
     def run(cfg: Configuration) -> Verdict:
         if not in_regime(cfg):
             return Verdict(claim, SKIPPED, detail=skip.format(gamma=cfg.ratios.gamma))
-        missing = [name for name in needs if cfg.point(name) is None]
+        t = cfg.triples
+        missing = [name for name, slot in slots if t[slot] is None]
         if missing:
             return Verdict(claim, DEGENERATE, detail="undefined: " + ",".join(missing))
         return check(claim, cfg)

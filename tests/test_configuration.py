@@ -17,7 +17,7 @@ from quadconc import (
     meet,
     point_dividing,
 )
-from quadconc.configuration import _construct
+from quadconc.configuration import POINT_NAMES, SLOT, _construct
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc._purekernel import reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
@@ -500,3 +500,29 @@ def test_every_stored_point_triple_is_canonical(bounds):
                     assert reduce3(*pt.triple()) == pt.triple()
                     stored += 1
     assert stored > 1000
+
+
+def test_each_slot_holds_its_points_triple():
+    # small bounds and the product forced to one leave points undefined
+    spec = GenSpec(seed=42, shape="concave", coordinate_bound=4, ratio_bound=2,
+                   force_gamma_one=True)
+    undefined = 0
+    for i in range(40):
+        quad = gen_quadrilateral(spec, i)
+        try:
+            cfg = build_from_ratios(quad, gen_ratios(spec, i))
+        except UndefinedPoint:
+            continue
+        assert len(cfg.triples) == len(POINT_NAMES)
+        assert cfg.triples[:4] == tuple(v.triple() for v in quad.vertices)
+        points = cfg.named_points()
+        assert tuple(points) == POINT_NAMES
+        for name in POINT_NAMES:
+            pt = cfg.point(name)
+            assert points[name] == pt
+            if pt is None:
+                assert cfg.triples[SLOT[name]] is None
+                undefined += 1
+            else:
+                assert cfg.triples[SLOT[name]] == pt.triple()
+    assert undefined > 0

@@ -4,10 +4,10 @@ from unittest import mock
 
 import naive_geometry as naive
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from quadconc import Point, generators
+from quadconc import Point, classify_quadrilateral, generators
 from quadconc.generators import (
     ANY_SHAPE,
     GenSpec,
@@ -155,6 +155,17 @@ class TestCentroidOrder:
             xs, ys = zip(*(p.affine() for p in pts))
             assert Point(sum(xs) / 4, sum(ys) / 4) in pts
             assert quad is None
+
+
+class TestCrossed:
+    @given(st.lists(st.builds(Point, _small, _small), min_size=4, max_size=4), st.booleans())
+    def test_swapping_a_and_b_of_a_convex_quadrilateral_crosses_it(self, pts, clockwise):
+        # _try_crossed labels B A C D crossed without classifying it again
+        a, b, c, d = _ccw_about_centroid(pts)
+        if clockwise:
+            a, b, c, d = d, c, b, a
+        assume(classify_quadrilateral(a, b, c, d) == "convex")
+        assert classify_quadrilateral(b, a, c, d) == "crossed"
 
 
 class TestRatios:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import naive_geometry as naive
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadconc import (
@@ -17,6 +17,7 @@ from quadconc import (
     point_dividing,
 )
 from quadconc._purekernel import det3
+from quadconc.kernel import parameter_pair, parameter_terms
 from quadconc.errors import GeometryError
 
 rationals = st.fractions(
@@ -196,3 +197,31 @@ def test_classify_rejects_an_ideal_vertex(a, b, c, ideal, i):
     vertices.insert(i, ideal)
     with pytest.raises(GeometryError, match="^orientation is defined for finite points only$"):
         classify_quadrilateral(*vertices)
+
+
+@given(*[st.one_of(small_points, ideal_points)] * 3, st.integers(-2, 2), st.integers(-2, 2))
+@example(Point(1, 0, 0), Point(1, 0), Point(0, 0), 0, 0)  # ideal
+@example(Point(1, 1), Point(2, 2, 2), Point(0, 0), 0, 0)  # coincident ends
+@example(Point(0, 0), Point(1, 0), Point(0, 1), 0, 0)  # off the line
+@example(Point(0, 0), Point(2, 0), Point(0, 0), 1, 1)  # on the line
+def test_parameter_pair_is_none_exactly_where_parameter_terms_raises(a, b, x, s, t):
+    # besides a free x, the combination s*a + t*b is on the line through a and b
+    on = tuple(s * u + t * v for u, v in zip(a.triple(), b.triple()))
+    for p in (x, *([Point(*on)] if any(on) else [])):
+        pair = parameter_pair(a.triple(), b.triple(), p.triple())
+        try:
+            terms = parameter_terms(a, b, p)
+        except GeometryError as exc:
+            assert pair is None
+            if a.is_ideal or b.is_ideal or p.is_ideal:
+                assert str(exc) == "affine parameters are defined for finite points only"
+            elif a == b:
+                assert str(exc) == "segment endpoints coincide"
+            else:
+                assert not collinear(a, b, p)
+                assert str(exc) == f"{p!r} is not on the line through {a!r} and {b!r}"
+        else:
+            assert pair == terms
+            (ax, ay), (bx, by), (px, py) = a.affine(), b.affine(), p.affine()
+            lam = Fraction(*pair)
+            assert (ax + lam * (bx - ax), ay + lam * (by - ay)) == (px, py)

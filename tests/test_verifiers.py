@@ -1,7 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 
@@ -20,7 +19,7 @@ from quadconc import (
     verify_all,
 )
 from quadconc import verifiers
-from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS
+from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS, SLOT
 from quadconc.errors import InstanceFormatError, UndefinedPoint
 from quadconc.instancefile import parse_rational
 from quadconc.kernel import Line
@@ -186,7 +185,9 @@ class TestConcurrenceDetail:
     @staticmethod
     def moved(cfg, name, pt):
         """``cfg`` with the stored point ``name`` replaced by ``pt``."""
-        return replace(cfg, _points=MappingProxyType({**cfg.named_points(), name: pt}))
+        triples = list(cfg.triples)
+        triples[SLOT[name]] = None if pt is None else pt.triple()
+        return replace(cfg, triples=tuple(triples))
 
     def test_misses_outrank_degenerate_reasons(self, midpoint_config, gamma_two_config):
         # both configurations also carry a degenerate reason (F = G and
@@ -316,7 +317,10 @@ class TestInnerQuadrilateral:
 
 def with_points(cfg, **points):
     """``cfg`` with the named stored points replaced."""
-    return replace(cfg, _points=MappingProxyType({**cfg.named_points(), **points}))
+    triples = list(cfg.triples)
+    for name, pt in points.items():
+        triples[SLOT[name]] = None if pt is None else pt.triple()
+    return replace(cfg, triples=tuple(triples))
 
 
 def at(a, b, lam):
@@ -584,6 +588,34 @@ class TestExactValues:
             statuses.update(v.status for v in verify_all(cfg))
         assert made == []
         assert {PASS, SKIPPED} <= statuses
+
+    def test_verify_all_makes_points_only_for_witnesses(self, monkeypatch):
+        # the checks read slot triples: on passing convex samples the only
+        # points made are the witnesses
+        cfgs = self.built((GenSpec(seed=3), GenSpec(seed=3, force_gamma_one=True)), 25)
+        made = []
+        wrap, init = Point._wrap.__func__, Point.__init__
+
+        def counted_wrap(cls, triple):
+            made.append(triple)
+            return wrap(cls, triple)
+
+        def counted_init(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Point, "_wrap", classmethod(counted_wrap))
+        monkeypatch.setattr(Point, "__init__", counted_init)
+        assert cfgs[0].point("E") is not None and Point(1, 2) and len(made) == 2  # it counts
+        made.clear()
+        witnesses = 0
+        statuses = set()
+        for cfg in cfgs:
+            verdicts = verify_all(cfg)
+            witnesses += sum(len(v.witness) for v in verdicts)
+            statuses.update(v.status for v in verdicts)
+        assert len(made) == witnesses > 0
+        assert statuses == {PASS, SKIPPED}
 
 
 class TestAffineInvariance:
