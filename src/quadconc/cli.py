@@ -14,7 +14,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 
 from .configuration import Configuration, build_from_ratios
 from .errors import DegenerateQuadrilateral, GenerationExhausted, InstanceFormatError, UndefinedPoint
@@ -106,10 +105,10 @@ def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int):
     exercised.  Bad generator arguments raise on the first step, before
     any instance and even when ``count`` is 0.
     """
-    spec = GenSpec(seed=args.seed, shape=shape, coordinate_bound=args.coordinate_bound,
-                   ratio_bound=args.ratio_bound, force_gamma_one=(regime == "gamma1"))
+    forced = (True, False) if regime == "remarks" else (regime == "gamma1",) * 2
     # the spec of each index parity, made (and validated) once
-    specs = (replace(spec, force_gamma_one=True), spec) if regime == "remarks" else (spec, spec)
+    specs = [GenSpec(seed=args.seed, shape=shape, coordinate_bound=args.coordinate_bound,
+                     ratio_bound=args.ratio_bound, force_gamma_one=force) for force in forced]
     for index in range(count):
         spec = specs[index % 2]
         try:

@@ -28,12 +28,12 @@ A :class:`Configuration` holds the plan's result as one tuple,
 ``POINT_NAMES`` order, ``None`` where undefined, and ``SLOT`` maps a name
 to its place.  The verifiers and the figures read these triples directly;
 ``cfg.point(name)`` and ``cfg.named_points()`` wrap them in points on
-demand.
+demand.  :class:`SideRatios` and :class:`Configuration` are named tuples,
+copied with ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
@@ -178,22 +178,31 @@ class Quadrilateral(NamedTuple):
         return self[:4]
 
 
-@dataclass(frozen=True)
-class SideRatios:
-    """The tuple ``(m, n, p, q)`` of side division ratios and their product."""
-
+class _SideRatioFields(NamedTuple):
     m: Fraction
     n: Fraction
     p: Fraction
     q: Fraction
-    gamma: Fraction = field(init=False)
+    gamma: Fraction
 
-    def __post_init__(self) -> None:
-        m, n, p, q = self.as_tuple
+
+class SideRatios(_SideRatioFields):
+    """The tuple ``(m, n, p, q)`` of side division ratios and their product.
+
+    ``gamma`` is derived when the tuple is made; ``_replace`` copies fields
+    as given and does not derive it again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: Fraction, n: Fraction, p: Fraction, q: Fraction) -> "SideRatios":
         # mnpq as one Fraction: the numerator product over the denominator product
-        object.__setattr__(self, "gamma", Fraction(
-            m.numerator * n.numerator * p.numerator * q.numerator,
-            m.denominator * n.denominator * p.denominator * q.denominator))
+        gamma = Fraction(m.numerator * n.numerator * p.numerator * q.numerator,
+                         m.denominator * n.denominator * p.denominator * q.denominator)
+        return tuple.__new__(cls, (m, n, p, q, gamma))
+
+    def __getnewargs__(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return self[:4]
 
     @classmethod
     def of(cls, m: RatLike, n: RatLike, p: RatLike, q: RatLike) -> "SideRatios":
@@ -201,11 +210,10 @@ class SideRatios:
 
     @property
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.m, self.n, self.p, self.q)
+        return self[:4]
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """All named points derived from a quadrilateral and its side points."""
 
     quad: Quadrilateral
@@ -274,7 +282,9 @@ def build_from_ratios(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     """Place the side points at the given positive ratios and derive everything."""
     if quad.shape == DEGENERATE:
         raise DegenerateQuadrilateral("cannot build on a degenerate quadrilateral")
-    if any(r <= 0 for r in ratios.as_tuple):
+    # a Fraction's denominator is positive, so its sign is its numerator's
+    m, n, p, q, _ = ratios
+    if m.numerator <= 0 or n.numerator <= 0 or p.numerator <= 0 or q.numerator <= 0:
         raise InstanceFormatError("side ratios must be positive")
     return _construct(quad, ratios)
 

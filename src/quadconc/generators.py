@@ -15,6 +15,13 @@ Rational draws take a numerator and a denominator from the bounded draw,
 so coordinates and ratios stay within the configured magnitude bounds.
 Instances are produced by rejection sampling with a hard cap of 1000
 attempts per instance.
+
+Each candidate is drawn on bare integers.  ``Stream.ints`` makes all of
+an attempt's bounded draws in one pass and holds the only copy of the
+advance and the mix; ``next_u64``, ``next_int`` and ``mix64`` are its
+one-value forms.  A drawer reduces each point to its canonical triple,
+sorts and classifies the triples (``kernel.classify_triples``), and makes
+a :class:`Point` only for the four vertices of an accepted quadrilateral.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from fractions import Fraction
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted, InstanceFormatError
 from ._purekernel import det3, reduce3
-from .kernel import (CONCAVE, CONVEX, CROSSED, DEGENERATE, Point, Shape, dividing_terms,
-                     point_from_terms)
+from .kernel import (CONCAVE, CONVEX, CROSSED, DEGENERATE, Point, Shape, classify_triples,
+                     dividing_terms, triple_from_terms)
 
 # accepted by the generator only; never a classification result
 ANY_SHAPE: Shape = "any"
@@ -41,12 +48,13 @@ TAG_RATIOS = 0x72
 
 REJECTION_CAP = 1000
 
+# the span of a raw 64-bit output
+_U64 = ((0, 1 << 64),)
+
 
 def mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
+    """The output mix of ``z``: the draw of the stream whose next state is ``z``."""
+    return Stream(z - _GOLDEN).ints(_U64)[0]
 
 
 class Stream:
@@ -57,15 +65,24 @@ class Stream:
     def __init__(self, state: int):
         self.state = state & _MASK
 
+    def ints(self, spans) -> list[int]:
+        """One bounded draw ``lo + next_u64() mod size`` per ``(lo, size)`` of
+        ``spans``, in order, advancing the state once per value."""
+        s = self.state
+        out = []
+        for lo, size in spans:
+            s = (s + _GOLDEN) & _MASK
+            z = ((s ^ (s >> 30)) * _MIX_A) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
+            out.append(lo + (z ^ (z >> 31)) % size)
+        self.state = s
+        return out
+
     def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return mix64(self.state)
+        return self.ints(_U64)[0]
 
     def next_int(self, lo: int, hi: int) -> int:
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def next_positive(self, bound: int) -> Fraction:
-        return Fraction(self.next_int(1, bound), self.next_int(1, bound))
+        return self.ints(((lo, hi - lo + 1),))[0]
 
 
 def instance_stream(seed: int, index: int, tag: int) -> Stream:
@@ -93,11 +110,23 @@ class GenSpec:
             raise InstanceFormatError("ratio_bound must be at least 1")
 
 
-def _ccw_about_centroid(points: list[Point]) -> list[Point]:
+def _point_spans(bound: int) -> tuple[tuple[int, int], ...]:
+    """The spans of one point's draws: ``xn, xd, yn, yd`` with each numerator
+    in ``[-bound, bound]`` and each denominator in ``[1, bound]``."""
+    return ((-bound, 2 * bound + 1), (1, bound)) * 2
+
+
+def _triples(values: list[int]) -> list[tuple[int, int, int]]:
+    """The canonical triples of the points drawn as ``xn, xd, yn, yd`` in turn."""
+    it = iter(values)
+    return [triple_from_terms(xn, xd, yn, yd) for xn, xd, yn, yd in zip(it, it, it, it)]
+
+
+def _ccw_about_centroid(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Finite canonical triples, counterclockwise about their centroid."""
     # affine coordinates scaled by the (positive) product of the weights,
     # and offsets from the centroid scaled by n on top: integers with the
     # signs of the true offsets, so the order is the affine one
-    triples = [p.triple() for p in points]
     scale = 1
     for _, _, w in triples:
         scale *= w
@@ -108,8 +137,8 @@ def _ccw_about_centroid(points: list[Point]) -> list[Point]:
     # counterclockwise from the positive x direction: the half plane first
     # (0 for angles in [0, pi), else 1), then the cross product; a stable
     # insertion keeps equal directions in input order
-    ordered: list[tuple[int, int, int, Point]] = []
-    for (u, v), p in zip(coords, points):
+    ordered: list[tuple[int, int, int, tuple[int, int, int]]] = []
+    for (u, v), t in zip(coords, triples):
         dx, dy = n * u - sx, n * v - sy
         half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
         i = len(ordered)
@@ -118,57 +147,61 @@ def _ccw_about_centroid(points: list[Point]) -> list[Point]:
             if h < half or (h == half and ex * dy - ey * dx >= 0):
                 break
             i -= 1
-        ordered.insert(i, (half, dx, dy, p))
+        ordered.insert(i, (half, dx, dy, t))
     return [item[3] for item in ordered]
 
 
-def _draw_point(rng: Stream, bound: int) -> Point:
-    xn, xd = rng.next_int(-bound, bound), rng.next_int(1, bound)
-    yn, yd = rng.next_int(-bound, bound), rng.next_int(1, bound)
-    return point_from_terms(xn, xd, yn, yd)
+def _quadrilateral(ta, tb, tc, td, shape: Shape) -> Quadrilateral:
+    wrap = Point._wrap
+    return Quadrilateral(wrap(ta), wrap(tb), wrap(tc), wrap(td), shape)
+
+
+def _convex_triples(rng: Stream, bound: int) -> list[tuple[int, int, int]] | None:
+    """Four drawn points sorted about their centroid, if that order is convex."""
+    ordered = _ccw_about_centroid(_triples(rng.ints(_point_spans(bound) * 4)))
+    return ordered if classify_triples(*ordered) == CONVEX else None
 
 
 def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:
-    pts = [_draw_point(rng, bound) for _ in range(4)]
-    ordered = _ccw_about_centroid(pts)
-    quad = Quadrilateral.of(*ordered)
-    return quad if quad.shape == CONVEX else None
+    ordered = _convex_triples(rng, bound)
+    return None if ordered is None else _quadrilateral(*ordered, CONVEX)
 
 
 def _try_concave(rng: Stream, bound: int) -> Quadrilateral | None:
-    a, b, c = (_draw_point(rng, bound) for _ in range(3))
-    i, j, k = (rng.next_int(1, bound) for _ in range(3))
-    ta, tb, tc = a.triple(), b.triple(), c.triple()
+    values = rng.ints(_point_spans(bound) * 3 + ((1, bound),) * 3)
+    ta, tb, tc = _triples(values[:12])
+    i, j, k = values[12:]
     sign = det3(ta, tb, tc)
     if sign == 0:
         return None
     if sign < 0:
-        b, c = c, b
         tb, tc = tc, tb
     # interior point of the triangle, strictly inside by construction:
     # (k*a + i*b + j*c) / (i + j + k), the point dividing a -> (i*b + j*c)/(i + j);
     # the points are finite and distinct and the ratios positive
     bc = reduce3(*dividing_terms(tb, tc, j, i))
-    x = Point._wrap(reduce3(*dividing_terms(ta, bc, i + j, k)))
-    quad = Quadrilateral.of(a, b, x, c)
-    return quad if quad.shape == CONCAVE else None
+    tx = reduce3(*dividing_terms(ta, bc, i + j, k))
+    if classify_triples(ta, tb, tx, tc) != CONCAVE:
+        return None
+    return _quadrilateral(ta, tb, tx, tc, CONCAVE)
 
 
 def _try_crossed(rng: Stream, bound: int) -> Quadrilateral | None:
-    convex = _try_convex(rng, bound)
-    if convex is None:
+    ordered = _convex_triples(rng, bound)
+    if ordered is None:
         return None
     # a strictly convex ABCD has four orientation signs [ABC] [BCD] [CDA]
     # [DAB] of one sign, say +; in BACD they are [BAC] = -[ABC], [ACD] =
     # [CDA], [CDB] = [BCD] and [DBA] = -[DAB], so - + + -: two differ, and
     # none is zero, which is crossed without a second classification
-    return Quadrilateral(convex.B, convex.A, convex.C, convex.D, CROSSED)
+    ta, tb, tc, td = ordered
+    return _quadrilateral(tb, ta, tc, td, CROSSED)
 
 
 def _try_any(rng: Stream, bound: int) -> Quadrilateral | None:
-    pts = [_draw_point(rng, bound) for _ in range(4)]
-    quad = Quadrilateral.of(*pts)
-    return quad if quad.shape != DEGENERATE else None
+    drawn = _triples(rng.ints(_point_spans(bound) * 4))
+    shape = classify_triples(*drawn)
+    return None if shape == DEGENERATE else _quadrilateral(*drawn, shape)
 
 
 _DRAWERS = {
@@ -195,10 +228,8 @@ def gen_quadrilateral(spec: GenSpec, index: int) -> Quadrilateral:
 def gen_ratios(spec: GenSpec, index: int) -> SideRatios:
     """The side-ratio tuple of instance ``index``; bitwise-reproducible."""
     rng = instance_stream(spec.seed, index, TAG_RATIOS)
-    m = rng.next_positive(spec.ratio_bound)
-    n = rng.next_positive(spec.ratio_bound)
-    p = rng.next_positive(spec.ratio_bound)
-    q = rng.next_positive(spec.ratio_bound)
+    ma, mb, na, nb, pa, pb, qa, qb = rng.ints(((1, spec.ratio_bound),) * 8)
     if spec.force_gamma_one:
-        q = 1 / (m * n * p)
-    return SideRatios(m, n, p, q)
+        # q = 1/(mnp) as one Fraction; the drawn q is not used
+        qa, qb = mb * nb * pb, ma * na * pa
+    return SideRatios(Fraction(ma, mb), Fraction(na, nb), Fraction(pa, pb), Fraction(qa, qb))

@@ -38,8 +38,10 @@ Conventions
   ``directed_ratio`` wrap them in a ``Fraction``.  ``rational_text``
   writes a pair as exact text, the bytes ``str(Fraction)`` writes.
 * ``classify_quadrilateral`` reads the four vertex triples once: one
-  finiteness test, then the signs of four ``det3``, which are the affine
-  orientation signs because canonical finite triples have ``w > 0``.
+  finiteness test, then ``classify_triples``, the signs of four ``det3``,
+  which are the affine orientation signs because canonical finite triples
+  have ``w > 0``.  The generators classify their candidates' triples with
+  ``classify_triples`` directly.
 * The verifiers and the figures work on a configuration's slot triples
   with ``det3``, tuple equality, ``w == 0`` and ``parameter_pair``; they
   wrap a triple in a :class:`Point` only for a witness, a failure text or
@@ -148,10 +150,16 @@ class Point:
         return f"Point({', '.join(self.text())})"
 
 
+def triple_from_terms(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
+    """The canonical triple of the finite point ``(xn/xd, yn/yd)``; each
+    denominator is a nonzero integer of either sign."""
+    return reduce3(xn * yd, yn * xd, xd * yd)
+
+
 def point_from_terms(xn: int, xd: int, yn: int, yd: int) -> Point:
     """The finite point ``(xn/xd, yn/yd)``; each denominator is a nonzero
     integer of either sign."""
-    return Point._wrap(reduce3(xn * yd, yn * xd, xd * yd))
+    return Point._wrap(triple_from_terms(xn, xd, yn, yd))
 
 
 class Line:
@@ -226,6 +234,11 @@ def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:
     ta, tb, tc, td = a._t, b._t, c._t, d._t
     if not (ta[2] and tb[2] and tc[2] and td[2]):
         raise GeometryError("orientation is defined for finite points only")
+    return classify_triples(ta, tb, tc, td)
+
+
+def classify_triples(ta, tb, tc, td) -> Shape:
+    """:func:`classify_quadrilateral` on four canonical finite triples."""
     # canonical finite triples have positive w, so each determinant's sign
     # is the affine orientation sign
     d1, d2, d3, d4 = det3(ta, tb, tc), det3(tb, tc, td), det3(tc, td, ta), det3(td, ta, tb)

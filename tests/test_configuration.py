@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -49,6 +51,11 @@ class TestTypes:
     def test_gamma_is_the_product(self):
         r = SideRatios.of(2, 3, F(1, 4), 5)
         assert r.gamma == F(15, 2)
+
+    def test_side_ratios_copy_and_pickle(self):
+        # both remake the tuple from m, n, p, q, which derives gamma again
+        r = SideRatios.of(2, 3, F(1, 4), 5)
+        assert copy.copy(r) == copy.deepcopy(r) == pickle.loads(pickle.dumps(r)) == r
 
     def test_degenerate_quad_has_degenerate_shape(self):
         q = Quadrilateral.of(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1))

@@ -9,7 +9,6 @@ strategy reaches the vanishing denominators ``1 + mn = 0`` and
 ``gamma*r + m = 0``.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -85,7 +84,7 @@ def test_formula_sides_equal_the_papers_forms(inputs):
     m, n, p, q, r = inputs
     ratios = SideRatios(m, n, p, q)
     assert ratios.gamma == m * n * p * q
-    cfg = replace(BASE, ratios=ratios, r_ratio=r)
+    cfg = BASE._replace(ratios=ratios, r_ratio=r)
     for claim, forms in reference_forms(m, n, p, q, ratios.gamma, r).items():
         verdict = CHECKS[claim](claim, cfg)
         for key, expected in forms.items():
@@ -107,7 +106,8 @@ def test_formula_sides_read_gamma(generic_gamma_two_config):
     cfg = generic_gamma_two_config
     claims = ["ratio_product", "section_ratios", "crossing_ratio_formula"]
     assert [v.status for v in verify_all(cfg, claims)] == [PASS] * 3
-    object.__setattr__(cfg.ratios, "gamma", cfg.ratios.gamma + 1)
+    # _replace copies gamma as given instead of deriving it
+    cfg = cfg._replace(ratios=cfg.ratios._replace(gamma=cfg.ratios.gamma + 1))
     product, section, crossing = verify_all(cfg, claims)
     assert section.status == FAIL and section.detail == "weighted form mismatch"
     assert product.status == FAIL

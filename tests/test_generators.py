@@ -4,6 +4,7 @@ from unittest import mock
 
 import naive_geometry as naive
 import pytest
+import test_configuration
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -40,15 +41,56 @@ class TestStream:
         assert instance_stream(1, 0, 0x71).state != instance_stream(1, 1, 0x71).state
         assert instance_stream(1, 0, 0x71).state != instance_stream(2, 0, 0x71).state
 
+    @given(st.integers(0, 2**64 - 1), st.sampled_from([4, 10, 1000, 10**30]))
+    def test_bulk_draw_equals_repeated_next_int(self, state, bound):
+        # the spans of a concave attempt: signed numerators, positive
+        # denominators and positive weights
+        spans = generators._point_spans(bound) * 3 + ((1, bound),) * 3
+        bulk, single = Stream(state), Stream(state)
+        assert bulk.ints(spans) == [single.next_int(lo, lo + size - 1) for lo, size in spans]
+        assert bulk.state == single.state
+
     def test_bounded_draws(self):
         s = Stream(123)
         for _ in range(200):
             v = s.next_int(-5, 5)
             assert -5 <= v <= 5
-        for _ in range(200):
-            f = s.next_positive(7)
-            assert 0 < f
-            assert abs(f.numerator) <= 7 and f.denominator <= 7
+
+
+@pytest.mark.parametrize("shape", ["convex", "concave", "crossed", ANY_SHAPE])
+def test_points_only_for_accepted_vertices(monkeypatch, shape):
+    # a rejected candidate stays bare triples: each instance makes the four
+    # points of its vertices, however many attempts it took
+    made, attempts = [], []
+    wrap, init, draw = Point._wrap.__func__, Point.__init__, generators._DRAWERS[shape]
+
+    def counted_wrap(cls, triple):
+        made.append(triple)
+        return wrap(cls, triple)
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def counted_draw(rng, bound):
+        attempts.append(bound)
+        return draw(rng, bound)
+
+    monkeypatch.setattr(Point, "_wrap", classmethod(counted_wrap))
+    monkeypatch.setattr(Point, "__init__", counted_init)
+    assert Point._wrap((1, 2, 1)) and Point(1, 2) and len(made) == 2  # it counts
+    made.clear()
+    monkeypatch.setitem(generators._DRAWERS, shape, counted_draw)
+    instances = 0
+    for bound in (10, 1000):
+        spec = GenSpec(seed=5, shape=shape, coordinate_bound=bound)
+        for index in range(40):
+            gen_quadrilateral(spec, index)
+            instances += 1
+    assert len(made) == 4 * instances
+    if shape in ("convex", "crossed"):
+        # convex candidates are often rejected, each without a point
+        assert len(attempts) > instances
 
 
 class TestGenSpec:
@@ -126,29 +168,45 @@ def four_points(draw):
     return pts
 
 
+class Drawn:
+    """A stand-in stream whose one bulk draw returns the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def ints(self, spans):
+        assert len(spans) == len(self.values)
+        return list(self.values)
+
+
+def draws_of(pts):
+    """The values ``xn, xd, yn, yd`` of each point in turn, as a stream draws them."""
+    return [c for p in pts for x, y in [p.affine()]
+            for c in (x.numerator, x.denominator, y.numerator, y.denominator)]
+
+
 class TestCentroidOrder:
     @staticmethod
-    def reference_order(pts):
-        return [pts[i] for i in naive.ccw_about_centroid([p.affine() for p in pts])]
+    def reference_order(ts):
+        return [ts[i] for i in naive.ccw_about_centroid([(F(x, w), F(y, w)) for x, y, w in ts])]
 
     @staticmethod
     def try_convex(pts, order):
         """``_try_convex`` on a stream that draws ``pts``, sorted by ``order``."""
-        draws = iter(pts)
-        with mock.patch.object(generators, "_draw_point", lambda rng, bound: next(draws)), \
-                mock.patch.object(generators, "_ccw_about_centroid", order):
-            return generators._try_convex(None, 4)
+        with mock.patch.object(generators, "_ccw_about_centroid", order):
+            return generators._try_convex(Drawn(draws_of(pts)), 4)
 
     @given(four_points())
     @example([Point(0, 0), Point(2, 2), Point(0, 1), Point(-2, 1)])  # the orders differ
     @example([Point(1, 0), Point(2, 0), Point(-1, 1), Point(-2, -1)])  # one direction twice
     def test_order_matches_the_comparison_sort(self, pts):
-        got = _ccw_about_centroid(pts)
-        want = self.reference_order(pts)
-        assert sorted(p.triple() for p in got) == sorted(p.triple() for p in pts)
+        ts = [p.triple() for p in pts]
+        got = _ccw_about_centroid(ts)
+        want = self.reference_order(ts)
+        assert sorted(got) == sorted(ts)
         quad = self.try_convex(pts, _ccw_about_centroid)
         assert quad == self.try_convex(pts, self.reference_order)
-        assert quad is None or quad.vertices == tuple(got)
+        assert quad is None or [p.triple() for p in quad.vertices] == got
         if got != want:
             # only a point on the centroid leaves the comparison without a
             # strict weak order, and no order of such points is convex
@@ -161,7 +219,7 @@ class TestCrossed:
     @given(st.lists(st.builds(Point, _small, _small), min_size=4, max_size=4), st.booleans())
     def test_swapping_a_and_b_of_a_convex_quadrilateral_crosses_it(self, pts, clockwise):
         # _try_crossed labels B A C D crossed without classifying it again
-        a, b, c, d = _ccw_about_centroid(pts)
+        a, b, c, d = (Point._wrap(t) for t in _ccw_about_centroid([p.triple() for p in pts]))
         if clockwise:
             a, b, c, d = d, c, b, a
         assume(classify_quadrilateral(a, b, c, d) == "convex")
@@ -193,6 +251,15 @@ class TestRatios:
     def test_determinism(self):
         spec = GenSpec(seed=2)
         assert gen_ratios(spec, 8) == gen_ratios(spec, 8)
+
+    @pytest.mark.parametrize("force_gamma_one", [False, True])
+    def test_five_fractions_in_either_regime(self, monkeypatch, force_gamma_one):
+        # m, n, p, q and gamma: a forced q = 1/(mnp) is one Fraction too
+        spec = GenSpec(seed=6, force_gamma_one=force_gamma_one)
+        for index in range(20):
+            _, made = test_configuration.TestTraceRatioFractions.count_fractions(
+                monkeypatch, lambda: gen_ratios(spec, index))
+            assert made == 5
 
 
 def test_stream_pinned_across_shapes_and_bounds():

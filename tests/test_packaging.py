@@ -65,3 +65,24 @@ def test_every_error_subclass_is_caught_by_name():
                 caught |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(handled)
                            if isinstance(n, (ast.Name, ast.Attribute))}
     assert classes - {"GeometryError"} - caught == set()
+
+
+def test_only_generators_imports_dataclasses():
+    # the named tuples keep dataclasses off every other import path; GenSpec
+    # stays a dataclass while perfbench/workloads.py copies a spec with
+    # dataclasses.replace(spec, force_gamma_one=...)
+    importers = set()
+    for path in (REPO / "src" / "quadconc").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.add(path.name)
+    assert importers == {"generators.py"}, (
+        "only generators.py (GenSpec, which perfbench copies with dataclasses.replace) "
+        f"may import dataclasses; found {sorted(importers)}")

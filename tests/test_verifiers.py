@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,7 +186,7 @@ class TestConcurrenceDetail:
         """``cfg`` with the stored point ``name`` replaced by ``pt``."""
         triples = list(cfg.triples)
         triples[SLOT[name]] = None if pt is None else pt.triple()
-        return replace(cfg, triples=tuple(triples))
+        return cfg._replace(triples=tuple(triples))
 
     def test_misses_outrank_degenerate_reasons(self, midpoint_config, gamma_two_config):
         # both configurations also carry a degenerate reason (F = G and
@@ -320,7 +319,7 @@ def with_points(cfg, **points):
     triples = list(cfg.triples)
     for name, pt in points.items():
         triples[SLOT[name]] = None if pt is None else pt.triple()
-    return replace(cfg, triples=tuple(triples))
+    return cfg._replace(triples=tuple(triples))
 
 
 def at(a, b, lam):
@@ -407,7 +406,7 @@ class TestComparisonBranches:
     def test_fe_over_eg_mismatch(self, gamma_one_config):
         # (2, 2, 1/2, 1/2) keeps the product one but moves the closed form
         # m(1 + np)/(1 + mn) to 4/5, while the stored points give FE/EG = 1
-        v = verdict(replace(gamma_one_config, ratios=SideRatios.of(2, 2, F(1, 2), F(1, 2))),
+        v = verdict(gamma_one_config._replace(ratios=SideRatios.of(2, 2, F(1, 2), F(1, 2))),
                     "seven_lines")
         assert (v.status, v.detail) == (FAIL, "FE/EG mismatch")
         assert texts(v, "FE_over_EG", "FE_over_EG_formula") == ["1", "4/5"]
@@ -419,7 +418,7 @@ class TestComparisonBranches:
     def test_f1m1_over_m1g1_mismatch(self, ratios, corrupt, expected):
         cfg = build_from_ratios(Quadrilateral.of(*GENERIC), SideRatios.of(*ratios))
         assert verdict(cfg, "quadruple_concurrences").status == PASS
-        v = verdict(replace(cfg, ratios=SideRatios.of(*corrupt)), "quadruple_concurrences")
+        v = verdict(cfg._replace(ratios=SideRatios.of(*corrupt)), "quadruple_concurrences")
         assert (v.status, v.detail) == (FAIL, "F1M1/M1G1 mismatch")
         assert texts(v, "F1M1_over_M1G1", "F1M1_over_M1G1_formula") == expected
 
@@ -450,7 +449,7 @@ class TestComparisonBranches:
         cfg = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, q))
         v = verdict(cfg, "crossing_ratio_formula")
         assert (v.status, texts(v, "r", "ME_over_EP_formula")) == (PASS, [str(r), formula])
-        v = verdict(replace(cfg, r_ratio=F(1)), "crossing_ratio_formula")
+        v = verdict(cfg._replace(r_ratio=F(1)), "crossing_ratio_formula")
         assert (v.status, v.detail) == (FAIL, "")
         assert texts(v, "ME_over_EP") == [formula]
         M, P = cfg.point("M"), cfg.point("P")
