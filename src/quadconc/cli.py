@@ -18,9 +18,10 @@ import sys
 from .configuration import Configuration, build_from_ratios
 from .errors import DegenerateQuadrilateral, GenerationExhausted, InstanceFormatError, UndefinedPoint
 from .generators import ANY_SHAPE, GenSpec, gen_quadrilateral, gen_ratios
-from .instancefile import instance_from_parts, load_instance, render, serialize_instance
+from .instancefile import (instance_document, instance_from_parts, load_instance, render,
+                           serialize_instance)
 from .kernel import CONCAVE, CONVEX, CROSSED
-from .report import degenerate_report, report_document
+from .report import degenerate_report, degenerate_verdicts, report_document, report_line
 from .svgfig import LAYERS, render_svg, select_layers
 from .verifiers import (CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, FINDING_CLAIMS, PASS, SKIPPED,
                         select_claims, verify_all)
@@ -153,6 +154,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
     generation_exhausted = 0
     construction_errors = 0
 
+    checked = False
     for index, quad, ratios, built in _campaign(args, regime, shape, args.count):
         meta = {"seed": str(args.seed), "index": index, "regime": regime}
         if quad is None:
@@ -163,17 +165,26 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
         inst = instance_from_parts(quad, ratios)
         if isinstance(built, str):
             construction_errors += 1
-            out.write(render(degenerate_report(meta, CLAIM_IDS, built, instance=inst),
-                             compact=True))
+            verdicts, cfg = degenerate_verdicts(CLAIM_IDS, built), None
+        else:
+            verdicts, cfg = verify_all(built), built
+        line = report_line(meta, verdicts, cfg, inst)
+        if not checked:
+            # a line writer that drifted from the report tree would change
+            # every line unnoticed; checking the first line of each campaign
+            # against the tree's compact JSON catches that at a cost that
+            # does not grow with --count
+            checked = True
+            if line != render(report_document(meta, verdicts, cfg, instance=inst), compact=True):
+                raise RuntimeError(f"report_line differs from the report tree at index {index}")
+        out.write(line)
+        if cfg is None:
             continue
-        verdicts = verify_all(built)
-        doc = report_document(meta, verdicts, built, instance=inst)
-        out.write(render(doc, compact=True))
         for v in verdicts:
             tallies[v.claim_id][v.status] += 1
         failed = {v.claim_id for v in verdicts if v.status == FAIL}
         if failed - FINDING_CLAIMS:
-            failing_instances.append(doc["instance"])
+            failing_instances.append(instance_document(inst))
         if args.dump_dir and failed:
             os.makedirs(args.dump_dir, exist_ok=True)
             _write_output(os.path.join(args.dump_dir, f"fail-seed{args.seed}-index{index}.json"),

@@ -22,12 +22,16 @@ advance and the mix; ``next_u64``, ``next_int`` and ``mix64`` are its
 one-value forms.  A drawer reduces each point to its canonical triple,
 sorts and classifies the triples (``kernel.classify_triples``), and makes
 a :class:`Point` only for the four vertices of an accepted quadrilateral.
+The concave and crossed drawers build their shape, so a sign argument in
+the code stands in for their classification.  The seed's mix is computed
+once per seed, not once per stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted, InstanceFormatError
@@ -85,8 +89,12 @@ class Stream:
         return self.ints(((lo, hi - lo + 1),))[0]
 
 
+# a campaign mixes one seed for every instance's two streams
+_seed_mix = lru_cache(maxsize=4)(mix64)
+
+
 def instance_stream(seed: int, index: int, tag: int) -> Stream:
-    return Stream(mix64(seed) ^ mix64((index * _GOLDEN + tag) & _MASK))
+    return Stream(_seed_mix(seed) ^ mix64((index * _GOLDEN + tag) & _MASK))
 
 
 @dataclass(frozen=True)
@@ -181,8 +189,11 @@ def _try_concave(rng: Stream, bound: int) -> Quadrilateral | None:
     # the points are finite and distinct and the ratios positive
     bc = reduce3(*dividing_terms(tb, tc, j, i))
     tx = reduce3(*dividing_terms(ta, bc, i + j, k))
-    if classify_triples(ta, tb, tx, tc) != CONCAVE:
-        return None
+    # concave without a classification: a b c is counterclockwise and x
+    # strictly inside, so x is strictly left of ab, bc and ca, and the
+    # orientation signs [abx] [bxc] [xca] [cab] of ABCD = a b x c are
+    # + - + +: [bxc] = -[bcx] and [xca] = [cax], [cab] = [abc]; one sign
+    # differs and none is zero
     return _quadrilateral(ta, tb, tx, tc, CONCAVE)
 
 

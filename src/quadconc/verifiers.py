@@ -26,11 +26,15 @@ kernel's ``parameter_pair``: two sides are equal
 when they cross-multiply equal, an order is decided by cross-multiplied
 ``<`` once each denominator is made positive, and a reported value is
 written once, by ``rational_text``, in the bytes ``str(Fraction)``
-writes.  No verifier makes a ``Fraction``.
+writes.  That text is canonical, so a geometric value that equals its
+formula side (or the product that equals ``gamma``) reuses the formula's
+text, and only a mismatched value is written on its own.  No verifier
+makes a ``Fraction``.
 
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
-verdict, which is never a failure; one where a point the row needs is
+verdict, which is never a failure (made once, at import, where the skip
+text names no value); one where a point the row needs is
 undefined gets ``degenerate``.  Past that, each check makes its verdict
 ``degenerate`` itself where a line, ratio or point it reads is undefined
 or ideal; of the builder's flags (``cfg.degeneracies``) only
@@ -172,14 +176,15 @@ def _check_section(cfg: Configuration, key: str, f: Triple, x: Optional[Triple],
         return
     # m(1 + np)/(1 + mn)
     formula = (ma * (nb * pb + na * pa), pb * (mb * nb + ma * na))
-    values[key + "_formula"] = rational_text(*formula)
+    formula_text = values[key + "_formula"] = rational_text(*formula)
     geometric = _ratio(f, x, g)
     if geometric is None:
         reasons.append(key + "_UNDEFINED")
+    elif _equal(geometric, formula):
+        values[key] = formula_text
     else:
         values[key] = rational_text(*geometric)
-        if not _equal(geometric, formula):
-            failures.append(key.replace("_over_", "/") + " mismatch")
+        failures.append(key.replace("_over_", "/") + " mismatch")
 
 
 _XOZYT_NAMES = ("X", "O", "Z", "Y", "T")
@@ -261,9 +266,10 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     if me_ep is None or ne_eq is None:
         return Verdict(claim, DEGENERATE, detail="division ratios undefined",
                        exact_values=values)
-    values["ME_over_EP"] = rational_text(*me_ep)
-    values["NE_over_EQ"] = rational_text(*ne_eq)
-    ok = _equal(me_ep, me_ep_formula) and _equal(ne_eq, ne_eq_formula)
+    me_ok, ne_ok = _equal(me_ep, me_ep_formula), _equal(ne_eq, ne_eq_formula)
+    values["ME_over_EP"] = values["ME_over_EP_formula"] if me_ok else rational_text(*me_ep)
+    values["NE_over_EQ"] = values["NE_over_EQ_formula"] if ne_ok else rational_text(*ne_eq)
+    ok = me_ok and ne_ok
     return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
                    exact_values=values)
 
@@ -363,9 +369,10 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
         num *= r[0]
         den *= r[1]
     gamma = cfg.ratios.gamma
-    values["product"] = rational_text(num, den)
-    values["gamma"] = str(gamma)
+    gamma_text = str(gamma)
     ok = _equal((num, den), (gamma.numerator, gamma.denominator))
+    values["product"] = gamma_text if ok else rational_text(num, den)
+    values["gamma"] = gamma_text
     return Verdict(claim, PASS if ok else FAIL, exact_values=values)
 
 
@@ -397,18 +404,24 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     # equals the plain mn(p+1)/(m+1) only because gamma = mnpq, which is
     # what the weighted form mismatch check tests
     weighted = (G * qb * mb * nb + na * ma * H * qa, H * qa * (ma + mb) * nb)
-    values = {"MM1_over_M1P_weighted": rational_text(*weighted)}
+    # a passing weighted form equals the plain MM1 form and shares its text
+    mm1_text = rational_text(*mm1_formula)
+    weighted_ok = _equal(weighted, mm1_formula)
+    values = {"MM1_over_M1P_weighted": mm1_text if weighted_ok else rational_text(*weighted)}
     failures: list[str] = []
     t = cfg.triples
     for (key, a, x, b), formula in zip(_SECTIONS, formulas):
-        values[key + "_formula"] = rational_text(*formula)
+        formula_text = mm1_text if formula is mm1_formula else rational_text(*formula)
+        values[key + "_formula"] = formula_text
         geometric = _ratio(t[a], t[x], t[b])
         if geometric is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
-        values[key] = rational_text(*geometric)
-        if not _equal(geometric, formula):
+        if _equal(geometric, formula):
+            values[key] = formula_text
+        else:
+            values[key] = rational_text(*geometric)
             failures.append(key)
-    if not _equal(weighted, mm1_formula):
+    if not weighted_ok:
         failures.append("weighted form mismatch")
     status, detail = _status(failures, [])
     return Verdict(claim, status, detail=detail, exact_values=values)
@@ -434,11 +447,12 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
         return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
                        exact_values={"r": str(r)})
     geometric = _ratio(M, E, P)
-    values = {"r": str(r), "ME_over_EP_formula": rational_text(*formula)}
+    formula_text = rational_text(*formula)
+    values = {"r": str(r), "ME_over_EP_formula": formula_text}
     if geometric is None:
         return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
-    values["ME_over_EP"] = rational_text(*geometric)
     ok = _equal(geometric, formula)
+    values["ME_over_EP"] = formula_text if ok else rational_text(*geometric)
     return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
                    exact_values=values)
 
@@ -575,9 +589,14 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
     ``degenerate`` while a needed point is undefined, else the check."""
     in_regime = _REGIMES[regime]
     slots = tuple((name, SLOT[name]) for name in needs)
+    # a skip text that names no value gives one verdict, made here and
+    # shared: a Verdict is immutable
+    skipped = None if "{gamma}" in skip else Verdict(claim, SKIPPED, detail=skip)
 
     def run(cfg: Configuration) -> Verdict:
         if not in_regime(cfg):
+            if skipped is not None:
+                return skipped
             return Verdict(claim, SKIPPED, detail=skip.format(gamma=cfg.ratios.gamma))
         t = cfg.triples
         missing = [name for name, slot in slots if t[slot] is None]

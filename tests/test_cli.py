@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from quadconc import verifiers
+from quadconc import cli, verifiers
 from quadconc.cli import main
-from quadconc.instancefile import parse_rational
+from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
+from quadconc.instancefile import instance_from_parts, parse_rational
 
 MIDPOINT = {
     "vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]},
@@ -296,6 +297,25 @@ class TestFuzz:
         assert summary["claims"]["ratio_product"]["fail"] == 2
         assert summary["claims"]["section_ratios"]["fail"] == 2
         assert len(summary["failing_instances"]) == 2
+
+    @pytest.mark.parametrize("count", [1, 60])
+    def test_campaign_builds_one_report_tree(self, monkeypatch, count):
+        # report_line writes every line; only the first is also built as a
+        # tree, to check it, however long the campaign
+        calls = []
+        tree = cli.report_document
+        monkeypatch.setattr(cli, "report_document", lambda *a, **k: calls.append(a) or tree(*a, **k))
+        inst = instance_from_parts(gen_quadrilateral(GenSpec(), 0), gen_ratios(GenSpec(), 0))
+        assert cli.report_document({}, [], None, instance=inst) and len(calls) == 1  # it counts
+        calls.clear()
+        code, _ = run(["fuzz", "--seed", "42", "--count", str(count), "--regime", "general"])
+        assert code == 0 and len(calls) == 1
+
+    def test_first_line_is_checked_against_the_tree(self, monkeypatch):
+        line = cli.report_line
+        monkeypatch.setattr(cli, "report_line", lambda *a: line(*a).replace("pass", "PASS"))
+        with pytest.raises(RuntimeError, match="differs from the report tree at index 0"):
+            run(["fuzz", "--seed", "42", "--count", "3", "--regime", "general"])
 
     def test_determinism_byte_identical(self):
         argv = ["fuzz", "--seed", "7", "--count", "25", "--regime", "general"]

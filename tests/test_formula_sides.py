@@ -140,6 +140,19 @@ def test_rational_text_equals_fraction_text(num, den):
     assert rational_text(num, den) == str(Fraction(num, den))
 
 
+nonzero = st.integers(-10**30, 10**30).filter(bool)
+
+
+@given(st.integers(-10**30, 10**30), nonzero, nonzero, nonzero)
+@example(3, 4, -2, 5)  # denominators of both signs
+def test_equal_pairs_have_one_text(num, den, k1, k2):
+    # the verifiers write one text for a geometric pair and its equal
+    # formula pair; any two equal pairs are multiples of one pair
+    a, b, c, d = k1 * num, k1 * den, k2 * num, k2 * den
+    assert a * d == c * b
+    assert rational_text(a, b) == rational_text(c, d)
+
+
 @pytest.mark.parametrize("num", [0, 1, -3, 10**30])
 def test_rational_text_refuses_a_zero_denominator(num):
     with pytest.raises(ZeroDivisionError):

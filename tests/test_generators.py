@@ -50,6 +50,13 @@ class TestStream:
         assert bulk.ints(spans) == [single.next_int(lo, lo + size - 1) for lo, size in spans]
         assert bulk.state == single.state
 
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.sampled_from([0x71, 0x72]))
+    def test_instance_stream_seed_is_the_spelled_out_mix(self, seed, index, tag):
+        # the seed's mix is cached per seed; the state is still the formula's
+        for _ in range(2):
+            assert instance_stream(seed, index, tag).state == (
+                mix64(seed) ^ mix64((index * 0x9E3779B97F4A7C15 + tag) % 2**64))
+
     def test_bounded_draws(self):
         s = Stream(123)
         for _ in range(200):
@@ -224,6 +231,15 @@ class TestCrossed:
             a, b, c, d = d, c, b, a
         assume(classify_quadrilateral(a, b, c, d) == "convex")
         assert classify_quadrilateral(b, a, c, d) == "crossed"
+
+
+class TestConcave:
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.sampled_from([4, 10, 1000]))
+    def test_drawn_concave_quadrilaterals_are_concave(self, seed, index, bound):
+        # _try_concave labels a b x c concave without classifying it
+        quad = gen_quadrilateral(GenSpec(seed=seed, shape="concave", coordinate_bound=bound),
+                                 index)
+        assert classify_quadrilateral(*quad.vertices) == "concave"
 
 
 class TestRatios:

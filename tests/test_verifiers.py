@@ -529,6 +529,45 @@ class TestVerifyAll:
         verdicts = verify_all(generic_gamma_two_config)
         assert overall_status(verdicts) == PASS
 
+    def test_constant_skip_verdicts_are_made_once(self, midpoint_config,
+                                                  generic_gamma_two_config, concave_quad):
+        # a skip text that names no value gives one verdict, shared by every
+        # call; the product-one skips name gamma, so each call makes its own
+        runners = dict(verifiers.CLAIM_RUNNERS)
+        concave = build_from_ratios(concave_quad, SideRatios.of(1, 2, 1, 1))
+        concave_too = build_from_ratios(concave_quad, SideRatios.of(2, 1, 1, 3))
+        for claim, first, second in (
+                ("inner_quadrilateral_convexity", midpoint_config, generic_gamma_two_config),
+                ("crossing_ratio_formula", concave, concave_too),
+                ("inner_quadrilateral", concave, concave_too)):
+            skipped = runners[claim](first)
+            assert skipped.status == SKIPPED and runners[claim](second) is skipped
+        seven = runners["seven_lines"]
+        assert seven(generic_gamma_two_config).detail == "requires side-ratio product 1, got 2"
+        assert seven(concave_too).detail == "requires side-ratio product 1, got 6"
+
+    def test_equal_pairs_share_one_text(self, monkeypatch):
+        # a geometric value equal to its formula side takes the formula's
+        # text, which is canonical, so a passing general instance writes 13
+        # texts where one per key would be 21
+        calls = []
+        text = verifiers.rational_text
+        monkeypatch.setattr(verifiers, "rational_text", lambda *a: calls.append(a) or text(*a))
+        assert verifiers.rational_text(2, -4) == "-1/2" and len(calls) == 1  # it counts
+        spec = GenSpec(seed=42)
+        cfg = build_from_ratios(gen_quadrilateral(spec, 0), gen_ratios(spec, 0))
+        calls.clear()
+        assert {v.status for v in verify_all(cfg)} == {PASS, SKIPPED}
+        assert len(calls) == 13
+        # a wrong gamma: the product, the weighted form and the trace-ratio
+        # form mismatch, and each mismatched value gets its own text
+        calls.clear()
+        wrong = cfg._replace(ratios=cfg.ratios._replace(gamma=cfg.ratios.gamma + 1))
+        statuses = {v.claim_id: v.status for v in verify_all(wrong)}
+        assert [claim for claim, status in statuses.items() if status == FAIL] == [
+            "ratio_product", "section_ratios", "crossing_ratio_formula"]
+        assert len(calls) == 16
+
     @pytest.mark.parametrize("field", ["witness", "exact_values"])
     def test_default_mappings_are_read_only(self, field):
         # every default verdict shares one empty mapping: writing into it
