@@ -73,8 +73,8 @@ def _strings(texts: Iterable[str]) -> str:
 
 
 def _points(keys: tuple[str, ...], points: Iterable[Point]) -> str:
-    """The compact JSON object mapping each of the sorted ``keys`` to its
-    point's text."""
+    """The members of the compact JSON object that maps each of the sorted
+    ``keys`` to its point's text, without the braces."""
     return ",".join([f"{_ascii(key)}:{_strings(pt.text())}" for key, pt in zip(keys, points)])
 
 
