@@ -18,10 +18,10 @@ triple that only feeds meets, and each meet is one reduction of the cross
 product of two lines; the kernel's ``Line``, ``line_through`` and ``meet``
 are public API, not this path.  The side points come from the kernel's
 ``dividing_terms`` and ``r`` from the ``parameter_pair`` of the ``R``
-triple, so the only ``Fraction`` a build makes is ``r``, and a build makes
-no :class:`Point`.  Coincidences the construction can survive are recorded
-as named degeneracy flags instead of raising; a point is stored as
-``None`` only when one of its defining lines collapses entirely.
+triple, and a build makes no :class:`Point`.  Coincidences the
+construction can survive are recorded as named degeneracy flags instead
+of raising; a point is stored as ``None`` only when one of its defining
+lines collapses entirely.
 
 A :class:`Configuration` holds the plan's result as one tuple,
 ``triples``: the canonical triple of every named point in
@@ -29,12 +29,12 @@ A :class:`Configuration` holds the plan's result as one tuple,
 to its place.  The verifiers and the figures read these triples directly;
 ``cfg.point(name)`` and ``cfg.named_points()`` wrap them in points on
 demand.  :class:`SideRatios` and :class:`Configuration` are named tuples,
-copied with ``_replace``.
+copied with ``_replace``.  Every ratio, ``r`` included, is a ``(num, den)``
+pair in ``kernel.lowest_terms``, which :class:`SideRatios` applies.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -43,15 +43,16 @@ from .errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from .kernel import (
     CONVEX,
     DEGENERATE,
+    Pair,
     Point,
-    RatLike,
     Shape,
-    as_rat,
     classify_quadrilateral,
     collinear,
     directed_ratio,
     dividing_terms,
+    lowest_terms,
     parameter_pair,
+    rational_terms,
 )
 
 # every constructed point as the meet of two lines, each through two
@@ -121,7 +122,7 @@ _PLAN, _LINE_COUNT = _compile(CONSTRUCTION)
 _DIAGONAL_SLOTS = tuple((SLOT[u], SLOT[v], f"{u}_EQ_{v}") for u, v in DIAGONAL_PAIRS)
 
 # r where AR/RB is no finite ratio (R ideal, undefined or on B), by convention
-_R_DEFAULT = Fraction(1)
+_R_DEFAULT = (1, 1)
 
 
 def construct_triples(inputs, reduce):
@@ -179,37 +180,38 @@ class Quadrilateral(NamedTuple):
 
 
 class _SideRatioFields(NamedTuple):
-    m: Fraction
-    n: Fraction
-    p: Fraction
-    q: Fraction
-    gamma: Fraction
+    m: Pair
+    n: Pair
+    p: Pair
+    q: Pair
+    gamma: Pair
 
 
 class SideRatios(_SideRatioFields):
     """The tuple ``(m, n, p, q)`` of side division ratios and their product.
 
-    ``gamma`` is derived when the tuple is made; ``_replace`` copies fields
-    as given and does not derive it again.
+    Each is made from a ``(num, den)`` pair, ``den`` nonzero of either sign,
+    and stored in lowest terms with ``den > 0``; so is the derived ``gamma``.
+    ``_replace`` copies fields as given and does not derive ``gamma`` again.
     """
 
     __slots__ = ()
 
-    def __new__(cls, m: Fraction, n: Fraction, p: Fraction, q: Fraction) -> "SideRatios":
-        # mnpq as one Fraction: the numerator product over the denominator product
-        gamma = Fraction(m.numerator * n.numerator * p.numerator * q.numerator,
-                         m.denominator * n.denominator * p.denominator * q.denominator)
-        return tuple.__new__(cls, (m, n, p, q, gamma))
+    def __new__(cls, m: Pair, n: Pair, p: Pair, q: Pair) -> "SideRatios":
+        (ma, mb), (na, nb), (pa, pb), (qa, qb) = m, n, p, q
+        return tuple.__new__(cls, (lowest_terms(ma, mb), lowest_terms(na, nb),
+                                   lowest_terms(pa, pb), lowest_terms(qa, qb),
+                                   lowest_terms(ma * na * pa * qa, mb * nb * pb * qb)))
 
-    def __getnewargs__(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def __getnewargs__(self) -> tuple[Pair, Pair, Pair, Pair]:
         return self[:4]
 
     @classmethod
-    def of(cls, m: RatLike, n: RatLike, p: RatLike, q: RatLike) -> "SideRatios":
-        return cls(as_rat(m), as_rat(n), as_rat(p), as_rat(q))
+    def of(cls, m, n, p, q) -> "SideRatios":
+        return cls(rational_terms(m), rational_terms(n), rational_terms(p), rational_terms(q))
 
     @property
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def as_tuple(self) -> tuple[Pair, Pair, Pair, Pair]:
         return self[:4]
 
 
@@ -221,7 +223,7 @@ class Configuration(NamedTuple):
     # the canonical triple of each point of POINT_NAMES, at its SLOT; None
     # where a defining line is undefined
     triples: tuple[Optional[Triple], ...]
-    r_ratio: Fraction
+    r_ratio: Pair
     degeneracies: frozenset[str]
 
     def point(self, name: str) -> Optional[Point]:
@@ -244,10 +246,10 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     # their ratios are positive or come from directed_ratio, never -1
     pts = construct_triples((
         ta, tb, tc, td,
-        reduce3(*dividing_terms(ta, tb, m.numerator, m.denominator)),
-        reduce3(*dividing_terms(tb, tc, n.numerator, n.denominator)),
-        reduce3(*dividing_terms(tc, td, p.numerator, p.denominator)),
-        reduce3(*dividing_terms(td, ta, q.numerator, q.denominator)),
+        reduce3(*dividing_terms(ta, tb, *m)),
+        reduce3(*dividing_terms(tb, tc, *n)),
+        reduce3(*dividing_terms(tc, td, *p)),
+        reduce3(*dividing_terms(td, ta, *q)),
     ), reduce3)
     flags: set[str] = set()
     for name, t in zip(POINT_NAMES[8:], pts[8:]):
@@ -268,7 +270,7 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
             # R is B: the unsigned ratio AR/RB is infinite
             flags.add("R_RATIO_UNDEFINED")
         else:
-            r_ratio = Fraction(abs(num), abs(den - num))
+            r_ratio = lowest_terms(abs(num), abs(den - num))
 
     for u, v, flag in _DIAGONAL_SLOTS:
         tu = pts[u]
@@ -282,9 +284,9 @@ def build_from_ratios(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     """Place the side points at the given positive ratios and derive everything."""
     if quad.shape == DEGENERATE:
         raise DegenerateQuadrilateral("cannot build on a degenerate quadrilateral")
-    # a Fraction's denominator is positive, so its sign is its numerator's
-    m, n, p, q, _ = ratios
-    if m.numerator <= 0 or n.numerator <= 0 or p.numerator <= 0 or q.numerator <= 0:
+    # each denominator is positive, so a ratio's sign is its numerator's
+    (m, _), (n, _), (p, _), (q, _), _ = ratios
+    if m <= 0 or n <= 0 or p <= 0 or q <= 0:
         raise InstanceFormatError("side ratios must be positive")
     return _construct(quad, ratios)
 
@@ -308,10 +310,10 @@ def build_from_points(quad: Quadrilateral, M: Point, N: Point, P: Point, Q: Poin
             raise InstanceFormatError(f"{name} coincides with a vertex")
         if not collinear(u, pt, v):
             raise InstanceFormatError(f"point {name} does not lie on its side")
-        ratio = directed_ratio(u, pt, v)
-        if quad.shape == CONVEX and ratio < 0:
+        num, den = directed_ratio(u, pt, v)
+        if quad.shape == CONVEX and num * den < 0:
             raise InstanceFormatError(f"{name} is outside its open side")
-        ratios.append(ratio)
+        ratios.append((num, den))
     # point_dividing inverts directed_ratio exactly: the built side points are M N P Q
     return _construct(quad, SideRatios(*ratios))
 

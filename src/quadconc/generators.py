@@ -13,6 +13,8 @@ is a pure function of ``(seed, index, tag)``:
 
 Rational draws take a numerator and a denominator from the bounded draw,
 so coordinates and ratios stay within the configured magnitude bounds.
+A ratio is handed to :class:`SideRatios` as that integer pair, which
+reduces it.
 Instances are produced by rejection sampling with a hard cap of 1000
 attempts per instance.
 
@@ -30,7 +32,6 @@ once per seed, not once per stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .configuration import Quadrilateral, SideRatios
@@ -241,6 +242,6 @@ def gen_ratios(spec: GenSpec, index: int) -> SideRatios:
     rng = instance_stream(spec.seed, index, TAG_RATIOS)
     ma, mb, na, nb, pa, pb, qa, qb = rng.ints(((1, spec.ratio_bound),) * 8)
     if spec.force_gamma_one:
-        # q = 1/(mnp) as one Fraction; the drawn q is not used
+        # q = 1/(mnp), which SideRatios reduces; the drawn q is not used
         qa, qb = mb * nb * pb, ma * na * pa
-    return SideRatios(Fraction(ma, mb), Fraction(na, nb), Fraction(pa, pb), Fraction(qa, qb))
+    return SideRatios((ma, mb), (na, nb), (pa, pb), (qa, qb))

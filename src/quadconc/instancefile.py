@@ -15,14 +15,14 @@ An instance is a JSON object with exact rational strings everywhere:
 pairs; exactly one of the two must be present.  ``checks`` is ``"all"``
 or a list of claim ids.  Rationals are written ``"p/q"`` or ``"p"``;
 decimal literals are rejected outright so no precision is ever lost
-silently.
+silently.  ``parse_rational`` reads one as the pair ``(p, q)``, which
+:class:`SideRatios` reduces; ``kernel.rational_text`` writes it back.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
 from typing import Callable, NamedTuple, Optional
 
@@ -34,7 +34,7 @@ from .configuration import (
     build_from_ratios,
 )
 from .errors import InstanceFormatError
-from .kernel import Point, point_from_terms
+from .kernel import Pair, Point, point_from_terms, rational_text
 from .verifiers import select_claims
 
 # ASCII digits only: ``\d`` would accept digits that do not round-trip
@@ -45,8 +45,9 @@ RATIO_KEYS = ("m", "n", "p", "q")
 POINT_KEYS = ("M", "N", "P", "Q")
 
 
-def _terms(text: object, where: str) -> tuple[int, int]:
-    """The numerator and positive denominator of an exact rational string."""
+def parse_rational(text: object, where: str) -> Pair:
+    """The numerator and positive denominator of an exact rational string,
+    as written; decimals and floats are errors."""
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise InstanceFormatError(
@@ -61,14 +62,9 @@ def _terms(text: object, where: str) -> tuple[int, int]:
     return num, den
 
 
-def parse_rational(text: object, where: str) -> Fraction:
-    """Parse an exact rational string; decimals and floats are errors."""
-    return Fraction(*_terms(text, where))
-
-
-def _positive(text: object, where: str) -> Fraction:
+def _positive(text: object, where: str) -> Pair:
     value = parse_rational(text, where)
-    if value <= 0:
+    if value[0] <= 0:
         raise InstanceFormatError(f"{where}: must be positive")
     return value
 
@@ -76,8 +72,8 @@ def _positive(text: object, where: str) -> Fraction:
 def _parse_pair(obj: object, where: str) -> Point:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise InstanceFormatError(f"{where}: expected a coordinate pair")
-    xn, xd = _terms(obj[0], where + "[0]")
-    yn, yd = _terms(obj[1], where + "[1]")
+    xn, xd = parse_rational(obj[0], where + "[0]")
+    yn, yd = parse_rational(obj[1], where + "[1]")
     return point_from_terms(xn, xd, yn, yd)
 
 
@@ -160,7 +156,7 @@ def instance_document(inst: InstanceFile) -> dict:
     }
     if inst.ratios is not None:
         doc["ratios"] = {
-            key: str(value)
+            key: rational_text(*value)
             for key, value in zip(RATIO_KEYS, inst.ratios.as_tuple)
         }
     if inst.points is not None:

@@ -12,11 +12,17 @@ Conventions
   deliberately not representable.
 * Equality of points and of lines is projective (cross-multiplication);
   canonical storage makes it agree with hashing.
-* ``directed_ratio(a, p, b)`` returns ``lam / (1 - lam)`` where
-  ``p = a + lam*(b - a)``: positive exactly when ``p`` lies strictly
-  between ``a`` and ``b``, negative outside the segment, ``0`` at ``a``,
-  and undefined at ``b``.  ``point_dividing`` is its exact inverse.
-* Both are computed on the integer triples without leaving them.  With
+* A rational is an integer ``(num, den)`` pair, ``den != 0``, and
+  ``lowest_terms`` its canonical form; ``rational_text`` writes it, in the
+  bytes ``str(Fraction(num, den))`` writes.  The package makes no
+  ``Fraction``: ``rational_terms`` reads an ``int`` or ``Fraction`` argument.
+* ``affine_parameter(a, b, x)`` is the ``lam`` with ``x = a + lam*(b - a)``
+  and ``directed_ratio(a, p, b)`` is ``lam / (1 - lam)`` for ``p``: positive
+  exactly when ``p`` lies strictly between ``a`` and ``b``, negative outside
+  the segment, ``0`` at ``a``, and undefined at ``b``.  Both are unreduced
+  pairs with ``den`` of either sign.  ``point_dividing`` is the exact
+  inverse of ``directed_ratio`` and takes its ratio as a pair.
+* All three are computed on the integer triples without leaving them.  With
   ``a = (a0, a1, aw)`` and likewise ``b`` and ``x``, the parameter of
   ``x`` on ``a -> b`` is ``lam = num / den`` where, on the x components,
   ``num = (x0*aw - a0*xw)*bw`` and ``den = (b0*aw - a0*bw)*xw``; the y
@@ -30,13 +36,8 @@ Conventions
   pair, or ``None`` where a triple is ideal, the ends coincide or the
   point is off the line.  It uses only ``+``, ``-``, ``*``, tuple equality
   and truthiness, so ring triples can stand in for the integers.
-  ``parameter_terms`` calls it on three points and, only on ``None``,
+  ``affine_parameter`` calls it on three points and, only on ``None``,
   raises the ``GeometryError`` that names the failed check.
-* ``parameter_terms`` and ``ratio_terms`` return the parameter and the
-  ratio as those integer ``(num, den)`` pairs, for callers that compare
-  them by cross-multiplication; ``affine_parameter`` and
-  ``directed_ratio`` wrap them in a ``Fraction``.  ``rational_text``
-  writes a pair as exact text, the bytes ``str(Fraction)`` writes.
 * ``classify_quadrilateral`` reads the four vertex triples once: one
   finiteness test, then ``classify_triples``, the signs of four ``det3``,
   which are the affine orientation signs because canonical finite triples
@@ -52,14 +53,12 @@ Everything here is an immutable value and every function is pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Union
 
 from ._purekernel import cross3, det3, dot3, reduce3
 from .errors import GeometryError
 
-RatLike = Union[int, Fraction]
+Pair = tuple[int, int]
 
 Shape = str
 CONVEX: Shape = "convex"
@@ -68,34 +67,31 @@ CROSSED: Shape = "crossed"
 DEGENERATE: Shape = "degenerate"
 
 
-def rational_text(num: int, den: int) -> str:
-    """The text ``str(Fraction(num, den))`` writes, with one gcd and no
-    ``Fraction``: ``"n/d"`` in lowest terms with ``d > 1``, else ``"n"``.
+def lowest_terms(num: int, den: int) -> Pair:
+    """``num/den`` in lowest terms with a positive denominator, with one gcd;
     ``den`` is a nonzero integer of either sign."""
     if den == 0:
-        raise ZeroDivisionError(f"Fraction({num}, 0)")
+        raise ZeroDivisionError(f"rational {num}/0")
     g = gcd(num, den)
     if den < 0:
         g = -g
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    return num // g, den // g
 
 
-def as_rat(value: RatLike) -> Fraction:
-    """Coerce to an exact rational; floats and strings are rejected."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+def rational_text(num: int, den: int) -> str:
+    """``num/den`` as exact text, the bytes ``str(Fraction(num, den))``
+    writes: ``"n/d"`` in lowest terms with ``d > 1``, else ``"n"``."""
+    num, den = lowest_terms(num, den)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _integer_triple(x: Fraction, y: Fraction, w: Fraction) -> tuple[int, int, int]:
-    scale = x.denominator * y.denominator * w.denominator
-    return (
-        x.numerator * (scale // x.denominator),
-        y.numerator * (scale // y.denominator),
-        w.numerator * (scale // w.denominator),
-    )
+def rational_terms(value) -> Pair:
+    """An ``int``'s or a ``Fraction``'s numerator and denominator; floats
+    and strings are rejected."""
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}") from None
 
 
 class Point:
@@ -103,11 +99,12 @@ class Point:
 
     __slots__ = ("_t",)
 
-    def __init__(self, x: RatLike, y: RatLike, w: RatLike = 1):
-        t = _integer_triple(as_rat(x), as_rat(y), as_rat(w))
-        if t == (0, 0, 0):
+    def __init__(self, x, y, w=1):
+        """The point ``(x, y, w)``, each an ``int`` or a ``Fraction``."""
+        (xn, xd), (yn, yd), (wn, wd) = rational_terms(x), rational_terms(y), rational_terms(w)
+        if xn == yn == wn == 0:
             raise ValueError("(0, 0, 0) is not a point")
-        self._t = reduce3(*t)
+        self._t = reduce3(xn * yd * wd, yn * xd * wd, wn * xd * yd)
 
     @classmethod
     def _wrap(cls, triple: tuple[int, int, int]) -> "Point":
@@ -122,12 +119,6 @@ class Point:
     @property
     def is_ideal(self) -> bool:
         return self._t[2] == 0
-
-    def affine(self) -> tuple[Fraction, Fraction]:
-        x, y, w = self._t
-        if w == 0:
-            raise GeometryError("ideal point has no affine coordinates")
-        return Fraction(x, w), Fraction(y, w)
 
     def text(self) -> list[str]:
         """The coordinates as exact text: a finite point's affine pair
@@ -254,7 +245,7 @@ def classify_triples(ta, tb, tc, td) -> Shape:
 
 def parameter_pair(ta, tb, tx):
     """``(num, den)`` with ``num / den`` the parameter of the triple ``tx`` on
-    ``ta -> tb``, or ``None`` where :func:`parameter_terms` raises: an ideal
+    ``ta -> tb``, or ``None`` where :func:`affine_parameter` raises: an ideal
     triple, ``ta == tb``, or ``tx`` off the line.  Only ``+``, ``-``, ``*``,
     tuple equality and truthiness touch the triples, so any ring whose zero
     is falsy can stand in for the integers."""
@@ -269,9 +260,9 @@ def parameter_pair(ta, tb, tx):
     return (x1 * aw - a1 * xw) * bw, (b1 * aw - a1 * bw) * xw
 
 
-def parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
-    """``(num, den)`` with ``affine_parameter(a, b, x) == num / den``; ``den``
-    is nonzero and of either sign."""
+def affine_parameter(a: Point, b: Point, x: Point) -> Pair:
+    """``(num, den)`` with ``x = a + (num/den)*(b - a)`` for collinear finite
+    points; ``den`` is nonzero and of either sign."""
     pair = parameter_pair(a._t, b._t, x._t)
     if pair is not None:
         return pair
@@ -282,23 +273,13 @@ def parameter_terms(a: Point, b: Point, x: Point) -> tuple[int, int]:
     raise GeometryError(f"{x!r} is not on the line through {a!r} and {b!r}")
 
 
-def ratio_terms(a: Point, p: Point, b: Point) -> tuple[int, int]:
-    """``(num, den)`` with ``directed_ratio(a, p, b) == num / den``; ``den``
-    is nonzero and of either sign."""
-    num, den = parameter_terms(a, b, p)
+def directed_ratio(a: Point, p: Point, b: Point) -> Pair:
+    """``(num, den)``, the exact division ratio in which ``p`` splits
+    ``a -> b``; ``den`` is nonzero and of either sign."""
+    num, den = affine_parameter(a, b, p)
     if num == den:
         raise GeometryError("division point coincides with the second endpoint")
     return num, den - num
-
-
-def affine_parameter(a: Point, b: Point, x: Point) -> Fraction:
-    """The ``lam`` with ``x = a + lam*(b - a)`` for collinear finite points."""
-    return Fraction(*parameter_terms(a, b, x))
-
-
-def directed_ratio(a: Point, p: Point, b: Point) -> Fraction:
-    """The exact division ratio in which ``p`` splits ``a -> b``."""
-    return Fraction(*ratio_terms(a, p, b))
 
 
 def dividing_terms(ta: tuple[int, int, int], tb: tuple[int, int, int],
@@ -313,14 +294,17 @@ def dividing_terms(ta: tuple[int, int, int], tb: tuple[int, int, int],
     return (u * a0 + v * b0, u * a1 + v * b1, (td + tn) * aw * bw)
 
 
-def point_dividing(a: Point, b: Point, ratio: RatLike) -> Point:
-    """The finite point with ``directed_ratio(a, ., b)`` equal to ``ratio``."""
-    t = as_rat(ratio)
+def point_dividing(a: Point, b: Point, ratio: Pair) -> Point:
+    """The finite point with ``directed_ratio(a, ., b)`` equal to ``tn/td``,
+    for ``ratio = (tn, td)``; ``td`` is a nonzero integer of either sign."""
+    tn, td = ratio
+    if td == 0:
+        raise ZeroDivisionError(f"rational {tn}/0")
     for p in (a, b):
         if p.is_ideal:
             raise GeometryError("division endpoints must be finite")
     if a == b:
         raise GeometryError("division endpoints coincide")
-    if t == -1:
+    if tn + td == 0:
         raise GeometryError("ratio -1 corresponds to the point at infinity")
-    return Point._wrap(reduce3(*dividing_terms(a._t, b._t, t.numerator, t.denominator)))
+    return Point._wrap(reduce3(*dividing_terms(a._t, b._t, tn, td)))

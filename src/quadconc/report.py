@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .configuration import Configuration
 from .instancefile import (POINT_KEYS, RATIO_KEYS, VERTEX_KEYS, InstanceFile,
                            instance_document)
-from .kernel import Point
+from .kernel import Point, rational_text
 from .verifiers import DEGENERATE, Verdict, overall_status
 
 
@@ -38,9 +38,9 @@ def verdict_json(v: Verdict) -> dict:
 
 def configuration_json(cfg: Configuration) -> dict:
     return {
-        "gamma": str(cfg.ratios.gamma),
+        "gamma": rational_text(*cfg.ratios.gamma),
         "shape": cfg.quad.shape,
-        "r": str(cfg.r_ratio),
+        "r": rational_text(*cfg.r_ratio),
         "degeneracies": sorted(cfg.degeneracies),
     }
 
@@ -100,7 +100,7 @@ def _instance_text(inst: InstanceFile) -> str:
     if inst.points is not None:
         sides += ',"points":{' + _points(POINT_KEYS, inst.points) + "}"
     if inst.ratios is not None:
-        sides += ',"ratios":{' + ",".join([f"{_ascii(key)}:{_ascii(str(value))}" for key, value
+        sides += ',"ratios":{' + ",".join([f"{_ascii(k)}:{_ascii(rational_text(*v))}" for k, v
                                            in zip(RATIO_KEYS, inst.ratios.as_tuple)]) + "}"
     return _INSTANCE % (_strings(inst.checks) if inst.checks else '"all"', sides,
                         _points(VERTEX_KEYS, inst.vertices))
@@ -131,8 +131,8 @@ def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configura
     compact=True)``, written directly.  ``meta`` maps names to strings and
     integers."""
     configuration = "" if cfg is None else _CONFIGURATION % (
-        _strings(sorted(cfg.degeneracies)), _ascii(str(cfg.ratios.gamma)),
-        _ascii(str(cfg.r_ratio)), _ascii(cfg.quad.shape))
+        _strings(sorted(cfg.degeneracies)), _ascii(rational_text(*cfg.ratios.gamma)),
+        _ascii(rational_text(*cfg.r_ratio)), _ascii(cfg.quad.shape))
     meta_text = ",".join([f"{_ascii(key)}:{_meta_value(value)}"
                           for key, value in sorted(meta.items())])
     witness_texts: dict = {}

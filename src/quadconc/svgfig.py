@@ -3,17 +3,15 @@
 Presentation only: nothing downstream ever reads these files back.  The
 map to the view works on the canonical integer triples: every finite
 drawn point is put over one common weight, and each SVG coordinate is one
-integer quotient ``num / den``.  The final formatting step divides it
-once to 12 significant digits in a private :class:`decimal.Context`
-(``ROUND_HALF_EVEN``), not the caller's, so output bytes are identical
-for identical inputs on any platform and under any decimal context.
+integer quotient ``num / den``.  The final formatting step rounds it
+once to 12 significant digits, half to even, in integer arithmetic, so
+output bytes are identical for identical inputs on any platform.
 Each finite drawn point is mapped and formatted once per render, read
 from the configuration's slot triples without making a point.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Context, Decimal
 from math import lcm
 from typing import Iterable
 
@@ -41,16 +39,39 @@ _DRAWN = _FRAME + ("A1", "B1", "C1", "D1")
 _DRAWN_SLOTS = tuple((name, SLOT[name]) for name in _DRAWN)
 _INNER = ("M1", "N1", "P1", "Q1")
 
-# the caller's decimal context never reaches the bytes; the flags each
-# division sets here are never read
-_DECIMAL = Context(prec=RENDER_DIGITS, rounding=ROUND_HALF_EVEN, capitals=1)
-
 
 def _fmt(num: int, den: int) -> str:
-    # an integer quotient is correctly rounded, with ideal exponent 0, so an
-    # unreduced num/den formats as the reduced fraction does
-    out = _DECIMAL.divide(Decimal(num), Decimal(den))
-    return format(out, "f") if out.adjusted() < 15 else _DECIMAL.to_sci_string(out)
+    """``num / den`` (``den > 0``) to ``RENDER_DIGITS`` significant digits,
+    half to even, in the bytes of ``decimal``'s division at that precision:
+    fixed point below ``1e15``, else ``d.dddE+n``; an exact quotient keeps
+    no trailing zero after the point."""
+    a = abs(num)
+    if a == 0:
+        return "0"
+    # e, the exponent of the last kept digit, starts at or below its value:
+    # log10(a / den) > y*log10(2), and 1233/4096 < log10(2) < 1234/4096
+    y = a.bit_length() - den.bit_length() - 1
+    e = (y * (1233 if y >= 0 else 1234) >> 12) + 1 - RENDER_DIGITS
+    d = den if e < 0 else den * 10**e
+    q, r = divmod(a * 10**-e if e < 0 else a, d)
+    while q >= 10**RENDER_DIGITS:  # one digit too many: move it into r
+        q, last = divmod(q, 10)
+        r += last * d
+        d *= 10
+        e += 1
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+        if q == 10**RENDER_DIGITS:
+            q, e = q // 10, e + 1
+    while r == 0 and e < 0 and q % 10 == 0:
+        q, e = q // 10, e + 1
+    digits, sign = str(q), "-" if num < 0 else ""
+    if e < 0:
+        return f"{sign}{digits[:e] or '0'}.{digits[e:].rjust(-e, '0')}"
+    adjusted = e + len(digits) - 1
+    if adjusted >= 15:  # e > 0, so all RENDER_DIGITS digits are kept
+        return f"{sign}{digits[0]}.{digits[1:]}E+{adjusted}"
+    return sign + digits + "0" * e
 
 
 def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
@@ -119,7 +140,8 @@ def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:
             line("diagonals", u, v)
     if "seven" in active:
         # at product one F1 = F2 and G1 = G2, so F1G1 is the seventh line
-        fg = DIAGONAL_PAIRS[:1] if cfg.ratios.gamma == 1 else DIAGONAL_PAIRS
+        G, H = cfg.ratios.gamma
+        fg = DIAGONAL_PAIRS[:1] if G == H else DIAGONAL_PAIRS
         for u, v in E_LINE_PAIRS + fg:
             line("seven", u, v)
     if "fg" in active:

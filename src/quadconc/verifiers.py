@@ -17,19 +17,18 @@ reduced cross products.  Coincidence is tuple ``==`` and idealness
 ``w == 0``.  A :class:`Point` is made only for a witness, the text of a
 point that left its carrier line, or ``classify_quadrilateral``.
 
-Each formula side is one integer expression in the numerators and
-(positive) denominators of those fields, written ``(ma, mb)`` for ``m``
-and likewise ``n p q``, ``gamma = G/H`` and ``r = R/S``, and the paper's
-form of each closed form stands next to its expression.  Every value
-stays an integer ``(num, den)`` pair, the geometric ones from the
-kernel's ``parameter_pair``: two sides are equal
-when they cross-multiply equal, an order is decided by cross-multiplied
-``<`` once each denominator is made positive, and a reported value is
-written once, by ``rational_text``, in the bytes ``str(Fraction)``
-writes.  That text is canonical, so a geometric value that equals its
-formula side (or the product that equals ``gamma``) reuses the formula's
-text, and only a mismatched value is written on its own.  No verifier
-makes a ``Fraction``.
+Each ratio field is a lowest-terms pair, written ``(ma, mb)`` for ``m``
+and likewise ``n p q``, ``gamma = G/H`` (product one is ``G == H``) and
+``r = R/S``; each formula side is one integer expression in those
+numerators and positive denominators, with the paper's form beside it.
+Every value stays an integer ``(num, den)`` pair, the geometric ones from
+the kernel's ``parameter_pair``: two sides are equal when they
+cross-multiply equal, an order is decided by cross-multiplied ``<`` once
+each denominator is made positive, and a reported value is written once,
+by ``rational_text``, in the bytes ``str(Fraction)`` writes.  That text is
+canonical, so a geometric value that equals its formula side (or the
+product that equals ``gamma``) reuses the formula's text, and only a
+mismatched value is written on its own.  No verifier makes a ``Fraction``.
 
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
@@ -43,7 +42,6 @@ or ideal; of the builder's flags (``cfg.degeneracies``) only
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -53,10 +51,11 @@ from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configura
 from .errors import GeometryError, InstanceFormatError
 from .kernel import (
     DEGENERATE as DEGENERATE_SHAPE,
+    Pair,
     Point,
+    affine_parameter,
     classify_quadrilateral,
     parameter_pair,
-    parameter_terms,
     rational_text,
 )
 
@@ -74,11 +73,10 @@ class Verdict(NamedTuple):
     detail: str = ""
     # one shared read-only empty mapping, so no verdict writes into another's
     witness: Mapping[str, Point] = MappingProxyType({})
-    # each value's exact text, as ``str(Fraction)`` writes it
+    # each value's exact text, as ``rational_text`` writes it
     exact_values: Mapping[str, str] = MappingProxyType({})
 
 
-Pair = tuple[int, int]
 # a line of a concurrence check: its label and the slots of its two points
 SlotLine = tuple[str, int, int]
 
@@ -99,7 +97,7 @@ def _line(u: str, v: str) -> SlotLine:
 
 def _ratio(ta: Optional[Triple], tp: Optional[Triple], tb: Optional[Triple]) -> Optional[Pair]:
     """The directed ratio in which ``tp`` splits ``ta -> tb`` as a pair, or
-    ``None`` where a triple is undefined or ``ratio_terms`` would raise."""
+    ``None`` where a triple is undefined or ``directed_ratio`` would raise."""
     if ta is None or tp is None or tb is None:
         return None
     pair = parameter_pair(ta, tb, tp)
@@ -122,11 +120,6 @@ def _minus(u: Pair, v: Pair) -> int:
     """The numerator of ``u - v`` over ``u[1] * v[1]``, for positive denominators:
     its sign is the sign of ``u - v``."""
     return u[0] * v[1] - v[0] * u[1]
-
-
-def _pairs(*values: Fraction) -> tuple[Pair, ...]:
-    """Each rational as ``(numerator, denominator)``, the denominator positive."""
-    return tuple((v.numerator, v.denominator) for v in values)
 
 
 def _ideal(names: Iterable[str], triples: Iterable[Triple]) -> list[str]:
@@ -170,7 +163,7 @@ def _check_section(cfg: Configuration, key: str, f: Triple, x: Optional[Triple],
     ``FE/EG`` and ``F1M1/M1G1``.  A side point outside its side (nonconvex
     ``points`` input) gives a negative ratio, and ``mn = -1`` leaves the form
     undefined."""
-    (ma, mb), (na, nb), (pa, pb) = _pairs(cfg.ratios.m, cfg.ratios.n, cfg.ratios.p)
+    (ma, mb), (na, nb), (pa, pb), _, _ = cfg.ratios
     if mb * nb + ma * na == 0:  # 1 + mn = 0
         reasons.append(key + "_formula_UNDEFINED")
         return
@@ -254,7 +247,7 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     E, M, P, N, Q = _EMPNQ(cfg.triples)
     if E[2] == 0:
         return Verdict(claim, DEGENERATE, detail="ideal: E (MP parallel to NQ)")
-    (ma, mb), (na, nb), (pa, pb), (qa, qb) = _pairs(*cfg.ratios.as_tuple)
+    (ma, mb), (na, nb), (pa, pb), (qa, qb), _ = cfg.ratios
     me_ep = _ratio(M, E, P)
     ne_eq = _ratio(N, E, Q)
     # (1/q)(1/(m+1)) + n(m/(m+1))
@@ -369,8 +362,8 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
         num *= r[0]
         den *= r[1]
     gamma = cfg.ratios.gamma
-    gamma_text = str(gamma)
-    ok = _equal((num, den), (gamma.numerator, gamma.denominator))
+    gamma_text = rational_text(*gamma)
+    ok = _equal((num, den), gamma)
     values["product"] = gamma_text if ok else rational_text(num, den)
     values["gamma"] = gamma_text
     return Verdict(claim, PASS if ok else FAIL, exact_values=values)
@@ -387,8 +380,7 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     """Closed forms for the ratios in which ``M1 N1 P1 Q1`` divide the
     transversals ``MP`` and ``NQ``, in both the plain and the
     product-weighted form."""
-    (ma, mb), (na, nb), (pa, pb), (qa, qb), (G, H) = _pairs(*cfg.ratios.as_tuple,
-                                                            cfg.ratios.gamma)
+    (ma, mb), (na, nb), (pa, pb), (qa, qb), (G, H) = cfg.ratios
     # mn(p+1)/(m+1)
     mm1_formula = (ma * na * (pa + pb), nb * pb * (ma + mb))
     formulas = (
@@ -437,18 +429,18 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     E, M, P = _EMP(cfg.triples)
     if E is None or E[2] == 0:
         return Verdict(claim, DEGENERATE, detail="E undefined or ideal")
-    r = cfg.r_ratio
-    (ma, mb), (na, nb), (pa, pb), (G, H), (R, S) = _pairs(
-        cfg.ratios.m, cfg.ratios.n, cfg.ratios.p, cfg.ratios.gamma, r)
+    (ma, mb), (na, nb), (pa, pb), _, (G, H) = cfg.ratios
+    R, S = cfg.r_ratio
+    r_text = rational_text(R, S)
     # mn(p+1)/(m+1) * (r+m)/(gamma*r + m)
     formula = (ma * na * (pa + pb) * (R * mb + ma * S) * H,
                nb * pb * (ma + mb) * (G * R * mb + ma * H * S))
     if formula[1] == 0:
         return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
-                       exact_values={"r": str(r)})
+                       exact_values={"r": r_text})
     geometric = _ratio(M, E, P)
     formula_text = rational_text(*formula)
-    values = {"r": str(r), "ME_over_EP_formula": formula_text}
+    values = {"r": r_text, "ME_over_EP_formula": formula_text}
     if geometric is None:
         return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
     ok = _equal(geometric, formula)
@@ -462,11 +454,11 @@ _INNER = _slots(*_INNER_NAMES, "M", "N", "P", "Q")
 
 
 def _carrier_error(*calls: tuple[Triple, Triple, Triple]) -> str:
-    """The ``GeometryError`` text of the first ``parameter_terms(a, b, x)``
+    """The ``GeometryError`` text of the first ``affine_parameter(a, b, x)``
     of ``calls`` that raises."""
     for a, b, x in calls:
         try:
-            parameter_terms(Point._wrap(a), Point._wrap(b), Point._wrap(x))
+            affine_parameter(Point._wrap(a), Point._wrap(b), Point._wrap(x))
         except GeometryError as exc:
             return str(exc)
     raise AssertionError("no carrier-line call raises")
@@ -481,10 +473,10 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
 
-    gamma = cfg.ratios.gamma
+    G, H = cfg.ratios.gamma
     values: dict[str, str] = {}
     failures: list[str] = []
-    if gamma == 1:
+    if G == H:
         if not (M1 == E == P1 and N1 == E == Q1):
             failures.append("product-one collapse violated")
     else:
@@ -506,7 +498,7 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
             "lambda_M1_on_MP": rational_text(*lam_m1), "lambda_E_on_MP": rational_text(*lam_e),
             "lambda_P1_on_MP": rational_text(*lam_p1),
         })
-        if gamma < 1:
+        if G < H:
             order, violated = (lam_m1, lam_e, lam_p1), "order M-M1-E-P1-P violated"
         else:
             order, violated = (lam_p1, lam_e, lam_m1), "order M-P1-E-M1-P violated"
@@ -547,7 +539,7 @@ def _inner_quadrilateral_convexity(claim: str, cfg: Configuration) -> Verdict:
 # each regime named as in the README claims table, and whether a
 # configuration lies in it
 _REGIMES: Mapping[str, Callable[[Configuration], bool]] = {
-    "gamma = 1": lambda cfg: cfg.ratios.gamma == 1,
+    "gamma = 1": lambda cfg: cfg.ratios.gamma[0] == cfg.ratios.gamma[1],
     "any": lambda cfg: True,
     "convex": lambda cfg: cfg.quad.shape == CONVEX,
     "concave/crossed": lambda cfg: cfg.quad.shape != CONVEX,
@@ -597,7 +589,8 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
         if not in_regime(cfg):
             if skipped is not None:
                 return skipped
-            return Verdict(claim, SKIPPED, detail=skip.format(gamma=cfg.ratios.gamma))
+            return Verdict(claim, SKIPPED,
+                           detail=skip.format(gamma=rational_text(*cfg.ratios.gamma)))
         t = cfg.triples
         missing = [name for name, slot in slots if t[slot] is None]
         if missing:

@@ -23,6 +23,7 @@ from quadconc.configuration import POINT_NAMES, SLOT, _construct
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc._purekernel import reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
+from rationals import affine, frac
 
 F = Fraction
 
@@ -50,7 +51,7 @@ class TestTypes:
 
     def test_gamma_is_the_product(self):
         r = SideRatios.of(2, 3, F(1, 4), 5)
-        assert r.gamma == F(15, 2)
+        assert r.gamma == (15, 2)
 
     def test_side_ratios_copy_and_pickle(self):
         # both remake the tuple from m, n, p, q, which derives gamma again
@@ -83,7 +84,7 @@ class TestBuildFromRatios:
         assert cfg.point("P") == Point(F(2, 3), 1)
         assert cfg.point("Q") == Point(0, F(1, 2))
         assert cfg.point("E") == Point(F(2, 3), F(1, 2))
-        assert cfg.ratios.gamma == 1
+        assert cfg.ratios.gamma == (1, 1)
 
     def test_gamma_two_reference(self, gamma_two_config):
         # frozen from the independent affine oracle
@@ -91,7 +92,7 @@ class TestBuildFromRatios:
         assert cfg.point("Q") == Point(0, F(1, 3))
         assert cfg.point("E") == Point(F(1, 2), F(5, 12))
         assert cfg.point("R") == Point(-2, 0)
-        assert cfg.r_ratio == F(2, 3)
+        assert cfg.r_ratio == (2, 3)
         assert cfg.point("M1") == Point(F(1, 2), F(1, 2))
         assert cfg.point("P1") == Point(F(1, 2), F(1, 3))
         assert cfg.point("A1") == Point(F(2, 3), F(2, 3))
@@ -134,9 +135,9 @@ class TestBuildFromRatios:
             build_from_ratios(unit_square, SideRatios.of(-1, 1, 1, 1))
 
 
-class TestTraceRatioFractions:
-    """``r`` is the one ``Fraction`` a build makes, and only where ``R`` is
-    finite and not ``B``."""
+class TestTraceRatioMakesNoFraction:
+    """A build makes no ``Fraction``: ``r`` is an integer pair wherever ``R``
+    is, finite, ideal, on ``B`` or undefined."""
 
     @staticmethod
     def count_fractions(monkeypatch, build):
@@ -157,16 +158,17 @@ class TestTraceRatioFractions:
     def test_finite_r(self, monkeypatch, unit_square):
         ratios = SideRatios.of(1, 1, 1, 2)
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
-        assert made == 1
+        assert made == 0
         R = cfg.point("R")
         assert not R.is_ideal and R != cfg.quad.B
-        assert cfg.r_ratio == abs(directed_ratio(cfg.quad.A, R, cfg.quad.B)) == F(2, 3)
+        assert frac(cfg.r_ratio) == abs(frac(directed_ratio(cfg.quad.A, R, cfg.quad.B))) == F(2, 3)
+        assert cfg.r_ratio == (2, 3)
 
     def test_ideal_r(self, monkeypatch, unit_square):
         ratios = SideRatios.of(1, 1, 1, 1)
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
         assert made == 0
-        assert cfg.point("R").is_ideal and cfg.r_ratio == 1
+        assert cfg.point("R").is_ideal and cfg.r_ratio == (1, 1)
 
     def test_r_on_b(self, monkeypatch):
         quad = Quadrilateral.of(Point(F(4, 3), 1), Point(-1, 1), Point(F(-5, 12), F(1, 2)),
@@ -175,7 +177,7 @@ class TestTraceRatioFractions:
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(quad, ratios))
         assert made == 0
         assert cfg.point("R") == quad.B and "R_RATIO_UNDEFINED" in cfg.degeneracies
-        assert cfg.r_ratio == 1
+        assert cfg.r_ratio == (1, 1)
 
     def test_undefined_r(self, monkeypatch):
         # N = Q on the crossing of BC and DA, P on line AB: only side points
@@ -189,20 +191,20 @@ class TestTraceRatioFractions:
         cfg, made = self.count_fractions(monkeypatch, lambda: _construct(quad, ratios))
         assert made == 0
         assert cfg.point("R") is None and "R_UNDEFINED" in cfg.degeneracies
-        assert cfg.r_ratio == 1
+        assert cfg.r_ratio == (1, 1)
 
 
 class TestBuildFromPoints:
     def test_midpoints_recover_unit_ratios(self, unit_square):
         h = F(1, 2)
         cfg = build_from_points(unit_square, Point(h, 0), Point(1, h), Point(h, 1), Point(0, h))
-        assert cfg.ratios.as_tuple == (1, 1, 1, 1)
-        assert cfg.ratios.gamma == 1
+        assert cfg.ratios.as_tuple == ((1, 1),) * 4
+        assert cfg.ratios.gamma == (1, 1)
 
     def test_recovers_ratio_two(self, unit_square):
         h = F(1, 2)
         cfg = build_from_points(unit_square, Point(F(2, 3), 0), Point(1, h), Point(h, 1), Point(0, h))
-        assert cfg.ratios.m == 2
+        assert cfg.ratios.m == (2, 1)
 
     def test_off_side_rejected(self, unit_square):
         h = F(1, 2)
@@ -251,7 +253,7 @@ class TestBuildFromPoints:
         for i in range(60):
             quad = gen_quadrilateral(spec, i)
             ratios = signed_ratios(spec, i)
-            outside += any(r < 0 for r in ratios)
+            outside += any(num < 0 for num, _ in ratios)
             side = side_points(quad, ratios)
             try:
                 cfg = build_from_points(quad, *side)
@@ -260,12 +262,12 @@ class TestBuildFromPoints:
             assert cfg.ratios.as_tuple == ratios
             assert tuple(cfg.point(n) for n in "MNPQ") == side
             assert_rebuilds(cfg)
-            expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios)
+            expected = oracle(quad, ratios)
             for name, want in expected.items():
                 assert agrees_with_oracle(cfg.point(name), want), name
             R, (A, B) = expected["R"], (expected["A"], expected["B"])
             if R is not None and not isinstance(R, naive.Direction) and R != B:
-                assert cfg.r_ratio == abs(naive.ratio(A, R, B))
+                assert cfg.r_ratio == abs(naive.ratio(A, R, B)).as_integer_ratio()
         assert outside > 40
 
     def test_collinear_only_placement_on_crossed_quad(self, crossed_quad):
@@ -278,8 +280,8 @@ class TestBuildFromPoints:
             Point(F(1, 4), F(3, 4)),
             Point(0, F(1, 2)),
         )
-        assert cfg.ratios.m == -2
-        assert cfg.ratios.p == 3
+        assert cfg.ratios.m == (-2, 1)
+        assert cfg.ratios.p == (3, 1)
 
     def test_identical_defining_lines_raise(self, crossed_quad):
         # the name is the first row of the construction whose two lines
@@ -313,16 +315,21 @@ def agrees_with_oracle(got, want):
     if isinstance(want, naive.Direction):
         return (got is not None and got.is_ideal
                 and got.triple()[0] * want.dy == got.triple()[1] * want.dx)
-    return got is not None and not got.is_ideal and got.affine() == want
+    return got is not None and not got.is_ideal and affine(got) == want
+
+
+def oracle(quad, ratios):
+    """The naive twin's named points for ``quad`` and four ratio pairs."""
+    return naive.build_all(tuple(affine(v) for v in quad.vertices), tuple(map(frac, ratios)))
 
 
 def signed_ratios(spec, index):
-    """The generated ratios with the sides in the bit mask ``index % 15 + 1``
-    negated, which puts those side points beyond an endpoint; ratio -1
-    would put the point at infinity, so 1 keeps its sign."""
+    """The generated ratio pairs with the sides in the bit mask
+    ``index % 15 + 1`` negated, which puts those side points beyond an
+    endpoint; ratio -1 would put the point at infinity, so 1 keeps its sign."""
     negate = index % 15 + 1
-    return tuple(-r if negate >> k & 1 and r != 1 else r
-                 for k, r in enumerate(gen_ratios(spec, index).as_tuple))
+    return tuple((-num, den) if negate >> k & 1 and (num, den) != (1, 1) else (num, den)
+                 for k, (num, den) in enumerate(gen_ratios(spec, index).as_tuple))
 
 
 def side_points(quad, ratios):
@@ -357,13 +364,13 @@ class TestTwoPointCompletion:
         cfg = two_point_completion(unit_square, Point(F(1, 2), 0), Point(1, F(1, 2)))
         # S = DM meet AC lands at (1/3, 1/3); the completion forces the
         # midpoint configuration and a ratio product of exactly one
-        assert cfg.ratios.gamma == 1
+        assert cfg.ratios.gamma == (1, 1)
         assert cfg.point("P") == Point(F(1, 2), 1)
         assert cfg.point("Q") == Point(0, F(1, 2))
 
     def test_generic_completion_has_gamma_one(self, unit_square):
         cfg = two_point_completion(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
-        assert cfg.ratios.gamma == 1
+        assert cfg.ratios.gamma == (1, 1)
         # the explicit points of the ``two_point_config`` fixture
         assert (cfg.point("P"), cfg.point("Q")) == (Point(F(2, 7), 1), Point(0, F(1, 3)))
 
@@ -395,12 +402,12 @@ class TestInvariants:
             quad = gen_quadrilateral(GenSpec(seed=seed), 0)
             ratios = gen_ratios(GenSpec(seed=seed), 0)
             cfg = build_from_ratios(quad, ratios)
-            gamma = ratios.gamma
+            gamma = frac(ratios.gamma)
             a, c = cfg.quad.A, cfg.quad.C
             b, d = cfg.quad.B, cfg.quad.D
             F1, F2, G1, G2 = (cfg.point(n) for n in ("F1", "F2", "G1", "G2"))
-            assert directed_ratio(a, F1, c) * directed_ratio(c, F2, a) == gamma
-            assert directed_ratio(b, G1, d) * directed_ratio(d, G2, b) == gamma
+            assert frac(directed_ratio(a, F1, c)) * frac(directed_ratio(c, F2, a)) == gamma
+            assert frac(directed_ratio(b, G1, d)) * frac(directed_ratio(d, G2, b)) == gamma
 
     def test_trichotomy_ordering_on_diagonals(self, unit_square):
         cases = [
@@ -409,13 +416,13 @@ class TestInvariants:
             (SideRatios.of(2, 3, 1, 1), "above"),
         ]
         cfg_low = build_from_ratios(unit_square, cases[0][0])
-        lam_f1 = affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F1"))
-        lam_f2 = affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F2"))
+        lam_f1 = frac(affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F1")))
+        lam_f2 = frac(affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F2")))
         assert 0 < lam_f1 < lam_f2 < 1
 
         cfg_high = build_from_ratios(unit_square, cases[2][0])
-        lam_f1 = affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F1"))
-        lam_f2 = affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F2"))
+        lam_f1 = frac(affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F1")))
+        lam_f2 = frac(affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F2")))
         assert 0 < lam_f2 < lam_f1 < 1
 
         cfg_one = build_from_ratios(unit_square, SideRatios.of(2, 1, F(1, 2), 1))
@@ -446,9 +453,7 @@ class TestSoundnessAgainstNaiveOracle:
         quad = gen_quadrilateral(spec, 1)
         ratios = gen_ratios(spec, 1)
         cfg = build_from_ratios(quad, ratios)
-        expected = naive.build_all(
-            tuple(v.affine() for v in quad.vertices), ratios.as_tuple
-        )
+        expected = oracle(quad, ratios.as_tuple)
         for name, want in expected.items():
             assert agrees_with_oracle(cfg.point(name), want), name
 
@@ -459,7 +464,7 @@ class TestSoundnessAgainstNaiveOracle:
         for i in range(4):
             quad, ratios = gen_quadrilateral(spec, i), gen_ratios(spec, i)
             cfg = build_from_ratios(quad, ratios)
-            expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios.as_tuple)
+            expected = oracle(quad, ratios.as_tuple)
             for name, want in expected.items():
                 assert agrees_with_oracle(cfg.point(name), want), (i, name)
 
@@ -477,7 +482,7 @@ class TestSoundnessAgainstNaiveOracle:
                 cfg = build_from_points(quad, *side_points(quad, ratios))
             except (InstanceFormatError, UndefinedPoint):
                 continue
-            expected = naive.build_all(tuple(v.affine() for v in quad.vertices), ratios)
+            expected = oracle(quad, ratios)
             for name, want in expected.items():
                 assert agrees_with_oracle(cfg.point(name), want), name
             ideal = {n for n in ("A1", "B1", "C1", "D1") if isinstance(expected[n], naive.Direction)}

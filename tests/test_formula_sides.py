@@ -20,6 +20,7 @@ from quadconc.instancefile import InstanceFile, instance_document
 from quadconc.kernel import rational_text
 from quadconc.report import verdict_json
 from quadconc.verifiers import CLAIMS, FAIL, PASS, Verdict, verify_all
+from rationals import frac
 
 CHECKS = {claim: check for claim, *_, check in CLAIMS}
 
@@ -82,10 +83,11 @@ def formula_inputs(draw):
 @example((Fraction(-3, 2), Fraction(4), Fraction(1, 3), Fraction(2), Fraction(1, 4)))
 def test_formula_sides_equal_the_papers_forms(inputs):
     m, n, p, q, r = inputs
-    ratios = SideRatios(m, n, p, q)
-    assert ratios.gamma == m * n * p * q
-    cfg = BASE._replace(ratios=ratios, r_ratio=r)
-    for claim, forms in reference_forms(m, n, p, q, ratios.gamma, r).items():
+    ratios = SideRatios.of(m, n, p, q)
+    gamma = frac(ratios.gamma)
+    assert gamma == m * n * p * q
+    cfg = BASE._replace(ratios=ratios, r_ratio=r.as_integer_ratio())
+    for claim, forms in reference_forms(m, n, p, q, gamma, r).items():
         verdict = CHECKS[claim](claim, cfg)
         for key, expected in forms.items():
             if expected is None:
@@ -95,7 +97,7 @@ def test_formula_sides_equal_the_papers_forms(inputs):
     if m * n == -1:
         assert "F1M1_over_M1G1_formula_UNDEFINED" in \
             CHECKS["quadruple_concurrences"]("quadruple_concurrences", cfg).detail
-    if ratios.gamma * r + m == 0:
+    if gamma * r + m == 0:
         assert CHECKS["crossing_ratio_formula"]("crossing_ratio_formula", cfg).detail \
             == "formula denominator vanishes"
 
@@ -107,7 +109,8 @@ def test_formula_sides_read_gamma(generic_gamma_two_config):
     claims = ["ratio_product", "section_ratios", "crossing_ratio_formula"]
     assert [v.status for v in verify_all(cfg, claims)] == [PASS] * 3
     # _replace copies gamma as given instead of deriving it
-    cfg = cfg._replace(ratios=cfg.ratios._replace(gamma=cfg.ratios.gamma + 1))
+    G, H = cfg.ratios.gamma
+    cfg = cfg._replace(ratios=cfg.ratios._replace(gamma=(G + H, H)))
     product, section, crossing = verify_all(cfg, claims)
     assert section.status == FAIL and section.detail == "weighted form mismatch"
     assert product.status == FAIL

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from quadconc import Point, classify_quadrilateral, generators
+from rationals import affine, frac
 from quadconc.generators import (
     ANY_SHAPE,
     GenSpec,
@@ -154,7 +155,7 @@ class TestQuadrilaterals:
         spec = GenSpec(seed=3, coordinate_bound=bound)
         for index in range(25):
             for vertex in gen_quadrilateral(spec, index).vertices:
-                x, y = vertex.affine()
+                x, y = affine(vertex)
                 for c in (x, y):
                     assert abs(c.numerator) <= bound
                     assert c.denominator <= bound
@@ -170,7 +171,7 @@ def four_points(draw):
     centroid, which is then the centroid of all four."""
     pts = draw(st.lists(st.builds(Point, _small, _small), min_size=3, max_size=4))
     if len(pts) == 3:
-        xs, ys = zip(*(p.affine() for p in pts))
+        xs, ys = zip(*map(affine, pts))
         pts.insert(draw(st.integers(0, 3)), Point(sum(xs) / 3, sum(ys) / 3))
     return pts
 
@@ -188,7 +189,7 @@ class Drawn:
 
 def draws_of(pts):
     """The values ``xn, xd, yn, yd`` of each point in turn, as a stream draws them."""
-    return [c for p in pts for x, y in [p.affine()]
+    return [c for p in pts for x, y in [affine(p)]
             for c in (x.numerator, x.denominator, y.numerator, y.denominator)]
 
 
@@ -217,7 +218,7 @@ class TestCentroidOrder:
         if got != want:
             # only a point on the centroid leaves the comparison without a
             # strict weak order, and no order of such points is convex
-            xs, ys = zip(*(p.affine() for p in pts))
+            xs, ys = zip(*map(affine, pts))
             assert Point(sum(xs) / 4, sum(ys) / 4) in pts
             assert quad is None
 
@@ -247,17 +248,20 @@ class TestRatios:
         spec = GenSpec(seed=9, ratio_bound=5)
         for index in range(50):
             ratios = gen_ratios(spec, index)
-            for r in ratios.as_tuple:
+            m, n, p, q = map(frac, ratios.as_tuple)
+            for r in (m, n, p, q):
                 assert r > 0
                 assert r.numerator <= 5 and r.denominator <= 5
-            assert ratios.gamma == ratios.m * ratios.n * ratios.p * ratios.q
+            assert ratios.as_tuple == tuple(r.as_integer_ratio() for r in (m, n, p, q))
+            assert ratios.gamma == (m * n * p * q).as_integer_ratio()
 
     def test_force_gamma_one(self):
         spec = GenSpec(seed=9, force_gamma_one=True)
         for index in range(50):
             ratios = gen_ratios(spec, index)
-            assert ratios.gamma == 1
-            assert ratios.q == 1 / (ratios.m * ratios.n * ratios.p)
+            assert ratios.gamma == (1, 1)
+            mnp = frac(ratios.m) * frac(ratios.n) * frac(ratios.p)
+            assert ratios.q == (1 / mnp).as_integer_ratio()
 
     def test_forcing_keeps_mnp_draws(self):
         free = gen_ratios(GenSpec(seed=4), 2)
@@ -269,13 +273,13 @@ class TestRatios:
         assert gen_ratios(spec, 8) == gen_ratios(spec, 8)
 
     @pytest.mark.parametrize("force_gamma_one", [False, True])
-    def test_five_fractions_in_either_regime(self, monkeypatch, force_gamma_one):
-        # m, n, p, q and gamma: a forced q = 1/(mnp) is one Fraction too
+    def test_no_fraction_in_either_regime(self, monkeypatch, force_gamma_one):
+        # m, n, p, q and gamma are integer pairs, a forced q = 1/(mnp) too
         spec = GenSpec(seed=6, force_gamma_one=force_gamma_one)
         for index in range(20):
-            _, made = test_configuration.TestTraceRatioFractions.count_fractions(
+            _, made = test_configuration.TestTraceRatioMakesNoFraction.count_fractions(
                 monkeypatch, lambda: gen_ratios(spec, index))
-            assert made == 5
+            assert made == 0
 
 
 def test_stream_pinned_across_shapes_and_bounds():

@@ -25,7 +25,7 @@ from quadconc.configuration import POINT_NAMES
 from quadconc.errors import GeometryError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import render
-from quadconc.kernel import Point
+from quadconc.kernel import Point, rational_text
 from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
 from quadconc.verifiers import verify_all
@@ -133,7 +133,7 @@ def construction_digest() -> str:
     then free x ``CONSTRUCTION_BOUNDS`` x indices 0-99: 3,200 instances.
     Each instance adds its vertex triples, shape and ratio text; then, if it
     builds, every named point's triple (``None`` when undefined) in
-    ``named_points`` order, the sorted flags and ``str(r)``; if it does not,
+    ``named_points`` order, the sorted flags and the text of ``r``; if it does not,
     the exception's type and ``name``."""
     h = hashlib.sha256()
     for shape in ("convex", "concave", "crossed", "any"):
@@ -145,7 +145,7 @@ def construction_digest() -> str:
                     quad = gen_quadrilateral(spec, index)
                     ratios = gen_ratios(spec, index)
                     parts = [repr([v.triple() for v in quad.vertices]), quad.shape,
-                             repr([str(x) for x in ratios.as_tuple])]
+                             repr([rational_text(*x) for x in ratios.as_tuple])]
                     try:
                         cfg = build_from_ratios(quad, ratios)
                     except UndefinedPoint as exc:
@@ -153,7 +153,7 @@ def construction_digest() -> str:
                     else:
                         parts += [repr([(name, None if pt is None else pt.triple())
                                         for name, pt in cfg.named_points().items()]),
-                                  repr(sorted(cfg.degeneracies)), str(cfg.r_ratio)]
+                                  repr(sorted(cfg.degeneracies)), rational_text(*cfg.r_ratio)]
                     h.update(("\t".join(parts) + "\n").encode("utf-8"))
     return h.hexdigest()
 

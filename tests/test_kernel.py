@@ -16,7 +16,7 @@ from quadconc import (
     point_dividing,
 )
 from quadconc.errors import GeometryError
-from quadconc.kernel import parameter_terms
+from rationals import affine, frac
 
 F = Fraction
 
@@ -34,9 +34,7 @@ class TestPoint:
     def test_finiteness(self):
         assert not Point(3, 4).is_ideal
         assert Point(3, 4, 0).is_ideal
-        assert Point(F(2, 3), F(1, 2)).affine() == (F(2, 3), F(1, 2))
-        with pytest.raises(GeometryError, match="ideal point has no affine coordinates"):
-            Point(1, 0, 0).affine()
+        assert affine(Point(F(2, 3), F(1, 2))) == (F(2, 3), F(1, 2))
 
     def test_zero_triple_rejected(self):
         with pytest.raises(ValueError):
@@ -127,31 +125,31 @@ class TestCollinear:
 
 class TestDividingAndRatio:
     def test_midpoint(self):
-        assert point_dividing(Point(0, 0), Point(1, 0), 1) == Point(F(1, 2), 0)
+        assert point_dividing(Point(0, 0), Point(1, 0), (1, 1)) == Point(F(1, 2), 0)
 
     def test_ratio_two(self):
         # ratio 2 places the point twice as far from the first endpoint
-        assert point_dividing(Point(0, 0), Point(1, 0), 2) == Point(F(2, 3), 0)
+        assert point_dividing(Point(0, 0), Point(1, 0), (2, 1)) == Point(F(2, 3), 0)
 
     def test_vertical_side(self):
-        assert point_dividing(Point(0, 1), Point(0, 0), 2) == Point(0, F(1, 3))
+        assert point_dividing(Point(0, 1), Point(0, 0), (2, 1)) == Point(0, F(1, 3))
 
     def test_ratio_examples(self):
-        assert directed_ratio(Point(0, 0), Point(F(1, 2), 0), Point(1, 0)) == 1
-        assert directed_ratio(Point(0, 0), Point(F(2, 3), 0), Point(1, 0)) == 2
+        assert frac(directed_ratio(Point(0, 0), Point(F(1, 2), 0), Point(1, 0))) == 1
+        assert frac(directed_ratio(Point(0, 0), Point(F(2, 3), 0), Point(1, 0))) == 2
 
     def test_exterior_point_negative_ratio(self):
         # R = (-2, 0) relative to A = (0,0), B = (1,0): lambda = -2
-        assert directed_ratio(Point(0, 0), Point(-2, 0), Point(1, 0)) == F(-2, 3)
+        assert frac(directed_ratio(Point(0, 0), Point(-2, 0), Point(1, 0))) == F(-2, 3)
 
     def test_errors(self):
         a, b = Point(0, 0), Point(1, 0)
         with pytest.raises(GeometryError, match="division endpoints coincide"):
-            point_dividing(a, a, 1)
+            point_dividing(a, a, (1, 1))
         with pytest.raises(GeometryError, match="ratio -1 corresponds to the point at infinity"):
-            point_dividing(a, b, -1)
+            point_dividing(a, b, (-1, 1))
         with pytest.raises(GeometryError, match="division endpoints must be finite"):
-            point_dividing(a, Point(1, 0, 0), 1)
+            point_dividing(a, Point(1, 0, 0), (1, 1))
         with pytest.raises(GeometryError, match="segment endpoints coincide"):
             directed_ratio(a, Point(F(1, 2), 0), a)
         with pytest.raises(GeometryError,
@@ -159,23 +157,29 @@ class TestDividingAndRatio:
             directed_ratio(a, b, b)
         with pytest.raises(GeometryError, match=r"Point\(1, 1\) is not on the line through"):
             directed_ratio(a, Point(1, 1), b)
-        # the checks run in a fixed order: type, ideal, coincident, ratio -1
+        # the checks run in a fixed order: type, zero denominator, ideal,
+        # coincident, ratio -1
         with pytest.raises(TypeError):
             point_dividing(a, b, 0.5)
+        with pytest.raises(ZeroDivisionError):
+            point_dividing(a, Point(1, 0, 0), (1, 0))
         with pytest.raises(GeometryError, match="division endpoints must be finite"):
-            point_dividing(a, Point(1, 0, 0), -1)
+            point_dividing(a, Point(1, 0, 0), (-1, 1))
         with pytest.raises(GeometryError, match="division endpoints coincide"):
-            point_dividing(a, a, -1)
+            point_dividing(a, a, (-1, 1))
         with pytest.raises(GeometryError,
                            match="affine parameters are defined for finite points only"):
             affine_parameter(a, Point(1, 0, 0), a)
 
     def test_affine_parameter(self):
-        assert affine_parameter(Point(0, 0), Point(2, 0), Point(F(1, 2), 0)) == F(1, 4)
-        assert affine_parameter(Point(0, 0), Point(0, 2), Point(0, 3)) == F(3, 2)
+        assert frac(affine_parameter(Point(0, 0), Point(2, 0), Point(F(1, 2), 0))) == F(1, 4)
+        assert frac(affine_parameter(Point(0, 0), Point(0, 2), Point(0, 3))) == F(3, 2)
 
 
 class TestParameterTermsGuards:
+    """The guards of ``affine_parameter``, which returns its ``(num, den)``
+    pair unreduced."""
+
     a, b, ideal = Point(0, 0), Point(1, 0), Point(1, 0, 0)
 
     @pytest.mark.parametrize("args", [(ideal, b, a), (a, ideal, a), (a, b, ideal),
@@ -184,21 +188,21 @@ class TestParameterTermsGuards:
         # first of the three guards: an ideal point also beats coincident ends
         with pytest.raises(GeometryError,
                            match="^affine parameters are defined for finite points only$"):
-            parameter_terms(*args)
+            affine_parameter(*args)
 
     def test_coincident(self):
         # equal as points, made from different rational triples
         with pytest.raises(GeometryError, match="^segment endpoints coincide$"):
-            parameter_terms(self.a, Point(0, 0, 2), Point(1, 1))
+            affine_parameter(self.a, Point(0, 0, 2), Point(1, 1))
 
     def test_off_the_line(self):
         with pytest.raises(GeometryError) as info:
-            parameter_terms(self.a, self.b, Point(1, F(1, 2)))
+            affine_parameter(self.a, self.b, Point(1, F(1, 2)))
         assert str(info.value) == \
             "Point(1, 1/2) is not on the line through Point(0, 0) and Point(1, 0)"
 
     def test_on_the_line(self):
-        assert parameter_terms(self.a, Point(2, 0, 2), Point(3, 0)) == (3, 1)
+        assert affine_parameter(self.a, Point(2, 0, 2), Point(3, 0)) == (3, 1)
 
 
 class TestOrientation:

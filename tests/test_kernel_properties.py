@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from math import gcd, prod
 
 import naive_geometry as naive
 import pytest
@@ -16,9 +18,12 @@ from quadconc import (
     orientation,
     point_dividing,
 )
+from quadconc import SideRatios
 from quadconc._purekernel import det3
-from quadconc.kernel import parameter_pair, parameter_terms
+from quadconc.instancefile import parse_instance, serialize_instance
+from quadconc.kernel import parameter_pair
 from quadconc.errors import GeometryError
+from rationals import affine, frac
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=50
@@ -33,7 +38,7 @@ ideal_points = st.tuples(rationals, rationals).filter(lambda xy: xy != (0, 0)).m
 def test_division_round_trip(a, b, t):
     assume(a != b)
     assume(t != -1)
-    assert directed_ratio(a, point_dividing(a, b, t), b) == t
+    assert frac(directed_ratio(a, point_dividing(a, b, t.as_integer_ratio()), b)) == t
 
 
 @given(points, points, points)
@@ -121,7 +126,7 @@ def free_segments(draw):
 @st.composite
 def vertical_segments(draw):
     a = draw(weighted_points())
-    b = draw(weighted_points(x=st.just(a.affine()[0])))
+    b = draw(weighted_points(x=st.just(affine(a)[0])))
     assume(a != b)
     return a, b
 
@@ -133,7 +138,7 @@ exterior = beyond.map(lambda t: -t) | beyond.map(lambda t: 1 + t)
 
 
 def _at(a, b, lam):
-    (ax, ay), (bx, by) = a.affine(), b.affine()
+    (ax, ay), (bx, by) = affine(a), affine(b)
     return Point(ax + lam * (bx - ax), ay + lam * (by - ay))
 
 
@@ -142,21 +147,21 @@ def _at(a, b, lam):
 def test_affine_parameter_and_ratio_match_oracle(seg, lam):
     a, b = seg
     x = _at(a, b, lam)
-    assert affine_parameter(a, b, x) == naive.param(a.affine(), b.affine(), x.affine()) == lam
+    assert frac(affine_parameter(a, b, x)) == naive.param(affine(a), affine(b), affine(x)) == lam
     if lam == 1:
         with pytest.raises(GeometryError, match="coincides with the second endpoint"):
             directed_ratio(a, x, b)
     else:
-        assert directed_ratio(a, x, b) == naive.ratio(a.affine(), x.affine(), b.affine())
+        assert frac(directed_ratio(a, x, b)) == naive.ratio(affine(a), affine(x), affine(b))
 
 
 @given(segments, exterior)
 def test_exterior_ratios_are_negative_and_match_oracle(seg, lam):
     a, b = seg
     x = _at(a, b, lam)
-    r = directed_ratio(a, x, b)
+    r = frac(directed_ratio(a, x, b))
     assert r < 0
-    assert r == naive.ratio(a.affine(), x.affine(), b.affine())
+    assert r == naive.ratio(affine(a), affine(x), affine(b))
 
 
 @given(segments, big_rationals)
@@ -164,7 +169,8 @@ def test_exterior_ratios_are_negative_and_match_oracle(seg, lam):
 def test_point_dividing_matches_oracle(seg, t):
     assume(t != -1)
     a, b = seg
-    assert point_dividing(a, b, t) == Point(*naive.divide(a.affine(), b.affine(), t))
+    expected = Point(*naive.divide(affine(a), affine(b), t))
+    assert point_dividing(a, b, t.as_integer_ratio()) == expected
 
 
 @given(st.one_of(points, ideal_points), st.one_of(points, ideal_points),
@@ -210,7 +216,7 @@ def test_parameter_pair_is_none_exactly_where_parameter_terms_raises(a, b, x, s,
     for p in (x, *([Point(*on)] if any(on) else [])):
         pair = parameter_pair(a.triple(), b.triple(), p.triple())
         try:
-            terms = parameter_terms(a, b, p)
+            terms = affine_parameter(a, b, p)
         except GeometryError as exc:
             assert pair is None
             if a.is_ideal or b.is_ideal or p.is_ideal:
@@ -222,6 +228,69 @@ def test_parameter_pair_is_none_exactly_where_parameter_terms_raises(a, b, x, s,
                 assert str(exc) == f"{p!r} is not on the line through {a!r} and {b!r}"
         else:
             assert pair == terms
-            (ax, ay), (bx, by), (px, py) = a.affine(), b.affine(), p.affine()
+            (ax, ay), (bx, by), (px, py) = affine(a), affine(b), affine(p)
             lam = Fraction(*pair)
             assert (ax + lam * (bx - ax), ay + lam * (by - ay)) == (px, py)
+
+
+# One rational: an integer (num, den) pair.  SideRatios owns its canonical
+# form, lowest terms with den > 0; point_dividing reads any pair.
+nonzero_ints = st.integers(-10**12, 10**12).filter(bool)
+factors = st.integers(-10**6, 10**6).filter(bool)
+raw_pairs = st.tuples(st.integers(-10**12, 10**12), nonzero_ints)
+
+
+@given(st.tuples(raw_pairs, raw_pairs, raw_pairs, raw_pairs), factors)
+@example(((2, 4), (-3, -6), (0, -5), (6, -4)), -3)
+def test_side_ratios_store_lowest_terms(pairs, k):
+    ratios = SideRatios(*pairs)
+    for num, den in ratios:
+        assert den > 0 and gcd(num, den) == 1
+    assert ratios.as_tuple == tuple(frac(p).as_integer_ratio() for p in pairs)
+    assert ratios.gamma == prod(map(frac, pairs)).as_integer_ratio()
+    assert SideRatios(*((k * num, k * den) for num, den in pairs)) == ratios
+    assert SideRatios(*((-num, -den) for num, den in pairs)) == ratios
+
+
+positive_pairs = st.tuples(st.integers(1, 10**9), st.integers(1, 10**9))
+
+
+def _instance_text(pairs):
+    return json.dumps({
+        "vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]},
+        "ratios": {key: f"{num}/{den}" for key, (num, den) in zip("mnpq", pairs)},
+    })
+
+
+@given(st.tuples(positive_pairs, positive_pairs, positive_pairs, positive_pairs),
+       st.integers(1, 10**6))
+def test_instance_ratios_read_as_one_rational(pairs, k):
+    inst = parse_instance(_instance_text(pairs))
+    assert inst.ratios == SideRatios(*pairs)
+    assert parse_instance(_instance_text([(k * num, k * den) for num, den in pairs])) == inst
+    text = serialize_instance(inst)
+    assert parse_instance(text) == inst
+    assert serialize_instance(parse_instance(text)) == text
+    assert json.loads(text)["ratios"] == {key: str(frac(p)) for key, p in zip("mnpq", pairs)}
+
+
+def test_two_fourths_read_as_one_half():
+    half = parse_instance(_instance_text([(1, 2)] * 4))
+    assert parse_instance(_instance_text([(2, 4)] * 4)) == half
+    assert half.ratios.m == (1, 2)
+
+
+grid_points = st.builds(Point, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@given(grid_points, grid_points, st.integers(-10**6, 10**6), nonzero_ints, factors)
+def test_point_dividing_reads_any_pair_of_the_ratio(a, b, tn, td, k):
+    assume(a != b)
+    with pytest.raises(ZeroDivisionError):
+        point_dividing(a, b, (1, 0))
+    with pytest.raises(GeometryError, match="^ratio -1 corresponds to the point at infinity$"):
+        point_dividing(a, b, (td, -td))
+    assume(tn + td != 0)
+    p = point_dividing(a, b, (tn, td))
+    assert point_dividing(a, b, (-tn, -td)) == p == point_dividing(a, b, (k * tn, k * td))
+    assert frac(directed_ratio(a, p, b)) == Fraction(tn, td)

@@ -67,10 +67,8 @@ def test_every_error_subclass_is_caught_by_name():
     assert classes - {"GeometryError"} - caught == set()
 
 
-def test_only_generators_imports_dataclasses():
-    # the named tuples keep dataclasses off every other import path; GenSpec
-    # stays a dataclass while perfbench/workloads.py copies a spec with
-    # dataclasses.replace(spec, force_gamma_one=...)
+def _importers(module: str) -> set[str]:
+    """The files of ``src/quadconc`` with an import statement of ``module``."""
     importers = set()
     for path in (REPO / "src" / "quadconc").glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -81,8 +79,31 @@ def test_only_generators_imports_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 importers.add(path.name)
+    return importers
+
+
+def test_only_generators_imports_dataclasses():
+    # the named tuples keep dataclasses off every other import path; GenSpec
+    # stays a dataclass while perfbench/workloads.py copies a spec with
+    # dataclasses.replace(spec, force_gamma_one=...)
+    importers = _importers("dataclasses")
     assert importers == {"generators.py"}, (
         "only generators.py (GenSpec, which perfbench copies with dataclasses.replace) "
         f"may import dataclasses; found {sorted(importers)}")
+
+
+def test_no_module_imports_fractions():
+    # every rational is an integer (num, den) pair; Point and SideRatios.of
+    # read an int or Fraction argument through numerator and denominator
+    assert _importers("fractions") == set()
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # fractions imports decimal, and the figures round in integers
+    code = ("import sys, quadconc.cli\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

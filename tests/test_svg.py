@@ -5,6 +5,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from quadconc import (
     Point,
@@ -17,6 +19,7 @@ from quadconc import (
 from quadconc.errors import GeometryError, InstanceFormatError
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.svgfig import VIEW, render_svg
+from rationals import affine
 from test_configuration import side_points, signed_ratios
 
 F = Fraction
@@ -33,20 +36,20 @@ def reference_screen(cfg):
     """``svgfig._screen`` in its ``Fraction`` form: the affine coordinates,
     framed by ``_FRAME`` with a margin of 1/12 of the span (at least 1)
     on each side, scaled to ``VIEW`` and flipped in y."""
-    affine = {}
+    coords = {}
     for name in svgfig._DRAWN:
         pt = cfg.point(name)
         if pt is not None and not pt.is_ideal:
-            affine[name] = pt.affine()
-    xs = [affine[n][0] for n in svgfig._FRAME if n in affine]
-    ys = [affine[n][1] for n in svgfig._FRAME if n in affine]
+            coords[name] = affine(pt)
+    xs = [coords[n][0] for n in svgfig._FRAME if n in coords]
+    ys = [coords[n][1] for n in svgfig._FRAME if n in coords]
     lo_x, lo_y = min(xs), min(ys)
     span = max(max(xs) - lo_x, max(ys) - lo_y, Fraction(1))
     pad = span * Fraction(1, 12)
     min_x, min_y = lo_x - pad, lo_y - pad
     scale = Fraction(VIEW) / (span + 2 * pad)
     return {name: (reference_fmt((x - min_x) * scale), reference_fmt(VIEW - (y - min_y) * scale))
-            for name, (x, y) in affine.items()}
+            for name, (x, y) in coords.items()}
 
 
 def generated(spec, indices):
@@ -166,3 +169,23 @@ def test_bytes_ignore_the_callers_decimal_context():
         huge = svgfig._fmt(2 * 10**20, 3)
     assert got == want
     assert huge == svgfig._fmt(2 * 10**20, 3) == "6.66666666667E+19"
+
+
+# halfway cases: a thirteenth significant digit 5 and nothing after it
+_ties = st.builds(lambda q, shift, sign: (sign * (10 * q + 5) * 10**max(shift, 0),
+                                          10**max(-shift, 0)),
+                  st.integers(10**11, 10**12 - 1), st.integers(-20, 20), st.sampled_from([1, -1]))
+
+
+@given(st.one_of(st.tuples(st.integers(-10**40, 10**40), st.integers(1, 10**30)), _ties))
+@example((2 * 10**20, 3))  # exponent form
+@example((10**13, 1))  # an exact integer wider than RENDER_DIGITS digits
+@example((999999999999500, 1))  # a tie that rounds up into a sixteenth digit
+@example((1000000000005, 10))  # a tie that rounds down, to even
+@example((5, 10**20))  # far below one
+@example((6, 4))  # unreduced
+@example((0, 7))
+def test_fmt_writes_the_bytes_of_decimal_division(pair):
+    # integer arithmetic in the program, decimal in the reference
+    num, den = pair
+    assert svgfig._fmt(num, den) == reference_fmt(Fraction(num, den))

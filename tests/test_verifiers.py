@@ -23,6 +23,7 @@ from quadconc.errors import InstanceFormatError, UndefinedPoint
 from quadconc.instancefile import parse_rational
 from quadconc.kernel import Line
 from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict
+from rationals import affine, frac
 
 F = Fraction
 
@@ -158,7 +159,7 @@ class TestGeneralConcurrences:
         quad = Quadrilateral.of(*self.CROSSED)
         cfg = build_from_points(quad, Point(0, F(1, 3)), Point(2, -1), Point(1, 1),
                                 Point(F(1, 2), 1))
-        assert cfg.ratios.m * cfg.ratios.n == -1
+        assert frac(cfg.ratios.m) * frac(cfg.ratios.n) == -1
         v = verdict(cfg, "quadruple_concurrences")
         assert v.status == DEGENERATE
         assert "F1M1_over_M1G1_formula_UNDEFINED" in v.detail.split("; ")
@@ -269,7 +270,7 @@ class TestCrossingRatioFormula:
     def test_gamma_one_reduces_to_plain_form(self, gamma_one_config):
         v = verdict(gamma_one_config, "crossing_ratio_formula")
         assert v.status == PASS
-        m, n, p, _ = gamma_one_config.ratios.as_tuple
+        m, n, p, _ = map(frac, gamma_one_config.ratios.as_tuple)
         assert v.exact_values["ME_over_EP"] == str(m * n * (p + 1) / (m + 1))
 
     def test_parallel_traces_use_r_equal_one(self, unit_square):
@@ -279,7 +280,7 @@ class TestCrossingRatioFormula:
         cfg = build_from_ratios(unit_square, ratios)
         R = cfg.point("R")
         assert R is not None and R.is_ideal
-        assert cfg.r_ratio == 1
+        assert cfg.r_ratio == (1, 1)
         v = verdict(cfg, "crossing_ratio_formula")
         assert v.status == PASS
 
@@ -323,8 +324,9 @@ def with_points(cfg, **points):
 
 
 def at(a, b, lam):
-    """The point ``a + lam*(b - a)``."""
-    return point_dividing(a, b, lam / (1 - lam))
+    """The point ``a + lam*(b - a)``, for a ``Fraction`` ``lam``: it divides
+    ``a -> b`` in the ratio ``lam/(1 - lam)``."""
+    return point_dividing(a, b, (lam.numerator, lam.denominator - lam.numerator))
 
 
 def texts(v, *keys):
@@ -334,7 +336,7 @@ def texts(v, *keys):
 # A convex quadrilateral and its mirror image: on the two, the affine
 # parameters along MP and NQ have denominators of both signs
 GENERIC = (Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4))
-MIRRORED = tuple(Point(-x, y) for x, y in (pt.affine() for pt in GENERIC))
+MIRRORED = tuple(Point(-x, y) for x, y in map(affine, GENERIC))
 # gamma 2/3 and 1/2, then 2 and 6; the last two of each put P left of M,
 # so the generic quadrilateral's MP parameters have negative denominators
 RATIOS_BELOW_ONE = ((1, 2, 1, F(1, 3)), (3, 1, 2, F(1, 12)))
@@ -357,12 +359,12 @@ class TestComparisonBranches:
     def test_order_along_mp(self, vertices, ratios):
         cfg = self.inner(vertices, ratios)
         M, P, E = cfg.point("M"), cfg.point("P"), cfg.point("E")
-        if cfg.ratios.gamma < 1:
+        if frac(cfg.ratios.gamma) < 1:
             first, last, violated = "M1", "P1", "order M-M1-E-P1-P violated"
         else:
             first, last, violated = "P1", "M1", "order M-P1-E-M1-P violated"
-        lam_first = affine_parameter(M, P, cfg.point(first))
-        lam_last = affine_parameter(M, P, cfg.point(last))
+        lam_first = frac(affine_parameter(M, P, cfg.point(first)))
+        lam_last = frac(affine_parameter(M, P, cfg.point(last)))
         for points in ({first: cfg.point(last), last: cfg.point(first)},
                        {first: M}, {first: E}, {first: at(M, P, F(-1, 2))},
                        {last: P}, {last: E}, {last: at(M, P, F(3, 2))}):
@@ -377,7 +379,7 @@ class TestComparisonBranches:
     def test_e_on_segment_n1q1(self, vertices, ratios):
         cfg = self.inner(vertices, ratios)
         N, Q, E = cfg.point("N"), cfg.point("Q"), cfg.point("E")
-        e, d = affine_parameter(N, Q, E), F(1, 10)
+        e, d = frac(affine_parameter(N, Q, E)), F(1, 10)
         # the closed segment from N1 to Q1, in either order, must hold E
         cases = {(e + d, e + 2 * d): FAIL, (e - 2 * d, e - d): FAIL,
                  (e, e + d): PASS, (e - d, e): PASS, (e - d, e + d): PASS}
@@ -449,7 +451,7 @@ class TestComparisonBranches:
         cfg = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, q))
         v = verdict(cfg, "crossing_ratio_formula")
         assert (v.status, texts(v, "r", "ME_over_EP_formula")) == (PASS, [str(r), formula])
-        v = verdict(cfg._replace(r_ratio=F(1)), "crossing_ratio_formula")
+        v = verdict(cfg._replace(r_ratio=(1, 1)), "crossing_ratio_formula")
         assert (v.status, v.detail) == (FAIL, "")
         assert texts(v, "ME_over_EP") == [formula]
         M, P = cfg.point("M"), cfg.point("P")
@@ -549,7 +551,8 @@ class TestVerifyAll:
     def test_equal_pairs_share_one_text(self, monkeypatch):
         # a geometric value equal to its formula side takes the formula's
         # text, which is canonical, so a passing general instance writes 13
-        # texts where one per key would be 21
+        # texts where one per key would be 21; gamma, r and the four
+        # product-one skip texts, which name gamma, add 6
         calls = []
         text = verifiers.rational_text
         monkeypatch.setattr(verifiers, "rational_text", lambda *a: calls.append(a) or text(*a))
@@ -558,15 +561,16 @@ class TestVerifyAll:
         cfg = build_from_ratios(gen_quadrilateral(spec, 0), gen_ratios(spec, 0))
         calls.clear()
         assert {v.status for v in verify_all(cfg)} == {PASS, SKIPPED}
-        assert len(calls) == 13
+        assert len(calls) == 19
         # a wrong gamma: the product, the weighted form and the trace-ratio
         # form mismatch, and each mismatched value gets its own text
         calls.clear()
-        wrong = cfg._replace(ratios=cfg.ratios._replace(gamma=cfg.ratios.gamma + 1))
+        G, H = cfg.ratios.gamma
+        wrong = cfg._replace(ratios=cfg.ratios._replace(gamma=(G + H, H)))
         statuses = {v.claim_id: v.status for v in verify_all(wrong)}
         assert [claim for claim, status in statuses.items() if status == FAIL] == [
             "ratio_product", "section_ratios", "crossing_ratio_formula"]
-        assert len(calls) == 16
+        assert len(calls) == 22
 
     @pytest.mark.parametrize("field", ["witness", "exact_values"])
     def test_default_mappings_are_read_only(self, field):
@@ -602,7 +606,7 @@ class TestExactValues:
             for v in verify_all(cfg):
                 for key, text in v.exact_values.items():
                     assert isinstance(text, str), (v.claim_id, key)
-                    assert str(parse_rational(text, key)) == text, (v.claim_id, key)
+                    assert str(frac(parse_rational(text, key))) == text, (v.claim_id, key)
                     checked += 1
         assert checked > 500
 
@@ -662,7 +666,7 @@ class TestAffineInvariance:
         base = verify_all(cfg)
 
         def apply(pt):
-            x, y = pt.affine()
+            x, y = affine(pt)
             return Point(F(2, 3) * x - 5 * y + 7, F(1, 4) * x + 2 * y - 3)
 
         quad = Quadrilateral.of(*(apply(v) for v in cfg.quad.vertices))
