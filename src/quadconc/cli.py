@@ -155,8 +155,9 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
     construction_errors = 0
 
     checked = False
+    seed = str(args.seed)
     for index, quad, ratios, built in _campaign(args, regime, shape, args.count):
-        meta = {"seed": str(args.seed), "index": index, "regime": regime}
+        meta = {"seed": seed, "index": index, "regime": regime}
         if quad is None:
             generation_exhausted += 1
             out.write(render({"instance_meta": meta, "generation_error": built,
@@ -193,7 +194,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
     summary = {
         "command": "fuzz",
         "regime": regime,
-        "seed": str(args.seed),
+        "seed": seed,
         "count": args.count,
         "shape": shape,
         "coordinate_bound": args.coordinate_bound,

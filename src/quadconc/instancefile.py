@@ -16,7 +16,8 @@ pairs; exactly one of the two must be present.  ``checks`` is ``"all"``
 or a list of claim ids.  Rationals are written ``"p/q"`` or ``"p"``;
 decimal literals are rejected outright so no precision is ever lost
 silently.  ``parse_rational`` reads one as the pair ``(p, q)``, which
-:class:`SideRatios` reduces; ``kernel.rational_text`` writes it back.
+:class:`SideRatios` reduces; ``kernel.reduced_text`` writes the stored
+lowest-terms pair back.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .configuration import (
     build_from_ratios,
 )
 from .errors import InstanceFormatError
-from .kernel import Pair, Point, point_from_terms, rational_text
+from .kernel import Pair, Point, point_from_terms, reduced_text
 from .verifiers import select_claims
 
 # ASCII digits only: ``\d`` would accept digits that do not round-trip
@@ -156,7 +157,7 @@ def instance_document(inst: InstanceFile) -> dict:
     }
     if inst.ratios is not None:
         doc["ratios"] = {
-            key: rational_text(*value)
+            key: reduced_text(*value)
             for key, value in zip(RATIO_KEYS, inst.ratios.as_tuple)
         }
     if inst.points is not None:

@@ -14,7 +14,8 @@ Conventions
   canonical storage makes it agree with hashing.
 * A rational is an integer ``(num, den)`` pair, ``den != 0``, and
   ``lowest_terms`` its canonical form; ``rational_text`` writes it, in the
-  bytes ``str(Fraction(num, den))`` writes.  The package makes no
+  bytes ``str(Fraction(num, den))`` writes, and ``reduced_text`` writes a
+  pair already in that form without reducing it again.  The package makes no
   ``Fraction``: ``rational_terms`` reads an ``int`` or ``Fraction`` argument.
 * ``affine_parameter(a, b, x)`` is the ``lam`` with ``x = a + lam*(b - a)``
   and ``directed_ratio(a, p, b)`` is ``lam / (1 - lam)`` for ``p``: positive
@@ -80,8 +81,21 @@ def lowest_terms(num: int, den: int) -> Pair:
 
 def rational_text(num: int, den: int) -> str:
     """``num/den`` as exact text, the bytes ``str(Fraction(num, den))``
-    writes: ``"n/d"`` in lowest terms with ``d > 1``, else ``"n"``."""
-    num, den = lowest_terms(num, den)
+    writes: ``"n/d"`` in lowest terms with ``d > 1``, else ``"n"``.  It
+    reduces as ``lowest_terms`` does, inline, so a text is one call."""
+    if den == 0:
+        raise ZeroDivisionError(f"rational {num}/0")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
+def reduced_text(num: int, den: int) -> str:
+    """``rational_text(num, den)`` for a pair already in ``lowest_terms``,
+    as ``SideRatios`` and ``r`` are stored: written as it is, with no gcd."""
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -92,6 +106,20 @@ def rational_terms(value) -> Pair:
         return value.numerator, value.denominator
     except AttributeError:
         raise TypeError(f"expected an exact rational, got {type(value).__name__}") from None
+
+
+def triple_text(t: tuple[int, int, int]) -> list[str]:
+    """The coordinates of the point with canonical triple ``t = (x, y, w)``
+    as exact text: a finite point's affine pair ``rational_text(c, w)`` for
+    each component ``c``, an integer point's without a gcd, and an ideal
+    point's integer triple ``[x, y, "0"]``.  Each text is ASCII digits,
+    ``-`` and ``/``, which JSON writes without escapes."""
+    x, y, w = t
+    if w == 1:
+        return [str(x), str(y)]
+    if w == 0:
+        return [str(x), str(y), "0"]
+    return [rational_text(x, w), rational_text(y, w)]
 
 
 class Point:
@@ -121,13 +149,9 @@ class Point:
         return self._t[2] == 0
 
     def text(self) -> list[str]:
-        """The coordinates as exact text: a finite point's affine pair
-        ``rational_text(c, w)`` for each component ``c`` of the canonical
-        triple ``(x, y, w)``; an ideal point's integer triple ``[x, y, "0"]``."""
-        x, y, w = self._t
-        if w == 0:
-            return [str(x), str(y), "0"]
-        return [rational_text(x, w), rational_text(y, w)]
+        """The coordinates as exact text, ``triple_text`` of the canonical
+        triple."""
+        return triple_text(self._t)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):

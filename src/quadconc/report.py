@@ -8,10 +8,25 @@ same bytes.
 ``report_line`` writes the compact form of a report, one line of
 ``fuzz``, straight from the verdicts: exactly the bytes of
 ``render(report_document(...), compact=True)``, with no tree and no
-``json`` encoder call.  Keys go out in their fixed sorted order, every
-string through ``json``'s C escaper, and each distinct witness point's
-text is written once per line.  ``verify`` keeps the tree, which it
-renders pretty.
+``json`` encoder call.  Keys go out in their fixed sorted order, from
+layouts made at import.  Nothing that is the same on every line is made
+again per line:
+
+* each fixed string (claim id, status, exact-value key, witness name,
+  meta key, flag, shape and claim id of ``checks``) is escaped by
+  ``json``'s C escaper once per process and then looked up;
+* coordinates are written from the integer triples by
+  ``kernel.triple_text``, whose texts need no escape, and each distinct
+  witness point's text once per line;
+* the stored lowest-terms pairs, the instance's ratios and ``r``, are
+  written by ``kernel.reduced_text``, with no second gcd, and ``gamma`` by
+  ``verifiers.gamma_text``, which the verdicts of the same configuration
+  already made.
+
+Every other string, ``detail`` and the exact values among them, goes
+through the escaper as it is.  The tree writers use the same text
+functions, so the line and the tree agree on any input.  ``verify``
+keeps the tree, which it renders pretty.
 """
 
 from __future__ import annotations
@@ -22,8 +37,8 @@ from typing import Iterable, Optional, Sequence
 from .configuration import Configuration
 from .instancefile import (POINT_KEYS, RATIO_KEYS, VERTEX_KEYS, InstanceFile,
                            instance_document)
-from .kernel import Point, rational_text
-from .verifiers import DEGENERATE, Verdict, overall_status
+from .kernel import reduced_text, triple_text
+from .verifiers import DEGENERATE, Verdict, gamma_text, overall_status
 
 
 def verdict_json(v: Verdict) -> dict:
@@ -38,9 +53,9 @@ def verdict_json(v: Verdict) -> dict:
 
 def configuration_json(cfg: Configuration) -> dict:
     return {
-        "gamma": rational_text(*cfg.ratios.gamma),
+        "gamma": gamma_text(cfg.ratios.gamma),
         "shape": cfg.quad.shape,
-        "r": rational_text(*cfg.r_ratio),
+        "r": reduced_text(*cfg.r_ratio),
         "degeneracies": sorted(cfg.degeneracies),
     }
 
@@ -67,15 +82,35 @@ def degenerate_report(meta: dict, claims: Iterable[str], reason: str,
                            instance=instance)
 
 
+# at most this many fixed strings are kept escaped; past it a new string is
+# escaped on each use, as every string was before the table
+_ESCAPED_MAX = 4096
+
+
+class _Escaped(dict):
+    """Each string's JSON text, keyed by the string: escaped on first use,
+    then looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        json_text = _ascii(text)
+        if len(self) < _ESCAPED_MAX:
+            self[text] = json_text
+        return json_text
+
+
+_escaped = _Escaped()
+
+
 def _strings(texts: Iterable[str]) -> str:
-    """The compact JSON array of ``texts``."""
-    return "[" + ",".join(map(_ascii, texts)) + "]"
+    """The compact JSON array of the fixed strings ``texts``."""
+    return "[" + ",".join([_escaped[text] for text in texts]) + "]"
 
 
-def _points(keys: tuple[str, ...], points: Iterable[Point]) -> str:
-    """The members of the compact JSON object that maps each of the sorted
-    ``keys`` to its point's text, without the braces."""
-    return ",".join([f"{_ascii(key)}:{_strings(pt.text())}" for key, pt in zip(keys, points)])
+def _point(t: tuple[int, int, int]) -> str:
+    """The compact JSON array of ``triple_text(t)``; its texts need no escape."""
+    return '["' + '","'.join(triple_text(t)) + '"]'
 
 
 def _meta_value(value: object) -> str:
@@ -87,42 +122,67 @@ def _meta_value(value: object) -> str:
     raise TypeError(f"report_line writes str and int meta values, not {type(value).__name__}")
 
 
-# the compact layouts, keys in sorted order; each %s is JSON text
+def _members(keys: tuple[str, ...], value: str) -> str:
+    """The members of a compact JSON object with the sorted ``keys``, each
+    value the layout ``value``."""
+    return ",".join([_ascii(key) + ":" + value for key in keys])
+
+
+# the compact layouts, keys in sorted order; each %s is JSON text, except
+# in _RATIOS, where it is a rational's text, which needs no escape
 _LINE = '{%s"instance":%s,"instance_meta":{%s},"overall":%s,"verdicts":[%s]}\n'
-_CONFIGURATION = '"configuration":{"degeneracies":%s,"gamma":%s,"r":%s,"shape":%s},'
-_INSTANCE = '{"checks":%s%s,"vertices":{%s}}'
+_CONFIGURATION = '"configuration":{"degeneracies":%s,"gamma":"%s","r":"%s","shape":%s},'
+_INSTANCE = '{"checks":%s%s,"vertices":{' + _members(VERTEX_KEYS, "%s") + '}}'
+_POINTS = ',"points":{' + _members(POINT_KEYS, "%s") + '}'
+_RATIOS = ',"ratios":{' + _members(RATIO_KEYS, '"%s"') + '}'
 _VERDICT = '{"claim":%s,"detail":%s,"exact_values":{%s},"status":%s,"witness":{%s}}'
+# a verdict with no witness and no exact values, as skips and most
+# degenerate verdicts are
+_BARE_VERDICT = '{"claim":%s,"detail":%s,"exact_values":{},"status":%s,"witness":{}}'
 
 
 def _instance_text(inst: InstanceFile) -> str:
     """``instance_document(inst)`` as compact JSON."""
     sides = ""
     if inst.points is not None:
-        sides += ',"points":{' + _points(POINT_KEYS, inst.points) + "}"
+        M, N, P, Q = inst.points
+        sides += _POINTS % (_point(M.triple()), _point(N.triple()), _point(P.triple()),
+                            _point(Q.triple()))
     if inst.ratios is not None:
-        sides += ',"ratios":{' + ",".join([f"{_ascii(k)}:{_ascii(rational_text(*v))}" for k, v
-                                           in zip(RATIO_KEYS, inst.ratios.as_tuple)]) + "}"
+        m, n, p, q = inst.ratios.as_tuple
+        sides += _RATIOS % (reduced_text(*m), reduced_text(*n), reduced_text(*p),
+                            reduced_text(*q))
+    A, B, C, D = inst.vertices
     return _INSTANCE % (_strings(inst.checks) if inst.checks else '"all"', sides,
-                        _points(VERTEX_KEYS, inst.vertices))
+                        _point(A.triple()), _point(B.triple()), _point(C.triple()),
+                        _point(D.triple()))
 
 
-def _verdict_text(v: Verdict, witness_texts: dict) -> str:
-    """``verdict_json(v)`` as compact JSON.  ``witness_texts`` maps each
-    witness triple already written on this line to its text."""
-    witness = values = ""
-    if v.witness:
-        parts = []
-        for name, pt in sorted(v.witness.items()):
-            t = pt.triple()
-            text = witness_texts.get(t)
-            if text is None:
-                text = witness_texts[t] = _strings(pt.text())
-            parts.append(f"{_ascii(name)}:{text}")
-        witness = ",".join(parts)
-    if v.exact_values:
-        values = ",".join([f"{_ascii(key)}:{_ascii(value)}"
-                           for key, value in sorted(v.exact_values.items())])
-    return _VERDICT % (_ascii(v.claim_id), _ascii(v.detail), values, _ascii(v.status), witness)
+def _verdicts_text(verdicts: Sequence[Verdict]) -> str:
+    """The verdicts' ``verdict_json`` as compact JSON, comma-separated.  The
+    text of each distinct witness triple is written once."""
+    escaped = _escaped
+    witness_texts: dict = {}
+    parts = []
+    for claim, status, detail, witness, values in verdicts:
+        if not witness and not values:
+            parts.append(_BARE_VERDICT % (escaped[claim], _ascii(detail), escaped[status]))
+            continue
+        witness_text = ""
+        if witness:
+            members = []
+            for name, pt in sorted(witness.items()):
+                t = pt.triple()
+                text = witness_texts.get(t)
+                if text is None:
+                    text = witness_texts[t] = _point(t)
+                members.append(escaped[name] + ":" + text)
+            witness_text = ",".join(members)
+        values_text = ",".join([escaped[key] + ":" + _ascii(value)
+                                for key, value in sorted(values.items())])
+        parts.append(_VERDICT % (escaped[claim], _ascii(detail), values_text, escaped[status],
+                                 witness_text))
+    return ",".join(parts)
 
 
 def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configuration],
@@ -131,11 +191,9 @@ def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configura
     compact=True)``, written directly.  ``meta`` maps names to strings and
     integers."""
     configuration = "" if cfg is None else _CONFIGURATION % (
-        _strings(sorted(cfg.degeneracies)), _ascii(rational_text(*cfg.ratios.gamma)),
-        _ascii(rational_text(*cfg.r_ratio)), _ascii(cfg.quad.shape))
-    meta_text = ",".join([f"{_ascii(key)}:{_meta_value(value)}"
+        _strings(sorted(cfg.degeneracies)), gamma_text(cfg.ratios.gamma),
+        reduced_text(*cfg.r_ratio), _escaped[cfg.quad.shape])
+    meta_text = ",".join([_escaped[key] + ":" + _meta_value(value)
                           for key, value in sorted(meta.items())])
-    witness_texts: dict = {}
-    verdicts_text = ",".join([_verdict_text(v, witness_texts) for v in verdicts])
     return _LINE % (configuration, _instance_text(instance), meta_text,
-                    _ascii(overall_status(verdicts)), verdicts_text)
+                    _escaped[overall_status(verdicts)], _verdicts_text(verdicts))

@@ -6,8 +6,9 @@ drawn point is put over one common weight, and each SVG coordinate is one
 integer quotient ``num / den``.  The final formatting step rounds it
 once to 12 significant digits, half to even, in integer arithmetic, so
 output bytes are identical for identical inputs on any platform.
-Each finite drawn point is mapped and formatted once per render, read
-from the configuration's slot triples without making a point.
+Each distinct finite drawn triple is mapped and formatted once per
+render, read from the configuration's slot triples without making a
+point.
 """
 
 from __future__ import annotations
@@ -75,13 +76,16 @@ def _fmt(num: int, den: int) -> str:
 
 
 def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
-    """The SVG coordinate strings of every finite drawn point, by name."""
+    """The SVG coordinate strings of every finite drawn point, by name.
+    Points that coincide (at product one E, M1, N1, P1 and Q1 do) share one
+    triple, which is mapped and formatted once."""
     t = cfg.triples
     triples = {name: t[slot] for name, slot in _DRAWN_SLOTS if t[slot] is not None and t[slot][2]}
-    weight = lcm(*(w for _, _, w in triples.values()))
-    xy = {name: (x * (weight // w), y * (weight // w)) for name, (x, y, w) in triples.items()}
-    xs = [xy[n][0] for n in _FRAME if n in xy]
-    ys = [xy[n][1] for n in _FRAME if n in xy]
+    distinct = set(triples.values())
+    weight = lcm(*(w for _, _, w in distinct))
+    xy = {p: (p[0] * (weight // p[2]), p[1] * (weight // p[2])) for p in distinct}
+    xs = [xy[triples[n]][0] for n in _FRAME if n in triples]
+    ys = [xy[triples[n]][1] for n in _FRAME if n in triples]
     lo_x, lo_y = min(xs), min(ys)
     # the framed span s (at least 1) plus a margin of s/12 on each side fills
     # VIEW: x' = (x - lo_x + s/12) * VIEW / (14s/12) = 320 * (12*(x - lo_x) + s) / (7s),
@@ -89,9 +93,10 @@ def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
     # integer, and s is at least the weight
     s = max(max(xs) - lo_x, max(ys) - lo_y, weight)
     den = 7 * s
-    return {name: (_fmt(320 * (12 * (x - lo_x) + s), den),
-                   _fmt(VIEW * den - 320 * (12 * (y - lo_y) + s), den))
-            for name, (x, y) in xy.items()}
+    screen = {p: (_fmt(320 * (12 * (x - lo_x) + s), den),
+                  _fmt(VIEW * den - 320 * (12 * (y - lo_y) + s), den))
+              for p, (x, y) in xy.items()}
+    return {name: screen[p] for name, p in triples.items()}
 
 
 def select_layers(layers: Iterable[str] | None = None) -> tuple[str, ...]:

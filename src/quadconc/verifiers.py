@@ -33,7 +33,9 @@ mismatched value is written on its own.  No verifier makes a ``Fraction``.
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
 verdict, which is never a failure (made once, at import, where the skip
-text names no value); one where a point the row needs is
+text names no value; a skip text that names ``gamma`` takes it from
+``gamma_text``, which writes one configuration's gamma once for its four
+skips, ``ratio_product`` and the report); one where a point the row needs is
 undefined gets ``degenerate``.  Past that, each check makes its verdict
 ``degenerate`` itself where a line, ratio or point it reads is undefined
 or ideal; of the builder's flags (``cfg.degeneracies``) only
@@ -362,10 +364,10 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
         num *= r[0]
         den *= r[1]
     gamma = cfg.ratios.gamma
-    gamma_text = rational_text(*gamma)
+    text = gamma_text(gamma)
     ok = _equal((num, den), gamma)
-    values["product"] = gamma_text if ok else rational_text(num, den)
-    values["gamma"] = gamma_text
+    values["product"] = text if ok else rational_text(num, den)
+    values["gamma"] = text
     return Verdict(claim, PASS if ok else FAIL, exact_values=values)
 
 
@@ -547,6 +549,24 @@ _REGIMES: Mapping[str, Callable[[Configuration], bool]] = {
 
 _GAMMA_ONE_SKIP = "requires side-ratio product 1, got {gamma}"
 
+# the last gamma pair written and its text: the four product-one skip
+# details, ratio_product and the report's configuration block all name the
+# gamma of one configuration, so it is written once.  One tuple, swapped
+# whole, so a reader never sees a pair with another pair's text.
+_last_gamma: tuple[Optional[Pair], str] = (None, "")
+
+
+def gamma_text(gamma: Pair) -> str:
+    """``rational_text(*gamma)``, made once while the same ``gamma`` pair
+    (the same object, such as ``cfg.ratios.gamma``) is written in a row."""
+    global _last_gamma
+    last, text = _last_gamma
+    if last is not gamma:
+        text = rational_text(*gamma)
+        _last_gamma = gamma, text
+    return text
+
+
 # one row per claim, in the fixed report order (product-one claims first,
 # then the general suite, then the convexity claims):
 # (claim id, regime, finding, skip text, points that must be defined, check).
@@ -584,17 +604,19 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
     # a skip text that names no value gives one verdict, made here and
     # shared: a Verdict is immutable
     skipped = None if "{gamma}" in skip else Verdict(claim, SKIPPED, detail=skip)
+    skip_head, _, skip_tail = skip.partition("{gamma}")
 
     def run(cfg: Configuration) -> Verdict:
         if not in_regime(cfg):
             if skipped is not None:
                 return skipped
             return Verdict(claim, SKIPPED,
-                           detail=skip.format(gamma=rational_text(*cfg.ratios.gamma)))
-        t = cfg.triples
-        missing = [name for name, slot in slots if t[slot] is None]
-        if missing:
-            return Verdict(claim, DEGENERATE, detail="undefined: " + ",".join(missing))
+                           detail=skip_head + gamma_text(cfg.ratios.gamma) + skip_tail)
+        if slots:
+            t = cfg.triples
+            missing = [name for name, slot in slots if t[slot] is None]
+            if missing:
+                return Verdict(claim, DEGENERATE, detail="undefined: " + ",".join(missing))
         return check(claim, cfg)
 
     return run
@@ -606,6 +628,7 @@ CLAIM_RUNNERS: tuple[tuple[str, Callable[[Configuration], Verdict]], ...] = tupl
     for claim, regime, _, skip, needs, check in CLAIMS)
 
 CLAIM_IDS: tuple[str, ...] = tuple(claim for claim, *_ in CLAIMS)
+_CLAIM_ID_SET = frozenset(CLAIM_IDS)
 
 FINDING_CLAIMS: frozenset[str] = frozenset(
     claim for claim, _, finding, *_ in CLAIMS if finding)
@@ -617,10 +640,10 @@ def select_claims(checks: Iterable[str] | None = None) -> tuple[str, ...]:
     if checks is None:
         return CLAIM_IDS
     wanted = set(checks)
-    unknown = sorted(wanted - set(CLAIM_IDS))
-    if unknown:
+    if not wanted <= _CLAIM_ID_SET:
+        unknown = sorted(wanted - _CLAIM_ID_SET)
         raise InstanceFormatError(f"unknown claim ids: {', '.join(unknown)}")
-    return tuple(claim for claim in CLAIM_IDS if claim in wanted)
+    return tuple([claim for claim in CLAIM_IDS if claim in wanted])
 
 
 def verify_all(cfg: Configuration, checks: Sequence[str] | None = None) -> list[Verdict]:
@@ -628,6 +651,8 @@ def verify_all(cfg: Configuration, checks: Sequence[str] | None = None) -> list[
 
     A configuration outside a claim's regime gets a ``skipped`` verdict.
     """
+    if checks is None:
+        return [runner(cfg) for _, runner in CLAIM_RUNNERS]
     wanted = select_claims(checks)
     return [runner(cfg) for claim, runner in CLAIM_RUNNERS if claim in wanted]
 

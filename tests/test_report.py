@@ -2,8 +2,10 @@
 must be byte for byte the compact JSON of ``report_document``."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadconc import build_from_ratios
+from quadconc import build_from_ratios, report
 from quadconc.errors import UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import InstanceFile, instance_from_parts, render
@@ -97,3 +99,42 @@ def test_report_line_writes_only_str_and_int_meta(value):
     inst = instance_from_parts(gen_quadrilateral(GenSpec(), 0), gen_ratios(GenSpec(), 0))
     with pytest.raises(TypeError):
         report_line({"x": value}, [], None, inst)
+
+
+# strings that JSON escapes: quotes, backslashes, control characters,
+# non-ASCII and astral characters, next to plain ones
+_ESCAPED = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d11eaA_'),
+                   max_size=6)
+_WITNESSES = st.sampled_from([Point(1, 2), Point(-3, 2, 0), Point(1, -2, 3), Point(0, 0),
+                              Point(10**20, 7, 3)])
+_VERDICTS = st.lists(st.builds(Verdict, _ESCAPED, _ESCAPED, _ESCAPED,
+                               st.dictionaries(_ESCAPED, _WITNESSES, max_size=3),
+                               st.dictionaries(_ESCAPED, _ESCAPED, max_size=3)), max_size=4)
+_BUILT = build_from_ratios(gen_quadrilateral(GenSpec(seed=42), 0), gen_ratios(GenSpec(seed=42), 0))
+
+
+@settings(max_examples=150)
+@given(_VERDICTS, st.frozensets(_ESCAPED, max_size=3), _ESCAPED,
+       st.lists(_ESCAPED, max_size=3), st.dictionaries(_ESCAPED, _ESCAPED, max_size=2))
+def test_fixed_strings_escape_once_and_read_back_the_same(verdicts, flags, shape, checks, meta):
+    # claim ids, statuses, value keys, witness names, flags, the shape,
+    # checks and meta keys go through the escape table; the first line
+    # fills it and the second reads it back, and both are the tree's bytes
+    cfg = _BUILT._replace(quad=_BUILT.quad._replace(shape=shape), degeneracies=flags)
+    inst = instance_from_parts(cfg.quad, cfg.ratios, checks=tuple(checks))
+    for built in (cfg, None):
+        expected = tree_line(meta, verdicts, built, inst)
+        assert report_line(meta, verdicts, built, inst) == expected
+        assert report_line(meta, verdicts, built, inst) == expected
+
+
+def test_a_full_escape_table_stores_no_more(monkeypatch):
+    # past _ESCAPED_MAX entries a new string is escaped on each use and not
+    # stored, so the table stays bounded and the bytes do not change
+    monkeypatch.setattr(report, "_escaped", report._Escaped())
+    monkeypatch.setattr(report, "_ESCAPED_MAX", 3)
+    verdicts = [Verdict(f"claim \u00e9 {i}", PASS) for i in range(5)]
+    inst = instance_from_parts(_BUILT.quad, _BUILT.ratios)
+    for _ in range(2):
+        assert report_line({}, verdicts, None, inst) == tree_line({}, verdicts, None, inst)
+    assert len(report._escaped) == 3

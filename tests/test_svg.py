@@ -133,6 +133,20 @@ def test_screen_matches_the_fraction_form(spec, shape):
         assert svgfig._screen(cfg) == reference_screen(cfg)
 
 
+def test_screen_formats_each_distinct_triple_once(monkeypatch):
+    # at product one E = M1 = N1 = P1 = Q1, F1 = F2 and G1 = G2: 22 finite
+    # drawn points, 16 distinct triples, 32 of the 44 coordinate texts
+    calls = []
+    fmt = svgfig._fmt
+    monkeypatch.setattr(svgfig, "_fmt", lambda *a: calls.append(a) or fmt(*a))
+    for cfg in generated(GenSpec(seed=42, force_gamma_one=True), range(20)):
+        calls.clear()
+        xy = svgfig._screen(cfg)
+        drawn = {cfg.triples[svgfig.SLOT[name]] for name in xy}
+        assert len(calls) == 2 * len(drawn) < 2 * len(xy)
+        assert xy["E"] is xy["M1"] and xy["F1"] is xy["F2"]
+
+
 def test_screen_matches_the_fraction_form_on_ideal_undefined_and_outside_points(unit_square):
     cfgs = [
         # E and O ideal; P1 and Q1 undefined with R on vertex B

@@ -551,17 +551,19 @@ class TestVerifyAll:
     def test_equal_pairs_share_one_text(self, monkeypatch):
         # a geometric value equal to its formula side takes the formula's
         # text, which is canonical, so a passing general instance writes 13
-        # texts where one per key would be 21; gamma, r and the four
-        # product-one skip texts, which name gamma, add 6
+        # texts where one per key would be 21; gamma, written once for the
+        # four product-one skip texts and ratio_product, and r add 2
         calls = []
         text = verifiers.rational_text
         monkeypatch.setattr(verifiers, "rational_text", lambda *a: calls.append(a) or text(*a))
+        # no gamma text left over from an earlier test
+        monkeypatch.setattr(verifiers, "_last_gamma", (None, ""))
         assert verifiers.rational_text(2, -4) == "-1/2" and len(calls) == 1  # it counts
         spec = GenSpec(seed=42)
         cfg = build_from_ratios(gen_quadrilateral(spec, 0), gen_ratios(spec, 0))
         calls.clear()
         assert {v.status for v in verify_all(cfg)} == {PASS, SKIPPED}
-        assert len(calls) == 19
+        assert len(calls) == 15
         # a wrong gamma: the product, the weighted form and the trace-ratio
         # form mismatch, and each mismatched value gets its own text
         calls.clear()
@@ -570,7 +572,30 @@ class TestVerifyAll:
         statuses = {v.claim_id: v.status for v in verify_all(wrong)}
         assert [claim for claim, status in statuses.items() if status == FAIL] == [
             "ratio_product", "section_ratios", "crossing_ratio_formula"]
-        assert len(calls) == 22
+        assert len(calls) == 18
+
+    def test_gamma_one_skips_share_one_gamma_text(self, monkeypatch):
+        # the four product-one skip details and ratio_product name one
+        # configuration's gamma, written by one rational_text call; the
+        # next configuration's gamma is written again
+        calls = []
+        text = verifiers.rational_text
+        monkeypatch.setattr(verifiers, "rational_text", lambda *a: calls.append(a) or text(*a))
+        monkeypatch.setattr(verifiers, "_last_gamma", (None, ""))
+        runners = dict(verifiers.CLAIM_RUNNERS)
+        gamma_one = [claim for claim, regime, *_ in verifiers.CLAIMS if regime == "gamma = 1"]
+        spec = GenSpec(seed=42)
+        for index in (0, 1):
+            cfg = build_from_ratios(gen_quadrilateral(spec, index), gen_ratios(spec, index))
+            calls.clear()
+            skips = [runners[claim](cfg) for claim in gamma_one]
+            assert calls == [cfg.ratios.gamma]
+            gamma = text(*cfg.ratios.gamma)
+            assert len(skips) == 4 and {(v.status, v.detail) for v in skips} == {
+                (SKIPPED, f"requires side-ratio product 1, got {gamma}")}
+            # ratio_product writes its four ratios, but not gamma again
+            assert runners["ratio_product"](cfg).exact_values["gamma"] == gamma
+            assert len(calls) == 5 and calls.count(cfg.ratios.gamma) == 1
 
     @pytest.mark.parametrize("field", ["witness", "exact_values"])
     def test_default_mappings_are_read_only(self, field):
