@@ -3,7 +3,9 @@
 A report is a single JSON tree per instance.  Every number in it is an
 exact rational string; nothing is ever rounded.  Serialization, by
 ``instancefile.render``, is byte-stable: same instance, same verdicts,
-same bytes.
+same bytes.  The verifiers decide and this module writes: a verdict's
+``exact_values`` are integer ``(num, den)`` pairs, each written here by
+``kernel.rational_text``, in the bytes ``str(Fraction)`` writes.
 
 ``report_line`` writes the compact form of a report, one line of
 ``fuzz``, straight from the verdicts: exactly the bytes of
@@ -18,15 +20,15 @@ again per line:
 * coordinates are written from the integer triples by
   ``kernel.triple_text``, whose texts need no escape, and each distinct
   witness point's text once per line;
-* the stored lowest-terms pairs, the instance's ratios and ``r``, are
-  written by ``kernel.reduced_text``, with no second gcd, and ``gamma`` by
-  ``verifiers.gamma_text``, which the verdicts of the same configuration
-  already made.
+* the stored lowest-terms pairs, the instance's ratios, ``gamma`` and
+  ``r``, are written by ``kernel.reduced_text``, with no second gcd;
+* each exact value is written by ``rational_text``, whose text is ASCII
+  digits, ``-`` and ``/`` and needs no escape.
 
-Every other string, ``detail`` and the exact values among them, goes
-through the escaper as it is.  The tree writers use the same text
-functions, so the line and the tree agree on any input.  ``verify``
-keeps the tree, which it renders pretty.
+Every other string, such as a ``detail``, goes through the escaper as it
+is.  The tree writers use the same text functions, so the line and the
+tree agree on any input.  ``verify`` keeps the tree, which it renders
+pretty.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from typing import Iterable, Optional, Sequence
 from .configuration import Configuration
 from .instancefile import (POINT_KEYS, RATIO_KEYS, VERTEX_KEYS, InstanceFile,
                            instance_document)
-from .kernel import reduced_text, triple_text
-from .verifiers import DEGENERATE, Verdict, gamma_text, overall_status
+from .kernel import rational_text, reduced_text, triple_text
+from .verifiers import DEGENERATE, Verdict, overall_status
 
 
 def verdict_json(v: Verdict) -> dict:
@@ -47,13 +49,13 @@ def verdict_json(v: Verdict) -> dict:
         "status": v.status,
         "detail": v.detail,
         "witness": {name: pt.text() for name, pt in v.witness.items()},
-        "exact_values": dict(v.exact_values),
+        "exact_values": {key: rational_text(*value) for key, value in v.exact_values.items()},
     }
 
 
 def configuration_json(cfg: Configuration) -> dict:
     return {
-        "gamma": gamma_text(cfg.ratios.gamma),
+        "gamma": reduced_text(*cfg.ratios.gamma),
         "shape": cfg.quad.shape,
         "r": reduced_text(*cfg.r_ratio),
         "degeneracies": sorted(cfg.degeneracies),
@@ -178,7 +180,7 @@ def _verdicts_text(verdicts: Sequence[Verdict]) -> str:
                     text = witness_texts[t] = _point(t)
                 members.append(escaped[name] + ":" + text)
             witness_text = ",".join(members)
-        values_text = ",".join([escaped[key] + ":" + _ascii(value)
+        values_text = ",".join([escaped[key] + ':"' + rational_text(*value) + '"'
                                 for key, value in sorted(values.items())])
         parts.append(_VERDICT % (escaped[claim], _ascii(detail), values_text, escaped[status],
                                  witness_text))
@@ -191,7 +193,7 @@ def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configura
     compact=True)``, written directly.  ``meta`` maps names to strings and
     integers."""
     configuration = "" if cfg is None else _CONFIGURATION % (
-        _strings(sorted(cfg.degeneracies)), gamma_text(cfg.ratios.gamma),
+        _strings(sorted(cfg.degeneracies)), reduced_text(*cfg.ratios.gamma),
         reduced_text(*cfg.r_ratio), _escaped[cfg.quad.shape])
     meta_text = ",".join([_escaped[key] + ":" + _meta_value(value)
                           for key, value in sorted(meta.items())])

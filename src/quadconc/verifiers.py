@@ -19,24 +19,26 @@ point that left its carrier line, or ``classify_quadrilateral``.
 
 Each ratio field is a lowest-terms pair, written ``(ma, mb)`` for ``m``
 and likewise ``n p q``, ``gamma = G/H`` (product one is ``G == H``) and
-``r = R/S``; each formula side is one integer expression in those
-numerators and positive denominators, with the paper's form beside it.
-Every value stays an integer ``(num, den)`` pair, the geometric ones from
-the kernel's ``parameter_pair``: two sides are equal when they
-cross-multiply equal, an order is decided by cross-multiplied ``<`` once
-each denominator is made positive, and a reported value is written once,
-by ``rational_text``, in the bytes ``str(Fraction)`` writes.  That text is
-canonical, so a geometric value that equals its formula side (or the
-product that equals ``gamma``) reuses the formula's text, and only a
-mismatched value is written on its own.  No verifier makes a ``Fraction``.
+``r = R/S``.  Each distinct formula side of the paper is one module-level
+function from ratio pairs to a pair, with the paper's form in its
+docstring, and uses only ``+``, ``-`` and ``*``.  Every value stays an
+integer ``(num, den)`` pair, the geometric ones from the kernel's
+``parameter_pair``: two sides are equal when they cross-multiply equal,
+and an order is decided by cross-multiplied ``<`` once each denominator is
+made positive.  The checks decide and do not write: a verdict's
+``exact_values`` hold pairs, a geometric value that equals its formula
+side (or the product that equals ``gamma``) under the formula's pair and
+only a mismatched one under its own, and ``report`` writes them.  So the
+identity checks run unchanged on pairs of polynomials, which
+``tests/test_proofs.py`` uses to prove them.  No verifier makes a
+``Fraction``.
 
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
 verdict, which is never a failure (made once, at import, where the skip
-text names no value; a skip text that names ``gamma`` takes it from
-``gamma_text``, which writes one configuration's gamma once for its four
-skips, ``ratio_product`` and the report); one where a point the row needs is
-undefined gets ``degenerate``.  Past that, each check makes its verdict
+text names no value; a skip text that names ``gamma`` writes the stored
+lowest-terms pair with ``kernel.reduced_text``); one where a point the row
+needs is undefined gets ``degenerate``.  Past that, each check makes its verdict
 ``degenerate`` itself where a line, ratio or point it reads is undefined
 or ideal; of the builder's flags (``cfg.degeneracies``) only
 ``ratio_product`` reads any, so ``A1_IDEAL`` and the like downgrade nothing.
@@ -58,7 +60,7 @@ from .kernel import (
     affine_parameter,
     classify_quadrilateral,
     parameter_pair,
-    rational_text,
+    reduced_text,
 )
 
 PASS = "pass"
@@ -75,16 +77,16 @@ class Verdict(NamedTuple):
     detail: str = ""
     # one shared read-only empty mapping, so no verdict writes into another's
     witness: Mapping[str, Point] = MappingProxyType({})
-    # each value's exact text, as ``rational_text`` writes it
-    exact_values: Mapping[str, str] = MappingProxyType({})
+    # each value's exact (num, den) pair, which ``report`` writes
+    exact_values: Mapping[str, Pair] = MappingProxyType({})
 
 
 # a line of a concurrence check: its label and the slots of its two points
 SlotLine = tuple[str, int, int]
 
 
-def _b01(flag: bool) -> str:
-    return "1" if flag else "0"
+def _b01(flag: bool) -> Pair:
+    return (1, 1) if flag else (0, 1)
 
 
 def _slots(*names: str) -> Callable[[tuple], tuple]:
@@ -159,26 +161,52 @@ def _status(failures: list[str], reasons: list[str]) -> tuple[str, str]:
     return PASS, ""
 
 
+def _diagonal_form(m: Pair, n: Pair, p: Pair) -> Pair:
+    """``m(1 + np)/(1 + mn)``: ``FE/EG`` and ``F1M1/M1G1``."""
+    (ma, mb), (na, nb), (pa, pb) = m, n, p
+    return ma * (nb * pb + na * pa), pb * (mb * nb + ma * na)
+
+
+def _section_form(m: Pair, n: Pair, p: Pair) -> Pair:
+    """``mn(p+1)/(m+1)``: ``MM1/M1P``, and the other three sections on the
+    rotated fields."""
+    (ma, mb), (na, nb), (pa, pb) = m, n, p
+    return ma * na * (pa + pb), nb * pb * (ma + mb)
+
+
+def _crossing_form(q: Pair, m: Pair, n: Pair) -> Pair:
+    """``(1/q)(1/(m+1)) + n(m/(m+1))``: ``ME/EP`` at product one, and
+    ``NE/EQ`` on ``(m, n, p)``."""
+    (qa, qb), (ma, mb), (na, nb) = q, m, n
+    return qb * mb * nb + na * ma * qa, qa * nb * (ma + mb)
+
+
+def _trace_form(m: Pair, n: Pair, p: Pair, gamma: Pair, r: Pair) -> Pair:
+    """``mn(p+1)/(m+1) * (r+m)/(gamma*r + m)``: ``ME/EP`` in the trace
+    ratio ``r``."""
+    (ma, mb), (G, H), (R, S) = m, gamma, r
+    num, den = _section_form(m, n, p)
+    return num * (R * mb + ma * S) * H, den * (G * R * mb + ma * H * S)
+
+
 def _check_section(cfg: Configuration, key: str, f: Triple, x: Optional[Triple], g: Triple,
                    values: dict, reasons: list[str], failures: list[str]) -> None:
-    """Check ``fx/xg`` against ``m(1 + np)/(1 + mn)``, the closed form of both
-    ``FE/EG`` and ``F1M1/M1G1``.  A side point outside its side (nonconvex
-    ``points`` input) gives a negative ratio, and ``mn = -1`` leaves the form
-    undefined."""
-    (ma, mb), (na, nb), (pa, pb), _, _ = cfg.ratios
-    if mb * nb + ma * na == 0:  # 1 + mn = 0
+    """Check ``fx/xg`` against ``_diagonal_form``.  A side point outside its
+    side (nonconvex ``points`` input) gives a negative ratio, and ``mn = -1``
+    leaves the form undefined."""
+    m, n, p, _, _ = cfg.ratios
+    formula = _diagonal_form(m, n, p)
+    if formula[1] == 0:  # 1 + mn = 0
         reasons.append(key + "_formula_UNDEFINED")
         return
-    # m(1 + np)/(1 + mn)
-    formula = (ma * (nb * pb + na * pa), pb * (mb * nb + ma * na))
-    formula_text = values[key + "_formula"] = rational_text(*formula)
+    values[key + "_formula"] = formula
     geometric = _ratio(f, x, g)
     if geometric is None:
         reasons.append(key + "_UNDEFINED")
     elif _equal(geometric, formula):
-        values[key] = formula_text
+        values[key] = formula
     else:
-        values[key] = rational_text(*geometric)
+        values[key] = geometric
         failures.append(key.replace("_over_", "/") + " mismatch")
 
 
@@ -210,7 +238,7 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
     regime); also checks the division ratio of ``E`` on ``FG``."""
     degenerate_reasons: list[str] = []
     failures: list[str] = []
-    values: dict[str, str] = {}
+    values: dict[str, Pair] = {}
 
     t = cfg.triples
     F, G, F2, G2, E = _SEVEN(t)
@@ -249,21 +277,18 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     E, M, P, N, Q = _EMPNQ(cfg.triples)
     if E[2] == 0:
         return Verdict(claim, DEGENERATE, detail="ideal: E (MP parallel to NQ)")
-    (ma, mb), (na, nb), (pa, pb), (qa, qb), _ = cfg.ratios
+    m, n, p, q, _ = cfg.ratios
     me_ep = _ratio(M, E, P)
     ne_eq = _ratio(N, E, Q)
-    # (1/q)(1/(m+1)) + n(m/(m+1))
-    me_ep_formula = (qb * mb * nb + na * ma * qa, qa * nb * (ma + mb))
-    # (1/m)(1/(n+1)) + p(n/(n+1))
-    ne_eq_formula = (mb * nb * pb + pa * na * ma, ma * pb * (na + nb))
-    values = {"ME_over_EP_formula": rational_text(*me_ep_formula),
-              "NE_over_EQ_formula": rational_text(*ne_eq_formula)}
+    me_ep_formula = _crossing_form(q, m, n)
+    ne_eq_formula = _crossing_form(m, n, p)
+    values = {"ME_over_EP_formula": me_ep_formula, "NE_over_EQ_formula": ne_eq_formula}
     if me_ep is None or ne_eq is None:
         return Verdict(claim, DEGENERATE, detail="division ratios undefined",
                        exact_values=values)
     me_ok, ne_ok = _equal(me_ep, me_ep_formula), _equal(ne_eq, ne_eq_formula)
-    values["ME_over_EP"] = values["ME_over_EP_formula"] if me_ok else rational_text(*me_ep)
-    values["NE_over_EQ"] = values["NE_over_EQ_formula"] if ne_ok else rational_text(*ne_eq)
+    values["ME_over_EP"] = me_ep_formula if me_ok else me_ep
+    values["NE_over_EQ"] = ne_eq_formula if ne_ok else ne_eq
     ok = me_ok and ne_ok
     return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
                    exact_values=values)
@@ -312,7 +337,7 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
     ratio of ``M1`` on ``F1 G1``."""
     degenerate_reasons: list[str] = []
     failures: list[str] = []
-    values: dict[str, str] = {}
+    values: dict[str, Pair] = {}
     witness: dict[str, Point] = {}
 
     t = cfg.triples
@@ -354,20 +379,19 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
     if coincident:
         return Verdict(claim, DEGENERATE, detail="; ".join(coincident))
     t = cfg.triples
-    values: dict[str, str] = {}
+    values: dict[str, Pair] = {}
     num = den = 1
     for key, u, x, v in _PRODUCT_RATIOS:
         r = _ratio(t[u], t[x], t[v])
         if r is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
-        values[key] = rational_text(*r)
+        values[key] = r
         num *= r[0]
         den *= r[1]
     gamma = cfg.ratios.gamma
-    text = gamma_text(gamma)
     ok = _equal((num, den), gamma)
-    values["product"] = text if ok else rational_text(num, den)
-    values["gamma"] = text
+    values["product"] = gamma if ok else (num, den)
+    values["gamma"] = gamma
     return Verdict(claim, PASS if ok else FAIL, exact_values=values)
 
 
@@ -382,38 +406,27 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     """Closed forms for the ratios in which ``M1 N1 P1 Q1`` divide the
     transversals ``MP`` and ``NQ``, in both the plain and the
     product-weighted form."""
-    (ma, mb), (na, nb), (pa, pb), (qa, qb), (G, H) = cfg.ratios
-    # mn(p+1)/(m+1)
-    mm1_formula = (ma * na * (pa + pb), nb * pb * (ma + mb))
-    formulas = (
-        mm1_formula,
-        # np(q+1)/(n+1)
-        (na * pa * (qa + qb), pb * qb * (na + nb)),
-        # pq(m+1)/(p+1)
-        (pa * qa * (ma + mb), qb * mb * (pa + pb)),
-        # qm(n+1)/(q+1)
-        (qa * ma * (na + nb), mb * nb * (qa + qb)),
-    )
-    # gamma(1/q)(1/(m+1)) + n(m/(m+1)), evaluated from gamma on purpose: it
-    # equals the plain mn(p+1)/(m+1) only because gamma = mnpq, which is
-    # what the weighted form mismatch check tests
-    weighted = (G * qb * mb * nb + na * ma * H * qa, H * qa * (ma + mb) * nb)
-    # a passing weighted form equals the plain MM1 form and shares its text
-    mm1_text = rational_text(*mm1_formula)
-    weighted_ok = _equal(weighted, mm1_formula)
-    values = {"MM1_over_M1P_weighted": mm1_text if weighted_ok else rational_text(*weighted)}
+    m, n, p, q, (G, H) = cfg.ratios
+    formulas = (_section_form(m, n, p), _section_form(n, p, q), _section_form(p, q, m),
+                _section_form(q, m, n))
+    # gamma(1/q)(1/(m+1)) + n(m/(m+1)), the crossing form at q/gamma,
+    # evaluated from gamma on purpose: it equals the plain mn(p+1)/(m+1)
+    # only because gamma = mnpq, which is what the weighted form mismatch
+    # check tests
+    weighted = _crossing_form((q[0] * H, q[1] * G), m, n)
+    weighted_ok = _equal(weighted, formulas[0])
+    values = {"MM1_over_M1P_weighted": formulas[0] if weighted_ok else weighted}
     failures: list[str] = []
     t = cfg.triples
     for (key, a, x, b), formula in zip(_SECTIONS, formulas):
-        formula_text = mm1_text if formula is mm1_formula else rational_text(*formula)
-        values[key + "_formula"] = formula_text
+        values[key + "_formula"] = formula
         geometric = _ratio(t[a], t[x], t[b])
         if geometric is None:
             return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
         if _equal(geometric, formula):
-            values[key] = formula_text
+            values[key] = formula
         else:
-            values[key] = rational_text(*geometric)
+            values[key] = geometric
             failures.append(key)
     if not weighted_ok:
         failures.append("weighted form mismatch")
@@ -431,22 +444,18 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     E, M, P = _EMP(cfg.triples)
     if E is None or E[2] == 0:
         return Verdict(claim, DEGENERATE, detail="E undefined or ideal")
-    (ma, mb), (na, nb), (pa, pb), _, (G, H) = cfg.ratios
-    R, S = cfg.r_ratio
-    r_text = rational_text(R, S)
-    # mn(p+1)/(m+1) * (r+m)/(gamma*r + m)
-    formula = (ma * na * (pa + pb) * (R * mb + ma * S) * H,
-               nb * pb * (ma + mb) * (G * R * mb + ma * H * S))
+    m, n, p, _, gamma = cfg.ratios
+    r = cfg.r_ratio
+    formula = _trace_form(m, n, p, gamma, r)
     if formula[1] == 0:
         return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
-                       exact_values={"r": r_text})
+                       exact_values={"r": r})
     geometric = _ratio(M, E, P)
-    formula_text = rational_text(*formula)
-    values = {"r": r_text, "ME_over_EP_formula": formula_text}
+    values = {"r": r, "ME_over_EP_formula": formula}
     if geometric is None:
         return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
     ok = _equal(geometric, formula)
-    values["ME_over_EP"] = formula_text if ok else rational_text(*geometric)
+    values["ME_over_EP"] = formula if ok else geometric
     return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
                    exact_values=values)
 
@@ -476,7 +485,7 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
 
     G, H = cfg.ratios.gamma
-    values: dict[str, str] = {}
+    values: dict[str, Pair] = {}
     failures: list[str] = []
     if G == H:
         if not (M1 == E == P1 and N1 == E == Q1):
@@ -496,10 +505,7 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         # each affine parameter with a positive denominator
         lam_m1, lam_e, lam_p1 = _positive(lam_m1), _positive(lam_e), _positive(lam_p1)
         lam_n1, lam_e2, lam_q1 = _positive(lam_n1), _positive(lam_e2), _positive(lam_q1)
-        values.update({
-            "lambda_M1_on_MP": rational_text(*lam_m1), "lambda_E_on_MP": rational_text(*lam_e),
-            "lambda_P1_on_MP": rational_text(*lam_p1),
-        })
+        values.update(lambda_M1_on_MP=lam_m1, lambda_E_on_MP=lam_e, lambda_P1_on_MP=lam_p1)
         if G < H:
             order, violated = (lam_m1, lam_e, lam_p1), "order M-M1-E-P1-P violated"
         else:
@@ -549,23 +555,6 @@ _REGIMES: Mapping[str, Callable[[Configuration], bool]] = {
 
 _GAMMA_ONE_SKIP = "requires side-ratio product 1, got {gamma}"
 
-# the last gamma pair written and its text: the four product-one skip
-# details, ratio_product and the report's configuration block all name the
-# gamma of one configuration, so it is written once.  One tuple, swapped
-# whole, so a reader never sees a pair with another pair's text.
-_last_gamma: tuple[Optional[Pair], str] = (None, "")
-
-
-def gamma_text(gamma: Pair) -> str:
-    """``rational_text(*gamma)``, made once while the same ``gamma`` pair
-    (the same object, such as ``cfg.ratios.gamma``) is written in a row."""
-    global _last_gamma
-    last, text = _last_gamma
-    if last is not gamma:
-        text = rational_text(*gamma)
-        _last_gamma = gamma, text
-    return text
-
 
 # one row per claim, in the fixed report order (product-one claims first,
 # then the general suite, then the convexity claims):
@@ -611,7 +600,7 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
             if skipped is not None:
                 return skipped
             return Verdict(claim, SKIPPED,
-                           detail=skip_head + gamma_text(cfg.ratios.gamma) + skip_tail)
+                           detail=skip_head + reduced_text(*cfg.ratios.gamma) + skip_tail)
         if slots:
             t = cfg.triples
             missing = [name for name, slot in slots if t[slot] is None]

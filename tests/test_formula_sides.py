@@ -89,11 +89,12 @@ def test_formula_sides_equal_the_papers_forms(inputs):
     cfg = BASE._replace(ratios=ratios, r_ratio=r.as_integer_ratio())
     for claim, forms in reference_forms(m, n, p, q, gamma, r).items():
         verdict = CHECKS[claim](claim, cfg)
+        written = verdict_json(verdict)["exact_values"]
         for key, expected in forms.items():
             if expected is None:
-                assert key not in verdict.exact_values
+                assert key not in written
             else:
-                assert verdict.exact_values[key] == str(expected), (claim, key)
+                assert written[key] == str(expected), (claim, key)
     if m * n == -1:
         assert "F1M1_over_M1G1_formula_UNDEFINED" in \
             CHECKS["quadruple_concurrences"]("quadruple_concurrences", cfg).detail
@@ -149,8 +150,8 @@ nonzero = st.integers(-10**30, 10**30).filter(bool)
 @given(st.integers(-10**30, 10**30), nonzero, nonzero, nonzero)
 @example(3, 4, -2, 5)  # denominators of both signs
 def test_equal_pairs_have_one_text(num, den, k1, k2):
-    # the verifiers write one text for a geometric pair and its equal
-    # formula pair; any two equal pairs are multiples of one pair
+    # a geometric pair and its equal formula pair have one text; any two
+    # equal pairs are multiples of one pair
     a, b, c, d = k1 * num, k1 * den, k2 * num, k2 * den
     assert a * d == c * b
     assert rational_text(a, b) == rational_text(c, d)

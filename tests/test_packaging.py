@@ -94,6 +94,24 @@ def test_only_generators_imports_dataclasses():
         f"may import dataclasses; found {sorted(importers)}")
 
 
+def test_verifiers_decide_and_write_no_value():
+    # the checks store exact values as pairs and the report writes them, so
+    # the checks run unchanged on polynomial pairs; no module state either
+    tree = ast.parse((REPO / "src" / "quadconc" / "verifiers.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Global), f"global statement at line {node.lineno}"
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+    assert names & {"rational_text", "gamma_text", "_last_gamma"} == set()
+
+
 def test_no_module_imports_fractions():
     # every rational is an integer (num, den) pair; Point and SideRatios.of
     # read an int or Fraction argument through numerator and denominator

@@ -2,23 +2,46 @@
 
 Every claim is invariant under affine maps, and an affine map takes any
 quadrilateral with no three collinear vertices to ``A=(0,0) B=(1,0)
-C=(a,b) D=(0,1)``.  The independent oracle ``naive_geometry.build_all``
-runs unchanged on elements of the field ``QQ(a, b, m, n, p, q)``, so a
-claim that holds there as an identity holds for every instance on which
-its points are defined, convex or not.  The product-one claims are
-checked with ``q = 1/(mnp)`` substituted.
+C=(a,b) D=(0,1)``.  The product-one claims are checked with
+``q = 1/(mnp)`` substituted.  Two routes prove the claims there:
+
+* the shipped code: ``construct_triples``, the side points of
+  ``dividing_terms`` and each identity row's check of ``CLAIMS`` run
+  unchanged on triples and ratio pairs of polynomials with integer
+  coefficients, each ratio a free numerator over a free denominator, with
+  the primitive part as the reduction.  Every equality such a check
+  tests is then a polynomial identity, which holds on every instance on
+  which its points are defined, convex or not.  ``diagonal_concurrence_iff``
+  compares two incidences instead, and is proved by their determinants
+  being one polynomial;
+* the independent oracle ``naive_geometry.build_all``, which runs on
+  elements of the field ``QQ(a, b, m, n, p, q)`` and states each claim
+  in the paper's form, as the sampled tests' cross-check.
 """
 
 import pytest
 
 pytest.importorskip("sympy")
 
-from sympy import QQ  # noqa: E402
+from sympy import QQ, ZZ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
 
 import naive_geometry as naive  # noqa: E402
+from quadconc._purekernel import det3  # noqa: E402
+from quadconc.configuration import (  # noqa: E402
+    SLOT, Configuration, Quadrilateral, SideRatios, construct_triples)
+from quadconc.kernel import Point, dividing_terms  # noqa: E402
+from quadconc.verifiers import CLAIMS, PASS  # noqa: E402
 
 K, a, b, m, n, p, q = field("a,b,m,n,p,q", QQ)
+# each side ratio m n p q is a pair of free numerator and free denominator,
+# so a formula that swaps two numerators or two denominators shows
+Z, za, zb, zm, zn, zp, zq, zmb, znb, zpb, zqb = ring("a,b,m,n,p,q,mb,nb,pb,qb", ZZ)
+
+# the rows that state an identity: every row outside the sign claims'
+# convex and nonconvex regimes
+IDENTITY_ROWS = [row for row in CLAIMS if row[1] in ("gamma = 1", "any")]
 
 # each inner point and the four lines through it (quadruple_concurrences),
 # the first one through a diagonal division pair
@@ -112,3 +135,62 @@ def test_crossing_ratios(gamma_one):
     assert ratio_on_line(gamma_one, "F1", "E", "G1") == m * (1 + n * p) / (1 + m * n)
     assert ratio_on_line(gamma_one, "M", "E", "P") == (1 / qq) * (1 / (m + 1)) + n * (m / (m + 1))
     assert ratio_on_line(gamma_one, "N", "E", "Q") == (1 / m) * (1 / (n + 1)) + p * (n / (n + 1))
+
+
+def primitive(x, y, w):
+    """``reduce3`` over the ring ``Z``: the triple divided by the gcd of its
+    components, signed so that its last nonzero component has a positive
+    leading coefficient.  Proportional triples map to one triple."""
+    g = x.gcd(y).gcd(w)
+    x, y, w = x.exquo(g), y.exquo(g), w.exquo(g)
+    if (w or y or x).LC < 0:
+        return -x, -y, -w
+    return x, y, w
+
+
+def shipped(q_pair):
+    """The configuration of the frame through the shipped construction, with
+    ``m n p`` free and ``q`` the pair ``q_pair``.  ``SideRatios._make``
+    stores the pairs as given, since ``lowest_terms`` needs integers."""
+    zero, one = Z(0), Z(1)
+    A, B, C, D = (zero, zero, one), (one, zero, one), (za, zb, one), (zero, one, one)
+    ratios = SideRatios._make(((zm, zmb), (zn, znb), (zp, zpb), q_pair,
+                               (zm * zn * zp * q_pair[0], zmb * znb * zpb * q_pair[1])))
+    sides = [primitive(*dividing_terms(u, v, *ratio))
+             for u, v, ratio in ((A, B, ratios.m), (B, C, ratios.n), (C, D, ratios.p),
+                                 (D, A, ratios.q))]
+    triples = construct_triples((A, B, C, D, *sides), primitive)
+    # the checks of the identity rows read no shape, no r and no flag
+    quad = Quadrilateral(*(Point._wrap(t) for t in triples[:4]), shape=None)
+    return Configuration(quad, ratios, tuple(triples), r_ratio=None, degeneracies=frozenset())
+
+
+@pytest.fixture(scope="module")
+def shipped_free():
+    return shipped((zq, zqb))
+
+
+@pytest.fixture(scope="module")
+def shipped_gamma_one():
+    return shipped((zmb * znb * zpb, zm * zn * zp))
+
+
+@pytest.mark.parametrize("claim, regime, check",
+                         [(claim, regime, check) for claim, regime, *_, check in IDENTITY_ROWS],
+                         ids=[row[0] for row in IDENTITY_ROWS])
+def test_shipped_check_passes_as_an_identity(claim, regime, check, request):
+    cfg = request.getfixturevalue("shipped_gamma_one" if regime == "gamma = 1" else
+                                  "shipped_free")
+    assert all(t is not None for t in cfg.triples)
+    verdict = check(claim, cfg)
+    assert (verdict.status, verdict.detail) == (PASS, "")
+    assert verdict.exact_values, claim
+
+
+def test_diagonal_concurrence_iff_is_one_determinant(shipped_gamma_one):
+    # the check passes above with both incidences false, which alone proves
+    # no iff; the iff holds because the two determinants with line AC are
+    # one polynomial, m(anp - b*nb*pb) in the frame
+    t = shipped_gamma_one.triples
+    A, C, E, C1 = (t[SLOT[name]] for name in ("A", "C", "E", "C1"))
+    assert det3(A, C, E) == det3(A, C, C1) != 0

@@ -86,7 +86,7 @@ def test_report_line_sorts_what_the_tree_sorts_and_keys_texts_by_point():
     verdicts = [
         Verdict("seven_lines", FAIL, detail="E misses \u00e9",
                 witness={"Q1": e, "E": ideal, "M1": e},
-                exact_values={"z": "1/2", "FE_over_EG": "-3", "A": "0"}),
+                exact_values={"z": (2, 4), "FE_over_EG": (3, -1), "A": (0, 1)}),
         Verdict("crossing_ratios", PASS, witness={"E": e}),
     ]
     inst = instance_from_parts(quad, ratios)
@@ -107,9 +107,14 @@ _ESCAPED = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001
                    max_size=6)
 _WITNESSES = st.sampled_from([Point(1, 2), Point(-3, 2, 0), Point(1, -2, 3), Point(0, 0),
                               Point(10**20, 7, 3)])
+# exact values: the yes/no flags, zero, denominators of either sign and
+# integers up to 10**30
+_VALUES = st.one_of(st.sampled_from([(1, 1), (0, 1), (0, -5), (10**30, -1), (-4, -10**30)]),
+                    st.tuples(st.integers(-10**30, 10**30),
+                              st.integers(-10**30, 10**30).filter(bool)))
 _VERDICTS = st.lists(st.builds(Verdict, _ESCAPED, _ESCAPED, _ESCAPED,
                                st.dictionaries(_ESCAPED, _WITNESSES, max_size=3),
-                               st.dictionaries(_ESCAPED, _ESCAPED, max_size=3)), max_size=4)
+                               st.dictionaries(_ESCAPED, _VALUES, max_size=3)), max_size=4)
 _BUILT = build_from_ratios(gen_quadrilateral(GenSpec(seed=42), 0), gen_ratios(GenSpec(seed=42), 0))
 
 
@@ -138,3 +143,26 @@ def test_a_full_escape_table_stores_no_more(monkeypatch):
     for _ in range(2):
         assert report_line({}, verdicts, None, inst) == tree_line({}, verdicts, None, inst)
     assert len(report._escaped) == 3
+
+
+def test_report_line_writes_each_exact_value_with_one_call(monkeypatch):
+    # the verifiers write no text: each exact value is a pair, and
+    # report_line writes it with one rational_text call, on a passing
+    # general instance and on a copy with a wrong gamma, where the product,
+    # the weighted form and the trace-ratio form mismatch
+    calls = []
+    text = report.rational_text
+    monkeypatch.setattr(report, "rational_text", lambda *a: calls.append(a) or text(*a))
+    spec = GenSpec(seed=42)
+    quad, ratios = gen_quadrilateral(spec, 0), gen_ratios(spec, 0)
+    cfg = build_from_ratios(quad, ratios)
+    G, H = cfg.ratios.gamma
+    wrong = cfg._replace(ratios=cfg.ratios._replace(gamma=(G + H, H)))
+    inst = instance_from_parts(quad, ratios)
+    for built, statuses in ((cfg, {PASS, SKIPPED}), (wrong, {PASS, SKIPPED, FAIL})):
+        verdicts = verify_all(built)
+        assert {v.status for v in verdicts} == statuses
+        calls.clear()
+        assert report_line({}, verdicts, built, inst) == tree_line({}, verdicts, built, inst)
+        assert len(calls) == 2 * 23  # the line, then the tree
+        assert sum(len(v.exact_values) for v in verdicts) == 23

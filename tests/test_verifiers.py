@@ -20,8 +20,8 @@ from quadconc import (
 from quadconc import verifiers
 from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS, SLOT
 from quadconc.errors import InstanceFormatError, UndefinedPoint
-from quadconc.instancefile import parse_rational
 from quadconc.kernel import Line
+from quadconc.report import verdict_json
 from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict
 from rationals import affine, frac
 
@@ -32,6 +32,12 @@ def verdict(cfg, claim):
     """The one verdict ``verify_all`` gives ``claim`` on ``cfg``."""
     (v,) = verify_all(cfg, [claim])
     return v
+
+
+def texts(v, *keys):
+    """The exact values of ``keys`` as the report writes them."""
+    values = verdict_json(v)["exact_values"]
+    return [values[key] for key in keys]
 
 
 class TestDiagonalCollinearity:
@@ -62,8 +68,7 @@ class TestSevenLines:
         v = verdict(gamma_one_config, "seven_lines")
         assert v.status == PASS
         assert v.witness["E"] == Point(F(2, 3), F(1, 2))
-        assert v.exact_values["FE_over_EG"] == "1"
-        assert v.exact_values["FE_over_EG_formula"] == "1"
+        assert texts(v, "FE_over_EG", "FE_over_EG_formula") == ["1", "1"]
 
     def test_two_point_completion_passes(self, two_point_config):
         assert verdict(two_point_config, "seven_lines").status == PASS
@@ -73,7 +78,7 @@ class TestSevenLines:
         cfg = build_from_ratios(unit_square, SideRatios.of(3, F(1, 2), 4, F(1, 6)))
         v = verdict(cfg, "seven_lines")
         assert v.status == PASS
-        assert v.exact_values["FE_over_EG"] == "18/5"
+        assert texts(v, "FE_over_EG") == ["18/5"]
 
     def test_gamma_not_one_skipped(self, gamma_two_config):
         v = verdict(gamma_two_config, "seven_lines")
@@ -84,14 +89,12 @@ class TestCrossingRatios:
     def test_midpoints_bisect(self, midpoint_config):
         v = verdict(midpoint_config, "crossing_ratios")
         assert v.status == PASS
-        assert v.exact_values["ME_over_EP"] == "1"
-        assert v.exact_values["NE_over_EQ"] == "1"
+        assert texts(v, "ME_over_EP", "NE_over_EQ") == ["1", "1"]
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         v = verdict(gamma_one_config, "crossing_ratios")
         assert v.status == PASS
-        assert v.exact_values["ME_over_EP"] == "1"
-        assert v.exact_values["NE_over_EQ"] == "1/2"
+        assert texts(v, "ME_over_EP", "NE_over_EQ") == ["1", "1/2"]
 
     def test_paired_ratios_give_constant(self, unit_square):
         # when the first and fourth ratios are reciprocal pairs of the
@@ -100,28 +103,24 @@ class TestCrossingRatios:
             cfg = build_from_ratios(unit_square, SideRatios.of(m, n, 1 / m, 1 / n))
             v = verdict(cfg, "crossing_ratios")
             assert v.status == PASS
-            assert v.exact_values["ME_over_EP"] == str(n)
-            assert v.exact_values["NE_over_EQ"] == str(1 / m)
+            assert texts(v, "ME_over_EP", "NE_over_EQ") == [str(n), str(1 / m)]
 
 
 class TestDiagonalConcurrenceIff:
     def test_midpoints_both_true(self, midpoint_config):
         v = verdict(midpoint_config, "diagonal_concurrence_iff")
         assert v.status == PASS
-        assert v.exact_values["MP_NQ_AC_concurrent"] == "1"
-        assert v.exact_values["DM_BQ_AC_concurrent"] == "1"
+        assert texts(v, "MP_NQ_AC_concurrent", "DM_BQ_AC_concurrent") == ["1", "1"]
 
     def test_asymmetric_both_false(self, gamma_one_config):
         v = verdict(gamma_one_config, "diagonal_concurrence_iff")
         assert v.status == PASS
-        assert v.exact_values["MP_NQ_AC_concurrent"] == "0"
-        assert v.exact_values["DM_BQ_AC_concurrent"] == "0"
+        assert texts(v, "MP_NQ_AC_concurrent", "DM_BQ_AC_concurrent") == ["0", "0"]
 
     def test_two_point_completion_both_true(self, two_point_config):
         v = verdict(two_point_config, "diagonal_concurrence_iff")
         assert v.status == PASS
-        assert v.exact_values["MP_NQ_AC_concurrent"] == "1"
-        assert v.exact_values["DM_BQ_AC_concurrent"] == "1"
+        assert texts(v, "MP_NQ_AC_concurrent", "DM_BQ_AC_concurrent") == ["1", "1"]
 
 
 class TestGeneralConcurrences:
@@ -226,13 +225,13 @@ class TestRatioProduct:
     def test_generic_gamma_two(self, generic_gamma_two_config):
         v = verdict(generic_gamma_two_config, "ratio_product")
         assert v.status == PASS
-        assert v.exact_values["product"] == "2"
+        assert texts(v, "product") == ["2"]
 
     def test_gamma_one_with_distinct_pairs(self, unit_square):
         cfg = build_from_ratios(unit_square, SideRatios.of(3, F(1, 2), 4, F(1, 6)))
         v = verdict(cfg, "ratio_product")
         assert v.status == PASS
-        assert v.exact_values["product"] == "1"
+        assert texts(v, "product") == ["1"]
 
     def test_coincident_pair_degenerate(self, gamma_two_config):
         v = verdict(gamma_two_config, "ratio_product")
@@ -244,13 +243,12 @@ class TestSectionRatios:
     def test_reference_gamma_two(self, gamma_two_config):
         v = verdict(gamma_two_config, "section_ratios")
         assert v.status == PASS
-        assert v.exact_values["MM1_over_M1P"] == "1"
-        assert v.exact_values["MM1_over_M1P_weighted"] == "1"
+        assert texts(v, "MM1_over_M1P", "MM1_over_M1P_weighted") == ["1", "1"]
 
     def test_midpoints(self, midpoint_config):
         v = verdict(midpoint_config, "section_ratios")
         assert v.status == PASS
-        assert v.exact_values["MM1_over_M1P"] == "1"
+        assert texts(v, "MM1_over_M1P") == ["1"]
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
         v = verdict(generic_gamma_two_config, "section_ratios")
@@ -263,15 +261,13 @@ class TestCrossingRatioFormula:
     def test_reference_values(self, gamma_two_config):
         v = verdict(gamma_two_config, "crossing_ratio_formula")
         assert v.status == PASS
-        assert v.exact_values["r"] == "2/3"
-        assert v.exact_values["ME_over_EP"] == "5/7"
-        assert v.exact_values["ME_over_EP_formula"] == "5/7"
+        assert texts(v, "r", "ME_over_EP", "ME_over_EP_formula") == ["2/3", "5/7", "5/7"]
 
     def test_gamma_one_reduces_to_plain_form(self, gamma_one_config):
         v = verdict(gamma_one_config, "crossing_ratio_formula")
         assert v.status == PASS
         m, n, p, _ = map(frac, gamma_one_config.ratios.as_tuple)
-        assert v.exact_values["ME_over_EP"] == str(m * n * (p + 1) / (m + 1))
+        assert texts(v, "ME_over_EP") == [str(m * n * (p + 1) / (m + 1))]
 
     def test_parallel_traces_use_r_equal_one(self, unit_square):
         # N = (1, t) and Q = (0, t) make NQ parallel to AB
@@ -296,14 +292,16 @@ class TestInnerQuadrilateral:
         v = verdict(gamma_two_config, "inner_quadrilateral")
         assert v.status == PASS
         lam = v.exact_values
-        assert F(lam["lambda_P1_on_MP"]) < F(lam["lambda_E_on_MP"]) < F(lam["lambda_M1_on_MP"])
+        assert frac(lam["lambda_P1_on_MP"]) < frac(lam["lambda_E_on_MP"]) \
+            < frac(lam["lambda_M1_on_MP"])
 
     def test_gamma_below_one_order(self, unit_square):
         cfg = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, F(1, 2)))
         v = verdict(cfg, "inner_quadrilateral")
         assert v.status == PASS
         lam = v.exact_values
-        assert F(lam["lambda_M1_on_MP"]) < F(lam["lambda_E_on_MP"]) < F(lam["lambda_P1_on_MP"])
+        assert frac(lam["lambda_M1_on_MP"]) < frac(lam["lambda_E_on_MP"]) \
+            < frac(lam["lambda_P1_on_MP"])
 
     def test_gamma_one_collapse(self, gamma_one_config):
         assert verdict(gamma_one_config, "inner_quadrilateral").status == PASS
@@ -327,10 +325,6 @@ def at(a, b, lam):
     """The point ``a + lam*(b - a)``, for a ``Fraction`` ``lam``: it divides
     ``a -> b`` in the ratio ``lam/(1 - lam)``."""
     return point_dividing(a, b, (lam.numerator, lam.denominator - lam.numerator))
-
-
-def texts(v, *keys):
-    return [str(v.exact_values[key]) for key in keys]
 
 
 # A convex quadrilateral and its mirror image: on the two, the affine
@@ -479,7 +473,7 @@ class TestInnerQuadConvexity:
         cfg = build_from_ratios(crossed_quad, SideRatios.of(F(1, 2), F(1, 2), F(1, 2), F(1, 3)))
         v = verdict(cfg, "inner_quadrilateral_convexity")
         assert v.status == FAIL
-        assert v.exact_values["inner_quad_convex"] == "0"
+        assert texts(v, "inner_quad_convex") == ["0"]
         assert "crossed" in v.detail
 
     def test_gamma_one_collapse_is_degenerate(self, crossed_quad):
@@ -548,55 +542,6 @@ class TestVerifyAll:
         assert seven(generic_gamma_two_config).detail == "requires side-ratio product 1, got 2"
         assert seven(concave_too).detail == "requires side-ratio product 1, got 6"
 
-    def test_equal_pairs_share_one_text(self, monkeypatch):
-        # a geometric value equal to its formula side takes the formula's
-        # text, which is canonical, so a passing general instance writes 13
-        # texts where one per key would be 21; gamma, written once for the
-        # four product-one skip texts and ratio_product, and r add 2
-        calls = []
-        text = verifiers.rational_text
-        monkeypatch.setattr(verifiers, "rational_text", lambda *a: calls.append(a) or text(*a))
-        # no gamma text left over from an earlier test
-        monkeypatch.setattr(verifiers, "_last_gamma", (None, ""))
-        assert verifiers.rational_text(2, -4) == "-1/2" and len(calls) == 1  # it counts
-        spec = GenSpec(seed=42)
-        cfg = build_from_ratios(gen_quadrilateral(spec, 0), gen_ratios(spec, 0))
-        calls.clear()
-        assert {v.status for v in verify_all(cfg)} == {PASS, SKIPPED}
-        assert len(calls) == 15
-        # a wrong gamma: the product, the weighted form and the trace-ratio
-        # form mismatch, and each mismatched value gets its own text
-        calls.clear()
-        G, H = cfg.ratios.gamma
-        wrong = cfg._replace(ratios=cfg.ratios._replace(gamma=(G + H, H)))
-        statuses = {v.claim_id: v.status for v in verify_all(wrong)}
-        assert [claim for claim, status in statuses.items() if status == FAIL] == [
-            "ratio_product", "section_ratios", "crossing_ratio_formula"]
-        assert len(calls) == 18
-
-    def test_gamma_one_skips_share_one_gamma_text(self, monkeypatch):
-        # the four product-one skip details and ratio_product name one
-        # configuration's gamma, written by one rational_text call; the
-        # next configuration's gamma is written again
-        calls = []
-        text = verifiers.rational_text
-        monkeypatch.setattr(verifiers, "rational_text", lambda *a: calls.append(a) or text(*a))
-        monkeypatch.setattr(verifiers, "_last_gamma", (None, ""))
-        runners = dict(verifiers.CLAIM_RUNNERS)
-        gamma_one = [claim for claim, regime, *_ in verifiers.CLAIMS if regime == "gamma = 1"]
-        spec = GenSpec(seed=42)
-        for index in (0, 1):
-            cfg = build_from_ratios(gen_quadrilateral(spec, index), gen_ratios(spec, index))
-            calls.clear()
-            skips = [runners[claim](cfg) for claim in gamma_one]
-            assert calls == [cfg.ratios.gamma]
-            gamma = text(*cfg.ratios.gamma)
-            assert len(skips) == 4 and {(v.status, v.detail) for v in skips} == {
-                (SKIPPED, f"requires side-ratio product 1, got {gamma}")}
-            # ratio_product writes its four ratios, but not gamma again
-            assert runners["ratio_product"](cfg).exact_values["gamma"] == gamma
-            assert len(calls) == 5 and calls.count(cfg.ratios.gamma) == 1
-
     @pytest.mark.parametrize("field", ["witness", "exact_values"])
     def test_default_mappings_are_read_only(self, field):
         # every default verdict shares one empty mapping: writing into it
@@ -607,8 +552,8 @@ class TestVerifyAll:
 
 
 class TestExactValues:
-    """Every exact value leaves ``verify_all`` as its text, made without a
-    ``Fraction``."""
+    """Every exact value leaves ``verify_all`` as an integer pair, made
+    without a ``Fraction``, and the report writes it as canonical text."""
 
     @staticmethod
     def built(specs, count):
@@ -629,9 +574,13 @@ class TestExactValues:
         checked = 0
         for cfg in self.built(specs, 6):
             for v in verify_all(cfg):
-                for key, text in v.exact_values.items():
-                    assert isinstance(text, str), (v.claim_id, key)
-                    assert str(frac(parse_rational(text, key))) == text, (v.claim_id, key)
+                written = verdict_json(v)["exact_values"]
+                for key, pair in v.exact_values.items():
+                    assert type(pair) is tuple and len(pair) == 2, (v.claim_id, key)
+                    num, den = pair
+                    assert type(num) is int and type(den) is int and den != 0, (v.claim_id, key)
+                    # canonical: the text str(Fraction) writes
+                    assert written[key] == str(frac(pair)), (v.claim_id, key)
                     checked += 1
         assert checked > 500
 
@@ -685,6 +634,12 @@ class TestExactValues:
         assert statuses == {PASS, SKIPPED}
 
 
+def values(v):
+    """A verdict's exact values as rationals: two pairs of one rational
+    compare equal."""
+    return {key: frac(pair) for key, pair in v.exact_values.items()}
+
+
 class TestAffineInvariance:
     def test_verdicts_survive_an_affine_map(self, generic_gamma_two_config):
         cfg = generic_gamma_two_config
@@ -700,7 +655,7 @@ class TestAffineInvariance:
         for v1, v2 in zip(base, other):
             assert v1.claim_id == v2.claim_id
             assert v1.status == v2.status
-            assert v1.exact_values == v2.exact_values
+            assert values(v1) == values(v2)
             assert v1.detail == v2.detail
 
 
