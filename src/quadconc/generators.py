@@ -21,16 +21,30 @@ attempts per instance.
 Each candidate is drawn on bare integers.  ``Stream.ints`` makes all of
 an attempt's bounded draws in one pass and holds the only copy of the
 advance and the mix; ``next_u64``, ``next_int`` and ``mix64`` are its
-one-value forms.  A drawer reduces each point to its canonical triple,
-sorts and classifies the triples (``kernel.classify_triples``), and makes
-a :class:`Point` only for the four vertices of an accepted quadrilateral.
-The concave and crossed drawers build their shape, so a sign argument in
-the code stands in for their classification.  The seed's mix is computed
-once per seed, not once per stream.
+one-value forms.  The pass is packed: each value's 64-bit state sits in
+its own 128-bit slot of one integer, every slot is masked to 64 bits
+before each multiply so no product reaches the next slot, and one
+``struct`` unpack reads the outputs.
+
+The convex and crossed drawers decide convex position before any sort,
+from the four orientation signs of the drawn points' unreduced triples:
+the four points are in strictly convex position exactly when the
+coefficients ``[bcd], -[acd], [abd], -[abc]`` of their affine dependence
+are nonzero and split two-two.  Equal signs mark opposite vertices and
+the sign of ``[abc]`` picks the counterclockwise cycle, which starts at
+the vertex that a counterclockwise sort about the centroid puts first.
+Only an accepted candidate's four triples are reduced.  The concave and
+any-shape drawers reduce each point (``kernel.triple_from_terms``); the
+any-shape drawer classifies them (``kernel.classify_triples``).  The
+concave and crossed drawers build their shape, so a sign argument in the
+code stands in for their classification.  A :class:`Point` is made only
+for the four vertices of an accepted quadrilateral.  The seed's mix is
+computed once per seed, not once per stream.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +71,16 @@ REJECTION_CAP = 1000
 _U64 = ((0, 1 << 64),)
 
 
+@lru_cache(maxsize=8)
+def _lanes(n: int):
+    """The constants of an ``n``-value pass, one 128-bit slot per value: a
+    1 and the value's ``(k + 1) * 0x9E3779B97F4A7C15`` in each slot, the
+    low-64-bit mask of each slot, and the unpacker of the low 64 bits."""
+    ones = sum(1 << (128 * k) for k in range(n))
+    steps = sum((k + 1) * _GOLDEN << (128 * k) for k in range(n))
+    return ones, steps, ones * _MASK, struct.Struct("<" + "Q8x" * n).unpack
+
+
 def mix64(z: int) -> int:
     """The output mix of ``z``: the draw of the stream whose next state is ``z``."""
     return Stream(z - _GOLDEN).ints(_U64)[0]
@@ -73,15 +97,18 @@ class Stream:
     def ints(self, spans) -> list[int]:
         """One bounded draw ``lo + next_u64() mod size`` per ``(lo, size)`` of
         ``spans``, in order, advancing the state once per value."""
+        n = len(spans)
+        ones, steps, lanes, unpack = _lanes(n)
         s = self.state
-        out = []
-        for lo, size in spans:
-            s = (s + _GOLDEN) & _MASK
-            z = ((s ^ (s >> 30)) * _MIX_A) & _MASK
-            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-            out.append(lo + (z ^ (z >> 31)) % size)
-        self.state = s
-        return out
+        self.state = (s + n * _GOLDEN) & _MASK
+        # lane k holds the state after k + 1 advances; each multiply takes
+        # 64-bit lanes, so a product stays inside its 128-bit slot
+        z = (s * ones + steps) & lanes
+        z = ((z ^ (z >> 30)) & lanes) * _MIX_A & lanes
+        z = ((z ^ (z >> 27)) & lanes) * _MIX_B & lanes
+        z ^= z >> 31
+        return [lo + u % size
+                for (lo, size), u in zip(spans, unpack(z.to_bytes(16 * n, "little")))]
 
     def next_u64(self) -> int:
         return self.ints(_U64)[0]
@@ -131,44 +158,50 @@ def _triples(values: list[int]) -> list[tuple[int, int, int]]:
     return [triple_from_terms(xn, xd, yn, yd) for xn, xd, yn, yd in zip(it, it, it, it)]
 
 
-def _ccw_about_centroid(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Finite canonical triples, counterclockwise about their centroid."""
-    # affine coordinates scaled by the (positive) product of the weights,
-    # and offsets from the centroid scaled by n on top: integers with the
-    # signs of the true offsets, so the order is the affine one
-    scale = 1
-    for _, _, w in triples:
-        scale *= w
-    coords = [(x * (scale // w), y * (scale // w)) for x, y, w in triples]
-    n = len(coords)
-    sx = sum(c[0] for c in coords)
-    sy = sum(c[1] for c in coords)
-    # counterclockwise from the positive x direction: the half plane first
-    # (0 for angles in [0, pi), else 1), then the cross product; a stable
-    # insertion keeps equal directions in input order
-    ordered: list[tuple[int, int, int, tuple[int, int, int]]] = []
-    for (u, v), t in zip(coords, triples):
-        dx, dy = n * u - sx, n * v - sy
-        half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-        i = len(ordered)
-        while i:
-            h, ex, ey, _ = ordered[i - 1]
-            if h < half or (h == half and ex * dy - ey * dx >= 0):
-                break
-            i -= 1
-        ordered.insert(i, (half, dx, dy, t))
-    return [item[3] for item in ordered]
-
-
 def _quadrilateral(ta, tb, tc, td, shape: Shape) -> Quadrilateral:
     wrap = Point._wrap
     return Quadrilateral(wrap(ta), wrap(tb), wrap(tc), wrap(td), shape)
 
 
 def _convex_triples(rng: Stream, bound: int) -> list[tuple[int, int, int]] | None:
-    """Four drawn points sorted about their centroid, if that order is convex."""
-    ordered = _ccw_about_centroid(_triples(rng.ints(_point_spans(bound) * 4)))
-    return ordered if classify_triples(*ordered) == CONVEX else None
+    """The four drawn points, if they are in strictly convex position, as
+    canonical triples counterclockwise about their centroid from the
+    positive x direction."""
+    it = iter(rng.ints(_point_spans(bound) * 4))
+    # unreduced triples: their weights are positive, so each determinant
+    # has the sign of the affine orientation
+    a, b, c, d = drawn = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in zip(it, it, it, it)]
+    abc = det3(a, b, c)
+    abd = det3(a, b, d)
+    acd = det3(a, c, d)
+    bcd = det3(b, c, d)
+    if not (abc and abd and acd and bcd):
+        return None
+    # bcd*a - acd*b + abd*c - abc*d = 0: the points whose coefficients
+    # share a sign are opposite vertices exactly when the signs split
+    # two-two, and a 3-1 split puts one point inside the other three
+    signs = (bcd > 0, acd < 0, abd > 0, abc < 0)
+    if sum(signs) != 2:
+        return None
+    # a b c in counterclockwise order, then d in the gap after the vertex
+    # that follows the one opposite d
+    opposite = signs.index(signs[3])
+    ring = [0, 1, 2] if abc > 0 else [0, 2, 1]
+    ring.insert((ring.index(opposite) + 2) % 3, 3)
+    triples = [reduce3(*t) for t in drawn]
+    # the first vertex is the one in half plane 0 about the centroid (angles
+    # in [0, pi)) after one in half plane 1; offsets from the centroid are
+    # scaled by 4 times the product of the weights, so their signs are the
+    # affine ones
+    scale = 1
+    for _, _, w in triples:
+        scale *= w
+    scaled = [(x * (scale // w), y * (scale // w)) for x, y, w in triples]
+    sx = sum(u for u, _ in scaled)
+    sy = sum(v for _, v in scaled)
+    halves = [0 if 4 * v > sy or (4 * v == sy and 4 * u > sx) else 1 for u, v in scaled]
+    start = next(k for k in range(4) if halves[ring[k]] < halves[ring[k - 1]])
+    return [triples[i] for i in ring[start:] + ring[:start]]
 
 
 def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:

@@ -22,8 +22,9 @@ again per line:
   witness point's text once per line;
 * the stored lowest-terms pairs, the instance's ratios, ``gamma`` and
   ``r``, are written by ``kernel.reduced_text``, with no second gcd;
-* each exact value is written by ``rational_text``, whose text is ASCII
-  digits, ``-`` and ``/`` and needs no escape.
+* each distinct exact-value pair is written once per line by
+  ``rational_text``, whose text is ASCII digits, ``-`` and ``/`` and
+  needs no escape.
 
 Every other string, such as a ``detail``, goes through the escaper as it
 is.  The tree writers use the same text functions, so the line and the
@@ -162,9 +163,11 @@ def _instance_text(inst: InstanceFile) -> str:
 
 def _verdicts_text(verdicts: Sequence[Verdict]) -> str:
     """The verdicts' ``verdict_json`` as compact JSON, comma-separated.  The
-    text of each distinct witness triple is written once."""
+    text of each distinct witness triple and of each distinct exact-value
+    pair is written once."""
     escaped = _escaped
     witness_texts: dict = {}
+    value_texts: dict = {}
     parts = []
     for claim, status, detail, witness, values in verdicts:
         if not witness and not values:
@@ -180,8 +183,13 @@ def _verdicts_text(verdicts: Sequence[Verdict]) -> str:
                     text = witness_texts[t] = _point(t)
                 members.append(escaped[name] + ":" + text)
             witness_text = ",".join(members)
-        values_text = ",".join([escaped[key] + ':"' + rational_text(*value) + '"'
-                                for key, value in sorted(values.items())])
+        members = []
+        for key, value in sorted(values.items()):
+            text = value_texts.get(value)
+            if text is None:
+                text = value_texts[value] = rational_text(*value)
+            members.append(escaped[key] + ':"' + text + '"')
+        values_text = ",".join(members)
         parts.append(_VERDICT % (escaped[claim], _ascii(detail), values_text, escaped[status],
                                  witness_text))
     return ",".join(parts)

@@ -1,6 +1,5 @@
 import hashlib
 from fractions import Fraction
-from unittest import mock
 
 import naive_geometry as naive
 import pytest
@@ -8,13 +7,12 @@ import test_configuration
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from quadconc import Point, classify_quadrilateral, generators
+from quadconc import Point, Quadrilateral, classify_quadrilateral, generators
 from rationals import affine, frac
 from quadconc.generators import (
     ANY_SHAPE,
     GenSpec,
     Stream,
-    _ccw_about_centroid,
     gen_quadrilateral,
     gen_ratios,
     instance_stream,
@@ -42,11 +40,17 @@ class TestStream:
         assert instance_stream(1, 0, 0x71).state != instance_stream(1, 1, 0x71).state
         assert instance_stream(1, 0, 0x71).state != instance_stream(2, 0, 0x71).state
 
-    @given(st.integers(0, 2**64 - 1), st.sampled_from([4, 10, 1000, 10**30]))
-    def test_bulk_draw_equals_repeated_next_int(self, state, bound):
-        # the spans of a concave attempt: signed numerators, positive
-        # denominators and positive weights
-        spans = generators._point_spans(bound) * 3 + ((1, bound),) * 3
+    @given(st.integers(0, 2**64 - 1), st.sampled_from([4, 10, 1000, 10**30]),
+           st.sampled_from([
+               lambda b: generators._point_spans(b) * 4,  # convex, crossed, any
+               lambda b: generators._point_spans(b) * 3 + ((1, b),) * 3,  # concave
+               lambda b: ((1, b),) * 8,  # ratios
+               lambda b: generators._U64,  # mix64
+           ]))
+    def test_bulk_draw_equals_repeated_next_int(self, state, bound, spans_of):
+        # each drawer's spans: signed numerators, positive denominators,
+        # positive weights and raw 64-bit outputs, each value in its own lane
+        spans = spans_of(bound)
         bulk, single = Stream(state), Stream(state)
         assert bulk.ints(spans) == [single.next_int(lo, lo + size - 1) for lo, size in spans]
         assert bulk.state == single.state
@@ -68,9 +72,11 @@ class TestStream:
 @pytest.mark.parametrize("shape", ["convex", "concave", "crossed", ANY_SHAPE])
 def test_points_only_for_accepted_vertices(monkeypatch, shape):
     # a rejected candidate stays bare triples: each instance makes the four
-    # points of its vertices, however many attempts it took
-    made, attempts = [], []
+    # points of its vertices, however many attempts it took, and a convex
+    # or crossed one reduces only those four triples
+    made, reduced, attempts = [], [], []
     wrap, init, draw = Point._wrap.__func__, Point.__init__, generators._DRAWERS[shape]
+    reduce3 = generators.reduce3
 
     def counted_wrap(cls, triple):
         made.append(triple)
@@ -80,6 +86,10 @@ def test_points_only_for_accepted_vertices(monkeypatch, shape):
         made.append(args)
         init(self, *args)
 
+    def counted_reduce3(*args):
+        reduced.append(args)
+        return reduce3(*args)
+
     def counted_draw(rng, bound):
         attempts.append(bound)
         return draw(rng, bound)
@@ -88,6 +98,7 @@ def test_points_only_for_accepted_vertices(monkeypatch, shape):
     monkeypatch.setattr(Point, "__init__", counted_init)
     assert Point._wrap((1, 2, 1)) and Point(1, 2) and len(made) == 2  # it counts
     made.clear()
+    monkeypatch.setattr(generators, "reduce3", counted_reduce3)
     monkeypatch.setitem(generators._DRAWERS, shape, counted_draw)
     instances = 0
     for bound in (10, 1000):
@@ -97,8 +108,10 @@ def test_points_only_for_accepted_vertices(monkeypatch, shape):
             instances += 1
     assert len(made) == 4 * instances
     if shape in ("convex", "crossed"):
-        # convex candidates are often rejected, each without a point
+        # convex candidates are often rejected, each without a point or a
+        # reduction
         assert len(attempts) > instances
+        assert len(reduced) == 4 * instances
 
 
 class TestGenSpec:
@@ -193,41 +206,35 @@ def draws_of(pts):
             for c in (x.numerator, x.denominator, y.numerator, y.denominator)]
 
 
-class TestCentroidOrder:
-    @staticmethod
-    def reference_order(ts):
-        return [ts[i] for i in naive.ccw_about_centroid([(F(x, w), F(y, w)) for x, y, w in ts])]
+def naive_order(pts):
+    """``pts`` counterclockwise about their centroid, by the naive comparison sort."""
+    return [pts[i] for i in naive.ccw_about_centroid([affine(p) for p in pts])]
 
-    @staticmethod
-    def try_convex(pts, order):
-        """``_try_convex`` on a stream that draws ``pts``, sorted by ``order``."""
-        with mock.patch.object(generators, "_ccw_about_centroid", order):
-            return generators._try_convex(Drawn(draws_of(pts)), 4)
 
+class TestConvexPosition:
     @given(four_points())
-    @example([Point(0, 0), Point(2, 2), Point(0, 1), Point(-2, 1)])  # the orders differ
+    @example([Point(0, 0), Point(2, 2), Point(0, 1), Point(-2, 1)])  # insertion and sort differ
     @example([Point(1, 0), Point(2, 0), Point(-1, 1), Point(-2, -1)])  # one direction twice
-    def test_order_matches_the_comparison_sort(self, pts):
-        ts = [p.triple() for p in pts]
-        got = _ccw_about_centroid(ts)
-        want = self.reference_order(ts)
-        assert sorted(got) == sorted(ts)
-        quad = self.try_convex(pts, _ccw_about_centroid)
-        assert quad == self.try_convex(pts, self.reference_order)
-        assert quad is None or [p.triple() for p in quad.vertices] == got
-        if got != want:
-            # only a point on the centroid leaves the comparison without a
-            # strict weak order, and no order of such points is convex
-            xs, ys = zip(*map(affine, pts))
-            assert Point(sum(xs) / 4, sum(ys) / 4) in pts
-            assert quad is None
+    @example([Point(0, 0), Point(1, 1), Point(3, -1), Point(2, 2)])  # three collinear
+    @example([Point(0, 0), Point(3, 0), Point(0, 0), Point(0, 3)])  # a repeated point
+    @example([Point(3, 0), Point(0, 3), Point(-3, -3), Point(0, 0)])  # one on the centroid
+    @example([Point(1, 1), Point(2, 2), Point(-3, 0), Point(0, -3)])  # two on one ray
+    def test_drawers_match_the_naive_centroid_order(self, pts):
+        # the four orientation signs decide convex position and order the
+        # vertices as the centroid sort followed by a classification does
+        a, b, c, d = naive_order(pts)
+        convex = classify_quadrilateral(a, b, c, d) == "convex"
+        assert generators._try_convex(Drawn(draws_of(pts)), 4) == (
+            Quadrilateral(a, b, c, d, "convex") if convex else None)
+        assert generators._try_crossed(Drawn(draws_of(pts)), 4) == (
+            Quadrilateral(b, a, c, d, "crossed") if convex else None)
 
 
 class TestCrossed:
     @given(st.lists(st.builds(Point, _small, _small), min_size=4, max_size=4), st.booleans())
     def test_swapping_a_and_b_of_a_convex_quadrilateral_crosses_it(self, pts, clockwise):
         # _try_crossed labels B A C D crossed without classifying it again
-        a, b, c, d = (Point._wrap(t) for t in _ccw_about_centroid([p.triple() for p in pts]))
+        a, b, c, d = naive_order(pts)
         if clockwise:
             a, b, c, d = d, c, b, a
         assume(classify_quadrilateral(a, b, c, d) == "convex")
