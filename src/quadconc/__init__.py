@@ -22,7 +22,6 @@ from .kernel import (  # noqa: F401
     directed_ratio,
     line_through,
     meet,
-    orientation,
     point_dividing,
 )
 from .verifiers import (  # noqa: F401
@@ -31,5 +30,3 @@ from .verifiers import (  # noqa: F401
     overall_status,
     verify_all,
 )
-
-__version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Pure-Python integer kernels for homogeneous-coordinate geometry.
 
-Every meet, join and incidence test in the package reduces to the handful
-of 3-vector integer operations below.
+Every meet, join and incidence test in the package reduces to the three
+3-vector integer operations below: the canonical form, the cross product
+and the determinant.
 
 All functions take and return plain ``int`` triples.  Intermediate values
 are unbounded Python integers, so results are exact at any magnitude.
@@ -52,8 +53,3 @@ def det3(p, q, r):
         - py * (qx * rw - qw * rx)
         + pw * (qx * ry - qy * rx)
     )
-
-
-def dot3(u, v):
-    """Inner product of a line triple with a point triple."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]

@@ -27,10 +27,10 @@ A :class:`Configuration` holds the plan's result as one tuple,
 ``triples``: the canonical triple of every named point in
 ``POINT_NAMES`` order, ``None`` where undefined, and ``SLOT`` maps a name
 to its place.  The verifiers and the figures read these triples directly;
-``cfg.point(name)`` and ``cfg.named_points()`` wrap them in points on
-demand.  :class:`SideRatios` and :class:`Configuration` are named tuples,
-copied with ``_replace``.  Every ratio, ``r`` included, is a ``(num, den)``
-pair in ``kernel.lowest_terms``, which :class:`SideRatios` applies.
+``cfg.named_points()`` wraps them in points on demand.  :class:`SideRatios`
+and :class:`Configuration` are named tuples, copied with ``_replace``.
+Every ratio, ``r`` included, is a ``(num, den)`` pair in
+``kernel.lowest_terms``, which :class:`SideRatios` applies.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .kernel import (
     dividing_terms,
     lowest_terms,
     parameter_pair,
-    rational_terms,
 )
 
 # every constructed point as the meet of two lines, each through two
@@ -206,10 +205,6 @@ class SideRatios(_SideRatioFields):
     def __getnewargs__(self) -> tuple[Pair, Pair, Pair, Pair]:
         return self[:4]
 
-    @classmethod
-    def of(cls, m, n, p, q) -> "SideRatios":
-        return cls(rational_terms(m), rational_terms(n), rational_terms(p), rational_terms(q))
-
     @property
     def as_tuple(self) -> tuple[Pair, Pair, Pair, Pair]:
         return self[:4]
@@ -225,11 +220,6 @@ class Configuration(NamedTuple):
     triples: tuple[Optional[Triple], ...]
     r_ratio: Pair
     degeneracies: frozenset[str]
-
-    def point(self, name: str) -> Optional[Point]:
-        """The named point, wrapped on demand; ``None`` where undefined."""
-        t = self.triples[SLOT[name]]
-        return None if t is None else Point._wrap(t)
 
     def named_points(self) -> dict[str, Optional[Point]]:
         wrap = Point._wrap

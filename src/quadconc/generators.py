@@ -9,7 +9,7 @@ is a pure function of ``(seed, index, tag)``:
 * output mix:    ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
   z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2**64)
 * stream seed:   ``mix64(seed) XOR mix64(index * 0x9E3779B97F4A7C15 + tag)``
-* bounded draw:  ``lo + next_u64() mod (hi - lo + 1)``
+* bounded draw:  ``lo + u mod (hi - lo + 1)``, ``u`` the next output
 
 Rational draws take a numerator and a denominator from the bounded draw,
 so coordinates and ratios stay within the configured magnitude bounds.
@@ -20,11 +20,11 @@ attempts per instance.
 
 Each candidate is drawn on bare integers.  ``Stream.ints`` makes all of
 an attempt's bounded draws in one pass and holds the only copy of the
-advance and the mix; ``next_u64``, ``next_int`` and ``mix64`` are its
-one-value forms.  The pass is packed: each value's 64-bit state sits in
-its own 128-bit slot of one integer, every slot is masked to 64 bits
-before each multiply so no product reaches the next slot, and one
-``struct`` unpack reads the outputs.
+advance and the mix; ``mix64`` is its one-value form.  The pass is
+packed: each value's 64-bit state sits in its own 128-bit slot of one
+integer, every slot is masked to 64 bits before each multiply so no
+product reaches the next slot, and one ``struct`` unpack reads the
+outputs.
 
 The convex and crossed drawers decide convex position before any sort,
 from the four orientation signs of the drawn points' unreduced triples:
@@ -95,8 +95,9 @@ class Stream:
         self.state = state & _MASK
 
     def ints(self, spans) -> list[int]:
-        """One bounded draw ``lo + next_u64() mod size`` per ``(lo, size)`` of
-        ``spans``, in order, advancing the state once per value."""
+        """One bounded draw ``lo + u mod size`` per ``(lo, size)`` of
+        ``spans``, in order, advancing the state once per value and mixing
+        it into the output ``u``."""
         n = len(spans)
         ones, steps, lanes, unpack = _lanes(n)
         s = self.state
@@ -109,12 +110,6 @@ class Stream:
         z ^= z >> 31
         return [lo + u % size
                 for (lo, size), u in zip(spans, unpack(z.to_bytes(16 * n, "little")))]
-
-    def next_u64(self) -> int:
-        return self.ints(_U64)[0]
-
-    def next_int(self, lo: int, hi: int) -> int:
-        return self.ints(((lo, hi - lo + 1),))[0]
 
 
 # a campaign mixes one seed for every instance's two streams

@@ -15,8 +15,11 @@ Conventions
 * A rational is an integer ``(num, den)`` pair, ``den != 0``, and
   ``lowest_terms`` its canonical form; ``rational_text`` writes it, in the
   bytes ``str(Fraction(num, den))`` writes, and ``reduced_text`` writes a
-  pair already in that form without reducing it again.  The package makes no
-  ``Fraction``: ``rational_terms`` reads an ``int`` or ``Fraction`` argument.
+  pair already in that form without reducing it again.  The package makes
+  and reads no ``Fraction``.
+* A :class:`Point` is made from a canonical triple only: by
+  ``point_from_terms``, ``meet`` and ``point_dividing``, which reduce one,
+  and by ``Point._wrap`` of a triple that is already canonical.
 * ``affine_parameter(a, b, x)`` is the ``lam`` with ``x = a + lam*(b - a)``
   and ``directed_ratio(a, p, b)`` is ``lam / (1 - lam)`` for ``p``: positive
   exactly when ``p`` lies strictly between ``a`` and ``b``, negative outside
@@ -42,12 +45,11 @@ Conventions
 * ``classify_quadrilateral`` reads the four vertex triples once: one
   finiteness test, then ``classify_triples``, the signs of four ``det3``,
   which are the affine orientation signs because canonical finite triples
-  have ``w > 0``.  The generators classify their candidates' triples with
-  ``classify_triples`` directly.
+  have ``w > 0``.  The generators and the convexity check classify finite
+  triples with ``classify_triples`` directly.
 * The verifiers and the figures work on a configuration's slot triples
   with ``det3``, tuple equality, ``w == 0`` and ``parameter_pair``; they
-  wrap a triple in a :class:`Point` only for a witness, a failure text or
-  ``classify_quadrilateral``.
+  wrap a triple in a :class:`Point` only for a witness or a failure text.
 
 Everything here is an immutable value and every function is pure.
 """
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._purekernel import cross3, det3, dot3, reduce3
+from ._purekernel import cross3, det3, reduce3
 from .errors import GeometryError
 
 Pair = tuple[int, int]
@@ -99,15 +101,6 @@ def reduced_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def rational_terms(value) -> Pair:
-    """An ``int``'s or a ``Fraction``'s numerator and denominator; floats
-    and strings are rejected."""
-    try:
-        return value.numerator, value.denominator
-    except AttributeError:
-        raise TypeError(f"expected an exact rational, got {type(value).__name__}") from None
-
-
 def triple_text(t: tuple[int, int, int]) -> list[str]:
     """The coordinates of the point with canonical triple ``t = (x, y, w)``
     as exact text: a finite point's affine pair ``rational_text(c, w)`` for
@@ -126,13 +119,6 @@ class Point:
     """A projective point; finite when its weight component is nonzero."""
 
     __slots__ = ("_t",)
-
-    def __init__(self, x, y, w=1):
-        """The point ``(x, y, w)``, each an ``int`` or a ``Fraction``."""
-        (xn, xd), (yn, yd), (wn, wd) = rational_terms(x), rational_terms(y), rational_terms(w)
-        if xn == yn == wn == 0:
-            raise ValueError("(0, 0, 0) is not a point")
-        self._t = reduce3(xn * yd * wd, yn * xd * wd, wn * xd * yd)
 
     @classmethod
     def _wrap(cls, triple: tuple[int, int, int]) -> "Point":
@@ -189,9 +175,6 @@ class Line:
         obj._t = triple
         return obj
 
-    def contains(self, p: Point) -> bool:
-        return dot3(self._t, p._t) == 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
             return NotImplemented
@@ -226,17 +209,6 @@ def meet(l1: Line, l2: Line) -> Point:
 def collinear(p: Point, q: Point, r: Point) -> bool:
     """Exact incidence test: the 3x3 coordinate determinant vanishes."""
     return det3(p._t, q._t, r._t) == 0
-
-
-def orientation(a: Point, b: Point, c: Point) -> int:
-    """Sign of the signed area of the triangle ``a b c``; zero iff collinear."""
-    for p in (a, b, c):
-        if p.is_ideal:
-            raise GeometryError("orientation is defined for finite points only")
-    d = det3(a._t, b._t, c._t)
-    # canonical finite triples have positive w, so the determinant sign is
-    # the affine orientation sign
-    return (d > 0) - (d < 0)
 
 
 def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:

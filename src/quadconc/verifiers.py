@@ -14,8 +14,8 @@ concurrence check is ``det3`` of stored triples (the line ``uv`` passes
 through ``x`` when ``det3(u, v, x) == 0``), so no verifier reuses a
 construction line; the distinct lines that miss are told apart by their
 reduced cross products.  Coincidence is tuple ``==`` and idealness
-``w == 0``.  A :class:`Point` is made only for a witness, the text of a
-point that left its carrier line, or ``classify_quadrilateral``.
+``w == 0``.  A :class:`Point` is made only for a witness or the text of a
+point that left its carrier line.
 
 Each ratio field is a lowest-terms pair, written ``(ma, mb)`` for ``m``
 and likewise ``n p q``, ``gamma = G/H`` (product one is ``G == H``) and
@@ -58,7 +58,7 @@ from .kernel import (
     Pair,
     Point,
     affine_parameter,
-    classify_quadrilateral,
+    classify_triples,
     parameter_pair,
     reduced_text,
 )
@@ -534,7 +534,8 @@ def _inner_quadrilateral_convexity(claim: str, cfg: Configuration) -> Verdict:
     ideal = _ideal(_INNER_POINTS, points)
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
-    shape = classify_quadrilateral(*(Point._wrap(p) for p in points))
+    # the ideal guard above leaves four finite canonical triples
+    shape = classify_triples(*points)
     values = {"inner_quad_convex": _b01(shape == CONVEX)}
     if shape == DEGENERATE_SHAPE:
         return Verdict(claim, DEGENERATE, detail="inner quadrilateral collapsed",

@@ -11,9 +11,7 @@ from fractions import Fraction
 import pytest
 
 from quadconc import (
-    Point,
     Quadrilateral,
-    SideRatios,
     affine_parameter,
     build_from_ratios,
     directed_ratio,
@@ -23,7 +21,7 @@ from quadconc import (
 from quadconc.cli import main
 from quadconc.generators import GenSpec, Stream, gen_quadrilateral, gen_ratios
 from quadconc.verifiers import DEGENERATE, FAIL
-from rationals import affine, frac
+from rationals import affine, draw, frac, pt, side_ratios
 
 F = Fraction
 CAMPAIGN_SIZE = 1000
@@ -76,8 +74,8 @@ def test_criterion_2_transversal_formulas(gamma_one_campaign):
                 if (v := vs["crossing_ratios"]).status == FAIL]
     midpoint_bad = 0
     for cfg, _ in gamma_one_campaign[:100]:
-        mid = build_from_ratios(cfg.quad, SideRatios.of(1, 1, 1, 1))
-        M, N, P, Q, E = (mid.point(n) for n in "MNPQE")
+        mid = build_from_ratios(cfg.quad, side_ratios(1, 1, 1, 1))
+        M, N, P, Q, E = (mid.named_points()[n] for n in "MNPQE")
         if frac(directed_ratio(M, E, P)) != 1 or frac(directed_ratio(N, E, Q)) != 1:
             midpoint_bad += 1
     ok = not failures and midpoint_bad == 0
@@ -113,11 +111,12 @@ def test_criterion_4_general_suite(general_campaign, unit_square):
             elif v.status == DEGENERATE and not v.detail:
                 bad.append((claim, "unnamed degeneracy"))
 
-    fixture = build_from_ratios(unit_square, SideRatios.of(1, 1, 1, 2))
+    fixture = build_from_ratios(unit_square, side_ratios(1, 1, 1, 2))
+    pts = fixture.named_points()
     fixture_ok = (
-        fixture.point("E") == Point(F(1, 2), F(5, 12))
+        pts["E"] == pt(F(1, 2), F(5, 12))
         and fixture.r_ratio == (2, 3)
-        and frac(directed_ratio(*(fixture.point(n) for n in "MEP"))) == F(5, 7)
+        and frac(directed_ratio(*(pts[n] for n in "MEP"))) == F(5, 7)
     )
     _announce("4 general-ratio suite", not bad and fixture_ok,
               f"{len(bad)} bad verdicts; fixture ok: {fixture_ok}")
@@ -126,7 +125,7 @@ def test_criterion_4_general_suite(general_campaign, unit_square):
 def test_criterion_5_gamma_one_collapse(gamma_one_campaign):
     bad = 0
     for cfg, _ in gamma_one_campaign:
-        pts = [cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")]
+        pts = [cfg.named_points()[n] for n in ("M1", "N1", "P1", "Q1", "E")]
         if any(p is None for p in pts) or len({p for p in pts}) != 1:
             bad += 1
     _announce("5 product-one collapse", bad == 0, f"{bad} non-collapsed instances")
@@ -139,11 +138,11 @@ def test_criterion_6_trichotomy_ordering(general_campaign):
         gamma = frac(cfg.ratios.gamma)
         quad = cfg.quad
         pts = F1, F2, G1, G2, M1, P1, E = [
-            cfg.point(n) for n in ("F1", "F2", "G1", "G2", "M1", "P1", "E")]
+            cfg.named_points()[n] for n in ("F1", "F2", "G1", "G2", "M1", "P1", "E")]
         if any(p is None or p.is_ideal for p in pts):
             continue
         checked += 1
-        M, P = cfg.point("M"), cfg.point("P")
+        M, P = cfg.named_points()["M"], cfg.named_points()["P"]
         lam_f1 = frac(affine_parameter(quad.A, quad.C, F1))
         lam_f2 = frac(affine_parameter(quad.A, quad.C, F2))
         lam_g1 = frac(affine_parameter(quad.B, quad.D, G1))
@@ -190,12 +189,12 @@ def test_criterion_8_kernel_round_trips_and_affine_invariance():
     rng = Stream(2024)
 
     def draw_rat():
-        return F(rng.next_int(-40, 40), rng.next_int(1, 12))
+        return F(draw(rng, -40, 40), draw(rng, 1, 12))
 
     bad_round_trips = 0
     for _ in range(ROUND_TRIPS):
-        a = Point(draw_rat(), draw_rat())
-        b = Point(draw_rat(), draw_rat())
+        a = pt(draw_rat(), draw_rat())
+        b = pt(draw_rat(), draw_rat())
         t = draw_rat()
         if a == b or t == -1:
             continue
@@ -204,30 +203,30 @@ def test_criterion_8_kernel_round_trips_and_affine_invariance():
             bad_round_trips += 1
 
     instances = [
-        (Quadrilateral.of(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)),
-         SideRatios.of(1, 1, 1, 1)),
-        (Quadrilateral.of(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)),
-         SideRatios.of(2, 1, F(1, 2), 1)),
-        (Quadrilateral.of(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)),
-         SideRatios.of(1, 1, 1, 2)),
-        (Quadrilateral.of(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4)),
-         SideRatios.of(1, 2, 1, 1)),
+        (Quadrilateral.of(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)),
+         side_ratios(1, 1, 1, 1)),
+        (Quadrilateral.of(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)),
+         side_ratios(2, 1, F(1, 2), 1)),
+        (Quadrilateral.of(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)),
+         side_ratios(1, 1, 1, 2)),
+        (Quadrilateral.of(pt(0, 0), pt(4, 0), pt(5, 3), pt(1, 4)),
+         side_ratios(1, 2, 1, 1)),
     ]
     base = [summarize(verify_all(build_from_ratios(quad, ratios))) for quad, ratios in instances]
 
     bad_maps = 0
     for i in range(AFFINE_MAPS):
         while True:
-            a11, a12, a21, a22 = (F(rng.next_int(-4, 4), rng.next_int(1, 3))
+            a11, a12, a21, a22 = (F(draw(rng, -4, 4), draw(rng, 1, 3))
                                   for _ in range(4))
             if a11 * a22 - a12 * a21 != 0:
                 break
-        tx = F(rng.next_int(-5, 5), rng.next_int(1, 3))
-        ty = F(rng.next_int(-5, 5), rng.next_int(1, 3))
+        tx = F(draw(rng, -5, 5), draw(rng, 1, 3))
+        ty = F(draw(rng, -5, 5), draw(rng, 1, 3))
 
-        def apply(pt):
-            x, y = affine(pt)
-            return Point(a11 * x + a12 * y + tx, a21 * x + a22 * y + ty)
+        def apply(p):
+            x, y = affine(p)
+            return pt(a11 * x + a12 * y + tx, a21 * x + a22 * y + ty)
 
         which = i % len(instances)
         quad, ratios = instances[which]

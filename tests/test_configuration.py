@@ -7,7 +7,6 @@ import pytest
 
 import naive_geometry as naive
 from quadconc import (
-    Point,
     Quadrilateral,
     SideRatios,
     affine_parameter,
@@ -23,7 +22,7 @@ from quadconc.configuration import POINT_NAMES, SLOT, _construct
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc._purekernel import reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
-from rationals import affine, frac
+from rationals import affine, frac, pt, side_ratios
 
 F = Fraction
 
@@ -35,104 +34,107 @@ class TestTypes:
     def test_repeated_vertices_rejected(self):
         # each of the six ways to repeat a vertex classifies as degenerate,
         # which both builders reject
-        square = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
+        square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
         h = F(1, 2)
-        sides = (Point(h, 0), Point(1, h), Point(h, 1), Point(0, h))
+        sides = (pt(h, 0), pt(1, h), pt(h, 1), pt(0, h))
         for i, j in combinations(range(4), 2):
             vertices = square.copy()
             vertices[j] = vertices[i]
             quad = Quadrilateral.of(*vertices)
             with pytest.raises(DegenerateQuadrilateral,
                                match="cannot build on a degenerate quadrilateral"):
-                build_from_ratios(quad, SideRatios.of(1, 1, 1, 1))
+                build_from_ratios(quad, side_ratios(1, 1, 1, 1))
             with pytest.raises(DegenerateQuadrilateral,
                                match="cannot build on a degenerate quadrilateral"):
                 build_from_points(quad, *sides)
 
     def test_gamma_is_the_product(self):
-        r = SideRatios.of(2, 3, F(1, 4), 5)
+        r = side_ratios(2, 3, F(1, 4), 5)
         assert r.gamma == (15, 2)
 
     def test_side_ratios_copy_and_pickle(self):
         # both remake the tuple from m, n, p, q, which derives gamma again
-        r = SideRatios.of(2, 3, F(1, 4), 5)
+        r = side_ratios(2, 3, F(1, 4), 5)
         assert copy.copy(r) == copy.deepcopy(r) == pickle.loads(pickle.dumps(r)) == r
 
     def test_degenerate_quad_has_degenerate_shape(self):
-        q = Quadrilateral.of(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1))
+        q = Quadrilateral.of(pt(0, 0), pt(1, 0), pt(2, 0), pt(0, 1))
         assert q.shape == "degenerate"
 
 
 class TestBuildFromRatios:
     def test_midpoint_square(self, midpoint_config):
         cfg = midpoint_config
+        pts = cfg.named_points()
         half = F(1, 2)
-        assert cfg.point("M") == Point(half, 0)
-        assert cfg.point("N") == Point(1, half)
-        assert cfg.point("P") == Point(half, 1)
-        assert cfg.point("Q") == Point(0, half)
-        center = Point(half, half)
-        assert cfg.point("O") == center
-        assert cfg.point("E") == center
+        assert pts["M"] == pt(half, 0)
+        assert pts["N"] == pt(1, half)
+        assert pts["P"] == pt(half, 1)
+        assert pts["Q"] == pt(0, half)
+        center = pt(half, half)
+        assert pts["O"] == center
+        assert pts["E"] == center
         for name in ("F1", "G1", "F2", "G2", "M1", "N1", "P1", "Q1"):
-            assert cfg.point(name) == center
+            assert pts[name] == center
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         cfg = gamma_one_config
-        assert cfg.point("M") == Point(F(2, 3), 0)
-        assert cfg.point("N") == Point(1, F(1, 2))
-        assert cfg.point("P") == Point(F(2, 3), 1)
-        assert cfg.point("Q") == Point(0, F(1, 2))
-        assert cfg.point("E") == Point(F(2, 3), F(1, 2))
+        pts = cfg.named_points()
+        assert pts["M"] == pt(F(2, 3), 0)
+        assert pts["N"] == pt(1, F(1, 2))
+        assert pts["P"] == pt(F(2, 3), 1)
+        assert pts["Q"] == pt(0, F(1, 2))
+        assert pts["E"] == pt(F(2, 3), F(1, 2))
         assert cfg.ratios.gamma == (1, 1)
 
     def test_gamma_two_reference(self, gamma_two_config):
         # frozen from the independent affine oracle
         cfg = gamma_two_config
-        assert cfg.point("Q") == Point(0, F(1, 3))
-        assert cfg.point("E") == Point(F(1, 2), F(5, 12))
-        assert cfg.point("R") == Point(-2, 0)
+        pts = cfg.named_points()
+        assert pts["Q"] == pt(0, F(1, 3))
+        assert pts["E"] == pt(F(1, 2), F(5, 12))
+        assert pts["R"] == pt(-2, 0)
         assert cfg.r_ratio == (2, 3)
-        assert cfg.point("M1") == Point(F(1, 2), F(1, 2))
-        assert cfg.point("P1") == Point(F(1, 2), F(1, 3))
-        assert cfg.point("A1") == Point(F(2, 3), F(2, 3))
-        assert cfg.point("D1") == Point(F(2, 3), F(1, 3))
-        assert cfg.point("N1") == Point(F(2, 5), F(2, 5))
-        assert cfg.point("Q1") == Point(F(4, 7), F(3, 7))
+        assert pts["M1"] == pt(F(1, 2), F(1, 2))
+        assert pts["P1"] == pt(F(1, 2), F(1, 3))
+        assert pts["A1"] == pt(F(2, 3), F(2, 3))
+        assert pts["D1"] == pt(F(2, 3), F(1, 3))
+        assert pts["N1"] == pt(F(2, 5), F(2, 5))
+        assert pts["Q1"] == pt(F(4, 7), F(3, 7))
         assert "F1_EQ_G1" in cfg.degeneracies
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
         # frozen from the independent affine oracle
         cfg = generic_gamma_two_config
-        assert cfg.point("M1") == Point(F(8, 3), F(7, 3))
-        assert cfg.point("N1") == Point(F(16, 7), 2)
-        assert cfg.point("P1") == Point(F(5, 2), F(7, 4))
-        assert cfg.point("Q1") == Point(3, 2)
-        assert cfg.point("E") == Point(F(18, 7), 2)
+        pts = cfg.named_points()
+        assert pts["M1"] == pt(F(8, 3), F(7, 3))
+        assert pts["N1"] == pt(F(16, 7), 2)
+        assert pts["P1"] == pt(F(5, 2), F(7, 4))
+        assert pts["Q1"] == pt(3, 2)
+        assert pts["E"] == pt(F(18, 7), 2)
         assert cfg.degeneracies == frozenset()
 
     def test_every_point_is_the_meet_of_its_defining_lines(self, gamma_two_config):
-        cfg = gamma_two_config
+        pts = gamma_two_config.named_points()
         from quadconc import line_through, meet
 
         def cut(u, v, s, t):
-            p = cfg.point
-            return meet(line_through(p(u), p(v)), line_through(p(s), p(t)))
+            return meet(line_through(pts[u], pts[v]), line_through(pts[s], pts[t]))
 
-        assert cfg.point("O") == cut("A", "C", "B", "D")
-        assert cfg.point("X") == cut("A", "N", "B", "Q")
-        assert cfg.point("A1") == cut("B", "P", "D", "N")
-        assert cfg.point("F1") == cut("B", "D1", "A", "C")
-        assert cfg.point("M1") == cut("A", "A1", "D", "D1")
+        assert pts["O"] == cut("A", "C", "B", "D")
+        assert pts["X"] == cut("A", "N", "B", "Q")
+        assert pts["A1"] == cut("B", "P", "D", "N")
+        assert pts["F1"] == cut("B", "D1", "A", "C")
+        assert pts["M1"] == cut("A", "A1", "D", "D1")
 
     def test_degenerate_quad_rejected(self):
-        q = Quadrilateral.of(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1))
+        q = Quadrilateral.of(pt(0, 0), pt(1, 0), pt(2, 0), pt(0, 1))
         with pytest.raises(DegenerateQuadrilateral):
-            build_from_ratios(q, SideRatios.of(1, 1, 1, 1))
+            build_from_ratios(q, side_ratios(1, 1, 1, 1))
 
     def test_nonpositive_ratios_rejected(self, unit_square):
         with pytest.raises(InstanceFormatError, match="side ratios must be positive"):
-            build_from_ratios(unit_square, SideRatios.of(-1, 1, 1, 1))
+            build_from_ratios(unit_square, side_ratios(-1, 1, 1, 1))
 
 
 class TestTraceRatioMakesNoFraction:
@@ -156,74 +158,74 @@ class TestTraceRatioMakesNoFraction:
         return cfg, len(made)
 
     def test_finite_r(self, monkeypatch, unit_square):
-        ratios = SideRatios.of(1, 1, 1, 2)
+        ratios = side_ratios(1, 1, 1, 2)
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
         assert made == 0
-        R = cfg.point("R")
+        R = cfg.named_points()["R"]
         assert not R.is_ideal and R != cfg.quad.B
         assert frac(cfg.r_ratio) == abs(frac(directed_ratio(cfg.quad.A, R, cfg.quad.B))) == F(2, 3)
         assert cfg.r_ratio == (2, 3)
 
     def test_ideal_r(self, monkeypatch, unit_square):
-        ratios = SideRatios.of(1, 1, 1, 1)
+        ratios = side_ratios(1, 1, 1, 1)
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
         assert made == 0
-        assert cfg.point("R").is_ideal and cfg.r_ratio == (1, 1)
+        assert cfg.named_points()["R"].is_ideal and cfg.r_ratio == (1, 1)
 
     def test_r_on_b(self, monkeypatch):
-        quad = Quadrilateral.of(Point(F(4, 3), 1), Point(-1, 1), Point(F(-5, 12), F(1, 2)),
-                                Point(-1, 0))
-        ratios = SideRatios.of(1, F(1, 2), F(1, 2), F(1, 2))
+        quad = Quadrilateral.of(pt(F(4, 3), 1), pt(-1, 1), pt(F(-5, 12), F(1, 2)),
+                                pt(-1, 0))
+        ratios = side_ratios(1, F(1, 2), F(1, 2), F(1, 2))
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(quad, ratios))
         assert made == 0
-        assert cfg.point("R") == quad.B and "R_RATIO_UNDEFINED" in cfg.degeneracies
+        assert cfg.named_points()["R"] == quad.B and "R_RATIO_UNDEFINED" in cfg.degeneracies
         assert cfg.r_ratio == (1, 1)
 
     def test_undefined_r(self, monkeypatch):
         # N = Q on the crossing of BC and DA, P on line AB: only side points
         # outside their sides leave R undefined without raising, so the
         # construction runs on the ratios build_from_points recovers
-        A, B, C, D = Point(0, 0), Point(3, 0), Point(0, 2), Point(2, 3)
+        A, B, C, D = pt(0, 0), pt(3, 0), pt(0, 2), pt(2, 3)
         NQ = meet(line_through(B, C), line_through(D, A))
         P = meet(line_through(A, B), line_through(C, D))
         quad = Quadrilateral.of(A, B, C, D)
-        ratios = build_from_points(quad, Point(F(3, 2), 0), NQ, P, NQ).ratios
+        ratios = build_from_points(quad, pt(F(3, 2), 0), NQ, P, NQ).ratios
         cfg, made = self.count_fractions(monkeypatch, lambda: _construct(quad, ratios))
         assert made == 0
-        assert cfg.point("R") is None and "R_UNDEFINED" in cfg.degeneracies
+        assert cfg.named_points()["R"] is None and "R_UNDEFINED" in cfg.degeneracies
         assert cfg.r_ratio == (1, 1)
 
 
 class TestBuildFromPoints:
     def test_midpoints_recover_unit_ratios(self, unit_square):
         h = F(1, 2)
-        cfg = build_from_points(unit_square, Point(h, 0), Point(1, h), Point(h, 1), Point(0, h))
+        cfg = build_from_points(unit_square, pt(h, 0), pt(1, h), pt(h, 1), pt(0, h))
         assert cfg.ratios.as_tuple == ((1, 1),) * 4
         assert cfg.ratios.gamma == (1, 1)
 
     def test_recovers_ratio_two(self, unit_square):
         h = F(1, 2)
-        cfg = build_from_points(unit_square, Point(F(2, 3), 0), Point(1, h), Point(h, 1), Point(0, h))
+        cfg = build_from_points(unit_square, pt(F(2, 3), 0), pt(1, h), pt(h, 1), pt(0, h))
         assert cfg.ratios.m == (2, 1)
 
     def test_off_side_rejected(self, unit_square):
         h = F(1, 2)
         with pytest.raises(InstanceFormatError, match="point M does not lie on its side"):
-            build_from_points(unit_square, Point(h, F(1, 100)), Point(1, h), Point(h, 1), Point(0, h))
+            build_from_points(unit_square, pt(h, F(1, 100)), pt(1, h), pt(h, 1), pt(0, h))
 
     def test_vertex_rejected(self, unit_square):
         h = F(1, 2)
         with pytest.raises(InstanceFormatError, match="M coincides with a vertex"):
-            build_from_points(unit_square, Point(0, 0), Point(1, h), Point(h, 1), Point(0, h))
+            build_from_points(unit_square, pt(0, 0), pt(1, h), pt(h, 1), pt(0, h))
 
     def test_outside_open_segment_rejected_for_convex(self, unit_square):
         h = F(1, 2)
         with pytest.raises(InstanceFormatError, match="M is outside its open side"):
-            build_from_points(unit_square, Point(2, 0), Point(1, h), Point(h, 1), Point(0, h))
+            build_from_points(unit_square, pt(2, 0), pt(1, h), pt(h, 1), pt(0, h))
 
     def test_round_trips_with_build_from_ratios(self, unit_square):
         # small bounds make undefined points, ideal points and R on B common
-        cases = [(unit_square, SideRatios.of(F(3, 7), 4, F(5, 2), F(1, 6)))]
+        cases = [(unit_square, side_ratios(F(3, 7), 4, F(5, 2), F(1, 6)))]
         for shape in ("convex", "concave", "crossed", "any"):
             spec = GenSpec(seed=0, shape=shape, coordinate_bound=4, ratio_bound=2)
             cases += [(gen_quadrilateral(spec, i), gen_ratios(spec, i)) for i in range(150)]
@@ -239,7 +241,7 @@ class TestBuildFromPoints:
                 assert again.value.name == exc.name
                 continue
             seen.update(cfg.degeneracies)
-            assert tuple(cfg.point(n) for n in "MNPQ") == side
+            assert tuple(cfg.named_points()[n] for n in "MNPQ") == side
             assert_rebuilds(cfg)
         assert {"undefined", "E_IDEAL", "P1_UNDEFINED", "R_RATIO_UNDEFINED"} <= seen
 
@@ -260,11 +262,11 @@ class TestBuildFromPoints:
             except UndefinedPoint:
                 continue
             assert cfg.ratios.as_tuple == ratios
-            assert tuple(cfg.point(n) for n in "MNPQ") == side
+            assert tuple(cfg.named_points()[n] for n in "MNPQ") == side
             assert_rebuilds(cfg)
             expected = oracle(quad, ratios)
             for name, want in expected.items():
-                assert agrees_with_oracle(cfg.point(name), want), name
+                assert agrees_with_oracle(cfg.named_points()[name], want), name
             R, (A, B) = expected["R"], (expected["A"], expected["B"])
             if R is not None and not isinstance(R, naive.Direction) and R != B:
                 assert cfg.r_ratio == abs(naive.ratio(A, R, B)).as_integer_ratio()
@@ -275,10 +277,10 @@ class TestBuildFromPoints:
         # segment as long as they stay on the side's line
         cfg = build_from_points(
             crossed_quad,
-            Point(2, 2),          # on line AB extended
-            Point(1, F(1, 2)),
-            Point(F(1, 4), F(3, 4)),
-            Point(0, F(1, 2)),
+            pt(2, 2),          # on line AB extended
+            pt(1, F(1, 2)),
+            pt(F(1, 4), F(3, 4)),
+            pt(0, F(1, 2)),
         )
         assert cfg.ratios.m == (-2, 1)
         assert cfg.ratios.p == (3, 1)
@@ -289,11 +291,11 @@ class TestBuildFromPoints:
         cases = [
             # P exactly on the AB/CD crossing makes line MP collapse onto
             # line AB, which in turn makes two cevian lines coincide
-            (crossed_quad, (Point(2, 2), Point(1, F(1, 2)), Point(F(1, 2), F(1, 2)),
-                            Point(0, F(1, 2))), "N1"),
+            (crossed_quad, (pt(2, 2), pt(1, F(1, 2)), pt(F(1, 2), F(1, 2)),
+                            pt(0, F(1, 2))), "N1"),
             # M and P both on the crossing point: lines AA1 and BB1 coincide
-            (Quadrilateral.of(Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)),
-             (Point(1, 1), Point(2, 1), Point(1, 1), Point(0, 1)), "N1"),
+            (Quadrilateral.of(pt(0, 0), pt(2, 2), pt(2, 0), pt(0, 2)),
+             (pt(1, 1), pt(2, 1), pt(1, 1), pt(0, 1)), "N1"),
         ]
         for quad, side_points, name in cases:
             with pytest.raises(UndefinedPoint) as exc:
@@ -301,9 +303,9 @@ class TestBuildFromPoints:
             assert exc.value.name == name
 
         # AA1 = DD1 and BB1 = CC1 here: the earlier row, M1, names the point
-        quad = Quadrilateral.of(Point(-1, 1), Point(1, 0), Point(F(-3, 2), -1), Point(F(1, 2), -2))
+        quad = Quadrilateral.of(pt(-1, 1), pt(1, 0), pt(F(-3, 2), -1), pt(F(1, 2), -2))
         with pytest.raises(UndefinedPoint) as exc:
-            build_from_ratios(quad, SideRatios.of(1, 1, 1, 1))
+            build_from_ratios(quad, side_ratios(1, 1, 1, 1))
         assert exc.value.name == "M1"
 
 
@@ -340,7 +342,7 @@ def side_points(quad, ratios):
 
 def assert_rebuilds(cfg):
     """Rebuilding from the built side points gives the same configuration."""
-    again = build_from_points(cfg.quad, *(cfg.point(n) for n in "MNPQ"))
+    again = build_from_points(cfg.quad, *(cfg.named_points()[n] for n in "MNPQ"))
     assert again.ratios == cfg.ratios
     assert again.named_points() == cfg.named_points()
     assert again.r_ratio == cfg.r_ratio
@@ -361,22 +363,24 @@ def two_point_completion(quad, M, N):
 
 class TestTwoPointCompletion:
     def test_unit_square_midpoints(self, unit_square):
-        cfg = two_point_completion(unit_square, Point(F(1, 2), 0), Point(1, F(1, 2)))
+        cfg = two_point_completion(unit_square, pt(F(1, 2), 0), pt(1, F(1, 2)))
+        pts = cfg.named_points()
         # S = DM meet AC lands at (1/3, 1/3); the completion forces the
         # midpoint configuration and a ratio product of exactly one
         assert cfg.ratios.gamma == (1, 1)
-        assert cfg.point("P") == Point(F(1, 2), 1)
-        assert cfg.point("Q") == Point(0, F(1, 2))
+        assert pts["P"] == pt(F(1, 2), 1)
+        assert pts["Q"] == pt(0, F(1, 2))
 
     def test_generic_completion_has_gamma_one(self, unit_square):
-        cfg = two_point_completion(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
+        cfg = two_point_completion(unit_square, pt(F(1, 3), 0), pt(1, F(2, 7)))
+        pts = cfg.named_points()
         assert cfg.ratios.gamma == (1, 1)
         # the explicit points of the ``two_point_config`` fixture
-        assert (cfg.point("P"), cfg.point("Q")) == (Point(F(2, 7), 1), Point(0, F(1, 3)))
+        assert (pts["P"], pts["Q"]) == (pt(F(2, 7), 1), pt(0, F(1, 3)))
 
     def test_e_lies_on_diagonal(self, unit_square):
-        cfg = two_point_completion(unit_square, Point(F(1, 3), 0), Point(1, F(2, 7)))
-        assert collinear(cfg.quad.A, cfg.quad.C, cfg.point("E"))
+        cfg = two_point_completion(unit_square, pt(F(1, 3), 0), pt(1, F(2, 7)))
+        assert collinear(cfg.quad.A, cfg.quad.C, cfg.named_points()["E"])
 
 
 class TestInvariants:
@@ -394,8 +398,9 @@ class TestInvariants:
             "M1": "N1", "N1": "P1", "P1": "Q1", "Q1": "M1",
             "O": "O", "E": "E",
         }
+        pts, pts2 = cfg.named_points(), cfg2.named_points()
         for new_name, old_name in mapping.items():
-            assert cfg2.point(new_name) == cfg.point(old_name), (new_name, old_name)
+            assert pts2[new_name] == pts[old_name], (new_name, old_name)
 
     def test_diagonal_ratio_products(self):
         for seed in range(6):
@@ -405,35 +410,36 @@ class TestInvariants:
             gamma = frac(ratios.gamma)
             a, c = cfg.quad.A, cfg.quad.C
             b, d = cfg.quad.B, cfg.quad.D
-            F1, F2, G1, G2 = (cfg.point(n) for n in ("F1", "F2", "G1", "G2"))
+            F1, F2, G1, G2 = (cfg.named_points()[n] for n in ("F1", "F2", "G1", "G2"))
             assert frac(directed_ratio(a, F1, c)) * frac(directed_ratio(c, F2, a)) == gamma
             assert frac(directed_ratio(b, G1, d)) * frac(directed_ratio(d, G2, b)) == gamma
 
     def test_trichotomy_ordering_on_diagonals(self, unit_square):
         cases = [
-            (SideRatios.of(1, 1, 1, F(1, 2)), "below"),
-            (SideRatios.of(1, 1, 1, 2), "collapsed-or-above"),
-            (SideRatios.of(2, 3, 1, 1), "above"),
+            (side_ratios(1, 1, 1, F(1, 2)), "below"),
+            (side_ratios(1, 1, 1, 2), "collapsed-or-above"),
+            (side_ratios(2, 3, 1, 1), "above"),
         ]
-        cfg_low = build_from_ratios(unit_square, cases[0][0])
-        lam_f1 = frac(affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F1")))
-        lam_f2 = frac(affine_parameter(cfg_low.quad.A, cfg_low.quad.C, cfg_low.point("F2")))
+        low = build_from_ratios(unit_square, cases[0][0]).named_points()
+        lam_f1 = frac(affine_parameter(low["A"], low["C"], low["F1"]))
+        lam_f2 = frac(affine_parameter(low["A"], low["C"], low["F2"]))
         assert 0 < lam_f1 < lam_f2 < 1
 
-        cfg_high = build_from_ratios(unit_square, cases[2][0])
-        lam_f1 = frac(affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F1")))
-        lam_f2 = frac(affine_parameter(cfg_high.quad.A, cfg_high.quad.C, cfg_high.point("F2")))
+        high = build_from_ratios(unit_square, cases[2][0]).named_points()
+        lam_f1 = frac(affine_parameter(high["A"], high["C"], high["F1"]))
+        lam_f2 = frac(affine_parameter(high["A"], high["C"], high["F2"]))
         assert 0 < lam_f2 < lam_f1 < 1
 
-        cfg_one = build_from_ratios(unit_square, SideRatios.of(2, 1, F(1, 2), 1))
-        assert cfg_one.point("F1") == cfg_one.point("F2")
-        assert cfg_one.point("G1") == cfg_one.point("G2")
+        cfg_one = build_from_ratios(unit_square, side_ratios(2, 1, F(1, 2), 1))
+        pts = cfg_one.named_points()
+        assert pts["F1"] == pts["F2"]
+        assert pts["G1"] == pts["G2"]
 
     def test_gamma_one_collapse(self, unit_square):
         for m, n, p in ((2, 3, F(1, 5)), (F(7, 3), F(1, 2), 4)):
             q = 1 / (F(m) * F(n) * F(p))
-            cfg = build_from_ratios(unit_square, SideRatios.of(m, n, p, q))
-            assert len({cfg.point(n) for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
+            cfg = build_from_ratios(unit_square, side_ratios(m, n, p, q))
+            assert len({cfg.named_points()[n] for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
 
 
 # the points whose defining lines run through a cevian meet
@@ -455,7 +461,7 @@ class TestSoundnessAgainstNaiveOracle:
         cfg = build_from_ratios(quad, ratios)
         expected = oracle(quad, ratios.as_tuple)
         for name, want in expected.items():
-            assert agrees_with_oracle(cfg.point(name), want), name
+            assert agrees_with_oracle(cfg.named_points()[name], want), name
 
     @pytest.mark.parametrize("shape", ["convex", "concave", "crossed", "any"])
     def test_wide_coordinates_agree(self, shape):
@@ -466,7 +472,7 @@ class TestSoundnessAgainstNaiveOracle:
             cfg = build_from_ratios(quad, ratios)
             expected = oracle(quad, ratios.as_tuple)
             for name, want in expected.items():
-                assert agrees_with_oracle(cfg.point(name), want), (i, name)
+                assert agrees_with_oracle(cfg.named_points()[name], want), (i, name)
 
     @pytest.mark.parametrize("shape", ["concave", "crossed", "any"])
     def test_ideal_meets_agree_up_to_scale(self, shape):
@@ -484,7 +490,7 @@ class TestSoundnessAgainstNaiveOracle:
                 continue
             expected = oracle(quad, ratios)
             for name, want in expected.items():
-                assert agrees_with_oracle(cfg.point(name), want), name
+                assert agrees_with_oracle(cfg.named_points()[name], want), name
             ideal = {n for n in ("A1", "B1", "C1", "D1") if isinstance(expected[n], naive.Direction)}
             ideal_meets += bool(ideal)
             downstream += sum(expected[name] is not None
@@ -529,12 +535,10 @@ def test_each_slot_holds_its_points_triple():
         assert cfg.triples[:4] == tuple(v.triple() for v in quad.vertices)
         points = cfg.named_points()
         assert tuple(points) == POINT_NAMES
-        for name in POINT_NAMES:
-            pt = cfg.point(name)
-            assert points[name] == pt
-            if pt is None:
+        for name, point in points.items():
+            if point is None:
                 assert cfg.triples[SLOT[name]] is None
                 undefined += 1
             else:
-                assert cfg.triples[SLOT[name]] == pt.triple()
+                assert cfg.triples[SLOT[name]] == point.triple()
     assert undefined > 0

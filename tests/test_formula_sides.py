@@ -15,19 +15,19 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from quadconc import Point, Quadrilateral, SideRatios, build_from_ratios
+from quadconc import Quadrilateral, build_from_ratios
 from quadconc.instancefile import InstanceFile, instance_document
 from quadconc.kernel import rational_text
 from quadconc.report import verdict_json
 from quadconc.verifiers import CLAIMS, FAIL, PASS, Verdict, verify_all
-from rationals import frac
+from rationals import frac, pt, side_ratios
 
 CHECKS = {claim: check for claim, *_, check in CLAIMS}
 
 # the formula sides read only the ratios and r; the points are those of
 # a built configuration, so every geometry side is defined
-BASE = build_from_ratios(Quadrilateral.of(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4)),
-                         SideRatios.of(1, 2, 1, 1))
+BASE = build_from_ratios(Quadrilateral.of(pt(0, 0), pt(4, 0), pt(5, 3), pt(1, 4)),
+                         side_ratios(1, 2, 1, 1))
 
 # a ratio no side point has is -1 (the point at infinity); 0 puts the
 # point on a vertex
@@ -83,7 +83,7 @@ def formula_inputs(draw):
 @example((Fraction(-3, 2), Fraction(4), Fraction(1, 3), Fraction(2), Fraction(1, 4)))
 def test_formula_sides_equal_the_papers_forms(inputs):
     m, n, p, q, r = inputs
-    ratios = SideRatios.of(m, n, p, q)
+    ratios = side_ratios(m, n, p, q)
     gamma = frac(ratios.gamma)
     assert gamma == m * n * p * q
     cfg = BASE._replace(ratios=ratios, r_ratio=r.as_integer_ratio())
@@ -124,12 +124,12 @@ def test_formula_sides_read_gamma(generic_gamma_two_config):
 @example(-7, 2, 1)  # w = 1
 @example(0, -5, 3)
 def test_point_text_equals_fraction_text(x, y, w):
-    pt = Point(x, y, w)
-    c0, c1, cw = pt.triple()
+    point = pt(x, y, w)
+    c0, c1, cw = point.triple()
     expected = [str(Fraction(c0, cw)), str(Fraction(c1, cw))]
-    assert pt.text() == expected
-    assert repr(pt) == f"Point({expected[0]}, {expected[1]})"
-    inst = InstanceFile(vertices=(pt,) * 4, ratios=None, points=(pt,) * 4, checks=())
+    assert point.text() == expected
+    assert repr(point) == f"Point({expected[0]}, {expected[1]})"
+    inst = InstanceFile(vertices=(point,) * 4, ratios=None, points=(point,) * 4, checks=())
     doc = instance_document(inst)
     assert doc["vertices"]["A"] == expected and doc["points"]["Q"] == expected
 
@@ -164,9 +164,9 @@ def test_rational_text_refuses_a_zero_denominator(num):
 
 
 def test_ideal_point_text_is_its_triple():
-    for pt in (Point(-6, 4, 0), Point(Fraction(1, 2), Fraction(-1, 3), 0)):
-        assert pt.triple() == (-3, 2, 0)
-        assert pt.text() == ["-3", "2", "0"]
-        assert repr(pt) == "Point(-3, 2, 0)"
-        witness = verdict_json(Verdict("seven_lines", PASS, witness={"E": pt}))["witness"]
+    for point in (pt(-6, 4, 0), pt(Fraction(1, 2), Fraction(-1, 3), 0)):
+        assert point.triple() == (-3, 2, 0)
+        assert point.text() == ["-3", "2", "0"]
+        assert repr(point) == "Point(-3, 2, 0)"
+        witness = verdict_json(Verdict("seven_lines", PASS, witness={"E": point}))["witness"]
         assert witness == {"E": ["-3", "2", "0"]}

@@ -4,11 +4,12 @@ from fractions import Fraction
 import naive_geometry as naive
 import pytest
 import test_configuration
+from test_kernel_properties import orientation
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from quadconc import Point, Quadrilateral, classify_quadrilateral, generators
-from rationals import affine, frac
+from rationals import affine, draw, frac, pt
 from quadconc.generators import (
     ANY_SHAPE,
     GenSpec,
@@ -26,9 +27,9 @@ class TestStream:
     def test_reference_vector(self):
         # splitmix64 with initial state 0: published reference outputs
         s = Stream(0)
-        assert s.next_u64() == 0xE220A8397B1DCDAF
-        assert s.next_u64() == 0x6E789E6AA1B965F4
-        assert s.next_u64() == 0x06C45D188009454F
+        assert draw(s, 0, 2**64 - 1) == 0xE220A8397B1DCDAF
+        assert draw(s, 0, 2**64 - 1) == 0x6E789E6AA1B965F4
+        assert draw(s, 0, 2**64 - 1) == 0x06C45D188009454F
 
     def test_mix64_fixed_points(self):
         assert mix64(0) == 0
@@ -49,10 +50,11 @@ class TestStream:
            ]))
     def test_bulk_draw_equals_repeated_next_int(self, state, bound, spans_of):
         # each drawer's spans: signed numerators, positive denominators,
-        # positive weights and raw 64-bit outputs, each value in its own lane
+        # positive weights and raw 64-bit outputs, each value in its own
+        # lane; ``draw`` takes them one value, one pass, at a time
         spans = spans_of(bound)
         bulk, single = Stream(state), Stream(state)
-        assert bulk.ints(spans) == [single.next_int(lo, lo + size - 1) for lo, size in spans]
+        assert bulk.ints(spans) == [draw(single, lo, lo + size - 1) for lo, size in spans]
         assert bulk.state == single.state
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.sampled_from([0x71, 0x72]))
@@ -65,7 +67,7 @@ class TestStream:
     def test_bounded_draws(self):
         s = Stream(123)
         for _ in range(200):
-            v = s.next_int(-5, 5)
+            v = draw(s, -5, 5)
             assert -5 <= v <= 5
 
 
@@ -75,16 +77,12 @@ def test_points_only_for_accepted_vertices(monkeypatch, shape):
     # points of its vertices, however many attempts it took, and a convex
     # or crossed one reduces only those four triples
     made, reduced, attempts = [], [], []
-    wrap, init, draw = Point._wrap.__func__, Point.__init__, generators._DRAWERS[shape]
+    wrap, drawer = Point._wrap.__func__, generators._DRAWERS[shape]
     reduce3 = generators.reduce3
 
     def counted_wrap(cls, triple):
         made.append(triple)
         return wrap(cls, triple)
-
-    def counted_init(self, *args):
-        made.append(args)
-        init(self, *args)
 
     def counted_reduce3(*args):
         reduced.append(args)
@@ -92,11 +90,10 @@ def test_points_only_for_accepted_vertices(monkeypatch, shape):
 
     def counted_draw(rng, bound):
         attempts.append(bound)
-        return draw(rng, bound)
+        return drawer(rng, bound)
 
     monkeypatch.setattr(Point, "_wrap", classmethod(counted_wrap))
-    monkeypatch.setattr(Point, "__init__", counted_init)
-    assert Point._wrap((1, 2, 1)) and Point(1, 2) and len(made) == 2  # it counts
+    assert Point._wrap((1, 2, 1)) and pt(1, 2) and len(made) == 2  # it counts
     made.clear()
     monkeypatch.setattr(generators, "reduce3", counted_reduce3)
     monkeypatch.setitem(generators._DRAWERS, shape, counted_draw)
@@ -131,10 +128,10 @@ class TestQuadrilaterals:
         # frozen on first run; any change to the stream or the sampler is
         # a breaking change to reproducibility
         quad = gen_quadrilateral(GenSpec(seed=1), 0)
-        assert quad.A == Point(F(-2, 3), F(10, 7))
-        assert quad.B == Point(-1, F(1, 2))
-        assert quad.C == Point(F(2, 3), F(-9, 4))
-        assert quad.D == Point(F(9, 8), F(-2, 7))
+        assert quad.A == pt(F(-2, 3), F(10, 7))
+        assert quad.B == pt(-1, F(1, 2))
+        assert quad.C == pt(F(2, 3), F(-9, 4))
+        assert quad.D == pt(F(9, 8), F(-2, 7))
         assert quad.shape == "convex"
 
     def test_determinism(self):
@@ -154,8 +151,6 @@ class TestQuadrilaterals:
                 assert quad.shape == shape
 
     def test_convex_is_counter_clockwise(self):
-        from quadconc import orientation
-
         spec = GenSpec(seed=5)
         for index in range(25):
             quad = gen_quadrilateral(spec, index)
@@ -182,10 +177,10 @@ def four_points(draw):
     """Four finite points with small coordinates, so repeated points and
     collinear offsets are common; or three and, at any position, their
     centroid, which is then the centroid of all four."""
-    pts = draw(st.lists(st.builds(Point, _small, _small), min_size=3, max_size=4))
+    pts = draw(st.lists(st.builds(pt, _small, _small), min_size=3, max_size=4))
     if len(pts) == 3:
         xs, ys = zip(*map(affine, pts))
-        pts.insert(draw(st.integers(0, 3)), Point(sum(xs) / 3, sum(ys) / 3))
+        pts.insert(draw(st.integers(0, 3)), pt(sum(xs) / 3, sum(ys) / 3))
     return pts
 
 
@@ -213,12 +208,12 @@ def naive_order(pts):
 
 class TestConvexPosition:
     @given(four_points())
-    @example([Point(0, 0), Point(2, 2), Point(0, 1), Point(-2, 1)])  # insertion and sort differ
-    @example([Point(1, 0), Point(2, 0), Point(-1, 1), Point(-2, -1)])  # one direction twice
-    @example([Point(0, 0), Point(1, 1), Point(3, -1), Point(2, 2)])  # three collinear
-    @example([Point(0, 0), Point(3, 0), Point(0, 0), Point(0, 3)])  # a repeated point
-    @example([Point(3, 0), Point(0, 3), Point(-3, -3), Point(0, 0)])  # one on the centroid
-    @example([Point(1, 1), Point(2, 2), Point(-3, 0), Point(0, -3)])  # two on one ray
+    @example([pt(0, 0), pt(2, 2), pt(0, 1), pt(-2, 1)])  # insertion and sort differ
+    @example([pt(1, 0), pt(2, 0), pt(-1, 1), pt(-2, -1)])  # one direction twice
+    @example([pt(0, 0), pt(1, 1), pt(3, -1), pt(2, 2)])  # three collinear
+    @example([pt(0, 0), pt(3, 0), pt(0, 0), pt(0, 3)])  # a repeated point
+    @example([pt(3, 0), pt(0, 3), pt(-3, -3), pt(0, 0)])  # one on the centroid
+    @example([pt(1, 1), pt(2, 2), pt(-3, 0), pt(0, -3)])  # two on one ray
     def test_drawers_match_the_naive_centroid_order(self, pts):
         # the four orientation signs decide convex position and order the
         # vertices as the centroid sort followed by a classification does
@@ -231,7 +226,7 @@ class TestConvexPosition:
 
 
 class TestCrossed:
-    @given(st.lists(st.builds(Point, _small, _small), min_size=4, max_size=4), st.booleans())
+    @given(st.lists(st.builds(pt, _small, _small), min_size=4, max_size=4), st.booleans())
     def test_swapping_a_and_b_of_a_convex_quadrilateral_crosses_it(self, pts, clockwise):
         # _try_crossed labels B A C D crossed without classifying it again
         a, b, c, d = naive_order(pts)

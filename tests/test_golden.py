@@ -25,10 +25,11 @@ from quadconc.configuration import POINT_NAMES
 from quadconc.errors import GeometryError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import render
-from quadconc.kernel import Point, rational_text
+from quadconc.kernel import rational_text
 from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
 from quadconc.verifiers import verify_all
+from rationals import pt
 from test_verifiers import with_points
 
 GOLDEN = {
@@ -179,9 +180,9 @@ def corruptions(cfg):
             yield name, "none", None
         other = next(n for n in POINT_NAMES[i + 1:] + POINT_NAMES[:i] if points[n] is not None)
         yield name, "other", points[other]
-        pt = points[name]
-        x, y, w = (0, 0, 0) if pt is None else pt.triple()
-        yield name, "ideal", Point(x, y, 0) if w and (x or y) else Point(1, 0, 0)
+        point = points[name]
+        x, y, w = (0, 0, 0) if point is None else point.triple()
+        yield name, "ideal", pt(x, y, 0) if w and (x or y) else pt(1, 0, 0)
 
 
 def corrupted_verdict_digest() -> str:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quadconc import Point, SideRatios
 from quadconc.cli import main
 from quadconc.errors import InstanceFormatError
 from quadconc.instancefile import (
@@ -19,7 +18,7 @@ from quadconc.instancefile import (
     serialize_instance,
 )
 from quadconc.kernel import point_from_terms
-from rationals import affine, frac
+from rationals import affine, frac, pt, side_ratios
 
 F = Fraction
 
@@ -73,8 +72,8 @@ class TestParsePair:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            assert _parse_pair([a, b], "x") == Point(F(a), F(b))
-            assert point_from_terms(xn, xd, yn, yd) == Point(F(xn, xd), F(yn, yd))
+            assert _parse_pair([a, b], "x") == pt(F(a), F(b))
+            assert point_from_terms(xn, xd, yn, yd) == pt(F(xn, xd), F(yn, yd))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -101,10 +100,10 @@ class TestParsePair:
 class TestParseInstance:
     def test_midpoint_document(self):
         inst = parse_instance(MIDPOINT_DOC)
-        assert inst.ratios == SideRatios.of(1, 1, 1, 1)
+        assert inst.ratios == side_ratios(1, 1, 1, 1)
         assert inst.checks == ()
         cfg = inst.configuration()
-        assert cfg.point("E") == Point(F(1, 2), F(1, 2))
+        assert cfg.named_points()["E"] == pt(F(1, 2), F(1, 2))
 
     def test_points_variant(self):
         doc = {
@@ -191,9 +190,9 @@ class TestRoundTrip:
         assert affine(again.vertices[0])[0] == value
 
     def test_from_parts(self, unit_square):
-        inst = instance_from_parts(unit_square, SideRatios.of(1, 2, 3, 4))
+        inst = instance_from_parts(unit_square, side_ratios(1, 2, 3, 4))
         again = parse_instance(serialize_instance(inst))
-        assert again.ratios == SideRatios.of(1, 2, 3, 4)
+        assert again.ratios == side_ratios(1, 2, 3, 4)
         assert tuple(again.vertices) == unit_square.vertices
 
 

@@ -113,8 +113,8 @@ def test_verifiers_decide_and_write_no_value():
 
 
 def test_no_module_imports_fractions():
-    # every rational is an integer (num, den) pair; Point and SideRatios.of
-    # read an int or Fraction argument through numerator and denominator
+    # every rational is an integer (num, den) pair and every point a
+    # canonical integer triple; only the tests read and write Fractions
     assert _importers("fractions") == set()
 
 
@@ -125,3 +125,59 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# public names that no module of the package and no benchmark script
+# reaches, each kept on purpose; everything else earns its place by a caller
+_UNCALLED_ON_PURPOSE = {
+    "cli.entry": "the console script pyproject.toml installs",
+}
+
+
+def _public_definitions(path: Path):
+    """``(qualified name, name, first line, last line)`` of every public
+    module-level function and class of ``path``, and every public method."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield (f"{path.stem}.{node.name}.{item.name}", item.name,
+                           item.lineno, item.end_lineno)
+
+
+def _references(path: Path, strings: bool = False):
+    """``(name, line)`` of every name and attribute that ``path`` reads, and
+    with ``strings`` every string constant, such as a name in
+    ``microops.OPS``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that neither a command nor the benchmark reaches is
+    # surface kept for the tests alone; the __init__ re-exports do not
+    # count, and a name read anywhere else does (the cmd_* handlers are
+    # read where build_parser passes them to set_defaults)
+    src = REPO / "src" / "quadconc"
+    modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    refs = {path: list(_references(path)) for path in modules}
+    bench = {name for path in (REPO / "perfbench").glob("*.py")
+             for name, _ in _references(path, strings=True)}
+    uncalled = []
+    for path in modules:
+        for qualified, name, first, last in _public_definitions(path):
+            if qualified in _UNCALLED_ON_PURPOSE or name in bench:
+                continue
+            if not any(ref == name and (other != path or not first <= line <= last)
+                       for other, found in refs.items() for ref, line in found):
+                uncalled.append(qualified)
+    assert not uncalled, f"public names with no caller: {', '.join(uncalled)}"

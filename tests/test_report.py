@@ -9,9 +9,9 @@ from quadconc import build_from_ratios, report
 from quadconc.errors import UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import InstanceFile, instance_from_parts, render
-from quadconc.kernel import Point
 from quadconc.report import degenerate_verdicts, report_document, report_line
 from quadconc.verifiers import CLAIM_IDS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict, verify_all
+from rationals import pt
 from test_golden import corruptions
 from test_verifiers import with_points
 
@@ -56,12 +56,12 @@ def test_report_line_is_the_compact_tree(shape):
     assert ideal_witnesses
 
 
-SQUARE = (Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
+SQUARE = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
 
 
 @pytest.mark.parametrize("inst", [
     InstanceFile(vertices=SQUARE, ratios=None, checks=("seven_lines", "ratio_product"),
-                 points=(Point(1, 1), Point(2, 1), Point(1, 1), Point(0, 1, 0))),
+                 points=(pt(1, 1), pt(2, 1), pt(1, 1), pt(0, 1, 0))),
     instance_from_parts(gen_quadrilateral(GenSpec(seed=3), 0), gen_ratios(GenSpec(seed=3), 0)),
 ], ids=["points", "ratios"])
 @pytest.mark.parametrize("claims", [CLAIM_IDS, ("seven_lines",), ()], ids=len)
@@ -82,7 +82,7 @@ def test_report_line_sorts_what_the_tree_sorts_and_keys_texts_by_point():
     quad, ratios = gen_quadrilateral(spec, 0), gen_ratios(spec, 0)
     cfg = build_from_ratios(quad, ratios)
     cfg = cfg._replace(degeneracies=frozenset({"Z9", "A1_IDEAL", "F1_EQ_F2", "M_X", "B"}))
-    e, ideal = Point(1, 2), Point(-3, 2, 0)
+    e, ideal = pt(1, 2), pt(-3, 2, 0)
     verdicts = [
         Verdict("seven_lines", FAIL, detail="E misses \u00e9",
                 witness={"Q1": e, "E": ideal, "M1": e},
@@ -105,8 +105,8 @@ def test_report_line_writes_only_str_and_int_meta(value):
 # non-ASCII and astral characters, next to plain ones
 _ESCAPED = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d11eaA_'),
                    max_size=6)
-_WITNESSES = st.sampled_from([Point(1, 2), Point(-3, 2, 0), Point(1, -2, 3), Point(0, 0),
-                              Point(10**20, 7, 3)])
+_WITNESSES = st.sampled_from([pt(1, 2), pt(-3, 2, 0), pt(1, -2, 3), pt(0, 0),
+                              pt(10**20, 7, 3)])
 # exact values: the yes/no flags, zero, denominators of either sign and
 # integers up to 10**30
 _VALUES = st.one_of(st.sampled_from([(1, 1), (0, 1), (0, -5), (10**30, -1), (-4, -10**30)]),

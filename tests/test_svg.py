@@ -9,9 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quadconc import (
-    Point,
     Quadrilateral,
-    SideRatios,
     build_from_points,
     build_from_ratios,
     svgfig,
@@ -19,7 +17,7 @@ from quadconc import (
 from quadconc.errors import GeometryError, InstanceFormatError
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.svgfig import VIEW, render_svg
-from rationals import affine
+from rationals import affine, pt, side_ratios
 from test_configuration import side_points, signed_ratios
 
 F = Fraction
@@ -38,9 +36,9 @@ def reference_screen(cfg):
     on each side, scaled to ``VIEW`` and flipped in y."""
     coords = {}
     for name in svgfig._DRAWN:
-        pt = cfg.point(name)
-        if pt is not None and not pt.is_ideal:
-            coords[name] = affine(pt)
+        point = cfg.named_points()[name]
+        if point is not None and not point.is_ideal:
+            coords[name] = affine(point)
     xs = [coords[n][0] for n in svgfig._FRAME if n in coords]
     ys = [coords[n][1] for n in svgfig._FRAME if n in coords]
     lo_x, lo_y = min(xs), min(ys)
@@ -91,7 +89,7 @@ def test_seven_layer_strokes_share_the_witness_point(midpoint_config):
 
 
 def test_fg_layer_shows_split_points_for_general_ratios(unit_square):
-    cfg = build_from_ratios(unit_square, SideRatios.of(2, 3, 1, 1))
+    cfg = build_from_ratios(unit_square, side_ratios(2, 3, 1, 1))
     text = render_svg(cfg, layers=("fg", "labels"))
     for name in ("F1", "F2", "G1", "G2"):
         assert f">{name}<" in text
@@ -109,7 +107,7 @@ def test_sides_only_has_no_concurrence_layer(midpoint_config):
 def test_huge_coordinates_render(unit_square):
     # rationals far beyond double precision still format deterministically
     big = F(10**40 + 1, 3)
-    cfg = build_from_ratios(unit_square, SideRatios.of(big, 1, 1, 1))
+    cfg = build_from_ratios(unit_square, side_ratios(big, 1, 1, 1))
     text = render_svg(cfg)
     assert "<svg" in text
 
@@ -117,8 +115,8 @@ def test_huge_coordinates_render(unit_square):
 def test_view_is_framed_without_the_cevian_meets():
     # side points beyond their segments put A1 = BP ∩ DN below the view;
     # the seven layer still draws AA1 to it, but A1 does not frame the view
-    quad = Quadrilateral.of(Point(0, 0), Point(2, 1), Point(0, 2), Point(2, 0))
-    cfg = build_from_points(quad, Point(4, 2), Point(F(1, 2), F(7, 4)), Point(4, -2), Point(-2, 0))
+    quad = Quadrilateral.of(pt(0, 0), pt(2, 1), pt(0, 2), pt(2, 0))
+    cfg = build_from_points(quad, pt(4, 2), pt(F(1, 2), F(7, 4)), pt(4, -2), pt(-2, 0))
     text = render_svg(cfg)
     framed = re.findall(r'<(?:text|circle) \w+="([^"]+)" \w+="([^"]+)"', text)
     assert len(framed) == 18
@@ -153,9 +151,9 @@ def test_screen_matches_the_fraction_form_on_ideal_undefined_and_outside_points(
         *generated(replace(_SMALL, shape="crossed"), (202,)),
         *generated(replace(_SMALL, shape="concave", force_gamma_one=True), (16,)),
         # a figure narrower than one unit, where the span is floored at 1
-        build_from_ratios(Quadrilateral.of(*(Point(*(F(c, 100) for c in p.triple()[:2]))
+        build_from_ratios(Quadrilateral.of(*(pt(*(F(c, 100) for c in p.triple()[:2]))
                                              for p in unit_square.vertices)),
-                          SideRatios.of(1, 2, 3, 1)),
+                          side_ratios(1, 2, 3, 1)),
     ]
     for shape in ("concave", "crossed"):
         cfgs += signed_side_points(replace(_SMALL, shape=shape), range(40))
