@@ -21,10 +21,12 @@ from .generators import ANY_SHAPE, GenSpec, gen_quadrilateral, gen_ratios
 from .instancefile import (instance_document, instance_from_parts, load_instance, render,
                            serialize_instance)
 from .kernel import CONCAVE, CONVEX, CROSSED
-from .report import degenerate_report, degenerate_verdicts, report_document, report_line
+# degenerate_report has no caller here: perfbench patches it as cli.degenerate_report
+from .report import (degenerate_report, degenerate_verdicts, report_document, report_line,
+                     report_text)
 from .svgfig import LAYERS, render_svg, select_layers
 from .verifiers import (CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, FINDING_CLAIMS, PASS, SKIPPED,
-                        select_claims, verify_all)
+                        overall_status, select_claims, verify_all)
 
 # claims that can produce a verdict on concave/crossed inputs
 NONCONVEX_TARGETS = tuple(claim for claim, regime, *_ in CLAIMS if regime != "convex")
@@ -127,17 +129,18 @@ def _write_output(path: str, text: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
+    """Print the pretty report, written straight from the verdicts by
+    ``report_text``; its ``instance`` block is the instance file's text."""
     inst = load_instance(args.file)
     built = _built(inst.configuration)
     checks = _ids(args.check) if args.check else inst.checks
     claims = select_claims(checks or None)
-    meta = {"source": args.file}
     if isinstance(built, str):
-        out.write(render(degenerate_report(meta, claims, built, instance=inst)))
-        return 0
-    doc = report_document(meta, verify_all(built, claims), built, instance=inst)
-    out.write(render(doc))
-    return 1 if doc["overall"] == FAIL else 0
+        verdicts, cfg = degenerate_verdicts(claims, built), None
+    else:
+        verdicts, cfg = verify_all(built, claims), built
+    out.write(report_text({"source": args.file}, verdicts, cfg, render(instance_document(inst))))
+    return 1 if overall_status(verdicts) == FAIL else 0
 
 
 def cmd_fuzz(args: argparse.Namespace, out) -> int:

@@ -20,7 +20,8 @@ attempts per instance.
 
 Each candidate is drawn on bare integers.  ``Stream.ints`` makes all of
 an attempt's bounded draws in one pass and holds the only copy of the
-advance and the mix; ``mix64`` is its one-value form.  The pass is
+advance; ``_mix`` holds the only copy of the mix, which ``Stream.ints``
+applies to its packed lanes and ``mix64`` to one 64-bit value.  The pass is
 packed: each value's 64-bit state sits in its own 128-bit slot of one
 integer, every slot is masked to 64 bits before each multiply so no
 product reaches the next slot, and one ``struct`` unpack reads the
@@ -67,10 +68,6 @@ TAG_RATIOS = 0x72
 
 REJECTION_CAP = 1000
 
-# the span of a raw 64-bit output
-_U64 = ((0, 1 << 64),)
-
-
 @lru_cache(maxsize=8)
 def _lanes(n: int):
     """The constants of an ``n``-value pass, one 128-bit slot per value: a
@@ -81,9 +78,17 @@ def _lanes(n: int):
     return ones, steps, ones * _MASK, struct.Struct("<" + "Q8x" * n).unpack
 
 
+def _mix(z: int, lanes: int) -> int:
+    """The output mix of each 64-bit lane of ``z``, ``lanes`` the mask of
+    its lanes; one lane is a plain 64-bit value, masked by ``_MASK``."""
+    z = ((z ^ (z >> 30)) & lanes) * _MIX_A & lanes
+    z = ((z ^ (z >> 27)) & lanes) * _MIX_B & lanes
+    return z ^ (z >> 31)
+
+
 def mix64(z: int) -> int:
     """The output mix of ``z``: the draw of the stream whose next state is ``z``."""
-    return Stream(z - _GOLDEN).ints(_U64)[0]
+    return _mix(z & _MASK, _MASK)
 
 
 class Stream:
@@ -104,10 +109,7 @@ class Stream:
         self.state = (s + n * _GOLDEN) & _MASK
         # lane k holds the state after k + 1 advances; each multiply takes
         # 64-bit lanes, so a product stays inside its 128-bit slot
-        z = (s * ones + steps) & lanes
-        z = ((z ^ (z >> 30)) & lanes) * _MIX_A & lanes
-        z = ((z ^ (z >> 27)) & lanes) * _MIX_B & lanes
-        z ^= z >> 31
+        z = _mix((s * ones + steps) & lanes, lanes)
         return [lo + u % size
                 for (lo, size), u in zip(spans, unpack(z.to_bytes(16 * n, "little")))]
 

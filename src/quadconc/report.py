@@ -1,35 +1,37 @@
 """Machine-readable verification reports.
 
-A report is a single JSON tree per instance.  Every number in it is an
-exact rational string; nothing is ever rounded.  Serialization, by
-``instancefile.render``, is byte-stable: same instance, same verdicts,
-same bytes.  The verifiers decide and this module writes: a verdict's
-``exact_values`` are integer ``(num, den)`` pairs, each written here by
-``kernel.rational_text``, in the bytes ``str(Fraction)`` writes.
+A report is a single JSON object per instance.  Every number in it is an
+exact rational string; nothing is ever rounded.  Its text is byte-stable:
+same instance, same verdicts, same bytes.  The verifiers decide and this
+module writes: a verdict's ``exact_values`` are integer ``(num, den)``
+pairs, each written here by ``kernel.rational_text``, in the bytes
+``str(Fraction)`` writes.
 
-``report_line`` writes the compact form of a report, one line of
-``fuzz``, straight from the verdicts: exactly the bytes of
-``render(report_document(...), compact=True)``, with no tree and no
-``json`` encoder call.  Keys go out in their fixed sorted order, from
-layouts made at import.  Nothing that is the same on every line is made
-again per line:
+Both commands write reports straight from the verdicts, with no tree
+and no ``json`` encoder call, through one writer that takes its layout
+as data.  ``report_line`` writes one compact ``fuzz`` line, the bytes of
+``render(report_document(...), compact=True)``; ``report_text`` writes
+what ``verify`` prints, the bytes of ``render(report_document(...))``,
+its ``instance`` block the instance file's own text indented one level.
+Each layout's fixed text, keys in sorted order, is made at import, and
+nothing that is the same on every report is made again per report:
 
 * each fixed string (claim id, status, exact-value key, witness name,
   meta key, flag, shape and claim id of ``checks``) is escaped by
   ``json``'s C escaper once per process and then looked up;
 * coordinates are written from the integer triples by
   ``kernel.triple_text``, whose texts need no escape, and each distinct
-  witness point's text once per line;
+  witness point's text once per report;
 * the stored lowest-terms pairs, the instance's ratios, ``gamma`` and
   ``r``, are written by ``kernel.reduced_text``, with no second gcd;
-* each distinct exact-value pair is written once per line by
+* each distinct exact-value pair is written once per report by
   ``rational_text``, whose text is ASCII digits, ``-`` and ``/`` and
   needs no escape.
 
 Every other string, such as a ``detail``, goes through the escaper as it
-is.  The tree writers use the same text functions, so the line and the
-tree agree on any input.  ``verify`` keeps the tree, which it renders
-pretty.
+is.  The tree (``report_document``) uses the same text functions, so the
+writer and the tree agree on any input.  It remains as the test oracle
+and as the check of each ``fuzz`` campaign's first line.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _meta_value(value: object) -> str:
         return _ascii(value)
     if type(value) is int:
         return int.__repr__(value)
-    raise TypeError(f"report_line writes str and int meta values, not {type(value).__name__}")
+    raise TypeError(f"reports write str and int meta values, not {type(value).__name__}")
 
 
 def _members(keys: tuple[str, ...], value: str) -> str:
@@ -131,17 +133,11 @@ def _members(keys: tuple[str, ...], value: str) -> str:
     return ",".join([_ascii(key) + ":" + value for key in keys])
 
 
-# the compact layouts, keys in sorted order; each %s is JSON text, except
+# the compact instance, keys in sorted order; each %s is JSON text, except
 # in _RATIOS, where it is a rational's text, which needs no escape
-_LINE = '{%s"instance":%s,"instance_meta":{%s},"overall":%s,"verdicts":[%s]}\n'
-_CONFIGURATION = '"configuration":{"degeneracies":%s,"gamma":"%s","r":"%s","shape":%s},'
 _INSTANCE = '{"checks":%s%s,"vertices":{' + _members(VERTEX_KEYS, "%s") + '}}'
 _POINTS = ',"points":{' + _members(POINT_KEYS, "%s") + '}'
 _RATIOS = ',"ratios":{' + _members(RATIO_KEYS, '"%s"') + '}'
-_VERDICT = '{"claim":%s,"detail":%s,"exact_values":{%s},"status":%s,"witness":{%s}}'
-# a verdict with no witness and no exact values, as skips and most
-# degenerate verdicts are
-_BARE_VERDICT = '{"claim":%s,"detail":%s,"exact_values":{},"status":%s,"witness":{}}'
 
 
 def _instance_text(inst: InstanceFile) -> str:
@@ -161,38 +157,97 @@ def _instance_text(inst: InstanceFile) -> str:
                         _point(D.triple()))
 
 
-def _verdicts_text(verdicts: Sequence[Verdict]) -> str:
-    """The verdicts' ``verdict_json`` as compact JSON, comma-separated.  The
-    text of each distinct witness triple and of each distinct exact-value
-    pair is written once."""
+def _layout(newline: str, indent: str) -> tuple:
+    """The fixed text of a report that writes each nested item on its own
+    line, after ``newline`` and ``indent`` once per level; compact when
+    both are empty.  In order: the formats of the report, of its
+    configuration member, of a verdict and of a verdict with no witness
+    and no exact values; the colon after a key; and the ``(opening,
+    separator, closing)`` around the items of the meta, the flags, the
+    verdicts, a witness or exact-values object, and a witness point's
+    texts.  An empty container is ``{}`` or ``[]`` in every layout."""
+    colon = ": " if newline else ":"
+
+    def container(level: int, brackets: str = "{}") -> tuple[str, str, str]:
+        inner = newline + indent * (level + 1)
+        return brackets[0] + inner, "," + inner, newline + indent * level + brackets[1]
+
+    def fixed(level: int, pairs: list[tuple[str, str]], first: str = "") -> str:
+        """An object of fixed keys; ``first`` goes before its first member."""
+        opening, separator, closing = container(level)
+        return opening + first + separator.join(
+            [_ascii(key) + colon + value for key, value in pairs]) + closing
+
+    verdict = fixed(2, [("claim", "%s"), ("detail", "%s"), ("exact_values", "%s"),
+                        ("status", "%s"), ("witness", "%s")])
+    point = container(4, "[]")
+    return (fixed(0, [("instance", "%s"), ("instance_meta", "%s"), ("overall", "%s"),
+                      ("verdicts", "%s")], first="%s") + "\n",
+            '"configuration"' + colon + fixed(1, [("degeneracies", "%s"), ("gamma", '"%s"'),
+                                                  ("r", '"%s"'), ("shape", "%s")])
+            + container(0)[1],
+            verdict, verdict % ("%s", "%s", "{}", "%s", "{}"), colon,
+            container(1), container(2, "[]"), container(1, "[]"), container(3),
+            (point[0] + '"', '"' + point[1] + '"', '"' + point[2]))
+
+
+_COMPACT = _layout("", "")
+_PRETTY = _layout("\n", "  ")
+
+
+def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
+           cfg: Optional[Configuration], instance_text: str) -> str:
+    """The report in ``layout``, its ``instance`` value the JSON text
+    ``instance_text``.  The text of each distinct witness triple and of
+    each distinct exact-value pair is written once."""
+    (report, configuration_format, verdict, bare_verdict, colon, meta_layout, flags_layout,
+     verdicts_layout, (m_open, m_sep, m_close), (p_open, p_sep, p_close)) = layout
     escaped = _escaped
+    configuration = ""
+    if cfg is not None:
+        opening, separator, closing = flags_layout
+        flags = opening + separator.join(
+            [escaped[flag] for flag in sorted(cfg.degeneracies)]) + closing \
+            if cfg.degeneracies else "[]"
+        configuration = configuration_format % (
+            flags, reduced_text(*cfg.ratios.gamma), reduced_text(*cfg.r_ratio),
+            escaped[cfg.quad.shape])
+    opening, separator, closing = meta_layout
+    meta_text = opening + separator.join([escaped[key] + colon + _meta_value(value)
+                                          for key, value in sorted(meta.items())]) + closing \
+        if meta else "{}"
+    value_colon = colon + '"'
     witness_texts: dict = {}
     value_texts: dict = {}
     parts = []
     for claim, status, detail, witness, values in verdicts:
         if not witness and not values:
-            parts.append(_BARE_VERDICT % (escaped[claim], _ascii(detail), escaped[status]))
+            parts.append(bare_verdict % (escaped[claim], _ascii(detail), escaped[status]))
             continue
-        witness_text = ""
+        witness_text = values_text = "{}"
         if witness:
             members = []
             for name, pt in sorted(witness.items()):
                 t = pt.triple()
                 text = witness_texts.get(t)
                 if text is None:
-                    text = witness_texts[t] = _point(t)
-                members.append(escaped[name] + ":" + text)
-            witness_text = ",".join(members)
-        members = []
-        for key, value in sorted(values.items()):
-            text = value_texts.get(value)
-            if text is None:
-                text = value_texts[value] = rational_text(*value)
-            members.append(escaped[key] + ':"' + text + '"')
-        values_text = ",".join(members)
-        parts.append(_VERDICT % (escaped[claim], _ascii(detail), values_text, escaped[status],
-                                 witness_text))
-    return ",".join(parts)
+                    text = witness_texts[t] = p_open + p_sep.join(triple_text(t)) + p_close
+                members.append(escaped[name] + colon + text)
+            witness_text = m_open + m_sep.join(members) + m_close
+        if values:
+            members = []
+            for key, value in sorted(values.items()):
+                text = value_texts.get(value)
+                if text is None:
+                    text = value_texts[value] = rational_text(*value)
+                members.append(escaped[key] + value_colon + text + '"')
+            values_text = m_open + m_sep.join(members) + m_close
+        parts.append(verdict % (escaped[claim], _ascii(detail), values_text, escaped[status],
+                                witness_text))
+    opening, separator, closing = verdicts_layout
+    verdicts_text = opening + separator.join(parts) + closing if parts else "[]"
+    return report % (configuration, instance_text, meta_text, escaped[overall_status(verdicts)],
+                     verdicts_text)
 
 
 def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configuration],
@@ -200,10 +255,13 @@ def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configura
     """``render(report_document(meta, verdicts, cfg, instance=instance),
     compact=True)``, written directly.  ``meta`` maps names to strings and
     integers."""
-    configuration = "" if cfg is None else _CONFIGURATION % (
-        _strings(sorted(cfg.degeneracies)), reduced_text(*cfg.ratios.gamma),
-        reduced_text(*cfg.r_ratio), _escaped[cfg.quad.shape])
-    meta_text = ",".join([_escaped[key] + ":" + _meta_value(value)
-                          for key, value in sorted(meta.items())])
-    return _LINE % (configuration, _instance_text(instance), meta_text,
-                    _escaped[overall_status(verdicts)], _verdicts_text(verdicts))
+    return _write(_COMPACT, meta, verdicts, cfg, _instance_text(instance))
+
+
+def report_text(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configuration],
+                instance_text: str) -> str:
+    """``render(report_document(meta, verdicts, cfg, instance=instance))``,
+    written directly, given the instance file's text ``instance_text =
+    render(instance_document(instance))``.  ``meta`` maps names to
+    strings and integers."""
+    return _write(_PRETTY, meta, verdicts, cfg, instance_text[:-1].replace("\n", "\n  "))

@@ -41,28 +41,40 @@ _DRAWN_SLOTS = tuple((name, SLOT[name]) for name in _DRAWN)
 _INNER = ("M1", "N1", "P1", "Q1")
 
 
-def _fmt(num: int, den: int) -> str:
+# 10**k for every k below _POWERS, as _fmt needs them for figure
+# coordinates; a larger power is made on use
+_POWERS = 32
+_POW10 = tuple(10**k for k in range(_POWERS))
+_LIMIT = 10**RENDER_DIGITS
+
+
+def _fmt(num: int, den: int, den_bits: int = 0) -> str:
     """``num / den`` (``den > 0``) to ``RENDER_DIGITS`` significant digits,
     half to even, in the bytes of ``decimal``'s division at that precision:
     fixed point below ``1e15``, else ``d.dddE+n``; an exact quotient keeps
-    no trailing zero after the point."""
+    no trailing zero after the point.  ``den_bits``, if given, is
+    ``den.bit_length()``, made once for many quotients over one ``den``."""
     a = abs(num)
     if a == 0:
         return "0"
     # e, the exponent of the last kept digit, starts at or below its value:
     # log10(a / den) > y*log10(2), and 1233/4096 < log10(2) < 1234/4096
-    y = a.bit_length() - den.bit_length() - 1
+    y = a.bit_length() - (den_bits or den.bit_length()) - 1
     e = (y * (1233 if y >= 0 else 1234) >> 12) + 1 - RENDER_DIGITS
-    d = den if e < 0 else den * 10**e
-    q, r = divmod(a * 10**-e if e < 0 else a, d)
-    while q >= 10**RENDER_DIGITS:  # one digit too many: move it into r
+    if e < 0:
+        d = den
+        q, r = divmod(a * (_POW10[-e] if -e < _POWERS else 10**-e), d)
+    else:
+        d = den * (_POW10[e] if e < _POWERS else 10**e)
+        q, r = divmod(a, d)
+    while q >= _LIMIT:  # one digit too many: move it into r
         q, last = divmod(q, 10)
         r += last * d
         d *= 10
         e += 1
     if 2 * r > d or (2 * r == d and q & 1):
         q += 1
-        if q == 10**RENDER_DIGITS:
+        if q == _LIMIT:
             q, e = q // 10, e + 1
     while r == 0 and e < 0 and q % 10 == 0:
         q, e = q // 10, e + 1
@@ -88,13 +100,15 @@ def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
     ys = [xy[triples[n]][1] for n in _FRAME if n in triples]
     lo_x, lo_y = min(xs), min(ys)
     # the framed span s (at least 1) plus a margin of s/12 on each side fills
-    # VIEW: x' = (x - lo_x + s/12) * VIEW / (14s/12) = 320 * (12*(x - lo_x) + s) / (7s),
-    # and y' = VIEW - the same in y; over the common weight every term is an
-    # integer, and s is at least the weight
+    # VIEW: x' = (x - lo_x + s/12) * VIEW / (14s/12) = (3840x + 320(s - 12 lo_x)) / (7s),
+    # and y' = VIEW - the same in y = (VIEW 7s - 320(s - 12 lo_y) - 3840y) / (7s); over
+    # the common weight every term is an integer, and s is at least the weight.  Each
+    # axis's offset and the one denominator's bit length are made once per render.
     s = max(max(xs) - lo_x, max(ys) - lo_y, weight)
     den = 7 * s
-    screen = {p: (_fmt(320 * (12 * (x - lo_x) + s), den),
-                  _fmt(VIEW * den - 320 * (12 * (y - lo_y) + s), den))
+    bits = den.bit_length()
+    x0, y0 = 320 * (s - 12 * lo_x), VIEW * den - 320 * (s - 12 * lo_y)
+    screen = {p: (_fmt(3840 * x + x0, den, bits), _fmt(y0 - 3840 * y, den, bits))
               for p, (x, y) in xy.items()}
     return {name: screen[p] for name, p in triples.items()}
 

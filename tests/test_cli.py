@@ -4,10 +4,13 @@ import sys
 
 import pytest
 
-from quadconc import cli, verifiers
+from quadconc import build_from_ratios, cli, verifiers
 from quadconc.cli import main
+from quadconc.errors import DegenerateQuadrilateral, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
-from quadconc.instancefile import instance_from_parts, parse_rational
+from quadconc.instancefile import (InstanceFile, instance_from_parts, load_instance,
+                                   parse_rational, render, serialize_instance)
+from quadconc.report import degenerate_report, report_document
 from rationals import frac
 
 MIDPOINT = {
@@ -252,6 +255,94 @@ class TestDegenerateInstance:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: unknown layers: nope\n"
         assert not svg.exists()
+
+
+def tree_oracle(path, check=None):
+    """``verify``'s exit code and stdout, made from the report tree."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        inst = load_instance(path)
+        claims = verifiers.select_claims(check or inst.checks or None)
+        meta = {"source": path}
+        try:
+            cfg = inst.configuration()
+        except (DegenerateQuadrilateral, UndefinedPoint) as exc:
+            doc = degenerate_report(meta, claims, f"{type(exc).__name__}: {exc}", instance=inst)
+        else:
+            doc = report_document(meta, verifiers.verify_all(cfg, claims), cfg, instance=inst)
+        return (1 if doc["overall"] == "fail" else 0), render(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def generated_files(tmp_path, spec, count=3):
+    paths = []
+    for index in range(count):
+        inst = instance_from_parts(gen_quadrilateral(spec, index), gen_ratios(spec, index))
+        path = tmp_path / f"{spec.shape}-{spec.force_gamma_one}-{index}.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def points_files(tmp_path):
+    # side points in place of ratios, one file with a checks list
+    paths = []
+    for seed, checks in ((3, ()), (42, ("seven_lines", "ratio_product"))):
+        spec = GenSpec(seed=seed)
+        cfg = build_from_ratios(gen_quadrilateral(spec, 0), gen_ratios(spec, 0))
+        points = cfg.named_points()
+        inst = InstanceFile(vertices=cfg.quad.vertices, ratios=None, checks=checks,
+                            points=tuple(points[name] for name in "MNPQ"))
+        path = tmp_path / f"points-{seed}.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+VERIFY_FILES = {
+    "gamma1": lambda tmp: generated_files(tmp, GenSpec(seed=42, force_gamma_one=True)),
+    "general": lambda tmp: generated_files(tmp, GenSpec(seed=42)),
+    "crossed": lambda tmp: generated_files(tmp, GenSpec(seed=42, shape="crossed")),
+    "points": points_files,
+    "degenerate": lambda tmp: [write_instance(tmp, doc, f"degenerate-{i}.json")
+                               for i, (doc, _) in enumerate(DEGENERATE_INSTANCES)],
+    "wide": lambda tmp: [write_instance(tmp, {
+        "vertices": {"A": ["0", "0"], "B": [str(WIDE + 7), "1"],
+                     "C": [str(WIDE + 3), str(WIDE)], "D": ["1", f"{WIDE}/3"]},
+        "ratios": {"m": "1", "n": "2", "p": "1/3", "q": "3/2"}}, "wide.json")],
+    "failing": lambda tmp: [write_instance(tmp, {
+        "vertices": {"A": ["0", "0"], "B": ["1", "1"], "C": ["1", "0"], "D": ["0", "1"]},
+        "ratios": {"m": "1/2", "n": "1/2", "p": "1/2", "q": "1/3"},
+        "checks": ["inner_quadrilateral_convexity"]}, "failing.json")],
+}
+
+
+class TestVerifyReport:
+    @pytest.mark.parametrize("kind", list(VERIFY_FILES))
+    def test_stdout_and_exit_code_are_the_tree(self, tmp_path, kind):
+        # every file as it is, and under a --check subset; the failing file
+        # and crossed ones, where a convexity finding fails, exit 1
+        codes = set()
+        for path in VERIFY_FILES[kind](tmp_path):
+            for check in (None, ["seven_lines,crossing_ratios", "inner_quadrilateral"]):
+                argv = ["verify", path] + [a for c in check or () for a in ("--check", c)]
+                expected = tree_oracle(path, check and ["seven_lines", "crossing_ratios",
+                                                        "inner_quadrilateral"])
+                assert run(argv) == expected, argv
+                codes.add(expected[0])
+        assert codes == ({0, 1} if kind in ("crossed", "failing") else {0})
+
+    def test_verify_builds_no_report_tree(self, tmp_path, monkeypatch):
+        # verify writes both its branches straight from the verdicts
+        calls = []
+        for name in ("report_document", "degenerate_report"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        for doc in (MIDPOINT, DEGENERATE_INSTANCES[0][0]):
+            code, out = run(["verify", write_instance(tmp_path, doc)])
+            assert code == 0 and json.loads(out)["verdicts"]
+        assert calls == []
 
 
 class TestFuzz:

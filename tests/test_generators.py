@@ -35,6 +35,11 @@ class TestStream:
         assert mix64(0) == 0
         assert mix64(1) == 0x5692161D100B05E5
 
+    @given(st.integers(-2**70, 2**70))
+    def test_mix64_is_the_draw_of_the_stream_whose_next_state_is_z(self, z):
+        # mix64 mixes one value without the packed pass; its bytes are the pass's
+        assert mix64(z) == Stream(z - 0x9E3779B97F4A7C15).ints(((0, 2**64),))[0]
+
     def test_instance_stream_keying(self):
         assert instance_stream(1, 0, 0x71).state == 0xB44B3E2E2830329B
         assert instance_stream(1, 0, 0x71).state != instance_stream(1, 0, 0x72).state
@@ -46,7 +51,7 @@ class TestStream:
                lambda b: generators._point_spans(b) * 4,  # convex, crossed, any
                lambda b: generators._point_spans(b) * 3 + ((1, b),) * 3,  # concave
                lambda b: ((1, b),) * 8,  # ratios
-               lambda b: generators._U64,  # mix64
+               lambda b: ((0, 2**64),),  # a raw 64-bit output
            ]))
     def test_bulk_draw_equals_repeated_next_int(self, state, bound, spans_of):
         # each drawer's spans: signed numerators, positive denominators,

@@ -1,5 +1,6 @@
-"""``report.report_line`` against the report tree it stands for: every line
-must be byte for byte the compact JSON of ``report_document``."""
+"""The report writer against the report tree it stands for: every
+``report_line`` must be byte for byte the compact JSON of
+``report_document``, and every ``report_text`` its pretty JSON."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,23 +9,40 @@ from hypothesis import strategies as st
 from quadconc import build_from_ratios, report
 from quadconc.errors import UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
-from quadconc.instancefile import InstanceFile, instance_from_parts, render
-from quadconc.report import degenerate_verdicts, report_document, report_line
-from quadconc.verifiers import CLAIM_IDS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict, verify_all
+from quadconc.instancefile import InstanceFile, instance_document, instance_from_parts, render
+from quadconc.report import (degenerate_report, degenerate_verdicts, report_document,
+                             report_line, report_text)
+from quadconc.verifiers import (CLAIM_IDS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict,
+                                select_claims, verify_all)
 from rationals import pt
 from test_golden import corruptions
 from test_verifiers import with_points
 
-BOUNDS = ((4, 2), (10, 8), (10**30, 10**30))
+BOUNDS = ((4, 2), (10, 8), (10**3, 10**3), (10**30, 10**30))
 
 
 def tree_line(meta, verdicts, cfg, inst):
     return render(report_document(meta, verdicts, cfg, instance=inst), compact=True)
 
 
+def pretty_text(meta, verdicts, cfg, inst):
+    """``report_text`` as ``verify`` calls it, with the instance file's text."""
+    return report_text(meta, verdicts, cfg, render(instance_document(inst)))
+
+
+def written(meta, verdicts, cfg, inst):
+    """The line, after checking both layouts against the tree."""
+    doc = report_document(meta, verdicts, cfg, instance=inst)
+    assert pretty_text(meta, verdicts, cfg, inst) == render(doc)
+    line = report_line(meta, verdicts, cfg, inst)
+    assert line == render(doc, compact=True)
+    return line
+
+
 @pytest.mark.parametrize("shape", ["convex", "concave", "crossed", "any"])
 def test_report_line_is_the_compact_tree(shape):
-    """Both regimes at each of ``BOUNDS``, indices 0-5, and under each of
+    """Both layouts against the tree (``written``): both regimes at each
+    of ``BOUNDS``, indices 0-5, and under each of
     ``test_golden.corruptions`` at indices 0 and 1: passing, failing,
     degenerate and skipped verdicts, and ideal witness points."""
     statuses, ideal_witnesses = set(), 0
@@ -40,16 +58,14 @@ def test_report_line_is_the_compact_tree(shape):
                     cfg = build_from_ratios(quad, ratios)
                 except UndefinedPoint as exc:
                     verdicts = degenerate_verdicts(CLAIM_IDS, f"UndefinedPoint: {exc}")
-                    assert report_line(meta, verdicts, None, inst) == tree_line(
-                        meta, verdicts, None, inst)
+                    written(meta, verdicts, None, inst)
                     continue
                 configs = [cfg]
                 if index < 2:
                     configs += [with_points(cfg, **{name: pt}) for name, _, pt in corruptions(cfg)]
                 for built in configs:
                     verdicts = verify_all(built)
-                    line = report_line(meta, verdicts, built, inst)
-                    assert line == tree_line(meta, verdicts, built, inst)
+                    line = written(meta, verdicts, built, inst)
                     statuses.update(v.status for v in verdicts)
                     ideal_witnesses += '"0"]' in line
     assert statuses == {PASS, FAIL, DEGENERATE, SKIPPED}
@@ -66,13 +82,42 @@ SQUARE = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
 ], ids=["points", "ratios"])
 @pytest.mark.parametrize("claims", [CLAIM_IDS, ("seven_lines",), ()], ids=len)
 def test_degenerate_report_line_is_the_compact_tree(inst, claims):
-    # cfg=None, as ``fuzz`` writes an instance that does not build; the
-    # meta holds a non-ASCII string, which json escapes, and an int
+    # cfg=None, as ``fuzz`` and ``verify`` write an instance that does not
+    # build; the meta holds a non-ASCII string, which json escapes, and an int
     meta = {"source": "données/ångström ☃ \"q\".json", "index": 10**20, "z": ""}
-    verdicts = degenerate_verdicts(claims, "UndefinedPoint: point N1 is undefined: é")
-    line = report_line(meta, verdicts, None, inst)
-    assert line == tree_line(meta, verdicts, None, inst)
+    reason = "UndefinedPoint: point N1 is undefined: é"
+    verdicts = degenerate_verdicts(claims, reason)
+    line = written(meta, verdicts, None, inst)
     assert line.isascii() and line.endswith("}\n") and line.count("\n") == 1
+    text = pretty_text({"source": meta["source"]}, verdicts, None, inst)
+    assert text == render(degenerate_report({"source": meta["source"]}, claims, reason,
+                                            instance=inst))
+    assert text.isascii() and ("\n  ]" in text) == bool(claims)
+
+
+@pytest.mark.parametrize("claims", [None, ("seven_lines",),
+                                    ("ratio_product", "crossing_ratios", "section_ratios")],
+                         ids=["all", "one", "three"])
+@pytest.mark.parametrize("seed", [3, 42])
+def test_points_instances_and_check_subsets_are_the_tree(seed, claims):
+    # a file of side points, as ``verify`` reads it, run on the claims a
+    # ``--check`` selects, under a non-ASCII source; and the unit square
+    # with its midpoints, where R is ideal and F1, G1, F2 and G2 coincide,
+    # so the configuration carries four flags
+    for force in (True, False):
+        cfg = build_from_ratios(gen_quadrilateral(GenSpec(seed=seed, force_gamma_one=force), 0),
+                                gen_ratios(GenSpec(seed=seed, force_gamma_one=force), 0))
+        points = cfg.named_points()
+        for inst in (
+            InstanceFile(vertices=cfg.quad.vertices, ratios=None, checks=claims or (),
+                         points=tuple(points[name] for name in "MNPQ")),
+            InstanceFile(vertices=SQUARE, ratios=None, checks=claims or (),
+                         points=(pt(1, 0, 2), pt(2, 1, 2), pt(1, 2, 2), pt(0, 1, 2))),
+        ):
+            built = inst.configuration()
+            verdicts = verify_all(built, select_claims(claims))
+            assert [v.claim_id for v in verdicts] == list(select_claims(claims))
+            written({"source": "données/☃.json"}, verdicts, built, inst)
 
 
 def test_report_line_sorts_what_the_tree_sorts_and_keys_texts_by_point():
@@ -90,8 +135,7 @@ def test_report_line_sorts_what_the_tree_sorts_and_keys_texts_by_point():
         Verdict("crossing_ratios", PASS, witness={"E": e}),
     ]
     inst = instance_from_parts(quad, ratios)
-    line = report_line({"b": "x", "a": 1}, verdicts, cfg, inst)
-    assert line == tree_line({"b": "x", "a": 1}, verdicts, cfg, inst)
+    written({"b": "x", "a": 1}, verdicts, cfg, inst)
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, ["x"]])
@@ -99,6 +143,8 @@ def test_report_line_writes_only_str_and_int_meta(value):
     inst = instance_from_parts(gen_quadrilateral(GenSpec(), 0), gen_ratios(GenSpec(), 0))
     with pytest.raises(TypeError):
         report_line({"x": value}, [], None, inst)
+    with pytest.raises(TypeError):
+        pretty_text({"x": value}, [], None, inst)
 
 
 # strings that JSON escapes: quotes, backslashes, control characters,
@@ -123,14 +169,13 @@ _BUILT = build_from_ratios(gen_quadrilateral(GenSpec(seed=42), 0), gen_ratios(Ge
        st.lists(_ESCAPED, max_size=3), st.dictionaries(_ESCAPED, _ESCAPED, max_size=2))
 def test_fixed_strings_escape_once_and_read_back_the_same(verdicts, flags, shape, checks, meta):
     # claim ids, statuses, value keys, witness names, flags, the shape,
-    # checks and meta keys go through the escape table; the first line
+    # checks and meta keys go through the escape table; the first report
     # fills it and the second reads it back, and both are the tree's bytes
     cfg = _BUILT._replace(quad=_BUILT.quad._replace(shape=shape), degeneracies=flags)
     inst = instance_from_parts(cfg.quad, cfg.ratios, checks=tuple(checks))
     for built in (cfg, None):
-        expected = tree_line(meta, verdicts, built, inst)
-        assert report_line(meta, verdicts, built, inst) == expected
-        assert report_line(meta, verdicts, built, inst) == expected
+        written(meta, verdicts, built, inst)
+        written(meta, verdicts, built, inst)
 
 
 def test_a_full_escape_table_stores_no_more(monkeypatch):
@@ -141,7 +186,7 @@ def test_a_full_escape_table_stores_no_more(monkeypatch):
     verdicts = [Verdict(f"claim \u00e9 {i}", PASS) for i in range(5)]
     inst = instance_from_parts(_BUILT.quad, _BUILT.ratios)
     for _ in range(2):
-        assert report_line({}, verdicts, None, inst) == tree_line({}, verdicts, None, inst)
+        written({}, verdicts, None, inst)
     assert len(report._escaped) == 3
 
 
@@ -168,6 +213,9 @@ def test_report_line_writes_each_exact_value_with_one_call(monkeypatch):
         assert len(distinct) < 23
         calls.clear()
         line = report_line({}, verdicts, built, inst)
+        assert sorted(calls) == sorted(distinct)
+        calls.clear()
+        pretty_text({}, verdicts, built, inst)
         assert sorted(calls) == sorted(distinct)
         calls.clear()
         assert line == tree_line({}, verdicts, built, inst)
