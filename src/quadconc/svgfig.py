@@ -48,18 +48,17 @@ _POW10 = tuple(10**k for k in range(_POWERS))
 _LIMIT = 10**RENDER_DIGITS
 
 
-def _fmt(num: int, den: int, den_bits: int = 0) -> str:
+def _fmt(num: int, den: int) -> str:
     """``num / den`` (``den > 0``) to ``RENDER_DIGITS`` significant digits,
     half to even, in the bytes of ``decimal``'s division at that precision:
     fixed point below ``1e15``, else ``d.dddE+n``; an exact quotient keeps
-    no trailing zero after the point.  ``den_bits``, if given, is
-    ``den.bit_length()``, made once for many quotients over one ``den``."""
+    no trailing zero after the point."""
     a = abs(num)
     if a == 0:
         return "0"
     # e, the exponent of the last kept digit, starts at or below its value:
     # log10(a / den) > y*log10(2), and 1233/4096 < log10(2) < 1234/4096
-    y = a.bit_length() - (den_bits or den.bit_length()) - 1
+    y = a.bit_length() - den.bit_length() - 1
     e = (y * (1233 if y >= 0 else 1234) >> 12) + 1 - RENDER_DIGITS
     if e < 0:
         d = den
@@ -103,12 +102,11 @@ def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
     # VIEW: x' = (x - lo_x + s/12) * VIEW / (14s/12) = (3840x + 320(s - 12 lo_x)) / (7s),
     # and y' = VIEW - the same in y = (VIEW 7s - 320(s - 12 lo_y) - 3840y) / (7s); over
     # the common weight every term is an integer, and s is at least the weight.  Each
-    # axis's offset and the one denominator's bit length are made once per render.
+    # axis's offset is made once per render.
     s = max(max(xs) - lo_x, max(ys) - lo_y, weight)
     den = 7 * s
-    bits = den.bit_length()
     x0, y0 = 320 * (s - 12 * lo_x), VIEW * den - 320 * (s - 12 * lo_y)
-    screen = {p: (_fmt(3840 * x + x0, den, bits), _fmt(y0 - 3840 * y, den, bits))
+    screen = {p: (_fmt(3840 * x + x0, den), _fmt(y0 - 3840 * y, den))
               for p, (x, y) in xy.items()}
     return {name: screen[p] for name, p in triples.items()}
 
