@@ -41,7 +41,8 @@ _DEGENERATE_INPUT = (DegenerateQuadrilateral, UndefinedPoint)
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then reused: it is
-    immutable once built, and ``parse_args`` keeps no state between calls."""
+    immutable once built, and parsing keeps no state between calls.  Its
+    ``commands`` maps each command name to its sub-parser, for ``main``."""
     parser = argparse.ArgumentParser(
         prog="quadconc",
         description="Exact verification of cevian concurrence claims in quadrilaterals.",
@@ -80,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(run=cmd_figure)
     p_fig.add_argument("file")
     p_fig.add_argument("-o", "--output", required=True)
-    p_fig.add_argument("--layers", default="",
-                       help="comma-separated subset of: " + ",".join(LAYERS))
+    # no default: a string default costs argparse a conversion on every parse
+    p_fig.add_argument("--layers", help="comma-separated subset of: " + ",".join(LAYERS))
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -124,22 +126,23 @@ def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int):
 
 
 def _write_output(path: str, text: str) -> None:
-    """Write ``text`` to ``path``; an ``OSError`` reaches ``main``, which exits 2."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path`` as UTF-8; an ``OSError`` reaches ``main``, which exits 2."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     """Print the pretty report, written straight from the verdicts by
     ``report_text``; its ``instance`` block is the instance file's text."""
     inst = load_instance(args.file)
-    built = _built(inst.configuration)
     checks = _ids(args.check) if args.check else inst.checks
     claims = select_claims(checks or None)
+    built = _built(inst.configuration)
     if isinstance(built, str):
         verdicts, cfg = degenerate_verdicts(claims, built), None
     else:
-        verdicts, cfg = verify_all(built, claims), built
+        # None keeps verify_all's fast path when every claim runs
+        verdicts, cfg = verify_all(built, checks or None), built
     # the instance text goes through cli's render, so the benchmark's report.render span
     # stays on this path, timing only this block, until ROADMAP item 8 step (a) renames it
     out.write(report_text({"source": args.file}, verdicts, cfg, render(instance_document(inst))))
@@ -238,7 +241,7 @@ def cmd_counterexample(args: argparse.Namespace, out) -> int:
 def cmd_figure(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.file)
     # an empty list draws every layer, as an empty --check runs every claim
-    layers = select_layers(_ids([args.layers]) or None)
+    layers = select_layers(_ids([args.layers or ""]) or None)
     built = _built(inst.configuration)
     if isinstance(built, str):
         print(f"degenerate: {built}", file=sys.stderr)
@@ -248,13 +251,24 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
+    """Run the command ``argv`` names (default ``sys.argv[1:]``) and return its exit code.
+    A named command's own sub-parser reads the rest, with no top-level pass, and leftovers
+    get the top-level error; no argument, ``-h`` or an unknown name parse at the top level."""
     # exact values print and parse at any size during this call only (the
     # limit exists from Python 3.10.7 on)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else argv
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, rest = command.parse_known_args(argv[1:])
+            if rest:
+                parser.error("unrecognized arguments: " + " ".join(rest))
         return args.run(args, out if out is not None else sys.stdout)
     except _INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)

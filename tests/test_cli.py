@@ -6,7 +6,7 @@ import pytest
 
 from quadconc import build_from_ratios, cli, verifiers
 from quadconc.cli import main
-from quadconc.errors import DegenerateQuadrilateral, UndefinedPoint
+from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import (InstanceFile, instance_from_parts, load_instance,
                                    parse_rational, render, serialize_instance)
@@ -344,6 +344,20 @@ class TestVerifyReport:
             assert code == 0 and json.loads(out)["verdicts"]
         assert calls == []
 
+    def test_all_file_selects_claims_once(self, tmp_path, monkeypatch):
+        # cmd_verify selects the claims, and verify_all takes its fast path
+        calls = []
+
+        def spy(checks=None):
+            calls.append(checks)
+            return select_claims(checks)
+
+        select_claims = verifiers.select_claims
+        monkeypatch.setattr(verifiers, "select_claims", spy)
+        monkeypatch.setattr(cli, "select_claims", spy)
+        assert run(["verify", write_instance(tmp_path, MIDPOINT)])[0] == 0
+        assert calls == [None]
+
 
 class TestFuzz:
     def test_gamma_one_campaign_passes(self):
@@ -547,14 +561,15 @@ class TestFigure:
         assert text.count("<line") == 4
         assert "<circle" not in text
 
-    @pytest.mark.parametrize("layers", [",", ",,"])
+    @pytest.mark.parametrize("layers", [",", ",,", "", None])
     def test_empty_layer_list_draws_every_layer(self, tmp_path, layers):
-        # as an empty --check runs every claim
+        # as an empty --check runs every claim; an empty value and no flag draw the same
         path = write_instance(tmp_path, MIDPOINT)
-        default, empty = tmp_path / "default.svg", tmp_path / "empty.svg"
-        assert run(["figure", path, "-o", str(default)])[0] == 0
-        assert run(["figure", path, "-o", str(empty), "--layers", layers])[0] == 0
-        assert empty.read_bytes() == default.read_bytes()
+        comma, empty = tmp_path / "comma.svg", tmp_path / "empty.svg"
+        flag = [] if layers is None else ["--layers", layers]
+        assert run(["figure", path, "-o", str(comma), "--layers", ","])[0] == 0
+        assert run(["figure", path, "-o", str(empty)] + flag)[0] == 0
+        assert empty.read_bytes() == comma.read_bytes()
 
     def test_unknown_layer_exits_two(self, tmp_path):
         path = write_instance(tmp_path, MIDPOINT)
@@ -578,3 +593,89 @@ class TestFigure:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+# each command that writes a file, with {instance} and {dir} to fill in
+OUTPUT_WRITERS = {
+    "figure": ["figure", "{instance}", "-o", "{dir}/out.svg"],
+    "counterexample": ["counterexample", "--shape", "crossed", "--target",
+                       "inner_quadrilateral_convexity", "--budget", "500", "-o", "{dir}/out.json"],
+    "fuzz": ["fuzz", "--seed", "42", "--count", "40", "--regime", "remarks", "--dump-dir", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("writer", list(OUTPUT_WRITERS))
+def test_output_replaces_a_longer_file_with_exactly_its_bytes(tmp_path, writer):
+    instance = write_instance(tmp_path, MIDPOINT)
+
+    def written(out_dir):
+        argv = [a.format(instance=instance, dir=out_dir) for a in OUTPUT_WRITERS[writer]]
+        assert run(argv)[0] == 0
+        return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    expected = written(fresh)
+    assert expected
+    stale.mkdir()
+    for name, data in expected.items():
+        (stale / name).write_bytes(b"stale\r\n" * (len(data) // 7 + 2))
+    assert written(stale) == expected
+    for data in expected.values():
+        assert data.endswith(b"\n") and b"\r" not in data
+
+
+def top_level_main(argv, out):
+    """``main`` through the top-level parser's ``parse_args``, then the command."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        return args.run(args, out)
+    except (InstanceFormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+# argument vectors whose outcome argparse decides; {file} and {out} are filled in
+ARGUMENT_VECTORS = [
+    [], ["-h"], ["--help"], ["nope"], ["--", "verify", "{file}"],
+    ["verify", "-h"], ["fuzz", "-h"], ["counterexample", "-h"], ["figure", "-h"],
+    ["verify"], ["figure", "{file}"],
+    ["fuzz", "--count", "1", "--regime", "nope"],
+    ["fuzz", "--count", "x", "--regime", "general"],
+    ["counterexample", "--shape", "convex", "--target", "seven_lines", "--budget", "1"],
+    ["verify", "{file}", "extra"], ["verify", "{file}", "--nope"],
+    ["figure", "{file}", "-o", "{out}", "--nope", "x", "extra"],
+    ["fuzz", "--count=1", "--regime", "general"],
+    ["fuzz", "--cou", "1", "--regime", "gamma1", "--seed", "-3"],
+    ["figure", "{file}", "-o{out}"], ["figure", "{file}", "--out", "{out}", "--lay", "sides"],
+    ["verify", "--", "{file}"], ["verify", "{file}", "--check", "seven_lines", "--", "x"],
+    ["figure", "-o", "{out}", "--", "{file}"],
+    ["figure", "{file}", "-o", "{out}", "--layers"],
+]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv", ARGUMENT_VECTORS, ids=" ".join)
+    def test_dispatch_keeps_the_bytes_of_the_top_level_parse(self, tmp_path, capsys, argv):
+        file, out = write_instance(tmp_path, MIDPOINT), tmp_path / "out.svg"
+        argv = [a.format(file=file, out=out) for a in argv]
+
+        def outcome(run_main):
+            buf = io.StringIO()
+            try:
+                code = run_main(argv, buf)
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, buf.getvalue(), capsys.readouterr(), written
+
+        assert outcome(main) == outcome(top_level_main)
+
+    def test_verify_and_figure_skip_the_top_level_parse(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.build_parser(), "parse_args", lambda *a: calls.append(a))
+        path = write_instance(tmp_path, MIDPOINT)
+        assert run(["verify", path])[0] == 0
+        assert run(["figure", path, "-o", str(tmp_path / "x.svg")])[0] == 0
+        assert calls == []
