@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(run=cmd_figure)
     p_fig.add_argument("file")
     p_fig.add_argument("-o", "--output", required=True)
-    # no default: a string default costs argparse a conversion on every parse
+    # no default: argparse converts a string default on every parse; None draws every layer
     p_fig.add_argument("--layers", help="comma-separated subset of: " + ",".join(LAYERS))
 
     parser.commands = sub.choices

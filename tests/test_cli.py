@@ -346,13 +346,12 @@ class TestVerifyReport:
 
     def test_all_file_selects_claims_once(self, tmp_path, monkeypatch):
         # cmd_verify selects the claims, and verify_all takes its fast path
-        calls = []
+        original, calls = verifiers.select_claims, []
 
         def spy(checks=None):
             calls.append(checks)
-            return select_claims(checks)
+            return original(checks)
 
-        select_claims = verifiers.select_claims
         monkeypatch.setattr(verifiers, "select_claims", spy)
         monkeypatch.setattr(cli, "select_claims", spy)
         assert run(["verify", write_instance(tmp_path, MIDPOINT)])[0] == 0
