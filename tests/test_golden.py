@@ -7,7 +7,8 @@ are the sha256 of ``render_svg`` over a generated stream, once with the
 default layers and once per single layer.  The verdict corpus digest is
 the sha256 of every verdict's report JSON over a small-bound stream, and
 the corrupted-verdict digest the same over configurations with one stored
-point replaced.  Two
+point replaced.  The verify digest is the sha256 of ``quadconc verify``
+stdout over a fixed set of instance files.  Two
 runs agreeing with each other (``test_determinism_byte_identical``) does
 not catch a change in what both of them print.
 """
@@ -24,7 +25,7 @@ from quadconc.cli import main
 from quadconc.configuration import POINT_NAMES
 from quadconc.errors import GeometryError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
-from quadconc.instancefile import render
+from quadconc.instancefile import InstanceFile, instance_from_parts, render, serialize_instance
 from quadconc.kernel import rational_text
 from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
@@ -51,6 +52,41 @@ def test_fuzz_bytes_match_golden_digest(regime):
     out = io.StringIO()
     main(["fuzz", "--seed", "42", "--count", "200", "--regime", *regime], out=out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GOLDEN[regime]
+
+
+VERIFY_GOLDEN = "6ab1e49a7ad23a4512e80f231ab12f32997eb5055c7399a4a128757b615a065b"
+
+# the unit square with its side midpoints, and with two coincident vertices
+_SQUARE = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
+_MIDPOINTS = InstanceFile(vertices=_SQUARE, ratios=None, checks=(),
+                          points=(pt(1, 0, 2), pt(2, 1, 2), pt(1, 2, 2), pt(0, 1, 2)))
+_DEGENERATE = InstanceFile(vertices=(pt(0, 0), pt(0, 0), pt(1, 1), pt(0, 1)), ratios=None,
+                           checks=(), points=_MIDPOINTS.points)
+
+
+def test_verify_bytes_match_golden_digest(tmp_path, monkeypatch):
+    """``verify`` stdout over 20 ``gamma1`` and 20 ``general`` seed-42
+    files, the midpoint ``points`` file, a degenerate file and one
+    ``--check`` subset, each file under a relative name, so the report's
+    ``source`` is the same on every machine."""
+    monkeypatch.chdir(tmp_path)
+    files = {"midpoints.json": _MIDPOINTS, "degenerate.json": _DEGENERATE}
+    for force in (True, False):
+        spec = GenSpec(seed=42, force_gamma_one=force)
+        for index in range(20):
+            files[f"{force}-{index}.json"] = instance_from_parts(gen_quadrilateral(spec, index),
+                                                                 gen_ratios(spec, index))
+    runs = [["verify", name] for name in files]
+    runs.append(["verify", "False-0.json", "--check", "seven_lines,crossing_ratios",
+                 "--check", "inner_quadrilateral"])
+    h = hashlib.sha256()
+    for name, inst in files.items():
+        (tmp_path / name).write_text(serialize_instance(inst), encoding="utf-8")
+    for argv in runs:
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        h.update(out.getvalue().encode("utf-8"))
+    assert h.hexdigest() == VERIFY_GOLDEN
 
 
 # small bounds make ideal and undefined points common
