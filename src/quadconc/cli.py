@@ -225,12 +225,13 @@ def cmd_counterexample(args: argparse.Namespace, out) -> int:
                                   + ", ".join(NONCONVEX_TARGETS))
     if args.budget < 0:
         raise InstanceFormatError("--budget must be nonnegative")
+    checks = (args.target,)
     for _, quad, ratios, built in _campaign(args, "remarks", args.shape, args.budget):
         if isinstance(built, str):
             continue
-        verdicts = verify_all(built, checks=[args.target])
+        verdicts = verify_all(built, checks)
         if verdicts and verdicts[0].status == FAIL:
-            text = serialize_instance(instance_from_parts(quad, ratios, checks=(args.target,)))
+            text = serialize_instance(instance_from_parts(quad, ratios, checks=checks))
             if args.output:
                 _write_output(args.output, text)
             out.write(text)

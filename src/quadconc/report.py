@@ -19,6 +19,10 @@ nothing that is the same on every report is made again per report:
 * each fixed string (claim id, status, exact-value key, witness name,
   meta key, flag, shape and claim id of ``checks``) is escaped by
   ``json``'s C escaper once per process and then looked up;
+* a report's verdict shape (each verdict's claim id, status, witness
+  names and exact-value keys) is compiled on first use into one ``%``
+  format per layout, all of that fixed text and the overall status
+  inlined, and kept for up to ``_SHAPES_MAX`` shapes;
 * coordinates are written from the integer triples by
   ``kernel.triple_text``, whose texts need no escape, and each distinct
   witness point's text once per report;
@@ -28,10 +32,11 @@ nothing that is the same on every report is made again per report:
   ``rational_text``, whose text is ASCII digits, ``-`` and ``/`` and
   needs no escape.
 
-Every other string, such as a ``detail``, goes through the escaper as it
-is.  The tree (``report_document``) uses the same text functions, so the
-writer and the tree agree on any input.  It remains as the test oracle
-and as the check of each ``fuzz`` campaign's first line.
+Every other string goes through the escaper as it is, each distinct
+``detail`` once per report.  The tree (``report_document``) uses the
+same text functions, so the writer and the tree agree on any input.  It
+remains as the test oracle and as the check of each ``fuzz`` campaign's
+first line.
 """
 
 from __future__ import annotations
@@ -161,11 +166,10 @@ def _layout(newline: str, indent: str) -> tuple:
     """The fixed text of a report that writes each nested item on its own
     line, after ``newline`` and ``indent`` once per level; compact when
     both are empty.  In order: the formats of the report, of its
-    configuration member, of a verdict and of a verdict with no witness
-    and no exact values; the colon after a key; and the ``(opening,
-    separator, closing)`` around the items of the meta, the flags, the
-    verdicts, a witness or exact-values object, and a witness point's
-    texts.  An empty container is ``{}`` or ``[]`` in every layout."""
+    configuration member and of a verdict; the colon after a key; and the
+    ``(opening, separator, closing)`` around the items of the meta, the
+    flags, the verdicts, a witness or exact-values object, and a witness
+    point's texts.  An empty container is ``{}`` or ``[]`` in every layout."""
     colon = ": " if newline else ":"
 
     def container(level: int, brackets: str = "{}") -> tuple[str, str, str]:
@@ -178,76 +182,89 @@ def _layout(newline: str, indent: str) -> tuple:
         return opening + first + separator.join(
             [_ascii(key) + colon + value for key, value in pairs]) + closing
 
-    verdict = fixed(2, [("claim", "%s"), ("detail", "%s"), ("exact_values", "%s"),
-                        ("status", "%s"), ("witness", "%s")])
     point = container(4, "[]")
     return (fixed(0, [("instance", "%s"), ("instance_meta", "%s"), ("overall", "%s"),
                       ("verdicts", "%s")], first="%s") + "\n",
             '"configuration"' + colon + fixed(1, [("degeneracies", "%s"), ("gamma", '"%s"'),
                                                   ("r", '"%s"'), ("shape", "%s")])
             + container(0)[1],
-            verdict, verdict % ("%s", "%s", "{}", "%s", "{}"), colon,
-            container(1), container(2, "[]"), container(1, "[]"), container(3),
+            fixed(2, [("claim", "%s"), ("detail", "%s"), ("exact_values", "%s"),
+                      ("status", "%s"), ("witness", "%s")]),
+            colon, container(1), container(2, "[]"), container(1, "[]"), container(3),
             (point[0] + '"', '"' + point[1] + '"', '"' + point[2]))
 
 
 _COMPACT = _layout("", "")
 _PRETTY = _layout("\n", "  ")
 
+# at most this many formats are kept, one per layout and verdict shape;
+# past it a shape is compiled on each use and not stored
+_SHAPES_MAX = 256
+_shapes: dict = {}
+
+
+def _compile(layout: tuple, verdicts: Sequence[Verdict], shape: tuple) -> tuple[str, tuple]:
+    """The format of a report in ``layout`` with the verdicts' ``shape``,
+    every fixed text inlined with each ``%`` doubled, and each verdict's
+    exact-value keys and witness names in sorted order, as its slots follow."""
+    report, _, verdict, colon, _, _, (v_open, v_sep, v_close), (m_open, m_sep, m_close), _ = layout
+
+    def fixed(text: str) -> str:
+        return _escaped[text].replace("%", "%%")
+
+    def members(names: list[str], value: str) -> str:
+        return m_open + m_sep.join([fixed(name) + colon + value for name in names]) + m_close \
+            if names else "{}"
+
+    parts, orders = [], []
+    for claim, status, _, witness, values in verdicts:
+        keys, names = sorted(values), sorted(witness)
+        orders.append((keys, names))
+        parts.append(verdict % (fixed(claim), "%s", members(keys, '"%s"'), fixed(status),
+                                members(names, "%s")))
+    entry = (report % ("%s", "%s", "%s", fixed(overall_status(verdicts)),
+                       v_open + v_sep.join(parts) + v_close if parts else "[]"), tuple(orders))
+    if len(_shapes) < _SHAPES_MAX:
+        _shapes[shape] = entry
+    return entry
+
 
 def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
            cfg: Optional[Configuration], instance_text: str) -> str:
     """The report in ``layout``, its ``instance`` value the JSON text
-    ``instance_text``.  The text of each distinct witness triple and of
-    each distinct exact-value pair is written once."""
-    (report, configuration_format, verdict, bare_verdict, colon, meta_layout, flags_layout,
-     verdicts_layout, (m_open, m_sep, m_close), (p_open, p_sep, p_close)) = layout
-    escaped = _escaped
+    ``instance_text``, filled into the format of its verdicts' shape.  The
+    text of each distinct detail, witness triple and exact-value pair is
+    written once."""
+    (report, configuration_format, _, colon, meta_layout, flags_layout, _, _,
+     (p_open, p_sep, p_close)) = layout
     configuration = ""
     if cfg is not None:
         opening, separator, closing = flags_layout
         flags = opening + separator.join(
-            [escaped[flag] for flag in sorted(cfg.degeneracies)]) + closing \
+            [_escaped[flag] for flag in sorted(cfg.degeneracies)]) + closing \
             if cfg.degeneracies else "[]"
         configuration = configuration_format % (
             flags, reduced_text(*cfg.ratios.gamma), reduced_text(*cfg.r_ratio),
-            escaped[cfg.quad.shape])
+            _escaped[cfg.quad.shape])
     opening, separator, closing = meta_layout
-    meta_text = opening + separator.join([escaped[key] + colon + _meta_value(value)
+    meta_text = opening + separator.join([_escaped[key] + colon + _meta_value(value)
                                           for key, value in sorted(meta.items())]) + closing \
         if meta else "{}"
-    value_colon = colon + '"'
-    witness_texts: dict = {}
-    value_texts: dict = {}
-    parts = []
-    for claim, status, detail, witness, values in verdicts:
-        if not witness and not values:
-            parts.append(bare_verdict % (escaped[claim], _ascii(detail), escaped[status]))
-            continue
-        witness_text = values_text = "{}"
-        if witness:
-            members = []
-            for name, pt in sorted(witness.items()):
-                t = pt.triple()
-                text = witness_texts.get(t)
-                if text is None:
-                    text = witness_texts[t] = p_open + p_sep.join(triple_text(t)) + p_close
-                members.append(escaped[name] + colon + text)
-            witness_text = m_open + m_sep.join(members) + m_close
-        if values:
-            members = []
-            for key, value in sorted(values.items()):
-                text = value_texts.get(value)
-                if text is None:
-                    text = value_texts[value] = rational_text(*value)
-                members.append(escaped[key] + value_colon + text + '"')
-            values_text = m_open + m_sep.join(members) + m_close
-        parts.append(verdict % (escaped[claim], _ascii(detail), values_text, escaped[status],
-                                witness_text))
-    opening, separator, closing = verdicts_layout
-    verdicts_text = opening + separator.join(parts) + closing if parts else "[]"
-    return report % (configuration, instance_text, meta_text, escaped[overall_status(verdicts)],
-                     verdicts_text)
+    shape = (report, *[(claim, status, tuple(witness), tuple(values))
+                       for claim, status, _, witness, values in verdicts])
+    shape_format, orders = _shapes.get(shape) or _compile(layout, verdicts, shape)
+    args = [configuration, instance_text, meta_text]
+    texts: dict = {}  # keyed by detail, pair and triple, which never compare equal
+    for (_, _, detail, witness, values), (keys, names) in zip(verdicts, orders):
+        args.append(texts.get(detail) or texts.setdefault(detail, _ascii(detail)))
+        for key in keys:
+            value = values[key]
+            args.append(texts.get(value) or texts.setdefault(value, rational_text(*value)))
+        for name in names:
+            t = witness[name].triple()
+            args.append(texts.get(t) or texts.setdefault(
+                t, p_open + p_sep.join(triple_text(t)) + p_close))
+    return shape_format % tuple(args)
 
 
 def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configuration],

@@ -643,8 +643,9 @@ def verify_all(cfg: Configuration, checks: Sequence[str] | None = None) -> list[
     """
     if checks is None:
         return [runner(cfg) for _, runner in CLAIM_RUNNERS]
-    wanted = select_claims(checks)
-    return [runner(cfg) for claim, runner in CLAIM_RUNNERS if claim in wanted]
+    if not _CLAIM_ID_SET.issuperset(checks):
+        select_claims(checks)  # raises, naming the unknown ids
+    return [runner(cfg) for claim, runner in CLAIM_RUNNERS if claim in checks]
 
 
 def overall_status(verdicts: Iterable[Verdict]) -> str:

@@ -344,8 +344,8 @@ class TestVerifyReport:
             assert code == 0 and json.loads(out)["verdicts"]
         assert calls == []
 
-    def test_all_file_selects_claims_once(self, tmp_path, monkeypatch):
-        # cmd_verify selects the claims, and verify_all takes its fast path
+    @staticmethod
+    def spy_on_select_claims(monkeypatch):
         original, calls = verifiers.select_claims, []
 
         def spy(checks=None):
@@ -354,8 +354,33 @@ class TestVerifyReport:
 
         monkeypatch.setattr(verifiers, "select_claims", spy)
         monkeypatch.setattr(cli, "select_claims", spy)
+        return calls
+
+    def test_all_file_selects_claims_once(self, tmp_path, monkeypatch):
+        # cmd_verify selects the claims, and verify_all takes its fast path
+        calls = self.spy_on_select_claims(monkeypatch)
         assert run(["verify", write_instance(tmp_path, MIDPOINT)])[0] == 0
         assert calls == [None]
+
+    def test_check_selects_claims_once(self, tmp_path, monkeypatch):
+        # cmd_verify selects the --check ids, and verify_all does not select them again
+        calls = self.spy_on_select_claims(monkeypatch)
+        code, out = run(["verify", write_instance(tmp_path, MIDPOINT), "--check", "seven_lines"])
+        assert code == 0 and [v["claim"] for v in json.loads(out)["verdicts"]] == ["seven_lines"]
+        assert calls == [("seven_lines",)]
+
+    def test_counterexample_selects_no_claims_per_candidate(self, monkeypatch):
+        # the target is checked once per search; each candidate still goes
+        # through cli.verify_all, which selects nothing
+        calls = self.spy_on_select_claims(monkeypatch)
+        original, candidates = cli.verify_all, []
+        monkeypatch.setattr(cli, "verify_all", lambda cfg, checks=None: candidates.append(
+            tuple(checks)) or original(cfg, checks))
+        code, _ = run(["counterexample", "--shape", "crossed", "--target",
+                       "inner_quadrilateral_convexity", "--budget", "40", "--seed", "0"])
+        assert code == 0 and len(candidates) > 1
+        assert set(candidates) == {("inner_quadrilateral_convexity",)}
+        assert calls == []
 
 
 class TestFuzz:

@@ -148,8 +148,9 @@ def test_report_line_writes_only_str_and_int_meta(value):
 
 
 # strings that JSON escapes: quotes, backslashes, control characters,
-# non-ASCII and astral characters, next to plain ones
-_ESCAPED = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d11eaA_'),
+# non-ASCII and astral characters, next to plain ones and to "%", which
+# the shape formats double, so "%s" and "%%" can occur
+_ESCAPED = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d11eaA_%s'),
                    max_size=6)
 _WITNESSES = st.sampled_from([pt(1, 2), pt(-3, 2, 0), pt(1, -2, 3), pt(0, 0),
                               pt(10**20, 7, 3)])
@@ -188,6 +189,22 @@ def test_a_full_escape_table_stores_no_more(monkeypatch):
     for _ in range(2):
         written({}, verdicts, None, inst)
     assert len(report._escaped) == 3
+
+
+def test_a_full_shape_cache_stores_no_more(monkeypatch):
+    # past _SHAPES_MAX formats a new verdict shape is compiled on each use
+    # and not stored, so the cache stays bounded and the bytes do not change
+    monkeypatch.setattr(report, "_shapes", {})
+    monkeypatch.setattr(report, "_SHAPES_MAX", 2)
+    inst = instance_from_parts(_BUILT.quad, _BUILT.ratios)
+    shapes = [[Verdict("seven_lines", PASS, "%s", {"E": pt(1, 2)})],
+              [Verdict("seven_lines", FAIL, "%%", exact_values={"k%s": (1, 2)})],
+              [Verdict("a%", SKIPPED), Verdict("b", PASS, "x")],
+              []]
+    for _ in range(2):
+        for verdicts in shapes:
+            written({"m%s": "%%"}, verdicts, _BUILT, inst)
+    assert len(report._shapes) == 2
 
 
 def test_report_line_writes_each_exact_value_with_one_call(monkeypatch):
