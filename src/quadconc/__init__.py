@@ -17,7 +17,6 @@ from .kernel import (  # noqa: F401
     Line,
     Point,
     affine_parameter,
-    classify_quadrilateral,
     collinear,
     directed_ratio,
     line_through,

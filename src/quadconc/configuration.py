@@ -8,7 +8,9 @@ diagonal division points ``F1 G1 F2 G2``, the transversal crossing ``E``,
 the quadruple-concurrence points ``M1 N1 P1 Q1``, and the trace ``R`` of
 ``NQ`` on line ``AB`` together with its unsigned ratio ``r``.
 
-Only points are canonical.  ``CONSTRUCTION`` is compiled once, at import,
+Every point is a canonical integer triple ``(x, y, w)``: the vertices of
+a :class:`Quadrilateral`, the side points ``build_from_points`` takes and
+every constructed point.  ``CONSTRUCTION`` is compiled once, at import,
 into a slot plan: the inputs ``A B C D M N P Q`` take slots 0-7, row *i*
 takes slot 8 + *i*, and each distinct line gets an index and is built at
 the first row that uses it.  ``construct_triples`` runs the plan on bare
@@ -18,19 +20,22 @@ triple that only feeds meets, and each meet is one reduction of the cross
 product of two lines; the kernel's ``Line``, ``line_through`` and ``meet``
 are public API, not this path.  The side points come from the kernel's
 ``dividing_terms`` and ``r`` from the ``parameter_pair`` of the ``R``
-triple, and a build makes no :class:`Point`.  Coincidences the
-construction can survive are recorded as named degeneracy flags instead
-of raising; a point is stored as ``None`` only when one of its defining
-lines collapses entirely.
+triple; ``build_from_points`` checks each given side point with
+``w == 0``, tuple ``==`` and ``det3`` and reads its ratio from
+``parameter_pair``.  Coincidences the construction can survive are
+recorded as named degeneracy flags (``DIAGONAL_FLAGS`` names those of
+``DIAGONAL_PAIRS``) instead of raising; a point is stored as ``None``
+only when one of its defining lines collapses entirely.
 
 A :class:`Configuration` holds the plan's result as one tuple,
 ``triples``: the canonical triple of every named point in
 ``POINT_NAMES`` order, ``None`` where undefined, and ``SLOT`` maps a name
-to its place.  The verifiers and the figures read these triples directly;
-``cfg.named_points()`` wraps them in points on demand.  :class:`SideRatios`
-and :class:`Configuration` are named tuples, copied with ``_replace``.
-Every ratio, ``r`` included, is a ``(num, den)`` pair in
-``kernel.lowest_terms``, which :class:`SideRatios` applies.
+to its place.  The verifiers and the figures read these triples
+directly, and no command makes a :class:`Point`; ``cfg.named_points()``
+wraps the triples in points for the benchmark's kernel timings.
+:class:`SideRatios` and :class:`Configuration` are named tuples, copied
+with ``_replace``.  Every ratio, ``r`` included, is a ``(num, den)`` pair
+in ``kernel.lowest_terms``, which :class:`SideRatios` applies.
 """
 
 from __future__ import annotations
@@ -38,17 +43,15 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from ._purekernel import reduce3
-from .errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
+from ._purekernel import det3, reduce3
+from .errors import DegenerateQuadrilateral, GeometryError, InstanceFormatError, UndefinedPoint
 from .kernel import (
     CONVEX,
     DEGENERATE,
     Pair,
     Point,
     Shape,
-    classify_quadrilateral,
-    collinear,
-    directed_ratio,
+    classify_triples,
     dividing_terms,
     lowest_terms,
     parameter_pair,
@@ -91,6 +94,8 @@ DIAGONAL_PAIRS = (
     ("F2", "G2"),
     ("G2", "F1"),
 )
+# the degeneracy flag of each pair of DIAGONAL_PAIRS, set when it coincides
+DIAGONAL_FLAGS = tuple(f"{u}_EQ_{v}" for u, v in DIAGONAL_PAIRS)
 
 Triple = tuple[int, int, int]
 
@@ -118,7 +123,8 @@ def _compile(rows):
 
 
 _PLAN, _LINE_COUNT = _compile(CONSTRUCTION)
-_DIAGONAL_SLOTS = tuple((SLOT[u], SLOT[v], f"{u}_EQ_{v}") for u, v in DIAGONAL_PAIRS)
+_DIAGONAL_SLOTS = tuple((SLOT[u], SLOT[v], flag)
+                        for (u, v), flag in zip(DIAGONAL_PAIRS, DIAGONAL_FLAGS))
 
 # r where AR/RB is no finite ratio (R ideal, undefined or on B), by convention
 _R_DEFAULT = (1, 1)
@@ -161,20 +167,23 @@ def construct_triples(inputs, reduce):
 
 
 class Quadrilateral(NamedTuple):
-    """Four labeled finite vertices plus their shape class."""
+    """Four labeled finite vertices, as canonical triples, plus their shape
+    class."""
 
-    A: Point
-    B: Point
-    C: Point
-    D: Point
+    A: Triple
+    B: Triple
+    C: Triple
+    D: Triple
     shape: Shape
 
     @classmethod
-    def of(cls, a: Point, b: Point, c: Point, d: Point) -> "Quadrilateral":
-        return cls(a, b, c, d, classify_quadrilateral(a, b, c, d))
+    def of(cls, a: Triple, b: Triple, c: Triple, d: Triple) -> "Quadrilateral":
+        if not (a[2] and b[2] and c[2] and d[2]):
+            raise GeometryError("orientation is defined for finite points only")
+        return cls(a, b, c, d, classify_triples(a, b, c, d))
 
     @property
-    def vertices(self) -> tuple[Point, Point, Point, Point]:
+    def vertices(self) -> tuple[Triple, Triple, Triple, Triple]:
         return self[:4]
 
 
@@ -228,8 +237,7 @@ class Configuration(NamedTuple):
 
 
 def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
-    A, B, C, D = quad.vertices
-    ta, tb, tc, td = A.triple(), B.triple(), C.triple(), D.triple()
+    ta, tb, tc, td = quad.vertices
     m, n, p, q = ratios.as_tuple
     # point_dividing's checks cannot fail here: both builders pass a
     # non-degenerate shape, so the vertices are finite and distinct, and
@@ -281,8 +289,10 @@ def build_from_ratios(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     return _construct(quad, ratios)
 
 
-def build_from_points(quad: Quadrilateral, M: Point, N: Point, P: Point, Q: Point) -> Configuration:
-    """Recover the side ratios from explicit side points, then construct.
+def build_from_points(quad: Quadrilateral, M: Triple, N: Triple, P: Triple,
+                      Q: Triple) -> Configuration:
+    """Recover the side ratios from explicit side points, given as canonical
+    triples, then construct.
 
     Each point must lie on the line of its side and differ from the
     side's endpoints; for convex quadrilaterals it must additionally lie
@@ -293,17 +303,20 @@ def build_from_points(quad: Quadrilateral, M: Point, N: Point, P: Point, Q: Poin
     A, B, C, D = quad.vertices
     sides = (("M", M, A, B), ("N", N, B, C), ("P", P, C, D), ("Q", Q, D, A))
     ratios = []
-    for name, pt, u, v in sides:
-        if pt.is_ideal:
+    for name, t, u, v in sides:
+        if t[2] == 0:
             raise InstanceFormatError(f"{name} must be a finite point")
-        if pt == u or pt == v:
+        if t == u or t == v:
             raise InstanceFormatError(f"{name} coincides with a vertex")
-        if not collinear(u, pt, v):
+        if det3(u, t, v):
             raise InstanceFormatError(f"point {name} does not lie on its side")
-        num, den = directed_ratio(u, pt, v)
+        # finite, distinct ends and a finite point of their line that is
+        # not v: the parameter is defined and differs from 1
+        num, den = parameter_pair(u, v, t)
+        den -= num
         if quad.shape == CONVEX and num * den < 0:
             raise InstanceFormatError(f"{name} is outside its open side")
         ratios.append((num, den))
-    # point_dividing inverts directed_ratio exactly: the built side points are M N P Q
+    # dividing_terms inverts this ratio exactly: the built side points are M N P Q
     return _construct(quad, SideRatios(*ratios))
 

@@ -38,9 +38,9 @@ Only an accepted candidate's four triples are reduced.  The concave and
 any-shape drawers reduce each point (``kernel.triple_from_terms``); the
 any-shape drawer classifies them (``kernel.classify_triples``).  The
 concave and crossed drawers build their shape, so a sign argument in the
-code stands in for their classification.  A :class:`Point` is made only
-for the four vertices of an accepted quadrilateral.  The seed's mix is
-computed once per seed, not once per stream.
+code stands in for their classification.  A :class:`Quadrilateral` holds
+the four canonical triples as they are.  The seed's mix is computed once
+per seed, not once per stream.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import lru_cache
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted, InstanceFormatError
 from ._purekernel import det3, reduce3
-from .kernel import (CONCAVE, CONVEX, CROSSED, DEGENERATE, Point, Shape, classify_triples,
+from .kernel import (CONCAVE, CONVEX, CROSSED, DEGENERATE, Shape, classify_triples,
                      dividing_terms, triple_from_terms)
 
 # accepted by the generator only; never a classification result
@@ -155,11 +155,6 @@ def _triples(values: list[int]) -> list[tuple[int, int, int]]:
     return [triple_from_terms(xn, xd, yn, yd) for xn, xd, yn, yd in zip(it, it, it, it)]
 
 
-def _quadrilateral(ta, tb, tc, td, shape: Shape) -> Quadrilateral:
-    wrap = Point._wrap
-    return Quadrilateral(wrap(ta), wrap(tb), wrap(tc), wrap(td), shape)
-
-
 def _convex_triples(rng: Stream, bound: int) -> list[tuple[int, int, int]] | None:
     """The four drawn points, if they are in strictly convex position, as
     canonical triples counterclockwise about their centroid from the
@@ -203,7 +198,7 @@ def _convex_triples(rng: Stream, bound: int) -> list[tuple[int, int, int]] | Non
 
 def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:
     ordered = _convex_triples(rng, bound)
-    return None if ordered is None else _quadrilateral(*ordered, CONVEX)
+    return None if ordered is None else Quadrilateral(*ordered, CONVEX)
 
 
 def _try_concave(rng: Stream, bound: int) -> Quadrilateral | None:
@@ -225,7 +220,7 @@ def _try_concave(rng: Stream, bound: int) -> Quadrilateral | None:
     # orientation signs [abx] [bxc] [xca] [cab] of ABCD = a b x c are
     # + - + +: [bxc] = -[bcx] and [xca] = [cax], [cab] = [abc]; one sign
     # differs and none is zero
-    return _quadrilateral(ta, tb, tx, tc, CONCAVE)
+    return Quadrilateral(ta, tb, tx, tc, CONCAVE)
 
 
 def _try_crossed(rng: Stream, bound: int) -> Quadrilateral | None:
@@ -237,13 +232,13 @@ def _try_crossed(rng: Stream, bound: int) -> Quadrilateral | None:
     # [CDA], [CDB] = [BCD] and [DBA] = -[DAB], so - + + -: two differ, and
     # none is zero, which is crossed without a second classification
     ta, tb, tc, td = ordered
-    return _quadrilateral(tb, ta, tc, td, CROSSED)
+    return Quadrilateral(tb, ta, tc, td, CROSSED)
 
 
 def _try_any(rng: Stream, bound: int) -> Quadrilateral | None:
     drawn = _triples(rng.ints(_point_spans(bound) * 4))
     shape = classify_triples(*drawn)
-    return None if shape == DEGENERATE else _quadrilateral(*drawn, shape)
+    return None if shape == DEGENERATE else Quadrilateral(*drawn, shape)
 
 
 _DRAWERS = {

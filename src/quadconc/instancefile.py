@@ -17,7 +17,8 @@ or a list of claim ids.  Rationals are written ``"p/q"`` or ``"p"``;
 decimal literals are rejected outright so no precision is ever lost
 silently.  ``parse_rational`` reads one as the pair ``(p, q)``, which
 :class:`SideRatios` reduces; ``kernel.reduced_text`` writes the stored
-lowest-terms pair back.
+lowest-terms pair back.  A point is read as its canonical triple
+(``kernel.triple_from_terms``) and written back by ``kernel.triple_text``.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .configuration import (
     Configuration,
     Quadrilateral,
     SideRatios,
+    Triple,
     build_from_points,
     build_from_ratios,
 )
 from .errors import InstanceFormatError
-from .kernel import Pair, Point, point_from_terms, reduced_text
+from .kernel import Pair, reduced_text, triple_from_terms, triple_text
 from .verifiers import select_claims
 
 # ASCII digits only: ``\d`` would accept digits that do not round-trip
@@ -70,12 +72,12 @@ def _positive(text: object, where: str) -> Pair:
     return value
 
 
-def _parse_pair(obj: object, where: str) -> Point:
+def _parse_pair(obj: object, where: str) -> Triple:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise InstanceFormatError(f"{where}: expected a coordinate pair")
     xn, xd = parse_rational(obj[0], where + "[0]")
     yn, yd = parse_rational(obj[1], where + "[1]")
-    return point_from_terms(xn, xd, yn, yd)
+    return triple_from_terms(xn, xd, yn, yd)
 
 
 def _mapping(doc: dict, key: str, names: tuple[str, ...], read: Callable, source: str) -> tuple:
@@ -87,11 +89,12 @@ def _mapping(doc: dict, key: str, names: tuple[str, ...], read: Callable, source
 
 
 class InstanceFile(NamedTuple):
-    """A parsed instance: vertices plus either ratios or side points."""
+    """A parsed instance: vertices plus either ratios or side points, each
+    point a canonical triple."""
 
-    vertices: tuple[Point, Point, Point, Point]
+    vertices: tuple[Triple, Triple, Triple, Triple]
     ratios: Optional[SideRatios]
-    points: Optional[tuple[Point, Point, Point, Point]]
+    points: Optional[tuple[Triple, Triple, Triple, Triple]]
     checks: tuple[str, ...]  # empty means "all"
 
     def configuration(self) -> Configuration:
@@ -151,7 +154,7 @@ def instance_document(inst: InstanceFile) -> dict:
     """The JSON tree for an instance, all numbers as rational strings."""
     doc: dict = {
         "vertices": {
-            key: vertex.text()
+            key: triple_text(vertex)
             for key, vertex in zip(VERTEX_KEYS, inst.vertices)
         }
     }
@@ -162,7 +165,7 @@ def instance_document(inst: InstanceFile) -> dict:
         }
     if inst.points is not None:
         doc["points"] = {
-            key: pt.text()
+            key: triple_text(pt)
             for key, pt in zip(POINT_KEYS, inst.points)
         }
     doc["checks"] = list(inst.checks) if inst.checks else "all"

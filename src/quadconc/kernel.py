@@ -17,9 +17,12 @@ Conventions
   bytes ``str(Fraction(num, den))`` writes, and ``reduced_text`` writes a
   pair already in that form without reducing it again.  The package makes
   and reads no ``Fraction``.
-* A :class:`Point` is made from a canonical triple only: by
-  ``point_from_terms``, ``meet`` and ``point_dividing``, which reduce one,
-  and by ``Point._wrap`` of a triple that is already canonical.
+* A point is its canonical triple: ``triple_from_terms`` reduces one from
+  affine terms, and the commands hold no other kind.  A :class:`Point`
+  wraps a canonical triple: ``meet`` and ``point_dividing`` reduce one,
+  and ``Point._wrap`` takes one that is already canonical.  It is public
+  API, not a command path; ``point_text`` writes its ``Point(...)`` text
+  from the bare triple.
 * ``affine_parameter(a, b, x)`` is the ``lam`` with ``x = a + lam*(b - a)``
   and ``directed_ratio(a, p, b)`` is ``lam / (1 - lam)`` for ``p``: positive
   exactly when ``p`` lies strictly between ``a`` and ``b``, negative outside
@@ -40,16 +43,14 @@ Conventions
   pair, or ``None`` where a triple is ideal, the ends coincide or the
   point is off the line.  It uses only ``+``, ``-``, ``*``, tuple equality
   and truthiness, so ring triples can stand in for the integers.
-  ``affine_parameter`` calls it on three points and, only on ``None``,
-  raises the ``GeometryError`` that names the failed check.
-* ``classify_quadrilateral`` reads the four vertex triples once: one
-  finiteness test, then ``classify_triples``, the signs of four ``det3``,
-  which are the affine orientation signs because canonical finite triples
-  have ``w > 0``.  The generators and the convexity check classify finite
-  triples with ``classify_triples`` directly.
-* The verifiers and the figures work on a configuration's slot triples
-  with ``det3``, tuple equality, ``w == 0`` and ``parameter_pair``; they
-  wrap a triple in a :class:`Point` only for a witness or a failure text.
+  ``parameter_error`` writes why it is ``None``, the text of the
+  ``GeometryError`` that ``affine_parameter`` raises on three points.
+* ``classify_triples`` classifies four canonical finite triples by the
+  signs of four ``det3``, which are the affine orientation signs because
+  canonical finite triples have ``w > 0``.
+* The construction, the verifiers and the figures work on canonical
+  triples with ``det3``, tuple equality, ``w == 0`` and
+  ``parameter_pair``, and make no :class:`Point`.
 
 Everything here is an immutable value and every function is pure.
 """
@@ -134,11 +135,6 @@ class Point:
     def is_ideal(self) -> bool:
         return self._t[2] == 0
 
-    def text(self) -> list[str]:
-        """The coordinates as exact text, ``triple_text`` of the canonical
-        triple."""
-        return triple_text(self._t)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
@@ -148,19 +144,19 @@ class Point:
         return hash((Point, self._t))
 
     def __repr__(self) -> str:
-        return f"Point({', '.join(self.text())})"
+        return point_text(self._t)
+
+
+def point_text(t: tuple[int, int, int]) -> str:
+    """``Point(...)``, the text of the point with canonical triple ``t``,
+    its ``triple_text`` joined by ``", "``."""
+    return f"Point({', '.join(triple_text(t))})"
 
 
 def triple_from_terms(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
     """The canonical triple of the finite point ``(xn/xd, yn/yd)``; each
     denominator is a nonzero integer of either sign."""
     return reduce3(xn * yd, yn * xd, xd * yd)
-
-
-def point_from_terms(xn: int, xd: int, yn: int, yd: int) -> Point:
-    """The finite point ``(xn/xd, yn/yd)``; each denominator is a nonzero
-    integer of either sign."""
-    return Point._wrap(triple_from_terms(xn, xd, yn, yd))
 
 
 class Line:
@@ -211,21 +207,14 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
     return det3(p._t, q._t, r._t) == 0
 
 
-def classify_quadrilateral(a: Point, b: Point, c: Point, d: Point) -> Shape:
-    """Shape class of the vertex sequence ``a b c d``.
+def classify_triples(ta, tb, tc, td) -> Shape:
+    """Shape class of the vertex sequence ``ta tb tc td``, four canonical
+    finite triples.
 
     Counts the minority sign among the four consecutive orientation
     triples: none differing is convex, one is concave, two is crossed,
     and any zero (three collinear or repeated vertices) is degenerate.
     """
-    ta, tb, tc, td = a._t, b._t, c._t, d._t
-    if not (ta[2] and tb[2] and tc[2] and td[2]):
-        raise GeometryError("orientation is defined for finite points only")
-    return classify_triples(ta, tb, tc, td)
-
-
-def classify_triples(ta, tb, tc, td) -> Shape:
-    """:func:`classify_quadrilateral` on four canonical finite triples."""
     # canonical finite triples have positive w, so each determinant's sign
     # is the affine orientation sign
     d1, d2, d3, d4 = det3(ta, tb, tc), det3(tb, tc, td), det3(tc, td, ta), det3(td, ta, tb)
@@ -256,17 +245,24 @@ def parameter_pair(ta, tb, tx):
     return (x1 * aw - a1 * xw) * bw, (b1 * aw - a1 * bw) * xw
 
 
+def parameter_error(ta, tb, tx) -> str:
+    """Why ``parameter_pair(ta, tb, tx)`` is ``None``, for canonical
+    triples: the first of an ideal triple, ``ta == tb`` and ``tx`` off the
+    line."""
+    if not (ta[2] and tb[2] and tx[2]):
+        return "affine parameters are defined for finite points only"
+    if ta == tb:
+        return "segment endpoints coincide"
+    return f"{point_text(tx)} is not on the line through {point_text(ta)} and {point_text(tb)}"
+
+
 def affine_parameter(a: Point, b: Point, x: Point) -> Pair:
     """``(num, den)`` with ``x = a + (num/den)*(b - a)`` for collinear finite
     points; ``den`` is nonzero and of either sign."""
     pair = parameter_pair(a._t, b._t, x._t)
-    if pair is not None:
-        return pair
-    if a.is_ideal or b.is_ideal or x.is_ideal:
-        raise GeometryError("affine parameters are defined for finite points only")
-    if a == b:
-        raise GeometryError("segment endpoints coincide")
-    raise GeometryError(f"{x!r} is not on the line through {a!r} and {b!r}")
+    if pair is None:
+        raise GeometryError(parameter_error(a._t, b._t, x._t))
+    return pair
 
 
 def directed_ratio(a: Point, p: Point, b: Point) -> Pair:

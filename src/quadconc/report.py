@@ -16,27 +16,26 @@ its ``instance`` block the instance file's own text indented one level.
 Each layout's fixed text, keys in sorted order, is made at import, and
 nothing that is the same on every report is made again per report:
 
-* each fixed string (claim id, status, exact-value key, witness name,
-  meta key, flag, shape and claim id of ``checks``) is escaped by
-  ``json``'s C escaper once per process and then looked up;
 * a report's verdict shape (each verdict's claim id, status, witness
   names and exact-value keys) is compiled on first use into one ``%``
-  format per layout, all of that fixed text and the overall status
-  inlined, and kept for up to ``_SHAPES_MAX`` shapes;
-* coordinates are written from the integer triples by
-  ``kernel.triple_text``, whose texts need no escape, and each distinct
-  witness point's text once per report;
+  format per layout, all of that fixed text, escaped, and the overall
+  status inlined, and kept for up to ``_SHAPES_MAX`` shapes;
+* coordinates are written from the canonical triples of the vertices,
+  the side points and the witnesses by ``kernel.triple_text``, whose
+  texts need no escape, and each distinct witness triple's text once per
+  report;
 * the stored lowest-terms pairs, the instance's ratios, ``gamma`` and
   ``r``, are written by ``kernel.reduced_text``, with no second gcd;
 * each distinct exact-value pair is written once per report by
   ``rational_text``, whose text is ASCII digits, ``-`` and ``/`` and
   needs no escape.
 
-Every other string goes through the escaper as it is, each distinct
-``detail`` once per report.  The tree (``report_document``) uses the
-same text functions, so the writer and the tree agree on any input.  It
-remains as the test oracle and as the check of each ``fuzz`` campaign's
-first line.
+Every other string goes through ``json``'s C escaper as it is: the meta
+keys, the flags, the shape and the claim ids of ``checks`` on each use,
+and each distinct ``detail`` once per report.  The tree
+(``report_document``) uses the same text functions, so the writer and
+the tree agree on any input.  It remains as the test oracle and as the
+check of each ``fuzz`` campaign's first line.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def verdict_json(v: Verdict) -> dict:
         "claim": v.claim_id,
         "status": v.status,
         "detail": v.detail,
-        "witness": {name: pt.text() for name, pt in v.witness.items()},
+        "witness": {name: triple_text(t) for name, t in v.witness.items()},
         "exact_values": {key: rational_text(*value) for key, value in v.exact_values.items()},
     }
 
@@ -92,30 +91,9 @@ def degenerate_report(meta: dict, claims: Iterable[str], reason: str,
                            instance=instance)
 
 
-# at most this many fixed strings are kept escaped; past it a new string is
-# escaped on each use, as every string was before the table
-_ESCAPED_MAX = 4096
-
-
-class _Escaped(dict):
-    """Each string's JSON text, keyed by the string: escaped on first use,
-    then looked up."""
-
-    __slots__ = ()
-
-    def __missing__(self, text: str) -> str:
-        json_text = _ascii(text)
-        if len(self) < _ESCAPED_MAX:
-            self[text] = json_text
-        return json_text
-
-
-_escaped = _Escaped()
-
-
 def _strings(texts: Iterable[str]) -> str:
-    """The compact JSON array of the fixed strings ``texts``."""
-    return "[" + ",".join([_escaped[text] for text in texts]) + "]"
+    """The compact JSON array of the strings ``texts``."""
+    return "[" + ",".join([_ascii(text) for text in texts]) + "]"
 
 
 def _point(t: tuple[int, int, int]) -> str:
@@ -150,16 +128,14 @@ def _instance_text(inst: InstanceFile) -> str:
     sides = ""
     if inst.points is not None:
         M, N, P, Q = inst.points
-        sides += _POINTS % (_point(M.triple()), _point(N.triple()), _point(P.triple()),
-                            _point(Q.triple()))
+        sides += _POINTS % (_point(M), _point(N), _point(P), _point(Q))
     if inst.ratios is not None:
         m, n, p, q = inst.ratios.as_tuple
         sides += _RATIOS % (reduced_text(*m), reduced_text(*n), reduced_text(*p),
                             reduced_text(*q))
     A, B, C, D = inst.vertices
     return _INSTANCE % (_strings(inst.checks) if inst.checks else '"all"', sides,
-                        _point(A.triple()), _point(B.triple()), _point(C.triple()),
-                        _point(D.triple()))
+                        _point(A), _point(B), _point(C), _point(D))
 
 
 def _layout(newline: str, indent: str) -> tuple:
@@ -210,7 +186,7 @@ def _compile(layout: tuple, verdicts: Sequence[Verdict], shape: tuple) -> tuple[
     report, _, verdict, colon, _, _, (v_open, v_sep, v_close), (m_open, m_sep, m_close), _ = layout
 
     def fixed(text: str) -> str:
-        return _escaped[text].replace("%", "%%")
+        return _ascii(text).replace("%", "%%")
 
     def members(names: list[str], value: str) -> str:
         return m_open + m_sep.join([fixed(name) + colon + value for name in names]) + m_close \
@@ -241,13 +217,13 @@ def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
     if cfg is not None:
         opening, separator, closing = flags_layout
         flags = opening + separator.join(
-            [_escaped[flag] for flag in sorted(cfg.degeneracies)]) + closing \
+            [_ascii(flag) for flag in sorted(cfg.degeneracies)]) + closing \
             if cfg.degeneracies else "[]"
         configuration = configuration_format % (
             flags, reduced_text(*cfg.ratios.gamma), reduced_text(*cfg.r_ratio),
-            _escaped[cfg.quad.shape])
+            _ascii(cfg.quad.shape))
     opening, separator, closing = meta_layout
-    meta_text = opening + separator.join([_escaped[key] + colon + _meta_value(value)
+    meta_text = opening + separator.join([_ascii(key) + colon + _meta_value(value)
                                           for key, value in sorted(meta.items())]) + closing \
         if meta else "{}"
     shape = (report, *[(claim, status, tuple(witness), tuple(values))
@@ -261,7 +237,7 @@ def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
             value = values[key]
             args.append(texts.get(value) or texts.setdefault(value, rational_text(*value)))
         for name in names:
-            t = witness[name].triple()
+            t = witness[name]
             args.append(texts.get(t) or texts.setdefault(
                 t, p_open + p_sep.join(triple_text(t)) + p_close))
     return shape_format % tuple(args)

@@ -14,8 +14,10 @@ concurrence check is ``det3`` of stored triples (the line ``uv`` passes
 through ``x`` when ``det3(u, v, x) == 0``), so no verifier reuses a
 construction line; the distinct lines that miss are told apart by their
 reduced cross products.  Coincidence is tuple ``==`` and idealness
-``w == 0``.  A :class:`Point` is made only for a witness or the text of a
-point that left its carrier line.
+``w == 0``.  A verdict's witnesses are canonical triples too, and no
+check makes a :class:`~quadconc.kernel.Point`: the text of a point that
+left its carrier line is ``kernel.parameter_error``'s, written from the
+triples.
 
 Each ratio field is a lowest-terms pair, written ``(ma, mb)`` for ``m``
 and likewise ``n p q``, ``gamma = G/H`` (product one is ``G == H``) and
@@ -51,14 +53,14 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._purekernel import cross3, det3, reduce3
-from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration, Triple
-from .errors import GeometryError, InstanceFormatError
+from .configuration import (CONVEX, DIAGONAL_FLAGS, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT,
+                            Configuration, Triple)
+from .errors import InstanceFormatError
 from .kernel import (
     DEGENERATE as DEGENERATE_SHAPE,
     Pair,
-    Point,
-    affine_parameter,
     classify_triples,
+    parameter_error,
     parameter_pair,
     reduced_text,
 )
@@ -76,7 +78,7 @@ class Verdict(NamedTuple):
     status: str
     detail: str = ""
     # one shared read-only empty mapping, so no verdict writes into another's
-    witness: Mapping[str, Point] = MappingProxyType({})
+    witness: Mapping[str, Triple] = MappingProxyType({})
     # each value's exact (num, den) pair, which ``report`` writes
     exact_values: Mapping[str, Pair] = MappingProxyType({})
 
@@ -224,7 +226,7 @@ def _diagonal_collinearity(claim: str, cfg: Configuration) -> Verdict:
     if ideal:
         return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal), exact_values=values)
     return Verdict(claim, PASS if c1 and c2 else FAIL,
-                   witness={"O": Point._wrap(O)}, exact_values=values)
+                   witness={"O": O}, exact_values=values)
 
 
 _SEVEN = _slots("F1", "G1", "F2", "G2", "E")
@@ -265,7 +267,7 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
         _check_section(cfg, "FE_over_EG", F, E, G, values, degenerate_reasons, failures)
 
     status, detail = _status(failures, degenerate_reasons)
-    return Verdict(claim, status, detail=detail, witness={"E": Point._wrap(E)},
+    return Verdict(claim, status, detail=detail, witness={"E": E},
                    exact_values=values)
 
 
@@ -290,7 +292,7 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     values["ME_over_EP"] = me_ep_formula if me_ok else me_ep
     values["NE_over_EQ"] = ne_eq_formula if ne_ok else ne_eq
     ok = me_ok and ne_ok
-    return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
+    return Verdict(claim, PASS if ok else FAIL, witness={"E": E},
                    exact_values=values)
 
 
@@ -300,7 +302,7 @@ _E_C1 = _slots("E", "C1")
 def _diagonal_concurrence_iff(claim: str, cfg: Configuration) -> Verdict:
     """``MP NQ AC`` are concurrent exactly when ``DM BQ AC`` are
     (product-one regime): both reduce to an incidence with line ``AC``."""
-    A, C = cfg.quad.A.triple(), cfg.quad.C.triple()
+    A, C = cfg.quad.A, cfg.quad.C
     points = E, C1 = _E_C1(cfg.triples)
     e_on, c_on = not det3(A, C, E), not det3(A, C, C1)
     values = {"MP_NQ_AC_concurrent": _b01(e_on), "DM_BQ_AC_concurrent": _b01(c_on)}
@@ -323,10 +325,10 @@ _QUADRUPLES = tuple(zip(("M1", "N1", "P1", "Q1"), DIAGONAL_PAIRS, (
 # pair's slots and coincidence reason, and its lines with and without the
 # diagonal one
 _QUADRUPLE_SLOTS = tuple(
-    (x, SLOT[x], SLOT[u], SLOT[v], f"{u}_EQ_{v}",
+    (x, SLOT[x], SLOT[u], SLOT[v], flag,
      (_line(u, v),) + tuple(_line(s, t) for s, t in cevians),
      tuple(_line(s, t) for s, t in cevians))
-    for x, (u, v), cevians in _QUADRUPLES)
+    for (x, (u, v), cevians), flag in zip(_QUADRUPLES, DIAGONAL_FLAGS))
 _F1_G1_M1 = _slots("F1", "G1", "M1")
 
 
@@ -338,7 +340,7 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
     degenerate_reasons: list[str] = []
     failures: list[str] = []
     values: dict[str, Pair] = {}
-    witness: dict[str, Point] = {}
+    witness: dict[str, Triple] = {}
 
     t = cfg.triples
     for name, x, u, v, coincident, lines, cevians in _QUADRUPLE_SLOTS:
@@ -346,7 +348,7 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
         if target is None:
             degenerate_reasons.append(name + "_UNDEFINED")
             continue
-        witness[name] = Point._wrap(target)
+        witness[name] = target
         if target[2] == 0:
             degenerate_reasons.append(name + "_IDEAL")
 
@@ -369,13 +371,12 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
 # the segment's first end, the inner point and the second end
 _PRODUCT_RATIOS = tuple((f"{u}{x}_over_{x}{v}", SLOT[u], SLOT[x], SLOT[v])
                         for x, (u, v), _ in _QUADRUPLES)
-_DIAGONAL_FLAGS = tuple(f"{u}_EQ_{v}" for u, v in DIAGONAL_PAIRS)
 
 
 def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
     """The four division ratios along the diagonal division segments
     multiply to exactly the side-ratio product."""
-    coincident = [flag for flag in _DIAGONAL_FLAGS if flag in cfg.degeneracies]
+    coincident = [flag for flag in DIAGONAL_FLAGS if flag in cfg.degeneracies]
     if coincident:
         return Verdict(claim, DEGENERATE, detail="; ".join(coincident))
     t = cfg.triples
@@ -456,23 +457,12 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
         return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
     ok = _equal(geometric, formula)
     values["ME_over_EP"] = formula if ok else geometric
-    return Verdict(claim, PASS if ok else FAIL, witness={"E": Point._wrap(E)},
+    return Verdict(claim, PASS if ok else FAIL, witness={"E": E},
                    exact_values=values)
 
 
 _INNER_NAMES = ("E", "M1", "N1", "P1", "Q1")
 _INNER = _slots(*_INNER_NAMES, "M", "N", "P", "Q")
-
-
-def _carrier_error(*calls: tuple[Triple, Triple, Triple]) -> str:
-    """The ``GeometryError`` text of the first ``affine_parameter(a, b, x)``
-    of ``calls`` that raises."""
-    for a, b, x in calls:
-        try:
-            affine_parameter(Point._wrap(a), Point._wrap(b), Point._wrap(x))
-        except GeometryError as exc:
-            return str(exc)
-    raise AssertionError("no carrier-line call raises")
 
 
 def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
@@ -491,20 +481,13 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         if not (M1 == E == P1 and N1 == E == Q1):
             failures.append("product-one collapse violated")
     else:
-        lam_m1 = parameter_pair(M, P, M1)
-        lam_e = parameter_pair(M, P, E)
-        lam_p1 = parameter_pair(M, P, P1)
-        lam_n1 = parameter_pair(N, Q, N1)
-        lam_e2 = parameter_pair(N, Q, E)
-        lam_q1 = parameter_pair(N, Q, Q1)
-        if (lam_m1 is None or lam_e is None or lam_p1 is None
-                or lam_n1 is None or lam_e2 is None or lam_q1 is None):
-            error = _carrier_error((M, P, M1), (M, P, E), (M, P, P1),
-                                   (N, Q, N1), (N, Q, E), (N, Q, Q1))
+        calls = ((M, P, M1), (M, P, E), (M, P, P1), (N, Q, N1), (N, Q, E), (N, Q, Q1))
+        lams = [parameter_pair(*call) for call in calls]
+        if None in lams:
+            error = parameter_error(*calls[lams.index(None)])
             return Verdict(claim, FAIL, detail=f"points left their carrier lines: {error}")
         # each affine parameter with a positive denominator
-        lam_m1, lam_e, lam_p1 = _positive(lam_m1), _positive(lam_e), _positive(lam_p1)
-        lam_n1, lam_e2, lam_q1 = _positive(lam_n1), _positive(lam_e2), _positive(lam_q1)
+        lam_m1, lam_e, lam_p1, lam_n1, lam_e2, lam_q1 = [_positive(lam) for lam in lams]
         values.update(lambda_M1_on_MP=lam_m1, lambda_E_on_MP=lam_e, lambda_P1_on_MP=lam_p1)
         if G < H:
             order, violated = (lam_m1, lam_e, lam_p1), "order M-M1-E-P1-P violated"
@@ -518,7 +501,7 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         if _minus(lam_e2, lam_n1) * _minus(lam_q1, lam_e2) < 0:
             failures.append("E outside segment N1Q1")
     status, detail = _status(failures, [])
-    return Verdict(claim, status, detail=detail, witness={"E": Point._wrap(E)},
+    return Verdict(claim, status, detail=detail, witness={"E": E},
                    exact_values=values)
 
 

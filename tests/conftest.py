@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from quadconc import Quadrilateral, build_from_points, build_from_ratios
-from rationals import pt, side_ratios
+from rationals import side_ratios, tri
 
 
 @pytest.fixture
 def unit_square():
-    return Quadrilateral.of(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
+    return Quadrilateral.of(tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1))
 
 
 @pytest.fixture
@@ -33,21 +33,21 @@ def two_point_config(unit_square):
     # M = (1/3, 0) and N = (1, 2/7) with the P and Q that the paper's
     # two-point completion gives (see test_configuration), so gamma = 1
     # and E lies on AC
-    return build_from_points(unit_square, pt(Fraction(1, 3), 0), pt(1, Fraction(2, 7)),
-                             pt(Fraction(2, 7), 1), pt(0, Fraction(1, 3)))
+    return build_from_points(unit_square, tri(Fraction(1, 3), 0), tri(1, Fraction(2, 7)),
+                             tri(Fraction(2, 7), 1), tri(0, Fraction(1, 3)))
 
 
 @pytest.fixture
 def generic_gamma_two_config():
-    quad = Quadrilateral.of(pt(0, 0), pt(4, 0), pt(5, 3), pt(1, 4))
+    quad = Quadrilateral.of(tri(0, 0), tri(4, 0), tri(5, 3), tri(1, 4))
     return build_from_ratios(quad, side_ratios(1, 2, 1, 1))
 
 
 @pytest.fixture
 def crossed_quad():
-    return Quadrilateral.of(pt(0, 0), pt(1, 1), pt(1, 0), pt(0, 1))
+    return Quadrilateral.of(tri(0, 0), tri(1, 1), tri(1, 0), tri(0, 1))
 
 
 @pytest.fixture
 def concave_quad():
-    return Quadrilateral.of(pt(0, 0), pt(4, 0), pt(1, 1), pt(0, 4))
+    return Quadrilateral.of(tri(0, 0), tri(4, 0), tri(1, 1), tri(0, 4))

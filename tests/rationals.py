@@ -3,15 +3,19 @@
 The package holds every rational as an integer ``(num, den)`` pair and
 every point as a canonical integer triple, and reads no ``Fraction``.  The
 naive twin and the comparisons in the tests read pairs and points as
-``Fraction``s through ``frac`` and ``affine``; the tests write points,
-side ratios and single bounded draws as ``int``s and ``Fraction``s through
-``pt``, ``side_ratios`` and ``draw``.
+``Fraction``s through ``frac``, ``affine``, ``param`` and ``ratio``; the
+tests write points, side ratios and single bounded draws as ``int``s and
+``Fraction``s through ``tri``, ``side_ratios`` and ``draw``, and the
+tests of the kernel's :class:`Point` API write points through ``pt``.
+``points`` maps a configuration's point names to their triples.
 """
 
 from fractions import Fraction
 
 from quadconc import Point, SideRatios
 from quadconc._purekernel import reduce3
+from quadconc.configuration import POINT_NAMES
+from quadconc.kernel import parameter_pair
 
 
 def frac(pair: tuple[int, int]) -> Fraction:
@@ -19,19 +23,45 @@ def frac(pair: tuple[int, int]) -> Fraction:
     return Fraction(*pair)
 
 
-def affine(point) -> tuple[Fraction, Fraction]:
-    """The affine coordinates ``(x/w, y/w)`` of a finite point."""
-    x, y, w = point.triple()
+def affine(t: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
+    """The affine coordinates ``(x/w, y/w)`` of a finite point's triple."""
+    x, y, w = t
     if w == 0:
-        raise ValueError(f"{point!r} is ideal and has no affine coordinates")
+        raise ValueError(f"{t!r} is ideal and has no affine coordinates")
     return Fraction(x, w), Fraction(y, w)
 
 
-def pt(x, y, w=1) -> Point:
-    """The point ``(x, y, w)``, each an ``int`` or a ``Fraction``; the zero
-    triple raises ``ValueError``."""
+def param(a, b, x) -> Fraction:
+    """The parameter of ``x`` on ``a -> b``, for triples where
+    ``parameter_pair`` is defined."""
+    pair = parameter_pair(a, b, x)
+    assert pair is not None, (a, b, x)
+    return frac(pair)
+
+
+def ratio(a, p, b) -> Fraction:
+    """The directed ratio in which ``p`` splits ``a -> b``, for triples
+    where it is defined."""
+    lam = param(a, b, p)
+    assert lam != 1, (a, p, b)
+    return lam / (1 - lam)
+
+
+def tri(x, y, w=1) -> tuple[int, int, int]:
+    """The canonical triple of the point ``(x, y, w)``, each an ``int`` or a
+    ``Fraction``; the zero triple raises ``ValueError``."""
     (xn, xd), (yn, yd), (wn, wd) = (Fraction(v).as_integer_ratio() for v in (x, y, w))
-    return Point._wrap(reduce3(xn * yd * wd, yn * xd * wd, wn * xd * yd))
+    return reduce3(xn * yd * wd, yn * xd * wd, wn * xd * yd)
+
+
+def pt(x, y, w=1) -> Point:
+    """The :class:`Point` of ``tri(x, y, w)``."""
+    return Point._wrap(tri(x, y, w))
+
+
+def points(cfg) -> dict:
+    """The triple of each named point of ``cfg``, ``None`` where undefined."""
+    return dict(zip(POINT_NAMES, cfg.triples))
 
 
 def side_ratios(m, n, p, q) -> SideRatios:

@@ -10,18 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from quadconc import (
-    Quadrilateral,
-    affine_parameter,
-    build_from_ratios,
-    directed_ratio,
-    point_dividing,
-    verify_all,
-)
+from quadconc import Quadrilateral, build_from_ratios, directed_ratio, point_dividing, verify_all
 from quadconc.cli import main
 from quadconc.generators import GenSpec, Stream, gen_quadrilateral, gen_ratios
 from quadconc.verifiers import DEGENERATE, FAIL
-from rationals import affine, draw, frac, pt, side_ratios
+from rationals import affine, draw, frac, param, points, pt, ratio, side_ratios, tri
 
 F = Fraction
 CAMPAIGN_SIZE = 1000
@@ -75,8 +68,8 @@ def test_criterion_2_transversal_formulas(gamma_one_campaign):
     midpoint_bad = 0
     for cfg, _ in gamma_one_campaign[:100]:
         mid = build_from_ratios(cfg.quad, side_ratios(1, 1, 1, 1))
-        M, N, P, Q, E = (mid.named_points()[n] for n in "MNPQE")
-        if frac(directed_ratio(M, E, P)) != 1 or frac(directed_ratio(N, E, Q)) != 1:
+        M, N, P, Q, E = (points(mid)[n] for n in "MNPQE")
+        if ratio(M, E, P) != 1 or ratio(N, E, Q) != 1:
             midpoint_bad += 1
     ok = not failures and midpoint_bad == 0
     _announce(
@@ -112,11 +105,11 @@ def test_criterion_4_general_suite(general_campaign, unit_square):
                 bad.append((claim, "unnamed degeneracy"))
 
     fixture = build_from_ratios(unit_square, side_ratios(1, 1, 1, 2))
-    pts = fixture.named_points()
+    pts = points(fixture)
     fixture_ok = (
-        pts["E"] == pt(F(1, 2), F(5, 12))
+        pts["E"] == tri(F(1, 2), F(5, 12))
         and fixture.r_ratio == (2, 3)
-        and frac(directed_ratio(*(pts[n] for n in "MEP"))) == F(5, 7)
+        and ratio(*(pts[n] for n in "MEP")) == F(5, 7)
     )
     _announce("4 general-ratio suite", not bad and fixture_ok,
               f"{len(bad)} bad verdicts; fixture ok: {fixture_ok}")
@@ -125,7 +118,7 @@ def test_criterion_4_general_suite(general_campaign, unit_square):
 def test_criterion_5_gamma_one_collapse(gamma_one_campaign):
     bad = 0
     for cfg, _ in gamma_one_campaign:
-        pts = [cfg.named_points()[n] for n in ("M1", "N1", "P1", "Q1", "E")]
+        pts = [points(cfg)[n] for n in ("M1", "N1", "P1", "Q1", "E")]
         if any(p is None for p in pts) or len({p for p in pts}) != 1:
             bad += 1
     _announce("5 product-one collapse", bad == 0, f"{bad} non-collapsed instances")
@@ -138,18 +131,18 @@ def test_criterion_6_trichotomy_ordering(general_campaign):
         gamma = frac(cfg.ratios.gamma)
         quad = cfg.quad
         pts = F1, F2, G1, G2, M1, P1, E = [
-            cfg.named_points()[n] for n in ("F1", "F2", "G1", "G2", "M1", "P1", "E")]
-        if any(p is None or p.is_ideal for p in pts):
+            points(cfg)[n] for n in ("F1", "F2", "G1", "G2", "M1", "P1", "E")]
+        if any(p is None or p[2] == 0 for p in pts):
             continue
         checked += 1
-        M, P = cfg.named_points()["M"], cfg.named_points()["P"]
-        lam_f1 = frac(affine_parameter(quad.A, quad.C, F1))
-        lam_f2 = frac(affine_parameter(quad.A, quad.C, F2))
-        lam_g1 = frac(affine_parameter(quad.B, quad.D, G1))
-        lam_g2 = frac(affine_parameter(quad.B, quad.D, G2))
-        lam_m1 = frac(affine_parameter(M, P, M1))
-        lam_e = frac(affine_parameter(M, P, E))
-        lam_p1 = frac(affine_parameter(M, P, P1))
+        M, P = points(cfg)["M"], points(cfg)["P"]
+        lam_f1 = param(quad.A, quad.C, F1)
+        lam_f2 = param(quad.A, quad.C, F2)
+        lam_g1 = param(quad.B, quad.D, G1)
+        lam_g2 = param(quad.B, quad.D, G2)
+        lam_m1 = param(M, P, M1)
+        lam_e = param(M, P, E)
+        lam_p1 = param(M, P, P1)
         if gamma == 1:
             ok = F1 == F2 and G1 == G2 and lam_m1 == lam_e == lam_p1
         elif gamma < 1:
@@ -203,13 +196,13 @@ def test_criterion_8_kernel_round_trips_and_affine_invariance():
             bad_round_trips += 1
 
     instances = [
-        (Quadrilateral.of(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)),
+        (Quadrilateral.of(tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1)),
          side_ratios(1, 1, 1, 1)),
-        (Quadrilateral.of(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)),
+        (Quadrilateral.of(tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1)),
          side_ratios(2, 1, F(1, 2), 1)),
-        (Quadrilateral.of(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)),
+        (Quadrilateral.of(tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1)),
          side_ratios(1, 1, 1, 2)),
-        (Quadrilateral.of(pt(0, 0), pt(4, 0), pt(5, 3), pt(1, 4)),
+        (Quadrilateral.of(tri(0, 0), tri(4, 0), tri(5, 3), tri(1, 4)),
          side_ratios(1, 2, 1, 1)),
     ]
     base = [summarize(verify_all(build_from_ratios(quad, ratios))) for quad, ratios in instances]
@@ -226,7 +219,7 @@ def test_criterion_8_kernel_round_trips_and_affine_invariance():
 
         def apply(p):
             x, y = affine(p)
-            return pt(a11 * x + a12 * y + tx, a21 * x + a22 * y + ty)
+            return tri(a11 * x + a12 * y + tx, a21 * x + a22 * y + ty)
 
         which = i % len(instances)
         quad, ratios = instances[which]

@@ -4,14 +4,14 @@ import sys
 
 import pytest
 
-from quadconc import build_from_ratios, cli, verifiers
+from quadconc import Point, build_from_ratios, cli, verifiers
 from quadconc.cli import main
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import (InstanceFile, instance_from_parts, load_instance,
                                    parse_rational, render, serialize_instance)
 from quadconc.report import degenerate_report, report_document
-from rationals import frac
+from rationals import frac, pt
 
 MIDPOINT = {
     "vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]},
@@ -292,9 +292,8 @@ def points_files(tmp_path):
     for seed, checks in ((3, ()), (42, ("seven_lines", "ratio_product"))):
         spec = GenSpec(seed=seed)
         cfg = build_from_ratios(gen_quadrilateral(spec, 0), gen_ratios(spec, 0))
-        points = cfg.named_points()
         inst = InstanceFile(vertices=cfg.quad.vertices, ratios=None, checks=checks,
-                            points=tuple(points[name] for name in "MNPQ"))
+                            points=cfg.triples[4:8])
         path = tmp_path / f"points-{seed}.json"
         path.write_text(serialize_instance(inst), encoding="utf-8")
         paths.append(str(path))
@@ -617,6 +616,31 @@ class TestFigure:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def test_no_command_makes_a_point(tmp_path, monkeypatch):
+    # every command holds its points as canonical triples: the generated and
+    # parsed vertices and side points, the built points, the witnesses and
+    # the texts of reports, instance files and figures
+    def no_point(cls, triple):
+        raise AssertionError(f"a Point was made of {triple}")
+
+    monkeypatch.setattr(Point, "_wrap", classmethod(no_point))
+    with pytest.raises(AssertionError, match="a Point was made"):
+        pt(1, 2)
+    runs = [["fuzz", "--seed", "42", "--count", "40", "--regime", regime, *shape]
+            for regime, shape in (("gamma1", ()), ("general", ()), ("general", ("--shape", "any")),
+                                  ("remarks", ("--shape", "concave")),
+                                  ("remarks", ("--shape", "crossed")))]
+    runs.append(["counterexample", "--shape", "crossed", "--target",
+                 "inner_quadrilateral_convexity", "--budget", "500",
+                 "-o", str(tmp_path / "found.json")])
+    files = generated_files(tmp_path, GenSpec(seed=42), count=1) + points_files(tmp_path)
+    for path in files:
+        runs += [["verify", path], ["figure", path, "-o", str(tmp_path / "out.svg")]]
+    for argv in runs:
+        assert run(argv)[0] in (0, 1), argv
+    assert (tmp_path / "found.json").exists() and (tmp_path / "out.svg").exists()
 
 
 # each command that writes a file, with {instance} and {dir} to fill in

@@ -6,23 +6,13 @@ from itertools import combinations
 import pytest
 
 import naive_geometry as naive
-from quadconc import (
-    Quadrilateral,
-    SideRatios,
-    affine_parameter,
-    build_from_points,
-    build_from_ratios,
-    collinear,
-    directed_ratio,
-    line_through,
-    meet,
-    point_dividing,
-)
+from quadconc import Quadrilateral, SideRatios, build_from_points, build_from_ratios
 from quadconc.configuration import POINT_NAMES, SLOT, _construct
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
-from quadconc._purekernel import reduce3
+from quadconc._purekernel import cross3, det3, reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
-from rationals import affine, frac, pt, side_ratios
+from quadconc.kernel import dividing_terms
+from rationals import affine, frac, param, points, ratio, side_ratios, tri
 
 F = Fraction
 
@@ -34,9 +24,9 @@ class TestTypes:
     def test_repeated_vertices_rejected(self):
         # each of the six ways to repeat a vertex classifies as degenerate,
         # which both builders reject
-        square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+        square = [tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1)]
         h = F(1, 2)
-        sides = (pt(h, 0), pt(1, h), pt(h, 1), pt(0, h))
+        sides = (tri(h, 0), tri(1, h), tri(h, 1), tri(0, h))
         for i, j in combinations(range(4), 2):
             vertices = square.copy()
             vertices[j] = vertices[i]
@@ -58,20 +48,20 @@ class TestTypes:
         assert copy.copy(r) == copy.deepcopy(r) == pickle.loads(pickle.dumps(r)) == r
 
     def test_degenerate_quad_has_degenerate_shape(self):
-        q = Quadrilateral.of(pt(0, 0), pt(1, 0), pt(2, 0), pt(0, 1))
+        q = Quadrilateral.of(tri(0, 0), tri(1, 0), tri(2, 0), tri(0, 1))
         assert q.shape == "degenerate"
 
 
 class TestBuildFromRatios:
     def test_midpoint_square(self, midpoint_config):
         cfg = midpoint_config
-        pts = cfg.named_points()
+        pts = points(cfg)
         half = F(1, 2)
-        assert pts["M"] == pt(half, 0)
-        assert pts["N"] == pt(1, half)
-        assert pts["P"] == pt(half, 1)
-        assert pts["Q"] == pt(0, half)
-        center = pt(half, half)
+        assert pts["M"] == tri(half, 0)
+        assert pts["N"] == tri(1, half)
+        assert pts["P"] == tri(half, 1)
+        assert pts["Q"] == tri(0, half)
+        center = tri(half, half)
         assert pts["O"] == center
         assert pts["E"] == center
         for name in ("F1", "G1", "F2", "G2", "M1", "N1", "P1", "Q1"):
@@ -79,39 +69,39 @@ class TestBuildFromRatios:
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         cfg = gamma_one_config
-        pts = cfg.named_points()
-        assert pts["M"] == pt(F(2, 3), 0)
-        assert pts["N"] == pt(1, F(1, 2))
-        assert pts["P"] == pt(F(2, 3), 1)
-        assert pts["Q"] == pt(0, F(1, 2))
-        assert pts["E"] == pt(F(2, 3), F(1, 2))
+        pts = points(cfg)
+        assert pts["M"] == tri(F(2, 3), 0)
+        assert pts["N"] == tri(1, F(1, 2))
+        assert pts["P"] == tri(F(2, 3), 1)
+        assert pts["Q"] == tri(0, F(1, 2))
+        assert pts["E"] == tri(F(2, 3), F(1, 2))
         assert cfg.ratios.gamma == (1, 1)
 
     def test_gamma_two_reference(self, gamma_two_config):
         # frozen from the independent affine oracle
         cfg = gamma_two_config
-        pts = cfg.named_points()
-        assert pts["Q"] == pt(0, F(1, 3))
-        assert pts["E"] == pt(F(1, 2), F(5, 12))
-        assert pts["R"] == pt(-2, 0)
+        pts = points(cfg)
+        assert pts["Q"] == tri(0, F(1, 3))
+        assert pts["E"] == tri(F(1, 2), F(5, 12))
+        assert pts["R"] == tri(-2, 0)
         assert cfg.r_ratio == (2, 3)
-        assert pts["M1"] == pt(F(1, 2), F(1, 2))
-        assert pts["P1"] == pt(F(1, 2), F(1, 3))
-        assert pts["A1"] == pt(F(2, 3), F(2, 3))
-        assert pts["D1"] == pt(F(2, 3), F(1, 3))
-        assert pts["N1"] == pt(F(2, 5), F(2, 5))
-        assert pts["Q1"] == pt(F(4, 7), F(3, 7))
+        assert pts["M1"] == tri(F(1, 2), F(1, 2))
+        assert pts["P1"] == tri(F(1, 2), F(1, 3))
+        assert pts["A1"] == tri(F(2, 3), F(2, 3))
+        assert pts["D1"] == tri(F(2, 3), F(1, 3))
+        assert pts["N1"] == tri(F(2, 5), F(2, 5))
+        assert pts["Q1"] == tri(F(4, 7), F(3, 7))
         assert "F1_EQ_G1" in cfg.degeneracies
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
         # frozen from the independent affine oracle
         cfg = generic_gamma_two_config
-        pts = cfg.named_points()
-        assert pts["M1"] == pt(F(8, 3), F(7, 3))
-        assert pts["N1"] == pt(F(16, 7), 2)
-        assert pts["P1"] == pt(F(5, 2), F(7, 4))
-        assert pts["Q1"] == pt(3, 2)
-        assert pts["E"] == pt(F(18, 7), 2)
+        pts = points(cfg)
+        assert pts["M1"] == tri(F(8, 3), F(7, 3))
+        assert pts["N1"] == tri(F(16, 7), 2)
+        assert pts["P1"] == tri(F(5, 2), F(7, 4))
+        assert pts["Q1"] == tri(3, 2)
+        assert pts["E"] == tri(F(18, 7), 2)
         assert cfg.degeneracies == frozenset()
 
     def test_every_point_is_the_meet_of_its_defining_lines(self, gamma_two_config):
@@ -128,7 +118,7 @@ class TestBuildFromRatios:
         assert pts["M1"] == cut("A", "A1", "D", "D1")
 
     def test_degenerate_quad_rejected(self):
-        q = Quadrilateral.of(pt(0, 0), pt(1, 0), pt(2, 0), pt(0, 1))
+        q = Quadrilateral.of(tri(0, 0), tri(1, 0), tri(2, 0), tri(0, 1))
         with pytest.raises(DegenerateQuadrilateral):
             build_from_ratios(q, side_ratios(1, 1, 1, 1))
 
@@ -161,67 +151,67 @@ class TestTraceRatioMakesNoFraction:
         ratios = side_ratios(1, 1, 1, 2)
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
         assert made == 0
-        R = cfg.named_points()["R"]
-        assert not R.is_ideal and R != cfg.quad.B
-        assert frac(cfg.r_ratio) == abs(frac(directed_ratio(cfg.quad.A, R, cfg.quad.B))) == F(2, 3)
+        R = points(cfg)["R"]
+        assert R[2] and R != cfg.quad.B
+        assert frac(cfg.r_ratio) == abs(ratio(cfg.quad.A, R, cfg.quad.B)) == F(2, 3)
         assert cfg.r_ratio == (2, 3)
 
     def test_ideal_r(self, monkeypatch, unit_square):
         ratios = side_ratios(1, 1, 1, 1)
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(unit_square, ratios))
         assert made == 0
-        assert cfg.named_points()["R"].is_ideal and cfg.r_ratio == (1, 1)
+        assert points(cfg)["R"][2] == 0 and cfg.r_ratio == (1, 1)
 
     def test_r_on_b(self, monkeypatch):
-        quad = Quadrilateral.of(pt(F(4, 3), 1), pt(-1, 1), pt(F(-5, 12), F(1, 2)),
-                                pt(-1, 0))
+        quad = Quadrilateral.of(tri(F(4, 3), 1), tri(-1, 1), tri(F(-5, 12), F(1, 2)),
+                                tri(-1, 0))
         ratios = side_ratios(1, F(1, 2), F(1, 2), F(1, 2))
         cfg, made = self.count_fractions(monkeypatch, lambda: build_from_ratios(quad, ratios))
         assert made == 0
-        assert cfg.named_points()["R"] == quad.B and "R_RATIO_UNDEFINED" in cfg.degeneracies
+        assert points(cfg)["R"] == quad.B and "R_RATIO_UNDEFINED" in cfg.degeneracies
         assert cfg.r_ratio == (1, 1)
 
     def test_undefined_r(self, monkeypatch):
         # N = Q on the crossing of BC and DA, P on line AB: only side points
         # outside their sides leave R undefined without raising, so the
         # construction runs on the ratios build_from_points recovers
-        A, B, C, D = pt(0, 0), pt(3, 0), pt(0, 2), pt(2, 3)
-        NQ = meet(line_through(B, C), line_through(D, A))
-        P = meet(line_through(A, B), line_through(C, D))
+        A, B, C, D = tri(0, 0), tri(3, 0), tri(0, 2), tri(2, 3)
+        NQ = cut(B, C, D, A)
+        P = cut(A, B, C, D)
         quad = Quadrilateral.of(A, B, C, D)
-        ratios = build_from_points(quad, pt(F(3, 2), 0), NQ, P, NQ).ratios
+        ratios = build_from_points(quad, tri(F(3, 2), 0), NQ, P, NQ).ratios
         cfg, made = self.count_fractions(monkeypatch, lambda: _construct(quad, ratios))
         assert made == 0
-        assert cfg.named_points()["R"] is None and "R_UNDEFINED" in cfg.degeneracies
+        assert points(cfg)["R"] is None and "R_UNDEFINED" in cfg.degeneracies
         assert cfg.r_ratio == (1, 1)
 
 
 class TestBuildFromPoints:
     def test_midpoints_recover_unit_ratios(self, unit_square):
         h = F(1, 2)
-        cfg = build_from_points(unit_square, pt(h, 0), pt(1, h), pt(h, 1), pt(0, h))
+        cfg = build_from_points(unit_square, tri(h, 0), tri(1, h), tri(h, 1), tri(0, h))
         assert cfg.ratios.as_tuple == ((1, 1),) * 4
         assert cfg.ratios.gamma == (1, 1)
 
     def test_recovers_ratio_two(self, unit_square):
         h = F(1, 2)
-        cfg = build_from_points(unit_square, pt(F(2, 3), 0), pt(1, h), pt(h, 1), pt(0, h))
+        cfg = build_from_points(unit_square, tri(F(2, 3), 0), tri(1, h), tri(h, 1), tri(0, h))
         assert cfg.ratios.m == (2, 1)
 
     def test_off_side_rejected(self, unit_square):
         h = F(1, 2)
         with pytest.raises(InstanceFormatError, match="point M does not lie on its side"):
-            build_from_points(unit_square, pt(h, F(1, 100)), pt(1, h), pt(h, 1), pt(0, h))
+            build_from_points(unit_square, tri(h, F(1, 100)), tri(1, h), tri(h, 1), tri(0, h))
 
     def test_vertex_rejected(self, unit_square):
         h = F(1, 2)
         with pytest.raises(InstanceFormatError, match="M coincides with a vertex"):
-            build_from_points(unit_square, pt(0, 0), pt(1, h), pt(h, 1), pt(0, h))
+            build_from_points(unit_square, tri(0, 0), tri(1, h), tri(h, 1), tri(0, h))
 
     def test_outside_open_segment_rejected_for_convex(self, unit_square):
         h = F(1, 2)
         with pytest.raises(InstanceFormatError, match="M is outside its open side"):
-            build_from_points(unit_square, pt(2, 0), pt(1, h), pt(h, 1), pt(0, h))
+            build_from_points(unit_square, tri(2, 0), tri(1, h), tri(h, 1), tri(0, h))
 
     def test_round_trips_with_build_from_ratios(self, unit_square):
         # small bounds make undefined points, ideal points and R on B common
@@ -241,7 +231,7 @@ class TestBuildFromPoints:
                 assert again.value.name == exc.name
                 continue
             seen.update(cfg.degeneracies)
-            assert tuple(cfg.named_points()[n] for n in "MNPQ") == side
+            assert tuple(points(cfg)[n] for n in "MNPQ") == side
             assert_rebuilds(cfg)
         assert {"undefined", "E_IDEAL", "P1_UNDEFINED", "R_RATIO_UNDEFINED"} <= seen
 
@@ -262,11 +252,11 @@ class TestBuildFromPoints:
             except UndefinedPoint:
                 continue
             assert cfg.ratios.as_tuple == ratios
-            assert tuple(cfg.named_points()[n] for n in "MNPQ") == side
+            assert tuple(points(cfg)[n] for n in "MNPQ") == side
             assert_rebuilds(cfg)
             expected = oracle(quad, ratios)
             for name, want in expected.items():
-                assert agrees_with_oracle(cfg.named_points()[name], want), name
+                assert agrees_with_oracle(points(cfg)[name], want), name
             R, (A, B) = expected["R"], (expected["A"], expected["B"])
             if R is not None and not isinstance(R, naive.Direction) and R != B:
                 assert cfg.r_ratio == abs(naive.ratio(A, R, B)).as_integer_ratio()
@@ -277,10 +267,10 @@ class TestBuildFromPoints:
         # segment as long as they stay on the side's line
         cfg = build_from_points(
             crossed_quad,
-            pt(2, 2),          # on line AB extended
-            pt(1, F(1, 2)),
-            pt(F(1, 4), F(3, 4)),
-            pt(0, F(1, 2)),
+            tri(2, 2),          # on line AB extended
+            tri(1, F(1, 2)),
+            tri(F(1, 4), F(3, 4)),
+            tri(0, F(1, 2)),
         )
         assert cfg.ratios.m == (-2, 1)
         assert cfg.ratios.p == (3, 1)
@@ -291,11 +281,11 @@ class TestBuildFromPoints:
         cases = [
             # P exactly on the AB/CD crossing makes line MP collapse onto
             # line AB, which in turn makes two cevian lines coincide
-            (crossed_quad, (pt(2, 2), pt(1, F(1, 2)), pt(F(1, 2), F(1, 2)),
-                            pt(0, F(1, 2))), "N1"),
+            (crossed_quad, (tri(2, 2), tri(1, F(1, 2)), tri(F(1, 2), F(1, 2)),
+                            tri(0, F(1, 2))), "N1"),
             # M and P both on the crossing point: lines AA1 and BB1 coincide
-            (Quadrilateral.of(pt(0, 0), pt(2, 2), pt(2, 0), pt(0, 2)),
-             (pt(1, 1), pt(2, 1), pt(1, 1), pt(0, 1)), "N1"),
+            (Quadrilateral.of(tri(0, 0), tri(2, 2), tri(2, 0), tri(0, 2)),
+             (tri(1, 1), tri(2, 1), tri(1, 1), tri(0, 1)), "N1"),
         ]
         for quad, side_points, name in cases:
             with pytest.raises(UndefinedPoint) as exc:
@@ -303,7 +293,7 @@ class TestBuildFromPoints:
             assert exc.value.name == name
 
         # AA1 = DD1 and BB1 = CC1 here: the earlier row, M1, names the point
-        quad = Quadrilateral.of(pt(-1, 1), pt(1, 0), pt(F(-3, 2), -1), pt(F(1, 2), -2))
+        quad = Quadrilateral.of(tri(-1, 1), tri(1, 0), tri(F(-3, 2), -1), tri(F(1, 2), -2))
         with pytest.raises(UndefinedPoint) as exc:
             build_from_ratios(quad, side_ratios(1, 1, 1, 1))
         assert exc.value.name == "M1"
@@ -315,9 +305,13 @@ def agrees_with_oracle(got, want):
     if want is None:
         return got is None
     if isinstance(want, naive.Direction):
-        return (got is not None and got.is_ideal
-                and got.triple()[0] * want.dy == got.triple()[1] * want.dx)
-    return got is not None and not got.is_ideal and affine(got) == want
+        return got is not None and got[2] == 0 and got[0] * want.dy == got[1] * want.dx
+    return got is not None and got[2] != 0 and affine(got) == want
+
+
+def cut(u, v, s, t):
+    """The canonical triple of the meet of lines ``uv`` and ``st``."""
+    return reduce3(*cross3(cross3(u, v), cross3(s, t)))
 
 
 def oracle(quad, ratios):
@@ -337,14 +331,14 @@ def signed_ratios(spec, index):
 def side_points(quad, ratios):
     A, B, C, D = quad.vertices
     sides = ((A, B), (B, C), (C, D), (D, A))
-    return tuple(point_dividing(u, v, r) for (u, v), r in zip(sides, ratios))
+    return tuple(reduce3(*dividing_terms(u, v, *r)) for (u, v), r in zip(sides, ratios))
 
 
 def assert_rebuilds(cfg):
     """Rebuilding from the built side points gives the same configuration."""
-    again = build_from_points(cfg.quad, *(cfg.named_points()[n] for n in "MNPQ"))
+    again = build_from_points(cfg.quad, *(points(cfg)[n] for n in "MNPQ"))
     assert again.ratios == cfg.ratios
-    assert again.named_points() == cfg.named_points()
+    assert points(again) == points(cfg)
     assert again.r_ratio == cfg.r_ratio
     assert again.degeneracies == cfg.degeneracies
 
@@ -354,33 +348,33 @@ def two_point_completion(quad, M, N):
     are the traces of ``DM`` and ``DN`` on the diagonal ``AC``, then
     ``Q = BS ∩ AD`` and ``P = BT ∩ CD``."""
     A, B, C, D = quad.vertices
-    S = meet(line_through(D, M), line_through(A, C))
-    T = meet(line_through(D, N), line_through(A, C))
-    Q = meet(line_through(B, S), line_through(A, D))
-    P = meet(line_through(B, T), line_through(C, D))
+    S = cut(D, M, A, C)
+    T = cut(D, N, A, C)
+    Q = cut(B, S, A, D)
+    P = cut(B, T, C, D)
     return build_from_points(quad, M, N, P, Q)
 
 
 class TestTwoPointCompletion:
     def test_unit_square_midpoints(self, unit_square):
-        cfg = two_point_completion(unit_square, pt(F(1, 2), 0), pt(1, F(1, 2)))
-        pts = cfg.named_points()
+        cfg = two_point_completion(unit_square, tri(F(1, 2), 0), tri(1, F(1, 2)))
+        pts = points(cfg)
         # S = DM meet AC lands at (1/3, 1/3); the completion forces the
         # midpoint configuration and a ratio product of exactly one
         assert cfg.ratios.gamma == (1, 1)
-        assert pts["P"] == pt(F(1, 2), 1)
-        assert pts["Q"] == pt(0, F(1, 2))
+        assert pts["P"] == tri(F(1, 2), 1)
+        assert pts["Q"] == tri(0, F(1, 2))
 
     def test_generic_completion_has_gamma_one(self, unit_square):
-        cfg = two_point_completion(unit_square, pt(F(1, 3), 0), pt(1, F(2, 7)))
-        pts = cfg.named_points()
+        cfg = two_point_completion(unit_square, tri(F(1, 3), 0), tri(1, F(2, 7)))
+        pts = points(cfg)
         assert cfg.ratios.gamma == (1, 1)
         # the explicit points of the ``two_point_config`` fixture
-        assert (pts["P"], pts["Q"]) == (pt(F(2, 7), 1), pt(0, F(1, 3)))
+        assert (pts["P"], pts["Q"]) == (tri(F(2, 7), 1), tri(0, F(1, 3)))
 
     def test_e_lies_on_diagonal(self, unit_square):
-        cfg = two_point_completion(unit_square, pt(F(1, 3), 0), pt(1, F(2, 7)))
-        assert collinear(cfg.quad.A, cfg.quad.C, cfg.named_points()["E"])
+        cfg = two_point_completion(unit_square, tri(F(1, 3), 0), tri(1, F(2, 7)))
+        assert not det3(cfg.quad.A, cfg.quad.C, points(cfg)["E"])
 
 
 class TestInvariants:
@@ -398,7 +392,7 @@ class TestInvariants:
             "M1": "N1", "N1": "P1", "P1": "Q1", "Q1": "M1",
             "O": "O", "E": "E",
         }
-        pts, pts2 = cfg.named_points(), cfg2.named_points()
+        pts, pts2 = points(cfg), points(cfg2)
         for new_name, old_name in mapping.items():
             assert pts2[new_name] == pts[old_name], (new_name, old_name)
 
@@ -410,9 +404,9 @@ class TestInvariants:
             gamma = frac(ratios.gamma)
             a, c = cfg.quad.A, cfg.quad.C
             b, d = cfg.quad.B, cfg.quad.D
-            F1, F2, G1, G2 = (cfg.named_points()[n] for n in ("F1", "F2", "G1", "G2"))
-            assert frac(directed_ratio(a, F1, c)) * frac(directed_ratio(c, F2, a)) == gamma
-            assert frac(directed_ratio(b, G1, d)) * frac(directed_ratio(d, G2, b)) == gamma
+            F1, F2, G1, G2 = (points(cfg)[n] for n in ("F1", "F2", "G1", "G2"))
+            assert ratio(a, F1, c) * ratio(c, F2, a) == gamma
+            assert ratio(b, G1, d) * ratio(d, G2, b) == gamma
 
     def test_trichotomy_ordering_on_diagonals(self, unit_square):
         cases = [
@@ -420,18 +414,18 @@ class TestInvariants:
             (side_ratios(1, 1, 1, 2), "collapsed-or-above"),
             (side_ratios(2, 3, 1, 1), "above"),
         ]
-        low = build_from_ratios(unit_square, cases[0][0]).named_points()
-        lam_f1 = frac(affine_parameter(low["A"], low["C"], low["F1"]))
-        lam_f2 = frac(affine_parameter(low["A"], low["C"], low["F2"]))
+        low = points(build_from_ratios(unit_square, cases[0][0]))
+        lam_f1 = param(low["A"], low["C"], low["F1"])
+        lam_f2 = param(low["A"], low["C"], low["F2"])
         assert 0 < lam_f1 < lam_f2 < 1
 
-        high = build_from_ratios(unit_square, cases[2][0]).named_points()
-        lam_f1 = frac(affine_parameter(high["A"], high["C"], high["F1"]))
-        lam_f2 = frac(affine_parameter(high["A"], high["C"], high["F2"]))
+        high = points(build_from_ratios(unit_square, cases[2][0]))
+        lam_f1 = param(high["A"], high["C"], high["F1"])
+        lam_f2 = param(high["A"], high["C"], high["F2"])
         assert 0 < lam_f2 < lam_f1 < 1
 
         cfg_one = build_from_ratios(unit_square, side_ratios(2, 1, F(1, 2), 1))
-        pts = cfg_one.named_points()
+        pts = points(cfg_one)
         assert pts["F1"] == pts["F2"]
         assert pts["G1"] == pts["G2"]
 
@@ -439,7 +433,7 @@ class TestInvariants:
         for m, n, p in ((2, 3, F(1, 5)), (F(7, 3), F(1, 2), 4)):
             q = 1 / (F(m) * F(n) * F(p))
             cfg = build_from_ratios(unit_square, side_ratios(m, n, p, q))
-            assert len({cfg.named_points()[n] for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
+            assert len({points(cfg)[n] for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
 
 
 # the points whose defining lines run through a cevian meet
@@ -461,7 +455,7 @@ class TestSoundnessAgainstNaiveOracle:
         cfg = build_from_ratios(quad, ratios)
         expected = oracle(quad, ratios.as_tuple)
         for name, want in expected.items():
-            assert agrees_with_oracle(cfg.named_points()[name], want), name
+            assert agrees_with_oracle(points(cfg)[name], want), name
 
     @pytest.mark.parametrize("shape", ["convex", "concave", "crossed", "any"])
     def test_wide_coordinates_agree(self, shape):
@@ -472,7 +466,7 @@ class TestSoundnessAgainstNaiveOracle:
             cfg = build_from_ratios(quad, ratios)
             expected = oracle(quad, ratios.as_tuple)
             for name, want in expected.items():
-                assert agrees_with_oracle(cfg.named_points()[name], want), (i, name)
+                assert agrees_with_oracle(points(cfg)[name], want), (i, name)
 
     @pytest.mark.parametrize("shape", ["concave", "crossed", "any"])
     def test_ideal_meets_agree_up_to_scale(self, shape):
@@ -490,7 +484,7 @@ class TestSoundnessAgainstNaiveOracle:
                 continue
             expected = oracle(quad, ratios)
             for name, want in expected.items():
-                assert agrees_with_oracle(cfg.named_points()[name], want), name
+                assert agrees_with_oracle(points(cfg)[name], want), name
             ideal = {n for n in ("A1", "B1", "C1", "D1") if isinstance(expected[n], naive.Direction)}
             ideal_meets += bool(ideal)
             downstream += sum(expected[name] is not None
@@ -513,9 +507,9 @@ def test_every_stored_point_triple_is_canonical(bounds):
         except (InstanceFormatError, UndefinedPoint):
             continue
         for cfg in cfgs:
-            for pt in cfg.named_points().values():
-                if pt is not None:
-                    assert reduce3(*pt.triple()) == pt.triple()
+            for t in cfg.triples:
+                if t is not None:
+                    assert reduce3(*t) == t
                     stored += 1
     assert stored > 1000
 
@@ -532,10 +526,10 @@ def test_each_slot_holds_its_points_triple():
         except UndefinedPoint:
             continue
         assert len(cfg.triples) == len(POINT_NAMES)
-        assert cfg.triples[:4] == tuple(v.triple() for v in quad.vertices)
-        points = cfg.named_points()
-        assert tuple(points) == POINT_NAMES
-        for name, point in points.items():
+        assert cfg.triples[:4] == quad.vertices
+        named = cfg.named_points()
+        assert tuple(named) == POINT_NAMES
+        for name, point in named.items():
             if point is None:
                 assert cfg.triples[SLOT[name]] is None
                 undefined += 1

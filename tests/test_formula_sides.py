@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 
 from quadconc import Quadrilateral, build_from_ratios
 from quadconc.instancefile import InstanceFile, instance_document
-from quadconc.kernel import rational_text
+from quadconc.kernel import point_text, rational_text, triple_text
 from quadconc.report import verdict_json
 from quadconc.verifiers import CLAIMS, FAIL, PASS, Verdict, verify_all
-from rationals import frac, pt, side_ratios
+from rationals import frac, pt, side_ratios, tri
 
 CHECKS = {claim: check for claim, *_, check in CLAIMS}
 
 # the formula sides read only the ratios and r; the points are those of
 # a built configuration, so every geometry side is defined
-BASE = build_from_ratios(Quadrilateral.of(pt(0, 0), pt(4, 0), pt(5, 3), pt(1, 4)),
+BASE = build_from_ratios(Quadrilateral.of(tri(0, 0), tri(4, 0), tri(5, 3), tri(1, 4)),
                          side_ratios(1, 2, 1, 1))
 
 # a ratio no side point has is -1 (the point at infinity); 0 puts the
@@ -125,11 +125,11 @@ def test_formula_sides_read_gamma(generic_gamma_two_config):
 @example(0, -5, 3)
 def test_point_text_equals_fraction_text(x, y, w):
     point = pt(x, y, w)
-    c0, c1, cw = point.triple()
+    t = c0, c1, cw = point.triple()
     expected = [str(Fraction(c0, cw)), str(Fraction(c1, cw))]
-    assert point.text() == expected
-    assert repr(point) == f"Point({expected[0]}, {expected[1]})"
-    inst = InstanceFile(vertices=(point,) * 4, ratios=None, points=(point,) * 4, checks=())
+    assert triple_text(t) == expected
+    assert repr(point) == point_text(t) == f"Point({expected[0]}, {expected[1]})"
+    inst = InstanceFile(vertices=(t,) * 4, ratios=None, points=(t,) * 4, checks=())
     doc = instance_document(inst)
     assert doc["vertices"]["A"] == expected and doc["points"]["Q"] == expected
 
@@ -166,7 +166,8 @@ def test_rational_text_refuses_a_zero_denominator(num):
 def test_ideal_point_text_is_its_triple():
     for point in (pt(-6, 4, 0), pt(Fraction(1, 2), Fraction(-1, 3), 0)):
         assert point.triple() == (-3, 2, 0)
-        assert point.text() == ["-3", "2", "0"]
-        assert repr(point) == "Point(-3, 2, 0)"
-        witness = verdict_json(Verdict("seven_lines", PASS, witness={"E": point}))["witness"]
+        assert triple_text(point.triple()) == ["-3", "2", "0"]
+        assert repr(point) == point_text(point.triple()) == "Point(-3, 2, 0)"
+        witness = verdict_json(Verdict("seven_lines", PASS,
+                                       witness={"E": point.triple()}))["witness"]
         assert witness == {"E": ["-3", "2", "0"]}

@@ -8,8 +8,9 @@ from test_kernel_properties import orientation
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from quadconc import Point, Quadrilateral, classify_quadrilateral, generators
-from rationals import affine, draw, frac, pt
+from quadconc import Quadrilateral, generators
+from quadconc.kernel import classify_triples, point_text
+from rationals import affine, draw, frac, tri
 from quadconc.generators import (
     ANY_SHAPE,
     GenSpec,
@@ -78,16 +79,12 @@ class TestStream:
 
 @pytest.mark.parametrize("shape", ["convex", "concave", "crossed", ANY_SHAPE])
 def test_points_only_for_accepted_vertices(monkeypatch, shape):
-    # a rejected candidate stays bare triples: each instance makes the four
-    # points of its vertices, however many attempts it took, and a convex
-    # or crossed one reduces only those four triples
-    made, reduced, attempts = [], [], []
-    wrap, drawer = Point._wrap.__func__, generators._DRAWERS[shape]
+    # a rejected candidate stays unreduced: a convex or crossed instance
+    # reduces only the four triples of its vertices, however many attempts
+    # it took
+    reduced, attempts = [], []
+    drawer = generators._DRAWERS[shape]
     reduce3 = generators.reduce3
-
-    def counted_wrap(cls, triple):
-        made.append(triple)
-        return wrap(cls, triple)
 
     def counted_reduce3(*args):
         reduced.append(args)
@@ -97,9 +94,6 @@ def test_points_only_for_accepted_vertices(monkeypatch, shape):
         attempts.append(bound)
         return drawer(rng, bound)
 
-    monkeypatch.setattr(Point, "_wrap", classmethod(counted_wrap))
-    assert Point._wrap((1, 2, 1)) and pt(1, 2) and len(made) == 2  # it counts
-    made.clear()
     monkeypatch.setattr(generators, "reduce3", counted_reduce3)
     monkeypatch.setitem(generators._DRAWERS, shape, counted_draw)
     instances = 0
@@ -108,10 +102,9 @@ def test_points_only_for_accepted_vertices(monkeypatch, shape):
         for index in range(40):
             gen_quadrilateral(spec, index)
             instances += 1
-    assert len(made) == 4 * instances
+    assert len(attempts) >= instances
     if shape in ("convex", "crossed"):
-        # convex candidates are often rejected, each without a point or a
-        # reduction
+        # convex candidates are often rejected, each without a reduction
         assert len(attempts) > instances
         assert len(reduced) == 4 * instances
 
@@ -133,10 +126,10 @@ class TestQuadrilaterals:
         # frozen on first run; any change to the stream or the sampler is
         # a breaking change to reproducibility
         quad = gen_quadrilateral(GenSpec(seed=1), 0)
-        assert quad.A == pt(F(-2, 3), F(10, 7))
-        assert quad.B == pt(-1, F(1, 2))
-        assert quad.C == pt(F(2, 3), F(-9, 4))
-        assert quad.D == pt(F(9, 8), F(-2, 7))
+        assert quad.A == tri(F(-2, 3), F(10, 7))
+        assert quad.B == tri(-1, F(1, 2))
+        assert quad.C == tri(F(2, 3), F(-9, 4))
+        assert quad.D == tri(F(9, 8), F(-2, 7))
         assert quad.shape == "convex"
 
     def test_determinism(self):
@@ -182,10 +175,10 @@ def four_points(draw):
     """Four finite points with small coordinates, so repeated points and
     collinear offsets are common; or three and, at any position, their
     centroid, which is then the centroid of all four."""
-    pts = draw(st.lists(st.builds(pt, _small, _small), min_size=3, max_size=4))
+    pts = draw(st.lists(st.builds(tri, _small, _small), min_size=3, max_size=4))
     if len(pts) == 3:
         xs, ys = zip(*map(affine, pts))
-        pts.insert(draw(st.integers(0, 3)), pt(sum(xs) / 3, sum(ys) / 3))
+        pts.insert(draw(st.integers(0, 3)), tri(sum(xs) / 3, sum(ys) / 3))
     return pts
 
 
@@ -213,17 +206,17 @@ def naive_order(pts):
 
 class TestConvexPosition:
     @given(four_points())
-    @example([pt(0, 0), pt(2, 2), pt(0, 1), pt(-2, 1)])  # insertion and sort differ
-    @example([pt(1, 0), pt(2, 0), pt(-1, 1), pt(-2, -1)])  # one direction twice
-    @example([pt(0, 0), pt(1, 1), pt(3, -1), pt(2, 2)])  # three collinear
-    @example([pt(0, 0), pt(3, 0), pt(0, 0), pt(0, 3)])  # a repeated point
-    @example([pt(3, 0), pt(0, 3), pt(-3, -3), pt(0, 0)])  # one on the centroid
-    @example([pt(1, 1), pt(2, 2), pt(-3, 0), pt(0, -3)])  # two on one ray
+    @example([tri(0, 0), tri(2, 2), tri(0, 1), tri(-2, 1)])  # insertion and sort differ
+    @example([tri(1, 0), tri(2, 0), tri(-1, 1), tri(-2, -1)])  # one direction twice
+    @example([tri(0, 0), tri(1, 1), tri(3, -1), tri(2, 2)])  # three collinear
+    @example([tri(0, 0), tri(3, 0), tri(0, 0), tri(0, 3)])  # a repeated point
+    @example([tri(3, 0), tri(0, 3), tri(-3, -3), tri(0, 0)])  # one on the centroid
+    @example([tri(1, 1), tri(2, 2), tri(-3, 0), tri(0, -3)])  # two on one ray
     def test_drawers_match_the_naive_centroid_order(self, pts):
         # the four orientation signs decide convex position and order the
         # vertices as the centroid sort followed by a classification does
         a, b, c, d = naive_order(pts)
-        convex = classify_quadrilateral(a, b, c, d) == "convex"
+        convex = classify_triples(a, b, c, d) == "convex"
         assert generators._try_convex(Drawn(draws_of(pts)), 4) == (
             Quadrilateral(a, b, c, d, "convex") if convex else None)
         assert generators._try_crossed(Drawn(draws_of(pts)), 4) == (
@@ -231,14 +224,14 @@ class TestConvexPosition:
 
 
 class TestCrossed:
-    @given(st.lists(st.builds(pt, _small, _small), min_size=4, max_size=4), st.booleans())
+    @given(st.lists(st.builds(tri, _small, _small), min_size=4, max_size=4), st.booleans())
     def test_swapping_a_and_b_of_a_convex_quadrilateral_crosses_it(self, pts, clockwise):
         # _try_crossed labels B A C D crossed without classifying it again
         a, b, c, d = naive_order(pts)
         if clockwise:
             a, b, c, d = d, c, b, a
-        assume(classify_quadrilateral(a, b, c, d) == "convex")
-        assert classify_quadrilateral(b, a, c, d) == "crossed"
+        assume(classify_triples(a, b, c, d) == "convex")
+        assert classify_triples(b, a, c, d) == "crossed"
 
 
 class TestConcave:
@@ -247,7 +240,7 @@ class TestConcave:
         # _try_concave labels a b x c concave without classifying it
         quad = gen_quadrilateral(GenSpec(seed=seed, shape="concave", coordinate_bound=bound),
                                  index)
-        assert classify_quadrilateral(*quad.vertices) == "concave"
+        assert classify_triples(*quad.vertices) == "concave"
 
 
 class TestRatios:
@@ -298,7 +291,8 @@ def test_stream_pinned_across_shapes_and_bounds():
             spec = GenSpec(seed=7, shape=shape, coordinate_bound=bound)
             for index in range(100):
                 q = gen_quadrilateral(spec, index)
-                digest.update(f"{q.vertices!r} {q.shape}\n".encode())
+                vertices = ", ".join(map(point_text, q.vertices))
+                digest.update(f"({vertices}) {q.shape}\n".encode())
     assert digest.hexdigest() == (
         "b02f2f54e9982dc4eeedea37d243d202c7f558d5f0d01879dff81fbae4dc3a31"
     )

@@ -30,7 +30,7 @@ from quadconc.kernel import rational_text
 from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
 from quadconc.verifiers import verify_all
-from rationals import pt
+from rationals import points, tri
 from test_verifiers import with_points
 
 GOLDEN = {
@@ -57,10 +57,10 @@ def test_fuzz_bytes_match_golden_digest(regime):
 VERIFY_GOLDEN = "6ab1e49a7ad23a4512e80f231ab12f32997eb5055c7399a4a128757b615a065b"
 
 # the unit square with its side midpoints, and with two coincident vertices
-_SQUARE = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
+_SQUARE = (tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1))
 _MIDPOINTS = InstanceFile(vertices=_SQUARE, ratios=None, checks=(),
-                          points=(pt(1, 0, 2), pt(2, 1, 2), pt(1, 2, 2), pt(0, 1, 2)))
-_DEGENERATE = InstanceFile(vertices=(pt(0, 0), pt(0, 0), pt(1, 1), pt(0, 1)), ratios=None,
+                          points=(tri(1, 0, 2), tri(2, 1, 2), tri(1, 2, 2), tri(0, 1, 2)))
+_DEGENERATE = InstanceFile(vertices=(tri(0, 0), tri(0, 0), tri(1, 1), tri(0, 1)), ratios=None,
                            checks=(), points=_MIDPOINTS.points)
 
 
@@ -181,7 +181,7 @@ def construction_digest() -> str:
                 for index in range(100):
                     quad = gen_quadrilateral(spec, index)
                     ratios = gen_ratios(spec, index)
-                    parts = [repr([v.triple() for v in quad.vertices]), quad.shape,
+                    parts = [repr(list(quad.vertices)), quad.shape,
                              repr([rational_text(*x) for x in ratios.as_tuple])]
                     try:
                         cfg = build_from_ratios(quad, ratios)
@@ -210,15 +210,14 @@ def corruptions(cfg):
     constructed point by ``None``; every point by the next defined point in
     ``POINT_NAMES`` order; every point by an ideal point, its own direction
     ``(x, y, 0)``, or ``(1, 0, 0)`` where it has none."""
-    points = cfg.named_points()
+    stored = points(cfg)
     for i, name in enumerate(POINT_NAMES):
         if i >= 8:
             yield name, "none", None
-        other = next(n for n in POINT_NAMES[i + 1:] + POINT_NAMES[:i] if points[n] is not None)
-        yield name, "other", points[other]
-        point = points[name]
-        x, y, w = (0, 0, 0) if point is None else point.triple()
-        yield name, "ideal", pt(x, y, 0) if w and (x or y) else pt(1, 0, 0)
+        other = next(n for n in POINT_NAMES[i + 1:] + POINT_NAMES[:i] if stored[n] is not None)
+        yield name, "other", stored[other]
+        x, y, w = stored[name] or (0, 0, 0)
+        yield name, "ideal", tri(x, y, 0) if w and (x or y) else tri(1, 0, 0)
 
 
 def corrupted_verdict_digest() -> str:
@@ -239,8 +238,8 @@ def corrupted_verdict_digest() -> str:
                                                 gen_ratios(spec, index))
                     except UndefinedPoint:
                         continue
-                    for name, kind, pt in corruptions(cfg):
-                        verdicts = verify_all(with_points(cfg, **{name: pt}))
+                    for name, kind, t in corruptions(cfg):
+                        verdicts = verify_all(with_points(cfg, **{name: t}))
                         doc = {"point": name, "kind": kind,
                                "verdicts": [verdict_json(v) for v in verdicts]}
                         h.update(render(doc, compact=True).encode("utf-8"))

@@ -17,8 +17,8 @@ from quadconc.instancefile import (
     render,
     serialize_instance,
 )
-from quadconc.kernel import point_from_terms
-from rationals import affine, frac, pt, side_ratios
+from quadconc.kernel import triple_from_terms
+from rationals import affine, frac, points, side_ratios, tri
 
 F = Fraction
 
@@ -72,8 +72,8 @@ class TestParsePair:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            assert _parse_pair([a, b], "x") == pt(F(a), F(b))
-            assert point_from_terms(xn, xd, yn, yd) == pt(F(xn, xd), F(yn, yd))
+            assert _parse_pair([a, b], "x") == tri(F(a), F(b))
+            assert triple_from_terms(xn, xd, yn, yd) == tri(F(xn, xd), F(yn, yd))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -103,7 +103,7 @@ class TestParseInstance:
         assert inst.ratios == side_ratios(1, 1, 1, 1)
         assert inst.checks == ()
         cfg = inst.configuration()
-        assert cfg.named_points()["E"] == pt(F(1, 2), F(1, 2))
+        assert points(cfg)["E"] == tri(F(1, 2), F(1, 2))
 
     def test_points_variant(self):
         doc = {

@@ -4,9 +4,9 @@ from itertools import combinations
 import pytest
 
 from quadconc import (
+    Quadrilateral,
     SideRatios,
     affine_parameter,
-    classify_quadrilateral,
     collinear,
     directed_ratio,
     line_through,
@@ -14,7 +14,8 @@ from quadconc import (
     point_dividing,
 )
 from quadconc.errors import GeometryError
-from rationals import affine, frac, pt
+from quadconc.kernel import classify_triples
+from rationals import affine, frac, pt, tri
 from test_kernel_properties import incident, orientation
 
 F = Fraction
@@ -33,7 +34,7 @@ class TestPoint:
     def test_finiteness(self):
         assert not pt(3, 4).is_ideal
         assert pt(3, 4, 0).is_ideal
-        assert affine(pt(F(2, 3), F(1, 2))) == (F(2, 3), F(1, 2))
+        assert affine(pt(F(2, 3), F(1, 2)).triple()) == (F(2, 3), F(1, 2))
 
     def test_zero_triple_rejected(self):
         with pytest.raises(ValueError):
@@ -204,36 +205,44 @@ class TestOrientation:
     def test_signs(self):
         # canonical finite triples have w > 0, so det3's sign is the affine
         # orientation sign, whatever weight a point was written with
-        assert orientation(pt(0, 0), pt(1, 0), pt(0, 1)) == 1
-        assert orientation(pt(0, 0, -1), pt(-1, 0, -1), pt(0, -2, -2)) == 1
-        assert orientation(pt(0, 0), pt(0, 1), pt(1, 0)) == -1
-        assert orientation(pt(0, 0), pt(1, 1), pt(2, 2)) == 0
+        assert orientation(tri(0, 0), tri(1, 0), tri(0, 1)) == 1
+        assert orientation(tri(0, 0, -1), tri(-1, 0, -1), tri(0, -2, -2)) == 1
+        assert orientation(tri(0, 0), tri(0, 1), tri(1, 0)) == -1
+        assert orientation(tri(0, 0), tri(1, 1), tri(2, 2)) == 0
 
     def test_requires_finite(self):
         with pytest.raises(GeometryError, match="orientation is defined for finite points only"):
-            classify_quadrilateral(pt(0, 0), pt(1, 0), pt(1, 0, 0), pt(0, 1))
+            Quadrilateral.of(tri(0, 0), tri(1, 0), tri(1, 0, 0), tri(0, 1))
+
+
+def classify(*vertices):
+    """The shape ``Quadrilateral.of`` gives four finite triples, which is
+    ``classify_triples``'s."""
+    shape = Quadrilateral.of(*vertices).shape
+    assert shape == classify_triples(*vertices)
+    return shape
 
 
 class TestClassify:
     def test_square(self):
-        assert classify_quadrilateral(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)) == "convex"
+        assert classify(tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1)) == "convex"
 
     def test_clockwise_square(self):
-        assert classify_quadrilateral(pt(0, 1), pt(1, 1), pt(1, 0), pt(0, 0)) == "convex"
+        assert classify(tri(0, 1), tri(1, 1), tri(1, 0), tri(0, 0)) == "convex"
 
     def test_concave(self):
         # orientation signs (+, -, +, +), computed with the orientation
         # oracle above
-        assert classify_quadrilateral(pt(0, 0), pt(4, 0), pt(1, 1), pt(0, 4)) == "concave"
+        assert classify(tri(0, 0), tri(4, 0), tri(1, 1), tri(0, 4)) == "concave"
 
     def test_crossed(self):
-        assert classify_quadrilateral(pt(0, 0), pt(1, 1), pt(1, 0), pt(0, 1)) == "crossed"
+        assert classify(tri(0, 0), tri(1, 1), tri(1, 0), tri(0, 1)) == "crossed"
 
     def test_degenerate(self):
-        assert classify_quadrilateral(pt(0, 0), pt(1, 0), pt(2, 0), pt(0, 1)) == "degenerate"
+        assert classify(tri(0, 0), tri(1, 0), tri(2, 0), tri(0, 1)) == "degenerate"
         # each of the six ways to repeat a vertex zeroes a consecutive orientation
-        square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+        square = [tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1)]
         for i, j in combinations(range(4), 2):
             vertices = square.copy()
             vertices[j] = vertices[i]
-            assert classify_quadrilateral(*vertices) == "degenerate", (i, j)
+            assert classify(*vertices) == "degenerate", (i, j)

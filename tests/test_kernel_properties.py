@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadconc import (
+    Quadrilateral,
     affine_parameter,
-    classify_quadrilateral,
     collinear,
     directed_ratio,
     line_through,
@@ -19,9 +19,9 @@ from quadconc import (
 from quadconc import SideRatios
 from quadconc._purekernel import det3
 from quadconc.instancefile import parse_instance, serialize_instance
-from quadconc.kernel import parameter_pair
+from quadconc.kernel import classify_triples, parameter_error, parameter_pair
 from quadconc.errors import GeometryError
-from rationals import affine, frac, pt
+from rationals import affine, frac, pt, tri
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=50
@@ -33,11 +33,16 @@ ideal_points = st.tuples(rationals, rationals).filter(lambda xy: xy != (0, 0)).m
 
 
 def orientation(a, b, c) -> int:
-    """The sign of the signed area of the triangle ``a b c`` of finite
-    points: of ``det3`` of their canonical triples, whose weights are
-    positive."""
-    d = det3(a.triple(), b.triple(), c.triple())
+    """The sign of the signed area of the triangle ``a b c`` of the
+    canonical triples of finite points: of their ``det3``, since their
+    weights are positive."""
+    d = det3(a, b, c)
     return (d > 0) - (d < 0)
+
+
+def xy(p) -> tuple[Fraction, Fraction]:
+    """The affine coordinates of a finite :class:`Point`."""
+    return affine(p.triple())
 
 
 def incident(line, p) -> bool:
@@ -128,7 +133,7 @@ def free_segments(draw):
 @st.composite
 def vertical_segments(draw):
     a = draw(weighted_points())
-    b = draw(weighted_points(x=st.just(affine(a)[0])))
+    b = draw(weighted_points(x=st.just(xy(a)[0])))
     assume(a != b)
     return a, b
 
@@ -140,7 +145,7 @@ exterior = beyond.map(lambda t: -t) | beyond.map(lambda t: 1 + t)
 
 
 def _at(a, b, lam):
-    (ax, ay), (bx, by) = affine(a), affine(b)
+    (ax, ay), (bx, by) = xy(a), xy(b)
     return pt(ax + lam * (bx - ax), ay + lam * (by - ay))
 
 
@@ -149,12 +154,12 @@ def _at(a, b, lam):
 def test_affine_parameter_and_ratio_match_oracle(seg, lam):
     a, b = seg
     x = _at(a, b, lam)
-    assert frac(affine_parameter(a, b, x)) == naive.param(affine(a), affine(b), affine(x)) == lam
+    assert frac(affine_parameter(a, b, x)) == naive.param(xy(a), xy(b), xy(x)) == lam
     if lam == 1:
         with pytest.raises(GeometryError, match="coincides with the second endpoint"):
             directed_ratio(a, x, b)
     else:
-        assert frac(directed_ratio(a, x, b)) == naive.ratio(affine(a), affine(x), affine(b))
+        assert frac(directed_ratio(a, x, b)) == naive.ratio(xy(a), xy(x), xy(b))
 
 
 @given(segments, exterior)
@@ -163,7 +168,7 @@ def test_exterior_ratios_are_negative_and_match_oracle(seg, lam):
     x = _at(a, b, lam)
     r = frac(directed_ratio(a, x, b))
     assert r < 0
-    assert r == naive.ratio(affine(a), affine(x), affine(b))
+    assert r == naive.ratio(xy(a), xy(x), xy(b))
 
 
 @given(segments, big_rationals)
@@ -171,7 +176,7 @@ def test_exterior_ratios_are_negative_and_match_oracle(seg, lam):
 def test_point_dividing_matches_oracle(seg, t):
     assume(t != -1)
     a, b = seg
-    expected = pt(*naive.divide(affine(a), affine(b), t))
+    expected = pt(*naive.divide(xy(a), xy(b), t))
     assert point_dividing(a, b, t.as_integer_ratio()) == expected
 
 
@@ -188,23 +193,26 @@ def test_det3_decides_incidence_with_the_join(u, v, x, s, t):
 
 # small coordinates make collinear and repeated vertices common
 small_points = st.builds(pt, st.integers(-2, 2), st.integers(-2, 2))
+triples = st.builds(tri, rationals, rationals)
+small_triples = st.builds(tri, st.integers(-2, 2), st.integers(-2, 2))
 
 
-@given(*[st.one_of(small_points, points)] * 4)
+@given(*[st.one_of(small_triples, triples)] * 4)
 def test_classify_counts_orientation_signs(a, b, c, d):
     signs = [orientation(a, b, c), orientation(b, c, d), orientation(c, d, a),
              orientation(d, a, b)]
     expected = ("degenerate" if 0 in signs
                 else ("convex", "concave", "crossed", "concave", "convex")[signs.count(-1)])
-    assert classify_quadrilateral(a, b, c, d) == expected
+    assert classify_triples(a, b, c, d) == expected
+    assert Quadrilateral.of(a, b, c, d) == (a, b, c, d, expected)
 
 
-@given(points, points, points, ideal_points, st.integers(0, 3))
+@given(triples, triples, triples, ideal_points, st.integers(0, 3))
 def test_classify_rejects_an_ideal_vertex(a, b, c, ideal, i):
     vertices = [a, b, c]
-    vertices.insert(i, ideal)
+    vertices.insert(i, ideal.triple())
     with pytest.raises(GeometryError, match="^orientation is defined for finite points only$"):
-        classify_quadrilateral(*vertices)
+        Quadrilateral.of(*vertices)
 
 
 @given(*[st.one_of(small_points, ideal_points)] * 3, st.integers(-2, 2), st.integers(-2, 2))
@@ -221,6 +229,7 @@ def test_parameter_pair_is_none_exactly_where_parameter_terms_raises(a, b, x, s,
             terms = affine_parameter(a, b, p)
         except GeometryError as exc:
             assert pair is None
+            assert str(exc) == parameter_error(a.triple(), b.triple(), p.triple())
             if a.is_ideal or b.is_ideal or p.is_ideal:
                 assert str(exc) == "affine parameters are defined for finite points only"
             elif a == b:
@@ -230,7 +239,7 @@ def test_parameter_pair_is_none_exactly_where_parameter_terms_raises(a, b, x, s,
                 assert str(exc) == f"{p!r} is not on the line through {a!r} and {b!r}"
         else:
             assert pair == terms
-            (ax, ay), (bx, by), (px, py) = affine(a), affine(b), affine(p)
+            (ax, ay), (bx, by), (px, py) = xy(a), xy(b), xy(p)
             lam = Fraction(*pair)
             assert (ax + lam * (bx - ax), ay + lam * (by - ay)) == (px, py)
 

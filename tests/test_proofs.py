@@ -31,7 +31,7 @@ import naive_geometry as naive  # noqa: E402
 from quadconc._purekernel import det3  # noqa: E402
 from quadconc.configuration import (  # noqa: E402
     SLOT, Configuration, Quadrilateral, SideRatios, construct_triples)
-from quadconc.kernel import Point, dividing_terms  # noqa: E402
+from quadconc.kernel import dividing_terms  # noqa: E402
 from quadconc.verifiers import CLAIMS, PASS  # noqa: E402
 
 K, a, b, m, n, p, q = field("a,b,m,n,p,q", QQ)
@@ -161,7 +161,7 @@ def shipped(q_pair):
                                  (D, A, ratios.q))]
     triples = construct_triples((A, B, C, D, *sides), primitive)
     # the checks of the identity rows read no shape, no r and no flag
-    quad = Quadrilateral(*(Point._wrap(t) for t in triples[:4]), shape=None)
+    quad = Quadrilateral(*triples[:4], shape=None)
     return Configuration(quad, ratios, tuple(triples), r_ratio=None, degeneracies=frozenset())
 
 

@@ -14,7 +14,7 @@ from quadconc.report import (degenerate_report, degenerate_verdicts, report_docu
                              report_line, report_text)
 from quadconc.verifiers import (CLAIM_IDS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict,
                                 select_claims, verify_all)
-from rationals import pt
+from rationals import tri
 from test_golden import corruptions
 from test_verifiers import with_points
 
@@ -62,7 +62,7 @@ def test_report_line_is_the_compact_tree(shape):
                     continue
                 configs = [cfg]
                 if index < 2:
-                    configs += [with_points(cfg, **{name: pt}) for name, _, pt in corruptions(cfg)]
+                    configs += [with_points(cfg, **{name: t}) for name, _, t in corruptions(cfg)]
                 for built in configs:
                     verdicts = verify_all(built)
                     line = written(meta, verdicts, built, inst)
@@ -72,12 +72,12 @@ def test_report_line_is_the_compact_tree(shape):
     assert ideal_witnesses
 
 
-SQUARE = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
+SQUARE = (tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1))
 
 
 @pytest.mark.parametrize("inst", [
     InstanceFile(vertices=SQUARE, ratios=None, checks=("seven_lines", "ratio_product"),
-                 points=(pt(1, 1), pt(2, 1), pt(1, 1), pt(0, 1, 0))),
+                 points=(tri(1, 1), tri(2, 1), tri(1, 1), tri(0, 1, 0))),
     instance_from_parts(gen_quadrilateral(GenSpec(seed=3), 0), gen_ratios(GenSpec(seed=3), 0)),
 ], ids=["points", "ratios"])
 @pytest.mark.parametrize("claims", [CLAIM_IDS, ("seven_lines",), ()], ids=len)
@@ -107,12 +107,11 @@ def test_points_instances_and_check_subsets_are_the_tree(seed, claims):
     for force in (True, False):
         cfg = build_from_ratios(gen_quadrilateral(GenSpec(seed=seed, force_gamma_one=force), 0),
                                 gen_ratios(GenSpec(seed=seed, force_gamma_one=force), 0))
-        points = cfg.named_points()
         for inst in (
             InstanceFile(vertices=cfg.quad.vertices, ratios=None, checks=claims or (),
-                         points=tuple(points[name] for name in "MNPQ")),
+                         points=cfg.triples[4:8]),
             InstanceFile(vertices=SQUARE, ratios=None, checks=claims or (),
-                         points=(pt(1, 0, 2), pt(2, 1, 2), pt(1, 2, 2), pt(0, 1, 2))),
+                         points=(tri(1, 0, 2), tri(2, 1, 2), tri(1, 2, 2), tri(0, 1, 2))),
         ):
             built = inst.configuration()
             verdicts = verify_all(built, select_claims(claims))
@@ -127,7 +126,7 @@ def test_report_line_sorts_what_the_tree_sorts_and_keys_texts_by_point():
     quad, ratios = gen_quadrilateral(spec, 0), gen_ratios(spec, 0)
     cfg = build_from_ratios(quad, ratios)
     cfg = cfg._replace(degeneracies=frozenset({"Z9", "A1_IDEAL", "F1_EQ_F2", "M_X", "B"}))
-    e, ideal = pt(1, 2), pt(-3, 2, 0)
+    e, ideal = tri(1, 2), tri(-3, 2, 0)
     verdicts = [
         Verdict("seven_lines", FAIL, detail="E misses \u00e9",
                 witness={"Q1": e, "E": ideal, "M1": e},
@@ -152,8 +151,8 @@ def test_report_line_writes_only_str_and_int_meta(value):
 # the shape formats double, so "%s" and "%%" can occur
 _ESCAPED = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d11eaA_%s'),
                    max_size=6)
-_WITNESSES = st.sampled_from([pt(1, 2), pt(-3, 2, 0), pt(1, -2, 3), pt(0, 0),
-                              pt(10**20, 7, 3)])
+_WITNESSES = st.sampled_from([tri(1, 2), tri(-3, 2, 0), tri(1, -2, 3), tri(0, 0),
+                              tri(10**20, 7, 3)])
 # exact values: the yes/no flags, zero, denominators of either sign and
 # integers up to 10**30
 _VALUES = st.one_of(st.sampled_from([(1, 1), (0, 1), (0, -5), (10**30, -1), (-4, -10**30)]),
@@ -169,26 +168,15 @@ _BUILT = build_from_ratios(gen_quadrilateral(GenSpec(seed=42), 0), gen_ratios(Ge
 @given(_VERDICTS, st.frozensets(_ESCAPED, max_size=3), _ESCAPED,
        st.lists(_ESCAPED, max_size=3), st.dictionaries(_ESCAPED, _ESCAPED, max_size=2))
 def test_fixed_strings_escape_once_and_read_back_the_same(verdicts, flags, shape, checks, meta):
-    # claim ids, statuses, value keys, witness names, flags, the shape,
-    # checks and meta keys go through the escape table; the first report
-    # fills it and the second reads it back, and both are the tree's bytes
+    # claim ids, statuses, value keys and witness names are escaped into
+    # the format of their verdict shape, which the first report compiles
+    # and the second reads back from the cache; flags, the shape, checks
+    # and meta keys are escaped on each use; both are the tree's bytes
     cfg = _BUILT._replace(quad=_BUILT.quad._replace(shape=shape), degeneracies=flags)
     inst = instance_from_parts(cfg.quad, cfg.ratios, checks=tuple(checks))
     for built in (cfg, None):
         written(meta, verdicts, built, inst)
         written(meta, verdicts, built, inst)
-
-
-def test_a_full_escape_table_stores_no_more(monkeypatch):
-    # past _ESCAPED_MAX entries a new string is escaped on each use and not
-    # stored, so the table stays bounded and the bytes do not change
-    monkeypatch.setattr(report, "_escaped", report._Escaped())
-    monkeypatch.setattr(report, "_ESCAPED_MAX", 3)
-    verdicts = [Verdict(f"claim \u00e9 {i}", PASS) for i in range(5)]
-    inst = instance_from_parts(_BUILT.quad, _BUILT.ratios)
-    for _ in range(2):
-        written({}, verdicts, None, inst)
-    assert len(report._escaped) == 3
 
 
 def test_a_full_shape_cache_stores_no_more(monkeypatch):
@@ -197,7 +185,7 @@ def test_a_full_shape_cache_stores_no_more(monkeypatch):
     monkeypatch.setattr(report, "_shapes", {})
     monkeypatch.setattr(report, "_SHAPES_MAX", 2)
     inst = instance_from_parts(_BUILT.quad, _BUILT.ratios)
-    shapes = [[Verdict("seven_lines", PASS, "%s", {"E": pt(1, 2)})],
+    shapes = [[Verdict("seven_lines", PASS, "%s", {"E": tri(1, 2)})],
               [Verdict("seven_lines", FAIL, "%%", exact_values={"k%s": (1, 2)})],
               [Verdict("a%", SKIPPED), Verdict("b", PASS, "x")],
               []]

@@ -17,7 +17,7 @@ from quadconc import (
 from quadconc.errors import GeometryError, InstanceFormatError
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.svgfig import VIEW, render_svg
-from rationals import affine, pt, side_ratios
+from rationals import affine, points, side_ratios, tri
 from test_configuration import side_points, signed_ratios
 
 F = Fraction
@@ -36,9 +36,9 @@ def reference_screen(cfg):
     on each side, scaled to ``VIEW`` and flipped in y."""
     coords = {}
     for name in svgfig._DRAWN:
-        point = cfg.named_points()[name]
-        if point is not None and not point.is_ideal:
-            coords[name] = affine(point)
+        t = points(cfg)[name]
+        if t is not None and t[2]:
+            coords[name] = affine(t)
     xs = [coords[n][0] for n in svgfig._FRAME if n in coords]
     ys = [coords[n][1] for n in svgfig._FRAME if n in coords]
     lo_x, lo_y = min(xs), min(ys)
@@ -115,8 +115,8 @@ def test_huge_coordinates_render(unit_square):
 def test_view_is_framed_without_the_cevian_meets():
     # side points beyond their segments put A1 = BP ∩ DN below the view;
     # the seven layer still draws AA1 to it, but A1 does not frame the view
-    quad = Quadrilateral.of(pt(0, 0), pt(2, 1), pt(0, 2), pt(2, 0))
-    cfg = build_from_points(quad, pt(4, 2), pt(F(1, 2), F(7, 4)), pt(4, -2), pt(-2, 0))
+    quad = Quadrilateral.of(tri(0, 0), tri(2, 1), tri(0, 2), tri(2, 0))
+    cfg = build_from_points(quad, tri(4, 2), tri(F(1, 2), F(7, 4)), tri(4, -2), tri(-2, 0))
     text = render_svg(cfg)
     framed = re.findall(r'<(?:text|circle) \w+="([^"]+)" \w+="([^"]+)"', text)
     assert len(framed) == 18
@@ -151,8 +151,8 @@ def test_screen_matches_the_fraction_form_on_ideal_undefined_and_outside_points(
         *generated(replace(_SMALL, shape="crossed"), (202,)),
         *generated(replace(_SMALL, shape="concave", force_gamma_one=True), (16,)),
         # a figure narrower than one unit, where the span is floored at 1
-        build_from_ratios(Quadrilateral.of(*(pt(*(F(c, 100) for c in p.triple()[:2]))
-                                             for p in unit_square.vertices)),
+        build_from_ratios(Quadrilateral.of(*(tri(*(F(c, 100) for c in v[:2]))
+                                             for v in unit_square.vertices)),
                           side_ratios(1, 2, 3, 1)),
     ]
     for shape in ("concave", "crossed"):

@@ -5,24 +5,22 @@ import pytest
 
 from quadconc import (
     GenSpec,
-    Point,
     Quadrilateral,
-    affine_parameter,
     build_from_points,
     build_from_ratios,
     gen_quadrilateral,
     gen_ratios,
     overall_status,
-    point_dividing,
     verify_all,
 )
 from quadconc import verifiers
+from quadconc._purekernel import reduce3
 from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS, SLOT
 from quadconc.errors import InstanceFormatError, UndefinedPoint
-from quadconc.kernel import Line
+from quadconc.kernel import Line, dividing_terms
 from quadconc.report import verdict_json
 from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict
-from rationals import affine, frac, pt, side_ratios
+from rationals import affine, frac, param, points, side_ratios, tri
 
 F = Fraction
 
@@ -41,11 +39,11 @@ def texts(v, *keys):
 
 class TestDiagonalCollinearity:
     def test_midpoints(self, midpoint_config):
-        pts = midpoint_config.named_points()
+        pts = points(midpoint_config)
         v = verdict(midpoint_config, "diagonal_collinearity")
         assert v.status == PASS
-        assert pts["X"] == pt(F(1, 2), F(1, 4))
-        assert pts["Z"] == pt(F(1, 2), F(3, 4))
+        assert pts["X"] == tri(F(1, 2), F(1, 4))
+        assert pts["Z"] == tri(F(1, 2), F(3, 4))
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         assert verdict(gamma_one_config, "diagonal_collinearity").status == PASS
@@ -62,12 +60,12 @@ class TestSevenLines:
         v = verdict(midpoint_config, "seven_lines")
         assert v.status == DEGENERATE
         assert "F_EQ_G" in v.detail
-        assert v.witness["E"] == pt(F(1, 2), F(1, 2))
+        assert v.witness["E"] == tri(F(1, 2), F(1, 2))
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
         v = verdict(gamma_one_config, "seven_lines")
         assert v.status == PASS
-        assert v.witness["E"] == pt(F(2, 3), F(1, 2))
+        assert v.witness["E"] == tri(F(2, 3), F(1, 2))
         assert texts(v, "FE_over_EG", "FE_over_EG_formula") == ["1", "1"]
 
     def test_two_point_completion_passes(self, two_point_config):
@@ -128,7 +126,7 @@ class TestGeneralConcurrences:
         v = verdict(gamma_two_config, "quadruple_concurrences")
         assert v.status == DEGENERATE
         assert "F1_EQ_G1" in v.detail
-        assert v.witness["M1"] == pt(F(1, 2), F(1, 2))
+        assert v.witness["M1"] == tri(F(1, 2), F(1, 2))
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
         v = verdict(generic_gamma_two_config, "quadruple_concurrences")
@@ -139,26 +137,26 @@ class TestGeneralConcurrences:
         v = verdict(gamma_one_config, "quadruple_concurrences")
         assert v.status == PASS
         cfg = gamma_one_config
-        assert len({cfg.named_points()[n] for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
+        assert len({points(cfg)[n] for n in ("M1", "N1", "P1", "Q1", "E")}) == 1
 
     # a crossed quadrilateral whose explicit side points may lie outside
     # their sides, which makes their ratios negative
-    CROSSED = (pt(0, 0), pt(0, 1), pt(1, 0), pt(1, 2))
+    CROSSED = (tri(0, 0), tri(0, 1), tri(1, 0), tri(1, 2))
 
     def test_line_through_two_ideal_points_is_undefined(self):
         quad = Quadrilateral.of(*self.CROSSED)
-        cfg = build_from_points(quad, pt(0, F(1, 3)), pt(F(1, 2), F(1, 2)),
-                                pt(1, F(2, 3)), pt(-1, -2))
-        pts = cfg.named_points()
-        assert pts["F2"].is_ideal and pts["G2"].is_ideal
+        cfg = build_from_points(quad, tri(0, F(1, 3)), tri(F(1, 2), F(1, 2)),
+                                tri(1, F(2, 3)), tri(-1, -2))
+        pts = points(cfg)
+        assert pts["F2"][2] == 0 and pts["G2"][2] == 0
         v = verdict(cfg, "quadruple_concurrences")
         assert v.status == DEGENERATE
         assert "F2G2_UNDEFINED" in v.detail.split("; ")
 
     def test_section_formula_undefined_when_mn_is_minus_one(self):
         quad = Quadrilateral.of(*self.CROSSED)
-        cfg = build_from_points(quad, pt(0, F(1, 3)), pt(2, -1), pt(1, 1),
-                                pt(F(1, 2), 1))
+        cfg = build_from_points(quad, tri(0, F(1, 3)), tri(2, -1), tri(1, 1),
+                                tri(F(1, 2), 1))
         assert frac(cfg.ratios.m) * frac(cfg.ratios.n) == -1
         v = verdict(cfg, "quadruple_concurrences")
         assert v.status == DEGENERATE
@@ -183,18 +181,18 @@ class TestConcurrenceDetail:
         assert (v.status, v.detail) == (DEGENERATE, "F1G1_UNDEFINED; G2F1_UNDEFINED")
 
     @staticmethod
-    def moved(cfg, name, pt):
-        """``cfg`` with the stored point ``name`` replaced by ``pt``."""
+    def moved(cfg, name, t):
+        """``cfg`` with the stored point ``name`` replaced by the triple ``t``."""
         triples = list(cfg.triples)
-        triples[SLOT[name]] = None if pt is None else pt.triple()
+        triples[SLOT[name]] = t
         return cfg._replace(triples=tuple(triples))
 
     def test_misses_outrank_degenerate_reasons(self, midpoint_config, gamma_two_config):
         # both configurations also carry a degenerate reason (F = G and
         # F1 = G1), which a failure must override
-        v = verdict(self.moved(midpoint_config, "E", pt(0, 0)), "seven_lines")
+        v = verdict(self.moved(midpoint_config, "E", tri(0, 0)), "seven_lines")
         assert (v.status, v.detail) == (FAIL, "BB1 misses E; MP misses E; NQ misses E")
-        v = verdict(self.moved(gamma_two_config, "M1", pt(0, 0)), "quadruple_concurrences")
+        v = verdict(self.moved(gamma_two_config, "M1", tri(0, 0)), "quadruple_concurrences")
         assert (v.status, v.detail) == (FAIL, "DD1 misses M1; MP misses M1")
 
     def test_each_target_is_checked_on_both_its_defining_lines(self):
@@ -275,8 +273,8 @@ class TestCrossingRatioFormula:
         t = F(1, 3)
         ratios = side_ratios(2, t / (1 - t), 3, (1 - t) / t)
         cfg = build_from_ratios(unit_square, ratios)
-        R = cfg.named_points()["R"]
-        assert R is not None and R.is_ideal
+        R = points(cfg)["R"]
+        assert R is not None and R[2] == 0
         assert cfg.r_ratio == (1, 1)
         v = verdict(cfg, "crossing_ratio_formula")
         assert v.status == PASS
@@ -314,24 +312,24 @@ class TestInnerQuadrilateral:
             SKIPPED, "segment ordering claims require a convex quadrilateral")
 
 
-def with_points(cfg, **points):
-    """``cfg`` with the named stored points replaced."""
-    triples = list(cfg.triples)
-    for name, pt in points.items():
-        triples[SLOT[name]] = None if pt is None else pt.triple()
-    return cfg._replace(triples=tuple(triples))
+def with_points(cfg, **triples):
+    """``cfg`` with the named stored points replaced by the given triples."""
+    stored = list(cfg.triples)
+    for name, t in triples.items():
+        stored[SLOT[name]] = t
+    return cfg._replace(triples=tuple(stored))
 
 
 def at(a, b, lam):
-    """The point ``a + lam*(b - a)``, for a ``Fraction`` ``lam``: it divides
-    ``a -> b`` in the ratio ``lam/(1 - lam)``."""
-    return point_dividing(a, b, (lam.numerator, lam.denominator - lam.numerator))
+    """The triple of the point ``a + lam*(b - a)``, for a ``Fraction``
+    ``lam``: it divides ``a -> b`` in the ratio ``lam/(1 - lam)``."""
+    return reduce3(*dividing_terms(a, b, lam.numerator, lam.denominator - lam.numerator))
 
 
 # A convex quadrilateral and its mirror image: on the two, the affine
 # parameters along MP and NQ have denominators of both signs
-GENERIC = (pt(0, 0), pt(4, 0), pt(5, 3), pt(1, 4))
-MIRRORED = tuple(pt(-x, y) for x, y in map(affine, GENERIC))
+GENERIC = (tri(0, 0), tri(4, 0), tri(5, 3), tri(1, 4))
+MIRRORED = tuple(tri(-x, y) for x, y in map(affine, GENERIC))
 # gamma 2/3 and 1/2, then 2 and 6; the last two of each put P left of M,
 # so the generic quadrilateral's MP parameters have negative denominators
 RATIOS_BELOW_ONE = ((1, 2, 1, F(1, 3)), (3, 1, 2, F(1, 12)))
@@ -353,30 +351,30 @@ class TestComparisonBranches:
     @pytest.mark.parametrize("vertices, ratios", ORDER_CASES)
     def test_order_along_mp(self, vertices, ratios):
         cfg = self.inner(vertices, ratios)
-        pts = cfg.named_points()
+        pts = points(cfg)
         M, P, E = pts["M"], pts["P"], pts["E"]
         if frac(cfg.ratios.gamma) < 1:
             first, last, violated = "M1", "P1", "order M-M1-E-P1-P violated"
         else:
             first, last, violated = "P1", "M1", "order M-P1-E-M1-P violated"
-        lam_first = frac(affine_parameter(M, P, pts[first]))
-        lam_last = frac(affine_parameter(M, P, pts[last]))
-        for points in ({first: pts[last], last: pts[first]},
-                       {first: M}, {first: E}, {first: at(M, P, F(-1, 2))},
-                       {last: P}, {last: E}, {last: at(M, P, F(3, 2))}):
-            v = verdict(with_points(cfg, **points), "inner_quadrilateral")
-            assert (v.status, v.detail) == (FAIL, violated), points
+        lam_first = param(M, P, pts[first])
+        lam_last = param(M, P, pts[last])
+        for moved in ({first: pts[last], last: pts[first]},
+                      {first: M}, {first: E}, {first: at(M, P, F(-1, 2))},
+                      {last: P}, {last: E}, {last: at(M, P, F(3, 2))}):
+            v = verdict(with_points(cfg, **moved), "inner_quadrilateral")
+            assert (v.status, v.detail) == (FAIL, violated), moved
         # strictly inside the segments the order allows: still in order
-        for points in ({first: at(M, P, lam_first / 2)},
-                       {last: at(M, P, (1 + lam_last) / 2)}):
-            assert verdict(with_points(cfg, **points), "inner_quadrilateral").status == PASS
+        for moved in ({first: at(M, P, lam_first / 2)},
+                      {last: at(M, P, (1 + lam_last) / 2)}):
+            assert verdict(with_points(cfg, **moved), "inner_quadrilateral").status == PASS
 
     @pytest.mark.parametrize("vertices, ratios", ORDER_CASES)
     def test_e_on_segment_n1q1(self, vertices, ratios):
         cfg = self.inner(vertices, ratios)
-        pts = cfg.named_points()
+        pts = points(cfg)
         N, Q, E = pts["N"], pts["Q"], pts["E"]
-        e, d = frac(affine_parameter(N, Q, E)), F(1, 10)
+        e, d = param(N, Q, E), F(1, 10)
         # the closed segment from N1 to Q1, in either order, must hold E
         cases = {(e + d, e + 2 * d): FAIL, (e - 2 * d, e - d): FAIL,
                  (e, e + d): PASS, (e - d, e): PASS, (e - d, e + d): PASS}
@@ -389,17 +387,17 @@ class TestComparisonBranches:
 
     def test_points_off_their_carrier_lines(self, generic_gamma_two_config):
         cfg = generic_gamma_two_config
-        v = verdict(with_points(cfg, M1=pt(0, 0)), "inner_quadrilateral")
+        v = verdict(with_points(cfg, M1=tri(0, 0)), "inner_quadrilateral")
         assert (v.status, v.detail) == (
             FAIL, "points left their carrier lines: Point(0, 0) is not on the line "
                   "through Point(2, 0) and Point(3, 7/2)")
-        v = verdict(with_points(cfg, N1=pt(0, 0)), "inner_quadrilateral")
+        v = verdict(with_points(cfg, N1=tri(0, 0)), "inner_quadrilateral")
         assert (v.status, v.detail) == (
             FAIL, "points left their carrier lines: Point(0, 0) is not on the line "
                   "through Point(14/3, 2) and Point(1/2, 2)")
 
     def test_product_one_collapse(self, gamma_one_config):
-        v = verdict(with_points(gamma_one_config, M1=pt(0, 0)), "inner_quadrilateral")
+        v = verdict(with_points(gamma_one_config, M1=tri(0, 0)), "inner_quadrilateral")
         assert (v.status, v.detail) == (FAIL, "product-one collapse violated")
 
     def test_fe_over_eg_mismatch(self, gamma_one_config):
@@ -424,7 +422,7 @@ class TestComparisonBranches:
     @pytest.mark.parametrize("ratios", RATIOS_BELOW_ONE + RATIOS_ABOVE_ONE)
     def test_section_ratio_keys(self, ratios):
         cfg = build_from_ratios(Quadrilateral.of(*GENERIC), side_ratios(*ratios))
-        E = cfg.named_points()["E"]
+        E = points(cfg)["E"]
         assert verdict(cfg, "section_ratios").status == PASS
         for names, detail in ((("M1",), "MM1_over_M1P"), (("N1",), "NN1_over_N1Q"),
                               (("P1",), "PP1_over_P1M"), (("Q1",), "QQ1_over_Q1N"),
@@ -434,7 +432,7 @@ class TestComparisonBranches:
 
     def test_crossing_ratios_fail(self, gamma_one_config):
         cfg = gamma_one_config
-        M, N, P, Q = (cfg.named_points()[n] for n in "MNPQ")
+        M, N, P, Q = (points(cfg)[n] for n in "MNPQ")
         v = verdict(with_points(cfg, P=at(M, P, F(2))), "crossing_ratios")
         assert (v.status, v.detail) == (FAIL, "")
         assert texts(v, "ME_over_EP", "ME_over_EP_formula") == ["1/3", "1"]
@@ -446,7 +444,7 @@ class TestComparisonBranches:
     @pytest.mark.parametrize("q, r, formula", [(2, F(2, 3), "5/7"), (F(1, 2), F(4, 3), "7/5")])
     def test_crossing_ratio_formula_fail(self, unit_square, q, r, formula):
         cfg = build_from_ratios(unit_square, side_ratios(1, 1, 1, q))
-        pts = cfg.named_points()
+        pts = points(cfg)
         v = verdict(cfg, "crossing_ratio_formula")
         assert (v.status, texts(v, "r", "ME_over_EP_formula")) == (PASS, [str(r), formula])
         v = verdict(cfg._replace(r_ratio=(1, 1)), "crossing_ratio_formula")
@@ -459,7 +457,7 @@ class TestComparisonBranches:
 
     def test_ratio_product_fail(self, generic_gamma_two_config):
         cfg = generic_gamma_two_config
-        pts = cfg.named_points()
+        pts = points(cfg)
         F1, G1 = pts["F1"], pts["G1"]
         v = verdict(with_points(cfg, M1=at(F1, G1, F(1, 3))), "ratio_product")
         assert (v.status, v.detail) == (FAIL, "")
@@ -610,29 +608,6 @@ class TestExactValues:
         assert made == []
         assert {PASS, SKIPPED} <= statuses
 
-    def test_verify_all_makes_points_only_for_witnesses(self, monkeypatch):
-        # the checks read slot triples: on passing convex samples the only
-        # points made are the witnesses
-        cfgs = self.built((GenSpec(seed=3), GenSpec(seed=3, force_gamma_one=True)), 25)
-        made = []
-        wrap = Point._wrap.__func__
-
-        def counted_wrap(cls, triple):
-            made.append(triple)
-            return wrap(cls, triple)
-
-        monkeypatch.setattr(Point, "_wrap", classmethod(counted_wrap))
-        assert Point._wrap((1, 2, 1)) and pt(1, 2) and len(made) == 2  # it counts
-        made.clear()
-        witnesses = 0
-        statuses = set()
-        for cfg in cfgs:
-            verdicts = verify_all(cfg)
-            witnesses += sum(len(v.witness) for v in verdicts)
-            statuses.update(v.status for v in verdicts)
-        assert len(made) == witnesses > 0
-        assert statuses == {PASS, SKIPPED}
-
 
 def values(v):
     """A verdict's exact values as rationals: two pairs of one rational
@@ -647,7 +622,7 @@ class TestAffineInvariance:
 
         def apply(p):
             x, y = affine(p)
-            return pt(F(2, 3) * x - 5 * y + 7, F(1, 4) * x + 2 * y - 3)
+            return tri(F(2, 3) * x - 5 * y + 7, F(1, 4) * x + 2 * y - 3)
 
         quad = Quadrilateral.of(*(apply(v) for v in cfg.quad.vertices))
         mapped = build_from_ratios(quad, cfg.ratios)
