@@ -8,7 +8,9 @@ default layers and once per single layer.  The verdict corpus digest is
 the sha256 of every verdict's report JSON over a small-bound stream, and
 the corrupted-verdict digest the same over configurations with one stored
 point replaced.  The verify digest is the sha256 of ``quadconc verify``
-stdout over a fixed set of instance files.  Two
+stdout over a fixed set of instance files, and the counterexample digest
+the sha256 of ``quadconc counterexample``'s exit code, stdout and ``-o``
+file over every target, shape, two seeds and two bounds.  Two
 runs agreeing with each other (``test_determinism_byte_identical``) does
 not catch a change in what both of them print.
 """
@@ -21,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from quadconc import build_from_ratios
-from quadconc.cli import main
+from quadconc.cli import NONCONVEX_TARGETS, main
 from quadconc.configuration import POINT_NAMES
 from quadconc.errors import GeometryError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
@@ -87,6 +89,31 @@ def test_verify_bytes_match_golden_digest(tmp_path, monkeypatch):
         assert main(argv, out=out) == 0
         h.update(out.getvalue().encode("utf-8"))
     assert h.hexdigest() == VERIFY_GOLDEN
+
+
+COUNTEREXAMPLE_GOLDEN = "3fb231aac9e2c3c43b3590f772b3b54ad8e85d2199cf6fdd8c8cde133529610b"
+
+
+def test_counterexample_bytes_match_golden_digest(tmp_path):
+    """``counterexample --budget 30`` for every target of ``NONCONVEX_TARGETS``
+    x ``crossed``, ``concave`` x seeds 42, 43 x ``--bound`` 10, 1000: each run
+    adds its exit code, its stdout and the bytes of its ``-o`` file, or
+    ``-`` where it wrote none.  The convexity target finds an instance."""
+    h = hashlib.sha256()
+    found = 0
+    for target in NONCONVEX_TARGETS:
+        for shape in ("crossed", "concave"):
+            for seed in ("42", "43"):
+                for bound in ("10", "1000"):
+                    path = tmp_path / f"{target}-{shape}-{seed}-{bound}.json"
+                    out = io.StringIO()
+                    code = main(["counterexample", "--shape", shape, "--target", target,
+                                 "--budget", "30", "--seed", seed, "--bound", bound,
+                                 "-o", str(path)], out=out)
+                    written = path.read_bytes() if path.exists() else b"-"
+                    found += written != b"-"
+                    h.update(f"{code}\n{out.getvalue()}".encode("utf-8") + written)
+    assert found and h.hexdigest() == COUNTEREXAMPLE_GOLDEN
 
 
 # small bounds make ideal and undefined points common
