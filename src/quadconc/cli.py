@@ -15,7 +15,8 @@ import functools
 import os
 import sys
 
-from .configuration import Configuration, build_from_ratios
+from .configuration import (FULL_PLAN, Configuration, Plan, build_from_ratios,
+                            construction_plan)
 from .errors import DegenerateQuadrilateral, GenerationExhausted, InstanceFormatError, UndefinedPoint
 from .generators import ANY_SHAPE, GenSpec, gen_quadrilateral, gen_ratios
 from .instancefile import (instance_document, instance_from_parts, load_instance, render,
@@ -29,8 +30,12 @@ from .svgfig import LAYERS, render_svg, select_layers
 from .verifiers import (CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, FINDING_CLAIMS, PASS, SKIPPED,
                         overall_status, select_claims, verify_all)
 
-# claims that can produce a verdict on concave/crossed inputs
-NONCONVEX_TARGETS = tuple(claim for claim, regime, *_ in CLAIMS if regime != "convex")
+# each claim that can produce a verdict on concave/crossed inputs, and the
+# points its check reads
+NONCONVEX_TARGETS = {claim: reads for claim, regime, *_, reads, _ in CLAIMS
+                     if regime != "convex"}
+# each target's construction plan, compiled on its first search, not at import
+_target_plan = functools.cache(construction_plan)
 
 # invalid input exits 2; a configuration that does not build is degenerate,
 # which ``verify`` reports and ``fuzz`` tallies, and which exits 0
@@ -101,15 +106,16 @@ def _built(build, *parts) -> Configuration | str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int):
+def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int, plan: Plan):
     """Instances ``0 .. count - 1`` of the seeded stream the arguments name.
 
     Yields ``(index, quad, ratios, built)``, ``built`` as ``_built`` gives
-    it; when rejection sampling gives up, ``quad`` and ``ratios`` are None
-    and ``built`` is its message.  The remarks regime alternates: product
-    forced to one on even indices, free on odd, so both claim families get
-    exercised.  Bad generator arguments raise on the first step, before
-    any instance and even when ``count`` is 0.
+    it for the construction ``plan``; when rejection sampling gives up,
+    ``quad`` and ``ratios`` are None and ``built`` is its message.  The
+    remarks regime alternates: product forced to one on even indices, free
+    on odd, so both claim families get exercised.  Bad generator arguments
+    raise on the first step, before any instance and even when ``count``
+    is 0.
     """
     forced = (True, False) if regime == "remarks" else (regime == "gamma1",) * 2
     # the spec of each index parity, made (and validated) once
@@ -122,7 +128,7 @@ def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int):
         except GenerationExhausted as exc:
             yield index, None, None, str(exc)
             continue
-        yield index, quad, ratios, _built(build_from_ratios, quad, ratios)
+        yield index, quad, ratios, _built(build_from_ratios, quad, ratios, plan)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -133,7 +139,9 @@ def _write_output(path: str, text: str) -> None:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     """Print the pretty report, written straight from the verdicts by
-    ``report_text``; its ``instance`` block is the instance file's text."""
+    ``report_text``; its ``instance`` block is the instance file's text.
+    The configuration is built in full under any ``--check``: its block
+    writes every row's flags and ``r``."""
     inst = load_instance(args.file)
     checks = _ids(args.check) if args.check else inst.checks
     claims = select_claims(checks or None)
@@ -165,7 +173,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
 
     checked = False
     seed = str(args.seed)
-    for index, quad, ratios, built in _campaign(args, regime, shape, args.count):
+    for index, quad, ratios, built in _campaign(args, regime, shape, args.count, FULL_PLAN):
         meta = {"seed": seed, "index": index, "regime": regime}
         if quad is None:
             generation_exhausted += 1
@@ -220,13 +228,20 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace, out) -> int:
+    """Search the remarks stream on ``--shape`` for an instance where the
+    target claim fails, and write the first as an instance file.  Each
+    candidate builds only the points the target reads and the rows they
+    need (``construction_plan``); the rows that can collapse run in every
+    plan, so a candidate is degenerate exactly when its full build is, and
+    the output is the same as with every row built."""
     if args.target not in NONCONVEX_TARGETS:
         raise InstanceFormatError("--target must be a claim the nonconvex regime evaluates: "
                                   + ", ".join(NONCONVEX_TARGETS))
     if args.budget < 0:
         raise InstanceFormatError("--budget must be nonnegative")
     checks = (args.target,)
-    for _, quad, ratios, built in _campaign(args, "remarks", args.shape, args.budget):
+    plan = _target_plan(NONCONVEX_TARGETS[args.target])
+    for _, quad, ratios, built in _campaign(args, "remarks", args.shape, args.budget, plan):
         if isinstance(built, str):
             continue
         verdicts = verify_all(built, checks)

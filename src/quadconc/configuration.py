@@ -10,11 +10,17 @@ the quadruple-concurrence points ``M1 N1 P1 Q1``, and the trace ``R`` of
 
 Every point is a canonical integer triple ``(x, y, w)``: the vertices of
 a :class:`Quadrilateral`, the side points ``build_from_points`` takes and
-every constructed point.  ``CONSTRUCTION`` is compiled once, at import,
-into a slot plan: the inputs ``A B C D M N P Q`` take slots 0-7, row *i*
-takes slot 8 + *i*, and each distinct line gets an index and is built at
-the first row that uses it.  ``construct_triples`` runs the plan on bare
-triples with the reduction as a parameter (``reduce3`` here).  Each line is
+every constructed point.  ``construction_plan`` compiles ``CONSTRUCTION``
+into the slot plan of a read set: the inputs ``A B C D M N P Q`` take
+slots 0-7, row *i* takes slot 8 + *i*, each distinct line has one index
+and is built at the first row of the plan that uses it, and the plan
+holds the rows the named points need, transitively, and the rows that can
+collapse.  ``FULL_PLAN``, compiled at import, holds every row; ``verify``,
+``fuzz`` and ``figure`` build with it, and ``counterexample`` with the
+plan of its target's read set.  A row left out of a plan holds ``None``
+and sets no flag, and without ``R`` the ratio ``r`` is ``None``.
+``construct_triples`` runs any plan on bare triples with the reduction as
+a parameter (``reduce3`` here).  Each line is
 the unreduced cross product of the triples of its two points, a transient
 triple that only feeds meets, and each meet is one reduction of the cross
 product of two lines; the kernel's ``Line``, ``line_through`` and ``meet``
@@ -24,13 +30,13 @@ triple; ``build_from_points`` checks each given side point with
 ``w == 0``, tuple ``==`` and ``det3`` and reads its ratio from
 ``parameter_pair``.  Coincidences the construction can survive are
 recorded as named degeneracy flags (``DIAGONAL_FLAGS`` names those of
-``DIAGONAL_PAIRS``) instead of raising; a point is stored as ``None``
-only when one of its defining lines collapses entirely.
+``DIAGONAL_PAIRS``) instead of raising; a built point is stored as
+``None`` only when one of its defining lines collapses entirely.
 
 A :class:`Configuration` holds the plan's result as one tuple,
 ``triples``: the canonical triple of every named point in
-``POINT_NAMES`` order, ``None`` where undefined, and ``SLOT`` maps a name
-to its place.  The verifiers and the figures read these triples
+``POINT_NAMES`` order, ``None`` where undefined or not built, and
+``SLOT`` maps a name to its place.  The verifiers and the figures read these triples
 directly, and no command makes a :class:`Point`; ``cfg.named_points()``
 wraps the triples in points for the benchmark's kernel timings.
 :class:`SideRatios` and :class:`Configuration` are named tuples, copied
@@ -41,7 +47,7 @@ in ``kernel.lowest_terms``, which :class:`SideRatios` applies.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from ._purekernel import det3, reduce3
 from .errors import DegenerateQuadrilateral, GeometryError, InstanceFormatError, UndefinedPoint
@@ -106,23 +112,53 @@ SLOT: Mapping[str, int] = MappingProxyType({name: i for i, name in enumerate(POI
 _R_SLOT = SLOT["R"]
 
 
-def _compile(rows):
-    """``CONSTRUCTION`` as a slot plan: per row its name, the lines it builds
-    first as ``(line index, slot, slot)``, and the indices of its two lines.
-    Each distinct point pair gets one line index, built at its first row."""
-    index: dict[tuple[str, str], int] = {}
-    plan = []
-    for name, uv, st in rows:
-        new = []
-        for pair in (uv, st):
-            if pair not in index:
-                index[pair] = len(index)
-                new.append((index[pair], SLOT[pair[0]], SLOT[pair[1]]))
-        plan.append((name, tuple(new), index[uv], index[st]))
-    return tuple(plan), len(index)
+# each distinct point pair of CONSTRUCTION, in order of first use, and its
+# line index; every plan shares the indices
+_LINE_INDEX = {pair: i for i, pair in enumerate(dict.fromkeys(
+    pair for _, uv, st in CONSTRUCTION for pair in (uv, st)))}
+_UNBUILT = (None,) * len(CONSTRUCTION)
+
+# the rows that can collapse (``E`` on a nonconvex quadrilateral, and the
+# inner points ``M1 N1 P1 Q1``): every plan runs them, so a partial build
+# raises UndefinedPoint exactly where the full build does, with the same
+# text.  On a nondegenerate quadrilateral with its side points off the
+# vertices, the lines of every other row are distinct.
+_COLLAPSING = ("E", "M1", "N1", "P1", "Q1")
 
 
-_PLAN, _LINE_COUNT = _compile(CONSTRUCTION)
+class Plan(NamedTuple):
+    """A compiled construction plan.  ``steps`` holds, per row it builds, in
+    ``CONSTRUCTION`` order, the row's slot and name, the lines it builds
+    first as ``(line index, slot, slot)`` and the indices of its two lines;
+    ``builds_r`` tells whether ``R``, and so ``r``, is among the rows."""
+
+    steps: tuple[tuple[int, str, tuple[tuple[int, int, int], ...], int, int], ...]
+    builds_r: bool
+
+
+def construction_plan(names: Iterable[str]) -> Plan:
+    """The plan that builds the points ``names``, the rows they need,
+    transitively, and the rows that can collapse; each line is built at the
+    first row of the plan that uses it."""
+    wanted = set(names).union(_COLLAPSING)
+    # a row joins only earlier points, so one pass backwards closes the set
+    for name, uv, st in reversed(CONSTRUCTION):
+        if name in wanted:
+            wanted.update(uv + st)
+    built: set[tuple[str, str]] = set()
+    steps = []
+    for name, uv, st in CONSTRUCTION:
+        if name not in wanted:
+            continue
+        new = tuple((_LINE_INDEX[pair], SLOT[pair[0]], SLOT[pair[1]])
+                    for pair in (uv, st) if pair not in built)
+        built.update((uv, st))
+        steps.append((SLOT[name], name, new, _LINE_INDEX[uv], _LINE_INDEX[st]))
+    return Plan(tuple(steps), "R" in wanted)
+
+
+# the plan of every row, which verify, fuzz and figure build
+FULL_PLAN = construction_plan(POINT_NAMES)
 _DIAGONAL_SLOTS = tuple((SLOT[u], SLOT[v], flag)
                         for (u, v), flag in zip(DIAGONAL_PAIRS, DIAGONAL_FLAGS))
 
@@ -130,8 +166,9 @@ _DIAGONAL_SLOTS = tuple((SLOT[u], SLOT[v], flag)
 _R_DEFAULT = (1, 1)
 
 
-def construct_triples(inputs, reduce):
-    """The triple of every plan slot, from the triples of ``A B C D M N P Q``.
+def construct_triples(inputs, reduce, plan: Plan = FULL_PLAN):
+    """The triple of every slot, from the triples of ``A B C D M N P Q``,
+    with ``None`` at each row ``plan`` leaves out.
 
     Each line is the unreduced cross product of its two point triples, a
     transient triple that only feeds meets.  It is ``None`` where an end is
@@ -142,9 +179,9 @@ def construct_triples(inputs, reduce):
     Only ``+``, ``-``, ``*`` and ``reduce`` touch the coordinates, so any
     ring whose zero is falsy can stand in for the integers.
     """
-    pts = list(inputs)
-    lines = [None] * _LINE_COUNT
-    for name, new, i1, i2 in _PLAN:
+    pts = [*inputs, *_UNBUILT]
+    lines = [None] * len(_LINE_INDEX)
+    for slot, name, new, i1, i2 in plan.steps:
         for li, u, v in new:
             tu, tv = pts[u], pts[v]
             if tu is not None and tv is not None:
@@ -155,14 +192,13 @@ def construct_triples(inputs, reduce):
                     lines[li] = (a, b, ux * vy - uy * vx)
         l1, l2 = lines[i1], lines[i2]
         if l1 is None or l2 is None:
-            pts.append(None)
             continue
         a1, b1, c1 = l1
         a2, b2, c2 = l2
         x, y, w = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
         if not (x or y or w):
             raise UndefinedPoint(name)
-        pts.append(reduce(x, y, w))
+        pts[slot] = reduce(x, y, w)
     return pts
 
 
@@ -225,9 +261,10 @@ class Configuration(NamedTuple):
     quad: Quadrilateral
     ratios: SideRatios
     # the canonical triple of each point of POINT_NAMES, at its SLOT; None
-    # where a defining line is undefined
+    # where a defining line is undefined or the plan left the row out
     triples: tuple[Optional[Triple], ...]
-    r_ratio: Pair
+    # None when the plan did not build R
+    r_ratio: Optional[Pair]
     degeneracies: frozenset[str]
 
     def named_points(self) -> dict[str, Optional[Point]]:
@@ -236,7 +273,7 @@ class Configuration(NamedTuple):
                 for name, t in zip(POINT_NAMES, self.triples)}
 
 
-def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
+def _construct(quad: Quadrilateral, ratios: SideRatios, plan: Plan = FULL_PLAN) -> Configuration:
     ta, tb, tc, td = quad.vertices
     m, n, p, q = ratios.as_tuple
     # point_dividing's checks cannot fail here: both builders pass a
@@ -248,17 +285,18 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
         reduce3(*dividing_terms(tb, tc, *n)),
         reduce3(*dividing_terms(tc, td, *p)),
         reduce3(*dividing_terms(td, ta, *q)),
-    ), reduce3)
+    ), reduce3, plan)
     flags: set[str] = set()
-    for name, t in zip(POINT_NAMES[8:], pts[8:]):
+    for step in plan.steps:
+        t = pts[step[0]]
         if t is None:
-            flags.add(f"{name}_UNDEFINED")
+            flags.add(f"{step[1]}_UNDEFINED")
         # R ideal is an in-convention case (its ratio is defined to be 1),
         # so it does not count as a degeneracy
-        elif t[2] == 0 and name != "R":
-            flags.add(f"{name}_IDEAL")
+        elif t[2] == 0 and step[1] != "R":
+            flags.add(f"{step[1]}_IDEAL")
 
-    r_ratio = _R_DEFAULT
+    r_ratio = _R_DEFAULT if plan.builds_r else None
     tr = pts[_R_SLOT]
     if tr is not None and tr[2]:
         # R is a finite point of line AB, whose ends are finite and distinct,
@@ -278,15 +316,17 @@ def _construct(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
     return Configuration(quad, ratios, tuple(pts), r_ratio, frozenset(flags))
 
 
-def build_from_ratios(quad: Quadrilateral, ratios: SideRatios) -> Configuration:
-    """Place the side points at the given positive ratios and derive everything."""
+def build_from_ratios(quad: Quadrilateral, ratios: SideRatios,
+                      plan: Plan = FULL_PLAN) -> Configuration:
+    """Place the side points at the given positive ratios and derive the
+    points ``plan`` builds, by default every one."""
     if quad.shape == DEGENERATE:
         raise DegenerateQuadrilateral("cannot build on a degenerate quadrilateral")
     # each denominator is positive, so a ratio's sign is its numerator's
     (m, _), (n, _), (p, _), (q, _), _ = ratios
     if m <= 0 or n <= 0 or p <= 0 or q <= 0:
         raise InstanceFormatError("side ratios must be positive")
-    return _construct(quad, ratios)
+    return _construct(quad, ratios, plan)
 
 
 def build_from_points(quad: Quadrilateral, M: Triple, N: Triple, P: Triple,

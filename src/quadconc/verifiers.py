@@ -44,6 +44,9 @@ needs is undefined gets ``degenerate``.  Past that, each check makes its verdict
 ``degenerate`` itself where a line, ratio or point it reads is undefined
 or ideal; of the builder's flags (``cfg.degeneracies``) only
 ``ratio_product`` reads any, so ``A1_IDEAL`` and the like downgrade nothing.
+Each row also declares every point its check reads (``r`` is read through
+``R``): ``counterexample`` builds a candidate with the construction plan of
+its target's read set, where every other constructed point is ``None``.
 """
 
 from __future__ import annotations
@@ -540,30 +543,42 @@ _REGIMES: Mapping[str, Callable[[Configuration], bool]] = {
 _GAMMA_ONE_SKIP = "requires side-ratio product 1, got {gamma}"
 
 
+_SIDES = ("A", "B", "C", "D", "M", "N", "P", "Q")
+_CEVIANS = ("A1", "B1", "C1", "D1")
+_DIVISIONS = ("F1", "G1", "F2", "G2")
+
 # one row per claim, in the fixed report order (product-one claims first,
-# then the general suite, then the convexity claims):
-# (claim id, regime, finding, skip text, points that must be defined, check).
-# A finding claim is an open empirical question, not a theorem: its
-# failures are findings, never suite failures.
-CLAIMS: tuple[tuple[str, str, bool, str, tuple[str, ...],
+# then the general suite, then the convexity claims): (claim id, regime,
+# finding, skip text, points that must be defined, every point the check
+# reads, check).  A check sees only the points it reads: ``counterexample``
+# builds just those and the rows they need.  A finding claim is an open
+# empirical question, not a theorem: its failures are findings, never suite
+# failures.
+CLAIMS: tuple[tuple[str, str, bool, str, tuple[str, ...], tuple[str, ...],
                     Callable[[str, Configuration], Verdict]], ...] = (
-    ("diagonal_collinearity", "gamma = 1", False, _GAMMA_ONE_SKIP, ("X", "O", "Z", "Y", "T"),
-     _diagonal_collinearity),
-    ("seven_lines", "gamma = 1", False, _GAMMA_ONE_SKIP,
-     ("A1", "B1", "C1", "D1", "F1", "G1", "F2", "G2", "E"), _seven_lines),
-    ("crossing_ratios", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E",), _crossing_ratios),
+    ("diagonal_collinearity", "gamma = 1", False, _GAMMA_ONE_SKIP, _XOZYT_NAMES,
+     _XOZYT_NAMES, _diagonal_collinearity),
+    ("seven_lines", "gamma = 1", False, _GAMMA_ONE_SKIP, _CEVIANS + _DIVISIONS + ("E",),
+     _SIDES + _CEVIANS + _DIVISIONS + ("E",), _seven_lines),
+    ("crossing_ratios", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E",),
+     ("E", "M", "P", "N", "Q"), _crossing_ratios),
     ("diagonal_concurrence_iff", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E", "C1"),
-     _diagonal_concurrence_iff),
-    ("quadruple_concurrences", "any", False, "", (), _quadruple_concurrences),
-    ("ratio_product", "any", False, "", (), _ratio_product),
-    ("section_ratios", "any", False, "", (), _section_ratios),
+     ("A", "C", "E", "C1"), _diagonal_concurrence_iff),
+    ("quadruple_concurrences", "any", False, "", (),
+     _SIDES + _CEVIANS + _DIVISIONS + _INNER_POINTS, _quadruple_concurrences),
+    # the DIAGONAL_FLAGS it reads come from the diagonal division points
+    ("ratio_product", "any", False, "", (), _DIVISIONS + _INNER_POINTS, _ratio_product),
+    ("section_ratios", "any", False, "", (), ("M", "N", "P", "Q") + _INNER_POINTS,
+     _section_ratios),
+    # r is the trace ratio of R
     ("crossing_ratio_formula", "convex", False,
-     "the trace-ratio form is stated for convex quadrilaterals", (), _crossing_ratio_formula),
+     "the trace-ratio form is stated for convex quadrilaterals", (), ("E", "M", "P", "R"),
+     _crossing_ratio_formula),
     ("inner_quadrilateral", "convex", False,
-     "segment ordering claims require a convex quadrilateral",
-     ("E", "M1", "N1", "P1", "Q1"), _inner_quadrilateral),
+     "segment ordering claims require a convex quadrilateral", _INNER_NAMES,
+     _INNER_NAMES + ("M", "N", "P", "Q"), _inner_quadrilateral),
     ("inner_quadrilateral_convexity", "concave/crossed", True,
-     "the empirical convexity check targets nonconvex inputs", ("M1", "N1", "P1", "Q1"),
+     "the empirical convexity check targets nonconvex inputs", _INNER_POINTS, _INNER_POINTS,
      _inner_quadrilateral_convexity),
 )
 
@@ -598,7 +613,7 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
 # ``verify_all`` reads this at call time, so a caller may wrap the runners
 CLAIM_RUNNERS: tuple[tuple[str, Callable[[Configuration], Verdict]], ...] = tuple(
     (claim, _rule(claim, regime, skip, needs, check))
-    for claim, regime, _, skip, needs, check in CLAIMS)
+    for claim, regime, _, skip, needs, _, check in CLAIMS)
 
 CLAIM_IDS: tuple[str, ...] = tuple(claim for claim, *_ in CLAIMS)
 _CLAIM_ID_SET = frozenset(CLAIM_IDS)

@@ -333,6 +333,20 @@ class TestVerifyReport:
                 codes.add(expected[0])
         assert codes == ({0, 1} if kind in ("crossed", "failing") else {0})
 
+    def test_check_does_not_narrow_the_build(self, tmp_path):
+        # the configuration block is the full build's under any --check: these
+        # files have flags on rows the quadruple claim does not read, and r != 1
+        for shape, index in (("concave", 15), ("crossed", 0), ("crossed", 54)):
+            spec = GenSpec(seed=42, shape=shape, coordinate_bound=4, ratio_bound=2,
+                           force_gamma_one=True)
+            inst = instance_from_parts(gen_quadrilateral(spec, index), gen_ratios(spec, index))
+            path = tmp_path / f"{shape}-{index}.json"
+            path.write_text(serialize_instance(inst), encoding="utf-8")
+            full = json.loads(run(["verify", str(path)])[1])["configuration"]
+            assert full["degeneracies"] and full["r"] != "1"
+            checked = run(["verify", str(path), "--check", "quadruple_concurrences"])[1]
+            assert json.loads(checked)["configuration"] == full
+
     def test_verify_builds_no_report_tree(self, tmp_path, monkeypatch):
         # verify writes both its branches straight from the verdicts
         calls = []

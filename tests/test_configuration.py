@@ -7,11 +7,14 @@ import pytest
 
 import naive_geometry as naive
 from quadconc import Quadrilateral, SideRatios, build_from_points, build_from_ratios
-from quadconc.configuration import POINT_NAMES, SLOT, _construct
+from quadconc.configuration import (CONSTRUCTION, FULL_PLAN, POINT_NAMES, SLOT, _construct,
+                                    construction_plan)
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc._purekernel import cross3, det3, reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.kernel import dividing_terms
+from quadconc.report import configuration_json
+from quadconc.verifiers import CLAIMS, verify_all
 from rationals import affine, frac, param, points, ratio, side_ratios, tri
 
 F = Fraction
@@ -536,3 +539,91 @@ def test_each_slot_holds_its_points_triple():
             else:
                 assert cfg.triples[SLOT[name]] == point.triple()
     assert undefined > 0
+
+
+class TestConstructionPlans:
+    def test_full_plan_builds_every_row_once(self):
+        assert [step[1] for step in FULL_PLAN.steps] == [row[0] for row in CONSTRUCTION]
+        assert FULL_PLAN.builds_r
+        built = [line for step in FULL_PLAN.steps for line in step[2]]
+        assert [li for li, _, _ in built] == list(range(len(built)))
+
+    def test_a_row_left_out_holds_none_sets_no_flag_and_no_r(self):
+        # O and T are ideal here; the empty read set keeps only the rows that
+        # can collapse and the cevian meets they join
+        spec = GenSpec(seed=42, shape="crossed", coordinate_bound=4, ratio_bound=2,
+                       force_gamma_one=True)
+        quad, ratios = gen_quadrilateral(spec, 0), gen_ratios(spec, 0)
+        full = build_from_ratios(quad, ratios)
+        assert {"T_IDEAL"} <= full.degeneracies and full.r_ratio != (1, 1)
+        plan = construction_plan(())
+        assert [step[1] for step in plan.steps] == ["A1", "B1", "C1", "D1", "E",
+                                                    "M1", "N1", "P1", "Q1"]
+        part = build_from_ratios(quad, ratios, plan)
+        kept = {step[0] for step in plan.steps} | set(range(8))
+        for slot, t in enumerate(part.triples):
+            assert t == (full.triples[slot] if slot in kept else None), POINT_NAMES[slot]
+        assert "T_IDEAL" not in part.degeneracies and part.r_ratio is None
+        # a report of a partial configuration fails loudly
+        with pytest.raises(TypeError):
+            configuration_json(part)
+
+
+# each claim's plan: the points its check reads and the rows they need
+_CLAIM_PLANS = tuple((claim, construction_plan(reads)) for claim, *_, reads, _ in CLAIMS)
+
+# the fuzz corpora as (regime, shape), at small bounds, where collapsed,
+# undefined and ideal points are common, and at the default ones
+_PLAN_CORPORA = (("gamma1", "convex"), ("general", "convex"), ("remarks", "concave"),
+                 ("remarks", "crossed"), ("general", "any"))
+
+
+def _built_or_text(build, *args):
+    try:
+        return build(*args)
+    except UndefinedPoint as exc:
+        return str(exc)
+
+
+def test_each_claims_plan_builds_and_decides_as_the_full_plan():
+    """Every claim's plan raises the full build's ``UndefinedPoint`` text,
+    or stores the full build's triple at every slot it builds and ``None``
+    at the others, and the claim's verdict on it is the verdict on the full
+    build.  Positive ratios go through ``build_from_ratios``; signed ones
+    (never 0 or -1) through ``_construct``, and through ``build_from_points``
+    where the shape lets a side point leave its segment.  A check that
+    reads a point its row does not declare sees ``None`` and decides
+    otherwise."""
+    assert all(set(reads) <= set(POINT_NAMES) for *_, reads, _ in CLAIMS)
+    collapsed = set()
+    for regime, shape in _PLAN_CORPORA:
+        forced = (True, False) if regime == "remarks" else (regime == "gamma1",) * 2
+        for bound, ratio_bound in ((4, 2), (10, 8)):
+            specs = [GenSpec(seed=7, shape=shape, coordinate_bound=bound,
+                             ratio_bound=ratio_bound, force_gamma_one=force) for force in forced]
+            for index in range(150):
+                spec = specs[index % 2]
+                quad = gen_quadrilateral(spec, index)
+                positive = gen_ratios(spec, index)
+                signed = SideRatios(*signed_ratios(spec, index))
+                full_signed = (_built_or_text(_construct, quad, signed) if quad.shape == "convex"
+                               else _built_or_text(build_from_points, quad,
+                                                   *side_points(quad, signed.as_tuple)))
+                for full, build, ratios in (
+                        (_built_or_text(build_from_ratios, quad, positive), build_from_ratios,
+                         positive),
+                        (full_signed, _construct, signed)):
+                    if isinstance(full, str):
+                        collapsed.add(full.split()[1])
+                    for claim, plan in _CLAIM_PLANS:
+                        part = _built_or_text(build, quad, ratios, plan)
+                        if isinstance(full, str):
+                            assert part == full, (claim, shape, index)
+                            continue
+                        kept = {step[0] for step in plan.steps} | set(range(8))
+                        assert part.triples == tuple(
+                            t if slot in kept else None for slot, t in enumerate(full.triples))
+                        assert verify_all(part, (claim,)) == verify_all(full, (claim,)), (
+                            claim, shape, index)
+    # the corpora collapse every row that can, which each plan runs
+    assert collapsed == {"E", "M1", "N1", "P1", "Q1"}

@@ -135,55 +135,77 @@ _UNCALLED_ON_PURPOSE = {
 
 
 def _public_definitions(path: Path):
-    """``(qualified name, name, first line, last line)`` of every public
-    module-level function and class of ``path``, and every public method."""
+    """``(qualified name, name, is method, first line, last line)`` of every
+    public module-level function and class of ``path``, and every public
+    method."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
-            yield f"{path.stem}.{node.name}", node.name, node.lineno, node.end_lineno
+            yield f"{path.stem}.{node.name}", node.name, False, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("_"):
-                    yield (f"{path.stem}.{node.name}.{item.name}", item.name,
+                    yield (f"{path.stem}.{node.name}.{item.name}", item.name, True,
                            item.lineno, item.end_lineno)
 
 
 def _references(path: Path, strings: bool = False):
-    """``(name, line)`` of every name and attribute that ``path`` reads, and
-    with ``strings`` every string constant, such as a name in
-    ``microops.OPS``."""
+    """``(name, is attribute, line)`` of every name and attribute that
+    ``path`` reads, and with ``strings`` every string constant, such as a
+    name in ``microops.OPS``, as a name."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, False, node.lineno
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            yield node.attr, True, node.lineno
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, False, node.lineno
 
 
-def _uncalled(bench: set[str]) -> set[str]:
-    """The qualified public names of the package that no module reaches,
-    other than those named in ``bench``: no module reads the name, the
-    ``__init__`` re-exports aside, except inside its own definition or
-    inside the definition of a name that is itself not reached."""
-    src = REPO / "src" / "quadconc"
+def _uncalled(bench: set[str], src: Path = REPO / "src" / "quadconc") -> set[str]:
+    """The qualified public names of the package in ``src`` that no module
+    reaches, other than those named in ``bench``: no module reads the name,
+    the ``__init__`` re-exports aside, except inside its own definition or
+    inside the definition of a name that is itself not reached.  A method is
+    read only as an attribute, so a local variable of its name does not
+    count; a module-level name is read as a name or as an attribute."""
     modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
-    refs = [(path, ref, line) for path in modules for ref, line in _references(path)]
+    refs = [(path, *ref) for path in modules for ref in _references(path)]
     defs = [(path, *definition) for path in modules for definition in _public_definitions(path)
             if definition[0] not in _UNCALLED_ON_PURPOSE and definition[1] not in bench]
     uncalled: set[str] = set()
     while True:
-        dead = [(path, first, last) for path, qualified, _, first, last in defs
+        dead = [(path, first, last) for path, qualified, _, _, first, last in defs
                 if qualified in uncalled]
-        live = [(path, ref, line) for path, ref, line in refs
+        live = [(path, ref, attribute, line) for path, ref, attribute, line in refs
                 if not any(path == p and first <= line <= last for p, first, last in dead)]
-        found = {qualified for path, qualified, name, first, last in defs
-                 if not any(ref == name and (other != path or not first <= line <= last)
-                            for other, ref, line in live)}
+        found = {qualified for path, qualified, name, method, first, last in defs
+                 if not any(ref == name and (attribute or not method)
+                            and (other != path or not first <= line <= last)
+                            for other, ref, attribute, line in live)}
         if found == uncalled:
             return found
         uncalled = found
+
+
+def test_a_method_is_reached_only_as_an_attribute(tmp_path):
+    # a local variable that shares a method's name reads nothing of the
+    # method; a module-level function is reached by its name or as an
+    # attribute, and a method as an attribute
+    (tmp_path / "shapes.py").write_text(
+        "class Shape:\n"
+        "    def text(self):\n"
+        "        return ''\n"
+        "    def area(self):\n"
+        "        return 0\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def label(shape):\n"
+        "    text = str(helper())\n"
+        "    return text + str(shape.area())\n", encoding="utf-8")
+    (tmp_path / "use.py").write_text("import shapes\nprint(shapes.label)\n", encoding="utf-8")
+    assert _uncalled(set(), tmp_path) == {"shapes.Shape", "shapes.Shape.text"}
 
 
 def test_every_public_name_has_a_caller():
@@ -192,7 +214,7 @@ def test_every_public_name_has_a_caller():
     # count, and a name read anywhere else does (the cmd_* handlers are
     # read where build_parser passes them to set_defaults)
     bench = {name for path in (REPO / "perfbench").glob("*.py")
-             for name, _ in _references(path, strings=True)}
+             for name, _, _ in _references(path, strings=True)}
     uncalled = _uncalled(bench)
     assert not uncalled, f"public names with no caller: {', '.join(sorted(uncalled))}"
 
