@@ -118,11 +118,10 @@ _LINE_INDEX = {pair: i for i, pair in enumerate(dict.fromkeys(
     pair for _, uv, st in CONSTRUCTION for pair in (uv, st)))}
 _UNBUILT = (None,) * len(CONSTRUCTION)
 
-# the rows that can collapse (``E`` on a nonconvex quadrilateral, and the
-# inner points ``M1 N1 P1 Q1``): every plan runs them, so a partial build
-# raises UndefinedPoint exactly where the full build does, with the same
-# text.  On a nondegenerate quadrilateral with its side points off the
-# vertices, the lines of every other row are distinct.
+# the rows whose two lines can coincide: every plan runs them, so a partial
+# build raises UndefinedPoint exactly where the full build does, with the
+# same text.  On a nondegenerate quadrilateral with its side points off the
+# vertices, the two lines of every other row are distinct.
 _COLLAPSING = ("E", "M1", "N1", "P1", "Q1")
 
 

@@ -543,29 +543,29 @@ _REGIMES: Mapping[str, Callable[[Configuration], bool]] = {
 _GAMMA_ONE_SKIP = "requires side-ratio product 1, got {gamma}"
 
 
-_SIDES = ("A", "B", "C", "D", "M", "N", "P", "Q")
+# the vertices and side points, which every construction plan takes as input
+_INPUTS = ("A", "B", "C", "D", "M", "N", "P", "Q")
 _CEVIANS = ("A1", "B1", "C1", "D1")
 _DIVISIONS = ("F1", "G1", "F2", "G2")
 
 # one row per claim, in the fixed report order (product-one claims first,
 # then the general suite, then the convexity claims): (claim id, regime,
 # finding, skip text, points that must be defined, every point the check
-# reads, check).  A check sees only the points it reads: ``counterexample``
-# builds just those and the rows they need.  A finding claim is an open
-# empirical question, not a theorem: its failures are findings, never suite
-# failures.
+# reads, check).  ``counterexample`` builds only the points its target
+# reads and the rows they need.  A finding claim is an open empirical
+# question, not a theorem: its failures are findings, never suite failures.
 CLAIMS: tuple[tuple[str, str, bool, str, tuple[str, ...], tuple[str, ...],
                     Callable[[str, Configuration], Verdict]], ...] = (
     ("diagonal_collinearity", "gamma = 1", False, _GAMMA_ONE_SKIP, _XOZYT_NAMES,
      _XOZYT_NAMES, _diagonal_collinearity),
     ("seven_lines", "gamma = 1", False, _GAMMA_ONE_SKIP, _CEVIANS + _DIVISIONS + ("E",),
-     _SIDES + _CEVIANS + _DIVISIONS + ("E",), _seven_lines),
+     _INPUTS + _CEVIANS + _DIVISIONS + ("E",), _seven_lines),
     ("crossing_ratios", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E",),
      ("E", "M", "P", "N", "Q"), _crossing_ratios),
     ("diagonal_concurrence_iff", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E", "C1"),
      ("A", "C", "E", "C1"), _diagonal_concurrence_iff),
     ("quadruple_concurrences", "any", False, "", (),
-     _SIDES + _CEVIANS + _DIVISIONS + _INNER_POINTS, _quadruple_concurrences),
+     _INPUTS + _CEVIANS + _DIVISIONS + _INNER_POINTS, _quadruple_concurrences),
     # the DIAGONAL_FLAGS it reads come from the diagonal division points
     ("ratio_product", "any", False, "", (), _DIVISIONS + _INNER_POINTS, _ratio_product),
     ("section_ratios", "any", False, "", (), ("M", "N", "P", "Q") + _INNER_POINTS,
