@@ -549,8 +549,8 @@ class TestConstructionPlans:
         assert [li for li, _, _ in built] == list(range(len(built)))
 
     def test_a_row_left_out_holds_none_sets_no_flag_and_no_r(self):
-        # O and T are ideal here; the empty read set keeps only the rows that
-        # can collapse and the cevian meets they join
+        # T is ideal here; the empty read set keeps only the rows that can
+        # collapse and the cevian meets they join
         spec = GenSpec(seed=42, shape="crossed", coordinate_bound=4, ratio_bound=2,
                        force_gamma_one=True)
         quad, ratios = gen_quadrilateral(spec, 0), gen_ratios(spec, 0)
