@@ -39,14 +39,19 @@ Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
 verdict, which is never a failure (made once, at import, where the skip
 text names no value; a skip text that names ``gamma`` writes the stored
-lowest-terms pair with ``kernel.reduced_text``); one where a point the row
-needs is undefined gets ``degenerate``.  Past that, each check makes its verdict
-``degenerate`` itself where a line, ratio or point it reads is undefined
-or ideal; of the builder's flags (``cfg.degeneracies``) only
-``ratio_product`` reads any, so ``A1_IDEAL`` and the like downgrade nothing.
-Each row also declares every point its check reads (``r`` is read through
-``R``): ``counterexample`` builds a candidate with the construction plan of
-its target's read set, where every other constructed point is ``None``.
+lowest-terms pair with ``kernel.reduced_text``).  Past that, a check
+collects failures and reasons in one vocabulary, also the builder's flag
+vocabulary, and reads no flag (``cfg.degeneracies``): ``_finite`` gives
+``<point>_UNDEFINED`` or ``<point>_IDEAL``; ``_concurrent_through`` gives
+``<line>_UNDEFINED`` (a line through an undefined point, two equal points
+or two ideal ones) or ``<line> misses <point>``; ``_identity`` gives
+``<key>_formula_UNDEFINED``, ``<key>_UNDEFINED`` or ``<key> mismatch`` for
+the exact value ``key``.  Any failure fails the claim, else any reason
+makes it ``degenerate`` (``_verdict``); the two sign claims add their own
+texts past ``_finite``.  Each row also declares every point its
+check reads (``r`` is read through ``R``): ``counterexample`` builds a
+candidate with the construction plan of its target's read set, where
+every other constructed point is ``None``.
 """
 
 from __future__ import annotations
@@ -56,8 +61,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._purekernel import cross3, det3, reduce3
-from .configuration import (CONVEX, DIAGONAL_FLAGS, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT,
-                            Configuration, Triple)
+from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration, Triple
 from .errors import InstanceFormatError
 from .kernel import (
     DEGENERATE as DEGENERATE_SHAPE,
@@ -73,6 +77,9 @@ FAIL = "fail"
 DEGENERATE = "degenerate"
 SKIPPED = "skipped"
 
+# one shared read-only empty mapping, so no verdict writes into another's
+_EMPTY: Mapping = MappingProxyType({})
+
 
 class Verdict(NamedTuple):
     """Outcome of one claim on one configuration, with exact witnesses."""
@@ -80,10 +87,9 @@ class Verdict(NamedTuple):
     claim_id: str
     status: str
     detail: str = ""
-    # one shared read-only empty mapping, so no verdict writes into another's
-    witness: Mapping[str, Triple] = MappingProxyType({})
+    witness: Mapping[str, Triple] = _EMPTY
     # each value's exact (num, den) pair, which ``report`` writes
-    exact_values: Mapping[str, Pair] = MappingProxyType({})
+    exact_values: Mapping[str, Pair] = _EMPTY
 
 
 # a line of a concurrence check: its label and the slots of its two points
@@ -95,8 +101,7 @@ def _b01(flag: bool) -> Pair:
 
 
 def _slots(*names: str) -> Callable[[tuple], tuple]:
-    """Reads the triples of two or more ``names`` from ``cfg.triples`` as one
-    tuple."""
+    """Reads the triples of two or more ``names`` from ``cfg.triples``."""
     return itemgetter(*(SLOT[name] for name in names))
 
 
@@ -131,22 +136,33 @@ def _minus(u: Pair, v: Pair) -> int:
     return u[0] * v[1] - v[0] * u[1]
 
 
-def _ideal(names: Iterable[str], triples: Iterable[Triple]) -> list[str]:
-    return [name for name, t in zip(names, triples) if t[2] == 0]
+def _finite(name: str, t: Optional[Triple], reasons: list[str]) -> bool:
+    """Whether ``t``, the triple of the point ``name``, is a finite point; if
+    not, adds ``<name>_UNDEFINED`` or ``<name>_IDEAL`` to ``reasons``.  Called
+    on several points in a list, not a generator, so each one is named."""
+    if t is None:
+        reasons.append(name + "_UNDEFINED")
+        return False
+    if t[2] == 0:
+        reasons.append(name + "_IDEAL")
+        return False
+    return True
 
 
-def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: Triple,
+def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: Optional[Triple],
                         reasons: list[str], failures: list[str]) -> None:
     """Check that every distinct line ``(label, u, v)`` of the triples ``t``
-    passes through ``target``: the determinant of ``u v target`` vanishes.
-
-    A line whose ends are undefined, equal or both ideal becomes a
-    ``<line>_UNDEFINED`` reason.  A line equal to an earlier one misses
-    exactly when that one does, so only the lines that miss are compared,
-    by their reduced cross products, and each distinct one is named once.
-    Never vacuous: a defined target is the meet of two distinct lines, both
-    among ``lines``.
-    """
+    passes through ``target``, the point ``name``: the determinant of ``u v
+    target`` vanishes.  A target that is not finite adds its ``_finite``
+    reason, and an undefined one is checked on no line.  A line whose ends
+    are undefined, equal or both ideal becomes a ``<line>_UNDEFINED`` reason.
+    A line equal to an earlier one misses exactly when that one does, so only
+    the lines that miss are compared, by their reduced cross products, and
+    each distinct one is named once.  Never vacuous: a defined target is the
+    meet of two distinct lines, both among ``lines``."""
+    _finite(name, target, reasons)
+    if target is None:
+        return
     missed: list[Triple] = []
     for label, su, sv in lines:
         u, v = t[su], t[sv]
@@ -157,13 +173,33 @@ def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: 
             failures.append(f"{label} misses {name}")
 
 
-def _status(failures: list[str], reasons: list[str]) -> tuple[str, str]:
+def _identity(key: str, formula: Pair, geometric: Optional[Pair], values: dict,
+              reasons: list[str], failures: list[str]) -> None:
+    """Compare the geometric ratio ``key`` with its formula side: a formula with
+    a vanishing denominator gives ``<key>_formula_UNDEFINED``, else it is stored
+    as ``<key>_formula``; an undefined ratio gives ``<key>_UNDEFINED``, an equal
+    one is stored as the formula's pair and a mismatched one as its own."""
+    if formula[1] == 0:
+        reasons.append(key + "_formula_UNDEFINED")
+        return
+    values[key + "_formula"] = formula
+    if geometric is None:
+        reasons.append(key + "_UNDEFINED")
+    elif _equal(geometric, formula):
+        values[key] = formula
+    else:
+        values[key] = geometric
+        failures.append(key + " mismatch")
+
+
+def _verdict(claim: str, reasons: list[str], failures: list[str], values: Mapping = _EMPTY,
+             witness: Mapping = _EMPTY) -> Verdict:
     """Any failure fails the claim, else any reason makes it degenerate."""
     if failures:
-        return FAIL, "; ".join(failures)
+        return Verdict(claim, FAIL, "; ".join(failures), witness, values)
     if reasons:
-        return DEGENERATE, "; ".join(reasons)
-    return PASS, ""
+        return Verdict(claim, DEGENERATE, "; ".join(reasons), witness, values)
+    return Verdict(claim, PASS, "", witness, values)
 
 
 def _diagonal_form(m: Pair, n: Pair, p: Pair) -> Pair:
@@ -194,27 +230,6 @@ def _trace_form(m: Pair, n: Pair, p: Pair, gamma: Pair, r: Pair) -> Pair:
     return num * (R * mb + ma * S) * H, den * (G * R * mb + ma * H * S)
 
 
-def _check_section(cfg: Configuration, key: str, f: Triple, x: Optional[Triple], g: Triple,
-                   values: dict, reasons: list[str], failures: list[str]) -> None:
-    """Check ``fx/xg`` against ``_diagonal_form``.  A side point outside its
-    side (nonconvex ``points`` input) gives a negative ratio, and ``mn = -1``
-    leaves the form undefined."""
-    m, n, p, _, _ = cfg.ratios
-    formula = _diagonal_form(m, n, p)
-    if formula[1] == 0:  # 1 + mn = 0
-        reasons.append(key + "_formula_UNDEFINED")
-        return
-    values[key + "_formula"] = formula
-    geometric = _ratio(f, x, g)
-    if geometric is None:
-        reasons.append(key + "_UNDEFINED")
-    elif _equal(geometric, formula):
-        values[key] = formula
-    else:
-        values[key] = geometric
-        failures.append(key.replace("_over_", "/") + " mismatch")
-
-
 _XOZYT_NAMES = ("X", "O", "Z", "Y", "T")
 _XOZYT = _slots(*_XOZYT_NAMES)
 
@@ -222,56 +237,39 @@ _XOZYT = _slots(*_XOZYT_NAMES)
 def _diagonal_collinearity(claim: str, cfg: Configuration) -> Verdict:
     """``X O Z`` and ``Y O T`` are collinear triples (product-one regime)."""
     points = X, O, Z, Y, T = _XOZYT(cfg.triples)
-    c1 = not det3(X, O, Z)
-    c2 = not det3(Y, O, T)
+    reasons: list[str] = []
+    if not all([_finite(name, x, reasons) for name, x in zip(_XOZYT_NAMES, points)]):
+        return _verdict(claim, reasons, [])
+    c1, c2 = not det3(X, O, Z), not det3(Y, O, T)
     values = {"X_O_Z_collinear": _b01(c1), "Y_O_T_collinear": _b01(c2)}
-    ideal = _ideal(_XOZYT_NAMES, points)
-    if ideal:
-        return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal), exact_values=values)
-    return Verdict(claim, PASS if c1 and c2 else FAIL,
-                   witness={"O": O}, exact_values=values)
+    failures = [text for ok, text in ((c1, "XZ misses O"), (c2, "YT misses O")) if not ok]
+    return _verdict(claim, reasons, failures, values, {"O": O})
 
 
 _SEVEN = _slots("F1", "G1", "F2", "G2", "E")
-_E_LINES = tuple(_line(s, t) for s, t in E_LINE_PAIRS)
-_E_LINES_FG = _E_LINES + (("FG", SLOT["F1"], SLOT["G1"]),)
+_SEVEN_LINES = tuple(_line(s, t) for s, t in E_LINE_PAIRS) + (("FG", SLOT["F1"], SLOT["G1"]),)
 
 
 def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
     """The two diagonal division points coincide pairwise and all seven
     lines ``AA1 BB1 CC1 DD1 MP NQ FG`` pass through ``E`` (product-one
     regime); also checks the division ratio of ``E`` on ``FG``."""
-    degenerate_reasons: list[str] = []
+    reasons: list[str] = []
     failures: list[str] = []
     values: dict[str, Pair] = {}
-
     t = cfg.triples
     F, G, F2, G2, E = _SEVEN(t)
-    f_merge = F == F2
-    g_merge = G == G2
-    values["F1_equals_F2"] = _b01(f_merge)
-    values["G1_equals_G2"] = _b01(g_merge)
-    if not f_merge:
-        failures.append("F1!=F2")
-    if not g_merge:
-        failures.append("G1!=G2")
-
-    if F == G:
-        degenerate_reasons.append("F_EQ_G")
-        lines = _E_LINES
-    else:
-        lines = _E_LINES_FG
-
-    _concurrent_through(t, lines, "E", E, degenerate_reasons, failures)
-    if E[2] == 0:
-        degenerate_reasons.append("E_IDEAL")
-
-    if F != G:
-        _check_section(cfg, "FE_over_EG", F, E, G, values, degenerate_reasons, failures)
-
-    status, detail = _status(failures, degenerate_reasons)
-    return Verdict(claim, status, detail=detail, witness={"E": E},
-                   exact_values=values)
+    for key, u, v in (("F1_equals_F2", F, F2), ("G1_equals_G2", G, G2)):
+        if u is None or v is None:
+            reasons.append(key + "_UNDEFINED")
+        else:
+            values[key] = _b01(u == v)
+            if u != v:
+                failures.append(key + " mismatch")
+    _concurrent_through(t, _SEVEN_LINES, "E", E, reasons, failures)
+    m, n, p, _, _ = cfg.ratios
+    _identity("FE_over_EG", _diagonal_form(m, n, p), _ratio(F, E, G), values, reasons, failures)
+    return _verdict(claim, reasons, failures, values, {"E": E} if E is not None else _EMPTY)
 
 
 _EMPNQ = _slots("E", "M", "P", "N", "Q")
@@ -280,23 +278,14 @@ _EMPNQ = _slots("E", "M", "P", "N", "Q")
 def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     """Closed forms for ``ME/EP`` and ``NE/EQ`` in the product-one regime."""
     E, M, P, N, Q = _EMPNQ(cfg.triples)
-    if E[2] == 0:
-        return Verdict(claim, DEGENERATE, detail="ideal: E (MP parallel to NQ)")
     m, n, p, q, _ = cfg.ratios
-    me_ep = _ratio(M, E, P)
-    ne_eq = _ratio(N, E, Q)
-    me_ep_formula = _crossing_form(q, m, n)
-    ne_eq_formula = _crossing_form(m, n, p)
-    values = {"ME_over_EP_formula": me_ep_formula, "NE_over_EQ_formula": ne_eq_formula}
-    if me_ep is None or ne_eq is None:
-        return Verdict(claim, DEGENERATE, detail="division ratios undefined",
-                       exact_values=values)
-    me_ok, ne_ok = _equal(me_ep, me_ep_formula), _equal(ne_eq, ne_eq_formula)
-    values["ME_over_EP"] = me_ep_formula if me_ok else me_ep
-    values["NE_over_EQ"] = ne_eq_formula if ne_ok else ne_eq
-    ok = me_ok and ne_ok
-    return Verdict(claim, PASS if ok else FAIL, witness={"E": E},
-                   exact_values=values)
+    reasons: list[str] = []
+    failures: list[str] = []
+    values: dict[str, Pair] = {}
+    _finite("E", E, reasons)
+    _identity("ME_over_EP", _crossing_form(q, m, n), _ratio(M, E, P), values, reasons, failures)
+    _identity("NE_over_EQ", _crossing_form(m, n, p), _ratio(N, E, Q), values, reasons, failures)
+    return _verdict(claim, reasons, failures, values, {"E": E} if E is not None else _EMPTY)
 
 
 _E_C1 = _slots("E", "C1")
@@ -305,14 +294,15 @@ _E_C1 = _slots("E", "C1")
 def _diagonal_concurrence_iff(claim: str, cfg: Configuration) -> Verdict:
     """``MP NQ AC`` are concurrent exactly when ``DM BQ AC`` are
     (product-one regime): both reduce to an incidence with line ``AC``."""
+    E, C1 = _E_C1(cfg.triples)
+    reasons: list[str] = []
+    if not all([_finite("E", E, reasons), _finite("C1", C1, reasons)]):
+        return _verdict(claim, reasons, [])
     A, C = cfg.quad.A, cfg.quad.C
-    points = E, C1 = _E_C1(cfg.triples)
     e_on, c_on = not det3(A, C, E), not det3(A, C, C1)
     values = {"MP_NQ_AC_concurrent": _b01(e_on), "DM_BQ_AC_concurrent": _b01(c_on)}
-    ideal = _ideal(("E", "C1"), points)
-    if ideal:
-        return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal), exact_values=values)
-    return Verdict(claim, PASS if e_on == c_on else FAIL, exact_values=values)
+    failures = [] if e_on == c_on else ["AC misses " + ("C1" if e_on else "E")]
+    return _verdict(claim, reasons, failures, values)
 
 
 # each inner point, the diagonal division pair whose line passes through
@@ -324,50 +314,32 @@ _QUADRUPLES = tuple(zip(("M1", "N1", "P1", "Q1"), DIAGONAL_PAIRS, (
     (("C", "C1"), ("D", "D1"), ("N", "Q")),
 )))
 
-# _QUADRUPLES over slots: each inner point's name and slot, its diagonal
-# pair's slots and coincidence reason, and its lines with and without the
-# diagonal one
-_QUADRUPLE_SLOTS = tuple(
-    (x, SLOT[x], SLOT[u], SLOT[v], flag,
-     (_line(u, v),) + tuple(_line(s, t) for s, t in cevians),
-     tuple(_line(s, t) for s, t in cevians))
-    for (x, (u, v), cevians), flag in zip(_QUADRUPLES, DIAGONAL_FLAGS))
+# _QUADRUPLES over slots: each inner point's name and slot and its four lines
+_QUADRUPLE_SLOTS = tuple((x, SLOT[x], tuple(_line(*pair) for pair in (uv,) + cevians))
+                         for x, uv, cevians in _QUADRUPLES)
 _F1_G1_M1 = _slots("F1", "G1", "M1")
 
 
 def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
     """Each of the four line quadruples meets in its stored point, at any
-    ratio product; coincident diagonal division pairs drop their line and
-    the remaining three must still concur.  Also checks the division
-    ratio of ``M1`` on ``F1 G1``."""
-    degenerate_reasons: list[str] = []
+    ratio product; the line through a coincident diagonal division pair is
+    undefined, and the remaining three must still concur.  Also checks the
+    division ratio of ``M1`` on ``F1 G1``."""
+    reasons: list[str] = []
     failures: list[str] = []
     values: dict[str, Pair] = {}
     witness: dict[str, Triple] = {}
-
     t = cfg.triples
-    for name, x, u, v, coincident, lines, cevians in _QUADRUPLE_SLOTS:
+    for name, x, lines in _QUADRUPLE_SLOTS:
         target = t[x]
-        if target is None:
-            degenerate_reasons.append(name + "_UNDEFINED")
-            continue
-        witness[name] = target
-        if target[2] == 0:
-            degenerate_reasons.append(name + "_IDEAL")
-
-        pu = t[u]
-        if pu is not None and pu == t[v]:
-            degenerate_reasons.append(coincident)
-            lines = cevians
-        _concurrent_through(t, lines, name, target, degenerate_reasons, failures)
-
+        _concurrent_through(t, lines, name, target, reasons, failures)
+        if target is not None:
+            witness[name] = target
     F1, G1, M1 = _F1_G1_M1(t)
-    if F1 is not None and G1 is not None and F1 != G1:
-        _check_section(cfg, "F1M1_over_M1G1", F1, M1, G1, values,
-                       degenerate_reasons, failures)
-
-    status, detail = _status(failures, degenerate_reasons)
-    return Verdict(claim, status, detail=detail, witness=witness, exact_values=values)
+    m, n, p, _, _ = cfg.ratios
+    _identity("F1M1_over_M1G1", _diagonal_form(m, n, p), _ratio(F1, M1, G1), values, reasons,
+              failures)
+    return _verdict(claim, reasons, failures, values, witness)
 
 
 # the ratio along each diagonal division segment: its key and the slots of
@@ -379,24 +351,25 @@ _PRODUCT_RATIOS = tuple((f"{u}{x}_over_{x}{v}", SLOT[u], SLOT[x], SLOT[v])
 def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
     """The four division ratios along the diagonal division segments
     multiply to exactly the side-ratio product."""
-    coincident = [flag for flag in DIAGONAL_FLAGS if flag in cfg.degeneracies]
-    if coincident:
-        return Verdict(claim, DEGENERATE, detail="; ".join(coincident))
     t = cfg.triples
+    reasons: list[str] = []
     values: dict[str, Pair] = {}
     num = den = 1
     for key, u, x, v in _PRODUCT_RATIOS:
         r = _ratio(t[u], t[x], t[v])
         if r is None:
-            return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
-        values[key] = r
-        num *= r[0]
-        den *= r[1]
+            reasons.append(key + "_UNDEFINED")
+        else:
+            values[key] = r
+            num *= r[0]
+            den *= r[1]
+    if reasons:
+        return _verdict(claim, reasons, [], values)
     gamma = cfg.ratios.gamma
     ok = _equal((num, den), gamma)
     values["product"] = gamma if ok else (num, den)
     values["gamma"] = gamma
-    return Verdict(claim, PASS if ok else FAIL, exact_values=values)
+    return _verdict(claim, reasons, [] if ok else ["product mismatch"], values)
 
 
 # the ratio in which each inner point divides its transversal: its key and
@@ -415,27 +388,18 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
                 _section_form(q, m, n))
     # gamma(1/q)(1/(m+1)) + n(m/(m+1)), the crossing form at q/gamma,
     # evaluated from gamma on purpose: it equals the plain mn(p+1)/(m+1)
-    # only because gamma = mnpq, which is what the weighted form mismatch
-    # check tests
+    # only because gamma = mnpq, which is what comparing the two tests
     weighted = _crossing_form((q[0] * H, q[1] * G), m, n)
     weighted_ok = _equal(weighted, formulas[0])
     values = {"MM1_over_M1P_weighted": formulas[0] if weighted_ok else weighted}
+    reasons: list[str] = []
     failures: list[str] = []
     t = cfg.triples
     for (key, a, x, b), formula in zip(_SECTIONS, formulas):
-        values[key + "_formula"] = formula
-        geometric = _ratio(t[a], t[x], t[b])
-        if geometric is None:
-            return Verdict(claim, DEGENERATE, detail=key + " undefined", exact_values=values)
-        if _equal(geometric, formula):
-            values[key] = formula
-        else:
-            values[key] = geometric
-            failures.append(key)
+        _identity(key, formula, _ratio(t[a], t[x], t[b]), values, reasons, failures)
     if not weighted_ok:
-        failures.append("weighted form mismatch")
-    status, detail = _status(failures, [])
-    return Verdict(claim, status, detail=detail, exact_values=values)
+        failures.append("MM1_over_M1P_weighted mismatch")
+    return _verdict(claim, reasons, failures, values)
 
 
 _EMP = _slots("E", "M", "P")
@@ -446,22 +410,14 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     trace ratio ``r`` of ``NQ`` on line ``AB`` (``r = 1`` when parallel);
     stated for convex quadrilaterals."""
     E, M, P = _EMP(cfg.triples)
-    if E is None or E[2] == 0:
-        return Verdict(claim, DEGENERATE, detail="E undefined or ideal")
     m, n, p, _, gamma = cfg.ratios
-    r = cfg.r_ratio
-    formula = _trace_form(m, n, p, gamma, r)
-    if formula[1] == 0:
-        return Verdict(claim, DEGENERATE, detail="formula denominator vanishes",
-                       exact_values={"r": r})
-    geometric = _ratio(M, E, P)
-    values = {"r": r, "ME_over_EP_formula": formula}
-    if geometric is None:
-        return Verdict(claim, DEGENERATE, detail="ME/EP undefined", exact_values=values)
-    ok = _equal(geometric, formula)
-    values["ME_over_EP"] = formula if ok else geometric
-    return Verdict(claim, PASS if ok else FAIL, witness={"E": E},
-                   exact_values=values)
+    reasons: list[str] = []
+    failures: list[str] = []
+    values = {"r": cfg.r_ratio}
+    _finite("E", E, reasons)
+    _identity("ME_over_EP", _trace_form(m, n, p, gamma, cfg.r_ratio), _ratio(M, E, P), values,
+              reasons, failures)
+    return _verdict(claim, reasons, failures, values, {"E": E} if E is not None else _EMPTY)
 
 
 _INNER_NAMES = ("E", "M1", "N1", "P1", "Q1")
@@ -473,10 +429,9 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
     points along ``MP`` appear in the order dictated by the ratio-product
     trichotomy (convex quadrilaterals)."""
     points = E, M1, N1, P1, Q1, M, N, P, Q = _INNER(cfg.triples)
-    ideal = _ideal(_INNER_NAMES, points)
-    if ideal:
-        return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
-
+    reasons: list[str] = []
+    if not all([_finite(name, x, reasons) for name, x in zip(_INNER_NAMES, points)]):
+        return _verdict(claim, reasons, [])
     G, H = cfg.ratios.gamma
     values: dict[str, Pair] = {}
     failures: list[str] = []
@@ -503,9 +458,7 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         # E - N1 and Q1 - E have the same sign, or one vanishes
         if _minus(lam_e2, lam_n1) * _minus(lam_q1, lam_e2) < 0:
             failures.append("E outside segment N1Q1")
-    status, detail = _status(failures, [])
-    return Verdict(claim, status, detail=detail, witness={"E": E},
-                   exact_values=values)
+    return _verdict(claim, reasons, failures, values, {"E": E})
 
 
 _INNER_POINTS = ("M1", "N1", "P1", "Q1")
@@ -517,10 +470,10 @@ def _inner_quadrilateral_convexity(claim: str, cfg: Configuration) -> Verdict:
     still convex (or collapsed)?  A failure here is a legitimate finding,
     not a defect."""
     points = _INNER_QUAD(cfg.triples)
-    ideal = _ideal(_INNER_POINTS, points)
-    if ideal:
-        return Verdict(claim, DEGENERATE, detail="ideal: " + ",".join(ideal))
-    # the ideal guard above leaves four finite canonical triples
+    reasons: list[str] = []
+    if not all([_finite(name, x, reasons) for name, x in zip(_INNER_POINTS, points)]):
+        return _verdict(claim, reasons, [])
+    # the guard above leaves four finite canonical triples
     shape = classify_triples(*points)
     values = {"inner_quad_convex": _b01(shape == CONVEX)}
     if shape == DEGENERATE_SHAPE:
@@ -548,47 +501,43 @@ _INPUTS = ("A", "B", "C", "D", "M", "N", "P", "Q")
 _CEVIANS = ("A1", "B1", "C1", "D1")
 _DIVISIONS = ("F1", "G1", "F2", "G2")
 
-# one row per claim, in the fixed report order (product-one claims first,
-# then the general suite, then the convexity claims): (claim id, regime,
-# finding, skip text, points that must be defined, every point the check
-# reads, check).  ``counterexample`` builds only the points its target
-# reads and the rows they need.  A finding claim is an open empirical
-# question, not a theorem: its failures are findings, never suite failures.
-CLAIMS: tuple[tuple[str, str, bool, str, tuple[str, ...], tuple[str, ...],
+# one row per claim, in the fixed report order (product-one claims, the
+# general suite, the convexity claims): (claim id, regime, finding, skip
+# text, every point the check reads, check); ``counterexample`` builds only
+# what its target reads.  A finding claim is an open empirical question, not
+# a theorem: its failures are findings, never suite failures.
+CLAIMS: tuple[tuple[str, str, bool, str, tuple[str, ...],
                     Callable[[str, Configuration], Verdict]], ...] = (
     ("diagonal_collinearity", "gamma = 1", False, _GAMMA_ONE_SKIP, _XOZYT_NAMES,
-     _XOZYT_NAMES, _diagonal_collinearity),
-    ("seven_lines", "gamma = 1", False, _GAMMA_ONE_SKIP, _CEVIANS + _DIVISIONS + ("E",),
+     _diagonal_collinearity),
+    ("seven_lines", "gamma = 1", False, _GAMMA_ONE_SKIP,
      _INPUTS + _CEVIANS + _DIVISIONS + ("E",), _seven_lines),
-    ("crossing_ratios", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E",),
-     ("E", "M", "P", "N", "Q"), _crossing_ratios),
-    ("diagonal_concurrence_iff", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E", "C1"),
-     ("A", "C", "E", "C1"), _diagonal_concurrence_iff),
-    ("quadruple_concurrences", "any", False, "", (),
+    ("crossing_ratios", "gamma = 1", False, _GAMMA_ONE_SKIP, ("E", "M", "P", "N", "Q"),
+     _crossing_ratios),
+    ("diagonal_concurrence_iff", "gamma = 1", False, _GAMMA_ONE_SKIP, ("A", "C", "E", "C1"),
+     _diagonal_concurrence_iff),
+    ("quadruple_concurrences", "any", False, "",
      _INPUTS + _CEVIANS + _DIVISIONS + _INNER_POINTS, _quadruple_concurrences),
-    # the DIAGONAL_FLAGS it reads come from the diagonal division points
-    ("ratio_product", "any", False, "", (), _DIVISIONS + _INNER_POINTS, _ratio_product),
-    ("section_ratios", "any", False, "", (), ("M", "N", "P", "Q") + _INNER_POINTS,
+    ("ratio_product", "any", False, "", _DIVISIONS + _INNER_POINTS, _ratio_product),
+    ("section_ratios", "any", False, "", ("M", "N", "P", "Q") + _INNER_POINTS,
      _section_ratios),
     # r is the trace ratio of R
     ("crossing_ratio_formula", "convex", False,
-     "the trace-ratio form is stated for convex quadrilaterals", (), ("E", "M", "P", "R"),
+     "the trace-ratio form is stated for convex quadrilaterals", ("E", "M", "P", "R"),
      _crossing_ratio_formula),
     ("inner_quadrilateral", "convex", False,
-     "segment ordering claims require a convex quadrilateral", _INNER_NAMES,
+     "segment ordering claims require a convex quadrilateral",
      _INNER_NAMES + ("M", "N", "P", "Q"), _inner_quadrilateral),
     ("inner_quadrilateral_convexity", "concave/crossed", True,
-     "the empirical convexity check targets nonconvex inputs", _INNER_POINTS, _INNER_POINTS,
+     "the empirical convexity check targets nonconvex inputs", _INNER_POINTS,
      _inner_quadrilateral_convexity),
 )
 
 
-def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
+def _rule(claim: str, regime: str, skip: str,
           check: Callable[[str, Configuration], Verdict]) -> Callable[[Configuration], Verdict]:
-    """The runner of one ``CLAIMS`` row: ``skipped`` outside the regime,
-    ``degenerate`` while a needed point is undefined, else the check."""
+    """The runner of one ``CLAIMS`` row: ``skipped`` outside the regime, else the check."""
     in_regime = _REGIMES[regime]
-    slots = tuple((name, SLOT[name]) for name in needs)
     # a skip text that names no value gives one verdict, made here and
     # shared: a Verdict is immutable
     skipped = None if "{gamma}" in skip else Verdict(claim, SKIPPED, detail=skip)
@@ -600,11 +549,6 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
                 return skipped
             return Verdict(claim, SKIPPED,
                            detail=skip_head + reduced_text(*cfg.ratios.gamma) + skip_tail)
-        if slots:
-            t = cfg.triples
-            missing = [name for name, slot in slots if t[slot] is None]
-            if missing:
-                return Verdict(claim, DEGENERATE, detail="undefined: " + ",".join(missing))
         return check(claim, cfg)
 
     return run
@@ -612,8 +556,8 @@ def _rule(claim: str, regime: str, skip: str, needs: tuple[str, ...],
 
 # ``verify_all`` reads this at call time, so a caller may wrap the runners
 CLAIM_RUNNERS: tuple[tuple[str, Callable[[Configuration], Verdict]], ...] = tuple(
-    (claim, _rule(claim, regime, skip, needs, check))
-    for claim, regime, _, skip, needs, _, check in CLAIMS)
+    (claim, _rule(claim, regime, skip, check))
+    for claim, regime, _, skip, _, check in CLAIMS)
 
 CLAIM_IDS: tuple[str, ...] = tuple(claim for claim, *_ in CLAIMS)
 _CLAIM_ID_SET = frozenset(CLAIM_IDS)

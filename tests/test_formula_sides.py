@@ -100,7 +100,7 @@ def test_formula_sides_equal_the_papers_forms(inputs):
             CHECKS["quadruple_concurrences"]("quadruple_concurrences", cfg).detail
     if gamma * r + m == 0:
         assert CHECKS["crossing_ratio_formula"]("crossing_ratio_formula", cfg).detail \
-            == "formula denominator vanishes"
+            == "ME_over_EP_formula_UNDEFINED"
 
 
 def test_formula_sides_read_gamma(generic_gamma_two_config):
@@ -113,7 +113,7 @@ def test_formula_sides_read_gamma(generic_gamma_two_config):
     G, H = cfg.ratios.gamma
     cfg = cfg._replace(ratios=cfg.ratios._replace(gamma=(G + H, H)))
     product, section, crossing = verify_all(cfg, claims)
-    assert section.status == FAIL and section.detail == "weighted form mismatch"
+    assert section.status == FAIL and section.detail == "MM1_over_M1P_weighted mismatch"
     assert product.status == FAIL
     assert crossing.status == FAIL
 

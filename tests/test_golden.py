@@ -18,7 +18,10 @@ not catch a change in what both of them print.
 import hashlib
 import io
 import json
+import re
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
@@ -31,7 +34,7 @@ from quadconc.instancefile import InstanceFile, instance_from_parts, render, ser
 from quadconc.kernel import rational_text
 from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
-from quadconc.verifiers import verify_all
+from quadconc.verifiers import CLAIM_IDS, DEGENERATE, FAIL, verify_all
 from rationals import points, tri
 from test_verifiers import with_points
 
@@ -163,12 +166,10 @@ def test_svg_bytes_match_golden_digest(case):
 VERDICT_CORPUS_GOLDEN = "f782ee4edd36af3c3b8dbf3469140e42014d6933806bcbe072bf9b6c5e9e8a52"
 
 
-def test_verdict_corpus_digest():
+def verdict_corpus():
     """Seeds 0-3 x convex, concave, crossed x the product forced to one,
-    then free x indices 0-149, at the small bounds: 3,600 instances.  Each
-    verdict adds its sorted-key ``verdict_json`` and a newline; a build
-    that raises adds ``"<Type>: <message>"`` and a newline instead."""
-    h = hashlib.sha256()
+    then free x indices 0-149, at the small bounds: 3,600 instances.  Yields
+    each instance's verdicts, or the error its build raises."""
     for seed in range(4):
         for shape in ("convex", "concave", "crossed"):
             for force in (True, False):
@@ -178,11 +179,23 @@ def test_verdict_corpus_digest():
                         cfg = build_from_ratios(gen_quadrilateral(spec, index),
                                                 gen_ratios(spec, index))
                     except GeometryError as exc:
-                        h.update(f"{type(exc).__name__}: {exc}\n".encode("utf-8"))
+                        yield exc
                         continue
-                    for v in verify_all(cfg):
-                        line = json.dumps(verdict_json(v), sort_keys=True) + "\n"
-                        h.update(line.encode("utf-8"))
+                    yield verify_all(cfg)
+
+
+def test_verdict_corpus_digest():
+    """Each verdict of ``verdict_corpus`` adds its sorted-key
+    ``verdict_json`` and a newline; a build that raises adds
+    ``"<Type>: <message>"`` and a newline instead."""
+    h = hashlib.sha256()
+    for verdicts in verdict_corpus():
+        if isinstance(verdicts, GeometryError):
+            h.update(f"{type(verdicts).__name__}: {verdicts}\n".encode("utf-8"))
+            continue
+        for v in verdicts:
+            line = json.dumps(verdict_json(v), sort_keys=True) + "\n"
+            h.update(line.encode("utf-8"))
     assert h.hexdigest() == VERDICT_CORPUS_GOLDEN
 
 
@@ -247,13 +260,11 @@ def corruptions(cfg):
         yield name, "ideal", tri(x, y, 0) if w and (x or y) else tri(1, 0, 0)
 
 
-def corrupted_verdict_digest() -> str:
+def corrupted_verdicts():
     """Seed 42 x convex, concave, crossed, any x the product forced to one,
-    then free x ``CORRUPTION_BOUNDS`` x indices 0-3, each configuration that
-    builds under each of its ``corruptions``.  Each adds ``render`` of the
-    point name, the kind and every verdict's report JSON: status, detail,
-    witness text and exact values."""
-    h = hashlib.sha256()
+    then free x ``CORRUPTION_BOUNDS`` x indices 0-3: yields the point name,
+    the kind and the verdicts of each configuration that builds under each
+    of its ``corruptions``."""
     for shape in ("convex", "concave", "crossed", "any"):
         for force in (True, False):
             for bound, ratio_bound in CORRUPTION_BOUNDS:
@@ -266,12 +277,47 @@ def corrupted_verdict_digest() -> str:
                     except UndefinedPoint:
                         continue
                     for name, kind, t in corruptions(cfg):
-                        verdicts = verify_all(with_points(cfg, **{name: t}))
-                        doc = {"point": name, "kind": kind,
-                               "verdicts": [verdict_json(v) for v in verdicts]}
-                        h.update(render(doc, compact=True).encode("utf-8"))
+                        yield name, kind, verify_all(with_points(cfg, **{name: t}))
+
+
+def corrupted_verdict_digest() -> str:
+    """Each of ``corrupted_verdicts`` adds ``render`` of the point name, the
+    kind and every verdict's report JSON: status, detail, witness text and
+    exact values."""
+    h = hashlib.sha256()
+    for name, kind, verdicts in corrupted_verdicts():
+        doc = {"point": name, "kind": kind, "verdicts": [verdict_json(v) for v in verdicts]}
+        h.update(render(doc, compact=True).encode("utf-8"))
     return h.hexdigest()
 
 
 def test_corrupted_verdict_digest():
     assert corrupted_verdict_digest() == CORRUPTED_VERDICT_GOLDEN
+
+
+# the reasons and failures of the identity claims, every claim but the two
+# sign claims: <point>_IDEAL, <point>_UNDEFINED, <line>_UNDEFINED,
+# <key>_UNDEFINED, <key>_formula_UNDEFINED, <line> misses <point> and
+# <key> mismatch
+SIGN_CLAIMS = ("inner_quadrilateral", "inner_quadrilateral_convexity")
+_POINT = "|".join(sorted(POINT_NAMES, key=len, reverse=True))
+_REASON = re.compile(rf"(?:{_POINT})_IDEAL|\w+_UNDEFINED|\w+ misses (?:{_POINT})|(\w+) mismatch")
+
+
+def test_identity_claims_speak_one_vocabulary():
+    """Every ``degenerate`` or ``fail`` detail of an identity claim over the
+    verdict corpus and the corrupted verdicts is a ``"; "``-join of the
+    seven reason forms, and each ``<key> mismatch`` names an exact value of
+    its verdict."""
+    streams = chain((vs for vs in verdict_corpus() if not isinstance(vs, GeometryError)),
+                    (vs for _, _, vs in corrupted_verdicts()))
+    seen = Counter()
+    for v in chain.from_iterable(streams):
+        if v.claim_id in SIGN_CLAIMS or v.status not in (DEGENERATE, FAIL):
+            continue
+        seen[v.claim_id, v.status] += 1
+        for token in v.detail.split("; "):
+            match = _REASON.fullmatch(token)
+            assert match and match[1] in (None, *v.exact_values), (v.claim_id, v.detail)
+    assert {claim for claim, _ in seen} == set(CLAIM_IDS) - set(SIGN_CLAIMS)
+    assert {status for _, status in seen} == {DEGENERATE, FAIL}

@@ -112,6 +112,17 @@ def test_verifiers_decide_and_write_no_value():
     assert names & {"rational_text", "gamma_text", "_last_gamma"} == set()
 
 
+def test_verifiers_read_no_builder_flag():
+    # the builder's flags and the verdicts' reasons share one vocabulary, but
+    # each check finds its own reasons in the stored triples
+    tree = ast.parse((REPO / "src" / "quadconc" / "verifiers.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "degeneracies", f"flag read at line {node.lineno}"
+        elif isinstance(node, ast.alias):
+            assert node.name != "DIAGONAL_FLAGS", f"flag import at line {node.lineno}"
+
+
 def test_no_module_imports_fractions():
     # every rational is an integer (num, den) pair and every point a
     # canonical integer triple; only the tests read and write Fractions

@@ -31,8 +31,8 @@ import naive_geometry as naive  # noqa: E402
 from quadconc._purekernel import det3  # noqa: E402
 from quadconc.configuration import (  # noqa: E402
     SLOT, Configuration, Quadrilateral, SideRatios, construct_triples)
-from quadconc.kernel import dividing_terms  # noqa: E402
-from quadconc.verifiers import CLAIMS, PASS  # noqa: E402
+from quadconc.kernel import dividing_terms, parameter_pair  # noqa: E402
+from quadconc.verifiers import CLAIMS, FAIL, PASS, _section_form, _trace_form  # noqa: E402
 
 K, a, b, m, n, p, q = field("a,b,m,n,p,q", QQ)
 # each side ratio m n p q is a pair of free numerator and free denominator,
@@ -194,3 +194,41 @@ def test_diagonal_concurrence_iff_is_one_determinant(shipped_gamma_one):
     t = shipped_gamma_one.triples
     A, C, E, C1 = (t[SLOT[name]] for name in ("A", "C", "E", "C1"))
     assert det3(A, C, E) == det3(A, C, C1) != 0
+
+
+def test_trace_ratio_formula_holds_for_signed_r(shipped_free):
+    """The paper's headline, its transversal theorem carried from triangles
+    to quadrilaterals: the shipped ``crossing_ratio_formula`` check passes
+    as an identity, so on every shape, once ``r`` is the signed ``-AR/RB``,
+    and fails with the unsigned ``AR/RB``, so the test tells the sign.
+    ``-AR/RB = [NQA]/[NQB]``, which is positive when ``A`` and ``B`` lie on
+    one side of ``NQ``, as they do on a convex quadrilateral: there the
+    signed and the stored unsigned ``r`` agree, which proves the convex row."""
+    t = shipped_free.triples
+    A, B, N, Q, R = (t[SLOT[name]] for name in ("A", "B", "N", "Q", "R"))
+    num, den = parameter_pair(A, B, R)
+    check = {claim: check for claim, *_, check in CLAIMS}["crossing_ratio_formula"]
+    signed = check("crossing_ratio_formula", shipped_free._replace(r_ratio=(-num, den - num)))
+    assert (signed.status, signed.detail) == (PASS, "")
+    unsigned = check("crossing_ratio_formula", shipped_free._replace(r_ratio=(num, den - num)))
+    assert (unsigned.status, unsigned.detail) == (FAIL, "ME_over_EP mismatch")
+    # A and B have weight one, so their brackets with NQ are the determinants
+    assert -num * det3(N, Q, B) == det3(N, Q, A) * (den - num)
+
+
+def test_triangle_case():
+    """``D`` tending to ``A`` sends ``Q`` and ``R`` to ``A`` and ``r`` to 0,
+    where the trace form is the section form ``mn(p+1)/(m+1)``: the triangle
+    theorem.  In ``ABC`` with ``M`` on ``AB``, ``N`` on ``BC`` and ``P`` on
+    ``CA``, the transversal ``MP`` cuts the cevian ``AN`` at ``E`` with
+    ``ME/EP = mn(p+1)/(m+1)``; a quadrilateral with ``D = A`` does not build,
+    so the oracle proves it in a triangle frame."""
+    m_pair, n_pair, p_pair = (zm, zmb), (zn, znb), (zp, zpb)
+    trace = _trace_form(m_pair, n_pair, p_pair, (zq, zqb), (Z(0), Z(1)))
+    section = _section_form(m_pair, n_pair, p_pair)
+    assert trace[0] * section[1] == section[0] * trace[1] != 0
+    zero, one = K(0), K(1)
+    A, B, C = (zero, zero), (one, zero), (zero, one)
+    M, N, P = naive.divide(A, B, m), naive.divide(B, C, n), naive.divide(C, A, p)
+    E = naive.meet(naive.line(M, P), naive.line(A, N))
+    assert naive.ratio(M, E, P) == m * n * (p + 1) / (m + 1)

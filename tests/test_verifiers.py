@@ -59,7 +59,7 @@ class TestSevenLines:
         # through them is undefined and only six lines are required
         v = verdict(midpoint_config, "seven_lines")
         assert v.status == DEGENERATE
-        assert "F_EQ_G" in v.detail
+        assert "FG_UNDEFINED" in v.detail
         assert v.witness["E"] == tri(F(1, 2), F(1, 2))
 
     def test_gamma_one_asymmetric(self, gamma_one_config):
@@ -125,7 +125,7 @@ class TestGeneralConcurrences:
     def test_reference_gamma_two(self, gamma_two_config):
         v = verdict(gamma_two_config, "quadruple_concurrences")
         assert v.status == DEGENERATE
-        assert "F1_EQ_G1" in v.detail
+        assert "F1G1_UNDEFINED" in v.detail
         assert v.witness["M1"] == tri(F(1, 2), F(1, 2))
 
     def test_generic_gamma_two(self, generic_gamma_two_config):
@@ -178,7 +178,8 @@ class TestConcurrenceDetail:
             DEGENERATE, "P1_UNDEFINED; Q1_UNDEFINED")
         # an undefined diagonal division point leaves both its lines undefined
         v = verdict(self.moved(gamma_two_config, "F1", None), "quadruple_concurrences")
-        assert (v.status, v.detail) == (DEGENERATE, "F1G1_UNDEFINED; G2F1_UNDEFINED")
+        assert (v.status, v.detail) == (
+            DEGENERATE, "F1G1_UNDEFINED; G2F1_UNDEFINED; F1M1_over_M1G1_UNDEFINED")
 
     @staticmethod
     def moved(cfg, name, t):
@@ -235,7 +236,7 @@ class TestRatioProduct:
     def test_coincident_pair_degenerate(self, gamma_two_config):
         v = verdict(gamma_two_config, "ratio_product")
         assert v.status == DEGENERATE
-        assert "F1_EQ_G1" in v.detail
+        assert "F1M1_over_M1G1_UNDEFINED" in v.detail
 
 
 class TestSectionRatios:
@@ -405,7 +406,7 @@ class TestComparisonBranches:
         # m(1 + np)/(1 + mn) to 4/5, while the stored points give FE/EG = 1
         v = verdict(gamma_one_config._replace(ratios=side_ratios(2, 2, F(1, 2), F(1, 2))),
                     "seven_lines")
-        assert (v.status, v.detail) == (FAIL, "FE/EG mismatch")
+        assert (v.status, v.detail) == (FAIL, "FE_over_EG mismatch")
         assert texts(v, "FE_over_EG", "FE_over_EG_formula") == ["1", "4/5"]
 
     @pytest.mark.parametrize("ratios, corrupt, expected", [
@@ -416,7 +417,7 @@ class TestComparisonBranches:
         cfg = build_from_ratios(Quadrilateral.of(*GENERIC), side_ratios(*ratios))
         assert verdict(cfg, "quadruple_concurrences").status == PASS
         v = verdict(cfg._replace(ratios=side_ratios(*corrupt)), "quadruple_concurrences")
-        assert (v.status, v.detail) == (FAIL, "F1M1/M1G1 mismatch")
+        assert (v.status, v.detail) == (FAIL, "F1M1_over_M1G1 mismatch")
         assert texts(v, "F1M1_over_M1G1", "F1M1_over_M1G1_formula") == expected
 
     @pytest.mark.parametrize("ratios", RATIOS_BELOW_ONE + RATIOS_ABOVE_ONE)
@@ -424,9 +425,11 @@ class TestComparisonBranches:
         cfg = build_from_ratios(Quadrilateral.of(*GENERIC), side_ratios(*ratios))
         E = points(cfg)["E"]
         assert verdict(cfg, "section_ratios").status == PASS
-        for names, detail in ((("M1",), "MM1_over_M1P"), (("N1",), "NN1_over_N1Q"),
-                              (("P1",), "PP1_over_P1M"), (("Q1",), "QQ1_over_Q1N"),
-                              (("M1", "Q1"), "MM1_over_M1P; QQ1_over_Q1N")):
+        for names, detail in ((("M1",), "MM1_over_M1P mismatch"),
+                              (("N1",), "NN1_over_N1Q mismatch"),
+                              (("P1",), "PP1_over_P1M mismatch"),
+                              (("Q1",), "QQ1_over_Q1N mismatch"),
+                              (("M1", "Q1"), "MM1_over_M1P mismatch; QQ1_over_Q1N mismatch")):
             v = verdict(with_points(cfg, **{name: E for name in names}), "section_ratios")
             assert (v.status, v.detail) == (FAIL, detail)
 
@@ -434,11 +437,11 @@ class TestComparisonBranches:
         cfg = gamma_one_config
         M, N, P, Q = (points(cfg)[n] for n in "MNPQ")
         v = verdict(with_points(cfg, P=at(M, P, F(2))), "crossing_ratios")
-        assert (v.status, v.detail) == (FAIL, "")
+        assert (v.status, v.detail) == (FAIL, "ME_over_EP mismatch")
         assert texts(v, "ME_over_EP", "ME_over_EP_formula") == ["1/3", "1"]
         assert texts(v, "NE_over_EQ", "NE_over_EQ_formula") == ["1/2", "1/2"]
         v = verdict(with_points(cfg, Q=at(N, Q, F(1, 2))), "crossing_ratios")
-        assert (v.status, v.detail) == (FAIL, "")
+        assert (v.status, v.detail) == (FAIL, "NE_over_EQ mismatch")
         assert texts(v, "ME_over_EP", "NE_over_EQ", "NE_over_EQ_formula") == ["1", "2", "1/2"]
 
     @pytest.mark.parametrize("q, r, formula", [(2, F(2, 3), "5/7"), (F(1, 2), F(4, 3), "7/5")])
@@ -448,11 +451,11 @@ class TestComparisonBranches:
         v = verdict(cfg, "crossing_ratio_formula")
         assert (v.status, texts(v, "r", "ME_over_EP_formula")) == (PASS, [str(r), formula])
         v = verdict(cfg._replace(r_ratio=(1, 1)), "crossing_ratio_formula")
-        assert (v.status, v.detail) == (FAIL, "")
+        assert (v.status, v.detail) == (FAIL, "ME_over_EP mismatch")
         assert texts(v, "ME_over_EP") == [formula]
         M, P = pts["M"], pts["P"]
         v = verdict(with_points(cfg, P=at(M, P, F(2))), "crossing_ratio_formula")
-        assert (v.status, v.detail) == (FAIL, "")
+        assert (v.status, v.detail) == (FAIL, "ME_over_EP mismatch")
         assert texts(v, "ME_over_EP_formula") == [formula]
 
     def test_ratio_product_fail(self, generic_gamma_two_config):
@@ -460,7 +463,7 @@ class TestComparisonBranches:
         pts = points(cfg)
         F1, G1 = pts["F1"], pts["G1"]
         v = verdict(with_points(cfg, M1=at(F1, G1, F(1, 3))), "ratio_product")
-        assert (v.status, v.detail) == (FAIL, "")
+        assert (v.status, v.detail) == (FAIL, "product mismatch")
         assert texts(v, "F1M1_over_M1G1", "gamma") == ["1/2", "2"]
 
 
