@@ -59,7 +59,7 @@ def test_fuzz_bytes_match_golden_digest(regime):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GOLDEN[regime]
 
 
-VERIFY_GOLDEN = "6ab1e49a7ad23a4512e80f231ab12f32997eb5055c7399a4a128757b615a065b"
+VERIFY_GOLDEN = "ed1054098b8aa92fc263305cd986750a180978c5e835e23c149d739164dfaf04"
 
 # the unit square with its side midpoints, and with two coincident vertices
 _SQUARE = (tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1))
@@ -163,7 +163,7 @@ def test_svg_bytes_match_golden_digest(case):
     assert svg_digest(case) == SVG_GOLDEN[case]
 
 
-VERDICT_CORPUS_GOLDEN = "f782ee4edd36af3c3b8dbf3469140e42014d6933806bcbe072bf9b6c5e9e8a52"
+VERDICT_CORPUS_GOLDEN = "154cf490cc7259015f030f5a3feddbbcc387996288ab4522bac06fe59d421929"
 
 
 def verdict_corpus():
@@ -242,7 +242,7 @@ def test_construction_digest():
 # the verdicts where a stored point is wrong: the fuzz streams reach no
 # failing or undefined-line path, so their details are pinned here
 CORRUPTION_BOUNDS = ((10, 8), (1000, 8))
-CORRUPTED_VERDICT_GOLDEN = "653b7bafcbabf602c72087526e3f6d83114e8456911636a705247bc2a4b12b1a"
+CORRUPTED_VERDICT_GOLDEN = "f4c3081e37923a20f71c50a8810b3d17c2bc3c5a21245c1ed67cba4dfea89db3"
 
 
 def corruptions(cfg):
