@@ -200,7 +200,7 @@ def test_trace_ratio_formula_holds_for_signed_r(shipped_free):
     """The paper's headline, its transversal theorem carried from triangles
     to quadrilaterals: the shipped ``crossing_ratio_formula`` check passes
     as an identity, so on every shape, once ``r`` is the signed ``-AR/RB``,
-    and fails with the unsigned ``AR/RB``, so the test tells the sign.
+    and fails with ``+AR/RB``, so the test tells the sign.
     ``-AR/RB = [NQA]/[NQB]``, which is positive when ``A`` and ``B`` lie on
     one side of ``NQ``, as they do on a convex quadrilateral: there the
     signed and the stored unsigned ``r`` agree, which proves the convex row."""
