@@ -210,8 +210,8 @@ def test_trace_ratio_formula_holds_for_signed_r(shipped_free):
     check = {claim: check for claim, *_, check in CLAIMS}["crossing_ratio_formula"]
     signed = check("crossing_ratio_formula", shipped_free._replace(r_ratio=(-num, den - num)))
     assert (signed.status, signed.detail) == (PASS, "")
-    unsigned = check("crossing_ratio_formula", shipped_free._replace(r_ratio=(num, den - num)))
-    assert (unsigned.status, unsigned.detail) == (FAIL, "ME_over_EP mismatch")
+    plus = check("crossing_ratio_formula", shipped_free._replace(r_ratio=(num, den - num)))
+    assert (plus.status, plus.detail) == (FAIL, "ME_over_EP mismatch")
     # A and B have weight one, so their brackets with NQ are the determinants
     assert -num * det3(N, Q, B) == det3(N, Q, A) * (den - num)
 
