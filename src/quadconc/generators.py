@@ -28,13 +28,21 @@ product reaches the next slot, and one ``struct`` unpack reads the
 outputs.
 
 The convex and crossed drawers decide convex position before any sort,
-from the four orientation signs of the drawn points' unreduced triples:
-the four points are in strictly convex position exactly when the
+from the four orientation signs of the drawn points' unreduced triples
+``(xn*yd, yn*xd, xd*yd)``, expanded over the six 2x2 minors of their x and
+y columns: the four points are in strictly convex position exactly when the
 coefficients ``[bcd], -[acd], [abd], -[abc]`` of their affine dependence
 are nonzero and split two-two.  Equal signs mark opposite vertices and
-the sign of ``[abc]`` picks the counterclockwise cycle, which starts at
-the vertex that a counterclockwise sort about the centroid puts first.
-Only an accepted candidate's four triples are reduced.  The concave and
+the sign of ``[abc]`` picks the counterclockwise cycle, read from a table
+of the six two-two splits built at import.  An accepted candidate is then
+ordered from its unreduced draws with products only.  Scaled by four times
+the product of the four weights, a point's offset from the centroid is
+four times its unreduced ``x`` and ``y`` times the product of the other
+three weights, less the sum of those products over the four points; and
+direct comparisons pick the start vertex, the one that a counterclockwise
+sort about the centroid puts first.  Only the four output triples are
+reduced, in their final order, so a rejected candidate is never reduced.
+The spans of a four-point draw are built once per bound.  The concave and
 any-shape drawers reduce each point (``kernel.triple_from_terms``); the
 any-shape drawer classifies them (``kernel.classify_triples``).  The
 concave and crossed drawers build their shape, so a sign argument in the
@@ -48,6 +56,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .configuration import Quadrilateral, SideRatios
 from .errors import GenerationExhausted, InstanceFormatError
@@ -149,51 +158,102 @@ def _point_spans(bound: int) -> tuple[tuple[int, int], ...]:
     return ((-bound, 2 * bound + 1), (1, bound)) * 2
 
 
+@lru_cache(maxsize=8)
+def _four_point_spans(bound: int) -> tuple[tuple[int, int], ...]:
+    """The spans of a four-point draw, built once per bound."""
+    return _point_spans(bound) * 4
+
+
 def _triples(values: list[int]) -> list[tuple[int, int, int]]:
     """The canonical triples of the points drawn as ``xn, xd, yn, yd`` in turn."""
     it = iter(values)
     return [triple_from_terms(xn, xd, yn, yd) for xn, xd, yn, yd in zip(it, it, it, it)]
 
 
+def _ring_table() -> dict[tuple[bool, ...], tuple[int, int, int, int]]:
+    """The counterclockwise cycle of the drawn points ``0 1 2 3`` for each
+    two-two split of the signs of ``[bcd], -[acd], [abd], -[abc]``: ``0 1 2``
+    in counterclockwise order (the sign of ``[abc]``), then ``3`` in the gap
+    after the vertex that follows the one opposite it (the one whose sign
+    equals its own).  A 3-1 or 4-0 split has no entry."""
+    table = {}
+    for signs in product((False, True), repeat=4):
+        if sum(signs) == 2:
+            ring = [0, 2, 1] if signs[3] else [0, 1, 2]
+            ring.insert((ring.index(signs.index(signs[3])) + 2) % 3, 3)
+            table[signs] = tuple(ring)
+    return table
+
+
+_RINGS = _ring_table()
+
+
 def _convex_triples(rng: Stream, bound: int) -> list[tuple[int, int, int]] | None:
     """The four drawn points, if they are in strictly convex position, as
     canonical triples counterclockwise about their centroid from the
     positive x direction."""
-    it = iter(rng.ints(_point_spans(bound) * 4))
+    (axn, axd, ayn, ayd, bxn, bxd, byn, byd,
+     cxn, cxd, cyn, cyd, dxn, dxd, dyn, dyd) = rng.ints(_four_point_spans(bound))
     # unreduced triples: their weights are positive, so each determinant
     # has the sign of the affine orientation
-    a, b, c, d = drawn = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in zip(it, it, it, it)]
-    abc = det3(a, b, c)
-    abd = det3(a, b, d)
-    acd = det3(a, c, d)
-    bcd = det3(b, c, d)
+    a = ax, ay, aw = axn * ayd, ayn * axd, axd * ayd
+    b = bx, by, bw = bxn * byd, byn * bxd, bxd * byd
+    c = cx, cy, cw = cxn * cyd, cyn * cxd, cxd * cyd
+    d = dx, dy, dw = dxn * dyd, dyn * dxd, dxd * dyd
+    # the four determinants [abc] [abd] [acd] [bcd], each expanded along its
+    # weights over the six 2x2 minors of the x and y columns
+    xy_ab = ax * by - ay * bx
+    xy_ac = ax * cy - ay * cx
+    xy_ad = ax * dy - ay * dx
+    xy_bc = bx * cy - by * cx
+    xy_bd = bx * dy - by * dx
+    xy_cd = cx * dy - cy * dx
+    abc = aw * xy_bc - bw * xy_ac + cw * xy_ab
+    abd = aw * xy_bd - bw * xy_ad + dw * xy_ab
+    acd = aw * xy_cd - cw * xy_ad + dw * xy_ac
+    bcd = bw * xy_cd - cw * xy_bd + dw * xy_bc
     if not (abc and abd and acd and bcd):
         return None
     # bcd*a - acd*b + abd*c - abc*d = 0: the points whose coefficients
     # share a sign are opposite vertices exactly when the signs split
     # two-two, and a 3-1 split puts one point inside the other three
-    signs = (bcd > 0, acd < 0, abd > 0, abc < 0)
-    if sum(signs) != 2:
+    ring = _RINGS.get((bcd > 0, acd < 0, abd > 0, abc < 0))
+    if ring is None:
         return None
-    # a b c in counterclockwise order, then d in the gap after the vertex
-    # that follows the one opposite d
-    opposite = signs.index(signs[3])
-    ring = [0, 1, 2] if abc > 0 else [0, 2, 1]
-    ring.insert((ring.index(opposite) + 2) % 3, 3)
-    triples = [reduce3(*t) for t in drawn]
-    # the first vertex is the one in half plane 0 about the centroid (angles
-    # in [0, pi)) after one in half plane 1; offsets from the centroid are
-    # scaled by 4 times the product of the weights, so their signs are the
-    # affine ones
-    scale = 1
-    for _, _, w in triples:
-        scale *= w
-    scaled = [(x * (scale // w), y * (scale // w)) for x, y, w in triples]
-    sx = sum(u for u, _ in scaled)
-    sy = sum(v for _, v in scaled)
-    halves = [0 if 4 * v > sy or (4 * v == sy and 4 * u > sx) else 1 for u, v in scaled]
-    start = next(k for k in range(4) if halves[ring[k]] < halves[ring[k - 1]])
-    return [triples[i] for i in ring[start:] + ring[:start]]
+    # offsets from the centroid scaled by 4 times the product of the
+    # weights, which is positive, so their signs are the affine ones: four
+    # times each point over its own weight times the other three weights,
+    # less the sum of the points so scaled
+    ab, cd = aw * bw, cw * dw
+    ka, kb, kc, kd = bw * cd, aw * cd, ab * dw, ab * cw
+    ax *= ka
+    ay *= ka
+    bx *= kb
+    by *= kb
+    cx *= kc
+    cy *= kc
+    dx *= kd
+    dy *= kd
+    sx = ax + bx + cx + dx
+    sy = ay + by + cy + dy
+    # whether each point lies in half plane 0 about the centroid (angles in
+    # [0, pi))
+    upper = (4 * ay > sy or 4 * ay == sy and 4 * ax > sx,
+             4 * by > sy or 4 * by == sy and 4 * bx > sx,
+             4 * cy > sy or 4 * cy == sy and 4 * cx > sx,
+             4 * dy > sy or 4 * dy == sy and 4 * dx > sx)
+    # the first vertex is the one in half plane 0 after one in half plane 1
+    i, j, k, l = ring
+    if upper[i] and not upper[l]:
+        pass
+    elif upper[j] and not upper[i]:
+        i, j, k, l = j, k, l, i
+    elif upper[k] and not upper[j]:
+        i, j, k, l = k, l, i, j
+    else:
+        i, j, k, l = l, i, j, k
+    drawn = a, b, c, d
+    return [reduce3(*drawn[i]), reduce3(*drawn[j]), reduce3(*drawn[k]), reduce3(*drawn[l])]
 
 
 def _try_convex(rng: Stream, bound: int) -> Quadrilateral | None:
@@ -236,7 +296,7 @@ def _try_crossed(rng: Stream, bound: int) -> Quadrilateral | None:
 
 
 def _try_any(rng: Stream, bound: int) -> Quadrilateral | None:
-    drawn = _triples(rng.ints(_point_spans(bound) * 4))
+    drawn = _triples(rng.ints(_four_point_spans(bound)))
     shape = classify_triples(*drawn)
     return None if shape == DEGENERATE else Quadrilateral(*drawn, shape)
 

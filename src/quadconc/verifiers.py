@@ -9,11 +9,13 @@ determinants and directed ratios of stored points: the two routes are
 disjoint and must agree exactly.
 
 The checks read the configuration's slot triples (``cfg.triples``)
-through tables of slots compiled from their point names at import.  A
-concurrence check is ``det3`` of stored triples (the line ``uv`` passes
-through ``x`` when ``det3(u, v, x) == 0``), so no verifier reuses a
-construction line; the distinct lines that miss are told apart by their
-reduced cross products.  Coincidence is tuple ``==`` and idealness
+through tables of slots compiled from their point names at import.  An
+incidence of a concurrence check is the dot product of the line ``uv``,
+the cross product ``u x v`` of two stored triples taken inline, with the
+stored point ``x`` (the line passes through ``x`` when it vanishes), so no
+verifier reuses a construction line; the distinct lines that miss are told
+apart by their reduced cross products.  A collinearity check is ``det3`` of
+three stored triples.  Coincidence is tuple ``==`` and idealness
 ``w == 0``.  A verdict's witnesses are canonical triples too, and no
 check makes a :class:`~quadconc.kernel.Point`: the text of a point that
 left its carrier line is ``kernel.parameter_error``'s, written from the
@@ -60,7 +62,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from ._purekernel import cross3, det3, reduce3
+from ._purekernel import det3, reduce3
 from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration, Triple
 from .errors import InstanceFormatError
 from .kernel import (
@@ -152,8 +154,8 @@ def _finite(name: str, t: Optional[Triple], reasons: list[str]) -> bool:
 def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: Optional[Triple],
                         reasons: list[str], failures: list[str]) -> None:
     """Check that every distinct line ``(label, u, v)`` of the triples ``t``
-    passes through ``target``, the point ``name``: the determinant of ``u v
-    target`` vanishes.  A target that is not finite adds its ``_finite``
+    passes through ``target``, the point ``name``: the dot product of the line
+    ``u x v`` with ``target`` vanishes.  A target that is not finite adds its ``_finite``
     reason, and an undefined one is checked on no line.  A line whose ends
     are undefined, equal or both ideal becomes a ``<line>_UNDEFINED`` reason.
     A line equal to an earlier one misses exactly when that one does, so only
@@ -164,11 +166,16 @@ def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: 
     if target is None:
         return
     missed: list[Triple] = []
+    tx, ty, tw = target
     for label, su, sv in lines:
         u, v = t[su], t[sv]
         if u is None or v is None or u == v or (u[2] == 0 and v[2] == 0):
             reasons.append(label + "_UNDEFINED")
-        elif det3(u, v, target) and (line := reduce3(*cross3(u, v))) not in missed:
+            continue
+        ux, uy, uw = u
+        vx, vy, vw = v
+        lx, ly, lw = uy * vw - uw * vy, uw * vx - ux * vw, ux * vy - uy * vx
+        if lx * tx + ly * ty + lw * tw and (line := reduce3(lx, ly, lw)) not in missed:
             missed.append(line)
             failures.append(f"{label} misses {name}")
 

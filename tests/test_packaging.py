@@ -231,10 +231,12 @@ def test_every_public_name_has_a_caller():
 
 
 # the public names that only perfbench reaches: microops.py times the
-# kernel's Point and Line functions on operands it harvests through
-# named_points, workloads.py reads point triples through named_points and
-# patches cli.degenerate_report, and no command makes a Point or a Line
+# kernel's Point and Line functions and the pure kernel's cross3 on operands
+# it harvests through named_points, workloads.py reads point triples through
+# named_points and patches cli.degenerate_report, no command makes a Point or
+# a Line, and the checks take their cross products inline
 _BENCHMARK_ONLY = {
+    "_purekernel.cross3",
     "configuration.Configuration.named_points", "kernel.Line", "kernel.Point",
     "kernel.Point.is_ideal", "kernel.Point.triple", "kernel.affine_parameter",
     "kernel.collinear", "kernel.directed_ratio", "kernel.line_through", "kernel.meet",
