@@ -295,17 +295,16 @@ def _crossing_ratios(claim: str, cfg: Configuration) -> Verdict:
     return _verdict(claim, reasons, failures, values, {"E": E} if E is not None else _EMPTY)
 
 
-_E_C1 = _slots("E", "C1")
+_A_C_E_C1 = _slots("A", "C", "E", "C1")
 
 
 def _diagonal_concurrence_iff(claim: str, cfg: Configuration) -> Verdict:
     """``MP NQ AC`` are concurrent exactly when ``DM BQ AC`` are
     (product-one regime): both reduce to an incidence with line ``AC``."""
-    E, C1 = _E_C1(cfg.triples)
+    A, C, E, C1 = _A_C_E_C1(cfg.triples)
     reasons: list[str] = []
     if not all([_finite("E", E, reasons), _finite("C1", C1, reasons)]):
         return _verdict(claim, reasons, [])
-    A, C = cfg.quad.A, cfg.quad.C
     e_on, c_on = not det3(A, C, E), not det3(A, C, C1)
     values = {"MP_NQ_AC_concurrent": _b01(e_on), "DM_BQ_AC_concurrent": _b01(c_on)}
     failures = [] if e_on == c_on else ["AC misses " + ("C1" if e_on else "E")]

@@ -242,7 +242,7 @@ def test_construction_digest():
 # the verdicts where a stored point is wrong: the fuzz streams reach no
 # failing or undefined-line path, so their details are pinned here
 CORRUPTION_BOUNDS = ((10, 8), (1000, 8))
-CORRUPTED_VERDICT_GOLDEN = "f4c3081e37923a20f71c50a8810b3d17c2bc3c5a21245c1ed67cba4dfea89db3"
+CORRUPTED_VERDICT_GOLDEN = "b7ccd71ab1ec4d45e6a739f39a6c62b156ab48d90ba454c5db4c28422273b906"
 
 
 def corruptions(cfg):

@@ -120,6 +120,18 @@ class TestDiagonalConcurrenceIff:
         assert v.status == PASS
         assert texts(v, "MP_NQ_AC_concurrent", "DM_BQ_AC_concurrent") == ["1", "1"]
 
+    def test_reads_the_stored_vertices(self):
+        # A and C come from the stored triples, as every check's points do,
+        # not from the quadrilateral: with A replaced by B the line is BC,
+        # which neither E nor C1 is on
+        spec = GenSpec(seed=42, shape="concave", force_gamma_one=True)
+        cfg = build_from_ratios(gen_quadrilateral(spec, 2), gen_ratios(spec, 2))
+        assert verdict(cfg, "diagonal_concurrence_iff").exact_values == {
+            "MP_NQ_AC_concurrent": (1, 1), "DM_BQ_AC_concurrent": (1, 1)}
+        v = verdict(with_points(cfg, A=cfg.triples[SLOT["B"]]), "diagonal_concurrence_iff")
+        assert v.status == PASS
+        assert v.exact_values == {"MP_NQ_AC_concurrent": (0, 1), "DM_BQ_AC_concurrent": (0, 1)}
+
 
 class TestGeneralConcurrences:
     def test_reference_gamma_two(self, gamma_two_config):
