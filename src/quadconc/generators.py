@@ -220,10 +220,10 @@ def _convex_triples(rng: Stream, bound: int) -> list[tuple[int, int, int]] | Non
     ring = _RINGS.get((bcd > 0, acd < 0, abd > 0, abc < 0))
     if ring is None:
         return None
-    # offsets from the centroid scaled by 4 times the product of the
-    # weights, which is positive, so their signs are the affine ones: four
-    # times each point over its own weight times the other three weights,
-    # less the sum of the points so scaled
+    # a point's offset from the centroid, scaled by four times the product
+    # of the weights, which is positive, so its signs are the affine ones:
+    # four times its x and y times the product of the other three weights,
+    # less the sum of those products over the four points
     ab, cd = aw * bw, cw * dw
     ka, kb, kc, kd = bw * cd, aw * cd, ab * dw, ab * cw
     ax *= ka

@@ -168,14 +168,17 @@ class TestQuadrilaterals:
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+# numerators and denominators up to 10**6, so a product of three weights
+# reaches 10**36
+_large = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
 
 
 @st.composite
-def four_points(draw):
-    """Four finite points with small coordinates, so repeated points and
-    collinear offsets are common; or three and, at any position, their
-    centroid, which is then the centroid of all four."""
-    pts = draw(st.lists(st.builds(tri, _small, _small), min_size=3, max_size=4))
+def four_points(draw, coordinates=_small):
+    """Four finite points, by default with small coordinates, so repeated
+    points and collinear offsets are common; or three and, at any
+    position, their centroid, which is then the centroid of all four."""
+    pts = draw(st.lists(st.builds(tri, coordinates, coordinates), min_size=3, max_size=4))
     if len(pts) == 3:
         xs, ys = zip(*map(affine, pts))
         pts.insert(draw(st.integers(0, 3)), tri(sum(xs) / 3, sum(ys) / 3))
@@ -205,16 +208,21 @@ def naive_order(pts):
 
 
 class TestConvexPosition:
-    @given(four_points())
+    @given(st.one_of(four_points(), four_points(_large)))
     @example([tri(0, 0), tri(2, 2), tri(0, 1), tri(-2, 1)])  # insertion and sort differ
     @example([tri(1, 0), tri(2, 0), tri(-1, 1), tri(-2, -1)])  # one direction twice
     @example([tri(0, 0), tri(1, 1), tri(3, -1), tri(2, 2)])  # three collinear
     @example([tri(0, 0), tri(3, 0), tri(0, 0), tri(0, 3)])  # a repeated point
     @example([tri(3, 0), tri(0, 3), tri(-3, -3), tri(0, 0)])  # one on the centroid
     @example([tri(1, 1), tri(2, 2), tri(-3, 0), tri(0, -3)])  # two on one ray
+    @example([tri(F(10**30, 3), F(-1, 10**30)), tri(F(-10**30, 7), F(10**30 - 1, 10**30)),
+              tri(F(1, 10**30), F(-10**30, 10**30 - 1)),
+              tri(F(10**30 - 7, 10**30), F(10**30, 9))])  # convex, terms near 10**30
     def test_drawers_match_the_naive_centroid_order(self, pts):
         # the four orientation signs decide convex position and order the
-        # vertices as the centroid sort followed by a classification does
+        # vertices as the centroid sort followed by a classification does;
+        # the offsets scaled by products of weights, however large, order
+        # them as the comparison sort does
         a, b, c, d = naive_order(pts)
         convex = classify_triples(a, b, c, d) == "convex"
         assert generators._try_convex(Drawn(draws_of(pts)), 4) == (

@@ -232,3 +232,33 @@ def test_triangle_case():
     M, N, P = naive.divide(A, B, m), naive.divide(B, C, n), naive.divide(C, A, p)
     E = naive.meet(naive.line(M, P), naive.line(A, N))
     assert naive.ratio(M, E, P) == m * n * (p + 1) / (m + 1)
+
+
+def test_inner_orientation_identity(shipped_free):
+    """The orientation of each three consecutive inner points is a positive
+    multiple of one triangle of the outer quadrilateral, for positive
+    ratios and ``gamma != 1``:
+
+    ``[M1 N1 P1] S_m S_n S_p = (1 + p)(gamma - 1)^2 [A B P]``
+
+    and its three cyclic companions, with ``S_m = 1 + m + mn + mnp``
+    cyclically and each bracket the affine orientation, ``det3`` divided by
+    the weights of its three points.  So ``M1 N1 P1 Q1`` is convex exactly
+    when ``[ABP] [BCQ] [CDM] [DAN]`` are nonzero and share one sign."""
+    fraction = Z.to_field()
+    t = shipped_free.triples
+
+    def bracket(*names):
+        points = [t[SLOT[name]] for name in names]
+        u, v, x = (fraction(w) for _, _, w in points)
+        return fraction(det3(*points)) / (u * v * x)
+
+    r = [fraction(num) / fraction(den) for num, den in shipped_free.ratios[:4]]
+    gamma = r[0] * r[1] * r[2] * r[3]
+    S = [1 + r[i] * (1 + r[(i + 1) % 4] * (1 + r[(i + 2) % 4])) for i in range(4)]
+    inner, vertices, sides = ("M1", "N1", "P1", "Q1"), "ABCD", "MNPQ"
+    for i in range(4):
+        j, k = (i + 1) % 4, (i + 2) % 4
+        lhs = bracket(inner[i], inner[j], inner[k]) * S[i] * S[j] * S[k]
+        rhs = (1 + r[k]) * (gamma - 1) ** 2 * bracket(vertices[i], vertices[j], sides[k])
+        assert lhs == rhs != 0, inner[i]
