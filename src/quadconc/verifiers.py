@@ -154,14 +154,15 @@ def _finite(name: str, t: Optional[Triple], reasons: list[str]) -> bool:
 def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: Optional[Triple],
                         reasons: list[str], failures: list[str]) -> None:
     """Check that every distinct line ``(label, u, v)`` of the triples ``t``
-    passes through ``target``, the point ``name``: the dot product of the line
-    ``u x v`` with ``target`` vanishes.  A target that is not finite adds its ``_finite``
-    reason, and an undefined one is checked on no line.  A line whose ends
-    are undefined, equal or both ideal becomes a ``<line>_UNDEFINED`` reason.
-    A line equal to an earlier one misses exactly when that one does, so only
-    the lines that miss are compared, by their reduced cross products, and
-    each distinct one is named once.  Never vacuous: a defined target is the
-    meet of two distinct lines, both among ``lines``."""
+    passes through ``target``, the point ``name``: the dot product of the
+    line ``u x v`` with ``target`` vanishes.  A target that is not finite
+    adds its ``_finite`` reason, and an undefined one is checked on no line.
+    A line whose ends are undefined, equal or both ideal becomes a
+    ``<line>_UNDEFINED`` reason.  A line equal to an earlier one misses
+    exactly when that one does, so only the lines that miss are compared, by
+    their reduced cross products, and each distinct one is named once.  Never
+    vacuous: a defined target is the meet of two distinct lines, both among
+    ``lines``."""
     _finite(name, target, reasons)
     if target is None:
         return
