@@ -15,20 +15,24 @@ into the slot plan of a read set: the inputs ``A B C D M N P Q`` take
 slots 0-7, row *i* takes slot 8 + *i*, each distinct line has one index
 and is built at the first row of the plan that uses it, and the plan
 holds the rows the named points need, transitively, and the rows that can
-collapse.  ``FULL_PLAN``, compiled at import, holds every row; ``verify``,
-``fuzz`` and ``figure`` build with it, and ``counterexample`` with the
-plan of its target's read set.  A row left out of a plan holds ``None``
-and sets no flag, and without ``R`` the ratio ``r`` is ``None``.
-``construct_triples`` runs any plan on bare triples with the reduction as
-a parameter (``reduce3`` here).  Each line is
-the unreduced cross product of the triples of its two points, a transient
-triple that only feeds meets, and each meet is one reduction of the cross
-product of two lines; the kernel's ``Line``, ``line_through`` and ``meet``
-are public API, not this path.  The side points come from the kernel's
-``dividing_terms`` and ``r`` from the ``parameter_pair`` of the ``R``
-triple; ``build_from_points`` checks each given side point with
-``w == 0``, tuple ``==`` and ``det3`` and reads its ratio from
-``parameter_pair``.  Coincidences the construction can survive are
+collapse.  ``FULL_PLAN``, compiled at import, holds every row; ``verify``
+and ``figure`` build with it, ``counterexample`` with the plan of its
+target's read set, and ``fuzz`` with the plan of its instance's claims on
+a convex instance with ratio product other than one, else with
+``FULL_PLAN``.  That plan leaves out ``O X Z Y T``, which set no flag
+there: with the side points inside their sides of a strictly convex
+quadrilateral, each is the crossing of two chords (``AC·BD``, ``AN·BQ``,
+``DN·CQ``, ``CM·BP``, ``AP·DM``).  A row left out of a plan holds ``None``
+and sets no flag, and without ``R`` the ratio ``r`` is ``None``.  ``construct_triples`` runs any
+plan on bare triples with the reduction as a parameter (``reduce3`` here).
+Each line is the unreduced cross product of the triples of its two points,
+a transient triple that only feeds meets, and each meet is one reduction
+of the cross product of two lines; the kernel's ``Line``, ``line_through``
+and ``meet`` are public API, not this path.  The side points come from the
+kernel's ``dividing_terms`` and ``r`` from the ``parameter_pair`` of the
+``R`` triple; ``build_from_points`` checks each given side point with
+``w == 0`` and tuple ``==`` and reads its ratio from ``parameter_pair``,
+which is ``None`` off the side's line.  Coincidences the construction can survive are
 recorded as named degeneracy flags (``DIAGONAL_FLAGS`` names those of
 ``DIAGONAL_PAIRS``) instead of raising; a built point is stored as
 ``None`` only when one of its defining lines collapses entirely.
@@ -49,7 +53,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from ._purekernel import det3, reduce3
+from ._purekernel import reduce3
 from .errors import DegenerateQuadrilateral, GeometryError, InstanceFormatError, UndefinedPoint
 from .kernel import (
     CONVEX,
@@ -347,11 +351,11 @@ def build_from_points(quad: Quadrilateral, M: Triple, N: Triple, P: Triple,
             raise InstanceFormatError(f"{name} must be a finite point")
         if t == u or t == v:
             raise InstanceFormatError(f"{name} coincides with a vertex")
-        if det3(u, t, v):
+        # finite, distinct ends: None only off their line, and never 1, as t is not v
+        pair = parameter_pair(u, v, t)
+        if pair is None:
             raise InstanceFormatError(f"point {name} does not lie on its side")
-        # finite, distinct ends and a finite point of their line that is
-        # not v: the parameter is defined and differs from 1
-        num, den = parameter_pair(u, v, t)
+        num, den = pair
         den -= num
         if quad.shape == CONVEX and num * den < 0:
             raise InstanceFormatError(f"{name} is outside its open side")

@@ -41,8 +41,10 @@ Conventions
   checks its inputs, then reduces it.
 * ``parameter_pair`` is that parameter on bare triples: the ``(num, den)``
   pair, or ``None`` where a triple is ideal, the ends coincide or the
-  point is off the line.  It uses only ``+``, ``-``, ``*``, tuple equality
-  and truthiness, so ring triples can stand in for the integers.
+  point is off the line.  ``parameter_pairs``, its carrier form, forms the
+  direction ``(d0, d1)`` of ``b - a`` once for several points; the ends
+  coincide when it is zero, and ``x`` is on the line when ``e0*d1 - e1*d0``
+  is, with ``(e0, e1)`` the offset ``x - a``: that is ``-aw*det3(a, b, x)``.
   ``parameter_error`` writes why it is ``None``, the text of the
   ``GeometryError`` that ``affine_parameter`` raises on three points.
 * ``classify_triples`` classifies four canonical finite triples by the
@@ -231,18 +233,29 @@ def classify_triples(ta, tb, tc, td) -> Shape:
 def parameter_pair(ta, tb, tx):
     """``(num, den)`` with ``num / den`` the parameter of the triple ``tx`` on
     ``ta -> tb``, or ``None`` where :func:`affine_parameter` raises: an ideal
-    triple, ``ta == tb``, or ``tx`` off the line.  Only ``+``, ``-``, ``*``,
-    tuple equality and truthiness touch the triples, so any ring whose zero
-    is falsy can stand in for the integers."""
-    a0, a1, aw = ta
-    b0, b1, bw = tb
-    x0, x1, xw = tx
-    if not (aw and bw and xw) or ta == tb or det3(ta, tb, tx):
-        return None
-    d = b0 * aw - a0 * bw
-    if d:
-        return (x0 * aw - a0 * xw) * bw, d * xw
-    return (x1 * aw - a1 * xw) * bw, (b1 * aw - a1 * bw) * xw
+    triple, coincident ends, or ``tx`` off the line.  Only ``+``, ``-``,
+    ``*`` and truthiness touch the triples, so any ring whose zero is falsy
+    can stand in for the integers."""
+    return parameter_pairs(ta, tb, (tx,))[0]
+
+
+def parameter_pairs(ta, tb, txs) -> list:
+    """``parameter_pair(ta, tb, tx)`` for each triple ``tx`` of ``txs``, and
+    ``None`` for each ``None``, with the direction ``ta -> tb`` formed once."""
+    (a0, a1, aw), (b0, b1, bw) = ta, tb
+    d0, d1 = b0 * aw - a0 * bw, b1 * aw - a1 * bw
+    if not (aw and bw and (d0 or d1)):
+        return [None] * len(txs)
+    pairs = []
+    for tx in txs:
+        pair = None
+        if tx is not None and tx[2]:
+            x0, x1, xw = tx
+            e0, e1 = x0 * aw - a0 * xw, x1 * aw - a1 * xw
+            if not e0 * d1 - e1 * d0:
+                pair = (e0 * bw, d0 * xw) if d0 else (e1 * bw, d1 * xw)
+        pairs.append(pair)
+    return pairs
 
 
 def parameter_error(ta, tb, tx) -> str:

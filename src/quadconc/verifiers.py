@@ -11,15 +11,16 @@ disjoint and must agree exactly.
 The checks read the configuration's slot triples (``cfg.triples``)
 through tables of slots compiled from their point names at import.  An
 incidence of a concurrence check is the dot product of the line ``uv``,
-the cross product ``u x v`` of two stored triples taken inline, with the
-stored point ``x`` (the line passes through ``x`` when it vanishes), so no
-verifier reuses a construction line; the distinct lines that miss are told
-apart by their reduced cross products.  A collinearity check is ``det3`` of
-three stored triples.  Coincidence is tuple ``==`` and idealness
-``w == 0``.  A verdict's witnesses are canonical triples too, and no
-check makes a :class:`~quadconc.kernel.Point`: the text of a point that
-left its carrier line is ``kernel.parameter_error``'s, written from the
-triples.
+the cross product ``u x v`` of two stored triples, with the stored point
+``x`` (the line passes through ``x`` when it vanishes), so no verifier
+reuses a construction line.  Each check forms each of its distinct lines
+once, from a table built at import (``_incidences``), and the lines that
+miss are told apart by their reduced cross products.  A collinearity
+check is ``det3`` of three stored triples.  Coincidence is tuple ``==``
+and idealness ``w == 0``.  A verdict's witnesses are canonical triples
+too, and no check makes a :class:`~quadconc.kernel.Point`: the text of a
+point that left its carrier line is ``kernel.parameter_error``'s, written
+from the triples.
 
 Each ratio field is a lowest-terms pair, written ``(ma, mb)`` for ``m``
 and likewise ``n p q``, ``gamma = G/H`` (product one is ``G == H``) and
@@ -27,7 +28,8 @@ and likewise ``n p q``, ``gamma = G/H`` (product one is ``G == H``) and
 function from ratio pairs to a pair, with the paper's form in its
 docstring, and uses only ``+``, ``-`` and ``*``.  Every value stays an
 integer ``(num, den)`` pair, the geometric ones from the kernel's
-``parameter_pair``: two sides are equal when they cross-multiply equal,
+``parameter_pair``, or ``parameter_pairs`` for several points of one
+carrier line: two sides are equal when they cross-multiply equal,
 and an order is decided by cross-multiplied ``<`` once each denominator is
 made positive.  The checks decide and do not write: a verdict's
 ``exact_values`` hold pairs, a geometric value that equals its formula
@@ -71,6 +73,7 @@ from .kernel import (
     classify_triples,
     parameter_error,
     parameter_pair,
+    parameter_pairs,
     reduced_text,
 )
 
@@ -94,10 +97,6 @@ class Verdict(NamedTuple):
     exact_values: Mapping[str, Pair] = _EMPTY
 
 
-# a line of a concurrence check: its label and the slots of its two points
-SlotLine = tuple[str, int, int]
-
-
 def _b01(flag: bool) -> Pair:
     return (1, 1) if flag else (0, 1)
 
@@ -107,35 +106,26 @@ def _slots(*names: str) -> Callable[[tuple], tuple]:
     return itemgetter(*(SLOT[name] for name in names))
 
 
-def _line(u: str, v: str) -> SlotLine:
-    return u + v, SLOT[u], SLOT[v]
+def _split(lam: Optional[Pair], reverse: bool = False) -> Optional[Pair]:
+    """The directed ratio in which the point at parameter ``lam`` on ``a -> b``
+    splits ``a -> b``, or with ``reverse`` splits ``b -> a``, as a pair;
+    ``None`` where ``lam`` is ``None`` or the point is the far end."""
+    if lam is None:
+        return None
+    num, den = lam
+    ratio = (den - num, num) if reverse else (num, den - num)
+    return ratio if ratio[1] else None
 
 
 def _ratio(ta: Optional[Triple], tp: Optional[Triple], tb: Optional[Triple]) -> Optional[Pair]:
     """The directed ratio in which ``tp`` splits ``ta -> tb`` as a pair, or
     ``None`` where a triple is undefined or ``directed_ratio`` would raise."""
-    if ta is None or tp is None or tb is None:
-        return None
-    pair = parameter_pair(ta, tb, tp)
-    if pair is None or pair[0] == pair[1]:
-        return None
-    return pair[0], pair[1] - pair[0]
+    return None if ta is None or tb is None else _split(parameter_pair(ta, tb, tp))
 
 
 def _equal(u: Pair, v: Pair) -> bool:
     """``u[0]/u[1] == v[0]/v[1]``; the denominators are nonzero, of either sign."""
     return u[0] * v[1] == v[0] * u[1]
-
-
-def _positive(u: Pair) -> Pair:
-    """The same rational with a positive denominator."""
-    return (-u[0], -u[1]) if u[1] < 0 else u
-
-
-def _minus(u: Pair, v: Pair) -> int:
-    """The numerator of ``u - v`` over ``u[1] * v[1]``, for positive denominators:
-    its sign is the sign of ``u - v``."""
-    return u[0] * v[1] - v[0] * u[1]
 
 
 def _finite(name: str, t: Optional[Triple], reasons: list[str]) -> bool:
@@ -151,34 +141,50 @@ def _finite(name: str, t: Optional[Triple], reasons: list[str]) -> bool:
     return True
 
 
-def _concurrent_through(t: tuple, lines: Iterable[SlotLine], name: str, target: Optional[Triple],
-                        reasons: list[str], failures: list[str]) -> None:
-    """Check that every distinct line ``(label, u, v)`` of the triples ``t``
-    passes through ``target``, the point ``name``: the dot product of the
-    line ``u x v`` with ``target`` vanishes.  A target that is not finite
-    adds its ``_finite`` reason, and an undefined one is checked on no line.
-    A line whose ends are undefined, equal or both ideal becomes a
-    ``<line>_UNDEFINED`` reason.  A line equal to an earlier one misses
-    exactly when that one does, so only the lines that miss are compared, by
-    their reduced cross products, and each distinct one is named once.  Never
-    vacuous: a defined target is the meet of two distinct lines, both among
-    ``lines``."""
-    _finite(name, target, reasons)
-    if target is None:
-        return
-    missed: list[Triple] = []
-    tx, ty, tw = target
-    for label, su, sv in lines:
+def _incidences(*points: tuple[str, tuple[tuple[str, str, str], ...]]) -> tuple:
+    """The table of ``_concurrent_through`` for ``points``, each a name and its
+    lines ``(label, u, v)``: the slot pairs of the distinct lines, in order of
+    first use, and per point its name, slot and lines ``(label, pair index)``."""
+    pairs = tuple(dict.fromkeys((SLOT[u], SLOT[v]) for _, lines in points for _, u, v in lines))
+    return pairs, tuple((name, SLOT[name], tuple((label, pairs.index((SLOT[u], SLOT[v])))
+                                                 for label, u, v in lines))
+                        for name, lines in points)
+
+
+def _concurrent_through(t: tuple, table: tuple, reasons: list[str], failures: list[str]) -> None:
+    """Check that each point of the ``_incidences`` table lies on its lines,
+    each formed once from the triples ``t`` as ``u x v``; an undefined point
+    is checked on no line.  A line equal to an earlier one misses exactly
+    when that one does, so only the lines that miss a point are compared,
+    by their reduced cross products, and each distinct one is named once.
+    Never vacuous: a defined point is the meet of two distinct lines, both
+    among its lines."""
+    pairs, points = table
+    lines: list[Optional[Triple]] = []
+    for su, sv in pairs:
         u, v = t[su], t[sv]
         if u is None or v is None or u == v or (u[2] == 0 and v[2] == 0):
-            reasons.append(label + "_UNDEFINED")
+            lines.append(None)
             continue
         ux, uy, uw = u
         vx, vy, vw = v
-        lx, ly, lw = uy * vw - uw * vy, uw * vx - ux * vw, ux * vy - uy * vx
-        if lx * tx + ly * ty + lw * tw and (line := reduce3(lx, ly, lw)) not in missed:
-            missed.append(line)
-            failures.append(f"{label} misses {name}")
+        lines.append((uy * vw - uw * vy, uw * vx - ux * vw, ux * vy - uy * vx))
+    for name, x, indexed in points:
+        target = t[x]
+        _finite(name, target, reasons)
+        if target is None:
+            continue
+        missed: list[Triple] = []
+        tx, ty, tw = target
+        for label, i in indexed:
+            line = lines[i]
+            if line is None:
+                reasons.append(label + "_UNDEFINED")
+                continue
+            lx, ly, lw = line
+            if lx * tx + ly * ty + lw * tw and (reduced := reduce3(lx, ly, lw)) not in missed:
+                missed.append(reduced)
+                failures.append(f"{label} misses {name}")
 
 
 def _identity(key: str, formula: Pair, geometric: Optional[Pair], values: dict,
@@ -255,7 +261,8 @@ def _diagonal_collinearity(claim: str, cfg: Configuration) -> Verdict:
 
 
 _SEVEN = _slots("F1", "G1", "F2", "G2", "E")
-_SEVEN_LINES = tuple(_line(s, t) for s, t in E_LINE_PAIRS) + (("FG", SLOT["F1"], SLOT["G1"]),)
+_SEVEN_LINES = _incidences(("E", tuple((u + v, u, v) for u, v in E_LINE_PAIRS)
+                                  + (("FG", "F1", "G1"),)))
 
 
 def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
@@ -274,7 +281,7 @@ def _seven_lines(claim: str, cfg: Configuration) -> Verdict:
             values[key] = _b01(u == v)
             if u != v:
                 failures.append(key + " mismatch")
-    _concurrent_through(t, _SEVEN_LINES, "E", E, reasons, failures)
+    _concurrent_through(t, _SEVEN_LINES, reasons, failures)
     m, n, p, _, _ = cfg.ratios
     _identity("FE_over_EG", _diagonal_form(m, n, p), _ratio(F, E, G), values, reasons, failures)
     return _verdict(claim, reasons, failures, values, {"E": E} if E is not None else _EMPTY)
@@ -321,9 +328,9 @@ _QUADRUPLES = tuple(zip(("M1", "N1", "P1", "Q1"), DIAGONAL_PAIRS, (
     (("C", "C1"), ("D", "D1"), ("N", "Q")),
 )))
 
-# _QUADRUPLES over slots: each inner point's name and slot and its four lines
-_QUADRUPLE_SLOTS = tuple((x, SLOT[x], tuple(_line(*pair) for pair in (uv,) + cevians))
-                         for x, uv, cevians in _QUADRUPLES)
+# the four inner points on their 10 distinct lines
+_QUADRUPLE_LINES = _incidences(*[(x, tuple((u + v, u, v) for u, v in (uv,) + cevians))
+                                 for x, uv, cevians in _QUADRUPLES])
 _F1_G1_M1 = _slots("F1", "G1", "M1")
 
 
@@ -335,13 +342,9 @@ def _quadruple_concurrences(claim: str, cfg: Configuration) -> Verdict:
     reasons: list[str] = []
     failures: list[str] = []
     values: dict[str, Pair] = {}
-    witness: dict[str, Triple] = {}
     t = cfg.triples
-    for name, x, lines in _QUADRUPLE_SLOTS:
-        target = t[x]
-        _concurrent_through(t, lines, name, target, reasons, failures)
-        if target is not None:
-            witness[name] = target
+    _concurrent_through(t, _QUADRUPLE_LINES, reasons, failures)
+    witness = {name: t[x] for name, x, _ in _QUADRUPLE_LINES[1] if t[x] is not None}
     F1, G1, M1 = _F1_G1_M1(t)
     m, n, p, _, _ = cfg.ratios
     _identity("F1M1_over_M1G1", _diagonal_form(m, n, p), _ratio(F1, M1, G1), values, reasons,
@@ -379,11 +382,9 @@ def _ratio_product(claim: str, cfg: Configuration) -> Verdict:
     return _verdict(claim, reasons, [] if ok else ["product mismatch"], values)
 
 
-# the ratio in which each inner point divides its transversal: its key and
-# the slots of the transversal's first end, the inner point and the other end
-_SECTIONS = tuple((f"{a}{x}_over_{x}{b}", SLOT[a], SLOT[x], SLOT[b])
-                  for a, x, b in (("M", "M1", "P"), ("N", "N1", "Q"),
-                                  ("P", "P1", "M"), ("Q", "Q1", "N")))
+_INNER_NAMES = ("E", "M1", "N1", "P1", "Q1")
+_INNER = _slots(*_INNER_NAMES, "M", "N", "P", "Q")
+_SECTION_KEYS = ("MM1_over_M1P", "NN1_over_N1Q", "PP1_over_P1M", "QQ1_over_Q1N")
 
 
 def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
@@ -401,9 +402,11 @@ def _section_ratios(claim: str, cfg: Configuration) -> Verdict:
     values = {"MM1_over_M1P_weighted": formulas[0] if weighted_ok else weighted}
     reasons: list[str] = []
     failures: list[str] = []
-    t = cfg.triples
-    for (key, a, x, b), formula in zip(_SECTIONS, formulas):
-        _identity(key, formula, _ratio(t[a], t[x], t[b]), values, reasons, failures)
+    _, M1, N1, P1, Q1, M, N, P, Q = _INNER(cfg.triples)
+    (m1, p1), (n1, q1) = parameter_pairs(M, P, (M1, P1)), parameter_pairs(N, Q, (N1, Q1))
+    sections = (_split(m1), _split(n1), _split(p1, True), _split(q1, True))
+    for key, formula, section in zip(_SECTION_KEYS, formulas, sections):
+        _identity(key, formula, section, values, reasons, failures)
     if not weighted_ok:
         failures.append("MM1_over_M1P_weighted mismatch")
     return _verdict(claim, reasons, failures, values)
@@ -427,10 +430,6 @@ def _crossing_ratio_formula(claim: str, cfg: Configuration) -> Verdict:
     return _verdict(claim, reasons, failures, values, {"E": E} if E is not None else _EMPTY)
 
 
-_INNER_NAMES = ("E", "M1", "N1", "P1", "Q1")
-_INNER = _slots(*_INNER_NAMES, "M", "N", "P", "Q")
-
-
 def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
     """``E`` lies on both closed segments ``M1 P1`` and ``N1 Q1``, and the
     points along ``MP`` appear in the order dictated by the ratio-product
@@ -446,24 +445,25 @@ def _inner_quadrilateral(claim: str, cfg: Configuration) -> Verdict:
         if not (M1 == E == P1 and N1 == E == Q1):
             failures.append("product-one collapse violated")
     else:
-        calls = ((M, P, M1), (M, P, E), (M, P, P1), (N, Q, N1), (N, Q, E), (N, Q, Q1))
-        lams = [parameter_pair(*call) for call in calls]
+        lams = parameter_pairs(M, P, (M1, E, P1)) + parameter_pairs(N, Q, (N1, E, Q1))
         if None in lams:
+            calls = ((M, P, M1), (M, P, E), (M, P, P1), (N, Q, N1), (N, Q, E), (N, Q, Q1))
             error = parameter_error(*calls[lams.index(None)])
             return Verdict(claim, FAIL, detail=f"points left their carrier lines: {error}")
         # each affine parameter with a positive denominator
-        lam_m1, lam_e, lam_p1, lam_n1, lam_e2, lam_q1 = [_positive(lam) for lam in lams]
+        lam_m1, lam_e, lam_p1, (n1, n1d), (e, ed), (q1, q1d) = [
+            (num, den) if den > 0 else (-num, -den) for num, den in lams]
         values.update(lambda_M1_on_MP=lam_m1, lambda_E_on_MP=lam_e, lambda_P1_on_MP=lam_p1)
         if G < H:
-            order, violated = (lam_m1, lam_e, lam_p1), "order M-M1-E-P1-P violated"
+            (f, fd), (g, gd), violated = lam_m1, lam_p1, "order M-M1-E-P1-P violated"
         else:
-            order, violated = (lam_p1, lam_e, lam_m1), "order M-P1-E-M1-P violated"
+            (f, fd), (g, gd), violated = lam_p1, lam_m1, "order M-P1-E-M1-P violated"
         # 0 < first < E < last < 1
-        chain = ((0, 1),) + order + ((1, 1),)
-        if not all(_minus(v, u) > 0 for u, v in zip(chain, chain[1:])):
+        x, xd = lam_e
+        if not (0 < f and f * xd < x * fd and x * gd < g * xd and g < gd):
             failures.append(violated)
         # E - N1 and Q1 - E have the same sign, or one vanishes
-        if _minus(lam_e2, lam_n1) * _minus(lam_q1, lam_e2) < 0:
+        if (e * n1d - n1 * ed) * (q1 * ed - e * q1d) < 0:
             failures.append("E outside segment N1Q1")
     return _verdict(claim, reasons, failures, values, {"E": E})
 
