@@ -36,6 +36,9 @@ NONCONVEX_TARGETS = {claim: reads for claim, regime, *_, reads, _ in CLAIMS
                      if regime != "convex"}
 # each target's construction plan, compiled on its first search, not at import
 _target_plan = functools.cache(construction_plan)
+# the plan of a convex instance with gamma != 1: the reads of its claims
+_CONVEX_PLAN = construction_plan(name for _, regime, *_, reads, _ in CLAIMS
+                                 if regime in ("any", "convex") for name in reads)
 
 # invalid input exits 2; a configuration that does not build is degenerate,
 # which ``verify`` reports and ``fuzz`` tallies, and which exits 0
@@ -106,12 +109,15 @@ def _built(build, *parts) -> Configuration | str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int, plan: Plan):
+def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int,
+              plan: Plan | None):
     """Instances ``0 .. count - 1`` of the seeded stream the arguments name.
 
     Yields ``(index, quad, ratios, built)``, ``built`` as ``_built`` gives
-    it for the construction ``plan``; when rejection sampling gives up,
-    ``quad`` and ``ratios`` are None and ``built`` is its message.  The
+    it for the construction ``plan``, if None ``_CONVEX_PLAN`` on a convex
+    instance with ratio product other than one and ``FULL_PLAN`` on any
+    other; when rejection sampling gives up, ``quad`` and ``ratios`` are
+    None and ``built`` is its message.  The
     remarks regime alternates: product forced to one on even indices, free
     on odd, so both claim families get exercised.  Bad generator arguments
     raise on the first step, before any instance and even when ``count``
@@ -128,7 +134,9 @@ def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int, pla
         except GenerationExhausted as exc:
             yield index, None, None, str(exc)
             continue
-        yield index, quad, ratios, _built(build_from_ratios, quad, ratios, plan)
+        G, H = ratios.gamma
+        yield index, quad, ratios, _built(build_from_ratios, quad, ratios, plan or (
+            _CONVEX_PLAN if quad.shape == CONVEX and G != H else FULL_PLAN))
 
 
 def _write_output(path: str, text: str) -> None:
@@ -173,7 +181,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
 
     checked = False
     seed = str(args.seed)
-    for index, quad, ratios, built in _campaign(args, regime, shape, args.count, FULL_PLAN):
+    for index, quad, ratios, built in _campaign(args, regime, shape, args.count, None):
         meta = {"seed": seed, "index": index, "regime": regime}
         if quad is None:
             generation_exhausted += 1
