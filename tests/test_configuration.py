@@ -1,4 +1,6 @@
+import argparse
 import copy
+import io
 import pickle
 from fractions import Fraction
 from itertools import combinations
@@ -6,14 +8,15 @@ from itertools import combinations
 import pytest
 
 import naive_geometry as naive
-from quadconc import Quadrilateral, SideRatios, build_from_points, build_from_ratios
+from quadconc import Quadrilateral, SideRatios, build_from_points, build_from_ratios, cli
 from quadconc.configuration import (CONSTRUCTION, FULL_PLAN, POINT_NAMES, SLOT, _construct,
                                     construction_plan)
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc._purekernel import cross3, det3, reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
+from quadconc.instancefile import instance_from_parts
 from quadconc.kernel import dividing_terms
-from quadconc.report import configuration_json
+from quadconc.report import configuration_json, report_line
 from quadconc.verifiers import CLAIMS, verify_all
 from rationals import affine, frac, param, points, ratio, side_ratios, tri
 
@@ -205,6 +208,12 @@ class TestBuildFromPoints:
         h = F(1, 2)
         with pytest.raises(InstanceFormatError, match="point M does not lie on its side"):
             build_from_points(unit_square, tri(h, F(1, 100)), tri(1, h), tri(h, 1), tri(0, h))
+
+    def test_ideal_point_rejected_before_the_line_test(self, unit_square):
+        # the ideal point of AB is on its line, projectively
+        h = F(1, 2)
+        with pytest.raises(InstanceFormatError, match="M must be a finite point"):
+            build_from_points(unit_square, tri(1, 0, 0), tri(1, h), tri(h, 1), tri(0, h))
 
     def test_vertex_rejected(self, unit_square):
         h = F(1, 2)
@@ -627,3 +636,43 @@ def test_each_claims_plan_builds_and_decides_as_the_full_plan():
                             claim, shape, index)
     # the corpora collapse every row that can, which each plan runs
     assert collapsed == {"E", "M1", "N1", "P1", "Q1"}
+
+
+_CHORD_FLAGS = {f"{name}_{kind}" for name in "OXZYT" for kind in ("IDEAL", "UNDEFINED")}
+
+
+@pytest.mark.parametrize("bound", [10, 1000, 10**30])
+@pytest.mark.parametrize("regime, shape", [("gamma1", "convex"), ("general", "convex"),
+                                           ("general", "any")])
+def test_convex_fuzz_plan_leaves_out_only_flagless_chord_crossings(regime, shape, bound):
+    """On a convex instance, each of ``O X Z Y T`` crosses two chords, so the
+    full build sets none of their flags, with the product forced to one or
+    free; and the line ``fuzz`` writes from the build of its plan is the line
+    of the full build, byte for byte."""
+    args = argparse.Namespace(seed=5, coordinate_bound=bound,
+                              ratio_bound=8 if bound < 10**30 else bound)
+    count = 20 if bound == 10**30 else 60
+    convex = 0
+    for index, quad, ratios, built in cli._campaign(args, regime, shape, count, None):
+        if quad is None or quad.shape != "convex":
+            continue
+        convex += 1
+        full = cli._built(build_from_ratios, quad, ratios)
+        assert not full.degeneracies & _CHORD_FLAGS, (index, full.degeneracies)
+        # the plan leaves out the chord crossings exactly where the product is free
+        G, H = ratios.gamma
+        assert (built.triples[SLOT["O"]] is None) == (G != H), index
+        meta = {"seed": "5", "index": index, "regime": regime}
+        inst = instance_from_parts(quad, ratios)
+        assert report_line(meta, verify_all(built), built, inst) == report_line(
+            meta, verify_all(full), full, inst), index
+    assert convex > 0
+
+
+def test_nonconvex_fuzz_keeps_its_chord_crossing_flags():
+    # general --shape concave --seed 42 writes Y_IDEAL on its 247th line
+    out = io.StringIO()
+    cli.main(["fuzz", "--regime", "general", "--shape", "concave", "--seed", "42",
+              "--count", "247"], out=out)
+    assert out.getvalue().splitlines()[246].startswith(
+        '{"configuration":{"degeneracies":["Y_IDEAL"],')

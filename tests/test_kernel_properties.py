@@ -19,7 +19,7 @@ from quadconc import (
 from quadconc import SideRatios
 from quadconc._purekernel import det3
 from quadconc.instancefile import parse_instance, serialize_instance
-from quadconc.kernel import classify_triples, parameter_error, parameter_pair
+from quadconc.kernel import classify_triples, parameter_error, parameter_pair, parameter_pairs
 from quadconc.errors import GeometryError
 from rationals import affine, frac, pt, tri
 
@@ -215,15 +215,28 @@ def test_classify_rejects_an_ideal_vertex(a, b, c, ideal, i):
         Quadrilateral.of(*vertices)
 
 
-@given(*[st.one_of(small_points, ideal_points)] * 3, st.integers(-2, 2), st.integers(-2, 2))
+# coordinates up to 10**30, where a collinearity test that lost precision
+# would show
+large_points = st.builds(pt, st.fractions(-10**30, 10**30, max_denominator=10**30),
+                         st.fractions(-10**30, 10**30, max_denominator=10**30))
+
+
+@given(*[st.one_of(small_points, ideal_points, large_points)] * 3, st.integers(-2, 2),
+       st.integers(-2, 2))
 @example(pt(1, 0, 0), pt(1, 0), pt(0, 0), 0, 0)  # ideal
 @example(pt(1, 1), pt(2, 2, 2), pt(0, 0), 0, 0)  # coincident ends
 @example(pt(0, 0), pt(1, 0), pt(0, 1), 0, 0)  # off the line
 @example(pt(0, 0), pt(2, 0), pt(0, 0), 1, 1)  # on the line
+@example(pt(10**30, 1), pt(-10**30, Fraction(1, 10**30)),  # the midpoint, on the line
+         pt(0, Fraction(10**30 + 1, 2 * 10**30)), 1, 1)
 def test_parameter_pair_is_none_exactly_where_parameter_terms_raises(a, b, x, s, t):
     # besides a free x, the combination s*a + t*b is on the line through a and b
     on = tuple(s * u + t * v for u, v in zip(a.triple(), b.triple()))
-    for p in (x, *([pt(*on)] if any(on) else [])):
+    tested = (x, *([pt(*on)] if any(on) else []))
+    # the carrier form gives each point's pair, and None for an undefined one
+    assert parameter_pairs(a.triple(), b.triple(), [p.triple() for p in tested] + [None]) == [
+        parameter_pair(a.triple(), b.triple(), p.triple()) for p in tested] + [None]
+    for p in tested:
         pair = parameter_pair(a.triple(), b.triple(), p.triple())
         try:
             terms = affine_parameter(a, b, p)

@@ -200,6 +200,12 @@ class TestConcurrenceDetail:
         triples[SLOT[name]] = t
         return cfg._replace(triples=tuple(triples))
 
+    def test_a_shared_undefined_line_is_named_under_each_point(self, generic_gamma_two_config):
+        # AA1 is a line of both M1 and N1; with A1 on A it is undefined for both
+        cfg = generic_gamma_two_config
+        v = verdict(self.moved(cfg, "A1", points(cfg)["A"]), "quadruple_concurrences")
+        assert (v.status, v.detail) == (DEGENERATE, "AA1_UNDEFINED; AA1_UNDEFINED")
+
     def test_misses_outrank_degenerate_reasons(self, midpoint_config, gamma_two_config):
         # both configurations also carry a degenerate reason (F = G and
         # F1 = G1), which a failure must override
@@ -408,6 +414,14 @@ class TestComparisonBranches:
         assert (v.status, v.detail) == (
             FAIL, "points left their carrier lines: Point(0, 0) is not on the line "
                   "through Point(14/3, 2) and Point(1/2, 2)")
+        # E is off both carriers, and MP is checked first
+        for moved, line in (("E", "Point(2, 0) and Point(3, 7/2)"),
+                            ("P1", "Point(2, 0) and Point(3, 7/2)"),
+                            ("Q1", "Point(14/3, 2) and Point(1/2, 2)")):
+            v = verdict(with_points(cfg, **{moved: tri(0, 0)}), "inner_quadrilateral")
+            assert (v.status, v.detail) == (
+                FAIL, f"points left their carrier lines: Point(0, 0) is not on the line "
+                      f"through {line}"), moved
 
     def test_product_one_collapse(self, gamma_one_config):
         v = verdict(with_points(gamma_one_config, M1=tri(0, 0)), "inner_quadrilateral")
