@@ -8,34 +8,34 @@ diagonal division points ``F1 G1 F2 G2``, the transversal crossing ``E``,
 the quadruple-concurrence points ``M1 N1 P1 Q1``, and the trace ``R`` of
 ``NQ`` on line ``AB`` together with its unsigned ratio ``r``.
 
-Every point is a canonical integer triple ``(x, y, w)``: the vertices of
-a :class:`Quadrilateral`, the side points ``build_from_points`` takes and
+Every point is a canonical integer triple ``(x, y, w)``: the vertices of a
+:class:`Quadrilateral`, the side points ``build_from_points`` takes and
 every constructed point.  ``construction_plan`` compiles ``CONSTRUCTION``
-into the slot plan of a read set: the inputs ``A B C D M N P Q`` take
-slots 0-7, row *i* takes slot 8 + *i*, each distinct line has one index
-and is built at the first row of the plan that uses it, and the plan
-holds the rows the named points need, transitively, and the rows that can
-collapse.  ``FULL_PLAN``, compiled at import, holds every row; ``verify``
-and ``figure`` build with it, ``counterexample`` with the plan of its
-target's read set, and ``fuzz`` with the plan of its instance's claims on
-a convex instance with ratio product other than one, else with
-``FULL_PLAN``.  That plan leaves out ``O X Z Y T``, which set no flag
-there: with the side points inside their sides of a strictly convex
-quadrilateral, each is the crossing of two chords (``AC·BD``, ``AN·BQ``,
-``DN·CQ``, ``CM·BP``, ``AP·DM``).  A row left out of a plan holds ``None``
-and sets no flag, and without ``R`` the ratio ``r`` is ``None``.  ``construct_triples`` runs any
-plan on bare triples with the reduction as a parameter (``reduce3`` here).
-Each line is the unreduced cross product of the triples of its two points,
-a transient triple that only feeds meets, and each meet is one reduction
-of the cross product of two lines; the kernel's ``Line``, ``line_through``
-and ``meet`` are public API, not this path.  The side points come from the
-kernel's ``dividing_terms`` and ``r`` from the ``parameter_pair`` of the
-``R`` triple; ``build_from_points`` checks each given side point with
-``w == 0`` and tuple ``==`` and reads its ratio from ``parameter_pair``,
-which is ``None`` off the side's line.  Coincidences the construction can survive are
+into the slot plan of a read set: the inputs ``A B C D M N P Q`` take slots
+0-7, row *i* takes slot 8 + *i*, each distinct line has one index and is
+built at the first row of the plan that uses it, and the plan holds the rows
+the named points need, transitively, and the rows that can collapse.
+``FULL_PLAN``, compiled at import, holds every row; ``verify`` and
+``figure`` build with it, ``counterexample`` with the plan of its target's
+read set, and ``fuzz`` with the plan of its instance's claims on a convex
+instance with ratio product other than one, else with ``FULL_PLAN``.  That
+plan leaves out ``O X Z Y T``, which set no flag there: with the side points
+inside their sides of a strictly convex quadrilateral, each is the crossing
+of two chords (``AC·BD``, ``AN·BQ``, ``DN·CQ``, ``CM·BP``, ``AP·DM``).  A
+row left out of a plan holds ``None`` and sets no flag, and without ``R``
+the ratio ``r`` is ``None``.  ``construct_triples`` runs any plan on bare
+triples with the reduction as a parameter (``reduce3`` here).  Each line is
+the unreduced cross product of the triples of its two points, a transient
+triple that only feeds meets, and each meet is one reduction of the cross
+product of two lines; the kernel's ``Line``, ``line_through`` and ``meet``
+are public API, not this path.  The side points come from the kernel's
+``dividing_terms`` and ``r`` from the ``parameter_pair`` of the ``R``
+triple; ``build_from_points`` checks each given side point with ``w == 0``
+and tuple ``==`` and reads its ratio from ``parameter_pair``, which is
+``None`` off the side's line.  Coincidences the construction can survive are
 recorded as named degeneracy flags (``DIAGONAL_FLAGS`` names those of
-``DIAGONAL_PAIRS``) instead of raising; a built point is stored as
-``None`` only when one of its defining lines collapses entirely.
+``DIAGONAL_PAIRS``) instead of raising; a built point is stored as ``None``
+only when one of its defining lines collapses entirely.
 
 A :class:`Configuration` holds the plan's result as one tuple,
 ``triples``: the canonical triple of every named point in

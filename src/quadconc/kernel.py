@@ -42,9 +42,10 @@ Conventions
 * ``parameter_pair`` is that parameter on bare triples: the ``(num, den)``
   pair, or ``None`` where a triple is ideal, the ends coincide or the
   point is off the line.  ``parameter_pairs``, its carrier form, forms the
-  direction ``(d0, d1)`` of ``b - a`` once for several points; the ends
-  coincide when it is zero, and ``x`` is on the line when ``e0*d1 - e1*d0``
-  is, with ``(e0, e1)`` the offset ``x - a``: that is ``-aw*det3(a, b, x)``.
+  direction ``(d0, d1)`` of ``b - a`` once for several points.  The ends
+  coincide where it is ``(0, 0)``, and with ``(e0, e1)`` the offset
+  ``x - a``, ``x`` is off the line where ``e0*d1 - e1*d0``, which is
+  ``-aw*det3(a, b, x)``, is not 0.
   ``parameter_error`` writes why it is ``None``, the text of the
   ``GeometryError`` that ``affine_parameter`` raises on three points.
 * ``classify_triples`` classifies four canonical finite triples by the

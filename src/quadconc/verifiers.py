@@ -145,10 +145,9 @@ def _incidences(*points: tuple[str, tuple[tuple[str, str, str], ...]]) -> tuple:
     """The table of ``_concurrent_through`` for ``points``, each a name and its
     lines ``(label, u, v)``: the slot pairs of the distinct lines, in order of
     first use, and per point its name, slot and lines ``(label, pair index)``."""
-    pairs = tuple(dict.fromkeys((SLOT[u], SLOT[v]) for _, lines in points for _, u, v in lines))
+    pairs = tuple(dict.fromkeys((SLOT[u], SLOT[v]) for _, uvs in points for _, u, v in uvs))
     return pairs, tuple((name, SLOT[name], tuple((label, pairs.index((SLOT[u], SLOT[v])))
-                                                 for label, u, v in lines))
-                        for name, lines in points)
+                                                 for label, u, v in uvs)) for name, uvs in points)
 
 
 def _concurrent_through(t: tuple, table: tuple, reasons: list[str], failures: list[str]) -> None:
