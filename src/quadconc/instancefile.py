@@ -19,13 +19,13 @@ silently.  ``parse_rational`` reads one as the pair ``(p, q)``, which
 :class:`SideRatios` reduces; ``kernel.reduced_text`` writes the stored
 lowest-terms pair back.  A point is read as its canonical triple
 (``kernel.triple_from_terms``) and written back by ``kernel.triple_text``.
+``render`` writes a document with the standard library's ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from json.encoder import encode_basestring_ascii as _ascii
 from typing import Callable, NamedTuple, Optional
 
 from .configuration import (
@@ -172,39 +172,13 @@ def instance_document(inst: InstanceFile) -> dict:
     return doc
 
 
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _pretty(o: object, pad: str) -> str:
-    """``o`` as ``json.dumps`` writes it with sorted keys and an indent
-    of two, at the indent ``pad``: one item per line, two spaces per
-    level.  With an indent, ``json`` leaves its C encoder for a
-    pure-Python one; here only the layout is Python, and each string and
-    scalar is ``json``'s own.  String items, the most common, skip the
-    recursive call."""
-    if isinstance(o, str):
-        return _ascii(o)
-    inner = pad + "  "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [_ascii(k) + ": " + (_ascii(v) if isinstance(v, str) else _pretty(v, inner))
-                 for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [_ascii(v) if isinstance(v, str) else _pretty(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(o)
-
-
 def render(doc: dict, compact: bool = False) -> str:
-    """Canonical JSON text of an instance, a report or a summary: sorted
-    keys, LF line endings."""
+    """Canonical JSON text of a document written once per command, or of
+    a report tree: ``json.dumps`` with sorted keys, an indent of two unless
+    ``compact``, and a final LF."""
     if compact:
-        return _COMPACT.encode(doc) + "\n"
-    return _pretty(doc, "\n") + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def serialize_instance(inst: InstanceFile) -> str:

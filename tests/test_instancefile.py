@@ -1,4 +1,3 @@
-import io
 import json
 import sys
 from fractions import Fraction
@@ -7,10 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quadconc.cli import main
-from quadconc.errors import InstanceFormatError
+from quadconc import build_from_ratios
+from quadconc.errors import InstanceFormatError, UndefinedPoint
+from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import (
     _parse_pair,
+    instance_document,
     instance_from_parts,
     parse_instance,
     parse_rational,
@@ -18,6 +19,8 @@ from quadconc.instancefile import (
     serialize_instance,
 )
 from quadconc.kernel import triple_from_terms
+from quadconc.report import degenerate_verdicts, report_document, report_line, report_text
+from quadconc.verifiers import CLAIM_IDS, verify_all
 from rationals import affine, frac, points, side_ratios, tri
 
 F = Fraction
@@ -221,23 +224,38 @@ class TestRender:
         assert render(doc, compact=True) == json.dumps(
             doc, sort_keys=True, separators=(",", ":")) + "\n"
 
-    def test_commands_never_reach_the_python_encoder(self, tmp_path, monkeypatch):
+    def test_per_instance_writers_never_reach_the_python_encoder(self, monkeypatch):
         """``json.dumps`` with an indent leaves the C encoder for
-        ``json.encoder._make_iterencode``; no command may need it."""
+        ``json.encoder._make_iterencode``.  ``render`` may take it for the
+        documents written once per command; the per-instance writers may
+        not: ``report_line`` on built and degenerate instances of each
+        regime, and ``report_text`` given its instance text rendered
+        beforehand.  Each writes the bytes of the report tree."""
+        cases = []
+        for regime, shape, force in (("gamma1", "convex", True), ("general", "convex", False),
+                                     ("remarks", "crossed", True), ("remarks", "crossed", False)):
+            spec = GenSpec(seed=1, shape=shape, force_gamma_one=force)
+            for index in range(3):
+                quad, ratios = gen_quadrilateral(spec, index), gen_ratios(spec, index)
+                inst = instance_from_parts(quad, ratios)
+                meta = {"seed": "1", "index": index, "regime": regime}
+                reason = "UndefinedPoint: written for every instance"
+                try:
+                    cfg = build_from_ratios(quad, ratios)
+                except UndefinedPoint as exc:
+                    reason = f"UndefinedPoint: {exc}"
+                else:
+                    cases.append((meta, verify_all(cfg), cfg, inst))
+                cases.append((meta, degenerate_verdicts(CLAIM_IDS, reason), None, inst))
+        expected = [(render(report_document(*case[:3], instance=case[3]), compact=True),
+                     render(report_document(*case[:3], instance=case[3])),
+                     render(instance_document(case[3]))) for case in cases]
+        assert any(case[2] is None and "written" not in case[1][0].detail for case in cases)
+
         def refuse(*args, **kwargs):
             raise AssertionError("pure-Python JSON encoder called")
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-        path = tmp_path / "instance.json"
-        path.write_text(MIDPOINT_DOC, encoding="utf-8")
-        found = tmp_path / "found.json"
-        for argv in (
-            ["verify", str(path)],
-            ["fuzz", "--regime", "general", "--seed", "1", "--count", "3"],
-            ["counterexample", "--shape", "crossed", "--target",
-             "inner_quadrilateral_convexity", "--budget", "500", "-o", str(found)],
-        ):
-            out = io.StringIO()
-            assert main(argv, out=out) == 0, argv
-            assert out.getvalue().endswith("}\n")
-        assert found.read_text(encoding="utf-8") == out.getvalue()
+        for (meta, verdicts, cfg, inst), (line, text, instance_text) in zip(cases, expected):
+            assert report_line(meta, verdicts, cfg, inst) == line
+            assert report_text(meta, verdicts, cfg, instance_text) == text
