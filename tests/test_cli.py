@@ -347,6 +347,19 @@ class TestVerifyReport:
             checked = run(["verify", str(path), "--check", "quadruple_concurrences"])[1]
             assert json.loads(checked)["configuration"] == full
 
+    @pytest.mark.parametrize("checks, written, claims", [
+        ([], "all", verifiers.CLAIM_IDS),
+        (["all"], "all", verifiers.CLAIM_IDS),
+        # a list is written back as given; its claims run once each, in table order
+        (["seven_lines", "crossing_ratios", "seven_lines"],
+         ["seven_lines", "crossing_ratios", "seven_lines"], ("seven_lines", "crossing_ratios")),
+    ])
+    def test_checks_forms_are_written_back(self, tmp_path, checks, written, claims):
+        code, out = run(["verify", write_instance(tmp_path, {**MIDPOINT, "checks": checks})])
+        report = json.loads(out)
+        assert code == 0 and report["instance"]["checks"] == written
+        assert tuple(v["claim"] for v in report["verdicts"]) == claims
+
     def test_verify_builds_no_report_tree(self, tmp_path, monkeypatch):
         # verify writes both its branches straight from the verdicts
         calls = []

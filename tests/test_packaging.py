@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -248,3 +249,14 @@ def test_benchmark_only_surface_is_pinned():
     # a name leaves this set when a command starts to call it or the
     # benchmark stops, and the name then goes from src/ with it
     assert _uncalled(set()) == _BENCHMARK_ONLY
+
+
+def test_readme_names_the_benchmark_only_surface():
+    # README § Kernel's *Library surface* paragraph lists the same names;
+    # a name counts as listed when a code span there is its dotted suffix
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    start = readme.index("*Library surface.*")
+    spans = re.findall(r"`([\w.]+)`", readme[start:readme.index("\n- ", start)])
+    unnamed = {name for name in _BENCHMARK_ONLY
+               if not any(name == span or name.endswith("." + span) for span in spans)}
+    assert not unnamed, f"README's library surface omits {', '.join(sorted(unnamed))}"
