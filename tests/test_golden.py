@@ -1,7 +1,7 @@
 """Golden output bytes: a change that alters any report or figure byte
 fails here.
 
-The fuzz digests are the sha256 of ``quadconc fuzz --seed 42 --count 200``
+The fuzz digests are the sha256 of ``quadconc fuzz --seed 42 --count 1000``
 in each regime, as the command writes it to stdout.  The figure digests
 are the sha256 of ``render_svg`` over a generated stream, once with the
 default layers and once per single layer.  The verdict corpus digest is
@@ -39,23 +39,23 @@ from rationals import points, tri
 from test_verifiers import with_points
 
 GOLDEN = {
-    ("gamma1",): "29cf24f6cfa2b07d81c540165cc2b107b26e741af7f0424bcca5934bf807049d",
-    ("general",): "5323b08fcc1e388ce0da8a6364cbbc1063c6fe469d98975be1895a483b246e9f",
-    ("remarks",): "2caa321a5e82ab801cf1cfbb212b778f0ddb05d948411a6f072e87ea5ec88af2",
+    ("gamma1",): "62b98c06f06714a51a9c8dad52286655916bce70f0dfe5a4d06890e430336d11",
+    ("general",): "547d4e728731519eecb7b40dbf6464a953595432b60985bf0bd7d2774f5a228e",
+    ("remarks",): "7820bb6abc623d41ef38c3e2a1ef68f2dde04b1cb146b16a448d2a0cba6bf3e1",
     ("remarks", "--shape", "concave"):
-        "1e21c51b9ce9b074a72341a34747c3a482f315e822a41097ad04f450919103d3",
+        "7767aa57bef2156a101391fca82e28774a91ddc15642e9d7c21044db020f0a8c",
     ("general", "--shape", "any"):
-        "a0177ae39431cbb4e563b58cd8ae03950efca1cd31e6d49784b462b8cd2bd37e",
+        "e0b8c3cf3287634a17652550929c947a3c35e720b75c99c64cdb9f8612bba64c",
     # large bounds: the construction's intermediate integers are widest here
     ("general", "--shape", "any", "--bound", str(10**30), "--ratio-bound", str(10**30)):
-        "91cec01398d20ee2a00dbee0e4a531eb67f8d67f9dcd790c2f0b61fb3e26ef0b",
+        "54b4b40f6943f01a7b80a9556768859ce9b811f159c3e47cc324b429cfb5b4ac",
 }
 
 
 @pytest.mark.parametrize("regime", sorted(GOLDEN), ids=" ".join)
 def test_fuzz_bytes_match_golden_digest(regime):
     out = io.StringIO()
-    main(["fuzz", "--seed", "42", "--count", "200", "--regime", *regime], out=out)
+    main(["fuzz", "--seed", "42", "--count", "1000", "--regime", *regime], out=out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GOLDEN[regime]
 
 
