@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from operator import itemgetter
 
 from .configuration import (FULL_PLAN, Configuration, Plan, build_from_ratios,
                             construction_plan)
@@ -26,7 +27,7 @@ from .kernel import CONCAVE, CONVEX, CROSSED
 # until ROADMAP item 8 step (a) points its traced patches and probe at the writer
 from .report import (degenerate_report, degenerate_verdicts, report_document, report_line,
                      report_text)
-from .svgfig import LAYERS, render_svg, select_layers
+from .svgfig import DRAWN_PLAN, LAYERS, render_svg, select_layers
 from .verifiers import (CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, FINDING_CLAIMS, PASS, SKIPPED,
                         overall_status, select_claims, verify_all)
 
@@ -166,6 +167,9 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace, out) -> int:
+    """Write a compact report line per instance, then the summary, whose
+    ``claims`` fold the count of each tuple of statuses a built line had;
+    only a line with a ``fail`` collects its failed claims."""
     if args.count < 1:
         raise InstanceFormatError("--count must be at least 1")
     regime = args.regime
@@ -173,7 +177,7 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
     if regime == "remarks" and shape not in (CONCAVE, CROSSED):
         raise InstanceFormatError("the remarks regime needs --shape concave or crossed")
 
-    tallies = {claim: {PASS: 0, FAIL: 0, DEGENERATE: 0, SKIPPED: 0} for claim in CLAIM_IDS}
+    status_counts: dict[tuple[str, ...], int] = {}
     # instances where a claim other than a finding claim failed
     failing_instances: list[dict] = []
     generation_exhausted = 0
@@ -206,16 +210,23 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
         out.write(line)
         if cfg is None:
             continue
-        for v in verdicts:
-            tallies[v.claim_id][v.status] += 1
+        statuses = tuple(map(itemgetter(1), verdicts))
+        status_counts[statuses] = status_counts.get(statuses, 0) + 1
+        if FAIL not in statuses:
+            continue
         failed = {v.claim_id for v in verdicts if v.status == FAIL}
         if failed - FINDING_CLAIMS:
             failing_instances.append(instance_document(inst))
-        if args.dump_dir and failed:
+        if args.dump_dir:
             os.makedirs(args.dump_dir, exist_ok=True)
             _write_output(os.path.join(args.dump_dir, f"fail-seed{args.seed}-index{index}.json"),
                           serialize_instance(inst))
 
+    tallies = {claim: {PASS: 0, FAIL: 0, DEGENERATE: 0, SKIPPED: 0} for claim in CLAIM_IDS}
+    for statuses, lines in status_counts.items():
+        # verify_all returns every claim's verdict in CLAIM_IDS order
+        for claim, status in zip(CLAIM_IDS, statuses):
+            tallies[claim][status] += lines
     summary = {
         "command": "fuzz",
         "regime": regime,
@@ -266,7 +277,7 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.file)
     # an empty list draws every layer, as an empty --check runs every claim
     layers = select_layers(_ids([args.layers or ""]) or None)
-    built = _built(inst.configuration)
+    built = _built(inst.configuration, DRAWN_PLAN)
     if isinstance(built, str):
         print(f"degenerate: {built}", file=sys.stderr)
         return 0

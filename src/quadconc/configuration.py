@@ -15,8 +15,9 @@ into the slot plan of a read set: the inputs ``A B C D M N P Q`` take slots
 0-7, row *i* takes slot 8 + *i*, each distinct line has one index and is
 built at the first row of the plan that uses it, and the plan holds the rows
 the named points need, transitively, and the rows that can collapse.
-``FULL_PLAN``, compiled at import, holds every row; ``verify`` and
-``figure`` build with it, ``counterexample`` with the plan of its target's
+``FULL_PLAN``, compiled at import, holds every row; ``verify`` builds
+with it, ``figure`` with the plan of the points it draws
+(``svgfig.DRAWN_PLAN``), ``counterexample`` with the plan of its target's
 read set, and ``fuzz`` with the plan of its instance's claims on a convex
 instance with ratio product other than one, else with ``FULL_PLAN``.  That
 plan leaves out ``O X Z Y T``, which set no flag there: with the side points
@@ -160,7 +161,7 @@ def construction_plan(names: Iterable[str]) -> Plan:
     return Plan(tuple(steps), "R" in wanted)
 
 
-# the plan of every row, which verify, fuzz and figure build
+# the plan of every row, which verify and fuzz build
 FULL_PLAN = construction_plan(POINT_NAMES)
 _DIAGONAL_SLOTS = tuple((SLOT[u], SLOT[v], flag)
                         for (u, v), flag in zip(DIAGONAL_PAIRS, DIAGONAL_FLAGS))
@@ -333,9 +334,9 @@ def build_from_ratios(quad: Quadrilateral, ratios: SideRatios,
 
 
 def build_from_points(quad: Quadrilateral, M: Triple, N: Triple, P: Triple,
-                      Q: Triple) -> Configuration:
+                      Q: Triple, plan: Plan = FULL_PLAN) -> Configuration:
     """Recover the side ratios from explicit side points, given as canonical
-    triples, then construct.
+    triples, then derive the points ``plan`` builds, by default every one.
 
     Each point must lie on the line of its side and differ from the
     side's endpoints; for convex quadrilaterals it must additionally lie
@@ -361,5 +362,5 @@ def build_from_points(quad: Quadrilateral, M: Triple, N: Triple, P: Triple,
             raise InstanceFormatError(f"{name} is outside its open side")
         ratios.append((num, den))
     # dividing_terms inverts this ratio exactly: the built side points are M N P Q
-    return _construct(quad, SideRatios(*ratios))
+    return _construct(quad, SideRatios(*ratios), plan)
 

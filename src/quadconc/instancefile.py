@@ -29,7 +29,9 @@ import re
 from typing import Callable, NamedTuple, Optional
 
 from .configuration import (
+    FULL_PLAN,
     Configuration,
+    Plan,
     Quadrilateral,
     SideRatios,
     Triple,
@@ -97,12 +99,14 @@ class InstanceFile(NamedTuple):
     points: Optional[tuple[Triple, Triple, Triple, Triple]]
     checks: tuple[str, ...]  # empty means "all"
 
-    def configuration(self) -> Configuration:
+    def configuration(self, plan: Plan = FULL_PLAN) -> Configuration:
+        """The configuration of the instance, with the points ``plan``
+        builds, by default every one, from its ratios or its side points."""
         quad = Quadrilateral.of(*self.vertices)
         if self.ratios is not None:
-            return build_from_ratios(quad, self.ratios)
+            return build_from_ratios(quad, self.ratios, plan)
         assert self.points is not None
-        return build_from_points(quad, *self.points)
+        return build_from_points(quad, *self.points, plan)
 
 
 def parse_instance(text: str, source: str = "<instance>") -> InstanceFile:
@@ -188,5 +192,5 @@ def serialize_instance(inst: InstanceFile) -> str:
 
 def instance_from_parts(quad: Quadrilateral, ratios: SideRatios,
                         checks: tuple[str, ...] = ()) -> InstanceFile:
-    """Wrap a generated quadrilateral and ratio tuple for replay."""
-    return InstanceFile(vertices=quad.vertices, ratios=ratios, points=None, checks=checks)
+    """Wrap a generated quadrilateral and ratio tuple for replay, positionally."""
+    return tuple.__new__(InstanceFile, (quad.vertices, ratios, None, checks))

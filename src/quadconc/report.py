@@ -16,10 +16,12 @@ its ``instance`` block the instance file's own text indented one level.
 Each layout's fixed text, keys in sorted order, is made at import, and
 nothing that is the same on every report is made again per report:
 
-* a report's verdict shape (each verdict's claim id, status, witness
-  names and exact-value keys) is compiled on first use into one ``%``
-  format per layout, all of that fixed text, escaped, and the overall
-  status inlined, and kept for up to ``_SHAPES_MAX`` shapes;
+* a report's shape (its meta keys, in the order given, and each
+  verdict's claim id, status, witness names and exact-value keys) is
+  compiled on first use into one ``%`` format per layout, all of that
+  fixed text, escaped and in sorted order, and the overall status
+  inlined, and kept for up to ``_SHAPES_MAX`` shapes; so each meta value
+  is the only meta text written per report;
 * coordinates are written from the canonical triples of the vertices,
   the side points and the witnesses by ``kernel.triple_text``, whose
   texts need no escape, and each distinct witness triple's text once per
@@ -31,11 +33,11 @@ nothing that is the same on every report is made again per report:
   needs no escape.
 
 Every other string goes through ``json``'s C escaper as it is: the meta
-keys, the flags, the shape and the claim ids of ``checks`` on each use,
-and each distinct ``detail`` once per report.  The tree
-(``report_document``) uses the same text functions, so the writer and
-the tree agree on any input.  It remains as the test oracle and as the
-check of each ``fuzz`` campaign's first line.
+values that are strings, the flags, the shape and the claim ids of
+``checks`` on each use, and each distinct ``detail`` once per report.
+The tree (``report_document``) uses the same text functions, so the
+writer and the tree agree on any input.  It remains as the test oracle
+and as the check of each ``fuzz`` campaign's first line.
 """
 
 from __future__ import annotations
@@ -179,11 +181,14 @@ _SHAPES_MAX = 256
 _shapes: dict = {}
 
 
-def _compile(layout: tuple, verdicts: Sequence[Verdict], shape: tuple) -> tuple[str, tuple]:
-    """The format of a report in ``layout`` with the verdicts' ``shape``,
-    every fixed text inlined with each ``%`` doubled, and each verdict's
+def _compile(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
+             shape: tuple) -> tuple[str, tuple, tuple]:
+    """The format of a report in ``layout`` with the meta keys and the
+    verdicts' ``shape``, every fixed text inlined with each ``%`` doubled;
+    the meta keys in sorted order, as their slots follow; and each verdict's
     exact-value keys and witness names in sorted order, as its slots follow."""
-    report, _, verdict, colon, _, _, (v_open, v_sep, v_close), (m_open, m_sep, m_close), _ = layout
+    (report, _, verdict, colon, (k_open, k_sep, k_close), _, (v_open, v_sep, v_close),
+     (m_open, m_sep, m_close), _) = layout
 
     def fixed(text: str) -> str:
         return _ascii(text).replace("%", "%%")
@@ -198,8 +203,12 @@ def _compile(layout: tuple, verdicts: Sequence[Verdict], shape: tuple) -> tuple[
         orders.append((keys, names))
         parts.append(verdict % (fixed(claim), "%s", members(keys, '"%s"'), fixed(status),
                                 members(names, "%s")))
-    entry = (report % ("%s", "%s", "%s", fixed(overall_status(verdicts)),
-                       v_open + v_sep.join(parts) + v_close if parts else "[]"), tuple(orders))
+    meta_keys = tuple(sorted(meta))
+    meta_format = k_open + k_sep.join([fixed(key) + colon + "%s" for key in meta_keys]) \
+        + k_close if meta_keys else "{}"
+    entry = (report % ("%s", "%s", meta_format, fixed(overall_status(verdicts)),
+                       v_open + v_sep.join(parts) + v_close if parts else "[]"),
+             meta_keys, tuple(orders))
     if len(_shapes) < _SHAPES_MAX:
         _shapes[shape] = entry
     return entry
@@ -208,11 +217,10 @@ def _compile(layout: tuple, verdicts: Sequence[Verdict], shape: tuple) -> tuple[
 def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
            cfg: Optional[Configuration], instance_text: str) -> str:
     """The report in ``layout``, its ``instance`` value the JSON text
-    ``instance_text``, filled into the format of its verdicts' shape.  The
-    text of each distinct detail, witness triple and exact-value pair is
-    written once."""
-    (report, configuration_format, _, colon, meta_layout, flags_layout, _, _,
-     (p_open, p_sep, p_close)) = layout
+    ``instance_text``, filled into the format of its meta keys and its
+    verdicts' shape.  The text of each meta value is written, and of each
+    distinct detail, witness triple and exact-value pair once."""
+    report, configuration_format, _, _, _, flags_layout, _, _, (p_open, p_sep, p_close) = layout
     configuration = ""
     if cfg is not None:
         opening, separator, closing = flags_layout
@@ -222,14 +230,11 @@ def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
         configuration = configuration_format % (
             flags, reduced_text(*cfg.ratios.gamma), reduced_text(*cfg.r_ratio),
             _ascii(cfg.quad.shape))
-    opening, separator, closing = meta_layout
-    meta_text = opening + separator.join([_ascii(key) + colon + _meta_value(value)
-                                          for key, value in sorted(meta.items())]) + closing \
-        if meta else "{}"
-    shape = (report, *[(claim, status, tuple(witness), tuple(values))
-                       for claim, status, _, witness, values in verdicts])
-    shape_format, orders = _shapes.get(shape) or _compile(layout, verdicts, shape)
-    args = [configuration, instance_text, meta_text]
+    shape = (report, tuple(meta), *[(claim, status, tuple(witness), tuple(values))
+                                    for claim, status, _, witness, values in verdicts])
+    shape_format, meta_keys, orders = _shapes.get(shape) or _compile(layout, meta, verdicts,
+                                                                     shape)
+    args = [configuration, instance_text, *[_meta_value(meta[key]) for key in meta_keys]]
     texts: dict = {}  # keyed by detail, pair and triple, which never compare equal
     for (_, _, detail, witness, values), (keys, names) in zip(verdicts, orders):
         args.append(texts.get(detail) or texts.setdefault(detail, _ascii(detail)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration
+from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration, construction_plan
 from .errors import InstanceFormatError
 
 RENDER_DIGITS = 12
@@ -38,6 +38,9 @@ _FRAME = ("A", "B", "C", "D", "M", "N", "P", "Q", "O", "E",
           "F1", "G1", "F2", "G2", "M1", "N1", "P1", "Q1")
 _DRAWN = _FRAME + ("A1", "B1", "C1", "D1")
 _DRAWN_SLOTS = tuple((name, SLOT[name]) for name in _DRAWN)
+# the construction plan of the drawn points, which ``figure`` builds: it
+# leaves out X Z Y T and R, whose flags and r no figure writes
+DRAWN_PLAN = construction_plan(_DRAWN)
 _INNER = ("M1", "N1", "P1", "Q1")
 
 

@@ -198,7 +198,7 @@ def _identity(key: str, formula: Pair, geometric: Optional[Pair], values: dict,
     values[key + "_formula"] = formula
     if geometric is None:
         reasons.append(key + "_UNDEFINED")
-    elif _equal(geometric, formula):
+    elif geometric[0] * formula[1] == formula[0] * geometric[1]:
         values[key] = formula
     else:
         values[key] = geometric
@@ -207,12 +207,13 @@ def _identity(key: str, formula: Pair, geometric: Optional[Pair], values: dict,
 
 def _verdict(claim: str, reasons: list[str], failures: list[str], values: Mapping = _EMPTY,
              witness: Mapping = _EMPTY) -> Verdict:
-    """Any failure fails the claim, else any reason makes it degenerate."""
+    """Any failure fails the claim, else any reason makes it degenerate.  A
+    pass, the common case, is built positionally, past ``Verdict.__new__``."""
     if failures:
         return Verdict(claim, FAIL, "; ".join(failures), witness, values)
     if reasons:
         return Verdict(claim, DEGENERATE, "; ".join(reasons), witness, values)
-    return Verdict(claim, PASS, "", witness, values)
+    return tuple.__new__(Verdict, (claim, PASS, "", witness, values))
 
 
 def _diagonal_form(m: Pair, n: Pair, p: Pair) -> Pair:
@@ -553,8 +554,9 @@ def _rule(claim: str, regime: str, skip: str,
         if not in_regime(cfg):
             if skipped is not None:
                 return skipped
-            return Verdict(claim, SKIPPED,
-                           detail=skip_head + reduced_text(*cfg.ratios.gamma) + skip_tail)
+            # built positionally: every general instance skips four claims here
+            detail = skip_head + reduced_text(*cfg.ratios.gamma) + skip_tail
+            return tuple.__new__(Verdict, (claim, SKIPPED, detail, _EMPTY, _EMPTY))
         return check(claim, cfg)
 
     return run

@@ -60,6 +60,18 @@ def last_json(text):
     return json.loads(text[idx:])
 
 
+def recount(text):
+    """The ``claims`` tallies of a ``fuzz`` stream, recounted from the
+    statuses of its report lines that have a ``configuration`` block."""
+    tallies = {claim: {"pass": 0, "fail": 0, "degenerate": 0, "skipped": 0}
+               for claim in verifiers.CLAIM_IDS}
+    for line in text[:text.rindex("\n{\n") + 1].splitlines():
+        doc = json.loads(line)
+        for v in doc["verdicts"] if "configuration" in doc else ():
+            tallies[v["claim"]][v["status"]] += 1
+    return tallies
+
+
 class TestVerify:
     def test_midpoint_instance_exits_zero(self, tmp_path):
         path = write_instance(tmp_path, MIDPOINT)
@@ -439,7 +451,7 @@ class TestFuzz:
         findings = summary["findings"]["inner_quadrilateral_convexity"]
         assert findings == summary["claims"]["inner_quadrilateral_convexity"]["fail"] > 0
 
-    def test_failing_instance_listed_once(self, monkeypatch):
+    def test_failing_instance_listed_once(self, monkeypatch, tmp_path):
         def failing(claim, runner):
             if claim not in ("ratio_product", "section_ratios"):
                 return runner
@@ -447,12 +459,28 @@ class TestFuzz:
 
         monkeypatch.setattr(verifiers, "CLAIM_RUNNERS", tuple(
             (claim, failing(claim, runner)) for claim, runner in verifiers.CLAIM_RUNNERS))
-        code, out = run(["fuzz", "--regime", "general", "--seed", "3", "--count", "2"])
+        code, out = run(["fuzz", "--regime", "general", "--seed", "3", "--count", "2",
+                         "--dump-dir", str(tmp_path)])
         assert code == 1
         summary = last_json(out)
         assert summary["claims"]["ratio_product"]["fail"] == 2
         assert summary["claims"]["section_ratios"]["fail"] == 2
+        assert summary["claims"] == recount(out)
         assert len(summary["failing_instances"]) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "fail-seed3-index0.json", "fail-seed3-index1.json"]
+
+    def test_claim_tallies_recount_the_lines(self):
+        # each built line's statuses are counted as one tuple and folded
+        # into the tallies after the loop; a line that did not build counts
+        # in construction_errors alone
+        code, out = run(["fuzz", "--regime", "remarks", "--shape", "concave", "--seed", "42",
+                         "--count", "200"])
+        assert code == 0
+        summary = last_json(out)
+        assert summary["construction_errors"] == 13
+        assert summary["findings"] == {"inner_quadrilateral_convexity": 65}
+        assert summary["claims"] == recount(out)
 
     @pytest.mark.parametrize("count", [1, 60])
     def test_campaign_builds_one_report_tree(self, monkeypatch, count):

@@ -2,6 +2,8 @@
 ``report_line`` must be byte for byte the compact JSON of
 ``report_document``, and every ``report_text`` its pretty JSON."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,10 +170,11 @@ _BUILT = build_from_ratios(gen_quadrilateral(GenSpec(seed=42), 0), gen_ratios(Ge
 @given(_VERDICTS, st.frozensets(_ESCAPED, max_size=3), _ESCAPED,
        st.lists(_ESCAPED, max_size=3), st.dictionaries(_ESCAPED, _ESCAPED, max_size=2))
 def test_fixed_strings_escape_once_and_read_back_the_same(verdicts, flags, shape, checks, meta):
-    # claim ids, statuses, value keys and witness names are escaped into
-    # the format of their verdict shape, which the first report compiles
-    # and the second reads back from the cache; flags, the shape, checks
-    # and meta keys are escaped on each use; both are the tree's bytes
+    # meta keys, claim ids, statuses, value keys and witness names are
+    # escaped into the format of their shape, which the first report
+    # compiles and the second reads back from the cache; flags, the shape,
+    # checks and meta values are escaped on each use; both are the tree's
+    # bytes
     cfg = _BUILT._replace(quad=_BUILT.quad._replace(shape=shape), degeneracies=flags)
     inst = instance_from_parts(cfg.quad, cfg.ratios, checks=tuple(checks))
     for built in (cfg, None):
@@ -179,9 +182,31 @@ def test_fixed_strings_escape_once_and_read_back_the_same(verdicts, flags, shape
         written(meta, verdicts, built, inst)
 
 
+@pytest.mark.parametrize("meta", [
+    {"seed": "42", "index": 7, "regime": "general"},
+    {},
+    {"%s": "%%", "k%": 10**20, "\u00e9\"\\\n\u2603": "%s", "%%": ""},
+], ids=["fuzz", "empty", "escaped"])
+def test_meta_keys_in_any_order_compile_into_the_format(meta):
+    # the meta keys, in the order given, are part of the shape, and its
+    # format holds them escaped and sorted: each insertion order compiles
+    # its own format, read back on the second report, and every one
+    # writes the tree's bytes, the same for every order
+    inst = instance_from_parts(_BUILT.quad, _BUILT.ratios)
+    for cfg, verdicts in ((_BUILT, verify_all(_BUILT)),
+                          (None, degenerate_verdicts(CLAIM_IDS, "UndefinedPoint: %s"))):
+        lines = set()
+        for order in itertools.permutations(meta):
+            ordered = {key: meta[key] for key in order}
+            lines.add(written(ordered, verdicts, cfg, inst))
+            lines.add(written(ordered, verdicts, cfg, inst))
+        assert len(lines) == 1
+
+
 def test_a_full_shape_cache_stores_no_more(monkeypatch):
-    # past _SHAPES_MAX formats a new verdict shape is compiled on each use
-    # and not stored, so the cache stays bounded and the bytes do not change
+    # past _SHAPES_MAX formats a new shape is compiled on each use and not
+    # stored, so the cache stays bounded and the bytes do not change; shapes
+    # that differ only in their meta keys, or in their order, are distinct
     monkeypatch.setattr(report, "_shapes", {})
     monkeypatch.setattr(report, "_SHAPES_MAX", 2)
     inst = instance_from_parts(_BUILT.quad, _BUILT.ratios)
@@ -189,9 +214,12 @@ def test_a_full_shape_cache_stores_no_more(monkeypatch):
               [Verdict("seven_lines", FAIL, "%%", exact_values={"k%s": (1, 2)})],
               [Verdict("a%", SKIPPED), Verdict("b", PASS, "x")],
               []]
+    metas = [{"a": 1}, {"b": "x", "a": 1}, {"a": 1, "b": "x"}, {}]
     for _ in range(2):
         for verdicts in shapes:
             written({"m%s": "%%"}, verdicts, _BUILT, inst)
+        for meta in metas:
+            written(meta, shapes[0], _BUILT, inst)
     assert len(report._shapes) == 2
 
 

@@ -14,9 +14,11 @@ from quadconc import (
     build_from_ratios,
     svgfig,
 )
-from quadconc.errors import GeometryError, InstanceFormatError
+from quadconc.configuration import FULL_PLAN
+from quadconc.errors import GeometryError, InstanceFormatError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
-from quadconc.svgfig import VIEW, render_svg
+from quadconc.instancefile import InstanceFile, instance_from_parts
+from quadconc.svgfig import DRAWN_PLAN, LAYERS, VIEW, render_svg
 from rationals import affine, points, side_ratios, tri
 from test_configuration import side_points, signed_ratios
 
@@ -110,6 +112,46 @@ def test_huge_coordinates_render(unit_square):
     cfg = build_from_ratios(unit_square, side_ratios(big, 1, 1, 1))
     text = render_svg(cfg)
     assert "<svg" in text
+
+
+def drawn(inst, plan):
+    """The SVG of every layer and of each single one, for ``inst`` built
+    with ``plan``, or the text of the error its build raises."""
+    try:
+        cfg = inst.configuration(plan)
+    except (UndefinedPoint, InstanceFormatError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [render_svg(cfg, layers) for layers in (None, *((layer,) for layer in LAYERS))]
+
+
+# M and P on the crossing point of the sides: lines AA1 and BB1 coincide
+_N1_COLLAPSE = InstanceFile(vertices=(tri(0, 0), tri(2, 2), tri(2, 0), tri(0, 2)), ratios=None,
+                            points=(tri(1, 1), tri(2, 1), tri(1, 1), tri(0, 1)), checks=())
+
+
+@pytest.mark.parametrize("shape", ["convex", "concave", "crossed"])
+def test_the_drawn_plan_draws_the_full_builds_bytes(shape):
+    """``figure`` builds ``DRAWN_PLAN``, without X Z Y T and R: on
+    generated ratios at two bounds, on signed side points where the shape
+    lets them leave their sides, and on an ``UndefinedPoint`` input, it
+    draws the full build's bytes or raises its text."""
+    assert {name for _, name, *_ in FULL_PLAN.steps} - {
+        name for _, name, *_ in DRAWN_PLAN.steps} == {"X", "Z", "Y", "T", "R"}
+    insts = [_N1_COLLAPSE]
+    for spec in (GenSpec(seed=42, shape=shape), replace(_SMALL, shape=shape)):
+        for index in range(40):
+            quad = gen_quadrilateral(spec, index)
+            insts.append(instance_from_parts(quad, gen_ratios(spec, index)))
+            if shape != "convex":
+                insts.append(InstanceFile(vertices=quad.vertices, ratios=None, checks=(),
+                                          points=side_points(quad, signed_ratios(spec, index))))
+    errors = set()
+    for inst in insts:
+        full = drawn(inst, FULL_PLAN)
+        assert drawn(inst, DRAWN_PLAN) == full
+        if isinstance(full, str):
+            errors.add(full.split(":")[0])
+    assert "UndefinedPoint" in errors
 
 
 def test_view_is_framed_without_the_cevian_meets():

@@ -1,3 +1,4 @@
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -669,3 +670,32 @@ def test_readme_claims_table_matches_claims():
     rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
     assert [tuple(cell.strip().strip("`") for cell in row) for row in rows] == [
         (claim, regime) for claim, regime, *_ in CLAIMS]
+
+
+def test_every_verdict_is_a_verdict_equal_to_its_keyword_twin():
+    """Passes and the skips that name ``gamma`` are built positionally:
+    every verdict ``verify_all`` returns, of each status, is a ``Verdict``
+    with a text detail and mapping witnesses and values, equal to the
+    verdict its fields build by keyword.  Small bounds bring degenerate
+    instances; ``M1`` moved onto ``A`` fails the claims that read it."""
+    statuses = set()
+    for shape in ("convex", "concave", "crossed"):
+        for force in (True, False):
+            spec = GenSpec(seed=0, shape=shape, coordinate_bound=4, ratio_bound=2,
+                           force_gamma_one=force)
+            for index in range(20):
+                try:
+                    cfg = build_from_ratios(gen_quadrilateral(spec, index),
+                                            gen_ratios(spec, index))
+                except UndefinedPoint:
+                    continue
+                for built in (cfg, with_points(cfg, M1=cfg.triples[SLOT["A"]])):
+                    for v in verify_all(built):
+                        statuses.add(v.status)
+                        assert type(v) is Verdict and isinstance(v.detail, str)
+                        assert isinstance(v.witness, Mapping)
+                        assert isinstance(v.exact_values, Mapping)
+                        assert v == Verdict(claim_id=v.claim_id, status=v.status,
+                                            detail=v.detail, witness=v.witness,
+                                            exact_values=v.exact_values)
+    assert statuses == {PASS, SKIPPED, DEGENERATE, FAIL}
