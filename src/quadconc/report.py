@@ -187,15 +187,15 @@ def _compile(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
     verdicts' ``shape``, every fixed text inlined with each ``%`` doubled;
     the meta keys in sorted order, as their slots follow; and each verdict's
     exact-value keys and witness names in sorted order, as its slots follow."""
-    (report, _, verdict, colon, (k_open, k_sep, k_close), _, (v_open, v_sep, v_close),
-     (m_open, m_sep, m_close), _) = layout
+    report, _, verdict, colon, meta_layout, _, (v_open, v_sep, v_close), object_layout, _ = layout
 
     def fixed(text: str) -> str:
         return _ascii(text).replace("%", "%%")
 
-    def members(names: list[str], value: str) -> str:
-        return m_open + m_sep.join([fixed(name) + colon + value for name in names]) + m_close \
-            if names else "{}"
+    def members(names: Sequence[str], value: str, container: tuple = object_layout) -> str:
+        opening, separator, closing = container
+        return opening + separator.join([fixed(name) + colon + value for name in names]) \
+            + closing if names else "{}"
 
     parts, orders = [], []
     for claim, status, _, witness, values in verdicts:
@@ -204,9 +204,8 @@ def _compile(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
         parts.append(verdict % (fixed(claim), "%s", members(keys, '"%s"'), fixed(status),
                                 members(names, "%s")))
     meta_keys = tuple(sorted(meta))
-    meta_format = k_open + k_sep.join([fixed(key) + colon + "%s" for key in meta_keys]) \
-        + k_close if meta_keys else "{}"
-    entry = (report % ("%s", "%s", meta_format, fixed(overall_status(verdicts)),
+    entry = (report % ("%s", "%s", members(meta_keys, "%s", meta_layout),
+                       fixed(overall_status(verdicts)),
                        v_open + v_sep.join(parts) + v_close if parts else "[]"),
              meta_keys, tuple(orders))
     if len(_shapes) < _SHAPES_MAX:
