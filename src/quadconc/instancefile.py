@@ -19,13 +19,16 @@ silently.  ``parse_rational`` reads one as the pair ``(p, q)``, which
 :class:`SideRatios` reduces; ``kernel.reduced_text`` writes the stored
 lowest-terms pair back.  A point is read as its canonical triple
 (``kernel.triple_from_terms``) and written back by ``kernel.triple_text``.
-``render`` writes a document with the standard library's ``json.dumps``.
+``instance_text`` is the one writer of the instance layout, and
+``instance_document`` is its text parsed; ``render`` writes any
+document with the standard library's ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import Callable, NamedTuple, Optional
 
 from .configuration import (
@@ -154,26 +157,44 @@ def load_instance(path: str) -> InstanceFile:
         return parse_instance(fh.read(), source=path)
 
 
-def instance_document(inst: InstanceFile) -> dict:
-    """The JSON tree for an instance, all numbers as rational strings."""
-    doc: dict = {
-        "vertices": {
-            key: triple_text(vertex)
-            for key, vertex in zip(VERTEX_KEYS, inst.vertices)
-        }
-    }
-    if inst.ratios is not None:
-        doc["ratios"] = {
-            key: reduced_text(*value)
-            for key, value in zip(RATIO_KEYS, inst.ratios.as_tuple)
-        }
+def _point(t: Triple) -> str:
+    """The compact JSON array of ``triple_text(t)``; its texts need no escape."""
+    return '["' + '","'.join(triple_text(t)) + '"]'
+
+
+def _members(keys: tuple[str, ...], value: str) -> str:
+    """The members of a compact JSON object with the sorted ``keys``, each
+    value the layout ``value``."""
+    return ",".join([_ascii(key) + ":" + value for key in keys])
+
+
+# the compact instance, keys in sorted order; each %s is JSON text, except
+# in _RATIOS, where it is a rational's text, which needs no escape
+_INSTANCE = '{"checks":%s%s,"vertices":{' + _members(VERTEX_KEYS, "%s") + '}}'
+_POINTS = ',"points":{' + _members(POINT_KEYS, "%s") + '}'
+_RATIOS = ',"ratios":{' + _members(RATIO_KEYS, '"%s"') + '}'
+
+
+def instance_text(inst: InstanceFile) -> str:
+    """The instance as compact JSON with its keys sorted, as ``render``
+    writes it but without the final LF, from the triples and stored pairs."""
+    sides = ""
     if inst.points is not None:
-        doc["points"] = {
-            key: triple_text(pt)
-            for key, pt in zip(POINT_KEYS, inst.points)
-        }
-    doc["checks"] = list(inst.checks) if inst.checks else "all"
-    return doc
+        M, N, P, Q = inst.points
+        sides += _POINTS % (_point(M), _point(N), _point(P), _point(Q))
+    if inst.ratios is not None:
+        m, n, p, q = inst.ratios.as_tuple
+        sides += _RATIOS % (reduced_text(*m), reduced_text(*n), reduced_text(*p),
+                            reduced_text(*q))
+    checks = "[" + ",".join(map(_ascii, inst.checks)) + "]" if inst.checks else '"all"'
+    A, B, C, D = inst.vertices
+    return _INSTANCE % (checks, sides, _point(A), _point(B), _point(C), _point(D))
+
+
+def instance_document(inst: InstanceFile) -> dict:
+    """The JSON tree for an instance, all numbers as rational strings: its
+    text ``instance_text(inst)``, parsed."""
+    return json.loads(instance_text(inst))
 
 
 def render(doc: dict, compact: bool = False) -> str:

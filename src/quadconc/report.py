@@ -11,10 +11,12 @@ Both commands write reports straight from the verdicts, with no tree
 and no ``json`` encoder call, through one writer that takes its layout
 as data.  ``report_line`` writes one compact ``fuzz`` line, the bytes of
 ``render(report_document(...), compact=True)``; ``report_text`` writes
-what ``verify`` prints, the bytes of ``render(report_document(...))``,
-its ``instance`` block the instance file's own text indented one level.
-Each layout's fixed text, keys in sorted order, is made at import, and
-nothing that is the same on every report is made again per report:
+what ``verify`` prints, the bytes of ``render(report_document(...))``.
+This module writes no part of an instance: the ``instance`` value is
+``instancefile.instance_text`` in a line, and the instance file's own
+text indented one level in ``verify``'s report.  Each layout's fixed
+text, keys in sorted order, is made at import, and nothing that is the
+same on every report is made again per report:
 
 * a report's shape (its meta keys, in the order given, and each
   verdict's claim id, status, witness names and exact-value keys) is
@@ -22,22 +24,22 @@ nothing that is the same on every report is made again per report:
   fixed text, escaped and in sorted order, and the overall status
   inlined, and kept for up to ``_SHAPES_MAX`` shapes; so each meta value
   is the only meta text written per report;
-* coordinates are written from the canonical triples of the vertices,
-  the side points and the witnesses by ``kernel.triple_text``, whose
-  texts need no escape, and each distinct witness triple's text once per
-  report;
-* the stored lowest-terms pairs, the instance's ratios, ``gamma`` and
-  ``r``, are written by ``kernel.reduced_text``, with no second gcd;
+* the witnesses are written from their canonical triples by
+  ``kernel.triple_text``, whose texts need no escape, each distinct
+  triple's text once per report;
+* the stored lowest-terms pairs ``gamma`` and ``r`` are written by
+  ``kernel.reduced_text``, with no second gcd;
 * each distinct exact-value pair is written once per report by
   ``rational_text``, whose text is ASCII digits, ``-`` and ``/`` and
   needs no escape.
 
 Every other string goes through ``json``'s C escaper as it is: the meta
-values that are strings, the flags, the shape and the claim ids of
-``checks`` on each use, and each distinct ``detail`` once per report.
-The tree (``report_document``) uses the same text functions, so the
-writer and the tree agree on any input.  It remains as the test oracle
-and as the check of each ``fuzz`` campaign's first line.
+values that are strings, the flags and the shape on each use, and each
+distinct ``detail`` once per report.  The tree (``report_document``)
+uses the same text functions, and its ``instance`` is the parse of
+``instance_text``, so the writer and the tree agree on any input.  It
+remains as the test oracle and as the check of each ``fuzz`` campaign's
+first line.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from json.encoder import encode_basestring_ascii as _ascii
 from typing import Iterable, Optional, Sequence
 
 from .configuration import Configuration
-from .instancefile import (POINT_KEYS, RATIO_KEYS, VERTEX_KEYS, InstanceFile,
-                           instance_document)
+from .instancefile import InstanceFile, instance_document, instance_text
 from .kernel import rational_text, reduced_text, triple_text
 from .verifiers import DEGENERATE, Verdict, overall_status
 
@@ -93,16 +94,6 @@ def degenerate_report(meta: dict, claims: Iterable[str], reason: str,
                            instance=instance)
 
 
-def _strings(texts: Iterable[str]) -> str:
-    """The compact JSON array of the strings ``texts``."""
-    return "[" + ",".join([_ascii(text) for text in texts]) + "]"
-
-
-def _point(t: tuple[int, int, int]) -> str:
-    """The compact JSON array of ``triple_text(t)``; its texts need no escape."""
-    return '["' + '","'.join(triple_text(t)) + '"]'
-
-
 def _meta_value(value: object) -> str:
     """A meta value as ``json`` writes it: a string, or an ``int``."""
     if isinstance(value, str):
@@ -110,34 +101,6 @@ def _meta_value(value: object) -> str:
     if type(value) is int:
         return int.__repr__(value)
     raise TypeError(f"reports write str and int meta values, not {type(value).__name__}")
-
-
-def _members(keys: tuple[str, ...], value: str) -> str:
-    """The members of a compact JSON object with the sorted ``keys``, each
-    value the layout ``value``."""
-    return ",".join([_ascii(key) + ":" + value for key in keys])
-
-
-# the compact instance, keys in sorted order; each %s is JSON text, except
-# in _RATIOS, where it is a rational's text, which needs no escape
-_INSTANCE = '{"checks":%s%s,"vertices":{' + _members(VERTEX_KEYS, "%s") + '}}'
-_POINTS = ',"points":{' + _members(POINT_KEYS, "%s") + '}'
-_RATIOS = ',"ratios":{' + _members(RATIO_KEYS, '"%s"') + '}'
-
-
-def _instance_text(inst: InstanceFile) -> str:
-    """``instance_document(inst)`` as compact JSON."""
-    sides = ""
-    if inst.points is not None:
-        M, N, P, Q = inst.points
-        sides += _POINTS % (_point(M), _point(N), _point(P), _point(Q))
-    if inst.ratios is not None:
-        m, n, p, q = inst.ratios.as_tuple
-        sides += _RATIOS % (reduced_text(*m), reduced_text(*n), reduced_text(*p),
-                            reduced_text(*q))
-    A, B, C, D = inst.vertices
-    return _INSTANCE % (_strings(inst.checks) if inst.checks else '"all"', sides,
-                        _point(A), _point(B), _point(C), _point(D))
 
 
 def _layout(newline: str, indent: str) -> tuple:
@@ -214,9 +177,9 @@ def _compile(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
 
 
 def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
-           cfg: Optional[Configuration], instance_text: str) -> str:
+           cfg: Optional[Configuration], instance: str) -> str:
     """The report in ``layout``, its ``instance`` value the JSON text
-    ``instance_text``, filled into the format of its meta keys and its
+    ``instance``, filled into the format of its meta keys and its
     verdicts' shape.  The text of each meta value is written, and of each
     distinct detail, witness triple and exact-value pair once."""
     report, configuration_format, _, _, _, flags_layout, _, _, (p_open, p_sep, p_close) = layout
@@ -233,7 +196,7 @@ def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
                                     for claim, status, _, witness, values in verdicts])
     shape_format, meta_keys, orders = _shapes.get(shape) or _compile(layout, meta, verdicts,
                                                                      shape)
-    args = [configuration, instance_text, *[_meta_value(meta[key]) for key in meta_keys]]
+    args = [configuration, instance, *[_meta_value(meta[key]) for key in meta_keys]]
     texts: dict = {}  # keyed by detail, pair and triple, which never compare equal
     for (_, _, detail, witness, values), (keys, names) in zip(verdicts, orders):
         args.append(texts.get(detail) or texts.setdefault(detail, _ascii(detail)))
@@ -252,13 +215,13 @@ def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configura
     """``render(report_document(meta, verdicts, cfg, instance=instance),
     compact=True)``, written directly.  ``meta`` maps names to strings and
     integers."""
-    return _write(_COMPACT, meta, verdicts, cfg, _instance_text(instance))
+    return _write(_COMPACT, meta, verdicts, cfg, instance_text(instance))
 
 
 def report_text(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configuration],
-                instance_text: str) -> str:
+                file_text: str) -> str:
     """``render(report_document(meta, verdicts, cfg, instance=instance))``,
-    written directly, given the instance file's text ``instance_text =
+    written directly, given the instance file's text ``file_text =
     render(instance_document(instance))``.  ``meta`` maps names to
     strings and integers."""
-    return _write(_PRETTY, meta, verdicts, cfg, instance_text[:-1].replace("\n", "\n  "))
+    return _write(_PRETTY, meta, verdicts, cfg, file_text[:-1].replace("\n", "\n  "))

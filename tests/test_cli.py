@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from quadconc import Point, build_from_ratios, cli, verifiers
+from quadconc import Point, build_from_ratios, cli, generators, verifiers
+from quadconc.configuration import FULL_PLAN
 from quadconc.cli import main
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
@@ -135,19 +136,31 @@ class TestVerify:
         assert json.loads(out)["overall"] == "fail"
 
     @pytest.mark.parametrize("command", ["verify", "figure"])
-    @pytest.mark.parametrize("ratio", ["0", "-1"])
-    def test_nonpositive_ratio_exits_two(self, tmp_path, capsys, command, ratio):
+    @pytest.mark.parametrize("key, value, reason", [
+        *[("ratios.m", ratio, "ratios.m: must be positive") for ratio in ("0", "-1")],
+        *[(key, pair, f"{key}: expected a coordinate pair")
+          for key in ("vertices.B", "points.N") for pair in ("x", ["1"], ["1", "2", "3"])],
+        *[("checks", checks, "'checks' must be \"all\" or a list of claim ids")
+          for checks in (5, "some", [1])],
+    ])
+    def test_invalid_value_exits_two(self, tmp_path, capsys, command, key, value, reason):
         doc = json.loads(json.dumps(MIDPOINT))
-        doc["ratios"]["m"] = ratio
+        if key.startswith("points"):
+            del doc["ratios"]
+            doc["points"] = {"M": ["1/2", "0"], "N": ["1", "1/2"], "P": ["1/2", "1"],
+                             "Q": ["0", "1/2"]}
+        *parents, name = key.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[name] = value
         path = write_instance(tmp_path, doc)
-        argv = [command, path] + (["-o", str(tmp_path / "x.svg")] if command == "figure" else [])
+        svg = tmp_path / "x.svg"
+        argv = [command, path] + (["-o", str(svg)] if command == "figure" else [])
         code, out = run(argv)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "ratios.m: must be positive" in err
-        assert "Traceback" not in err
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert not svg.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "figure"])
@@ -470,6 +483,31 @@ class TestFuzz:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "fail-seed3-index0.json", "fail-seed3-index1.json"]
 
+    def test_generation_exhausted_is_a_line_and_a_count(self, monkeypatch):
+        # a drawer that never succeeds makes every index give up; each gets
+        # a generation_error line and the summary counts it, and no claim
+        # is tallied
+        for shape in generators._DRAWERS:
+            monkeypatch.setitem(generators._DRAWERS, shape, lambda rng, bound: None)
+        code, out = run(["fuzz", "--regime", "general", "--count", "2"])
+        assert code == 0
+        lines = out[:out.rindex("\n{\n") + 1].splitlines()
+        assert lines == [
+            '{"generation_error":"no convex quadrilateral in 1000 attempts (seed=0, '
+            f'index={index})","instance_meta":{{"index":{index},"regime":"general",'
+            '"seed":"0"},"overall":"degenerate"}' for index in (0, 1)]
+        summary = last_json(out)
+        assert summary["generation_exhausted"] == 2
+        assert summary["construction_errors"] == 0
+        assert summary["claims"] == {claim: {"pass": 0, "fail": 0, "degenerate": 0, "skipped": 0}
+                                     for claim in verifiers.CLAIM_IDS}
+        assert summary["findings"] == {"inner_quadrilateral_convexity": 0}
+        assert summary["overall"] == "pass"
+        # the search over the same exhausted stream finds nothing
+        for shape in ("concave", "crossed"):
+            assert run(["counterexample", "--shape", shape, "--target", "seven_lines",
+                        "--budget", "2"]) == (1, "")
+
     def test_claim_tallies_recount_the_lines(self):
         # each built line's statuses are counted as one tuple and folded
         # into the tallies after the loop; a line that did not build counts
@@ -578,6 +616,24 @@ class TestCounterexample:
         ])
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize("shape, degenerate", [("concave", 79), ("crossed", 10)])
+    @pytest.mark.parametrize("target", list(cli.NONCONVEX_TARGETS))
+    def test_degenerate_candidates_are_skipped(self, shape, degenerate, target):
+        # with every ratio 1 at bound 4, some candidates do not build; the
+        # search skips them and finds nothing.  Each target's plan builds a
+        # candidate exactly when the full plan does, with the same message
+        argv = ["--seed", "0", "--budget", "200", "--bound", "4", "--ratio-bound", "1"]
+        assert run(["counterexample", "--shape", shape, "--target", target, *argv]) == (1, "")
+        args = cli.build_parser().commands["counterexample"].parse_args(
+            ["--shape", shape, "--target", target, *argv])
+        plan = cli._target_plan(cli.NONCONVEX_TARGETS[target])
+        skipped = [(index, built) for index, _, _, built
+                   in cli._campaign(args, "remarks", shape, 200, plan) if isinstance(built, str)]
+        assert len(skipped) == degenerate
+        assert skipped == [(index, built) for index, _, _, built
+                           in cli._campaign(args, "remarks", shape, 200, FULL_PLAN)
+                           if isinstance(built, str)]
 
     @pytest.mark.parametrize("target", ["inner_quadrilateral", "crossing_ratio_formula"])
     def test_convex_only_target_rejected(self, target):

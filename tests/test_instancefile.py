@@ -10,9 +10,11 @@ from quadconc import build_from_ratios
 from quadconc.errors import InstanceFormatError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import (
+    InstanceFile,
     _parse_pair,
     instance_document,
     instance_from_parts,
+    instance_text,
     parse_instance,
     parse_rational,
     render,
@@ -197,6 +199,53 @@ class TestRoundTrip:
         again = parse_instance(serialize_instance(inst))
         assert again.ratios == side_ratios(1, 2, 3, 4)
         assert tuple(again.vertices) == unit_square.vertices
+
+
+def _instances_of_every_kind():
+    """Generated instances of the gamma1, general, concave, crossed and
+    ``any`` streams at bounds 10 and 10**30, each given by its ratios and,
+    when it builds, by its side points."""
+    for shape, force in (("convex", True), ("convex", False), ("concave", True),
+                         ("concave", False), ("crossed", True), ("crossed", False),
+                         ("any", True), ("any", False)):
+        for bound, ratio_bound in ((10, 8), (10**30, 10**30)):
+            spec = GenSpec(seed=42, shape=shape, coordinate_bound=bound,
+                           ratio_bound=ratio_bound, force_gamma_one=force)
+            for index in range(3):
+                quad, ratios = gen_quadrilateral(spec, index), gen_ratios(spec, index)
+                yield instance_from_parts(quad, ratios)
+                try:
+                    cfg = build_from_ratios(quad, ratios)
+                except UndefinedPoint:
+                    continue
+                yield InstanceFile(quad.vertices, None, cfg.triples[4:8], ())
+
+
+class TestInstanceText:
+    """``instance_text`` is the one writer of the instance layout, and
+    ``instance_document`` its parse; the independent parser and the
+    standard library's encoder are its oracles."""
+
+    def test_parses_back_and_is_the_compact_json_of_its_tree(self):
+        kinds = set()
+        for inst in _instances_of_every_kind():
+            kinds.add(inst.ratios is None)
+            for checks in ((), ("seven_lines",), ("section_ratios", "seven_lines",
+                                                  "section_ratios")):
+                inst = inst._replace(checks=checks)
+                text = instance_text(inst)
+                assert parse_instance(text + "\n") == inst
+                assert render(json.loads(text), compact=True) == text + "\n"
+                assert instance_document(inst) == json.loads(text)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("checks", ['"all"', "[]", '["all"]'])
+    def test_every_claim_is_written_as_all(self, checks):
+        inst = parse_instance(MIDPOINT_DOC.replace('"all"', checks))
+        assert inst.checks == ()
+        assert instance_text(inst) == (
+            '{"checks":"all","ratios":{"m":"1","n":"1","p":"1","q":"1"},"vertices":'
+            '{"A":["0","0"],"B":["1","0"],"C":["1","1"],"D":["0","1"]}}')
 
 
 # strings with every kind of character an escaper treats specially:

@@ -14,7 +14,7 @@ from quadconc import (
     point_dividing,
 )
 from quadconc.errors import GeometryError
-from quadconc.kernel import classify_triples
+from quadconc.kernel import classify_triples, lowest_terms
 from rationals import affine, frac, pt, tri
 from test_kernel_properties import incident, orientation
 
@@ -36,6 +36,11 @@ class TestPoint:
         assert pt(3, 4, 0).is_ideal
         assert affine(pt(F(2, 3), F(1, 2)).triple()) == (F(2, 3), F(1, 2))
 
+    def test_compares_unequal_to_a_non_point(self):
+        # __eq__ returns NotImplemented, so Python falls back to identity
+        assert pt(1, 0).__eq__(1) is NotImplemented
+        assert (pt(1, 0) == 1) is False
+
     def test_zero_triple_rejected(self):
         with pytest.raises(ValueError):
             pt(0, 0, 0)
@@ -54,6 +59,18 @@ class TestLine:
         # x + 2y + 3 = 0, joined through two different pairs of its points
         assert line_through(pt(-3, 0), pt(1, -2)) == line_through(pt(-1, -1), pt(5, -4))
         assert line_through(pt(0, 0), pt(0, 1)) != line_through(pt(0, 0), pt(1, 0))
+
+    def test_join_is_symmetric_and_hashes_by_its_triple(self):
+        p, q = pt(F(1, 2), 3), pt(-2, F(5, 7))
+        assert line_through(p, q) == line_through(q, p)
+        assert hash(line_through(p, q)) == hash(line_through(q, p))
+        assert line_through(p, q) != line_through(p, pt(0, 0))
+        assert len({line_through(p, q), line_through(q, p), line_through(p, pt(0, 0))}) == 2
+
+    def test_compares_unequal_to_a_non_line(self):
+        line = line_through(pt(0, 0), pt(1, 0))
+        assert line.__eq__(1) is NotImplemented
+        assert (line == 1) is False
 
 
 class TestLineThrough:
@@ -133,6 +150,11 @@ class TestDividingAndRatio:
     def test_ratio_examples(self):
         assert frac(directed_ratio(pt(0, 0), pt(F(1, 2), 0), pt(1, 0))) == 1
         assert frac(directed_ratio(pt(0, 0), pt(F(2, 3), 0), pt(1, 0))) == 2
+
+    def test_lowest_terms(self):
+        assert lowest_terms(6, -4) == (-3, 2)
+        with pytest.raises(ZeroDivisionError, match="^rational 1/0$"):
+            lowest_terms(1, 0)
 
     def test_exterior_point_negative_ratio(self):
         # R = (-2, 0) relative to A = (0,0), B = (1,0): lambda = -2

@@ -95,6 +95,28 @@ def test_only_generators_imports_dataclasses():
         f"may import dataclasses; found {sorted(importers)}")
 
 
+def test_only_instancefile_reads_the_instance_keys():
+    # instancefile writes the instance layout once, in instance_text, and
+    # parses it; a second reader of its key tuples would be a second writer
+    names = {"VERTEX_KEYS", "POINT_KEYS", "RATIO_KEYS"}
+    readers = set()
+    for path in (REPO / "src" / "quadconc").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                read = {node.name, node.asname}
+            elif isinstance(node, ast.Name):
+                read = {node.id}
+            elif isinstance(node, ast.Attribute):
+                read = {node.attr}
+            else:
+                continue
+            if read & names:
+                readers.add(path.name)
+    assert readers == {"instancefile.py"}, (
+        f"only instancefile.py may read the instance keys; found {sorted(readers)}")
+
+
 def test_verifiers_decide_and_write_no_value():
     # the checks store exact values as pairs and the report writes them, so
     # the checks run unchanged on polynomial pairs; no module state either
