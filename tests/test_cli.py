@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from quadconc import Point, build_from_ratios, cli, generators, verifiers
-from quadconc.configuration import FULL_PLAN
 from quadconc.cli import main
+from quadconc.configuration import FULL_PLAN
 from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import (InstanceFile, instance_from_parts, load_instance,

@@ -26,6 +26,8 @@ class TestPoint:
         assert pt(F(1, 2), F(1, 4)) == pt(2, 1, 4)
         assert pt(1, 2, 3) == pt(2, 4, 6)
         assert pt(1, 0, 0) != pt(0, 1, 0)
+        # a non-point gets NotImplemented, so Python falls back to identity
+        assert pt(1, 0).__eq__(1) is NotImplemented and (pt(1, 0) == 1) is False
 
     def test_scaling_by_negative(self):
         assert pt(1, 2, 1) == pt(-1, -2, -1)
@@ -35,11 +37,6 @@ class TestPoint:
         assert not pt(3, 4).is_ideal
         assert pt(3, 4, 0).is_ideal
         assert affine(pt(F(2, 3), F(1, 2)).triple()) == (F(2, 3), F(1, 2))
-
-    def test_compares_unequal_to_a_non_point(self):
-        # __eq__ returns NotImplemented, so Python falls back to identity
-        assert pt(1, 0).__eq__(1) is NotImplemented
-        assert (pt(1, 0) == 1) is False
 
     def test_zero_triple_rejected(self):
         with pytest.raises(ValueError):
@@ -59,18 +56,12 @@ class TestLine:
         # x + 2y + 3 = 0, joined through two different pairs of its points
         assert line_through(pt(-3, 0), pt(1, -2)) == line_through(pt(-1, -1), pt(5, -4))
         assert line_through(pt(0, 0), pt(0, 1)) != line_through(pt(0, 0), pt(1, 0))
-
-    def test_join_is_symmetric_and_hashes_by_its_triple(self):
+        # the join is symmetric and hashes by its canonical triple
         p, q = pt(F(1, 2), 3), pt(-2, F(5, 7))
-        assert line_through(p, q) == line_through(q, p)
+        assert line_through(p, q) == line_through(q, p) != line_through(p, pt(0, 0))
         assert hash(line_through(p, q)) == hash(line_through(q, p))
-        assert line_through(p, q) != line_through(p, pt(0, 0))
         assert len({line_through(p, q), line_through(q, p), line_through(p, pt(0, 0))}) == 2
-
-    def test_compares_unequal_to_a_non_line(self):
-        line = line_through(pt(0, 0), pt(1, 0))
-        assert line.__eq__(1) is NotImplemented
-        assert (line == 1) is False
+        assert line_through(p, q).__eq__(1) is NotImplemented and (line_through(p, q) == 1) is False
 
 
 class TestLineThrough:
@@ -151,11 +142,6 @@ class TestDividingAndRatio:
         assert frac(directed_ratio(pt(0, 0), pt(F(1, 2), 0), pt(1, 0))) == 1
         assert frac(directed_ratio(pt(0, 0), pt(F(2, 3), 0), pt(1, 0))) == 2
 
-    def test_lowest_terms(self):
-        assert lowest_terms(6, -4) == (-3, 2)
-        with pytest.raises(ZeroDivisionError, match="^rational 1/0$"):
-            lowest_terms(1, 0)
-
     def test_exterior_point_negative_ratio(self):
         # R = (-2, 0) relative to A = (0,0), B = (1,0): lambda = -2
         assert frac(directed_ratio(pt(0, 0), pt(-2, 0), pt(1, 0))) == F(-2, 3)
@@ -175,6 +161,8 @@ class TestDividingAndRatio:
             directed_ratio(a, b, b)
         with pytest.raises(GeometryError, match=r"Point\(1, 1\) is not on the line through"):
             directed_ratio(a, pt(1, 1), b)
+        with pytest.raises(ZeroDivisionError, match="^rational 1/0$"):
+            lowest_terms(1, 0)
         # the checks run in a fixed order: type, zero denominator, ideal,
         # coincident, ratio -1
         with pytest.raises(TypeError):
