@@ -24,7 +24,7 @@ from .instancefile import (instance_document, instance_from_parts, load_instance
                            serialize_instance)
 from .kernel import CONCAVE, CONVEX, CROSSED
 # degenerate_report has no caller here: perfbench patches it as cli.degenerate_report
-# until ROADMAP item 8 step (a) points its traced patches and probe at the writer
+# until ROADMAP item 18 points its traced patches and probe at the writer
 from .report import (degenerate_report, degenerate_verdicts, report_document, report_line,
                      report_text)
 from .svgfig import DRAWN_PLAN, LAYERS, render_svg, select_layers
@@ -161,7 +161,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         # None keeps verify_all's fast path when every claim runs
         verdicts, cfg = verify_all(built, checks or None), built
     # the instance text goes through cli's render, so the benchmark's report.render span
-    # stays on this path, timing only this block, until ROADMAP item 8 step (a) renames it
+    # stays on this path, timing only this block, until ROADMAP item 18 renames it
     out.write(report_text({"source": args.file}, verdicts, cfg, render(instance_document(inst))))
     return 1 if overall_status(verdicts) == FAIL else 0
 

@@ -12,10 +12,11 @@ An instance is a JSON object with exact rational strings everywhere:
     }
 
 ``ratios`` may be replaced by ``points`` holding ``M N P Q`` coordinate
-pairs; exactly one of the two must be present.  ``checks`` is ``"all"``
-or a list of claim ids.  Rationals are written ``"p/q"`` or ``"p"``;
-decimal literals are rejected outright so no precision is ever lost
-silently.  ``parse_rational`` reads one as the pair ``(p, q)``, which
+pairs; exactly one of the two must be present, and :class:`InstanceFile`
+holds it as its one ``sides`` field.  ``checks`` is ``"all"`` or a list
+of claim ids.  Rationals are written ``"p/q"`` or ``"p"``; decimal
+literals are rejected outright so no precision is ever lost silently.
+``parse_rational`` reads one as the pair ``(p, q)``, which
 :class:`SideRatios` reduces; ``kernel.reduced_text`` writes the stored
 lowest-terms pair back.  A point is read as its canonical triple
 (``kernel.triple_from_terms``) and written back by ``kernel.triple_text``.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii as _ascii
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .configuration import (
     FULL_PLAN,
@@ -94,22 +95,20 @@ def _mapping(doc: dict, key: str, names: tuple[str, ...], read: Callable, source
 
 
 class InstanceFile(NamedTuple):
-    """A parsed instance: vertices plus either ratios or side points, each
-    point a canonical triple."""
+    """A parsed instance: vertices and one side description, the side
+    ratios or the side points ``M N P Q``; each point a canonical triple."""
 
     vertices: tuple[Triple, Triple, Triple, Triple]
-    ratios: Optional[SideRatios]
-    points: Optional[tuple[Triple, Triple, Triple, Triple]]
+    sides: SideRatios | tuple[Triple, Triple, Triple, Triple]
     checks: tuple[str, ...]  # empty means "all"
 
     def configuration(self, plan: Plan = FULL_PLAN) -> Configuration:
         """The configuration of the instance, with the points ``plan``
         builds, by default every one, from its ratios or its side points."""
         quad = Quadrilateral.of(*self.vertices)
-        if self.ratios is not None:
-            return build_from_ratios(quad, self.ratios, plan)
-        assert self.points is not None
-        return build_from_points(quad, *self.points, plan)
+        if isinstance(self.sides, SideRatios):
+            return build_from_ratios(quad, self.sides, plan)
+        return build_from_points(quad, *self.sides, plan)
 
 
 def parse_instance(text: str, source: str = "<instance>") -> InstanceFile:
@@ -131,11 +130,8 @@ def parse_instance(text: str, source: str = "<instance>") -> InstanceFile:
     vertices = _mapping(doc, "vertices", VERTEX_KEYS, _parse_pair, source)
     if ("ratios" in doc) == ("points" in doc):
         raise InstanceFormatError(f"{source}: exactly one of 'ratios' or 'points' is required")
-    ratios = points = None
-    if "ratios" in doc:
-        ratios = SideRatios(*_mapping(doc, "ratios", RATIO_KEYS, _positive, source))
-    else:
-        points = _mapping(doc, "points", POINT_KEYS, _parse_pair, source)
+    sides = (SideRatios(*_mapping(doc, "ratios", RATIO_KEYS, _positive, source)) if "ratios" in doc
+             else _mapping(doc, "points", POINT_KEYS, _parse_pair, source))
 
     checks_obj = doc.get("checks", "all")
     if checks_obj == "all" or checks_obj == ["all"]:
@@ -149,7 +145,7 @@ def parse_instance(text: str, source: str = "<instance>") -> InstanceFile:
     else:
         raise InstanceFormatError(f"{source}: 'checks' must be \"all\" or a list of claim ids")
 
-    return InstanceFile(vertices=vertices, ratios=ratios, points=points, checks=checks)
+    return InstanceFile(vertices=vertices, sides=sides, checks=checks)
 
 
 def load_instance(path: str) -> InstanceFile:
@@ -178,14 +174,12 @@ _RATIOS = ',"ratios":{' + _members(RATIO_KEYS, '"%s"') + '}'
 def instance_text(inst: InstanceFile) -> str:
     """The instance as compact JSON with its keys sorted, as ``render``
     writes it but without the final LF, from the triples and stored pairs."""
-    sides = ""
-    if inst.points is not None:
-        M, N, P, Q = inst.points
-        sides += _POINTS % (_point(M), _point(N), _point(P), _point(Q))
-    if inst.ratios is not None:
-        m, n, p, q = inst.ratios.as_tuple
-        sides += _RATIOS % (reduced_text(*m), reduced_text(*n), reduced_text(*p),
-                            reduced_text(*q))
+    if isinstance(inst.sides, SideRatios):
+        m, n, p, q = inst.sides.as_tuple
+        sides = _RATIOS % (reduced_text(*m), reduced_text(*n), reduced_text(*p), reduced_text(*q))
+    else:
+        M, N, P, Q = inst.sides
+        sides = _POINTS % (_point(M), _point(N), _point(P), _point(Q))
     checks = "[" + ",".join(map(_ascii, inst.checks)) + "]" if inst.checks else '"all"'
     A, B, C, D = inst.vertices
     return _INSTANCE % (checks, sides, _point(A), _point(B), _point(C), _point(D))
@@ -214,4 +208,4 @@ def serialize_instance(inst: InstanceFile) -> str:
 def instance_from_parts(quad: Quadrilateral, ratios: SideRatios,
                         checks: tuple[str, ...] = ()) -> InstanceFile:
     """Wrap a generated quadrilateral and ratio tuple for replay, positionally."""
-    return tuple.__new__(InstanceFile, (quad.vertices, ratios, None, checks))
+    return tuple.__new__(InstanceFile, (quad.vertices, ratios, checks))

@@ -317,8 +317,7 @@ def points_files(tmp_path):
     for seed, checks in ((3, ()), (42, ("seven_lines", "ratio_product"))):
         spec = GenSpec(seed=seed)
         cfg = build_from_ratios(gen_quadrilateral(spec, 0), gen_ratios(spec, 0))
-        inst = InstanceFile(vertices=cfg.quad.vertices, ratios=None, checks=checks,
-                            points=cfg.triples[4:8])
+        inst = InstanceFile(vertices=cfg.quad.vertices, sides=cfg.triples[4:8], checks=checks)
         path = tmp_path / f"points-{seed}.json"
         path.write_text(serialize_instance(inst), encoding="utf-8")
         paths.append(str(path))

@@ -129,7 +129,7 @@ def test_point_text_equals_fraction_text(x, y, w):
     expected = [str(Fraction(c0, cw)), str(Fraction(c1, cw))]
     assert triple_text(t) == expected
     assert repr(point) == point_text(t) == f"Point({expected[0]}, {expected[1]})"
-    inst = InstanceFile(vertices=(t,) * 4, ratios=None, points=(t,) * 4, checks=())
+    inst = InstanceFile(vertices=(t,) * 4, sides=(t,) * 4, checks=())
     doc = instance_document(inst)
     assert doc["vertices"]["A"] == expected and doc["points"]["Q"] == expected
 

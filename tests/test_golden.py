@@ -63,10 +63,10 @@ VERIFY_GOLDEN = "ed1054098b8aa92fc263305cd986750a180978c5e835e23c149d739164dfaf0
 
 # the unit square with its side midpoints, and with two coincident vertices
 _SQUARE = (tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1))
-_MIDPOINTS = InstanceFile(vertices=_SQUARE, ratios=None, checks=(),
-                          points=(tri(1, 0, 2), tri(2, 1, 2), tri(1, 2, 2), tri(0, 1, 2)))
-_DEGENERATE = InstanceFile(vertices=(tri(0, 0), tri(0, 0), tri(1, 1), tri(0, 1)), ratios=None,
-                           checks=(), points=_MIDPOINTS.points)
+_MIDPOINTS = InstanceFile(vertices=_SQUARE, checks=(),
+                          sides=(tri(1, 0, 2), tri(2, 1, 2), tri(1, 2, 2), tri(0, 1, 2)))
+_DEGENERATE = InstanceFile(vertices=(tri(0, 0), tri(0, 0), tri(1, 1), tri(0, 1)),
+                           checks=(), sides=_MIDPOINTS.sides)
 
 
 def test_verify_bytes_match_golden_digest(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quadconc import build_from_ratios
+from quadconc import SideRatios, build_from_ratios
 from quadconc.errors import InstanceFormatError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import (
@@ -105,7 +105,7 @@ class TestParsePair:
 class TestParseInstance:
     def test_midpoint_document(self):
         inst = parse_instance(MIDPOINT_DOC)
-        assert inst.ratios == side_ratios(1, 1, 1, 1)
+        assert inst.sides == side_ratios(1, 1, 1, 1)
         assert inst.checks == ()
         cfg = inst.configuration()
         assert points(cfg)["E"] == tri(F(1, 2), F(1, 2))
@@ -139,6 +139,11 @@ class TestParseInstance:
         del doc["ratios"]
         with pytest.raises(InstanceFormatError, match="exactly one"):
             parse_instance(json.dumps(doc))
+
+    def test_an_instance_holds_one_side_description(self):
+        # the ratios or the side points, in one field: no instance holds
+        # both or neither, which no file could spell
+        assert InstanceFile._fields == ("vertices", "sides", "checks")
 
     def test_unknown_claim_rejected(self):
         doc = json.loads(MIDPOINT_DOC)
@@ -197,7 +202,7 @@ class TestRoundTrip:
     def test_from_parts(self, unit_square):
         inst = instance_from_parts(unit_square, side_ratios(1, 2, 3, 4))
         again = parse_instance(serialize_instance(inst))
-        assert again.ratios == side_ratios(1, 2, 3, 4)
+        assert again.sides == side_ratios(1, 2, 3, 4)
         assert tuple(again.vertices) == unit_square.vertices
 
 
@@ -218,7 +223,7 @@ def _instances_of_every_kind():
                     cfg = build_from_ratios(quad, ratios)
                 except UndefinedPoint:
                     continue
-                yield InstanceFile(quad.vertices, None, cfg.triples[4:8], ())
+                yield InstanceFile(quad.vertices, cfg.triples[4:8], ())
 
 
 class TestInstanceText:
@@ -229,11 +234,12 @@ class TestInstanceText:
     def test_parses_back_and_is_the_compact_json_of_its_tree(self):
         kinds = set()
         for inst in _instances_of_every_kind():
-            kinds.add(inst.ratios is None)
+            kinds.add(isinstance(inst.sides, SideRatios))
             for checks in ((), ("seven_lines",), ("section_ratios", "seven_lines",
                                                   "section_ratios")):
                 inst = inst._replace(checks=checks)
                 text = instance_text(inst)
+                assert len(json.loads(text).keys() & {"points", "ratios"}) == 1
                 assert parse_instance(text + "\n") == inst
                 assert render(json.loads(text), compact=True) == text + "\n"
         assert kinds == {True, False}

@@ -290,7 +290,7 @@ def _instance_text(pairs):
        st.integers(1, 10**6))
 def test_instance_ratios_read_as_one_rational(pairs, k):
     inst = parse_instance(_instance_text(pairs))
-    assert inst.ratios == SideRatios(*pairs)
+    assert inst.sides == SideRatios(*pairs)
     assert parse_instance(_instance_text([(k * num, k * den) for num, den in pairs])) == inst
     text = serialize_instance(inst)
     assert parse_instance(text) == inst
@@ -301,7 +301,7 @@ def test_instance_ratios_read_as_one_rational(pairs, k):
 def test_two_fourths_read_as_one_half():
     half = parse_instance(_instance_text([(1, 2)] * 4))
     assert parse_instance(_instance_text([(2, 4)] * 4)) == half
-    assert half.ratios.m == (1, 2)
+    assert half.sides.m == (1, 2)
 
 
 grid_points = st.builds(pt, st.integers(-9, 9), st.integers(-9, 9))

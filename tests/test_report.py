@@ -78,8 +78,8 @@ SQUARE = (tri(0, 0), tri(1, 0), tri(1, 1), tri(0, 1))
 
 
 @pytest.mark.parametrize("inst", [
-    InstanceFile(vertices=SQUARE, ratios=None, checks=("seven_lines", "ratio_product"),
-                 points=(tri(1, 1), tri(2, 1), tri(1, 1), tri(0, 1, 0))),
+    InstanceFile(vertices=SQUARE, checks=("seven_lines", "ratio_product"),
+                 sides=(tri(1, 1), tri(2, 1), tri(1, 1), tri(0, 1, 0))),
     instance_from_parts(gen_quadrilateral(GenSpec(seed=3), 0), gen_ratios(GenSpec(seed=3), 0)),
 ], ids=["points", "ratios"])
 @pytest.mark.parametrize("claims", [CLAIM_IDS, ("seven_lines",), ()], ids=len)
@@ -110,10 +110,9 @@ def test_points_instances_and_check_subsets_are_the_tree(seed, claims):
         cfg = build_from_ratios(gen_quadrilateral(GenSpec(seed=seed, force_gamma_one=force), 0),
                                 gen_ratios(GenSpec(seed=seed, force_gamma_one=force), 0))
         for inst in (
-            InstanceFile(vertices=cfg.quad.vertices, ratios=None, checks=claims or (),
-                         points=cfg.triples[4:8]),
-            InstanceFile(vertices=SQUARE, ratios=None, checks=claims or (),
-                         points=(tri(1, 0, 2), tri(2, 1, 2), tri(1, 2, 2), tri(0, 1, 2))),
+            InstanceFile(vertices=cfg.quad.vertices, sides=cfg.triples[4:8], checks=claims or ()),
+            InstanceFile(vertices=SQUARE, checks=claims or (),
+                         sides=(tri(1, 0, 2), tri(2, 1, 2), tri(1, 2, 2), tri(0, 1, 2))),
         ):
             built = inst.configuration()
             verdicts = verify_all(built, select_claims(claims))

@@ -125,8 +125,8 @@ def drawn(inst, plan):
 
 
 # M and P on the crossing point of the sides: lines AA1 and BB1 coincide
-_N1_COLLAPSE = InstanceFile(vertices=(tri(0, 0), tri(2, 2), tri(2, 0), tri(0, 2)), ratios=None,
-                            points=(tri(1, 1), tri(2, 1), tri(1, 1), tri(0, 1)), checks=())
+_N1_COLLAPSE = InstanceFile(vertices=(tri(0, 0), tri(2, 2), tri(2, 0), tri(0, 2)),
+                            sides=(tri(1, 1), tri(2, 1), tri(1, 1), tri(0, 1)), checks=())
 
 
 @pytest.mark.parametrize("shape", ["convex", "concave", "crossed"])
@@ -143,8 +143,8 @@ def test_the_drawn_plan_draws_the_full_builds_bytes(shape):
             quad = gen_quadrilateral(spec, index)
             insts.append(instance_from_parts(quad, gen_ratios(spec, index)))
             if shape != "convex":
-                insts.append(InstanceFile(vertices=quad.vertices, ratios=None, checks=(),
-                                          points=side_points(quad, signed_ratios(spec, index))))
+                insts.append(InstanceFile(vertices=quad.vertices, checks=(),
+                                          sides=side_points(quad, signed_ratios(spec, index))))
     errors = set()
     for inst in insts:
         full = drawn(inst, FULL_PLAN)
