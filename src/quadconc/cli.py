@@ -200,10 +200,11 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
             verdicts, cfg = verify_all(built), built
         line = report_line(meta, verdicts, cfg, inst)
         if not checked:
-            # a line writer that drifted from the report tree would change
-            # every line unnoticed; checking the first line of each campaign
-            # against the tree's compact JSON catches that at a cost that
-            # does not grow with --count
+            # a writer whose layout (spacing, key order, escapes) drifted
+            # from json's would change every line unnoticed; the tree is the
+            # line's parse, so checking the first line of each campaign
+            # against its compact JSON catches that at a cost that does not
+            # grow with --count.  The tests' oracle checks the values
             checked = True
             if line != render(report_document(meta, verdicts, cfg, instance=inst), compact=True):
                 raise RuntimeError(f"report_line differs from the report tree at index {index}")

@@ -9,9 +9,9 @@ pairs, each written here by ``kernel.rational_text``, in the bytes
 
 Both commands write reports straight from the verdicts, with no tree
 and no ``json`` encoder call, through one writer that takes its layout
-as data.  ``report_line`` writes one compact ``fuzz`` line, the bytes of
-``render(report_document(...), compact=True)``; ``report_text`` writes
-what ``verify`` prints, the bytes of ``render(report_document(...))``.
+as data.  ``report_line`` writes one compact ``fuzz`` line and
+``report_text`` what ``verify`` prints, each in the bytes ``render``
+gives its parse, compact or indented.
 This module writes no part of an instance: the ``instance`` value is
 ``instancefile.instance_text`` in a line, and the instance file's own
 text indented one level in ``verify``'s report.  Each layout's fixed
@@ -35,51 +35,30 @@ same on every report is made again per report:
 
 Every other string goes through ``json``'s C escaper as it is: the meta
 values that are strings, the flags and the shape on each use, and each
-distinct ``detail`` once per report.  The tree (``report_document``)
-uses the same text functions, and its ``instance`` is the parse of
-``instance_text``, so the writer and the tree agree on any input.  It
-remains as the test oracle and as the check of each ``fuzz`` campaign's
-first line.
+distinct ``detail`` once per report.  The tree (``report_document``) is
+the parse of ``report_line``, as the instance tree is the parse of
+``instance_text``, so a report is written one way only.  ``fuzz`` checks
+its first line's layout against ``render`` of that tree; the tests check
+its values against an oracle of their own, built from ``Fraction``s.
 """
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _ascii
 from typing import Iterable, Optional, Sequence
 
 from .configuration import Configuration
-from .instancefile import InstanceFile, instance_document, instance_text
+from .instancefile import InstanceFile, instance_text
 from .kernel import rational_text, reduced_text, triple_text
 from .verifiers import DEGENERATE, Verdict, overall_status
 
 
-def verdict_json(v: Verdict) -> dict:
-    return {
-        "claim": v.claim_id,
-        "status": v.status,
-        "detail": v.detail,
-        "witness": {name: triple_text(t) for name, t in v.witness.items()},
-        "exact_values": {key: rational_text(*value) for key, value in v.exact_values.items()},
-    }
-
-
-def configuration_json(cfg: Configuration) -> dict:
-    return {
-        "gamma": reduced_text(*cfg.ratios.gamma),
-        "shape": cfg.quad.shape,
-        "r": reduced_text(*cfg.r_ratio),
-        "degeneracies": sorted(cfg.degeneracies),
-    }
-
-
 def report_document(meta: dict, verdicts: Sequence[Verdict],
                     cfg: Optional[Configuration], instance: InstanceFile) -> dict:
-    doc: dict = {"instance_meta": meta, "instance": instance_document(instance)}
-    if cfg is not None:
-        doc["configuration"] = configuration_json(cfg)
-    doc["verdicts"] = [verdict_json(v) for v in verdicts]
-    doc["overall"] = overall_status(verdicts)
-    return doc
+    """The report as a JSON tree, the parse of ``report_line``; ``meta``
+    maps names to strings and integers."""
+    return json.loads(report_line(meta, verdicts, cfg, instance))
 
 
 def degenerate_verdicts(claims: Iterable[str], reason: str) -> list[Verdict]:
@@ -212,16 +191,15 @@ def _write(layout: tuple, meta: dict, verdicts: Sequence[Verdict],
 
 def report_line(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configuration],
                 instance: InstanceFile) -> str:
-    """``render(report_document(meta, verdicts, cfg, instance=instance),
-    compact=True)``, written directly.  ``meta`` maps names to strings and
-    integers."""
+    """The report as one compact line, in the bytes of ``render(...,
+    compact=True)``.  ``meta`` maps names to strings and integers."""
     return _write(_COMPACT, meta, verdicts, cfg, instance_text(instance))
 
 
 def report_text(meta: dict, verdicts: Sequence[Verdict], cfg: Optional[Configuration],
                 file_text: str) -> str:
-    """``render(report_document(meta, verdicts, cfg, instance=instance))``,
-    written directly, given the instance file's text ``file_text =
+    """The report as ``verify`` prints it, in the bytes of ``render(...)``,
+    given the instance file's text ``file_text =
     render(instance_document(instance))``.  ``meta`` maps names to
     strings and integers."""
     return _write(_PRETTY, meta, verdicts, cfg, file_text[:-1].replace("\n", "\n  "))

@@ -8,6 +8,12 @@ tests write points, side ratios and single bounded draws as ``int``s and
 ``Fraction``s through ``tri``, ``side_ratios`` and ``draw``, and the
 tests of the kernel's :class:`Point` API write points through ``pt``.
 ``points`` maps a configuration's point names to their triples.
+
+``report_tree`` is the report writer's oracle: the JSON tree of a report,
+built from ``Fraction``s and calling none of the kernel's text functions.
+Each exact value is ``str(Fraction(num, den))``, each point its affine
+coordinates' ``str`` (its integer triple if it is ideal), and the
+``instance`` is ``instance_document``, whose text has oracles of its own.
 """
 
 from fractions import Fraction
@@ -15,6 +21,7 @@ from fractions import Fraction
 from quadconc import Point, SideRatios
 from quadconc._purekernel import reduce3
 from quadconc.configuration import POINT_NAMES
+from quadconc.instancefile import instance_document
 from quadconc.kernel import parameter_pair
 
 
@@ -72,3 +79,36 @@ def side_ratios(m, n, p, q) -> SideRatios:
 def draw(rng, lo: int, hi: int) -> int:
     """One bounded draw in ``[lo, hi]`` from the stream ``rng``."""
     return rng.ints(((lo, hi - lo + 1),))[0]
+
+
+def coordinates(t: tuple[int, int, int]) -> list[str]:
+    """A point's text in a report: ``str`` of its affine coordinates, or of
+    its integer triple if it is ideal."""
+    return [str(c) for c in (t if t[2] == 0 else affine(t))]
+
+
+def verdict_json(v) -> dict:
+    """The JSON tree of the verdict ``v`` in a report."""
+    return {
+        "claim": v.claim_id,
+        "status": v.status,
+        "detail": v.detail,
+        "witness": {name: coordinates(t) for name, t in v.witness.items()},
+        "exact_values": {key: str(frac(pair)) for key, pair in v.exact_values.items()},
+    }
+
+
+def report_tree(meta: dict, verdicts, cfg, inst) -> dict:
+    """The JSON tree of the report of ``verdicts`` on the instance ``inst``,
+    with its configuration block when ``cfg`` is not ``None``; ``fail``
+    beats ``degenerate`` beats ``pass`` in its ``overall``."""
+    doc: dict = {"instance_meta": meta, "instance": instance_document(inst)}
+    if cfg is not None:
+        doc["configuration"] = {"gamma": str(frac(cfg.ratios.gamma)), "shape": cfg.quad.shape,
+                                "r": str(frac(cfg.r_ratio)),
+                                "degeneracies": sorted(cfg.degeneracies)}
+    doc["verdicts"] = [verdict_json(v) for v in verdicts]
+    seen = {v.status for v in verdicts}
+    doc["overall"] = "fail" if "fail" in seen else "degenerate" if "degenerate" in seen \
+        else "pass"
+    return doc

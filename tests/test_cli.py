@@ -11,8 +11,8 @@ from quadconc.errors import DegenerateQuadrilateral, InstanceFormatError, Undefi
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import (InstanceFile, instance_from_parts, load_instance,
                                    parse_rational, render, serialize_instance)
-from quadconc.report import degenerate_report, report_document
-from rationals import frac, pt
+from quadconc.report import degenerate_verdicts
+from rationals import frac, pt, report_tree
 
 MIDPOINT = {
     "vertices": {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]},
@@ -283,7 +283,7 @@ class TestDegenerateInstance:
 
 
 def tree_oracle(path, check=None):
-    """``verify``'s exit code and stdout, made from the report tree."""
+    """``verify``'s exit code and stdout, made from the oracle's report tree."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -293,9 +293,10 @@ def tree_oracle(path, check=None):
         try:
             cfg = inst.configuration()
         except (DegenerateQuadrilateral, UndefinedPoint) as exc:
-            doc = degenerate_report(meta, claims, f"{type(exc).__name__}: {exc}", instance=inst)
+            verdicts = degenerate_verdicts(claims, f"{type(exc).__name__}: {exc}")
+            doc = report_tree(meta, verdicts, None, inst)
         else:
-            doc = report_document(meta, verifiers.verify_all(cfg, claims), cfg, instance=inst)
+            doc = report_tree(meta, verifiers.verify_all(cfg, claims), cfg, inst)
         return (1 if doc["overall"] == "fail" else 0), render(doc)
     finally:
         sys.set_int_max_str_digits(limit)
@@ -533,8 +534,12 @@ class TestFuzz:
         assert code == 0 and len(calls) == 1
 
     def test_first_line_is_checked_against_the_tree(self, monkeypatch):
-        line = cli.report_line
-        monkeypatch.setattr(cli, "report_line", lambda *a: line(*a).replace("pass", "PASS"))
+        # the tree is the line's parse, so the check guards the layout: a
+        # compact format that drifted to json's default ": " is caught
+        from quadconc import report
+        compact = report._COMPACT
+        monkeypatch.setattr(report, "_COMPACT", compact[:3] + (": ",) + compact[4:])
+        monkeypatch.setattr(report, "_shapes", {})
         with pytest.raises(RuntimeError, match="differs from the report tree at index 0"):
             run(["fuzz", "--seed", "42", "--count", "3", "--regime", "general"])
 

@@ -16,7 +16,7 @@ from quadconc._purekernel import cross3, det3, reduce3
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import instance_from_parts
 from quadconc.kernel import dividing_terms
-from quadconc.report import configuration_json, report_line
+from quadconc.report import report_line
 from quadconc.verifiers import CLAIMS, verify_all
 from rationals import affine, frac, param, points, ratio, side_ratios, tri
 
@@ -575,7 +575,7 @@ class TestConstructionPlans:
         assert "T_IDEAL" not in part.degeneracies and part.r_ratio is None
         # a report of a partial configuration fails loudly
         with pytest.raises(TypeError):
-            configuration_json(part)
+            report_line({}, [], part, instance_from_parts(quad, ratios))
 
 
 # each claim's plan: the points its check reads and the rows they need

@@ -16,11 +16,11 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from quadconc import Quadrilateral, build_from_ratios
-from quadconc.instancefile import InstanceFile, instance_document
+from quadconc.instancefile import InstanceFile, instance_document, instance_from_parts
 from quadconc.kernel import point_text, rational_text, triple_text
-from quadconc.report import verdict_json
+from quadconc.report import report_document
 from quadconc.verifiers import CLAIMS, FAIL, PASS, Verdict, verify_all
-from rationals import frac, pt, side_ratios, tri
+from rationals import frac, pt, side_ratios, tri, verdict_json
 
 CHECKS = {claim: check for claim, *_, check in CLAIMS}
 
@@ -168,6 +168,6 @@ def test_ideal_point_text_is_its_triple():
         assert point.triple() == (-3, 2, 0)
         assert triple_text(point.triple()) == ["-3", "2", "0"]
         assert repr(point) == point_text(point.triple()) == "Point(-3, 2, 0)"
-        witness = verdict_json(Verdict("seven_lines", PASS,
-                                       witness={"E": point.triple()}))["witness"]
-        assert witness == {"E": ["-3", "2", "0"]}
+        verdict = Verdict("seven_lines", PASS, witness={"E": point.triple()})
+        doc = report_document({}, [verdict], None, instance_from_parts(BASE.quad, BASE.ratios))
+        assert doc["verdicts"][0]["witness"] == {"E": ["-3", "2", "0"]}

@@ -32,10 +32,9 @@ from quadconc.errors import GeometryError, UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import InstanceFile, instance_from_parts, render, serialize_instance
 from quadconc.kernel import rational_text
-from quadconc.report import verdict_json
 from quadconc.svgfig import LAYERS, render_svg
 from quadconc.verifiers import CLAIM_IDS, DEGENERATE, FAIL, verify_all
-from rationals import points, tri
+from rationals import points, tri, verdict_json
 from test_verifiers import with_points
 
 GOLDEN = {

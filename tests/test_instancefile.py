@@ -21,9 +21,9 @@ from quadconc.instancefile import (
     serialize_instance,
 )
 from quadconc.kernel import triple_from_terms
-from quadconc.report import degenerate_verdicts, report_document, report_line, report_text
+from quadconc.report import degenerate_verdicts, report_line, report_text
 from quadconc.verifiers import CLAIM_IDS, verify_all
-from rationals import affine, frac, points, side_ratios, tri
+from rationals import affine, frac, points, report_tree, side_ratios, tri
 
 F = Fraction
 
@@ -284,7 +284,7 @@ class TestRender:
         documents written once per command; the per-instance writers may
         not: ``report_line`` on built and degenerate instances of each
         regime, and ``report_text`` given its instance text rendered
-        beforehand.  Each writes the bytes of the report tree."""
+        beforehand.  Each writes the bytes of the oracle's report tree."""
         cases, failed_builds = [], 0
         for regime, shape, force in (("gamma1", "convex", True), ("general", "convex", False),
                                      ("remarks", "crossed", True), ("remarks", "crossed", False)):
@@ -302,8 +302,8 @@ class TestRender:
                     reason = f"UndefinedPoint: {exc}"
                 cases.append((meta, degenerate_verdicts(CLAIM_IDS, reason), None, inst))
         assert failed_builds  # remarks, product one, index 1
-        expected = [(render(report_document(meta, verdicts, cfg, instance=inst), compact=True),
-                     render(report_document(meta, verdicts, cfg, instance=inst)),
+        expected = [(render(report_tree(meta, verdicts, cfg, inst), compact=True),
+                     render(report_tree(meta, verdicts, cfg, inst)),
                      render(instance_document(inst))) for meta, verdicts, cfg, inst in cases]
 
         def refuse(*args, **kwargs):

@@ -117,6 +117,18 @@ def test_only_instancefile_reads_the_instance_keys():
         f"only instancefile.py may read the instance keys; found {sorted(readers)}")
 
 
+def test_only_report_writes_the_report_keys():
+    # report.py writes a report one way, in its layouts; a second place that
+    # names a report's keys would be a second writer, or a tree built by hand
+    keys = ("claim", "status", "detail", "witness", "exact_values", "degeneracies", "verdicts")
+    found = {key: [] for key in keys}
+    for path in sorted((REPO / "src" / "quadconc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in found:
+                found[node.value].append(path.name)
+    assert found == {key: ["report.py"] for key in keys}
+
+
 def test_verifiers_decide_and_write_no_value():
     # the checks store exact values as pairs and the report writes them, so
     # the checks run unchanged on polynomial pairs; no module state either

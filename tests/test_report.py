@@ -1,6 +1,8 @@
-"""The report writer against the report tree it stands for: every
-``report_line`` must be byte for byte the compact JSON of
-``report_document``, and every ``report_text`` its pretty JSON."""
+"""The report writer against the tests' own oracle: every ``report_line``
+must be byte for byte the compact JSON of ``rationals.report_tree``, and
+every ``report_text`` its pretty JSON.  The oracle writes each exact value
+and point from ``Fraction``s, with none of the kernel's text functions, so
+it checks the writer's values as well as its layout."""
 
 import itertools
 
@@ -12,19 +14,14 @@ from quadconc import build_from_ratios, report
 from quadconc.errors import UndefinedPoint
 from quadconc.generators import GenSpec, gen_quadrilateral, gen_ratios
 from quadconc.instancefile import InstanceFile, instance_document, instance_from_parts, render
-from quadconc.report import (degenerate_report, degenerate_verdicts, report_document,
-                             report_line, report_text)
+from quadconc.report import degenerate_report, degenerate_verdicts, report_line, report_text
 from quadconc.verifiers import (CLAIM_IDS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict,
                                 select_claims, verify_all)
-from rationals import tri
+from rationals import report_tree, tri
 from test_golden import corruptions
 from test_verifiers import with_points
 
 BOUNDS = ((4, 2), (10, 8), (10**3, 10**3), (10**30, 10**30))
-
-
-def tree_line(meta, verdicts, cfg, inst):
-    return render(report_document(meta, verdicts, cfg, instance=inst), compact=True)
 
 
 def pretty_text(meta, verdicts, cfg, inst):
@@ -33,8 +30,8 @@ def pretty_text(meta, verdicts, cfg, inst):
 
 
 def written(meta, verdicts, cfg, inst):
-    """The line, after checking both layouts against the tree."""
-    doc = report_document(meta, verdicts, cfg, instance=inst)
+    """The line, after checking both layouts against the oracle."""
+    doc = report_tree(meta, verdicts, cfg, inst)
     assert pretty_text(meta, verdicts, cfg, inst) == render(doc)
     line = report_line(meta, verdicts, cfg, inst)
     assert line == render(doc, compact=True)
@@ -43,7 +40,7 @@ def written(meta, verdicts, cfg, inst):
 
 @pytest.mark.parametrize("shape", ["convex", "concave", "crossed", "any"])
 def test_report_line_is_the_compact_tree(shape):
-    """Both layouts against the tree (``written``): both regimes at each
+    """Both layouts against the oracle (``written``): both regimes at each
     of ``BOUNDS``, indices 0-5, and under each of
     ``test_golden.corruptions`` at indices 0 and 1: passing, failing,
     degenerate and skipped verdicts, and ideal witness points."""
@@ -92,8 +89,9 @@ def test_degenerate_report_line_is_the_compact_tree(inst, claims):
     line = written(meta, verdicts, None, inst)
     assert line.isascii() and line.endswith("}\n") and line.count("\n") == 1
     text = pretty_text({"source": meta["source"]}, verdicts, None, inst)
-    assert text == render(degenerate_report({"source": meta["source"]}, claims, reason,
-                                            instance=inst))
+    tree = report_tree({"source": meta["source"]}, verdicts, None, inst)
+    assert text == render(tree)
+    assert degenerate_report({"source": meta["source"]}, claims, reason, instance=inst) == tree
     assert text.isascii() and ("\n  ]" in text) == bool(claims)
 
 
@@ -227,7 +225,7 @@ def test_report_line_writes_each_exact_value_with_one_call(monkeypatch):
     # report_line writes each distinct pair of the line with one
     # rational_text call, on a passing general instance and on a copy with
     # a wrong gamma, where the product, the weighted form and the
-    # trace-ratio form mismatch; the tree writes every value
+    # trace-ratio form mismatch
     calls = []
     text = report.rational_text
     monkeypatch.setattr(report, "rational_text", lambda *a: calls.append(a) or text(*a))
@@ -249,6 +247,4 @@ def test_report_line_writes_each_exact_value_with_one_call(monkeypatch):
         calls.clear()
         pretty_text({}, verdicts, built, inst)
         assert sorted(calls) == sorted(distinct)
-        calls.clear()
-        assert line == tree_line({}, verdicts, built, inst)
-        assert len(calls) == 23
+        assert line == render(report_tree({}, verdicts, built, inst), compact=True)

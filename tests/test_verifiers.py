@@ -18,10 +18,11 @@ from quadconc import verifiers
 from quadconc._purekernel import reduce3
 from quadconc.configuration import CONSTRUCTION, E_LINE_PAIRS, SLOT
 from quadconc.errors import InstanceFormatError, UndefinedPoint
+from quadconc.instancefile import instance_from_parts
 from quadconc.kernel import Line, dividing_terms
-from quadconc.report import verdict_json
+from quadconc.report import report_document
 from quadconc.verifiers import CLAIM_IDS, CLAIMS, DEGENERATE, FAIL, PASS, SKIPPED, Verdict
-from rationals import affine, frac, param, points, side_ratios, tri
+from rationals import affine, frac, param, points, side_ratios, tri, verdict_json
 
 F = Fraction
 
@@ -33,7 +34,7 @@ def verdict(cfg, claim):
 
 
 def texts(v, *keys):
-    """The exact values of ``keys`` as the report writes them."""
+    """The exact values of ``keys`` as text, in the oracle's ``str(Fraction)``."""
     values = verdict_json(v)["exact_values"]
     return [values[key] for key in keys]
 
@@ -606,8 +607,10 @@ class TestExactValues:
                  for shape in ("convex", "concave", "crossed", "any") for one in (False, True)]
         checked = 0
         for cfg in self.built(specs, 6):
-            for v in verify_all(cfg):
-                written = verdict_json(v)["exact_values"]
+            verdicts = verify_all(cfg)
+            doc = report_document({}, verdicts, cfg, instance_from_parts(cfg.quad, cfg.ratios))
+            for v, tree in zip(verdicts, doc["verdicts"]):
+                written = tree["exact_values"]
                 for key, pair in v.exact_values.items():
                     assert type(pair) is tuple and len(pair) == 2, (v.claim_id, key)
                     num, den = pair

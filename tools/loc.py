@@ -1,6 +1,8 @@
 """Print, for each module of ``src/quadconc`` and in total, the ``wc -l``
 count, the code lines (lines holding a token outside docstrings and
-comments) and the docstring lines.  Run ``python tools/loc.py``."""
+comments) and the docstring lines; then the same totals for ``tests/`` and
+``perfbench/``, so a move between them reads on both sides.  Run
+``python tools/loc.py``."""
 
 import ast
 import pathlib
@@ -23,15 +25,23 @@ def counts(path: pathlib.Path) -> tuple[int, int, int]:
     return text.count("\n"), len(code - docs), len(docs)
 
 
+def line(name: str, row) -> None:
+    print(f"{name:<18}{row[0]:>7}{row[1]:>7}{row[2]:>7}")
+
+
+def total(paths) -> list[int]:
+    return [sum(column) for column in zip((0, 0, 0), *map(counts, paths))]
+
+
 def main() -> None:
-    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadconc"
-    total = [0, 0, 0]
-    print(f"{'module':<18}{'wc -l':>7}{'code':>7}{'doc':>7}")
-    for path in sorted(root.glob("*.py")):
-        row = counts(path)
-        total = [a + b for a, b in zip(total, row)]
-        print(f"{path.name:<18}{row[0]:>7}{row[1]:>7}{row[2]:>7}")
-    print(f"{'total':<18}{total[0]:>7}{total[1]:>7}{total[2]:>7}")
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    modules = sorted((repo / "src" / "quadconc").glob("*.py"))
+    line("module", ("wc -l", "code", "doc"))
+    for path in modules:
+        line(path.name, counts(path))
+    line("total", total(modules))
+    for tree in ("tests", "perfbench"):
+        line(f"{tree}/ total", total(sorted((repo / tree).glob("*.py"))))
 
 
 if __name__ == "__main__":
