@@ -110,6 +110,15 @@ def _built(build, *parts) -> Configuration | str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def _verdicts(built: Configuration | str, claims: tuple[str, ...]):
+    """``(verdicts, cfg)`` of the claims ``claims`` on ``built`` as ``_built``
+    gives it: the degenerate verdicts and None for a message.  ``CLAIM_IDS``
+    itself keeps ``verify_all``'s fast path for every claim."""
+    if isinstance(built, str):
+        return degenerate_verdicts(claims, built), None
+    return verify_all(built, None if claims is CLAIM_IDS else claims), built
+
+
 def _campaign(args: argparse.Namespace, regime: str, shape: str, count: int,
               plan: Plan | None):
     """Instances ``0 .. count - 1`` of the seeded stream the arguments name.
@@ -154,12 +163,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     inst = load_instance(args.file)
     checks = _ids(args.check) if args.check else inst.checks
     claims = select_claims(checks or None)
-    built = _built(inst.configuration)
-    if isinstance(built, str):
-        verdicts, cfg = degenerate_verdicts(claims, built), None
-    else:
-        # None keeps verify_all's fast path when every claim runs
-        verdicts, cfg = verify_all(built, checks or None), built
+    verdicts, cfg = _verdicts(_built(inst.configuration), claims)
     # the instance text goes through cli's render, so the benchmark's report.render span
     # stays on this path, timing only this block, until ROADMAP item 18 renames it
     out.write(report_text({"source": args.file}, verdicts, cfg, render(instance_document(inst))))
@@ -193,11 +197,8 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
                               "overall": DEGENERATE}, compact=True))
             continue
         inst = instance_from_parts(quad, ratios)
-        if isinstance(built, str):
-            construction_errors += 1
-            verdicts, cfg = degenerate_verdicts(CLAIM_IDS, built), None
-        else:
-            verdicts, cfg = verify_all(built), built
+        verdicts, cfg = _verdicts(built, CLAIM_IDS)
+        construction_errors += cfg is None
         line = report_line(meta, verdicts, cfg, inst)
         if not checked:
             # a writer whose layout (spacing, key order, escapes) drifted
@@ -265,7 +266,7 @@ def cmd_counterexample(args: argparse.Namespace, out) -> int:
         if isinstance(built, str):
             continue
         verdicts = verify_all(built, checks)
-        if verdicts and verdicts[0].status == FAIL:
+        if verdicts[0].status == FAIL:
             text = serialize_instance(instance_from_parts(quad, ratios, checks=checks))
             if args.output:
                 _write_output(args.output, text)

@@ -10,6 +10,7 @@
   :class:`GeometryError`.
 
 A subclass exists only because some caller catches it by name.
+:func:`select` checks a selection of claim ids or figure layers.
 """
 
 
@@ -37,3 +38,15 @@ class InstanceFormatError(ValueError):
     """Any invalid input from outside the program (an instance document, a
     claim id, a layer name, a generator argument, a side point or ratio);
     the message says where."""
+
+
+def select(universe: tuple[str, ...], names, kind: str) -> tuple[str, ...]:
+    """The names of ``universe`` in the iterable ``names`` (all when None),
+    once each and in order; unknown ones raise ``InstanceFormatError``."""
+    if names is None:
+        return universe
+    wanted = set(names)
+    unknown = sorted(wanted.difference(universe))
+    if unknown:
+        raise InstanceFormatError(f"unknown {kind}: {', '.join(unknown)}")
+    return tuple([name for name in universe if name in wanted])

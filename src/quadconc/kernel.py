@@ -10,8 +10,8 @@ Conventions
 * A :class:`Line` is the locus ``a*x + b*y + c*w = 0`` with
   ``(a, b) != (0, 0)``, the join of two points; the line at infinity is
   deliberately not representable.
-* Equality of points and of lines is projective (cross-multiplication);
-  canonical storage makes it agree with hashing.
+* Points and lines share one equality, of canonical triples: it is
+  projective, agrees with hashing, and never makes a point equal a line.
 * A rational is an integer ``(num, den)`` pair, ``den != 0``, and
   ``lowest_terms`` its canonical form; ``rational_text`` writes it, in the
   bytes ``str(Fraction(num, den))`` writes, and ``reduced_text`` writes a
@@ -119,16 +119,31 @@ def triple_text(t: tuple[int, int, int]) -> list[str]:
     return [rational_text(x, w), rational_text(y, w)]
 
 
-class Point:
-    """A projective point; finite when its weight component is nonzero."""
+class _Canonical:
+    """A canonical integer triple wrapped as a value: equal to, and hashed
+    with, a wrapper of the same class on the same triple."""
 
     __slots__ = ("_t",)
 
     @classmethod
-    def _wrap(cls, triple: tuple[int, int, int]) -> "Point":
+    def _wrap(cls, triple: tuple[int, int, int]):
         obj = object.__new__(cls)
         obj._t = triple
         return obj
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._t))
+
+
+class Point(_Canonical):
+    """A projective point; finite when its weight component is nonzero."""
+
+    __slots__ = ()
 
     def triple(self) -> tuple[int, int, int]:
         """The canonical integer representative of this point."""
@@ -137,14 +152,6 @@ class Point:
     @property
     def is_ideal(self) -> bool:
         return self._t[2] == 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self._t == other._t
-
-    def __hash__(self) -> int:
-        return hash((Point, self._t))
 
     def __repr__(self) -> str:
         return point_text(self._t)
@@ -162,25 +169,11 @@ def triple_from_terms(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int
     return reduce3(xn * yd, yn * xd, xd * yd)
 
 
-class Line:
+class Line(_Canonical):
     """The locus ``a*x + b*y + c*w = 0`` with ``(a, b) != (0, 0)``; made
     only by :func:`line_through`."""
 
-    __slots__ = ("_t",)
-
-    @classmethod
-    def _wrap(cls, triple: tuple[int, int, int]) -> "Line":
-        obj = object.__new__(cls)
-        obj._t = triple
-        return obj
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Line):
-            return NotImplemented
-        return self._t == other._t
-
-    def __hash__(self) -> int:
-        return hash((Line, self._t))
+    __slots__ = ()
 
     def __repr__(self) -> str:
         a, b, c = self._t

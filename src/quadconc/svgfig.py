@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterable
 
 from .configuration import DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration, construction_plan
-from .errors import InstanceFormatError
+from .errors import select
 
 RENDER_DIGITS = 12
 VIEW = 640
@@ -117,13 +117,7 @@ def _screen(cfg: Configuration) -> dict[str, tuple[str, str]]:
 def select_layers(layers: Iterable[str] | None = None) -> tuple[str, ...]:
     """The layers ``layers`` selects (all by default), once each and in the
     fixed order; an unknown name raises ``InstanceFormatError``."""
-    if layers is None:
-        return LAYERS
-    wanted = set(layers)
-    unknown = sorted(wanted - set(LAYERS))
-    if unknown:
-        raise InstanceFormatError(f"unknown layers: {', '.join(unknown)}")
-    return tuple(layer for layer in LAYERS if layer in wanted)
+    return select(LAYERS, layers, "layers")
 
 
 def render_svg(cfg: Configuration, layers: Iterable[str] | None = None) -> str:

@@ -42,8 +42,8 @@ identity checks run unchanged on pairs of polynomials, which
 Each claim is one row of :data:`CLAIMS`.  A configuration outside the
 row's regime (wrong ratio product, wrong shape class) gets a ``skipped``
 verdict, which is never a failure (made once, at import, where the skip
-text names no value; a skip text that names ``gamma`` writes the stored
-lowest-terms pair with ``kernel.reduced_text``).  Past that, a check
+text names no value; a product-one row's skip text ends in the stored
+``gamma``, written by ``kernel.reduced_text``).  Past that, a check
 collects failures and reasons in one vocabulary, also the builder's flag
 vocabulary, and reads no flag (``cfg.degeneracies``): ``_finite`` gives
 ``<point>_UNDEFINED`` or ``<point>_IDEAL``; ``_concurrent_through`` gives
@@ -66,7 +66,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._purekernel import det3, reduce3
 from .configuration import CONVEX, DIAGONAL_PAIRS, E_LINE_PAIRS, SLOT, Configuration, Triple
-from .errors import InstanceFormatError
+from .errors import select
 from .kernel import (
     DEGENERATE as DEGENERATE_SHAPE,
     Pair,
@@ -500,7 +500,8 @@ _REGIMES: Mapping[str, Callable[[Configuration], bool]] = {
     "concave/crossed": lambda cfg: cfg.quad.shape != CONVEX,
 }
 
-_GAMMA_ONE_SKIP = "requires side-ratio product 1, got {gamma}"
+# a product-one row's skip text, followed by the stored gamma
+_GAMMA_ONE_SKIP = "requires side-ratio product 1, got "
 
 
 # the vertices and side points, which every construction plan takes as input
@@ -543,19 +544,20 @@ CLAIMS: tuple[tuple[str, str, bool, str, tuple[str, ...],
 
 def _rule(claim: str, regime: str, skip: str,
           check: Callable[[str, Configuration], Verdict]) -> Callable[[Configuration], Verdict]:
-    """The runner of one ``CLAIMS`` row: ``skipped`` outside the regime, else the check."""
+    """The runner of one ``CLAIMS`` row: ``skipped`` outside the regime, else
+    the check.  A ``gamma = 1`` row's skip text is followed by the stored
+    gamma; every other row's names no value."""
     in_regime = _REGIMES[regime]
     # a skip text that names no value gives one verdict, made here and
     # shared: a Verdict is immutable
-    skipped = None if "{gamma}" in skip else Verdict(claim, SKIPPED, detail=skip)
-    skip_head, _, skip_tail = skip.partition("{gamma}")
+    skipped = None if regime == "gamma = 1" else Verdict(claim, SKIPPED, detail=skip)
 
     def run(cfg: Configuration) -> Verdict:
         if not in_regime(cfg):
             if skipped is not None:
                 return skipped
             # built positionally: every general instance skips four claims here
-            detail = skip_head + reduced_text(*cfg.ratios.gamma) + skip_tail
+            detail = skip + reduced_text(*cfg.ratios.gamma)
             return tuple.__new__(Verdict, (claim, SKIPPED, detail, _EMPTY, _EMPTY))
         return check(claim, cfg)
 
@@ -577,13 +579,7 @@ FINDING_CLAIMS: frozenset[str] = frozenset(
 def select_claims(checks: Iterable[str] | None = None) -> tuple[str, ...]:
     """The claim ids ``checks`` selects (all by default), once each and in
     the fixed order; an unknown id raises ``InstanceFormatError``."""
-    if checks is None:
-        return CLAIM_IDS
-    wanted = set(checks)
-    if not wanted <= _CLAIM_ID_SET:
-        unknown = sorted(wanted - _CLAIM_ID_SET)
-        raise InstanceFormatError(f"unknown claim ids: {', '.join(unknown)}")
-    return tuple([claim for claim in CLAIM_IDS if claim in wanted])
+    return select(CLAIM_IDS, checks, "claim ids")
 
 
 def verify_all(cfg: Configuration, checks: Sequence[str] | None = None) -> list[Verdict]:

@@ -237,6 +237,15 @@ class TestWideValues:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_main_runs_where_python_has_no_digit_limit(self, monkeypatch):
+        # Python before 3.10.7 has neither function; main then lifts nothing
+        argv = ["fuzz", "--regime", "gamma1", "--seed", "42", "--count", "5"]
+        with_limit = run(argv)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        assert run(argv) == with_limit
+        assert with_limit[0] == 0
+
     def test_wide_bound_campaign_runs(self):
         code, out = run(["fuzz", "--seed", "1", "--count", "2", "--regime", "general",
                          "--bound", str(WIDE)])

@@ -14,7 +14,7 @@ from quadconc import (
     point_dividing,
 )
 from quadconc.errors import GeometryError
-from quadconc.kernel import classify_triples, lowest_terms
+from quadconc.kernel import Line, Point, classify_triples, lowest_terms
 from rationals import affine, frac, pt, tri
 from test_kernel_properties import incident, orientation
 
@@ -28,6 +28,13 @@ class TestPoint:
         assert pt(1, 0, 0) != pt(0, 1, 0)
         # a non-point gets NotImplemented, so Python falls back to identity
         assert pt(1, 0).__eq__(1) is NotImplemented and (pt(1, 0) == 1) is False
+
+    def test_a_point_and_a_line_on_one_triple_stay_apart(self):
+        # Point and Line share one equality, which compares the class too
+        t = (1, 2, 3)
+        assert Point._wrap(t) != Line._wrap(t) and Line._wrap(t) != Point._wrap(t)
+        assert Point._wrap(t).__eq__(Line._wrap(t)) is NotImplemented
+        assert hash(Point._wrap(t)) == hash((Point, t))
 
     def test_scaling_by_negative(self):
         assert pt(1, 2, 1) == pt(-1, -2, -1)

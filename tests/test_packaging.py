@@ -129,6 +129,26 @@ def test_only_report_writes_the_report_keys():
     assert found == {key: ["report.py"] for key in keys}
 
 
+def test_each_equality_and_selection_is_written_once():
+    # Point and Line share one equality, and the claim ids and the figure
+    # layers one selection rule; a second copy of either would drift
+    src = REPO / "src" / "quadconc"
+    kernel = ast.parse((src / "kernel.py").read_text(encoding="utf-8"))
+    defined = [node.name for node in ast.walk(kernel) if isinstance(node, ast.FunctionDef)]
+    assert [defined.count(name) for name in ("__eq__", "__hash__", "_wrap")] == [1, 1, 1]
+    selectors = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("select_"):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) \
+                    else None
+                assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
+                    and call.func.id == "select", f"{path.name}: {node.name}"
+                selectors.append(node.name)
+    assert selectors == ["select_layers", "select_claims"]
+
+
 def test_verifiers_decide_and_write_no_value():
     # the checks store exact values as pairs and the report writes them, so
     # the checks run unchanged on polynomial pairs; no module state either

@@ -13,15 +13,25 @@ pairs the reflection writes in the other order, and those of ``R``, which
 is taken on ``AB`` alone.  The renaming comes from ``CONSTRUCTION``: each
 input goes to its image, and each row to the row whose two lines join the
 images of its own two lines' points.
+
+A projective map ``t -> H t`` with an integer ``H`` keeps every incidence,
+and γ is a projective invariant: the image of ``AM/MB`` is
+``m * w(B) / w(A)`` with ``w`` the third row of ``H``, and the product
+telescopes around ``ABCD``.  So an image, rebuilt from its mapped
+vertices and side points, keeps γ exactly, and no identity claim fails on
+it, though its shape class and the signs of its ratios may change.
 """
+
+import random
 
 import pytest
 
-from quadconc import (GenSpec, Quadrilateral, SideRatios, build_from_ratios, gen_quadrilateral,
-                      gen_ratios)
-from quadconc.configuration import CONSTRUCTION, POINT_NAMES
-from quadconc.errors import UndefinedPoint
-from quadconc.verifiers import verify_all
+from quadconc import (GenSpec, Quadrilateral, SideRatios, build_from_points, build_from_ratios,
+                      gen_quadrilateral, gen_ratios)
+from quadconc._purekernel import det3, reduce3
+from quadconc.configuration import CONSTRUCTION, POINT_NAMES, SLOT
+from quadconc.errors import InstanceFormatError, UndefinedPoint
+from quadconc.verifiers import FAIL, verify_all
 
 
 def rotation(quad, ratios):
@@ -95,3 +105,49 @@ def test_relabelling_keeps_every_status(relabel, shape, force):
     # the nonconvex streams reach undefined points, so both sides of the
     # build agreement are tried
     assert (undefined > 0) == (shape != "convex")
+
+
+# the claims whose inequalities read signs, which a projective map need not keep
+SIGN_CLAIMS = {"inner_quadrilateral", "inner_quadrilateral_convexity"}
+
+
+def projective_image(H, cfg):
+    """The configuration rebuilt from the images under ``H`` of ``cfg``'s
+    vertices and side points, or ``None`` where an image point is ideal or a
+    convex image puts a side point outside its side."""
+    image = [reduce3(*(r[0] * x + r[1] * y + r[2] * w for r in H))
+             for x, y, w in (cfg.triples[SLOT[name]] for name in "ABCDMNPQ")]
+    if any(t[2] == 0 for t in image):
+        return None
+    try:
+        return build_from_points(Quadrilateral.of(*image[:4]), *image[4:])
+    except InstanceFormatError as exc:
+        assert "outside its open side" in str(exc)
+        return None
+
+
+def test_projective_maps_keep_gamma_exactly():
+    rng = random.Random(9)
+    built_images = changed_shape = 0
+    for shape in ("convex", "concave", "crossed"):
+        for force in (True, False):
+            spec = GenSpec(seed=9, shape=shape, coordinate_bound=10, ratio_bound=8,
+                           force_gamma_one=force)
+            for index in range(60):
+                cfg = built(gen_quadrilateral(spec, index), gen_ratios(spec, index))
+                if cfg is None:
+                    continue
+                H = None
+                while H is None or det3(*H) == 0:
+                    H = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
+                image = projective_image(H, cfg)
+                if image is None:
+                    continue
+                built_images += 1
+                changed_shape += image.quad.shape != cfg.quad.shape
+                assert image.ratios.gamma == cfg.ratios.gamma, (shape, force, index)
+                failed = [v.claim_id for v in verify_all(image)
+                          if v.status == FAIL and v.claim_id not in SIGN_CLAIMS]
+                assert not failed, (shape, force, index, failed)
+    # most images build, and some leave their preimage's shape class
+    assert built_images >= 250 and changed_shape > 0, (built_images, changed_shape)
